@@ -405,10 +405,7 @@ impl Checkpoint {
     /// verbatim — including P² quantile state, which is why the fleet
     /// path is byte-identical rather than merely tolerance-close. A
     /// partition that *does* cut through a row (a coarser grouping) is
-    /// rejected by the duplicate-row guard: restore both sides and
-    /// combine the accumulators with the typed
-    /// [`Merge`](crate::stats::Merge) impls instead, accepting the
-    /// documented quantile tolerance. Single states are rider-range
+    /// rejected by the duplicate-row guard. Single states are rider-range
     /// accumulators: the side whose range reached past the grid
     /// supplies them; when neither (or both) did, the snapshots must
     /// agree bit-for-bit.
@@ -536,8 +533,7 @@ impl Checkpoint {
                     if union.insert(key.clone(), row.clone()).is_some() {
                         return Err(CheckpointError::Mismatch(format!(
                             "grouped state {name:?} has row {key:?} in both checkpoints — \
-                             the partition cuts through a grouped row; restore both sides \
-                             and combine them with the typed GroupedStats::merge instead"
+                             the partition cuts through a grouped row"
                         )));
                     }
                 }
@@ -553,8 +549,7 @@ impl Checkpoint {
                     _ => Err(CheckpointError::Mismatch(format!(
                         "single state {name:?} differs between the checkpoints and neither \
                          side alone covered the rider cases — a cross-shard single \
-                         accumulator cannot be merged at the file level; restore both \
-                         sides and combine them with the typed Merge impls instead"
+                         accumulator cannot be merged at the file level"
                     ))),
                 }
             }
@@ -810,16 +805,16 @@ impl CheckpointSpec {
         Ok(Some(checkpoint))
     }
 
-    /// The shard-boundary hook body the experiment modules share: build
-    /// and save a checkpoint when a path is configured, count the save,
-    /// and request a clean [`StreamControl::Halt`] once
+    /// The shard-boundary hook body of [`run_resumable`]: build and save
+    /// a checkpoint when a path is configured, count the save, and
+    /// request a clean [`StreamControl::Halt`] once
     /// [`halt_after`](Self::halt_after) saves have landed. `saves` is
     /// the caller's running save counter. The error type is the
     /// `String` the session's checkpoint hook contract uses.
     ///
     /// # Errors
     /// Errors when saving fails.
-    pub fn on_boundary(
+    pub(crate) fn on_boundary(
         &self,
         saves: &mut usize,
         build: impl FnOnce() -> Checkpoint,
@@ -1321,7 +1316,7 @@ mod tests {
         // On error the target is untouched.
         assert_eq!(m.covered(), (0, 3));
         // A partition cutting through a grouped row (coarser grouping
-        // than the case axes) is rejected towards the typed merge.
+        // than the case axes) is rejected.
         let coarse = |case: usize, start: usize, done: usize| {
             let mut grid: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["a"]);
             grid.entry(case).push(case as f64);
@@ -1332,7 +1327,7 @@ mod tests {
         // Cases 2 and 3 share the a=1 row.
         let mut left = coarse(2, 0, 3);
         let err = left.merge(&coarse(3, 3, 7)).unwrap_err();
-        assert!(err.to_string().contains("GroupedStats::merge"), "{err}");
+        assert!(err.to_string().contains("cuts through a grouped row"), "{err}");
         // A state present on only one side is named.
         let mut lonely = ck(0, 3);
         lonely.set_single("extra", &OnlineStats::new());

@@ -98,10 +98,7 @@ pub use probe::{EventFilter, Measurement, Probe, ProbeSpec, Run, Window};
 pub use scenario::{Op, Scenario, ScenarioError, Step};
 pub use session::{Case, Session, SessionError, SessionErrorKind, StreamControl, StreamEvent};
 pub use snapshot::{Json, Snapshot, SnapshotError};
-pub use stats::{
-    FreqResidency, GroupedStats, Merge, MergeError, OnlineStats, P2Quantile, TransitionStats,
-    Welford,
-};
+pub use stats::{FreqResidency, GroupedStats, OnlineStats, P2Quantile, TransitionStats, Welford};
 pub use sweep::{Axis, CaseDraft, Sweep};
 pub use system::System;
 pub use time::{Duration, Instant, Ns};

@@ -37,10 +37,9 @@
 //!     └── checkpoint            the shard-boundary callback
 //! ```
 //!
-//! Materialized batches ([`Session::run`](crate::Session::run)) emit the
-//! same shape under a single `batch` span instead of `sweep`/`shard`.
-//! A failed run aborts mid-span, so sinks must tolerate spans that
-//! never close (the bundled sinks all do).
+//! Every entry point, [`Session::run`](crate::Session::run) included,
+//! reports this shape. A failed run aborts mid-span, so sinks must
+//! tolerate spans that never close (the bundled sinks all do).
 //!
 //! Span ids come from one process-wide counter, so they are unique
 //! across concurrent sessions sharing a sink but are **not** stable
@@ -76,7 +75,7 @@ pub type Attr<'a> = (&'static str, AttrValue<'a>);
 /// concurrently from the session's worker threads.
 pub trait Recorder: Send + Sync {
     /// A span opened. `parent` is `None` only for root spans
-    /// (`sweep`/`batch`); `attrs` are valid for this call only.
+    /// (`sweep`); `attrs` are valid for this call only.
     fn span_open(&self, id: SpanId, parent: Option<SpanId>, name: &'static str, attrs: &[Attr<'_>]);
 
     /// The span closed. Every close matches an earlier open, but an
@@ -102,18 +101,16 @@ pub trait Recorder: Send + Sync {
 /// Root span of one streaming run. Attrs: `first_index`, `workers`,
 /// `shard_size`.
 pub const SPAN_SWEEP: &str = "sweep";
-/// Root span of one materialized batch. Attrs: `cases`.
-pub const SPAN_BATCH: &str = "batch";
 /// One shard-group of a streaming run. Attrs: `first`, `cases`.
 pub const SPAN_SHARD: &str = "shard";
-/// The worker-pool execution of one shard/batch. Attrs: `cases`,
+/// The worker-pool execution of one shard. Attrs: `cases`,
 /// `workers`.
 pub const SPAN_POOL: &str = "pool";
 /// One case on its worker thread. Attrs: `index`, `label`, `worker`,
 /// `cached`.
 pub const SPAN_CASE: &str = "case";
 /// A machine boot: either a prototype boot into the cache (attr
-/// `prototype: true`, under a `shard`/`batch` span) or a per-case
+/// `prototype: true`, under a `shard` span) or a per-case
 /// from-scratch boot (under its `case` span).
 pub const SPAN_BOOT: &str = "boot";
 /// A fork from a cached prototype, under its `case` span.
@@ -133,7 +130,7 @@ pub const CTR_CACHE_HIT: &str = "cache.hit";
 pub const CTR_CACHE_MISS: &str = "cache.miss";
 /// Prototypes evicted from the LRU cache.
 pub const CTR_CACHE_EVICT: &str = "cache.evict";
-/// Cases delivered (streaming) or completed (materialized).
+/// Cases delivered to the caller.
 pub const CTR_CASES_DONE: &str = "cases.done";
 
 /// Prototype-cache occupancy after each shard's prepare step.

@@ -3,9 +3,7 @@
 //! A [`Probe`] names a physical quantity; a [`Window`] names when to look.
 //! The scenario engine evaluates every probe while it advances the
 //! machine, so one pass over simulated time yields every observation a
-//! [`Run`] needs — replacing the imperative
-//! `run_for_secs` / `measure_*` call sequences the experiment modules
-//! used to hand-roll.
+//! [`Run`] needs.
 //!
 //! All windows are *scenario-relative*: time 0 is the instant the
 //! scenario starts executing, which for [`Session`](crate::Session) runs
@@ -222,10 +220,9 @@ impl ProbeSpec {
     }
 }
 
-/// RAPL polling cadence shared by the probe engine and the legacy
-/// [`System::measure_rapl_w`]: ~100 ms steps, staying far from counter
-/// wrap.
-pub(crate) fn rapl_poll_steps(len: Ns) -> u64 {
+/// RAPL polling cadence of the probe engine: ~100 ms steps, staying far
+/// from counter wrap.
+fn rapl_poll_steps(len: Ns) -> u64 {
     (to_secs(len) / 0.1).ceil().max(1.0) as u64
 }
 
@@ -381,9 +378,8 @@ impl Run {
     }
 }
 
-/// An open RAPL measurement window: reader plus bookkeeping, shared by
-/// the probe engine and the legacy `measure_rapl_w` wrapper so both
-/// observe counters through the identical MSR path.
+/// An open RAPL measurement window: reader plus bookkeeping, so every
+/// RAPL probe observes counters through the same MSR path.
 pub(crate) struct RaplWindow {
     reader: RaplReader,
     from: Ns,

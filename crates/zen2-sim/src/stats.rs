@@ -632,321 +632,6 @@ impl<A> GroupedStats<A> {
 }
 
 // ---------------------------------------------------------------------
-// Merge: pairwise combination of independently accumulated halves of a
-// split stream — the reduction a fleet run performs when disjoint
-// case-index ranges come back from separate processes (see
-// [`Checkpoint::merge`](crate::checkpoint::Checkpoint::merge)).
-// ---------------------------------------------------------------------
-
-/// A merge failure: the two sides do not describe the same reduction
-/// (e.g. two [`GroupedStats`] reducers with different shapes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeError(String);
-
-impl MergeError {
-    /// Builds an error with the given reason.
-    pub fn new(reason: impl Into<String>) -> Self {
-        Self(reason.into())
-    }
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// Pairwise combination of two independently accumulated summaries:
-/// after `a.merge(&b)`, `a` summarizes the concatenation of the two
-/// input streams (`a`'s stream first).
-///
-/// Exactness varies by accumulator and is documented per impl:
-/// [`FreqResidency`] and the counts of [`TransitionStats`] are integer
-/// sums (exact, associative, commutative); [`Welford`] uses Chan et
-/// al.'s pairwise combination (exact in real arithmetic, agrees with
-/// one-pass accumulation up to floating-point rounding, and count /
-/// min / max are always exact); [`P2Quantile`] is an approximation with
-/// a stated bound plus a re-reduce escape hatch
-/// ([`P2Quantile::from_samples`]). Merging with an empty side is always
-/// bit-exact.
-pub trait Merge {
-    /// Folds `other` — the summary of the *later* half of a split
-    /// stream — into `self`.
-    fn merge(&mut self, other: &Self);
-}
-
-impl Merge for Welford {
-    /// Chan et al.'s pairwise combination (updating formulae for the
-    /// two-set case): with `nₐ`, `n_b` the counts, `δ = mean_b − meanₐ`,
-    ///
-    /// ```text
-    /// n = nₐ + n_b
-    /// mean = meanₐ + δ·n_b/n
-    /// M2 = M2ₐ + M2_b + δ²·nₐ·n_b/n
-    /// ```
-    ///
-    /// Exact in real arithmetic; in `f64` the result agrees with
-    /// one-pass accumulation over the concatenated stream up to
-    /// floating-point rounding (Chan et al. bound the pairwise error
-    /// *tighter* than one-pass). `count`, `min`, and `max` are exact
-    /// for any split, and merging with an empty side is bit-exact.
-    fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let (na, nb) = (self.count as f64, other.count as f64);
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        self.mean += delta * (nb / n);
-        self.m2 += other.m2 + delta * delta * (na * nb / n);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-    }
-}
-
-/// Piecewise-linear inverse of a non-decreasing `(probability, height)`
-/// polyline, clamped at the ends.
-fn inverse_cdf(points: &[(f64, f64)], pr: f64) -> f64 {
-    let first = points[0];
-    let last = points[points.len() - 1];
-    if pr <= first.0 {
-        return first.1;
-    }
-    if pr >= last.0 {
-        return last.1;
-    }
-    let mut i = 0;
-    while i + 2 < points.len() && points[i + 1].0 < pr {
-        i += 1;
-    }
-    let (p0, h0) = points[i];
-    let (p1, h1) = points[i + 1];
-    if p1 <= p0 {
-        return h1;
-    }
-    h0 + (pr - p0) / (p1 - p0) * (h1 - h0)
-}
-
-impl P2Quantile {
-    /// The re-reduce escape hatch: rebuilds an estimator by replaying
-    /// `samples` in order — what a caller that retained (or can
-    /// re-derive) the raw observations uses instead of
-    /// [`merge`](Merge::merge) when it needs the exact one-pass result
-    /// rather than the marker-weighted approximation.
-    pub fn from_samples(p: f64, samples: impl IntoIterator<Item = f64>) -> Self {
-        let mut est = Self::new(p);
-        for x in samples {
-            est.push(x);
-        }
-        est
-    }
-
-    /// This estimator's piecewise-linear empirical-CDF estimate at
-    /// height `h`, read off the five markers. Only meaningful once the
-    /// markers are live (`count > 5`).
-    fn cdf_at(&self, h: f64) -> f64 {
-        debug_assert!(self.count > 5, "marker CDF before the markers are live");
-        if h <= self.q[0] {
-            return 0.0;
-        }
-        if h >= self.q[4] {
-            return 1.0;
-        }
-        let denom = (self.count - 1) as f64;
-        for i in 0..4 {
-            if h < self.q[i + 1] {
-                let p0 = (self.n[i] - 1) as f64 / denom;
-                let p1 = (self.n[i + 1] - 1) as f64 / denom;
-                if self.q[i + 1] <= self.q[i] {
-                    return p1;
-                }
-                return p0 + (h - self.q[i]) / (self.q[i + 1] - self.q[i]) * (p1 - p0);
-            }
-        }
-        1.0
-    }
-}
-
-impl Merge for P2Quantile {
-    /// Marker-weighted combine. When either side still holds its raw
-    /// observations (count ≤ 5, the `initial` buffer), they are simply
-    /// replayed — exact one-pass accumulation. Otherwise each side's
-    /// five markers define a piecewise-linear empirical CDF; the merged
-    /// markers are read off the count-weighted mixture of the two CDFs
-    /// at the five desired quantile positions (0, p/2, p, (1+p)/2, 1),
-    /// with the extreme markers set to the exact global min/max.
-    ///
-    /// **Error bound.** Every P² marker height lies within the observed
-    /// `[min, max]` (parabolic adjustments are clamped between their
-    /// neighbours), and the mixture interpolation stays within the
-    /// union of the marker heights — so a merged estimate and a
-    /// re-reduced one ([`P2Quantile::from_samples`] over the
-    /// concatenated stream) are both hard-bounded by the combined
-    /// stream's `max − min`. Empirically the two agree far tighter: a
-    /// few percent of that range on smooth 10⁴-sample streams (see the
-    /// merge-law tests). Callers needing the exact one-pass value must
-    /// re-reduce.
-    ///
-    /// # Panics
-    /// Panics when the two sides estimate different quantiles.
-    fn merge(&mut self, other: &Self) {
-        assert!(
-            self.p.to_bits() == other.p.to_bits(),
-            "cannot merge a p={} estimator into a p={} estimator",
-            other.p,
-            self.p
-        );
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        if other.count <= 5 {
-            // The later side still holds its raw observations: replay
-            // them — exactly one-pass accumulation over the
-            // concatenated stream.
-            let theirs = other.initial.clone();
-            for x in theirs {
-                self.push(x);
-            }
-            return;
-        }
-        if self.count <= 5 {
-            // Mirror image: replay our raw observations into a copy of
-            // the other side. P² is order-sensitive, so this is the
-            // replay order that keeps one side exact.
-            let mine = std::mem::take(&mut self.initial);
-            *self = other.clone();
-            for x in mine {
-                self.push(x);
-            }
-            return;
-        }
-        // Both sides are past their initial buffers: combine the two
-        // marker sets through the count-weighted mixture CDF.
-        let (na, nb) = (self.count as f64, other.count as f64);
-        let mut heights: Vec<f64> = self.q.iter().chain(other.q.iter()).copied().collect();
-        heights.sort_by(f64::total_cmp);
-        let mixture: Vec<(f64, f64)> = heights
-            .iter()
-            .map(|&h| ((na * self.cdf_at(h) + nb * other.cdf_at(h)) / (na + nb), h))
-            .collect();
-        let probs = [0.0, self.p / 2.0, self.p, (1.0 + self.p) / 2.0, 1.0];
-        let mut q = [0.0; 5];
-        for (slot, &pr) in q.iter_mut().zip(&probs) {
-            *slot = inverse_cdf(&mixture, pr);
-        }
-        q[0] = self.q[0].min(other.q[0]);
-        q[4] = self.q[4].max(other.q[4]);
-        for i in 1..4 {
-            q[i] = q[i].max(q[i - 1]).min(q[4]);
-        }
-        let count = self.count + other.count;
-        // Desired positions as if `count` observations had streamed
-        // through one estimator: the initial positions grown by dn per
-        // observation past the fifth.
-        let base = [1.0, 1.0 + 2.0 * self.p, 1.0 + 4.0 * self.p, 3.0 + 2.0 * self.p, 5.0];
-        let grown = (count - 5) as f64;
-        let mut np = [0.0; 5];
-        for ((slot, b), dn) in np.iter_mut().zip(&base).zip(&self.dn) {
-            *slot = b + grown * dn;
-        }
-        // Actual positions: strictly increasing integers pinned at the
-        // extremes, the middle three rounded from the desired positions.
-        let mut n = [0i64; 5];
-        n[0] = 1;
-        n[4] = count as i64;
-        for i in 1..4 {
-            let hi = count as i64 - (4 - i as i64);
-            n[i] = (np[i].round() as i64).clamp(n[i - 1] + 1, hi);
-        }
-        self.q = q;
-        self.n = n;
-        self.np = np;
-        self.count = count;
-        // `initial` keeps the earlier side's first five observations;
-        // it is only ever read while count ≤ 5.
-    }
-}
-
-impl Merge for OnlineStats {
-    /// The Welford half merges exactly (Chan et al., see
-    /// [`Welford`]'s impl); `p50`/`p95` carry the [`P2Quantile`] merge
-    /// semantics and its documented tolerance.
-    fn merge(&mut self, other: &Self) {
-        self.welford.merge(&other.welford);
-        self.p50.merge(&other.p50);
-        self.p95.merge(&other.p95);
-    }
-}
-
-impl Merge for FreqResidency {
-    /// Integer addition per frequency bucket — exact, associative, and
-    /// commutative.
-    fn merge(&mut self, other: &Self) {
-        for (&mhz, &ns) in &other.by_mhz {
-            *self.by_mhz.entry(mhz).or_insert(0) += ns;
-        }
-        self.unknown_ns += other.unknown_ns;
-    }
-}
-
-impl Merge for TransitionStats {
-    /// Counts add exactly; the latency summary carries the
-    /// [`OnlineStats`] merge semantics. Request→apply pairing is
-    /// per-[`observe`](TransitionStats::observe) call (pending queues
-    /// never span calls), so merging two accumulators equals observing
-    /// both sides' record batches through one.
-    fn merge(&mut self, other: &Self) {
-        self.completed += other.completed;
-        self.fast_path += other.fast_path;
-        self.latency_ns.merge(&other.latency_ns);
-    }
-}
-
-impl<A: Merge + Clone> GroupedStats<A> {
-    /// Folds `other`'s rows into this reducer, row-wise: a row both
-    /// sides touched merges its accumulators ([`Merge`]); a row only
-    /// one side touched lands verbatim — bit-exact, which is the
-    /// partition case a fleet run produces when a contiguous case-range
-    /// split never cuts through a row (every wide grid in this tree
-    /// groups by all of its axes, so this always holds there).
-    ///
-    /// # Errors
-    /// Errors when the shapes disagree ([`shape_matches`](Self::shape_matches)
-    /// is the guard; checkpoint-level merges additionally compare sweep
-    /// fingerprints before getting here).
-    pub fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        if !self.shape_matches(other) {
-            return Err(MergeError::new(format!(
-                "cannot merge grouped reducers with different shapes: \
-                 this side is {}, the other is {}",
-                self.shape_description(),
-                other.shape_description()
-            )));
-        }
-        for (key, acc) in &other.groups {
-            match self.groups.entry(key.clone()) {
-                std::collections::btree_map::Entry::Occupied(mut slot) => slot.get_mut().merge(acc),
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(acc.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // Snapshot impls: exact JSON round-trips for checkpoint/resume. Every
 // field is persisted verbatim — nothing is re-derived on restore, so a
 // restored accumulator continues bit-identically to the original.
@@ -1492,491 +1177,5 @@ mod tests {
         ]);
         assert_eq!(t.completed(), 1);
         assert_eq!(t.fast_path(), 1);
-    }
-
-    #[test]
-    fn welford_merge_is_chan_combination() {
-        let xs: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
-        let mut one = Welford::new();
-        for &x in &xs {
-            one.push(x);
-        }
-        for cut in [0, 1, 499, 999, 1000] {
-            let mut a = Welford::new();
-            for &x in &xs[..cut] {
-                a.push(x);
-            }
-            let mut b = Welford::new();
-            for &x in &xs[cut..] {
-                b.push(x);
-            }
-            a.merge(&b);
-            assert_eq!(a.count(), one.count());
-            assert_eq!(a.min(), one.min());
-            assert_eq!(a.max(), one.max());
-            assert!((a.mean() - one.mean()).abs() < 1e-9, "cut {cut}");
-            assert!((a.std_dev() - one.std_dev()).abs() < 1e-9, "cut {cut}");
-        }
-        // Merging with an empty side is bit-exact in both directions.
-        let mut left = one.clone();
-        left.merge(&Welford::new());
-        assert_eq!(left, one);
-        let mut empty = Welford::new();
-        empty.merge(&one);
-        assert_eq!(empty, one);
-    }
-
-    #[test]
-    fn p2_merge_replays_a_small_side_exactly() {
-        let xs: Vec<f64> = (0..100).map(|i| ((i * 53) % 97) as f64 / 9.0).collect();
-        let mut one = P2Quantile::new(0.5);
-        for &x in &xs {
-            one.push(x);
-        }
-        // Right side holds ≤ 5 observations: its raw samples are still
-        // in the initial buffer, so the merge is exact one-pass replay.
-        let mut a = P2Quantile::new(0.5);
-        for &x in &xs[..96] {
-            a.push(x);
-        }
-        let mut b = P2Quantile::new(0.5);
-        for &x in &xs[96..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a, one);
-    }
-
-    #[test]
-    fn p2_merge_tracks_re_reduce_on_a_large_stream() {
-        // The documented empirical bound: merged vs re-reduced within a
-        // few percent of the observed range on smooth 10⁴-sample
-        // streams (the hard bound — the full range — is proptested).
-        let xs: Vec<f64> = (0..10_000u64)
-            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64)
-            .collect();
-        for p in [0.5, 0.95] {
-            let re_reduced = P2Quantile::from_samples(p, xs.iter().copied());
-            for cut in [50, 2_500, 5_000, 9_950] {
-                let mut a = P2Quantile::from_samples(p, xs[..cut].iter().copied());
-                let b = P2Quantile::from_samples(p, xs[cut..].iter().copied());
-                a.merge(&b);
-                assert_eq!(a.count(), 10_000);
-                let diff = (a.estimate() - re_reduced.estimate()).abs();
-                assert!(
-                    diff < 0.05,
-                    "p{p} cut {cut}: merged {} vs re-reduced {}",
-                    a.estimate(),
-                    re_reduced.estimate()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn residency_and_transition_merges_are_exact() {
-        let batch_a = [applied(100, 2200), applied(300, 1500)];
-        let batch_b = [applied(50, 2500), applied(700, 2200)];
-        let mut one = FreqResidency::new();
-        one.observe(&batch_a, 0, 1000);
-        one.observe(&batch_b, 0, 1000);
-        let mut a = FreqResidency::new();
-        a.observe(&batch_a, 0, 1000);
-        let mut b = FreqResidency::new();
-        b.observe(&batch_b, 0, 1000);
-        a.merge(&b);
-        assert_eq!(a, one);
-
-        let records_a = [requested(100, 1500), applied(500, 1500)];
-        let records_b = [requested(0, 2200), applied(900, 2200)];
-        let mut one = TransitionStats::new();
-        one.observe(&records_a);
-        one.observe(&records_b);
-        let mut ta = TransitionStats::new();
-        ta.observe(&records_a);
-        let mut tb = TransitionStats::new();
-        tb.observe(&records_b);
-        ta.merge(&tb);
-        assert_eq!(ta.completed(), one.completed());
-        assert_eq!(ta.fast_path(), one.fast_path());
-        assert_eq!(ta.latency_ns().count(), one.latency_ns().count());
-        assert_eq!(ta.latency_ns().min(), one.latency_ns().min());
-        assert_eq!(ta.latency_ns().max(), one.latency_ns().max());
-        assert!((ta.latency_ns().mean() - one.latency_ns().mean()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn grouped_merge_unions_rows_and_guards_shape() {
-        let sweep = shape_sweep();
-        // Disjoint case ranges over an all-axes grouping: one case per
-        // row, so the union is verbatim — bit-exact vs one pass.
-        let mut left: GroupedStats<Welford> = GroupedStats::new(&sweep, &["outer", "inner"]);
-        let mut right = left.clone();
-        let mut one = left.clone();
-        for i in 0..6 {
-            one.entry(i).push(i as f64);
-            if i < 3 {
-                left.entry(i).push(i as f64);
-            } else {
-                right.entry(i).push(i as f64);
-            }
-        }
-        left.merge(&right).unwrap();
-        assert_eq!(left, one);
-        // Rows both sides touched merge their accumulators.
-        let mut a: GroupedStats<Welford> = GroupedStats::new(&sweep, &["outer"]);
-        let mut b = a.clone();
-        a.entry(0).push(1.0);
-        b.entry(0).push(3.0);
-        b.entry(4).push(9.0);
-        a.merge(&b).unwrap();
-        assert_eq!(a.get(&["10"]).unwrap().count(), 2);
-        assert_eq!(a.get(&["10"]).unwrap().mean(), 2.0);
-        assert_eq!(a.get(&["30"]).unwrap().count(), 1);
-        // The shape guard names both shapes.
-        let mut by_inner: GroupedStats<Welford> = GroupedStats::new(&sweep, &["inner"]);
-        let err = by_inner.merge(&a).unwrap_err();
-        assert!(err.to_string().contains("different shapes"), "{err}");
-        assert!(err.to_string().contains("outer(3)"), "{err}");
-    }
-
-    #[test]
-    fn online_stats_merge_bundles_all_three() {
-        let xs: Vec<f64> = (0..200).map(|i| ((i * 31) % 83) as f64).collect();
-        let mut one = OnlineStats::new();
-        for &x in &xs {
-            one.push(x);
-        }
-        let mut a = OnlineStats::new();
-        for &x in &xs[..120] {
-            a.push(x);
-        }
-        let mut b = OnlineStats::new();
-        for &x in &xs[120..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        assert_eq!(a.min(), one.min());
-        assert_eq!(a.max(), one.max());
-        assert!((a.mean() - one.mean()).abs() < 1e-9);
-        // Quantiles carry the P² merge tolerance: close on this smooth
-        // stream, hard-bounded by the observed range in general.
-        assert!((a.p50() - one.p50()).abs() < 5.0);
-        assert!((a.p95() - one.p95()).abs() < 5.0);
-    }
-}
-
-/// Merge laws (see the satellite battery in `tests/fleet_merge.rs` for
-/// the checkpoint-level partition equivalence): merging any split of a
-/// stream agrees with one-pass accumulation over the whole stream, and
-/// merge is associative — exactly for integer state, up to
-/// magnitude-scaled floating-point rounding for Welford means and
-/// variances, and within the documented bounds for P² quantiles.
-#[cfg(test)]
-mod merge_props {
-    use super::*;
-    use crate::proptests::arb_finite_f64;
-    use proptest::prelude::*;
-    use zen2_topology::CoreId;
-
-    /// A deterministic well-shuffled stream over [0, 1) from a seed.
-    fn uniform_stream(seed: u64, len: usize) -> Vec<f64> {
-        (0..len as u64)
-            .map(|i| {
-                let x = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let x = (x ^ (x >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                ((x ^ (x >> 27)) >> 11) as f64 / (1u64 << 53) as f64
-            })
-            .collect()
-    }
-
-    fn folded<'a>(xs: impl IntoIterator<Item = &'a f64>) -> Welford {
-        let mut w = Welford::new();
-        for &x in xs {
-            w.push(x);
-        }
-        w
-    }
-
-    /// Merged-vs-one-pass agreement for floating-point state: the two
-    /// evaluation orders round differently, so agreement holds up to a
-    /// tolerance scaled by the data's magnitude. Where the scale itself
-    /// leaves the representable range (differences or squares overflow
-    /// `f64`), either order may overflow and the comparison is vacuous.
-    fn agrees(a: f64, b: f64, tol: f64) -> bool {
-        if tol.is_infinite() {
-            return true;
-        }
-        a.to_bits() == b.to_bits() || (a - b).abs() <= tol
-    }
-
-    fn mean_tol(n: usize, scale: f64) -> f64 {
-        if scale > 8.0e307 {
-            // mean differences up to 2·scale are not representable.
-            return f64::INFINITY;
-        }
-        1e-9 * scale.max(1.0) * n.max(1) as f64
-    }
-
-    fn var_tol(n: usize, scale: f64) -> f64 {
-        let s = scale.max(1.0) * n.max(1) as f64;
-        1e-8 * s * s // overflows to +inf exactly when squares can
-    }
-
-    fn magnitude(xs: &[f64]) -> f64 {
-        xs.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
-    fn variance(w: &Welford) -> f64 {
-        let sd = w.std_dev();
-        sd * sd
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64 })]
-
-        /// Welford: merging any split agrees with one-pass accumulation
-        /// over the concatenated stream — count/min/max exactly,
-        /// mean/variance up to magnitude-scaled rounding.
-        #[test]
-        fn welford_merge_agrees_with_one_pass(
-            xs in prop::collection::vec(arb_finite_f64(), 0..200),
-            raw_cut in any::<usize>(),
-        ) {
-            let cut = raw_cut % (xs.len() + 1);
-            let one = folded(&xs);
-            let mut merged = folded(&xs[..cut]);
-            merged.merge(&folded(&xs[cut..]));
-            prop_assert_eq!(merged.count(), one.count());
-            if xs.is_empty() {
-                return Ok(());
-            }
-            let scale = magnitude(&xs);
-            prop_assert!(merged.min() == one.min() && merged.max() == one.max());
-            prop_assert!(
-                agrees(merged.mean(), one.mean(), mean_tol(xs.len(), scale)),
-                "mean {} vs {}", merged.mean(), one.mean()
-            );
-            if xs.len() >= 2 {
-                prop_assert!(
-                    agrees(variance(&merged), variance(&one), var_tol(xs.len(), scale)),
-                    "variance {} vs {}", variance(&merged), variance(&one)
-                );
-            }
-        }
-
-        /// Welford: merge is associative — (a⊕b)⊕c vs a⊕(b⊕c), same
-        /// exact/tolerance split as above.
-        #[test]
-        fn welford_merge_is_associative(
-            xs in prop::collection::vec(arb_finite_f64(), 0..200),
-            raw_i in any::<usize>(),
-            raw_j in any::<usize>(),
-        ) {
-            let i = raw_i % (xs.len() + 1);
-            let j = i + raw_j % (xs.len() - i + 1);
-            let (a, b, c) = (folded(&xs[..i]), folded(&xs[i..j]), folded(&xs[j..]));
-            let mut left = a.clone();
-            left.merge(&b);
-            left.merge(&c);
-            let mut right_tail = b;
-            right_tail.merge(&c);
-            let mut right = a;
-            right.merge(&right_tail);
-            prop_assert_eq!(left.count(), right.count());
-            if xs.is_empty() {
-                return Ok(());
-            }
-            let scale = magnitude(&xs);
-            prop_assert!(left.min() == right.min() && left.max() == right.max());
-            prop_assert!(agrees(left.mean(), right.mean(), mean_tol(xs.len(), scale)));
-            if xs.len() >= 2 {
-                prop_assert!(agrees(variance(&left), variance(&right), var_tol(xs.len(), scale)));
-            }
-        }
-
-        /// OnlineStats: the Welford half follows the Welford laws; the
-        /// quantile halves stay within the hard bound (both estimates
-        /// are marker heights, confined to the observed range).
-        #[test]
-        fn online_stats_merge_agrees_with_one_pass(
-            xs in prop::collection::vec(arb_finite_f64(), 1..200),
-            raw_cut in any::<usize>(),
-        ) {
-            let cut = raw_cut % (xs.len() + 1);
-            let mut one = OnlineStats::new();
-            for &x in &xs {
-                one.push(x);
-            }
-            let mut merged = OnlineStats::new();
-            for &x in &xs[..cut] {
-                merged.push(x);
-            }
-            let mut later = OnlineStats::new();
-            for &x in &xs[cut..] {
-                later.push(x);
-            }
-            merged.merge(&later);
-            prop_assert_eq!(merged.count(), one.count());
-            let scale = magnitude(&xs);
-            prop_assert!(merged.min() == one.min() && merged.max() == one.max());
-            prop_assert!(agrees(merged.mean(), one.mean(), mean_tol(xs.len(), scale)));
-            // Hard quantile bound: estimates never leave [min, max].
-            let span = one.max() - one.min();
-            prop_assert!(agrees(merged.p50(), one.p50(), span.abs()));
-            prop_assert!(agrees(merged.p95(), one.p95(), span.abs()));
-        }
-
-        /// FreqResidency: integer state — merge equals observing every
-        /// batch through one accumulator, bit-for-bit, and is
-        /// associative.
-        #[test]
-        fn freq_residency_merge_is_exact(
-            batches in prop::collection::vec(
-                prop::collection::vec((prop::sample::select(vec![1500u32, 2200, 2500]), 1u64..500), 0..8),
-                3,
-            ),
-        ) {
-            let records: Vec<Vec<Record>> = batches
-                .iter()
-                .map(|batch| {
-                    let mut at = 0;
-                    batch
-                        .iter()
-                        .map(|&(mhz, gap)| {
-                            at += gap;
-                            Record {
-                                at_ns: at,
-                                event: Event::FreqApplied { core: CoreId(0), mhz, fast_path: false },
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut one = FreqResidency::new();
-            let parts: Vec<FreqResidency> = records
-                .iter()
-                .map(|records| {
-                    one.observe(records, 0, 5000);
-                    let mut part = FreqResidency::new();
-                    part.observe(records, 0, 5000);
-                    part
-                })
-                .collect();
-            let mut left = parts[0].clone();
-            left.merge(&parts[1]);
-            left.merge(&parts[2]);
-            let mut tail = parts[1].clone();
-            tail.merge(&parts[2]);
-            let mut right = parts[0].clone();
-            right.merge(&tail);
-            prop_assert_eq!(&left, &one);
-            prop_assert_eq!(&right, &one);
-        }
-
-        /// TransitionStats: counts merge bit-exactly; the latency
-        /// summary follows the OnlineStats laws.
-        #[test]
-        fn transition_merge_agrees_with_one_pass(
-            batches in prop::collection::vec(
-                prop::collection::vec((1u64..1_000_000, 1u64..2_000_000), 0..6),
-                3,
-            ),
-        ) {
-            // Sequential request→apply pairs, alternating targets so
-            // every request pairs with its own apply.
-            let records: Vec<Vec<Record>> = batches
-                .iter()
-                .map(|batch| {
-                    let mut at = 0;
-                    let mut out = Vec::new();
-                    for (k, &(gap, delay)) in batch.iter().enumerate() {
-                        let target = if k % 2 == 0 { 1500 } else { 2200 };
-                        at += gap;
-                        out.push(Record {
-                            at_ns: at,
-                            event: Event::FreqRequested { core: CoreId(0), target_mhz: target },
-                        });
-                        at += delay;
-                        out.push(Record {
-                            at_ns: at,
-                            event: Event::FreqApplied {
-                                core: CoreId(0),
-                                mhz: target,
-                                fast_path: false,
-                            },
-                        });
-                    }
-                    out
-                })
-                .collect();
-            let mut one = TransitionStats::new();
-            let parts: Vec<TransitionStats> = records
-                .iter()
-                .map(|records| {
-                    one.observe(records);
-                    let mut part = TransitionStats::new();
-                    part.observe(records);
-                    part
-                })
-                .collect();
-            let mut merged = parts[0].clone();
-            merged.merge(&parts[1]);
-            merged.merge(&parts[2]);
-            prop_assert_eq!(merged.completed(), one.completed());
-            prop_assert_eq!(merged.fast_path(), one.fast_path());
-            prop_assert_eq!(merged.latency_ns().count(), one.latency_ns().count());
-            if one.latency_ns().count() > 0 {
-                prop_assert!(merged.latency_ns().min() == one.latency_ns().min());
-                prop_assert!(merged.latency_ns().max() == one.latency_ns().max());
-                let n = one.latency_ns().count() as usize;
-                prop_assert!(agrees(
-                    merged.latency_ns().mean(),
-                    one.latency_ns().mean(),
-                    mean_tol(n, 2e6)
-                ));
-            }
-        }
-
-        /// P²: the merge error versus a re-reduce over the concatenated
-        /// 10⁴-sample stream is small on smooth streams (≤ 5% of the
-        /// range here) — the documented empirical bound.
-        #[test]
-        fn p2_merge_error_bounded_vs_re_reduce(
-            seed in any::<u64>(),
-            raw_cut in any::<usize>(),
-        ) {
-            let xs = uniform_stream(seed, 10_000);
-            // Keep both sides past the initial buffer so the
-            // marker-weighted path (not the exact replay) is exercised.
-            let cut = 6 + raw_cut % (xs.len() - 12);
-            for p in [0.5, 0.95] {
-                let re_reduced = P2Quantile::from_samples(p, xs.iter().copied());
-                let mut merged = P2Quantile::from_samples(p, xs[..cut].iter().copied());
-                merged.merge(&P2Quantile::from_samples(p, xs[cut..].iter().copied()));
-                prop_assert_eq!(merged.count(), 10_000);
-                let diff = (merged.estimate() - re_reduced.estimate()).abs();
-                prop_assert!(diff < 0.05, "p{} cut {}: diff {}", p, cut, diff);
-            }
-        }
-
-        /// P² hard bound on arbitrary finite streams: merged and
-        /// re-reduced estimates are both marker heights, so they can
-        /// never differ by more than the observed range.
-        #[test]
-        fn p2_merge_respects_the_hard_range_bound(
-            xs in prop::collection::vec(arb_finite_f64(), 12..300),
-            raw_cut in any::<usize>(),
-        ) {
-            let cut = 6 + raw_cut % (xs.len() - 11);
-            let re_reduced = P2Quantile::from_samples(0.5, xs.iter().copied());
-            let mut merged = P2Quantile::from_samples(0.5, xs[..cut].iter().copied());
-            merged.merge(&P2Quantile::from_samples(0.5, xs[cut..].iter().copied()));
-            let lo = xs.iter().fold(f64::INFINITY, |m, &x| m.min(x));
-            let hi = xs.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
-            let span = hi - lo; // +inf when not representable: vacuous
-            prop_assert!(agrees(merged.estimate(), re_reduced.estimate(), span));
-        }
     }
 }

@@ -66,10 +66,10 @@ pub mod prelude {
     pub use zen2_mem::{DramFreq, IodPstate};
     pub use zen2_sim::{
         Axis, Case, CaseDraft, Checkpoint, CheckpointError, CheckpointSpec, EventFilter,
-        FreqResidency, GroupedStats, Json, Measurement, Merge, MergeError, OnlineStats, P2Quantile,
-        Probe, Run, Scenario, ScenarioError, Session, SessionError, SessionErrorKind, ShardRange,
-        SimConfig, Snapshot, SnapshotError, StreamControl, StreamEvent, Sweep, System,
-        TransitionStats, Welford, Window,
+        FreqResidency, GroupedStats, Json, Measurement, OnlineStats, P2Quantile, Probe, Run,
+        Scenario, ScenarioError, Session, SessionError, SessionErrorKind, ShardRange, SimConfig,
+        Snapshot, SnapshotError, StreamControl, StreamEvent, Sweep, System, TransitionStats,
+        Welford, Window,
     };
     pub use zen2_topology::{CoreId, LogicalCpu, SocketId, ThreadId, Topology};
 }

@@ -85,12 +85,23 @@ fn session_results_are_independent_of_worker_count() {
     assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
 }
 
+/// The reference a session's results must equal: every case booted cold
+/// and run directly on its own machine, with no pool and no prototype
+/// reuse (the reference of the torture bin's `--differential` mode).
+fn run_directly(batch: &[Case]) -> Vec<Run> {
+    batch
+        .iter()
+        .map(|case| {
+            System::new(case.config.clone(), case.seed).run_scenario(&case.scenario).unwrap()
+        })
+        .collect()
+}
+
 #[test]
 fn session_boot_reuse_does_not_change_results() {
     let batch = cases(4);
     let reused = Session::new().workers(2).run(&batch).unwrap();
-    let cold = Session::new().workers(2).reuse_boots(false).run(&batch).unwrap();
-    assert_eq!(reused, cold);
+    assert_eq!(reused, run_directly(&batch));
 }
 
 #[test]
@@ -278,8 +289,7 @@ fn mixed_config_batches_never_share_prototypes_across_configs() {
         Case::new("b1", tweaked.clone(), sc.clone(), 2),
     ];
     let mixed = Session::new().workers(2).run(&batch).unwrap();
-    let cold = Session::new().workers(2).reuse_boots(false).run(&batch).unwrap();
-    assert_eq!(mixed, cold);
+    assert_eq!(mixed, run_directly(&batch));
     // The two configs genuinely behave differently, so sharing a booted
     // prototype across them would have been observable.
     assert_ne!(mixed[0].measurements, mixed[1].measurements);

@@ -144,26 +144,12 @@ fn zero_case_grid_streams_nothing_and_grouped_stats_stay_empty() {
 #[test]
 fn take_range_never_derives_cases_past_the_shard() {
     // The engine fetches a full workers × shard_size group from the
-    // lazy case iterator before looking at what arrived. `skip` bounds
-    // only the front of the grid, so a shard handed `skip(start)` would
-    // derive — and execute — cases past its range's end; `take_range`
-    // bounds the tail too. Counted with the same Cell pattern as the
-    // residency test above.
+    // lazy case iterator before looking at what arrived; `take_range`
+    // bounds the tail of the grid as well as its front, so a shard never
+    // derives a case past its range's end. Counted with the same Cell
+    // pattern as the residency test above.
     let sweep = grouped_grid(); // 250 cases
     let session = Session::new().workers(4).shard_size(8); // 32-case group pulls
-
-    // The latent asymmetry, demonstrated: stream from case 10 with the
-    // front-bounded iterator and halt at the very first boundary — the
-    // engine has already derived a full 32-case group.
-    let over_pulled = Cell::new(0usize);
-    let front_bounded = sweep.skip(10).inspect(|_| over_pulled.set(over_pulled.get() + 1));
-    session
-        .run_streaming_checkpointed(10, front_bounded, |event| match event {
-            StreamEvent::ShardBoundary { .. } => Ok(StreamControl::Halt),
-            _ => Ok(StreamControl::Continue),
-        })
-        .unwrap();
-    assert_eq!(over_pulled.get(), 32, "skip() let the engine pull a whole group");
 
     // take_range derives exactly the shard's ten cases — the group pull
     // stops at the slice's end — and delivers them with global indices.
