@@ -14,7 +14,6 @@
 //! dwarfs the per-core numbers.
 
 use crate::report::Table;
-use serde::Serialize;
 use zen2_sim::config::CstateParams;
 use zen2_sim::cstate::ThreadState;
 use zen2_sim::wakeup;
@@ -22,7 +21,7 @@ use zen2_sim::{SimConfig, System};
 use zen2_topology::ThreadId;
 
 /// Break-even figures for one core frequency.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BreakEven {
     /// Core frequency, MHz.
     pub freq_mhz: u32,
@@ -38,7 +37,7 @@ pub struct BreakEven {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BreakEvenResult {
     /// Per-frequency break-even figures.
     pub rows: Vec<BreakEven>,
@@ -108,7 +107,7 @@ pub fn render(r: &BreakEvenResult) -> String {
     out
 }
 
-/// The guidance as a [`Table`] (for text, CSV, or JSON output).
+/// The guidance as a [`Table`] (for text or JSON output).
 pub fn tables(r: &BreakEvenResult) -> Vec<Table> {
     let mut t = Table::new(
         "Extension — informed C-state break-even (what the ACPI tables cannot tell the governor)",

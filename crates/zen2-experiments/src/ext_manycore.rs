@@ -13,7 +13,6 @@
 
 use crate::report::Table;
 use crate::Scale;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::{run_resumable, CheckpointState};
 use zen2_sim::{
@@ -23,7 +22,7 @@ use zen2_sim::{
 use zen2_topology::{CoreId, ThreadId};
 
 /// One SKU's throttling result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SkuResult {
     /// SKU label.
     pub sku: String,
@@ -42,7 +41,7 @@ pub struct SkuResult {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ManyCoreResult {
     /// The paper's 32-core baseline.
     pub epyc_7502: SkuResult,
@@ -205,7 +204,7 @@ pub fn tables(r: &ManyCoreResult) -> Vec<Table> {
     vec![table(r)]
 }
 
-/// The summary as a [`Table`] (for text, CSV, or JSON output).
+/// The summary as a [`Table`] (for text or JSON output).
 pub fn table(r: &ManyCoreResult) -> Table {
     let mut t = Table::new(
         "Extension — many-core throttling prediction (paper SS VIII future work; \

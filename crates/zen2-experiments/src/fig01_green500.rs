@@ -7,11 +7,10 @@
 //! embedded. Substitution documented in DESIGN.md.
 
 use crate::report::Table;
-use serde::Serialize;
 use zen2_sim::methodology::{mean, quantile};
 
 /// One architecture's efficiency samples (GFlops/W).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArchEfficiency {
     /// Architecture label as in the figure.
     pub arch: &'static str,
@@ -42,7 +41,7 @@ pub fn dataset() -> Vec<ArchEfficiency> {
 }
 
 /// Summary statistics per architecture.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArchSummary {
     /// Architecture label.
     pub arch: &'static str,
@@ -78,7 +77,7 @@ pub fn render(summaries: &[ArchSummary]) -> String {
     tables(summaries).iter().map(Table::render).collect()
 }
 
-/// The summary as a [`Table`] (for text, CSV, or JSON output).
+/// The summary as a [`Table`] (for text or JSON output).
 pub fn tables(summaries: &[ArchSummary]) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 1 — Green500 2021/07 power efficiency by x86 architecture [GFlops/W]",

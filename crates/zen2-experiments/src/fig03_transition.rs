@@ -21,7 +21,6 @@ use crate::seeds;
 use crate::Scale;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::methodology::{mean, Histogram};
 use zen2_sim::time::{Ns, MICROSECOND, MILLISECOND};
@@ -75,7 +74,7 @@ impl Config {
 }
 
 /// Measured delay distribution for one direction.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DirectionResult {
     /// Transition direction label.
     pub label: String,
@@ -93,7 +92,7 @@ pub struct DirectionResult {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// Down-switch (from → to) distribution.
     pub down: DirectionResult,
@@ -236,8 +235,7 @@ pub fn render(result: &Fig3Result) -> String {
     out
 }
 
-/// The summary and histogram as [`Table`]s (for text, CSV, or JSON
-/// output).
+/// The summary and histogram as [`Table`]s (for text or JSON output).
 pub fn tables(result: &Fig3Result) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 3 — frequency transition delays (paper: uniform 390-1390 us for 2.2->1.5 GHz)",

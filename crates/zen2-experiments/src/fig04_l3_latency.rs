@@ -13,7 +13,6 @@
 use crate::report::Table;
 use crate::seeds;
 use crate::Scale;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::time::{Ns, MILLISECOND};
 use zen2_sim::{Case, Probe, Run, Scenario, Session, SimConfig, Window};
@@ -47,7 +46,7 @@ impl Config {
 /// the paper measured 17.2 ns. Our reproduction measures the reader at its
 /// *coupling-reduced* effective frequency (2.0 GHz, Table I), which lands
 /// at ~17.4 ns — the CCX divider mechanism explains the paper's cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// Minimum pointer-chase L3 latency (ns) per cell.
     pub measured_ns: [[f64; 3]; 3],
@@ -126,7 +125,7 @@ pub fn render(result: &Fig4Result) -> String {
     out
 }
 
-/// The matrix as a [`Table`] (for text, CSV, or JSON output).
+/// The matrix as a [`Table`] (for text or JSON output).
 pub fn tables(result: &Fig4Result) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 4 — L3 latency [ns] in a mixed-frequency CCX, paper / measured",

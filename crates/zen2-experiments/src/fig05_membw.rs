@@ -12,7 +12,6 @@
 
 use crate::report::Table;
 use crate::seeds;
-use serde::Serialize;
 use zen2_mem::{DramFreq, IodPstate};
 use zen2_sim::{Case, Probe, Run, Scenario, Session, SimConfig, Window};
 
@@ -34,7 +33,7 @@ pub const PAPER_LAT: [[f64; 2]; 5] =
     [[142.0, 137.0], [101.0, 104.0], [113.0, 110.0], [96.0, 109.0], [92.0, 104.0]];
 
 /// One swept configuration's results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CellResult {
     /// I/O-die P-state label.
     pub pstate: String,
@@ -58,7 +57,7 @@ pub fn cell_scenario() -> Scenario {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Result {
     /// All cells in sweep order (P3..auto × 1.467/1.6).
     pub cells: Vec<CellResult>,
@@ -129,7 +128,7 @@ pub fn render(result: &Fig5Result) -> String {
     out
 }
 
-/// Both heatmaps as [`Table`]s (for text, CSV, or JSON output).
+/// Both heatmaps as [`Table`]s (for text or JSON output).
 pub fn tables(result: &Fig5Result) -> Vec<Table> {
     let mut bw = Table::new(
         "Fig. 5a — STREAM triad bandwidth [GB/s], paper / measured",

@@ -14,7 +14,6 @@
 
 use crate::report::{compare, compare_precise, Table};
 use crate::Scale;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::{run_resumable, CheckpointState};
 use zen2_sim::methodology::{mean, std_dev};
@@ -27,7 +26,7 @@ use zen2_sim::{
 use zen2_topology::{SocketId, ThreadId};
 
 /// Paper reference values for one SMT mode.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PaperRef {
     /// Mean core frequency, GHz.
     pub freq_ghz: f64,
@@ -70,7 +69,7 @@ impl Config {
 }
 
 /// Measured values for one SMT mode.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModeResult {
     /// Whether both hardware threads per core were used.
     pub smt: bool,
@@ -91,7 +90,7 @@ pub struct ModeResult {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// With SMT.
     pub smt: ModeResult,
@@ -265,7 +264,7 @@ pub fn render(r: &Fig6Result) -> String {
     out
 }
 
-/// The summary as [`Table`]s (for text, CSV, or JSON output).
+/// The summary as [`Table`]s (for text or JSON output).
 pub fn tables(r: &Fig6Result) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 6 — FIRESTARTER at nominal 2.5 GHz, paper / measured",

@@ -19,7 +19,6 @@
 use crate::report::{compare, Table};
 use crate::seeds;
 use crate::Scale;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::{run_resumable, CheckpointState};
 use zen2_sim::{
@@ -45,7 +44,7 @@ pub mod paper {
 }
 
 /// Which idle sweep a curve belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepKind {
     /// Threads moved from C2 to C1.
     C1,
@@ -54,7 +53,7 @@ pub enum SweepKind {
 }
 
 /// One measured curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Curve {
     /// The sweep this curve belongs to.
     pub kind: SweepKind,
@@ -65,7 +64,7 @@ pub struct Curve {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// The all-C2 baseline, W.
     pub baseline_w: f64,
@@ -273,7 +272,7 @@ pub fn render(result: &Fig7Result) -> String {
     tables(result).iter().map(Table::render).collect()
 }
 
-/// The summary and curves as [`Table`]s (for text, CSV, or JSON output).
+/// The summary and curves as [`Table`]s (for text or JSON output).
 pub fn tables(result: &Fig7Result) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 7 — idle-state power staircase, paper / measured",

@@ -11,7 +11,6 @@
 use crate::report::Table;
 use crate::seeds;
 use crate::Scale;
-use serde::Serialize;
 use zen2_sim::methodology::{mean, quantile};
 use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
 use zen2_topology::ThreadId;
@@ -21,7 +20,7 @@ use zen2_topology::ThreadId;
 pub const FREQS_MHZ: [u32; 3] = [1500, 2200, 2500];
 
 /// One measured distribution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WakeupDist {
     /// OS C-state (1 or 2).
     pub cstate: u8,
@@ -40,7 +39,7 @@ pub struct WakeupDist {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// All distributions, C1 first.
     pub dists: Vec<WakeupDist>,
@@ -141,7 +140,7 @@ pub fn render(r: &Fig8Result) -> String {
     tables(r).iter().map(Table::render).collect()
 }
 
-/// The summary as a [`Table`] (for text, CSV, or JSON output).
+/// The summary as a [`Table`] (for text or JSON output).
 pub fn tables(r: &Fig8Result) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 8 — C-state wakeup latencies (paper: C1 ~1-1.5 us, C2 20-25 us; ACPI reports 1/400 us)",

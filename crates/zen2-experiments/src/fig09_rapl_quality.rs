@@ -21,7 +21,6 @@
 use crate::report::Table;
 use crate::seeds;
 use crate::Scale;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::{run_resumable, CheckpointState};
 use zen2_sim::{
@@ -31,7 +30,7 @@ use zen2_sim::{
 use zen2_topology::{CpuNumbering, LogicalCpu, ThreadId};
 
 /// One experiment point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Point {
     /// Workload name.
     pub workload: String,
@@ -50,7 +49,7 @@ pub struct Point {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// All measured points.
     pub points: Vec<Point>,
@@ -376,7 +375,7 @@ pub fn render(r: &Fig9Result) -> String {
     out
 }
 
-/// The scatter as a [`Table`] (for text, CSV, or JSON output).
+/// The scatter as a [`Table`] (for text or JSON output).
 pub fn tables(r: &Fig9Result) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 9 — RAPL vs AC reference (one row per experiment)",

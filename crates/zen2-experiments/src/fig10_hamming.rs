@@ -25,7 +25,6 @@ use crate::Scale;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::{run_resumable, CheckpointState};
 use zen2_sim::methodology::mean;
@@ -36,7 +35,7 @@ use zen2_sim::{
 use zen2_topology::{CoreId, ThreadId};
 
 /// Per-weight sample sets for one metric.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WeightSamples {
     /// Samples at weight 0.
     pub w0: Vec<f64>,
@@ -77,7 +76,7 @@ impl WeightSamples {
 }
 
 /// Full experiment output for one instruction.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Result {
     /// The instruction swept.
     pub instruction: String,
@@ -280,7 +279,7 @@ pub fn render(r: &Fig10Result) -> String {
     out
 }
 
-/// The summary as a [`Table`] (for text, CSV, or JSON output).
+/// The summary as a [`Table`] (for text or JSON output).
 pub fn tables(r: &Fig10Result) -> Vec<Table> {
     let mut t = Table::new(
         format!("Fig. 10 — {} operand-weight sweep", r.instruction),

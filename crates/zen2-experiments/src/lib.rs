@@ -5,9 +5,11 @@
 //! * a `Config` with the paper's full parameters ([`Scale::Paper`]) and a
 //!   cheaper variant for CI and quick runs ([`Scale::Quick`]),
 //! * a `run(config, seed)` function that drives `zen2-sim` through the
-//!   paper's methodology and returns a serializable result struct,
+//!   paper's methodology and returns a plain result struct,
 //! * a `render()` producing the paper-style text table, including the
-//!   published reference values next to the measured ones.
+//!   published reference values next to the measured ones, and a
+//!   `tables()` giving the same report as [`report::Table`]s for
+//!   `--json`.
 //!
 //! Sweeps are expressed declaratively: each configuration is a
 //! `(SimConfig, Scenario, seed)` [`Case`](zen2_sim::Case) with a

@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use zen2_sim::Json;
+
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -63,67 +65,25 @@ impl Table {
         out
     }
 
-    /// Writes the table as CSV (headers + rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let _ =
-            writeln!(out, "{}", self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
-
-    /// Writes the table as JSON: `{"title", "headers", "rows"}` with
+    /// The table as a JSON object `{"title", "headers", "rows"}` with
     /// rows as objects keyed by header, so large-grid sweep summaries
-    /// are machine-readable without a CSV parser.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"title\":{},\"headers\":[", json_escape(&self.title));
-        for (i, h) in self.headers.iter().enumerate() {
-            let _ = write!(out, "{}{}", if i > 0 { "," } else { "" }, json_escape(h));
-        }
-        out.push_str("],\"rows\":[");
-        for (r, row) in self.rows.iter().enumerate() {
-            if r > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            for (c, (header, cell)) in self.headers.iter().zip(row).enumerate() {
-                let _ = write!(
-                    out,
-                    "{}{}:{}",
-                    if c > 0 { "," } else { "" },
-                    json_escape(header),
-                    json_escape(cell)
-                );
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+    /// are machine-readable.
+    pub fn to_json(&self) -> Json {
+        let row = |cells: &Vec<String>| {
+            Json::obj(self.headers.iter().map(String::as_str).zip(cells.iter().map(Json::str)))
+        };
+        Json::obj([
+            ("title", Json::str(&self.title)),
+            ("headers", Json::Arr(self.headers.iter().map(Json::str).collect())),
+            ("rows", Json::Arr(self.rows.iter().map(row).collect())),
+        ])
     }
 }
 
 /// Renders a set of tables as one JSON array document — the `--json`
 /// output shape shared by every experiment binary.
 pub fn tables_to_json(tables: &[Table]) -> String {
-    let mut out = String::from("[");
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_json());
-    }
-    out.push(']');
-    out
+    Json::Arr(tables.iter().map(Table::to_json).collect()).render()
 }
 
 /// Prints an experiment's report: the JSON array of `tables` when
@@ -136,25 +96,6 @@ pub fn emit(text: impl FnOnce() -> String, tables: impl FnOnce() -> Vec<Table>) 
     } else {
         print!("{}", text());
     }
-}
-
-/// Renders a string as a JSON string literal (quotes included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Formats a paper-vs-measured pair with the relative deviation.
@@ -190,24 +131,58 @@ mod tests {
         assert!(s.lines().count() >= 4);
     }
 
+    /// Every title, header and cell of `tables`.
+    type Cells = Vec<(String, Vec<String>, Vec<Vec<String>>)>;
+
+    fn cells(tables: &[Table]) -> Cells {
+        tables.iter().map(|t| (t.title.clone(), t.headers.clone(), t.rows.clone())).collect()
+    }
+
+    /// Parses a `--json` document back with the repo's own JSON parser,
+    /// checking that every row is keyed by the headers in order.
+    fn parse_back(text: &str) -> Cells {
+        let string = |j: &Json| j.as_str().expect("a JSON string").to_string();
+        let doc = Json::parse(text).expect("--json output parses");
+        let tables = doc.items().expect("an array of tables");
+        tables
+            .iter()
+            .map(|t| {
+                let headers: Vec<String> =
+                    t.get("headers").unwrap().items().unwrap().iter().map(string).collect();
+                let rows = t.get("rows").unwrap().items().unwrap();
+                let rows = rows
+                    .iter()
+                    .map(|row| {
+                        let Json::Obj(fields) = row else { panic!("row {row:?} is not an object") };
+                        assert!(fields.iter().map(|(k, _)| k).eq(&headers), "row keys {fields:?}");
+                        fields.iter().map(|(_, v)| string(v)).collect()
+                    })
+                    .collect();
+                (string(t.get("title").unwrap()), headers, rows)
+            })
+            .collect()
+    }
+
     #[test]
     fn json_rows_are_keyed_by_header() {
         let mut t = Table::new("demo", &["sku", "value"]);
         t.row(&["EPYC 7502".into(), "1.5".into()]);
         t.row(&["quote\"comma,".into(), "2".into()]);
         assert_eq!(
-            t.to_json(),
+            t.to_json().render(),
             "{\"title\":\"demo\",\"headers\":[\"sku\",\"value\"],\"rows\":[\
              {\"sku\":\"EPYC 7502\",\"value\":\"1.5\"},\
              {\"sku\":\"quote\\\"comma,\",\"value\":\"2\"}]}"
         );
+        let tables = [t];
+        assert_eq!(parse_back(&tables_to_json(&tables)), cells(&tables));
     }
 
     #[test]
     fn json_escapes_control_characters() {
         let mut t = Table::new("t\n\t", &["a"]);
         t.row(&["\u{1}".into()]);
-        let json = t.to_json();
+        let json = t.to_json().render();
         assert!(json.contains("\"t\\n\\t\""));
         assert!(json.contains("\\u0001"));
     }
@@ -217,18 +192,15 @@ mod tests {
         let mut a = Table::new("a", &["x"]);
         a.row(&["1".into()]);
         let b = Table::new("b", &["y"]);
-        assert_eq!(
-            tables_to_json(&[a.clone(), b]),
-            format!("[{},{}]", a.to_json(), Table::new("b", &["y"]).to_json())
-        );
+        let mut c = Table::new("t\n\t", &["back\\slash", "quote\"comma,"]);
+        c.row(&["\u{1}\r".into(), "9.0 / 8.9 W (−1.1%)".into()]);
+        let tables = [a, b, c];
+        let json = tables_to_json(&tables);
+        let parts: Vec<String> = tables.iter().map(|t| t.to_json().render()).collect();
+        assert_eq!(json, format!("[{}]", parts.join(",")));
+        assert_eq!(parse_back(&json), cells(&tables));
         assert_eq!(tables_to_json(&[]), "[]");
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("demo", &["a"]);
-        t.row(&["x,y".into()]);
-        assert!(t.to_csv().contains("\"x,y\""));
+        assert_eq!(parse_back("[]"), cells(&[]));
     }
 
     #[test]

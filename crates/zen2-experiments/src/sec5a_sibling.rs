@@ -9,14 +9,13 @@
 //! one [`Session`] batch.
 
 use crate::report::Table;
-use serde::Serialize;
 use zen2_sim::perf::ThreadCounters;
 use zen2_sim::time::{MILLISECOND, SECOND};
 use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
 use zen2_topology::ThreadId;
 
 /// Sibling configurations swept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiblingMode {
     /// Sibling idle in C2 with a nominal-frequency request.
     IdleAtNominal,
@@ -28,7 +27,7 @@ pub enum SiblingMode {
 }
 
 /// One observation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Observation {
     /// The sibling configuration.
     pub mode: SiblingMode,
@@ -39,7 +38,7 @@ pub struct Observation {
 }
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Sec5aResult {
     /// All observations.
     pub observations: Vec<Observation>,
@@ -106,7 +105,7 @@ pub fn render(r: &Sec5aResult) -> String {
     tables(r).iter().map(Table::render).collect()
 }
 
-/// The observations as a [`Table`] (for text, CSV, or JSON output).
+/// The observations as a [`Table`] (for text or JSON output).
 pub fn tables(r: &Sec5aResult) -> Vec<Table> {
     let mut t = Table::new(
         "SS V-A — active thread set to 1.5 GHz; sibling influence (paper: idle/offline sibling at 2.5 GHz elevates the core to 2.5 GHz)",

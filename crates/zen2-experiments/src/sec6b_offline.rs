@@ -11,12 +11,11 @@
 //! case in the same [`Session`] batch.
 
 use crate::report::{compare, Table};
-use serde::Serialize;
 use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
 use zen2_topology::{CpuNumbering, LogicalCpu, ThreadId};
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Sec6bResult {
     /// Idle power with every thread online and in C2, W.
     pub baseline_w: f64,
@@ -101,7 +100,7 @@ pub fn render(r: &Sec6bResult) -> String {
     tables(r).iter().map(Table::render).collect()
 }
 
-/// The summary as a [`Table`] (for text, CSV, or JSON output).
+/// The summary as a [`Table`] (for text or JSON output).
 pub fn tables(r: &Sec6bResult) -> Vec<Table> {
     let mut t = Table::new(
         "SS VI-B — offlined hardware threads block package C6",

@@ -5,7 +5,6 @@
 //! faster than the update rate and records the spacing of distinct values.
 
 use crate::report::Table;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_msr::address;
 use zen2_sim::time::MICROSECOND;
@@ -13,7 +12,7 @@ use zen2_sim::{SimConfig, System};
 use zen2_topology::ThreadId;
 
 /// Full experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Sec7Result {
     /// Observed intervals between counter changes, µs.
     pub intervals_us: Vec<f64>,
@@ -70,7 +69,7 @@ pub fn render(r: &Sec7Result) -> String {
     tables(r).iter().map(Table::render).collect()
 }
 
-/// The summary as a [`Table`] (for text, CSV, or JSON output).
+/// The summary as a [`Table`] (for text or JSON output).
 pub fn tables(r: &Sec7Result) -> Vec<Table> {
     let mut t = Table::new(
         "SS VII — RAPL update interval (paper: 1 ms)",

@@ -13,7 +13,6 @@
 
 use crate::report::Table;
 use crate::Scale;
-use serde::Serialize;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::{run_resumable, CheckpointState};
 use zen2_sim::perf::ThreadCounters;
@@ -49,7 +48,7 @@ impl Config {
 }
 
 /// Measured matrix.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Tab1Result {
     /// Mean applied frequency (GHz) per (measured-set, others-set) cell.
     pub measured_ghz: [[f64; 3]; 3],
@@ -172,7 +171,7 @@ pub fn tables(result: &Tab1Result) -> Vec<Table> {
     vec![table(result)]
 }
 
-/// The summary as a [`Table`] (for text, CSV, or JSON output).
+/// The summary as a [`Table`] (for text or JSON output).
 pub fn table(result: &Tab1Result) -> Table {
     let mut t = Table::new(
         "Table I — applied mean core frequencies [GHz], paper / measured",

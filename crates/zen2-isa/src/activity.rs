@@ -7,11 +7,9 @@
 //! An [`ActivityVector`] captures per-unit utilization in `[0, 1]`; the
 //! power model multiplies each entry by that unit's switched capacitance.
 
-use serde::{Deserialize, Serialize};
-
 /// Utilization of each gateable core region, normalized to `[0, 1]`
 /// (1 = the unit switches every cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivityVector {
     /// Front-end: fetch windows consumed, decode slots, op-cache misses.
     pub frontend: f64,

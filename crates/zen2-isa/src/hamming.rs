@@ -13,10 +13,9 @@
 //! counterexamples.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Relative Hamming weight of operand data: fraction of set bits in `[0,1]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct OperandWeight(pub f64);
 
 impl OperandWeight {
@@ -48,7 +47,7 @@ impl OperandWeight {
 /// weight, the factor at weight `w` is `base + span * w`. The factor is
 /// normalized so weight 0.5 gives 1.0 (typical data), which keeps
 /// calibration of the absolute power model independent of the data sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ToggleModel {
     /// Factor at weight 0.
     pub base: f64,

@@ -1,9 +1,7 @@
 //! SMT occupancy and throughput accounting helpers.
 
-use serde::{Deserialize, Serialize};
-
 /// How many hardware threads of a core are executing a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SmtMode {
     /// One thread active, the sibling idle or offline.
     Single,

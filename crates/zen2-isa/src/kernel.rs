@@ -2,10 +2,9 @@
 
 use crate::activity::ActivityVector;
 use crate::ipc::SmtMode;
-use serde::{Deserialize, Serialize};
 
 /// The paper's workload families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// No runnable thread: the OS parks the hardware thread in an idle state.
     Idle,
@@ -72,7 +71,7 @@ impl KernelClass {
 }
 
 /// Memory behavior of a kernel, per retired instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryProfile {
     /// Bytes read from DRAM per instruction (cache-miss traffic only).
     pub dram_read_bytes_per_instr: f64,
@@ -98,7 +97,7 @@ impl MemoryProfile {
 }
 
 /// A fully-described workload kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Which family this kernel belongs to.
     pub class: KernelClass,

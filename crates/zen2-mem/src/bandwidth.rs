@@ -23,10 +23,9 @@
 //! bandwidth".
 
 use crate::fclk::{ClockPlan, IodPstate};
-use serde::{Deserialize, Serialize};
 
 /// Calibrated STREAM-triad bandwidth model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamBandwidthModel {
     /// Single-core MLP-limited triad bandwidth (GB/s).
     pub core_mlp_gbs: f64,

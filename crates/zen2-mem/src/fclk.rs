@@ -1,10 +1,9 @@
 //! I/O-die P-states and clock-domain planning.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// DRAM clock options on the paper's system (DDR4-2933 and DDR4-3200).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramFreq {
     /// DDR4-2933: MEMCLK 1467 MHz — the platform default ("memory is
     /// clocked at 1.6 GHz" refers to the faster BIOS option).
@@ -48,7 +47,7 @@ impl fmt::Display for DramFreq {
 /// III-C); the table below is inferred from the paper's Fig. 5
 /// measurements, which show a non-monotone mapping: P2 outperforms P1 in
 /// both bandwidth and latency, and P0 matches the `auto` setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IodPstate {
     /// Reference fabric clock (1467 MHz, synchronous with DDR4-2933).
     P0,
@@ -111,7 +110,7 @@ impl fmt::Display for IodPstate {
 }
 
 /// Quality of the MEMCLK/UCLK clock-domain crossing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrossingQuality {
     /// Same clock, coupled by the auto controller: no crossing cost.
     Synchronous,
@@ -152,7 +151,7 @@ pub fn classify_crossing(a_mhz: u32, b_mhz: u32) -> CrossingQuality {
 }
 
 /// The resolved clock plan for one (I/O-die P-state, DRAM clock) setting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockPlan {
     /// The BIOS selection that produced this plan.
     pub pstate: IodPstate,

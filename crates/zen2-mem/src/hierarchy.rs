@@ -1,10 +1,8 @@
 //! Cache hierarchy parameters (PPR / Suggs et al., "The AMD Zen 2
 //! Processor").
 
-use serde::{Deserialize, Serialize};
-
 /// Structural and timing parameters of the Zen 2 cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheHierarchy {
     /// L1D capacity in bytes.
     pub l1d_bytes: u64,
@@ -81,7 +79,7 @@ impl CacheHierarchy {
 }
 
 /// A memory-hierarchy level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheLevel {
     /// Level-1 data cache.
     L1,

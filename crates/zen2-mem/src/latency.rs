@@ -2,7 +2,6 @@
 
 use crate::fclk::{ClockPlan, CrossingQuality, DramFreq, IodPstate};
 use crate::hierarchy::CacheHierarchy;
-use serde::{Deserialize, Serialize};
 
 /// L3 hit latency under mixed core frequencies (Fig. 4).
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// highest clocked core in the CCX"). An L3 hit therefore splits into a
 /// core-domain share (issue, L1/L2 lookup and fill on the reader's clock)
 /// and a mesh-domain share (slice access on the L3 clock).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct L3LatencyModel {
     /// Core-domain share in core cycles.
     pub core_cycles: f64,
@@ -51,7 +50,7 @@ impl L3LatencyModel {
 /// mismatched DRAM/fabric clocks hurt: a pinned plan always pays the
 /// generic arbitration cost, and an unaligned MEMCLK/UCLK pair pays full
 /// synchronizer margin on every transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramLatencyModel {
     /// Core + CCX + DRAM-array share, independent of I/O-die clocks (ns).
     pub fixed_ns: f64,

@@ -6,10 +6,8 @@
 //! 0x814 in the C-state address range": the base is 0x813 and reading
 //! `base + n` requests hardware C-state level `n + 1`.
 
-use serde::{Deserialize, Serialize};
-
 /// Decoded `CStateBaseAddr` register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CstateBaseAddress {
     /// The base I/O port of the C-state trigger window.
     pub base_port: u16,

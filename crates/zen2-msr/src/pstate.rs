@@ -16,8 +16,6 @@
 //! the usual DID of 8 this yields the 25 MHz granularity the paper links to
 //! Precision Boost's 25 MHz steps.
 
-use serde::{Deserialize, Serialize};
-
 const FID_MASK: u64 = 0xFF;
 const DID_SHIFT: u32 = 8;
 const DID_MASK: u64 = 0x3F;
@@ -35,7 +33,7 @@ pub const VID_STEP_V: f64 = 0.00625;
 pub const VID_BASE_V: f64 = 1.55;
 
 /// A decoded P-state definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PstateDef {
     /// Core frequency ID.
     pub fid: u8,
@@ -126,7 +124,7 @@ impl PstateDef {
 
 /// The machine's P-state table: up to eight definitions plus the current
 /// limit, in hardware numbering (P0 = fastest).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PstateTable {
     defs: Vec<PstateDef>,
 }

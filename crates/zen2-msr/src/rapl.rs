@@ -4,10 +4,8 @@
 //! `RAPL_PWR_UNIT` register carries three unit fields; energy counters are
 //! 32-bit and wrap. The default AMD energy status unit is 2⁻¹⁶ J ≈ 15.26 µJ.
 
-use serde::{Deserialize, Serialize};
-
 /// Decoded `RAPL_PWR_UNIT` fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaplUnits {
     /// Power unit exponent: power LSB = 2^-pu W (bits 3:0).
     pub power_unit: u8,

@@ -1,6 +1,6 @@
 //! The JSONL file sink: one self-describing JSON object per line,
-//! rendered with the exact hand-rolled [`Json`] tree the snapshot layer
-//! already uses (the vendored serde shim has no serializer).
+//! rendered with the snapshot layer's [`Json`] tree, the same writer
+//! behind checkpoints and `--json` output.
 //!
 //! Every line carries `"e"` (the record kind) and `"t"` (nanoseconds
 //! from [`crate::clock`]); the per-kind fields are documented in

@@ -18,11 +18,10 @@
 //! * FIRESTARTER: package lands on the Fig. 6 equilibria together with the
 //!   PPT controller in `zen2-sim`.
 
-use serde::{Deserialize, Serialize};
 use zen2_isa::{ActivityVector, Kernel, OperandWeight, SmtMode, ToggleModel};
 
 /// Calibrated true-power model for one Zen 2 core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorePowerModel {
     /// Ungateable active-core base (clock distribution, L1/L2 arrays), in
     /// W per (GHz·V²).

@@ -6,10 +6,8 @@
 //! — so this component feeds *only* the true-power path, never the RAPL
 //! estimate.
 
-use serde::{Deserialize, Serialize};
-
 /// Whole-system DIMM power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramPowerModel {
     /// Number of DIMMs installed (16 on the paper's dual-socket board).
     pub dimms: u32,

@@ -9,10 +9,9 @@
 //! and adds instrument error within the accuracy band.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One 50 ms active-power sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeterSample {
     /// Sample timestamp (window end) in seconds since measurement start.
     pub t_s: f64,
@@ -21,7 +20,7 @@ pub struct MeterSample {
 }
 
 /// ZES LMG670 model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerMeter {
     /// Relative accuracy term (0.00015 = 0.015 %).
     pub rel_accuracy: f64,

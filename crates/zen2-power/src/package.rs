@@ -14,11 +14,10 @@
 //! [`PackagePowerParams`] carries the per-socket constants; the global
 //! PC6 criterion itself lives in the simulator's C-state controller.
 
-use serde::{Deserialize, Serialize};
 use zen2_mem::{DramFreq, IodPstate};
 
 /// Per-socket power constants (DC watts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackagePowerParams {
     /// Deep package sleep (PC6) floor: retention voltage on the core
     /// plane, I/O die mostly gated.

@@ -6,10 +6,8 @@
 //! the paper exercises (99 W idle to 509 W FIRESTARTER) and keeps the
 //! calibration chain invertible.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear PSU loss model: `AC = idle_loss + marginal · DC`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PsuModel {
     /// Fixed conversion overhead in watts (fans in the PSU, standby rail).
     pub idle_loss_w: f64,

@@ -8,10 +8,8 @@
 //! that this is due to indirect effects, e.g., an increased temperature
 //! based on the number of set bits" (Section VII-B).
 
-use serde::{Deserialize, Serialize};
-
 /// First-order (RC) package thermal model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     /// Thermal resistance junction-to-ambient, °C per watt of package
     /// power.
@@ -51,7 +49,7 @@ impl ThermalModel {
 }
 
 /// Leakage-vs-temperature multiplier on package power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageModel {
     /// Share of package power that is leakage at the reference temperature.
     pub leakage_fraction: f64,

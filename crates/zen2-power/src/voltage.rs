@@ -1,13 +1,11 @@
 //! Voltage/frequency operating points.
 
-use serde::{Deserialize, Serialize};
-
 /// Piecewise-linear V/f curve.
 ///
 /// Dynamic power scales with `f·V²`; the curve turns a requested core
 /// frequency into the supply voltage the SMU asks of the external
 /// regulator. Points are `(GHz, V)` sorted by frequency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VfCurve {
     points: Vec<(f64, f64)>,
 }

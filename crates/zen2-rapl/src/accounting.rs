@@ -6,7 +6,6 @@
 //! between updates a reader sees a frozen value. Counters are quantized
 //! to the energy-status unit and wrap at 32 bits.
 
-use serde::{Deserialize, Serialize};
 use zen2_msr::RaplUnits;
 
 /// Time in nanoseconds (the simulator's clock domain).
@@ -16,7 +15,7 @@ pub type Ns = u64;
 pub const UPDATE_PERIOD_NS: Ns = 1_000_000;
 
 /// Per-domain energy accounting for a whole machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RaplAccounting {
     units: RaplUnits,
     /// Continuously-integrated joules per core (the SMU's internal view).

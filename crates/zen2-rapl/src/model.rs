@@ -1,12 +1,11 @@
 //! The event-based power estimate.
 
-use serde::{Deserialize, Serialize};
 use zen2_isa::{ActivityVector, Kernel, SmtMode};
 
 /// AMD's internal power model: per-unit event rates times calibrated
 /// weights, plus a thermal-diode leakage term. Deliberately blind to
 /// operand data and DRAM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RaplModel {
     /// Base estimate per active core, W per (GHz·V²).
     pub k_base: f64,

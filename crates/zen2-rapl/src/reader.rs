@@ -5,12 +5,11 @@
 //! ~6 minutes. [`CounterTracker`] accumulates deltas across wraps;
 //! [`RaplReader`] layers the MSR addressing on top of `zen2-msr`.
 
-use serde::{Deserialize, Serialize};
 use zen2_msr::{address, rapl::counter_delta, MsrError, MsrFile, RaplUnits};
 use zen2_topology::{ThreadId, Topology};
 
 /// Wrap-aware accumulator over a 32-bit energy counter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterTracker {
     last_raw: u32,
     total_counts: u64,

@@ -16,8 +16,6 @@
 //!
 //! These are exactly the paper's Table I cells (1.466 / 1.428 / 2.000).
 
-use serde::{Deserialize, Serialize};
-
 /// Divider granularity: eighths, as in the `CpuDfsId` encoding.
 pub const DIVIDER_STEPS_PER_UNIT: u32 = 8;
 
@@ -26,7 +24,7 @@ pub const DIVIDER_STEPS_PER_UNIT: u32 = 8;
 pub const L3_MIN_MHZ: u32 = 400;
 
 /// The resolved clocks of one CCX.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CcxClocks {
     /// The mesh / L3 frequency in MHz.
     pub mesh_mhz: u32,

@@ -12,10 +12,9 @@
 //! (Fig. 6).
 
 use crate::config::ControllerParams;
-use serde::{Deserialize, Serialize};
 
 /// Per-package frequency-cap controller state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PptController {
     params_enabled: bool,
     step_mhz: u32,

@@ -9,10 +9,8 @@
 //! play-dead path (the Section VI-B anomaly) — keeps both packages out of
 //! PC6 and costs +81 W at the wall.
 
-use serde::{Deserialize, Serialize};
-
 /// Scheduling state of one hardware thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
     /// Executing instructions.
     Active,
@@ -43,7 +41,7 @@ impl ThreadState {
 }
 
 /// Power-relevant classification of one *core* from its two thread states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreIdleClass {
     /// At least one thread executes.
     Active {

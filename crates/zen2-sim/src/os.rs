@@ -5,11 +5,10 @@
 //! sysfs files to control C-states and hardware threads."
 
 use crate::cstate::ThreadState;
-use serde::{Deserialize, Serialize};
 use zen2_topology::LogicalCpu;
 
 /// Per-CPU cpuidle configuration: which idle states the governor may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdleConfig {
     /// `state1` (C1) enabled.
     pub c1_enabled: bool,

@@ -11,11 +11,10 @@
 //!   reports "less than 60 000 cycle/s" (Section V-A).
 
 use crate::cstate::ThreadState;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated counters of one hardware thread (fractional internally;
 /// exposed to software as integers through the MSR file).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ThreadCounters {
     /// Invariant time-stamp counter (nominal rate, always running).
     pub tsc: f64,

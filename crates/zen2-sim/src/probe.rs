@@ -13,14 +13,13 @@ use crate::perf::ThreadCounters;
 use crate::system::System;
 use crate::time::{to_secs, Ns, SECOND};
 use crate::trace::{Event, Record};
-use serde::Serialize;
 use zen2_power::MeterSample;
 use zen2_rapl::RaplReader;
 use zen2_topology::{CoreId, SocketId, ThreadId};
 
 /// When a probe observes: a `[from, to]` span, or an instant (`from ==
 /// to`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
     /// Window start, ns from scenario start.
     pub from: Ns,
@@ -62,7 +61,7 @@ impl Window {
 }
 
 /// An observable quantity of the simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Probe {
     /// True mean AC (wall) power over the window, from the power trace —
     /// no instrument noise. Span probe.
@@ -147,7 +146,7 @@ impl Probe {
 }
 
 /// Which recorded tracer events a [`Probe::TraceEvents`] collects.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventFilter {
     /// Every recorded event.
     All,
@@ -179,7 +178,7 @@ impl EventFilter {
 }
 
 /// A labelled probe bound to its observation window.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbeSpec {
     /// Name the measurement is retrieved by.
     pub label: String,
@@ -227,7 +226,7 @@ fn rapl_poll_steps(len: Ns) -> u64 {
 }
 
 /// One typed observation result.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Measurement {
     /// A power, W.
     Watts(f64),
@@ -267,7 +266,7 @@ pub enum Measurement {
 
 /// The complete result of executing one `(SimConfig, Scenario, seed)`
 /// case: every probe's measurement plus closing machine state.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Run {
     /// The seed the machine was booted with.
     pub seed: u64,

@@ -25,14 +25,13 @@ use crate::probe::{
 };
 use crate::system::System;
 use crate::time::{from_secs, to_secs, Ns, MILLISECOND};
-use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_topology::ThreadId;
 
 /// One machine action, recorded as data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Schedule a workload on a hardware thread.
     Workload {
@@ -162,7 +161,7 @@ impl VThread {
 }
 
 /// A scheduled action.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Step {
     /// Scenario-relative time, ns.
     pub at: Ns,
@@ -171,7 +170,7 @@ pub struct Step {
 }
 
 /// A declarative machine schedule plus its observation plan.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scenario {
     steps: Vec<Step>,
     probes: Vec<ProbeSpec>,

@@ -20,10 +20,9 @@
 
 use crate::config::SmuParams;
 use crate::time::{next_boundary, Ns};
-use serde::{Deserialize, Serialize};
 
 /// One applied frequency transition, as reported by [`Smu::advance`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedTransition {
     /// The core whose frequency changed.
     pub core: usize,
@@ -36,7 +35,7 @@ pub struct CompletedTransition {
 }
 
 /// A pending, granted-or-waiting frequency transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PendingTransition {
     /// Requested target frequency.
     pub target_mhz: u32,
@@ -49,7 +48,7 @@ pub struct PendingTransition {
 }
 
 /// Per-core DVFS state machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreDvfs {
     applied_mhz: u32,
     pending: Option<PendingTransition>,

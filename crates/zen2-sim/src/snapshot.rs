@@ -7,10 +7,10 @@
 //! round-trip is exact. This module provides that round-trip:
 //!
 //! * [`Json`] — a small JSON document tree with a hand-rolled renderer
-//!   and parser (the vendored serde shim has no serializer, following
-//!   the `Table::to_json` approach in the experiments crate). Numbers
-//!   are kept as their literal text, so a `u64` or an `f64` written by
-//!   the renderer parses back to the identical bits.
+//!   and parser. It is the tree's only JSON writer: checkpoints, the
+//!   experiments' `--json` tables and the JSONL trace all render
+//!   through it. Numbers are kept as their literal text, so a `u64` or
+//!   an `f64` written by the renderer parses back to the identical bits.
 //! * [`Snapshot`] — the trait every accumulator implements: dump the
 //!   exact state as a [`Json`] tree, rebuild the identical state from
 //!   one. "Identical" is literal: feeding a restored accumulator the

@@ -9,11 +9,10 @@
 //! sleep, and when the throttle controller moved its cap.
 
 use crate::time::Ns;
-use serde::Serialize;
 use zen2_topology::{CoreId, SocketId, ThreadId};
 
 /// One recorded machine event.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A DVFS request was submitted for a core.
     FreqRequested {
@@ -55,7 +54,7 @@ pub enum Event {
 }
 
 /// A timestamped event.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Simulation time of the event.
     pub at_ns: Ns,

@@ -6,15 +6,12 @@
 //! identifiers themselves are plain indices so they can be used directly as
 //! `Vec` subscripts in hot simulation paths.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -97,7 +94,7 @@ id_type!(
 ///
 /// Logical CPU numbers depend on the enumeration policy, not the silicon;
 /// [`crate::CpuNumbering`] maps between [`ThreadId`] and `LogicalCpu`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LogicalCpu(pub u32);
 
 impl LogicalCpu {
@@ -121,7 +118,7 @@ impl fmt::Display for LogicalCpu {
 }
 
 /// Which SMT sibling of a core a thread is (0 = first, 1 = second).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SmtSibling {
     /// The first hardware thread of the core.
     Primary,

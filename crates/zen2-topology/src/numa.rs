@@ -6,11 +6,10 @@
 //! memory channels is one NUMA node.
 
 use crate::ids::{CcdId, NumaNodeId, QuadrantId, SocketId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// BIOS "NUMA nodes per socket" selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NumaMode {
     /// One node per socket: all eight channels interleaved.
     Nps1,
@@ -48,7 +47,7 @@ impl fmt::Display for NumaMode {
 }
 
 /// Derived NUMA layout for a whole system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NumaConfig {
     mode: NumaMode,
     sockets: u32,

@@ -20,10 +20,9 @@
 
 use crate::ids::{LogicalCpu, SmtSibling, ThreadId};
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// How logical CPU numbers map onto hardware threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NumberingPolicy {
     /// Linux default on x86 servers: all primary SMT threads first (grouped
     /// by package), then all secondary threads (grouped by package).
@@ -34,7 +33,7 @@ pub enum NumberingPolicy {
 }
 
 /// A concrete logical-CPU numbering for a topology.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuNumbering {
     policy: NumberingPolicy,
     num_cores: u32,

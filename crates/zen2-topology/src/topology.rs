@@ -2,7 +2,6 @@
 
 use crate::ids::{CcdId, CcxId, CoreId, QuadrantId, SmtSibling, SocketId, ThreadId, UmcId};
 use crate::numa::{NumaConfig, NumaMode};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Fixed Zen 2 structural constants (PPR Family 17h Model 31h).
@@ -156,7 +155,7 @@ impl TopologyBuilder {
 /// The topology owns the arithmetic mapping between hierarchy levels; all
 /// identifiers are globally dense, so conversions are pure index math and
 /// suitable for hot simulation loops.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     sockets: u32,
     ccds_per_socket: u32,
