@@ -325,8 +325,10 @@ fn merge_shards(cli: &FleetCli) -> Result<(), String> {
 }
 
 /// Resumes the merged checkpoints in a fresh worker with the fleet's
-/// stdout: a complete checkpoint streams zero cases, so the worker
-/// re-emits the report byte-identically to a single-process run.
+/// stdout: a complete checkpoint streams zero grid cases, so the worker
+/// re-emits the report byte-identically to a single-process run. The
+/// re-emit does run the one case fig07 and fig09 keep outside their
+/// grids (the all-C2 baseline and the idle point).
 fn reemit(cli: &FleetCli, exe: &Path) -> Result<ExitStatus, String> {
     let mut cmd = Command::new(exe);
     if cli.paper {

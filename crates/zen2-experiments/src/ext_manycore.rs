@@ -14,10 +14,10 @@
 use crate::report::Table;
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
-use zen2_sim::checkpoint::{run_resumable, CheckpointState};
+use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::{
-    Axis, Checkpoint, CheckpointError, CheckpointSpec, GroupedStats, Json, Probe, Run, Scenario,
-    Session, SimConfig, Snapshot, SnapshotError, Sweep, Window,
+    Axis, CheckpointError, CheckpointSpec, Json, Probe, Run, Scenario, Session, SimConfig,
+    Snapshot, SnapshotError, Sweep, Window,
 };
 use zen2_topology::{CoreId, ThreadId};
 
@@ -50,7 +50,7 @@ pub struct ManyCoreResult {
 }
 
 /// A SKU's reduced result snapshots exactly (for checkpoint/resume —
-/// the [`GroupedStats`] accumulator here is `Option<SkuResult>`).
+/// each case's cell is an `Option<SkuResult>`).
 impl Snapshot for SkuResult {
     fn snapshot(&self) -> Json {
         Json::obj([
@@ -161,31 +161,19 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<ManyCoreResult>, CheckpointError> {
-    let sweep = sweep(cfg, seed);
-    /// The resumable accumulator: one reduced result per SKU.
-    struct Skus(GroupedStats<Option<SkuResult>>);
-    impl CheckpointState for Skus {
-        fn save_into(&self, checkpoint: &mut Checkpoint) {
-            checkpoint.set_grouped("skus", &self.0);
-        }
-        fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-            self.0 = checkpoint.grouped("skus", &self.0)?;
-            Ok(())
-        }
-        fn fold(&mut self, index: usize, run: Run) {
-            let (sim_cfg, label) = match index {
-                0 => (SimConfig::epyc_7502_2s(), "EPYC 7502"),
-                _ => (SimConfig::epyc_7742_1s(), "EPYC 7742"),
-            };
-            *self.0.entry(index) = Some(reduce(&sim_cfg, label, &run));
-        }
-    }
-    let mut state = Skus(GroupedStats::new(&sweep, &["sku"]));
-    if !run_resumable(&sweep, vec![], session, spec, &mut state)? {
+    let fold = |cell: &mut Option<SkuResult>, index: usize, run: Run| {
+        let (sim_cfg, label) = match index {
+            0 => (SimConfig::epyc_7502_2s(), "EPYC 7502"),
+            _ => (SimConfig::epyc_7742_1s(), "EPYC 7742"),
+        };
+        *cell = Some(reduce(&sim_cfg, label, &run));
+    };
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
         return Ok(None);
-    }
-    let sku = |label| state.0.get(&[label]).and_then(Clone::clone).expect("both SKUs streamed");
-    Ok(Some(ManyCoreResult { epyc_7502: sku("EPYC 7502"), epyc_7742: sku("EPYC 7742") }))
+    };
+    // One cell per SKU, in axis order: the 7502, then the 7742.
+    let [epyc_7502, epyc_7742] = [0, 1].map(|i| cells[i].clone().expect("both SKUs streamed"));
+    Ok(Some(ManyCoreResult { epyc_7502, epyc_7742 }))
 }
 
 /// Renders the prediction table.

@@ -9,19 +9,19 @@
 //! Both SMT modes are declarative [`Scenario`]s on one SMT [`Axis`] of a
 //! [`Sweep`] streamed through the [`Session`] worker pool: the pre-heat,
 //! the perf-stat sampling cadence, the AC window and the trailing RAPL
-//! poll are all recorded as data, and the per-mode rows come back
-//! through a [`GroupedStats`] bucket keyed by the SMT axis.
+//! poll are all recorded as data, and the per-mode rows come back as
+//! one cell per case.
 
 use crate::report::{compare, compare_precise, Table};
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
-use zen2_sim::checkpoint::{run_resumable, CheckpointState};
+use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::methodology::{mean, std_dev};
 use zen2_sim::perf::ThreadCounters;
 use zen2_sim::time::from_secs;
 use zen2_sim::{
-    Axis, Checkpoint, CheckpointError, CheckpointSpec, GroupedStats, Json, Probe, Run, Scenario,
-    Session, SimConfig, Snapshot, SnapshotError, Sweep, Window,
+    Axis, CheckpointError, CheckpointSpec, Json, Probe, Run, Scenario, Session, SimConfig,
+    Snapshot, SnapshotError, Sweep, Window,
 };
 use zen2_topology::{SocketId, ThreadId};
 
@@ -99,7 +99,7 @@ pub struct Fig6Result {
 }
 
 /// A mode's reduced result snapshots exactly (for checkpoint/resume —
-/// the [`GroupedStats`] accumulator here is `Option<ModeResult>`).
+/// each case's cell is an `Option<ModeResult>`).
 impl Snapshot for ModeResult {
     fn snapshot(&self) -> Json {
         Json::obj([
@@ -228,27 +228,15 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Fig6Result>, CheckpointError> {
-    let sweep = sweep(cfg, seed);
-    /// The resumable accumulator: one reduced result per SMT mode.
-    struct Modes(GroupedStats<Option<ModeResult>>);
-    impl CheckpointState for Modes {
-        fn save_into(&self, checkpoint: &mut Checkpoint) {
-            checkpoint.set_grouped("modes", &self.0);
-        }
-        fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-            self.0 = checkpoint.grouped("modes", &self.0)?;
-            Ok(())
-        }
-        fn fold(&mut self, index: usize, run: Run) {
-            *self.0.entry(index) = Some(reduce(&run, SMT_MODES[index].1));
-        }
-    }
-    let mut state = Modes(GroupedStats::new(&sweep, &["smt"]));
-    if !run_resumable(&sweep, vec![], session, spec, &mut state)? {
+    let fold = |cell: &mut Option<ModeResult>, index: usize, run: Run| {
+        *cell = Some(reduce(&run, SMT_MODES[index].1));
+    };
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
         return Ok(None);
-    }
-    let mode = |label| state.0.get(&[label]).and_then(Clone::clone).expect("both modes streamed");
-    Ok(Some(Fig6Result { smt: mode("on"), no_smt: mode("off") }))
+    };
+    // One cell per SMT mode, in `SMT_MODES` order: on, then off.
+    let [smt, no_smt] = [0, 1].map(|i| cells[i].clone().expect("both modes streamed"));
+    Ok(Some(Fig6Result { smt, no_smt }))
 }
 
 /// Renders the paper-style comparison.

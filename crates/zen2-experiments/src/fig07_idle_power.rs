@@ -10,20 +10,20 @@
 //!
 //! Every configuration is one declarative [`Scenario`]; the whole grid is
 //! a two-axis [`Sweep`] (sweep kind × thread count) streamed through the
-//! [`Session`] worker pool, with the curves folded out of a
-//! [`GroupedStats`] bucket keyed by both axes. [`run_checkpointed`]
-//! persists that bucket (and the all-C2 baseline) at every shard
+//! [`Session`] worker pool, with the curves folded out of one cell per
+//! case. [`run_checkpointed`] persists those cells at every shard
 //! boundary for the `--checkpoint` / `--resume` workflow of
-//! `docs/SWEEPS.md`.
+//! `docs/SWEEPS.md`; the all-C2 baseline runs as one extra case once
+//! the grid has returned.
 
 use crate::report::{compare, Table};
 use crate::seeds;
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
-use zen2_sim::checkpoint::{run_resumable, CheckpointState};
+use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::{
-    Axis, Checkpoint, CheckpointError, CheckpointSpec, GroupedStats, OnlineStats, Probe, Run,
-    Scenario, Session, SimConfig, Sweep, Window,
+    Axis, Case, CheckpointError, CheckpointSpec, OnlineStats, Probe, Run, Scenario, Session,
+    SimConfig, Sweep, Window,
 };
 use zen2_topology::{CpuNumbering, LogicalCpu, ThreadId};
 
@@ -178,10 +178,11 @@ fn run_with(cfg: &Config, seed: u64, session: &Session) -> Fig7Result {
         .expect("no halt configured")
 }
 
-/// [`run`] with checkpoint/resume: persists the grouped staircase cells
-/// and the all-C2 baseline at every shard boundary per `spec`, and
-/// resumes byte-identically. Returns `None` on a deliberate
-/// `--halt-after` halt.
+/// [`run`] with checkpoint/resume: persists the staircase cells at
+/// every shard boundary per `spec`, and resumes byte-identically. The
+/// all-C2 baseline is not checkpointed: it runs once the grid has
+/// returned. Returns `None` on a deliberate `--halt-after` halt or a
+/// `--shard-range` slice.
 ///
 /// # Errors
 /// Errors when the checkpoint cannot be read, written, or does not
@@ -192,69 +193,34 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Fig7Result>, CheckpointError> {
+    let fold = |cell: &mut OnlineStats, _, run: Run| cell.push(run.watts(AC));
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
+        return Ok(None);
+    };
+    // The all-C2 baseline sits outside the kind × count seed layout
+    // (historical seed 999), so it runs as its own case.
     let sim_cfg = SimConfig::epyc_7502_2s();
     let numbering = CpuNumbering::linux_default(&sim_cfg.topology);
-
-    let sweep = sweep(cfg, seed);
-    // The all-C2 baseline sits outside the kind × count seed layout
-    // (historical seed 999), so it rides along as one extra case
-    // appended to the grid stream, sharing the grid's booted prototype.
-    let baseline_case = zen2_sim::Case::new(
+    let baseline_case = Case::new(
         "fig07/baseline",
         sim_cfg,
         scenario(cfg, &numbering, None, 0),
         seeds::child(seed, 999),
     );
-    let mut state = Fig7State {
-        grid_len: sweep.len(),
-        grouped: GroupedStats::new(&sweep, &["kind", "threads"]),
-        baseline: OnlineStats::new(),
-    };
-    if !run_resumable(&sweep, vec![baseline_case], session, spec, &mut state)? {
-        return Ok(None);
-    }
+    let baseline = session.run(&[baseline_case]).expect("the baseline scenario validates");
 
-    // One grouped row per (kind, count) cell, in grid order — fold them
-    // back into the figure's per-kind curves.
-    let mut rows = state.grouped.rows();
+    // One cell per (kind, count) case, in grid order — fold them back
+    // into the figure's per-kind curves.
+    let mut cells = cells.iter();
     let curves = kinds(cfg)
         .into_iter()
         .map(|kind| Curve {
             kind,
             thread_counts: cfg.thread_counts.clone(),
-            ac_w: rows.by_ref().take(cfg.thread_counts.len()).map(|(_, s)| s.mean()).collect(),
+            ac_w: cells.by_ref().take(cfg.thread_counts.len()).map(OnlineStats::mean).collect(),
         })
         .collect();
-    Ok(Some(Fig7Result { baseline_w: state.baseline.mean(), curves }))
-}
-
-/// The resumable accumulator bundle: the grouped staircase cells plus
-/// the all-C2 baseline rider.
-struct Fig7State {
-    grid_len: usize,
-    grouped: GroupedStats<OnlineStats>,
-    baseline: OnlineStats,
-}
-
-impl CheckpointState for Fig7State {
-    fn save_into(&self, checkpoint: &mut Checkpoint) {
-        checkpoint.set_grouped("grid", &self.grouped);
-        checkpoint.set_single("baseline", &self.baseline);
-    }
-
-    fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-        self.grouped = checkpoint.grouped("grid", &self.grouped)?;
-        self.baseline = checkpoint.single("baseline")?;
-        Ok(())
-    }
-
-    fn fold(&mut self, index: usize, run: Run) {
-        if index < self.grid_len {
-            self.grouped.entry(index).push(run.watts(AC));
-        } else {
-            self.baseline.push(run.watts(AC));
-        }
-    }
+    Ok(Some(Fig7Result { baseline_w: baseline[0].watts(AC), curves }))
 }
 
 /// Derived staircase parameters from a C1 curve.

@@ -11,21 +11,21 @@
 //! Each grid point is a declarative [`Scenario`] (placement and pre-heat
 //! as steps, [`Probe::RaplW`] and [`Probe::AcTrueMeanW`] over the same
 //! window). The workload × placement × frequency cross product is a
-//! three-axis [`Sweep`] streamed through the [`Session`] worker pool
-//! (idle, which has no placement or frequency fan-out, runs as its own
-//! single-case grid), and the scatter rows come back through a
-//! [`GroupedStats`] bucket keyed by all three axes. [`run_checkpointed`]
-//! persists those buckets at every shard boundary for the
-//! `--checkpoint` / `--resume` workflow documented in `docs/SWEEPS.md`.
+//! three-axis [`Sweep`] streamed through the [`Session`] worker pool,
+//! and the scatter rows come back as one cell per case (idle, which has
+//! no placement or frequency fan-out, runs as one extra case once the
+//! grid has returned). [`run_checkpointed`] persists those cells at
+//! every shard boundary for the `--checkpoint` / `--resume` workflow
+//! documented in `docs/SWEEPS.md`.
 
 use crate::report::Table;
 use crate::seeds;
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
-use zen2_sim::checkpoint::{run_resumable, CheckpointState};
+use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::{
-    Axis, Checkpoint, CheckpointError, CheckpointSpec, GroupedStats, Json, OnlineStats, Probe, Run,
-    Scenario, Session, SimConfig, Snapshot, SnapshotError, Sweep, Window,
+    Axis, Case, CheckpointError, CheckpointSpec, Json, OnlineStats, Probe, Run, Scenario, Session,
+    SimConfig, Snapshot, SnapshotError, Sweep, Window,
 };
 use zen2_topology::{CpuNumbering, LogicalCpu, ThreadId};
 
@@ -143,35 +143,6 @@ impl CellStats {
     }
 }
 
-/// The resumable accumulator bundle: the grouped scatter cells plus the
-/// idle rider's cell.
-struct Fig9State {
-    grid_len: usize,
-    grouped: GroupedStats<CellStats>,
-    idle: CellStats,
-}
-
-impl CheckpointState for Fig9State {
-    fn save_into(&self, checkpoint: &mut Checkpoint) {
-        checkpoint.set_grouped("grid", &self.grouped);
-        checkpoint.set_single("idle", &self.idle);
-    }
-
-    fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-        self.grouped = checkpoint.grouped("grid", &self.grouped)?;
-        self.idle = checkpoint.single("idle")?;
-        Ok(())
-    }
-
-    fn fold(&mut self, index: usize, run: Run) {
-        if index < self.grid_len {
-            self.grouped.entry(index).observe(&run);
-        } else {
-            self.idle.observe(&run);
-        }
-    }
-}
-
 impl Snapshot for CellStats {
     fn snapshot(&self) -> Json {
         Json::obj([
@@ -261,12 +232,13 @@ fn run_with(cfg: &Config, seed: u64, session: &Session) -> Fig9Result {
         .expect("no halt configured")
 }
 
-/// [`run`] with checkpoint/resume: persists the grouped scatter cells
-/// and the idle rider at every shard boundary per `spec`, resumes from
-/// `spec`'s checkpoint when asked, and produces output byte-identical
-/// to an uninterrupted run. Returns `None` when the run halted early
-/// (`--halt-after`), with the checkpoint holding everything needed to
-/// resume.
+/// [`run`] with checkpoint/resume: persists the scatter cells at every
+/// shard boundary per `spec`, resumes from `spec`'s checkpoint when
+/// asked, and produces output byte-identical to an uninterrupted run.
+/// The idle point is not checkpointed: it runs once the grid has
+/// returned. Returns `None` when the run halted early (`--halt-after`)
+/// or ran a `--shard-range` slice, with the checkpoint holding
+/// everything needed to resume or merge.
 ///
 /// # Errors
 /// Errors when the checkpoint cannot be read, written, or does not
@@ -277,31 +249,26 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Fig9Result>, CheckpointError> {
-    let sweep = sweep(cfg, seed);
-    // Idle has no placement/frequency fan-out, so it rides along as one
-    // extra case appended to the grid stream (sharing the grid's booted
-    // prototype) at its historical flat-index seed.
+    let fold = |cell: &mut CellStats, _, run: Run| cell.observe(&run);
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
+        return Ok(None);
+    };
+    // Idle has no placement/frequency fan-out, so it runs as its own
+    // case at its historical flat-index seed.
     let (idle_index, _) = flat_job_indices(cfg);
-    let idle_case = zen2_sim::Case::new(
+    let idle_case = Case::new(
         "fig09/idle",
         SimConfig::epyc_7502_2s(),
         point_scenario(cfg, KernelClass::Idle, 0, false, 2500),
         seeds::child(seed, idle_index),
     );
-    let mut state = Fig9State {
-        grid_len: sweep.len(),
-        grouped: GroupedStats::new(&sweep, &["workload", "placement", "freq"]),
-        idle: CellStats::default(),
-    };
-    if !run_resumable(&sweep, vec![idle_case], session, spec, &mut state)? {
-        return Ok(None);
-    }
+    let mut idle = CellStats::default();
+    idle.observe(&session.run(&[idle_case]).expect("the idle scenario validates")[0]);
 
-    // Reassemble the scatter in the historical jobs order: the grouped
-    // rows arrive in grid order (workload-major), with idle spliced
-    // back in at its legend position.
-    let (grouped, idle) = (state.grouped, state.idle);
-    let mut rows = grouped.rows();
+    // Reassemble the scatter in the historical jobs order: the cells
+    // arrive in grid order (workload-major), with idle spliced back in
+    // at its legend position.
+    let mut cells = cells.iter();
     let mut points = Vec::new();
     for class in classes() {
         if class == KernelClass::Idle {
@@ -310,7 +277,7 @@ pub fn run_checkpointed(
         }
         for (cores, smt) in cfg.placements.iter().copied() {
             for &mhz in &cfg.freqs_mhz {
-                let (_, cell) = rows.next().expect("one grouped row per grid cell");
+                let cell = cells.next().expect("one cell per grid case");
                 points.push(point(class, cores, smt, mhz, cell));
             }
         }

@@ -16,8 +16,7 @@
 //! machine (thermal state carries across them, which is exactly the
 //! side channel under study), so the grid is a single-case [`Sweep`]
 //! over an instruction axis streamed through the [`Session`] worker
-//! pool, reduced into per-weight buckets by a [`GroupedStats`] keyed on
-//! that axis.
+//! pool, its one run reduced into per-weight buckets.
 
 use crate::report::Table;
 use crate::seeds;
@@ -26,11 +25,11 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use zen2_isa::{KernelClass, OperandWeight};
-use zen2_sim::checkpoint::{run_resumable, CheckpointState};
+use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::methodology::mean;
 use zen2_sim::{
-    Axis, Checkpoint, CheckpointError, CheckpointSpec, GroupedStats, Json, Probe, Run, Scenario,
-    Session, SimConfig, Snapshot, SnapshotError, Sweep, Window,
+    Axis, CheckpointError, CheckpointSpec, Json, Probe, Run, Scenario, Session, SimConfig,
+    Snapshot, SnapshotError, Sweep, Window,
 };
 use zen2_topology::{CoreId, ThreadId};
 
@@ -136,7 +135,7 @@ pub fn scenario(cfg: &Config, seed: u64, class: KernelClass) -> (Scenario, Vec<O
 }
 
 /// The three per-weight metric buckets one instruction's blocks reduce
-/// into — the [`GroupedStats`] accumulator for the instruction axis.
+/// into — the cell of the sweep's one case.
 #[derive(Debug, Clone, Default)]
 struct WeightBuckets {
     ac_w: WeightSamples,
@@ -227,35 +226,18 @@ pub fn run_checkpointed(
         "Fig. 10 sweeps vxorps or shr"
     );
     let (sweep, weights) = sweep(cfg, seed, class);
-    /// The resumable accumulator: the per-weight buckets, routed by the
-    /// pre-drawn block weight sequence.
-    struct Buckets {
-        grouped: GroupedStats<WeightBuckets>,
-        weights: Vec<OperandWeight>,
-    }
-    impl CheckpointState for Buckets {
-        fn save_into(&self, checkpoint: &mut Checkpoint) {
-            checkpoint.set_grouped("buckets", &self.grouped);
+    // Route each block's readings by the pre-drawn weight sequence.
+    let fold = |buckets: &mut WeightBuckets, _, run: Run| {
+        for (k, &weight) in weights.iter().enumerate() {
+            buckets.ac_w.push(weight, run.watts(&format!("ac{k}")));
+            buckets.rapl_core0_w.push(weight, run.watts(&format!("core0_{k}")));
+            buckets.rapl_pkg_w.push(weight, run.watts_pair(&format!("pkg{k}")).0);
         }
-        fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-            self.grouped = checkpoint.grouped("buckets", &self.grouped)?;
-            Ok(())
-        }
-        fn fold(&mut self, index: usize, run: Run) {
-            let buckets = self.grouped.entry(index);
-            for (k, &weight) in self.weights.iter().enumerate() {
-                buckets.ac_w.push(weight, run.watts(&format!("ac{k}")));
-                buckets.rapl_core0_w.push(weight, run.watts(&format!("core0_{k}")));
-                buckets.rapl_pkg_w.push(weight, run.watts_pair(&format!("pkg{k}")).0);
-            }
-        }
-    }
-    let mut state = Buckets { grouped: GroupedStats::new(&sweep, &["instr"]), weights };
-    if !run_resumable(&sweep, vec![], session, spec, &mut state)? {
+    };
+    let Some(cells) = run_resumable(&sweep, session, spec, fold)? else {
         return Ok(None);
-    }
-    let (_, buckets) =
-        state.grouped.into_rows().next().expect("the instruction axis has exactly one group");
+    };
+    let buckets = cells.into_iter().next().expect("the instruction axis has exactly one case");
     Ok(Some(Fig10Result {
         instruction: class.name().into(),
         ac_w: buckets.ac_w,

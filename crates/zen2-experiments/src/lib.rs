@@ -199,7 +199,7 @@ impl CheckpointCli {
 ///
 /// * `--obs <path>` — write the run's telemetry as a JSONL trace to
 ///   `<path>` and print an aggregate summary table (span durations,
-///   cache counters, worker utilization) to stderr at the end.
+///   counters, worker utilization) to stderr at the end.
 /// * `--progress` — print rate-limited `done/total … cases/s … eta`
 ///   heartbeat lines to stderr while the sweep runs.
 ///

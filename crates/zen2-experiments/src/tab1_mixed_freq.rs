@@ -14,12 +14,12 @@
 use crate::report::Table;
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
-use zen2_sim::checkpoint::{run_resumable, CheckpointState};
+use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::perf::ThreadCounters;
 use zen2_sim::time::{from_secs, Ns, MILLISECOND};
 use zen2_sim::{
-    Axis, Checkpoint, CheckpointError, CheckpointSpec, GroupedStats, OnlineStats, Probe, Run,
-    Scenario, Session, SimConfig, Sweep, Window,
+    Axis, CheckpointError, CheckpointSpec, OnlineStats, Probe, Run, Scenario, Session, SimConfig,
+    Sweep, Window,
 };
 use zen2_topology::ThreadId;
 
@@ -127,27 +127,12 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Tab1Result>, CheckpointError> {
-    let sweep = sweep(cfg, seed);
-    /// The resumable accumulator: one frequency reduction per cell.
-    struct Cells(GroupedStats<OnlineStats>);
-    impl CheckpointState for Cells {
-        fn save_into(&self, checkpoint: &mut Checkpoint) {
-            checkpoint.set_grouped("cells", &self.0);
-        }
-        fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-            self.0 = checkpoint.grouped("cells", &self.0)?;
-            Ok(())
-        }
-        fn fold(&mut self, index: usize, run: Run) {
-            self.0.entry(index).push(reduce(&run));
-        }
-    }
-    let mut state = Cells(GroupedStats::new(&sweep, &["set", "others"]));
-    if !run_resumable(&sweep, vec![], session, spec, &mut state)? {
+    let fold = |cell: &mut OnlineStats, _, run: Run| cell.push(reduce(&run));
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
         return Ok(None);
-    }
+    };
     let mut measured = [[0.0; 3]; 3];
-    for (flat, (_, cell)) in state.0.rows().enumerate() {
+    for (flat, cell) in cells.iter().enumerate() {
         measured[flat / 3][flat % 3] = cell.mean();
     }
     let mut worst = 0.0f64;

@@ -244,9 +244,8 @@ fn no_debug_keying(f: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 /// snapshot-coverage (cross-file): every concrete accumulator type that
-/// appears inside a `GroupedStats<…>` type expression — including the
-/// fields of `CheckpointState` bundle structs, which is where they all
-/// live — must have an `impl Snapshot` somewhere in the workspace.
+/// appears inside a `GroupedStats<…>` type expression must have an
+/// `impl Snapshot` somewhere in the workspace.
 /// Without one the experiment compiles but can never be checkpointed,
 /// and the gap only surfaces when a long sweep tries to save.
 pub fn snapshot_coverage(files: &[SourceFile]) -> Vec<Finding> {

@@ -12,7 +12,7 @@
 //! * [`Heartbeat`] — rate-limited `done/total … cases/s … eta` lines on
 //!   stderr for long runs.
 //! * [`MemorySink`] — owned records for tests asserting on engine
-//!   behavior (cache hits, evictions, span shapes).
+//!   behavior (counters, span shapes).
 //! * [`Multi`] — fan-out, since a run usually wants several at once.
 //! * [`clock`] — the single wall-clock read the `no-wallclock` lint
 //!   allows; every timestamp in every sink comes from here.

@@ -1,6 +1,6 @@
 //! The in-memory sink: records every telemetry call as an owned value,
-//! for tests that assert on engine behavior (cache hit rates, eviction
-//! counts, span shapes) without touching the filesystem.
+//! for tests that assert on engine behavior (counters, span shapes)
+//! without touching the filesystem.
 
 use std::sync::Mutex;
 

@@ -5,12 +5,12 @@
 //! A `--paper`-scale grid can run for hours with nothing on disk until
 //! the end. The checkpoint layer closes that gap with three pieces:
 //!
-//! * [`Checkpoint`] — a named bundle of [`Snapshot`]s (grouped reducers
-//!   and single accumulators) plus the sweep's identity (label, grid
-//!   shape, total case count) and the `done` watermark. It saves
-//!   atomically (write-temp-then-rename, so a kill at any instant
-//!   leaves either the old or the new file, never a torn one) and
-//!   validates everything on load.
+//! * [`Checkpoint`] — named [`GroupedStats`] reducers (their
+//!   [`Snapshot`]s) plus the sweep's identity (label, grid shape, total
+//!   case count) and the `done` watermark. It saves atomically
+//!   (write-temp-then-rename, so a kill at any instant leaves either the
+//!   old or the new file, never a torn one) and validates everything on
+//!   load.
 //! * [`CheckpointSpec`] — what a checkpointed run was asked to do
 //!   (`--checkpoint <path>`, `--resume`, and the deterministic-interrupt
 //!   testing aid `--halt-after <n>`), with the shard-boundary hook body
@@ -26,28 +26,26 @@
 //!
 //! ```text
 //! zen2-sweep-checkpoint v2
-//! {"sweep":"fig09","total":73,"start":0,"done":32,"lens":[8,3,3],"fp":"91c3b2…"}
+//! {"sweep":"fig09","total":72,"start":0,"done":32,"lens":[8,3,3],"fp":"91c3b2…"}
 //! {"state":"grid","shape":{"axes":[…],"positions":[0,1,2],"lens":[8,3,3]}}
 //! {"state":"grid","row":{"key":[0,0,0],"acc":{…}}}
 //! {"state":"grid","row":{"key":[0,0,1],"acc":{…}}}
-//! {"state":"idle","value":{…}}
 //! ```
 //!
 //! Line 1 is the version header. Line 2 identifies the run: the sweep
-//! label, the total case count (grid plus any rider cases), the covered
-//! case-index range `start..done` (format v2 added `start` so a shard
-//! of a fleet run — see [`ShardRange`] and [`Checkpoint::merge`] — can
-//! declare which slice of the grid it folded; a whole-run checkpoint
-//! has `start` 0), the grid's axis lengths, and a
-//! fingerprint of the run's content (seeds, scale-dependent scenario
-//! data, machine configuration — so two runs whose grids merely share
-//! dimensions can never blend). After that, one JSON object per line:
-//! a `shape` line opens a grouped state, each `row` line carries **one
-//! [`GroupedStats`] row** (its group key and accumulator snapshot), and
-//! a `value` line is a single stand-alone accumulator. Everything is
-//! written with the exact [`Json`] encoding of
-//! [`snapshot`](crate::snapshot) — floats round-trip bit-for-bit, which
-//! is what makes a resumed sweep's output byte-identical.
+//! label, the total case count, the covered case-index range
+//! `start..done` (format v2 added `start` so a shard of a fleet run —
+//! see [`ShardRange`] and [`Checkpoint::merge`] — can declare which
+//! slice of the grid it folded; a whole-run checkpoint has `start` 0),
+//! the grid's axis lengths, and a fingerprint of the run's content
+//! (seeds, scale-dependent scenario data, machine configuration — so
+//! two runs whose grids merely share dimensions can never blend). After
+//! that, one JSON object per line: a `shape` line opens a grouped
+//! state, and each `row` line carries **one [`GroupedStats`] row** (its
+//! group key and accumulator snapshot). Everything is written with the
+//! exact [`Json`] encoding of [`snapshot`](crate::snapshot) — floats
+//! round-trip bit-for-bit, which is what makes a resumed sweep's output
+//! byte-identical.
 //!
 //! ```
 //! use zen2_sim::{Axis, Checkpoint, GroupedStats, OnlineStats, SimConfig, Sweep};
@@ -74,7 +72,7 @@
 
 use crate::obs::{AttrValue, EVT_SWEEP_TOTAL};
 use crate::probe::Run;
-use crate::session::{Case, Session, SessionError, SessionErrorKind, StreamControl, StreamEvent};
+use crate::session::{Session, SessionError, SessionErrorKind, StreamControl, StreamEvent};
 use crate::snapshot::{Json, Snapshot, SnapshotError};
 use crate::stats::GroupedStats;
 use crate::sweep::Sweep;
@@ -189,13 +187,12 @@ impl CheckpointError {
     }
 }
 
-/// One named state inside a checkpoint.
+/// One named grouped reducer inside a checkpoint: its shape header
+/// plus one snapshot per row.
 #[derive(Debug, Clone, PartialEq)]
-enum State {
-    /// A stand-alone accumulator snapshot.
-    Single(Json),
-    /// A grouped reducer: its shape header plus one snapshot per row.
-    Grouped { shape: Json, rows: Vec<Json> },
+struct State {
+    shape: Json,
+    rows: Vec<Json>,
 }
 
 /// A durable cut of a streaming sweep: which run it belongs to, how far
@@ -214,9 +211,8 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// An empty checkpoint for `sweep` at watermark `done`, covering
-    /// `total` cases (the grid plus any rider cases streamed after it).
-    /// The covered range starts at case 0 — a whole-run checkpoint; a
-    /// fleet shard uses [`for_range`](Self::for_range).
+    /// `total` cases. The covered range starts at case 0 — a whole-run
+    /// checkpoint; a fleet shard uses [`for_range`](Self::for_range).
     pub fn new(sweep: &Sweep, total: usize, done: usize) -> Self {
         Self::for_range(sweep, total, 0, done)
     }
@@ -247,7 +243,7 @@ impl Checkpoint {
         self.done
     }
 
-    /// The total case count of the run (grid plus riders).
+    /// The total case count of the run.
     pub fn total(&self) -> usize {
         self.total
     }
@@ -268,36 +264,13 @@ impl Checkpoint {
         self.start == 0 && self.done >= self.total
     }
 
-    /// Adds (or replaces) a stand-alone accumulator state.
-    pub fn set_single(&mut self, name: impl Into<String>, state: &impl Snapshot) {
-        self.put(name.into(), State::Single(state.snapshot()));
-    }
-
     /// Adds (or replaces) a grouped reducer's state.
     pub fn set_grouped<A: Snapshot>(&mut self, name: impl Into<String>, stats: &GroupedStats<A>) {
-        let state =
-            State::Grouped { shape: stats.shape_snapshot(), rows: stats.row_snapshots().collect() };
-        self.put(name.into(), state);
-    }
-
-    fn put(&mut self, name: String, state: State) {
+        let name = name.into();
+        let state = State { shape: stats.shape_snapshot(), rows: stats.row_snapshots().collect() };
         match self.states.iter_mut().find(|(n, _)| *n == name) {
             Some((_, slot)) => *slot = state,
             None => self.states.push((name, state)),
-        }
-    }
-
-    /// Restores a stand-alone accumulator by name.
-    ///
-    /// # Errors
-    /// Errors when the state is absent, grouped, or not a snapshot of
-    /// `S`.
-    pub fn single<S: Snapshot>(&self, name: &str) -> Result<S, CheckpointError> {
-        match self.find(name)? {
-            State::Single(json) => Ok(S::restore(json)?),
-            State::Grouped { .. } => Err(CheckpointError::Mismatch(format!(
-                "state {name:?} is a grouped reducer, not a single accumulator"
-            ))),
         }
     }
 
@@ -306,18 +279,19 @@ impl Checkpoint {
     /// `like` — the freshly built reducer of the run being resumed.
     ///
     /// # Errors
-    /// Errors when the state is absent or single, the snapshot is
-    /// corrupt, or the shapes disagree.
+    /// Errors when the state is absent, the snapshot is corrupt, or the
+    /// shapes disagree.
     pub fn grouped<A: Snapshot>(
         &self,
         name: &str,
         like: &GroupedStats<A>,
     ) -> Result<GroupedStats<A>, CheckpointError> {
-        let State::Grouped { shape, rows } = self.find(name)? else {
-            return Err(CheckpointError::Mismatch(format!(
-                "state {name:?} is a single accumulator, not a grouped reducer"
-            )));
-        };
+        let State { shape, rows } = self
+            .states
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| s)
+            .ok_or_else(|| CheckpointError::MissingState(name.to_string()))?;
         let mut restored = GroupedStats::<A>::restore_shape(shape)?;
         if !restored.shape_matches(like) {
             return Err(CheckpointError::Mismatch(format!(
@@ -331,14 +305,6 @@ impl Checkpoint {
             restored.restore_row(row)?;
         }
         Ok(restored)
-    }
-
-    fn find(&self, name: &str) -> Result<&State, CheckpointError> {
-        self.states
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
-            .ok_or_else(|| CheckpointError::MissingState(name.to_string()))
     }
 
     /// Verifies the checkpoint belongs to this run: same sweep label,
@@ -405,10 +371,7 @@ impl Checkpoint {
     /// verbatim — including P² quantile state, which is why the fleet
     /// path is byte-identical rather than merely tolerance-close. A
     /// partition that *does* cut through a row (a coarser grouping) is
-    /// rejected by the duplicate-row guard. Single states are rider-range
-    /// accumulators: the side whose range reached past the grid
-    /// supplies them; when neither (or both) did, the snapshots must
-    /// agree bit-for-bit.
+    /// rejected by the duplicate-row guard.
     ///
     /// On error the target is left unchanged.
     ///
@@ -416,7 +379,7 @@ impl Checkpoint {
     /// [`RangeOverlap`](CheckpointError::RangeOverlap) /
     /// [`RangeGap`](CheckpointError::RangeGap) when the ranges are not
     /// adjacent, [`Mismatch`](CheckpointError::Mismatch) for identity,
-    /// state-set, shape, duplicate-row, or rider-state disagreements.
+    /// state-set, shape, or duplicate-row disagreements.
     pub fn merge(&mut self, other: &Checkpoint) -> Result<(), CheckpointError> {
         if self.sweep != other.sweep {
             return Err(CheckpointError::Mismatch(format!(
@@ -471,7 +434,6 @@ impl Checkpoint {
                 ours.0, ours.1, theirs.0, theirs.1
             )));
         };
-        let grid: usize = self.lens.iter().product();
         let mut merged_states = Vec::with_capacity(self.states.len());
         for (name, state) in &self.states {
             let Some((_, their_state)) = other.states.iter().find(|(n, _)| n == name) else {
@@ -479,10 +441,7 @@ impl Checkpoint {
                     "state {name:?} is in only one of the checkpoints"
                 )));
             };
-            merged_states.push((
-                name.clone(),
-                Self::merge_state(name, state, their_state, ours, theirs, grid)?,
-            ));
+            merged_states.push((name.clone(), Self::merge_state(name, state, their_state)?));
         }
         if let Some((name, _)) =
             other.states.iter().find(|(n, _)| !self.states.iter().any(|(m, _)| m == n))
@@ -496,67 +455,31 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// One state's half of [`merge`](Self::merge): `ours`/`theirs` are
-    /// the sides' covered ranges, `grid` the grid case count (indices
-    /// at or past it are rider cases).
-    fn merge_state(
-        name: &str,
-        state: &State,
-        their_state: &State,
-        ours: (usize, usize),
-        theirs: (usize, usize),
-        grid: usize,
-    ) -> Result<State, CheckpointError> {
-        let key_of = |row: &Json| -> Result<Vec<usize>, CheckpointError> {
-            row.get("key").and_then(Json::as_usizes).map_err(|e| {
-                CheckpointError::Malformed(format!("grouped row of {name:?} has no key: {e}"))
-            })
-        };
-        match (state, their_state) {
-            (
-                State::Grouped { shape, rows },
-                State::Grouped { shape: their_shape, rows: their_rows },
-            ) => {
-                if shape != their_shape {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "grouped state {name:?} was grouped differently in the two checkpoints"
-                    )));
-                }
-                // Keyed map so duplicate detection stays cheap on
-                // paper-scale grids (10^5 rows); iterating it back out
-                // yields the single-process render order — sorted by
-                // group key.
-                let mut union: std::collections::BTreeMap<Vec<usize>, Json> =
-                    std::collections::BTreeMap::new();
-                for row in rows.iter().chain(their_rows) {
-                    let key = key_of(row)?;
-                    if union.insert(key.clone(), row.clone()).is_some() {
-                        return Err(CheckpointError::Mismatch(format!(
-                            "grouped state {name:?} has row {key:?} in both checkpoints — \
-                             the partition cuts through a grouped row"
-                        )));
-                    }
-                }
-                Ok(State::Grouped { shape: shape.clone(), rows: union.into_values().collect() })
-            }
-            (State::Single(value), State::Single(their_value)) => {
-                // Rider-range accumulators: owned by the side whose
-                // covered range reached past the grid.
-                match (ours.1 > grid, theirs.1 > grid) {
-                    (true, false) => Ok(State::Single(value.clone())),
-                    (false, true) => Ok(State::Single(their_value.clone())),
-                    _ if value == their_value => Ok(State::Single(value.clone())),
-                    _ => Err(CheckpointError::Mismatch(format!(
-                        "single state {name:?} differs between the checkpoints and neither \
-                         side alone covered the rider cases — a cross-shard single \
-                         accumulator cannot be merged at the file level"
-                    ))),
-                }
-            }
-            _ => Err(CheckpointError::Mismatch(format!(
-                "state {name:?} is grouped in one checkpoint and single in the other"
-            ))),
+    /// One state's half of [`merge`](Self::merge): the union of both
+    /// sides' rows.
+    fn merge_state(name: &str, ours: &State, theirs: &State) -> Result<State, CheckpointError> {
+        if ours.shape != theirs.shape {
+            return Err(CheckpointError::Mismatch(format!(
+                "grouped state {name:?} was grouped differently in the two checkpoints"
+            )));
         }
+        // Keyed map so duplicate detection stays cheap on paper-scale
+        // grids (10^5 rows); iterating it back out yields the
+        // single-process render order — sorted by group key.
+        let mut union: std::collections::BTreeMap<Vec<usize>, Json> =
+            std::collections::BTreeMap::new();
+        for row in ours.rows.iter().chain(&theirs.rows) {
+            let key = row.get("key").and_then(Json::as_usizes).map_err(|e| {
+                CheckpointError::Malformed(format!("grouped row of {name:?} has no key: {e}"))
+            })?;
+            if union.insert(key.clone(), row.clone()).is_some() {
+                return Err(CheckpointError::Mismatch(format!(
+                    "grouped state {name:?} has row {key:?} in both checkpoints — \
+                     the partition cuts through a grouped row"
+                )));
+            }
+        }
+        Ok(State { shape: ours.shape.clone(), rows: union.into_values().collect() })
     }
 
     /// Renders the file body (see the [module docs](self) for the
@@ -575,26 +498,14 @@ impl Checkpoint {
         ]);
         out.push_str(&header.render());
         out.push('\n');
-        for (name, state) in &self.states {
-            match state {
-                State::Single(json) => {
-                    let line =
-                        Json::obj([("state", Json::str(name.clone())), ("value", json.clone())]);
-                    out.push_str(&line.render());
-                    out.push('\n');
-                }
-                State::Grouped { shape, rows } => {
-                    let line =
-                        Json::obj([("state", Json::str(name.clone())), ("shape", shape.clone())]);
-                    out.push_str(&line.render());
-                    out.push('\n');
-                    for row in rows {
-                        let line =
-                            Json::obj([("state", Json::str(name.clone())), ("row", row.clone())]);
-                        out.push_str(&line.render());
-                        out.push('\n');
-                    }
-                }
+        for (name, State { shape, rows }) in &self.states {
+            let line = Json::obj([("state", Json::str(name.clone())), ("shape", shape.clone())]);
+            out.push_str(&line.render());
+            out.push('\n');
+            for row in rows {
+                let line = Json::obj([("state", Json::str(name.clone())), ("row", row.clone())]);
+                out.push_str(&line.render());
+                out.push('\n');
             }
         }
         out
@@ -683,22 +594,15 @@ impl Checkpoint {
                 if checkpoint.states.iter().any(|(n, _)| *n == name) {
                     return Err(at(line_no, format!("duplicate state {name:?}")));
                 }
-                let state = State::Grouped { shape: shape.clone(), rows: Vec::new() };
-                checkpoint.states.push((name, state));
+                checkpoint.states.push((name, State { shape: shape.clone(), rows: Vec::new() }));
             } else if let Ok(row) = json.get("row") {
-                let Some((_, State::Grouped { rows, .. })) =
-                    checkpoint.states.iter_mut().find(|(n, _)| *n == name)
+                let Some((_, state)) = checkpoint.states.iter_mut().find(|(n, _)| *n == name)
                 else {
                     return Err(at(line_no, format!("row for {name:?} before its shape line")));
                 };
-                rows.push(row.clone());
-            } else if let Ok(value) = json.get("value") {
-                if checkpoint.states.iter().any(|(n, _)| *n == name) {
-                    return Err(at(line_no, format!("duplicate state {name:?}")));
-                }
-                checkpoint.states.push((name, State::Single(value.clone())));
+                state.rows.push(row.clone());
             } else {
-                return Err(at(line_no, "expected a shape, row, or value line".into()));
+                return Err(at(line_no, "expected a shape or row line".into()));
             }
         }
         Ok(checkpoint)
@@ -829,42 +733,21 @@ impl CheckpointSpec {
     }
 }
 
-/// The accumulator bundle of a resumable sweep: how to persist it into
-/// a [`Checkpoint`], rebuild it from one, and fold one delivered run.
-/// Implementations pair with [`run_resumable`], which owns the
-/// load → stream → save-at-boundaries skeleton every checkpointed
-/// experiment shares.
-pub trait CheckpointState {
-    /// Writes every named state into `checkpoint` — the shard-boundary
-    /// save. Names must match what [`restore_from`](Self::restore_from)
-    /// reads.
-    fn save_into(&self, checkpoint: &mut Checkpoint);
-
-    /// Restores every named state from a loaded checkpoint — the
-    /// resume preamble.
-    ///
-    /// # Errors
-    /// Errors when a state is missing, corrupt, or shaped for a
-    /// different grid.
-    fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError>;
-
-    /// Folds case `index`'s completed run into the accumulators.
-    /// Indices are global: grid cases are `0..sweep.len()`, rider cases
-    /// follow.
-    fn fold(&mut self, index: usize, run: Run);
-}
-
 /// The resumable-sweep driver every checkpointed experiment shares:
-/// load the checkpoint `spec` names (restoring `state` and skipping the
-/// completed prefix), stream the remaining grid cases plus `riders`
-/// (extra single cases appended after the grid, e.g. Fig. 7's all-C2
-/// baseline), and persist `state` at every shard boundary. Returns
-/// `true` when every case of the *whole run* was folded in, `false`
-/// when the run halted early per the spec (`--halt-after`) **or** ran
-/// only a [`ShardRange`] slice — either way the checkpoint then holds
-/// everything a later resume (or the fleet coordinator's
-/// [`Checkpoint::merge`]) needs. A shard run therefore never renders a
-/// report of its own: only the merged whole does.
+/// load the checkpoint `spec` names (restoring the cells and skipping
+/// the completed prefix), stream the remaining cases, `fold` each run
+/// into its case's cell, and persist the cells at every shard boundary.
+///
+/// There is one cell `C` per case: a [`GroupedStats`] keyed by every
+/// sweep axis, stored under the state name `"grid"`. `fold` receives
+/// the case's cell (created with `C::default()`), its global case index,
+/// and its run. Returns the cells in case order once every case of the
+/// *whole run* was folded in, and `None` when the run halted early per
+/// the spec (`--halt-after`) **or** ran only a [`ShardRange`] slice —
+/// either way the checkpoint then holds everything a later resume (or
+/// the fleet coordinator's [`Checkpoint::merge`]) needs. A shard run
+/// therefore never renders a report of its own: only the merged whole
+/// does.
 ///
 /// With `spec.shard` set, the run covers exactly the shard's case
 /// range: the case iterator is bounded with
@@ -874,29 +757,14 @@ pub trait CheckpointState {
 /// the same `--shard-range` it was started with.
 ///
 /// Interrupt-at-any-boundary plus resume — under any worker/shard
-/// split — is byte-identical to one uninterrupted run, provided
-/// `state`'s [`CheckpointState`] impl snapshots exactly.
+/// split — is byte-identical to one uninterrupted run, provided `C`'s
+/// [`Snapshot`] impl round-trips exactly.
 ///
 /// ```
-/// use zen2_sim::checkpoint::{run_resumable, CheckpointState};
+/// use zen2_sim::checkpoint::run_resumable;
 /// use zen2_sim::{
-///     Axis, Checkpoint, CheckpointError, CheckpointSpec, GroupedStats, OnlineStats, Probe, Run,
-///     Scenario, Session, SimConfig, Sweep, Window,
+///     Axis, CheckpointSpec, OnlineStats, Probe, Scenario, Session, SimConfig, Sweep, Window,
 /// };
-///
-/// struct Demo(GroupedStats<OnlineStats>);
-/// impl CheckpointState for Demo {
-///     fn save_into(&self, checkpoint: &mut Checkpoint) {
-///         checkpoint.set_grouped("grid", &self.0);
-///     }
-///     fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-///         self.0 = checkpoint.grouped("grid", &self.0)?;
-///         Ok(())
-///     }
-///     fn fold(&mut self, index: usize, run: Run) {
-///         self.0.entry(index).push(run.watts("ac"));
-///     }
-/// }
 ///
 /// let mut base = Scenario::new();
 /// base.probe("ac", Probe::AcPowerW, Window::at(0));
@@ -904,31 +772,33 @@ pub trait CheckpointState {
 ///     .scenario(base)
 ///     .seed(7)
 ///     .axis(Axis::param("rep", (0..3).map(f64::from)));
-/// let mut state = Demo(GroupedStats::new(&sweep, &["rep"]));
-/// let done = run_resumable(
+/// let cells = run_resumable(
 ///     &sweep,
-///     vec![],
 ///     &Session::new().workers(2).shard_size(1),
 ///     &CheckpointSpec::none(),
-///     &mut state,
+///     |cell: &mut OnlineStats, _, run| cell.push(run.watts("ac")),
 /// )
-/// .unwrap();
-/// assert!(done);
-/// assert_eq!(state.0.len(), 3);
+/// .unwrap()
+/// .expect("a whole run completes");
+/// assert_eq!(cells.len(), 3);
 /// ```
 ///
 /// # Errors
 /// Errors when the checkpoint cannot be read, written, or does not
 /// belong to this run.
-pub fn run_resumable<S: CheckpointState>(
+///
+/// # Panics
+/// Panics when the sweep has no axes, or two axes share a name (see
+/// [`GroupedStats::new`]).
+pub fn run_resumable<C: Snapshot + Default>(
     sweep: &Sweep,
-    riders: Vec<Case>,
     session: &Session,
     spec: &CheckpointSpec,
-    state: &mut S,
-) -> Result<bool, CheckpointError> {
-    let grid = sweep.len();
-    let total = grid + riders.len();
+    mut fold: impl FnMut(&mut C, usize, Run),
+) -> Result<Option<Vec<C>>, CheckpointError> {
+    let axes: Vec<&str> = sweep.axes().iter().map(crate::sweep::Axis::name).collect();
+    let mut cells = GroupedStats::<C>::new(sweep, &axes);
+    let total = sweep.len();
     let (lo, hi) = spec.shard.map_or((0, total), |shard| shard.bounds(total));
     let mut start = lo;
     if let Some(checkpoint) = spec.load(sweep, total)? {
@@ -940,7 +810,7 @@ pub fn run_resumable<S: CheckpointState>(
                  started with"
             )));
         }
-        state.restore_from(&checkpoint)?;
+        cells = checkpoint.grouped("grid", &cells)?;
         start = covered_done;
     }
     // Announce the run's extent before streaming: progress sinks need
@@ -953,36 +823,30 @@ pub fn run_resumable<S: CheckpointState>(
             ("start", AttrValue::U64(start as u64)),
         ],
     );
-    // Bound both halves of the case stream to start..hi: the grid via
-    // take_range (never over-pulling the lazy iterator past the
-    // shard), the rider tail via skip + take.
-    let grid_start = start.min(grid);
-    let grid_cases = sweep.take_range(grid_start, hi.min(grid).saturating_sub(grid_start));
-    let rider_skip = start.saturating_sub(grid);
-    let rider_len = hi.saturating_sub(grid).saturating_sub(rider_skip);
-    let pending_riders = riders.into_iter().skip(rider_skip).take(rider_len);
+    let pending = sweep.take_range(start, hi - start);
     let mut saves = 0;
     let delivered = session
-        .run_streaming_checkpointed(start, grid_cases.chain(pending_riders), |event| match event {
+        .run_streaming_checkpointed(start, pending, |event| match event {
             StreamEvent::Run { index, run } => {
-                state.fold(index, run);
+                fold(cells.entry(index), index, run);
                 Ok(StreamControl::Continue)
             }
             StreamEvent::ShardBoundary { next } => spec.on_boundary(&mut saves, || {
                 let mut checkpoint = Checkpoint::for_range(sweep, total, lo, next);
-                state.save_into(&mut checkpoint);
+                checkpoint.set_grouped("grid", &cells);
                 checkpoint
             }),
         })
         .map_err(CheckpointError::from_stream)?;
-    Ok(lo == 0 && start + delivered == total)
+    let complete = lo == 0 && start + delivered == total;
+    Ok(complete.then(|| cells.into_rows().map(|(_, cell)| cell).collect()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::stats::OnlineStats;
+    use crate::stats::{OnlineStats, Welford};
     use crate::sweep::Axis;
 
     fn sweep_3x2() -> Sweep {
@@ -996,23 +860,28 @@ mod tests {
         std::env::temp_dir().join(format!("zen2-ckpt-test-{name}-{}", std::process::id()))
     }
 
-    fn populated(sweep: &Sweep) -> (GroupedStats<OnlineStats>, OnlineStats) {
+    fn populated(sweep: &Sweep) -> GroupedStats<OnlineStats> {
         let mut grouped: GroupedStats<OnlineStats> = GroupedStats::new(sweep, &["a"]);
-        let mut rider = OnlineStats::new();
         for i in 0..4 {
             grouped.entry(i).push(i as f64 * 0.7);
-            rider.push(100.0 - i as f64);
         }
-        (grouped, rider)
+        grouped
+    }
+
+    /// One instant power read per case: the cheapest scenario a driver
+    /// test can stream.
+    fn instant_sweep() -> Sweep {
+        let mut base = crate::scenario::Scenario::new();
+        base.probe("ac", crate::probe::Probe::AcPowerW, crate::probe::Window::at(0));
+        sweep_3x2().scenario(base)
     }
 
     #[test]
     fn save_load_round_trip_preserves_everything() {
         let sweep = sweep_3x2();
-        let (grouped, rider) = populated(&sweep);
-        let mut ck = Checkpoint::new(&sweep, 7, 4);
+        let grouped = populated(&sweep);
+        let mut ck = Checkpoint::new(&sweep, 6, 4);
         ck.set_grouped("grid", &grouped);
-        ck.set_single("rider", &rider);
 
         let path = tmp("round-trip");
         ck.save(&path).unwrap();
@@ -1020,20 +889,18 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
 
         assert_eq!(loaded, ck);
-        assert_eq!((loaded.sweep(), loaded.done(), loaded.total()), ("ck-test", 4, 7));
+        assert_eq!((loaded.sweep(), loaded.done(), loaded.total()), ("ck-test", 4, 6));
         assert!(!loaded.is_complete());
-        loaded.matches(&sweep, 7).unwrap();
+        loaded.matches(&sweep, 6).unwrap();
         let like: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["a"]);
         assert_eq!(loaded.grouped("grid", &like).unwrap(), grouped);
-        assert_eq!(loaded.single::<OnlineStats>("rider").unwrap(), rider);
     }
 
     #[test]
     fn file_format_is_one_object_per_row() {
         let sweep = sweep_3x2();
-        let (grouped, _) = populated(&sweep);
         let mut ck = Checkpoint::new(&sweep, 6, 4);
-        ck.set_grouped("grid", &grouped);
+        ck.set_grouped("grid", &populated(&sweep));
         let text = ck.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], MAGIC);
@@ -1048,9 +915,8 @@ mod tests {
     #[test]
     fn mismatched_grids_are_rejected_with_clear_errors() {
         let sweep = sweep_3x2();
-        let (grouped, _) = populated(&sweep);
         let mut ck = Checkpoint::new(&sweep, 6, 4);
-        ck.set_grouped("grid", &grouped);
+        ck.set_grouped("grid", &populated(&sweep));
 
         // A different sweep label.
         let renamed = Sweep::new("other", SimConfig::epyc_7502_2s())
@@ -1066,7 +932,7 @@ mod tests {
         let err = ck.matches(&reshaped, 8).unwrap_err();
         assert!(err.to_string().contains("grid shape"), "{err}");
 
-        // A different rider count.
+        // A different total case count.
         let err = ck.matches(&sweep, 9).unwrap_err();
         assert!(err.to_string().contains("9"), "{err}");
 
@@ -1093,18 +959,18 @@ mod tests {
     #[test]
     fn missing_and_mistyped_states_are_named() {
         let sweep = sweep_3x2();
-        let (grouped, rider) = populated(&sweep);
         let mut ck = Checkpoint::new(&sweep, 6, 4);
-        ck.set_grouped("grid", &grouped);
-        ck.set_single("rider", &rider);
+        ck.set_grouped("grid", &populated(&sweep));
 
+        let like: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["a"]);
         assert_eq!(
-            ck.single::<OnlineStats>("nope").unwrap_err(),
+            ck.grouped("nope", &like).unwrap_err(),
             CheckpointError::MissingState("nope".into())
         );
-        assert!(ck.single::<OnlineStats>("grid").is_err());
-        let like: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["a"]);
-        assert!(ck.grouped("rider", &like).is_err());
+        // Rows restored as another accumulator type are malformed.
+        let welford: GroupedStats<Welford> = GroupedStats::new(&sweep, &["a"]);
+        let err = ck.grouped("grid", &welford).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
     }
 
     #[test]
@@ -1128,13 +994,24 @@ mod tests {
                      {{\"sweep\":\"x\",\"total\":1,\"start\":0,\"done\":0,\"lens\":[],\"fp\":\"00\"}}\n\
                      {{\"state\":\"g\"}}\n"
                 )[..],
-                "shape, row, or value",
+                "shape or row",
             ),
             // A v1 file: rejected by the magic, never half-read.
             ("zen2-sweep-checkpoint v1\n{\"sweep\":\"x\"}\n", "unsupported version"),
+            // A stand-alone `value` state, as Fig. 7 wrote its all-C2
+            // baseline before every state became one grouped grid.
+            (
+                &format!(
+                    "{MAGIC}\n\
+                     {{\"sweep\":\"fig07\",\"total\":1,\"start\":0,\"done\":1,\"lens\":[],\"fp\":\"00\"}}\n\
+                     {{\"state\":\"baseline\",\"value\":{{\"welford\":{{}}}}}}\n"
+                )[..],
+                "line 3: expected a shape or row line",
+            ),
         ] {
             std::fs::write(&path, content).unwrap();
             let err = Checkpoint::load(&path).unwrap_err();
+            assert!(matches!(err, CheckpointError::Malformed(_)), "{content:?} → {err:?}");
             assert!(err.to_string().contains(needle), "{content:?} → {err}");
         }
         std::fs::remove_file(&path).unwrap();
@@ -1159,38 +1036,22 @@ mod tests {
     #[test]
     fn run_resumable_halts_and_resumes_through_the_driver() {
         // The shared driver honors halt_after and resumes to the same
-        // state a straight-through run produces.
-        struct Sum(OnlineStats);
-        impl CheckpointState for Sum {
-            fn save_into(&self, checkpoint: &mut Checkpoint) {
-                checkpoint.set_single("sum", &self.0);
-            }
-            fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-                self.0 = checkpoint.single("sum")?;
-                Ok(())
-            }
-            fn fold(&mut self, index: usize, _run: Run) {
-                self.0.push(index as f64);
-            }
-        }
-        let mut base = crate::scenario::Scenario::new();
-        base.probe("ac", crate::probe::Probe::AcPowerW, crate::probe::Window::at(0));
-        let sweep = sweep_3x2().scenario(base);
+        // cells a straight-through run produces.
+        let sweep = instant_sweep();
         let session = Session::new().workers(1).shard_size(2);
-        let mut clean = Sum(OnlineStats::new());
-        assert!(
-            run_resumable(&sweep, vec![], &session, &CheckpointSpec::none(), &mut clean).unwrap()
-        );
+        let fold = |cell: &mut OnlineStats, index: usize, _run: Run| cell.push(index as f64);
+        let clean = run_resumable(&sweep, &session, &CheckpointSpec::none(), fold).unwrap();
+        let clean = clean.expect("an uninterrupted run completes");
+        assert_eq!(clean.len(), 6);
+        assert_eq!(clean[5].mean(), 5.0);
 
         let path = tmp("driver");
-        let mut halted = Sum(OnlineStats::new());
         let spec = CheckpointSpec { halt_after: Some(1), ..CheckpointSpec::at(&path) };
-        assert!(!run_resumable(&sweep, vec![], &session, &spec, &mut halted).unwrap());
-        let mut resumed = Sum(OnlineStats::new());
+        assert_eq!(run_resumable(&sweep, &session, &spec, fold).unwrap(), None);
         let spec = CheckpointSpec::resume_from(&path);
-        assert!(run_resumable(&sweep, vec![], &session, &spec, &mut resumed).unwrap());
+        let resumed = run_resumable(&sweep, &session, &spec, fold).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(resumed.0, clean.0);
+        assert_eq!(resumed, Some(clean));
     }
 
     #[test]
@@ -1257,32 +1118,20 @@ mod tests {
     fn merge_unions_adjacent_shards_bit_exactly() {
         let sweep = sweep_3x2();
         let like = || GroupedStats::<OnlineStats>::new(&sweep, &["a", "b"]);
-        let push = |grid: &mut GroupedStats<OnlineStats>, range: std::ops::Range<usize>| {
-            for i in range {
-                grid.entry(i).push(i as f64 * 1.1);
-            }
-        };
-        let mut rider = OnlineStats::new();
-        rider.push(42.5);
-        // The single-process reference: all 6 grid cases plus the rider.
-        let mut full_grid = like();
-        push(&mut full_grid, 0..6);
-        let mut full = Checkpoint::new(&sweep, 7, 7);
-        full.set_grouped("grid", &full_grid);
-        full.set_single("rider", &rider);
         // A shard over `range` (grid grouped by all axes, so disjoint
-        // ranges touch disjoint rows); only a shard reaching past the
-        // grid folded the rider.
-        let empty_rider = OnlineStats::new();
+        // ranges touch disjoint rows).
         let shard = |range: std::ops::Range<usize>| {
             let mut grid = like();
-            push(&mut grid, range.start..range.end.min(6));
-            let mut ck = Checkpoint::for_range(&sweep, 7, range.start, range.end);
+            for i in range.clone() {
+                grid.entry(i).push(i as f64 * 1.1);
+            }
+            let mut ck = Checkpoint::for_range(&sweep, 6, range.start, range.end);
             ck.set_grouped("grid", &grid);
-            ck.set_single("rider", if range.end > 6 { &rider } else { &empty_rider });
             ck
         };
-        let (a, b) = (shard(0..3), shard(3..7));
+        // The single-process reference: all 6 grid cases.
+        let full = shard(0..6);
+        let (a, b) = (shard(0..3), shard(3..6));
         let mut merged = a.clone();
         merged.merge(&b).unwrap();
         assert_eq!(merged, full);
@@ -1294,7 +1143,7 @@ mod tests {
         assert_eq!(reversed.render(), full.render());
         // Three-way, merged middle-out.
         let mut m = shard(2..5);
-        m.merge(&shard(5..7)).unwrap();
+        m.merge(&shard(5..6)).unwrap();
         m.merge(&shard(0..2)).unwrap();
         assert_eq!(m.render(), full.render());
     }
@@ -1302,16 +1151,16 @@ mod tests {
     #[test]
     fn merge_rejects_overlap_gap_and_foreign_checkpoints() {
         let sweep = sweep_3x2();
-        let ck = |start, done| Checkpoint::for_range(&sweep, 7, start, done);
+        let ck = |start, done| Checkpoint::for_range(&sweep, 6, start, done);
         let mut m = ck(0, 3);
         let err = m.merge(&ck(2, 5)).unwrap_err();
         assert!(matches!(err, CheckpointError::RangeOverlap(_)), "{err}");
         assert!(err.to_string().contains("0..3"), "{err}");
-        let err = m.merge(&ck(4, 7)).unwrap_err();
+        let err = m.merge(&ck(4, 6)).unwrap_err();
         assert!(matches!(err, CheckpointError::RangeGap(_)), "{err}");
         // A shard written by a different run of the same grid shape.
         let reseeded = sweep_3x2().seed(2);
-        let err = m.merge(&Checkpoint::for_range(&reseeded, 7, 3, 7)).unwrap_err();
+        let err = m.merge(&Checkpoint::for_range(&reseeded, 6, 3, 6)).unwrap_err();
         assert!(err.to_string().contains("different run"), "{err}");
         // On error the target is untouched.
         assert_eq!(m.covered(), (0, 3));
@@ -1326,41 +1175,25 @@ mod tests {
         };
         // Cases 2 and 3 share the a=1 row.
         let mut left = coarse(2, 0, 3);
-        let err = left.merge(&coarse(3, 3, 7)).unwrap_err();
+        let err = left.merge(&coarse(3, 3, 6)).unwrap_err();
         assert!(err.to_string().contains("cuts through a grouped row"), "{err}");
         // A state present on only one side is named.
         let mut lonely = ck(0, 3);
-        lonely.set_single("extra", &OnlineStats::new());
-        let err = lonely.merge(&ck(3, 7)).unwrap_err();
+        lonely.set_grouped("extra", &GroupedStats::<OnlineStats>::new(&sweep, &["a"]));
+        let err = lonely.merge(&ck(3, 6)).unwrap_err();
         assert!(err.to_string().contains("only one of"), "{err}");
     }
 
     #[test]
     fn run_resumable_shards_partition_and_merge_to_the_clean_run() {
-        struct Grid(GroupedStats<OnlineStats>);
-        impl CheckpointState for Grid {
-            fn save_into(&self, checkpoint: &mut Checkpoint) {
-                checkpoint.set_grouped("grid", &self.0);
-            }
-            fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-                self.0 = checkpoint.grouped("grid", &self.0)?;
-                Ok(())
-            }
-            fn fold(&mut self, index: usize, _run: Run) {
-                self.0.entry(index).push(index as f64 * 0.3);
-            }
-        }
-        let mut base = crate::scenario::Scenario::new();
-        base.probe("ac", crate::probe::Probe::AcPowerW, crate::probe::Window::at(0));
-        let sweep = sweep_3x2().scenario(base);
+        let sweep = instant_sweep();
         let session = Session::new().workers(2).shard_size(2);
-        let fresh = || Grid(GroupedStats::new(&sweep, &["a", "b"]));
+        let fold = |cell: &mut OnlineStats, index: usize, _run: Run| cell.push(index as f64 * 0.3);
 
         // The single-process reference, checkpointed to the end.
         let clean_path = tmp("shard-clean");
-        let mut clean = fresh();
         let spec = CheckpointSpec::at(&clean_path);
-        assert!(run_resumable(&sweep, vec![], &session, &spec, &mut clean).unwrap());
+        assert!(run_resumable(&sweep, &session, &spec, fold).unwrap().is_some());
         let clean_text = std::fs::read_to_string(&clean_path).unwrap();
         std::fs::remove_file(&clean_path).unwrap();
 
@@ -1370,9 +1203,8 @@ mod tests {
             let path = tmp(&format!("shard-{index}"));
             let range = ShardRange { index, of: 3 };
             let spec = CheckpointSpec { shard: Some(range), ..CheckpointSpec::at(&path) };
-            let mut state = fresh();
             // A shard never claims the whole run completed.
-            assert!(!run_resumable(&sweep, vec![], &session, &spec, &mut state).unwrap());
+            assert_eq!(run_resumable(&sweep, &session, &spec, fold).unwrap(), None);
             let shard = Checkpoint::load(&path).unwrap();
             std::fs::remove_file(&path).unwrap();
             assert_eq!(shard.covered(), range.bounds(6));
@@ -1388,29 +1220,26 @@ mod tests {
 
     #[test]
     fn resuming_a_shard_needs_its_own_range() {
-        struct Nop;
-        impl CheckpointState for Nop {
-            fn save_into(&self, _checkpoint: &mut Checkpoint) {}
-            fn restore_from(&mut self, _checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-                Ok(())
-            }
-            fn fold(&mut self, _index: usize, _run: Run) {}
-        }
         let sweep = sweep_3x2();
         let path = tmp("shard-resume");
-        Checkpoint::for_range(&sweep, 6, 2, 4).save(&path).unwrap();
+        let mut grid = GroupedStats::<OnlineStats>::new(&sweep, &["a", "b"]);
+        grid.entry(2).push(1.0);
+        grid.entry(3).push(2.0);
+        let mut ck = Checkpoint::for_range(&sweep, 6, 2, 4);
+        ck.set_grouped("grid", &grid);
+        ck.save(&path).unwrap();
         let session = Session::new();
         let spec = |index| CheckpointSpec {
             resume: true,
             shard: Some(ShardRange { index, of: 3 }),
             ..CheckpointSpec::at(&path)
         };
-        let mut nop = Nop;
-        let err = run_resumable(&sweep, vec![], &session, &spec(0), &mut nop).unwrap_err();
+        let nop = |_: &mut OnlineStats, _: usize, _: Run| {};
+        let err = run_resumable(&sweep, &session, &spec(0), nop).unwrap_err();
         assert!(err.to_string().contains("--shard-range"), "{err}");
         // The matching shard resumes; its range is already complete, so
-        // nothing streams and the whole-run flag stays false.
-        assert!(!run_resumable(&sweep, vec![], &session, &spec(1), &mut nop).unwrap());
+        // nothing streams and the whole run is still unfinished.
+        assert_eq!(run_resumable(&sweep, &session, &spec(1), nop).unwrap(), None);
         std::fs::remove_file(&path).unwrap();
     }
 }

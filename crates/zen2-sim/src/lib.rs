@@ -41,10 +41,9 @@
 //! * [`probe`] — a [`Probe`] plus a [`Window`] declares *what* to observe
 //!   and *when*; executing a scenario returns one typed [`Run`].
 //! * [`session`] — a [`Session`] executes `(SimConfig, Scenario, seed)`
-//!   batches across a worker pool with results independent of the worker
-//!   count, reusing one booted prototype per distinct configuration;
-//!   [`Session::run_streaming`] does the same for lazy case streams with
-//!   bounded memory.
+//!   batches across a worker pool, booting one machine per case, with
+//!   results independent of the worker count; [`Session::run_streaming`]
+//!   does the same for lazy case streams with bounded memory.
 //! * [`sweep`] — a [`Sweep`] declares a parameter grid as [`Axis`] values
 //!   over a base `(config, scenario)`, lazily yields its cases, and
 //!   streams them through a session.

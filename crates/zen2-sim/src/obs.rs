@@ -28,10 +28,9 @@
 //! ```text
 //! sweep                         one streaming run
 //! └── shard                     one workers × shard_size case group
-//!     ├── boot                  prototype boot into the LRU cache
 //!     ├── pool                  the worker-pool execution of the shard
 //!     │   └── case              one case, on its worker thread
-//!     │       ├── fork | boot   prototype fork, or a from-scratch boot
+//!     │       ├── boot          the case's machine boot
 //!     │       └── sim           scenario execution (the hot kernel)
 //!     ├── reduce                one delivery folded by the caller
 //!     └── checkpoint            the shard-boundary callback
@@ -86,7 +85,7 @@ pub trait Recorder: Send + Sync {
     /// (never called with zero).
     fn counter(&self, name: &'static str, delta: u64);
 
-    /// A point-in-time level (e.g. prototype-cache occupancy).
+    /// A point-in-time level.
     fn gauge(&self, name: &'static str, value: f64);
 
     /// One observation of a distribution (histogram primitive; sinks
@@ -106,14 +105,13 @@ pub const SPAN_SHARD: &str = "shard";
 /// The worker-pool execution of one shard. Attrs: `cases`,
 /// `workers`.
 pub const SPAN_POOL: &str = "pool";
-/// One case on its worker thread. Attrs: `index`, `label`, `worker`,
-/// `cached`.
+/// One case on its worker thread. Attrs: `index`, `label`, `worker`.
 pub const SPAN_CASE: &str = "case";
-/// A machine boot: either a prototype boot into the cache (attr
-/// `prototype: true`, under a `shard` span) or a per-case
-/// from-scratch boot (under its `case` span).
+/// The case's machine boot, under its `case` span.
 pub const SPAN_BOOT: &str = "boot";
-/// A fork from a cached prototype, under its `case` span.
+/// A [`System::fork`](crate::System::fork) of a booted machine. The
+/// session never emits it (it boots every case); recorders that time
+/// forks themselves name their span with it.
 pub const SPAN_FORK: &str = "fork";
 /// Scenario execution — the simulator hot path, under its `case` span.
 pub const SPAN_SIM: &str = "sim";
@@ -124,17 +122,12 @@ pub const SPAN_REDUCE: &str = "reduce";
 /// `next`.
 pub const SPAN_CHECKPOINT: &str = "checkpoint";
 
-/// Cases that forked a cached prototype.
-pub const CTR_CACHE_HIT: &str = "cache.hit";
-/// Cases that booted from scratch (no prototype for their config).
+/// Cases booted without a prototype to fork. The session never reports
+/// it (it boots every case); recorders that count boots themselves
+/// name their counter with it.
 pub const CTR_CACHE_MISS: &str = "cache.miss";
-/// Prototypes evicted from the LRU cache.
-pub const CTR_CACHE_EVICT: &str = "cache.evict";
 /// Cases delivered to the caller.
 pub const CTR_CASES_DONE: &str = "cases.done";
-
-/// Prototype-cache occupancy after each shard's prepare step.
-pub const GAUGE_CACHE_LEN: &str = "cache.len";
 
 /// Shard sizes actually pulled (the tail shard is usually short).
 pub const OBS_SHARD_CASES: &str = "shard.cases";
@@ -194,12 +187,6 @@ impl<'a> Obs<'a> {
         }
     }
 
-    pub(crate) fn gauge(self, name: &'static str, value: f64) {
-        if let Some(rec) = self.rec {
-            rec.gauge(name, value);
-        }
-    }
-
     pub(crate) fn observe(self, name: &'static str, value: f64) {
         if let Some(rec) = self.rec {
             rec.observe(name, value);
@@ -231,7 +218,6 @@ mod tests {
         assert_eq!(span, None);
         obs.close(span);
         obs.counter(CTR_CASES_DONE, 1);
-        obs.gauge(GAUGE_CACHE_LEN, 2.0);
         obs.observe(OBS_SHARD_CASES, 64.0);
         obs.event(EVT_SWEEP_TOTAL, &[("total", AttrValue::U64(10))]);
     }

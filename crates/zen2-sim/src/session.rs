@@ -13,14 +13,9 @@
 //! boundary (a consistent cut to persist accumulator snapshots at), and
 //! delivery indices can start at a resume offset.
 //!
-//! Each case runs on its own freshly seeded machine, so results depend
-//! only on the case — never on scheduling or on the worker count.
-//! Machines are forked ([`System::fork`]) from booted prototypes kept in
-//! a small least-recently-used cache, so the boot cost (MSR file
-//! construction, workload registry, thermal settling) is paid once per
-//! shared configuration instead of once per case. Configurations are
-//! compared structurally (`SimConfig: PartialEq`), so two configs can
-//! never share a prototype unless they are actually equal.
+//! Each case boots its own freshly seeded machine
+//! (`System::new(case.config, case.seed)`), so results depend only on
+//! the case — never on scheduling or on the worker count.
 //!
 //! A case that panics mid-simulation does not take the batch down with
 //! it: the panic is caught on the worker, attributed to its case, and
@@ -41,10 +36,7 @@
 //! ```
 
 use crate::config::SimConfig;
-use crate::obs::{
-    self, AttrValue, Obs, Recorder, SpanId, CTR_CACHE_EVICT, CTR_CACHE_HIT, CTR_CACHE_MISS,
-    CTR_CASES_DONE, GAUGE_CACHE_LEN, OBS_SHARD_CASES,
-};
+use crate::obs::{self, AttrValue, Obs, Recorder, SpanId, CTR_CASES_DONE, OBS_SHARD_CASES};
 use crate::probe::Run;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::system::System;
@@ -97,11 +89,6 @@ impl Default for Session {
         Self::new()
     }
 }
-
-/// Booted prototypes a run keeps across shards, at most
-/// this many (each is a fully booted machine; an unbounded cache would
-/// defeat the bounded-memory point of streaming).
-const PROTOTYPE_CACHE_CAP: usize = 4;
 
 impl Session {
     /// A session sized to the host's available parallelism.
@@ -161,10 +148,7 @@ impl Session {
     /// [`stats`](crate::stats)) reduce to bit-identical summaries under
     /// any parallelism. Returns the number of runs delivered.
     ///
-    /// Peak case residency is bounded by `workers × shard_size`; booted
-    /// prototypes are reused across shards through a small
-    /// least-recently-used cache, so a homogeneous million-case grid
-    /// still boots only once.
+    /// Peak case residency is bounded by `workers × shard_size`.
     ///
     /// On a validation failure or worker panic the error is attributed
     /// to its case and the stream stops; runs of earlier cases have
@@ -304,7 +288,6 @@ impl Session {
     {
         let group = self.workers.saturating_mul(self.shard);
         let mut iter = cases.into_iter();
-        let mut cache = PrototypeCache::new(PROTOTYPE_CACHE_CAP);
         let mut delivered = 0usize;
         let obs = self.obs();
         // On error paths (`?`) the open spans are deliberately left
@@ -343,15 +326,8 @@ impl Session {
                 ],
             );
             obs.observe(OBS_SHARD_CASES, shard_cases.len() as f64);
-            cache.prepare(&shard_cases, obs, shard_span);
-            let protos: Vec<Option<&System>> =
-                shard_cases.iter().map(|case| cache.get(&case.config)).collect();
-            let hits = protos.iter().filter(|p| p.is_some()).count() as u64;
-            obs.counter(CTR_CACHE_HIT, hits);
-            obs.counter(CTR_CACHE_MISS, shard_cases.len() as u64 - hits);
             let outcomes = pool_outcomes(
                 &shard_cases,
-                &protos,
                 self.workers,
                 &execute,
                 obs,
@@ -442,14 +418,13 @@ fn validate_case(case: &Case) -> Result<(), SessionError> {
     })
 }
 
-/// Executes every case across a worker pool, forking from the per-case
-/// prototype where one is given, and returns each case's outcome in case
-/// order. Panicking cases are contained and reported as `Err` outcomes.
-/// Each case reports a `case` span (with `fork`/`boot` and `sim` child
-/// phases) through `obs`, indexed globally from `base_index`.
+/// Executes every case across a worker pool, booting a fresh machine per
+/// case, and returns each case's outcome in case order. Panicking cases
+/// are contained and reported as `Err` outcomes. Each case reports a
+/// `case` span (with `boot` and `sim` child phases) through `obs`,
+/// indexed globally from `base_index`.
 fn pool_outcomes(
     cases: &[Case],
-    protos: &[Option<&System>],
     workers: usize,
     execute: &(impl Fn(&mut System, &Case) -> Run + Sync),
     obs: Obs<'_>,
@@ -486,7 +461,6 @@ fn pool_outcomes(
                         ("index", AttrValue::U64((base_index + i) as u64)),
                         ("label", AttrValue::Str(&case.label)),
                         ("worker", AttrValue::U64(w as u64)),
-                        ("cached", AttrValue::Bool(protos[i].is_some())),
                     ],
                 );
                 // Contain a panicking case: record it against slot `i`
@@ -494,12 +468,8 @@ fn pool_outcomes(
                 // instead of letting the unwind cross the scope and
                 // cascade into unrelated cases.
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let phase = if protos[i].is_some() { obs::SPAN_FORK } else { obs::SPAN_BOOT };
-                    let boot_span = obs.open(case_span, phase, &[]);
-                    let mut sys = match protos[i] {
-                        Some(proto) => proto.fork(case.seed),
-                        None => System::new(case.config.clone(), case.seed),
-                    };
+                    let boot_span = obs.open(case_span, obs::SPAN_BOOT, &[]);
+                    let mut sys = System::new(case.config.clone(), case.seed);
                     obs.close(boot_span);
                     let sim_span = obs.open(case_span, obs::SPAN_SIM, &[]);
                     let run = execute(&mut sys, case);
@@ -530,83 +500,6 @@ fn pool_outcomes(
             outcome.expect("every claimed case stores its outcome")
         })
         .collect()
-}
-
-/// Booted prototypes kept across streaming shards: a tiny
-/// least-recently-used cache keyed by structural [`SimConfig`] equality.
-/// Capacity is fixed so a grid sweeping the configuration axis cannot
-/// accumulate unbounded booted machines.
-struct PrototypeCache {
-    cap: usize,
-    /// `(config, prototype, last use tick)`.
-    entries: Vec<(SimConfig, System, u64)>,
-    tick: u64,
-}
-
-impl PrototypeCache {
-    fn new(cap: usize) -> Self {
-        Self { cap, entries: Vec::new(), tick: 0 }
-    }
-
-    /// Ensures a prototype exists for every configuration this shard
-    /// shares across at least two cases (or that is already cached from
-    /// an earlier shard). At capacity, a stale entry (one not used by
-    /// *this* shard) is evicted before the replacement boots; if every
-    /// cached entry is in use by this shard, the new configuration is
-    /// not booted at all — its cases fall back to per-case boots rather
-    /// than thrashing the cache with prototypes that would be evicted
-    /// before anything forks them. Evictions and prototype boots are
-    /// reported through `obs` (`cache.evict`, `boot` spans under
-    /// `parent`, and the `cache.len` occupancy gauge).
-    fn prepare(&mut self, cases: &[Case], obs: Obs<'_>, parent: Option<SpanId>) {
-        let mut distinct: Vec<(&SimConfig, usize)> = Vec::new();
-        for case in cases {
-            match distinct.iter_mut().find(|(c, _)| **c == case.config) {
-                Some((_, n)) => *n += 1,
-                None => distinct.push((&case.config, 1)),
-            }
-        }
-        // Entries with a tick beyond this mark were touched this shard.
-        let epoch = self.tick;
-        for (config, uses) in distinct {
-            self.tick += 1;
-            let tick = self.tick;
-            if let Some(entry) = self.entries.iter_mut().find(|(c, _, _)| c == config) {
-                entry.2 = tick;
-                continue;
-            }
-            if uses < 2 {
-                continue;
-            }
-            if self.entries.len() >= self.cap {
-                let stalest = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, t))| *t <= epoch)
-                    .min_by_key(|(_, (_, _, t))| *t)
-                    .map(|(i, _)| i);
-                match stalest {
-                    Some(i) => {
-                        self.entries.swap_remove(i);
-                        obs.counter(CTR_CACHE_EVICT, 1);
-                    }
-                    // Every slot is hot this shard: booting would only
-                    // displace a prototype that is about to be forked.
-                    None => continue,
-                }
-            }
-            let boot_span =
-                obs.open(parent, obs::SPAN_BOOT, &[("prototype", AttrValue::Bool(true))]);
-            self.entries.push((config.clone(), System::new(config.clone(), 0), tick));
-            obs.close(boot_span);
-        }
-        obs.gauge(GAUGE_CACHE_LEN, self.entries.len() as f64);
-    }
-
-    fn get(&self, config: &SimConfig) -> Option<&System> {
-        self.entries.iter().find(|(c, _, _)| c == config).map(|(_, proto, _)| proto)
-    }
 }
 
 /// Renders a caught panic payload (the first panicking case's, in case
@@ -830,56 +723,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err.kind, SessionErrorKind::CheckpointFailed(ref m) if m == "disk full"));
         assert!(err.to_string().contains("disk full"));
-    }
-
-    #[test]
-    fn prototype_cache_reuses_across_shards_and_stays_bounded() {
-        let mut cache = PrototypeCache::new(2);
-        let a = SimConfig::epyc_7502_2s();
-        let mut b = a.clone();
-        b.controller.deadband_w += 1.0;
-        let mut c = a.clone();
-        c.controller.deadband_w += 2.0;
-        let shard = |cfg: &SimConfig| vec![case_with(cfg, "x"), case_with(cfg, "y")];
-        cache.prepare(&shard(&a), Obs::off(), None);
-        assert!(cache.get(&a).is_some());
-        // A config used once is not worth booting a prototype for...
-        cache.prepare(&[case_with(&b, "solo")], Obs::off(), None);
-        assert!(cache.get(&b).is_none());
-        // ...but shared configs are cached, and capacity evicts the LRU.
-        cache.prepare(&shard(&b), Obs::off(), None);
-        cache.prepare(&shard(&c), Obs::off(), None);
-        assert!(cache.get(&a).is_none(), "stale entry evicted at capacity");
-        assert!(cache.get(&b).is_some());
-        assert!(cache.get(&c).is_some());
-    }
-
-    #[test]
-    fn prototype_cache_does_not_thrash_when_a_shard_overflows_it() {
-        // More shared configs in one shard than the cache holds: the
-        // overflow configs must not boot prototypes that are evicted
-        // before any case forks them (their cases boot fresh instead),
-        // and the already-hot entries must survive.
-        let mut cache = PrototypeCache::new(2);
-        let base = SimConfig::epyc_7502_2s();
-        let mut configs = Vec::new();
-        for i in 0..4 {
-            let mut c = base.clone();
-            c.controller.deadband_w += i as f64;
-            configs.push(c);
-        }
-        let shard: Vec<Case> =
-            configs.iter().flat_map(|c| [case_with(c, "x"), case_with(c, "y")]).collect();
-        cache.prepare(&shard, Obs::off(), None);
-        assert!(cache.get(&configs[0]).is_some());
-        assert!(cache.get(&configs[1]).is_some());
-        assert!(cache.get(&configs[2]).is_none(), "overflow config must not thrash the cache");
-        assert!(cache.get(&configs[3]).is_none());
-        assert_eq!(cache.entries.len(), 2);
-    }
-
-    fn case_with(cfg: &SimConfig, label: &str) -> Case {
-        Case::new(label, cfg.clone(), instant_scenario(), 1)
     }
 
     #[test]

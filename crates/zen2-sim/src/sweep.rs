@@ -137,23 +137,6 @@ impl Axis {
         self
     }
 
-    /// An axis over whole machine configurations.
-    pub fn configs(
-        name: impl Into<String>,
-        items: impl IntoIterator<Item = (String, SimConfig)>,
-    ) -> Self {
-        items.into_iter().fold(Self::new(name), |axis, (label, config)| {
-            axis.with(label, move |draft| draft.config = config.clone())
-        })
-    }
-
-    /// An axis over explicit seeds (replaces the sweep's derived seed).
-    pub fn seeds(name: impl Into<String>, seeds: impl IntoIterator<Item = u64>) -> Self {
-        seeds.into_iter().fold(Self::new(name), |axis, seed| {
-            axis.with(format!("{seed}"), move |draft| draft.seed = seed)
-        })
-    }
-
     /// An axis storing a numeric parameter under this axis's name, for
     /// a later axis or the [`Sweep::finish`] hook to consume.
     pub fn param(name: impl Into<String>, values: impl IntoIterator<Item = f64>) -> Self {
@@ -434,28 +417,11 @@ mod tests {
     }
 
     #[test]
-    fn seeds_default_to_child_derivation_and_axes_can_override() {
+    fn seeds_default_to_child_derivation() {
         let sweep = instant_sweep().axis(Axis::param("x", [0.0, 1.0, 2.0]));
         for i in 0..3 {
             assert_eq!(sweep.case(i).seed, child_seed(7, i as u64));
         }
-        let fixed = instant_sweep().axis(Axis::seeds("seed", [100, 200]));
-        assert_eq!(fixed.case(0).seed, 100);
-        assert_eq!(fixed.case(1).seed, 200);
-    }
-
-    #[test]
-    fn config_axis_swaps_the_machine() {
-        let sweep = instant_sweep().axis(Axis::configs(
-            "sku",
-            [
-                ("2s".to_string(), SimConfig::epyc_7502_2s()),
-                ("1s".to_string(), SimConfig::epyc_7502_1s()),
-            ],
-        ));
-        assert_eq!(sweep.case(0).config, SimConfig::epyc_7502_2s());
-        assert_eq!(sweep.case(1).config, SimConfig::epyc_7502_1s());
-        assert_eq!(sweep.case(1).label, "grid/sku=1s");
     }
 
     #[test]

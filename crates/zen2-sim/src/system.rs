@@ -132,8 +132,8 @@ impl System {
 
     /// Forks a pristine booted machine into an identical one reseeded
     /// with `seed`: the result is indistinguishable from
-    /// `System::new(cfg, seed)` but skips the boot cost. Used by
-    /// [`Session`](crate::Session) to amortize booting across a batch.
+    /// `System::new(cfg, seed)` but skips the boot cost.
+    /// [`Session`](crate::Session) does not fork: it boots every case.
     ///
     /// # Panics
     /// Panics if this machine is not in its boot state — time advanced,

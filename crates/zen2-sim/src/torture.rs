@@ -27,7 +27,7 @@
 //! * **[`Snapshot`] identity** — accumulators built from the run
 //!   round-trip through their exact-JSON wire format bit-for-bit.
 //!
-//! Fork/worker-count/shard-split invariance and the differential
+//! Worker-count/shard-split invariance and the differential
 //! `System::run_scenario`-vs-streaming check need more than one
 //! execution of the same case, so they live in the `torture` bin and
 //! the proptest suite, both of which drive this module. A greedy

@@ -1,19 +1,18 @@
 //! The checkpoint/resume acceptance guarantee: a sweep interrupted at
 //! *any* shard boundary and resumed — under a *different* worker/shard
-//! split — produces bit-identical `GroupedStats` / `OnlineStats` state
-//! to an uninterrupted run.
+//! split — produces bit-identical per-case `OnlineStats` cells to an
+//! uninterrupted run.
 //!
 //! The interrupt points are exhaustive: for every split in
 //! workers ∈ {1, 2, 7} × shard sizes ∈ {1, 5, 64}, the sweep is halted
 //! after every shard boundary the split produces, the checkpoint file
 //! on disk is reloaded, and the run is finished by a session with a
 //! different parallelism. Bit-identity is asserted two ways — structural
-//! equality of the accumulators and equality of their exact JSON
-//! snapshots.
+//! equality of every cell and equality of their exact JSON snapshots.
 
 use std::path::{Path, PathBuf};
 use zen2_ee::prelude::*;
-use zen2_ee::sim::checkpoint::{run_resumable, CheckpointState};
+use zen2_ee::sim::checkpoint::run_resumable;
 
 /// A 3 × 4 grid of instantaneous power reads — cheap enough to run a
 /// few hundred times, rich enough that every cell differs.
@@ -36,64 +35,30 @@ fn grid() -> Sweep {
         .axis(Axis::param("rep", (0..4).map(f64::from)))
 }
 
-/// The accumulator shape of every checkpointed experiment module: a
-/// grouped reducer plus one overall accumulator.
-struct GridState {
-    grouped: GroupedStats<OnlineStats>,
-    overall: OnlineStats,
-}
-
-impl CheckpointState for GridState {
-    fn save_into(&self, checkpoint: &mut Checkpoint) {
-        checkpoint.set_grouped("grid", &self.grouped);
-        checkpoint.set_single("overall", &self.overall);
-    }
-
-    fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-        self.grouped = checkpoint.grouped("grid", &self.grouped)?;
-        self.overall = checkpoint.single("overall")?;
-        Ok(())
-    }
-
-    fn fold(&mut self, index: usize, run: Run) {
-        let watts = run.watts("ac");
-        self.grouped.entry(index).push(watts);
-        self.overall.push(watts);
-    }
-}
-
 /// Runs the grid through `run_resumable`, the resume path every
-/// checkpointed experiment module uses, persisting at each shard
-/// boundary per `spec`. Returns `None` when the run halted early.
-fn run_grid(
-    sweep: &Sweep,
-    session: &Session,
-    spec: &CheckpointSpec,
-) -> Option<(GroupedStats<OnlineStats>, OnlineStats)> {
-    let mut state = GridState {
-        grouped: GroupedStats::new(sweep, &["busy_threads"]),
-        overall: OnlineStats::new(),
-    };
-    let done = run_resumable(sweep, Vec::new(), session, spec, &mut state)
-        .expect("checkpoint loads and saves");
-    done.then_some((state.grouped, state.overall))
+/// checkpointed experiment module uses, folding each run into its
+/// case's cell and persisting at each shard boundary per `spec`.
+/// Returns `None` when the run halted early.
+fn run_grid(sweep: &Sweep, session: &Session, spec: &CheckpointSpec) -> Option<Vec<OnlineStats>> {
+    run_resumable(sweep, session, spec, |cell: &mut OnlineStats, _, run: Run| {
+        cell.push(run.watts("ac"))
+    })
+    .expect("checkpoint loads and saves")
 }
 
 fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zen2-resume-equiv-{tag}-{}", std::process::id()))
 }
 
-fn assert_bit_identical(
-    (grouped, overall): &(GroupedStats<OnlineStats>, OnlineStats),
-    baseline: &(GroupedStats<OnlineStats>, OnlineStats),
-    context: &str,
-) {
-    assert_eq!(grouped, &baseline.0, "{context}");
-    assert_eq!(overall, &baseline.1, "{context}");
-    // Bit-identity, not just comparison equality: the exact snapshots
-    // (every f64 rendered with full round-trip precision) must match.
-    assert_eq!(grouped.to_json_text(), baseline.0.to_json_text(), "{context}");
-    assert_eq!(overall.to_json_text(), baseline.1.to_json_text(), "{context}");
+fn assert_bit_identical(cells: &[OnlineStats], baseline: &[OnlineStats], context: &str) {
+    assert_eq!(cells.len(), baseline.len(), "{context}");
+    for (i, (cell, reference)) in cells.iter().zip(baseline).enumerate() {
+        assert_eq!(cell, reference, "{context}, cell {i}");
+        // Bit-identity, not just comparison equality: the exact
+        // snapshots (every f64 rendered with full round-trip precision)
+        // must match.
+        assert_eq!(cell.to_json_text(), reference.to_json_text(), "{context}, cell {i}");
+    }
 }
 
 #[test]

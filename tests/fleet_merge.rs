@@ -6,11 +6,10 @@
 //! run of the same experiment writes.
 //!
 //! The battery drives the real experiment modules behind the `fig07`,
-//! `fig09`, and `tab1` bins — grouped states, rider cases (fig09's
-//! appended idle case) and all — across every partition in
-//! shards ∈ {1, 2, 3, 7} × workers ∈ {1, 2, 7}, and then checks the
-//! rejection paths: overlapping ranges, gapped ranges, and checkpoints
-//! from a different run all fail with their named errors.
+//! `fig09`, and `tab1` bins — one grid cell per case — across every
+//! partition in shards ∈ {1, 2, 3, 7} × workers ∈ {1, 2, 7}, and then
+//! checks the rejection paths: overlapping ranges, gapped ranges, and
+//! checkpoints from a different run all fail with their named errors.
 
 use std::path::PathBuf;
 use zen2_ee::experiments as exp;
@@ -28,8 +27,8 @@ fn tmp(tag: &str) -> PathBuf {
 type RunFn<'a> = &'a dyn Fn(&Session, &CheckpointSpec) -> Result<bool, CheckpointError>;
 
 /// The shrunk Fig. 9 grid: the real driver (kernel × placement ×
-/// frequency grid plus the appended idle rider case) at a fraction of
-/// the quick scale's runtime.
+/// frequency grid, then the idle case) at a fraction of the quick
+/// scale's runtime.
 fn fig09_cfg() -> exp::fig09_rapl_quality::Config {
     let mut cfg = exp::fig09_rapl_quality::Config::new(Scale::Quick);
     cfg.duration_s = 0.1;
@@ -107,9 +106,8 @@ fn fig07_partitions_merge_to_the_single_process_checkpoint() {
 
 #[test]
 fn fig09_partitions_merge_to_the_single_process_checkpoint() {
-    // Fig. 9 is the interesting one: its grid carries a rider (the idle
-    // case appended past the placement × frequency grid), so merge's
-    // rider-ownership rule is on the hook for every partition.
+    // Fig. 9 is the widest grid: three axes, so every partition cuts
+    // through the workload × placement × frequency row order.
     partition_battery("fig09", &fig09_run(8));
 }
 

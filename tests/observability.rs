@@ -1,8 +1,8 @@
 //! Workspace-level guarantees of the telemetry layer (`zen2-sim::obs`
 //! facade + `zen2-obs` sinks): attaching the full sink stack to a
 //! session cannot change any result, the JSONL trace it writes is
-//! well-formed, and the counters it reports reflect real engine
-//! behavior — the prototype LRU cache's eviction policy in particular.
+//! well-formed, and the spans and counters it reports reflect real
+//! engine behavior — one boot per case in particular.
 
 use std::fs;
 use std::path::PathBuf;
@@ -10,10 +10,7 @@ use std::sync::Arc;
 
 use zen2_ee::prelude::*;
 use zen2_obs::{Heartbeat, JsonlSink, MemorySink, Multi, SummarySink};
-use zen2_sim::obs::{
-    CTR_CACHE_EVICT, CTR_CACHE_HIT, CTR_CACHE_MISS, CTR_CASES_DONE, GAUGE_CACHE_LEN, SPAN_BOOT,
-    SPAN_CASE, SPAN_SHARD, SPAN_SWEEP,
-};
+use zen2_sim::obs::{CTR_CASES_DONE, SPAN_BOOT, SPAN_CASE, SPAN_SHARD, SPAN_SWEEP};
 use zen2_sim::time::MICROSECOND;
 
 /// A 10 × 8 grid: load levels × reps, one instantaneous power read per
@@ -112,13 +109,10 @@ fn jsonl_trace_is_one_wellformed_object_per_line() {
 }
 
 #[test]
-fn prototype_lru_evicts_and_reboots_under_mixed_config_sweeps() {
-    // Seven pair-shards cycle six distinct configs through the
-    // capacity-4 prototype cache, then bring the first config back: the
-    // cache must evict for configs 5 and 6 and again for the return,
-    // and the returning config must boot a fresh prototype (7 boots
-    // for 6 distinct configs). A final shard of two solo configs
-    // exercises the per-case fallback: no prototype, two misses.
+fn every_case_boots_its_own_machine_under_the_documented_span_shape() {
+    // Seven pair-shards over six configs (the first one returning at
+    // the end), then a shard of two configs used once: whether a config
+    // is shared, returning, or solo, every case boots a fresh machine.
     let mut scenario = Scenario::new();
     scenario.probe("ac", Probe::AcPowerW, Window::at(20 * MICROSECOND));
     let config_nr = |i: usize| {
@@ -141,33 +135,28 @@ fn prototype_lru_evicts_and_reboots_under_mixed_config_sweeps() {
     let session = Session::new().workers(1).shard_size(2).recorder(sink.clone());
     let n = session.run_streaming(cases, |_, _| {}).expect("cases validate");
     assert_eq!(n, 16);
-
-    // Pair shards all fork their shared prototype; the solo shard
-    // cannot, and boots each case from scratch.
-    assert_eq!(sink.counter_total(CTR_CACHE_HIT), 14);
-    assert_eq!(sink.counter_total(CTR_CACHE_MISS), 2);
     assert_eq!(sink.counter_total(CTR_CASES_DONE), 16);
 
-    // Capacity 4, six distinct shared configs plus one return: three
-    // evictions, and the seventh prototype boot is the re-boot of the
-    // evicted config 0.
-    assert_eq!(sink.counter_total(CTR_CACHE_EVICT), 3);
-    let prototype_boots = sink
-        .records()
-        .iter()
-        .filter(|r| match r {
-            zen2_obs::Record::SpanOpen { name, attrs, .. } => {
-                *name == SPAN_BOOT && attrs.contains(&("prototype", zen2_obs::Value::Bool(true)))
-            }
-            _ => false,
-        })
-        .count();
-    assert_eq!(prototype_boots, 7, "6 distinct configs + 1 re-boot after eviction");
-    assert_eq!(sink.gauge_last(GAUGE_CACHE_LEN), Some(4.0), "cache full at the end");
-
     // The span stream has the documented shape: one sweep root, a
-    // shard per pull, a case per case.
+    // shard per pull, a case per case, and one boot under every case.
     assert_eq!(sink.span_count(SPAN_SWEEP), 1);
     assert_eq!(sink.span_count(SPAN_SHARD), 8);
     assert_eq!(sink.span_count(SPAN_CASE), 16);
+    assert_eq!(sink.span_count(SPAN_BOOT), 16);
+    let records = sink.records();
+    let case_ids: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            zen2_obs::Record::SpanOpen { id, name, .. } if *name == SPAN_CASE => Some(*id),
+            _ => None,
+        })
+        .collect();
+    let boot_parents: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            zen2_obs::Record::SpanOpen { parent, name, .. } if *name == SPAN_BOOT => *parent,
+            _ => None,
+        })
+        .collect();
+    assert_eq!(boot_parents, case_ids, "one boot under each case, in case order");
 }

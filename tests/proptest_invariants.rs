@@ -10,7 +10,7 @@
 //! invariants themselves live in `torture::Invariants`; this suite
 //! checks them on every generated run, plus the machine-internal
 //! invariants (package-sleep criterion, RAPL-below-wall) the checker
-//! cannot see from a `Run` alone, plus fork/worker invariance and the
+//! cannot see from a `Run` alone, plus worker/shard invariance and the
 //! generator/validator/shrinker contracts.
 
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ proptest! {
         prop_assert!(est < wall, "estimate {est:.1} W above wall {wall:.1} W");
     }
 
-    /// Fork/worker-count/shard-split invariance: the same generated case
+    /// Worker-count/shard-split invariance: the same generated case
     /// stream produces bit-identical `Run`s through a 1-worker session,
     /// a many-worker small-shard session, and direct `System` execution.
     #[test]

@@ -1,6 +1,6 @@
 //! Determinism guarantees of the declarative scenario machinery: the same
 //! `(SimConfig, Scenario, seed)` produces byte-identical [`Run`]s no
-//! matter how it is executed — directly, twice, forked from a prototype,
+//! matter how it is executed — directly, twice, on a forked machine,
 //! or through [`Session`] pools of any worker count.
 
 use zen2_ee::prelude::*;
@@ -86,8 +86,8 @@ fn session_results_are_independent_of_worker_count() {
 }
 
 /// The reference a session's results must equal: every case booted cold
-/// and run directly on its own machine, with no pool and no prototype
-/// reuse (the reference of the torture bin's `--differential` mode).
+/// and run directly on its own machine, with no pool (the reference of
+/// the torture bin's `--differential` mode).
 fn run_directly(batch: &[Case]) -> Vec<Run> {
     batch
         .iter()
@@ -99,9 +99,11 @@ fn run_directly(batch: &[Case]) -> Vec<Run> {
 
 #[test]
 fn session_boot_reuse_does_not_change_results() {
+    // Same-config cases run through a pool must equal the same cases
+    // booted cold and run directly, whichever worker boots them.
     let batch = cases(4);
-    let reused = Session::new().workers(2).run(&batch).unwrap();
-    assert_eq!(reused, run_directly(&batch));
+    let pooled = Session::new().workers(2).run(&batch).unwrap();
+    assert_eq!(pooled, run_directly(&batch));
 }
 
 #[test]
@@ -273,10 +275,9 @@ fn inverted_windows_are_rejected_for_every_probe_family() {
 
 #[test]
 fn mixed_config_batches_never_share_prototypes_across_configs() {
-    // Prototype reuse is keyed by structural config identity: a batch
-    // mixing two configurations must produce exactly what the same cases
-    // produce when booted cold, and what each config's own batch
-    // produces.
+    // A batch mixing two configurations, two cases each, must produce
+    // exactly what the same cases produce when booted cold and run
+    // directly.
     let sc = rich_scenario();
     let two_socket = SimConfig::epyc_7502_2s();
     let mut tweaked = two_socket.clone();
@@ -290,8 +291,8 @@ fn mixed_config_batches_never_share_prototypes_across_configs() {
     ];
     let mixed = Session::new().workers(2).run(&batch).unwrap();
     assert_eq!(mixed, run_directly(&batch));
-    // The two configs genuinely behave differently, so sharing a booted
-    // prototype across them would have been observable.
+    // The two configs genuinely behave differently, so running a case
+    // on the other config's machine would have been observable.
     assert_ne!(mixed[0].measurements, mixed[1].measurements);
 }
 
