@@ -28,8 +28,8 @@ use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::methodology::mean;
 use zen2_sim::{
-    Axis, CheckpointError, CheckpointSpec, Json, Probe, Run, Scenario, Session, SimConfig,
-    Snapshot, SnapshotError, Sweep, Window,
+    Axis, CheckpointError, CheckpointSpec, Json, Measurement, Probe, Run, Scenario, Session,
+    SimConfig, Snapshot, SnapshotError, Sweep, Window,
 };
 use zen2_topology::{CoreId, ThreadId};
 
@@ -226,12 +226,32 @@ pub fn run_checkpointed(
         "Fig. 10 sweeps vxorps or shr"
     );
     let (sweep, weights) = sweep(cfg, seed, class);
-    // Route each block's readings by the pre-drawn weight sequence.
+    // Route each block's readings by the pre-drawn weight sequence. Block
+    // k declared its `ac`, `pkg` and `core0_` probes in a row and a `Run`
+    // keeps declaration order, so its readings are measurements 3k..3k+3;
+    // reading them by position spares a label scan per reading, and the
+    // label and kind checks keep a layout change loud.
     let fold = |buckets: &mut WeightBuckets, _, run: Run| {
-        for (k, &weight) in weights.iter().enumerate() {
-            buckets.ac_w.push(weight, run.watts(&format!("ac{k}")));
-            buckets.rapl_core0_w.push(weight, run.watts(&format!("core0_{k}")));
-            buckets.rapl_pkg_w.push(weight, run.watts_pair(&format!("pkg{k}")).0);
+        assert_eq!(run.measurements.len(), 3 * weights.len(), "three probes per block");
+        for (k, (&weight, block)) in
+            weights.iter().zip(run.measurements.chunks_exact(3)).enumerate()
+        {
+            let labels = [format!("ac{k}"), format!("pkg{k}"), format!("core0_{k}")];
+            assert!(
+                block.iter().zip(&labels).all(|((label, _), want)| label == want),
+                "block {k}: unexpected labels in {block:?}"
+            );
+            let (
+                Measurement::Watts(ac_w),
+                Measurement::WattsPair { pkg_w, .. },
+                Measurement::Watts(core0_w),
+            ) = (&block[0].1, &block[1].1, &block[2].1)
+            else {
+                panic!("block {k}: unexpected measurement kinds in {block:?}");
+            };
+            buckets.ac_w.push(weight, *ac_w);
+            buckets.rapl_core0_w.push(weight, *core0_w);
+            buckets.rapl_pkg_w.push(weight, *pkg_w);
         }
     };
     let Some(cells) = run_resumable(&sweep, session, spec, fold)? else {

@@ -366,10 +366,13 @@ impl WorkloadSet {
                 toggle_sensitivity: 0.05,
             },
         ];
-        for k in &kernels {
+        for (i, k) in kernels.iter().enumerate() {
             if let Err(e) = k.validate() {
                 panic!("invalid kernel descriptor: {e}");
             }
+            // `kernel` indexes by class, so the registry must list every
+            // class in `KernelClass` declaration order.
+            assert_eq!(k.class as usize, i, "{} is out of declaration order", k.class.name());
         }
         Self { kernels }
     }
@@ -379,10 +382,7 @@ impl WorkloadSet {
     /// # Panics
     /// Panics if the class is missing from the registry (construction bug).
     pub fn kernel(&self, class: KernelClass) -> &Kernel {
-        self.kernels
-            .iter()
-            .find(|k| k.class == class)
-            .unwrap_or_else(|| panic!("kernel {:?} missing from workload set", class))
+        &self.kernels[class as usize]
     }
 
     /// Looks a kernel up by its stable name.

@@ -11,7 +11,6 @@ use crate::address as addr;
 use crate::cstate_addr::CstateBaseAddress;
 use crate::pstate::PstateTable;
 use crate::rapl::RaplUnits;
-use std::collections::HashMap;
 use std::fmt;
 use zen2_topology::{ThreadId, Topology};
 
@@ -50,22 +49,32 @@ impl fmt::Display for MsrError {
 
 impl std::error::Error for MsrError {}
 
-/// The set of registers implemented per hardware thread.
-fn implemented(msr: u32) -> bool {
-    matches!(
-        msr,
-        addr::TSC
-            | addr::MPERF
-            | addr::APERF
-            | addr::HWCR
-            | addr::PSTATE_CUR_LIM
-            | addr::PSTATE_CTL
-            | addr::PSTATE_STAT
-            | addr::CSTATE_BASE_ADDR
-            | addr::RAPL_PWR_UNIT
-            | addr::CORE_ENERGY_STAT
-            | addr::PKG_ENERGY_STAT
-    ) || (addr::PSTATE_DEF_BASE..addr::PSTATE_DEF_BASE + addr::NUM_PSTATE_DEFS).contains(&msr)
+/// Number of registers implemented per hardware thread: eleven named
+/// registers plus the eight P-state definitions.
+const NUM_REGS: usize = 11 + addr::NUM_PSTATE_DEFS as usize;
+
+/// The storage slot of an implemented register; `None` for every other
+/// address (those fault like a #GP).
+fn slot(msr: u32) -> Option<usize> {
+    Some(match msr {
+        addr::TSC => 0,
+        addr::MPERF => 1,
+        addr::APERF => 2,
+        addr::HWCR => 3,
+        addr::PSTATE_CUR_LIM => 4,
+        addr::PSTATE_CTL => 5,
+        addr::PSTATE_STAT => 6,
+        addr::CSTATE_BASE_ADDR => 7,
+        addr::RAPL_PWR_UNIT => 8,
+        addr::CORE_ENERGY_STAT => 9,
+        addr::PKG_ENERGY_STAT => 10,
+        _ if (addr::PSTATE_DEF_BASE..addr::PSTATE_DEF_BASE + addr::NUM_PSTATE_DEFS)
+            .contains(&msr) =>
+        {
+            11 + (msr - addr::PSTATE_DEF_BASE) as usize
+        }
+        _ => return None,
+    })
 }
 
 /// Registers that reject software writes. P-state definitions are locked on
@@ -84,10 +93,12 @@ fn read_only(msr: u32) -> bool {
     ) || (addr::PSTATE_DEF_BASE..addr::PSTATE_DEF_BASE + addr::NUM_PSTATE_DEFS).contains(&msr)
 }
 
-/// Per-thread MSR storage for a whole machine.
+/// Per-thread MSR storage for a whole machine: one fixed array of the
+/// implemented registers per hardware thread, addressed through a
+/// register-to-slot `match`, so a clone is one flat copy.
 #[derive(Debug, Clone)]
 pub struct MsrFile {
-    per_thread: Vec<HashMap<u32, u64>>,
+    per_thread: Vec<[u64; NUM_REGS]>,
 }
 
 impl MsrFile {
@@ -100,50 +111,40 @@ impl MsrFile {
 
     /// Initializes with a caller-provided P-state table.
     pub fn with_pstate_table(topology: &Topology, table: &PstateTable) -> Self {
-        let mut template: HashMap<u32, u64> = HashMap::new();
-        template.insert(addr::TSC, 0);
-        template.insert(addr::MPERF, 0);
-        template.insert(addr::APERF, 0);
-        template.insert(addr::HWCR, 0);
-        template.insert(addr::PSTATE_CUR_LIM, table.cur_lim_register());
-        template.insert(addr::PSTATE_CTL, 0);
-        template.insert(addr::PSTATE_STAT, 0);
-        template.insert(addr::CSTATE_BASE_ADDR, CstateBaseAddress::rome_default().encode());
-        template.insert(addr::RAPL_PWR_UNIT, RaplUnits::amd_default().encode());
-        template.insert(addr::CORE_ENERGY_STAT, 0);
-        template.insert(addr::PKG_ENERGY_STAT, 0);
+        let mut template = [0u64; NUM_REGS];
+        let mut set = |msr: u32, value: u64| {
+            template[slot(msr).expect("reset values cover implemented registers")] = value;
+        };
+        set(addr::PSTATE_CUR_LIM, table.cur_lim_register());
+        set(addr::CSTATE_BASE_ADDR, CstateBaseAddress::rome_default().encode());
+        set(addr::RAPL_PWR_UNIT, RaplUnits::amd_default().encode());
         for i in 0..addr::NUM_PSTATE_DEFS {
-            let raw = table.get(i as usize).map(|d| d.encode()).unwrap_or(0);
-            template.insert(addr::pstate_def(i), raw);
+            set(addr::pstate_def(i), table.get(i as usize).map(|d| d.encode()).unwrap_or(0));
         }
         Self { per_thread: vec![template; topology.num_threads()] }
     }
 
-    fn regs(&self, thread: ThreadId) -> Result<&HashMap<u32, u64>, MsrError> {
+    fn regs(&self, thread: ThreadId) -> Result<&[u64; NUM_REGS], MsrError> {
         self.per_thread.get(thread.index()).ok_or(MsrError::NoSuchCpu { thread: thread.0 })
     }
 
-    fn regs_mut(&mut self, thread: ThreadId) -> Result<&mut HashMap<u32, u64>, MsrError> {
+    fn regs_mut(&mut self, thread: ThreadId) -> Result<&mut [u64; NUM_REGS], MsrError> {
         self.per_thread.get_mut(thread.index()).ok_or(MsrError::NoSuchCpu { thread: thread.0 })
     }
 
     /// Software read (rdmsr through the msr module).
     pub fn read(&self, thread: ThreadId, msr: u32) -> Result<u64, MsrError> {
-        if !implemented(msr) {
-            return Err(MsrError::GeneralProtectionFault { msr });
-        }
-        Ok(*self.regs(thread)?.get(&msr).expect("implemented registers are populated"))
+        let slot = slot(msr).ok_or(MsrError::GeneralProtectionFault { msr })?;
+        Ok(self.regs(thread)?[slot])
     }
 
     /// Software write (wrmsr through the msr module).
     pub fn write(&mut self, thread: ThreadId, msr: u32, value: u64) -> Result<(), MsrError> {
-        if !implemented(msr) {
-            return Err(MsrError::GeneralProtectionFault { msr });
-        }
+        let slot = slot(msr).ok_or(MsrError::GeneralProtectionFault { msr })?;
         if read_only(msr) {
             return Err(MsrError::ReadOnly { msr });
         }
-        self.regs_mut(thread)?.insert(msr, value);
+        self.regs_mut(thread)?[slot] = value;
         Ok(())
     }
 
@@ -153,8 +154,9 @@ impl MsrFile {
     /// Panics on unknown threads or unimplemented registers — those are
     /// simulator bugs, not recoverable software errors.
     pub fn poke(&mut self, thread: ThreadId, msr: u32, value: u64) {
-        assert!(implemented(msr), "simulator poked unimplemented MSR 0x{msr:08X}");
-        self.per_thread[thread.index()].insert(msr, value);
+        let slot =
+            slot(msr).unwrap_or_else(|| panic!("simulator poked unimplemented MSR 0x{msr:08X}"));
+        self.per_thread[thread.index()][slot] = value;
     }
 
     /// Hardware-side read without access checks.
@@ -162,8 +164,9 @@ impl MsrFile {
     /// # Panics
     /// Panics on unknown threads or unimplemented registers.
     pub fn peek(&self, thread: ThreadId, msr: u32) -> u64 {
-        assert!(implemented(msr), "simulator peeked unimplemented MSR 0x{msr:08X}");
-        self.per_thread[thread.index()][&msr]
+        let slot =
+            slot(msr).unwrap_or_else(|| panic!("simulator peeked unimplemented MSR 0x{msr:08X}"));
+        self.per_thread[thread.index()][slot]
     }
 
     /// Adds a counter increment to a hardware-owned register (TSC, APERF,
@@ -210,6 +213,43 @@ mod tests {
         let err = f.read(ThreadId(0), addr::INTEL_PKG_ENERGY_STATUS).unwrap_err();
         assert_eq!(err, MsrError::GeneralProtectionFault { msr: 0x611 });
         assert!(err.to_string().contains("general protection"));
+    }
+
+    #[test]
+    fn every_implemented_register_has_its_own_slot() {
+        let mut f = file();
+        let named = [
+            addr::TSC,
+            addr::MPERF,
+            addr::APERF,
+            addr::HWCR,
+            addr::PSTATE_CUR_LIM,
+            addr::PSTATE_CTL,
+            addr::PSTATE_STAT,
+            addr::CSTATE_BASE_ADDR,
+            addr::RAPL_PWR_UNIT,
+            addr::CORE_ENERGY_STAT,
+            addr::PKG_ENERGY_STAT,
+        ];
+        let all: Vec<u32> = named.into_iter().chain((0..8).map(addr::pstate_def)).collect();
+        assert_eq!(all.len(), NUM_REGS);
+        for (i, &msr) in all.iter().enumerate() {
+            f.poke(ThreadId(5), msr, 0x1000 + i as u64);
+        }
+        for (i, &msr) in all.iter().enumerate() {
+            assert_eq!(f.read(ThreadId(5), msr).unwrap(), 0x1000 + i as u64, "0x{msr:08X}");
+        }
+        // The addresses just past the table and Intel's RAPL MSR stay #GP.
+        for msr in [addr::PSTATE_DEF_BASE + 8, addr::INTEL_PKG_ENERGY_STATUS] {
+            assert_eq!(
+                f.read(ThreadId(5), msr).unwrap_err(),
+                MsrError::GeneralProtectionFault { msr }
+            );
+            assert_eq!(
+                f.write(ThreadId(5), msr, 1).unwrap_err(),
+                MsrError::GeneralProtectionFault { msr }
+            );
+        }
     }
 
     #[test]

@@ -69,17 +69,36 @@ impl RaplModel {
         voltage_v: f64,
         die_c: f64,
     ) -> f64 {
+        self.core_activity_estimate_w(kernel, smt, freq_ghz, voltage_v)
+            + self.temperature_term_w(die_c)
+    }
+
+    /// The event-activity part of [`core_estimate_w`](Self::core_estimate_w):
+    /// everything but the die-temperature term, so it depends only on the
+    /// kernel and the operating point.
+    pub fn core_activity_estimate_w(
+        &self,
+        kernel: &Kernel,
+        smt: SmtMode,
+        freq_ghz: f64,
+        voltage_v: f64,
+    ) -> f64 {
         assert!(freq_ghz > 0.0 && voltage_v > 0.0, "operating point must be positive");
         let fv2 = freq_ghz * voltage_v * voltage_v;
         let activity = kernel.core_activity(smt).weighted_sum(&self.unit_weights);
         fv2 * (self.k_base + self.k_units * activity)
-            + self.temp_coeff_w_per_c * (die_c - self.temp_ref_c)
+    }
+
+    /// The thermal-diode leakage term of one core's estimate at die
+    /// temperature `die_c` (negative below the reference temperature).
+    pub fn temperature_term_w(&self, die_c: f64) -> f64 {
+        self.temp_coeff_w_per_c * (die_c - self.temp_ref_c)
     }
 
     /// Estimated power of an idle (C1/C2) core: the event view sees no
     /// activity at all, only the leakage term.
     pub fn idle_core_estimate_w(&self, die_c: f64) -> f64 {
-        (self.temp_coeff_w_per_c * (die_c - self.temp_ref_c)).max(0.0)
+        self.temperature_term_w(die_c).max(0.0)
     }
 
     /// Package estimate: sum of core estimates plus the uncore constant.

@@ -23,6 +23,9 @@ pub const DIVIDER_STEPS_PER_UNIT: u32 = 8;
 /// 400 MHz are not supported by the architecture").
 pub const L3_MIN_MHZ: u32 = 400;
 
+/// Cores sharing one CCX clock mesh.
+pub const CORES_PER_CCX: usize = zen2_topology::topology::consts::CORES_PER_CCX as usize;
+
 /// The resolved clocks of one CCX.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CcxClocks {
@@ -30,7 +33,7 @@ pub struct CcxClocks {
     pub mesh_mhz: u32,
     /// The effective frequency of each core in the CCX, in MHz, in the
     /// same order as the input requests.
-    pub effective_mhz: Vec<f64>,
+    pub effective_mhz: [f64; CORES_PER_CCX],
 }
 
 /// Resolves the mesh and effective core frequencies for one CCX.
@@ -42,24 +45,24 @@ pub struct CcxClocks {
 /// With `coupling` disabled (ablation), every core simply runs its request.
 ///
 /// # Panics
-/// Panics if the slices disagree in length or a request is zero.
-pub fn resolve(requested_mhz: &[u32], active: &[bool], coupling: bool) -> CcxClocks {
-    assert_eq!(requested_mhz.len(), active.len(), "one activity flag per core");
+/// Panics if a request is zero.
+pub fn resolve(
+    requested_mhz: &[u32; CORES_PER_CCX],
+    active: &[bool; CORES_PER_CCX],
+    coupling: bool,
+) -> CcxClocks {
     assert!(requested_mhz.iter().all(|&f| f > 0), "requests must be positive");
 
     let mesh_driver =
         requested_mhz.iter().zip(active).filter(|&(_, &a)| a).map(|(&f, _)| f).max().unwrap_or(0);
     let mesh_mhz = mesh_driver.max(L3_MIN_MHZ);
 
-    let effective_mhz = requested_mhz
-        .iter()
-        .map(|&req| {
-            if !coupling || req >= mesh_mhz {
-                return req as f64;
-            }
-            (req as f64).min(divided_frequency(mesh_mhz, req))
-        })
-        .collect();
+    let effective_mhz = requested_mhz.map(|req| {
+        if !coupling || req >= mesh_mhz {
+            return req as f64;
+        }
+        (req as f64).min(divided_frequency(mesh_mhz, req))
+    });
 
     CcxClocks { mesh_mhz, effective_mhz }
 }
@@ -141,7 +144,7 @@ mod tests {
     #[test]
     fn coupling_ablation_gives_exact_requests() {
         let clocks = resolve(&[1500, 2500, 2200, 1500], &[true; 4], false);
-        assert_eq!(clocks.effective_mhz, vec![1500.0, 2500.0, 2200.0, 1500.0]);
+        assert_eq!(clocks.effective_mhz, [1500.0, 2500.0, 2200.0, 1500.0]);
     }
 
     #[test]
@@ -150,11 +153,5 @@ mod tests {
         for eff in clocks.effective_mhz {
             assert_eq!(eff, 2200.0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one activity flag per core")]
-    fn mismatched_slices_are_a_bug() {
-        let _ = resolve(&[2500; 4], &[true; 3], true);
     }
 }

@@ -3,13 +3,18 @@
 //! Given a snapshot of thread states, workloads and clocks, computes the
 //! true DC/AC power (what the LMG670 sees) and the SMU's estimated powers
 //! (what RAPL reports and the PPT loop regulates), plus DRAM traffic.
-//! The simulator calls this at every state change; power is constant
-//! between changes, so energy integration is exact.
+//! The simulator re-evaluates after every action and every integrated
+//! segment; power is constant between evaluations, so energy integration
+//! is exact. It evaluates through its own `PowerEval`, whose per-core
+//! memo recomputes an active core's terms only when one of their five
+//! inputs changed bit for bit; [`evaluate`] runs the same code from an
+//! empty memo, so both give bit-identical breakdowns.
 
 use crate::config::SimConfig;
 use crate::cstate::{classify_core, CoreIdleClass, ThreadState};
-use zen2_isa::{KernelClass, OperandWeight, SmtMode};
+use zen2_isa::{KernelClass, OperandWeight, SmtMode, WorkloadSet};
 use zen2_mem::ClockPlan;
+use zen2_topology::Topology;
 
 /// A full power evaluation of one machine state.
 #[derive(Debug, Clone)]
@@ -34,6 +39,23 @@ pub struct PowerBreakdown {
     pub ac_w: f64,
 }
 
+impl PowerBreakdown {
+    /// An all-zero breakdown shaped for `topo`.
+    pub(crate) fn zeroed(topo: &Topology) -> Self {
+        Self {
+            core_true_w: vec![0.0; topo.num_cores()],
+            core_est_w: vec![0.0; topo.num_cores()],
+            pkg_true_w: vec![0.0; topo.num_sockets()],
+            pkg_est_w: vec![0.0; topo.num_sockets()],
+            pkg_awake: vec![false; topo.num_sockets()],
+            dram_traffic_gbs: 0.0,
+            dram_w: 0.0,
+            dc_w: 0.0,
+            ac_w: 0.0,
+        }
+    }
+}
+
 /// Inputs that vary at runtime (everything else comes from [`SimConfig`]).
 pub struct MachineState<'a> {
     /// Scheduling state per hardware thread.
@@ -52,119 +74,181 @@ pub struct MachineState<'a> {
 
 /// Evaluates the power of a machine state.
 pub fn evaluate(cfg: &SimConfig, state: &MachineState<'_>) -> PowerBreakdown {
-    let topo = &cfg.topology;
-    let kernels = zen2_isa::WorkloadSet::paper();
-    let num_cores = topo.num_cores();
-    let num_pkgs = topo.num_sockets();
-    let tpc = topo.threads_per_core();
+    let mut out = PowerBreakdown::zeroed(&cfg.topology);
+    PowerEval::new(&cfg.topology).evaluate(cfg, &WorkloadSet::paper(), state, &mut out);
+    out
+}
 
-    // Global package-C6 criterion (or per-package ablation).
-    let offline_c1 = cfg.os.offline_parks_in_c1;
-    let mut pkg_awake = vec![false; num_pkgs];
-    if cfg.global_package_c6 {
-        let any_blocker = state.thread_states.iter().any(|t| !t.allows_package_c6(offline_c1));
-        for awake in pkg_awake.iter_mut() {
-            *awake = any_blocker;
-        }
-    } else {
-        for (pkg, awake) in pkg_awake.iter_mut().enumerate() {
-            let base = pkg * topo.cores_per_socket() * tpc;
-            let end = base + topo.cores_per_socket() * tpc;
-            *awake =
-                state.thread_states[base..end].iter().any(|t| !t.allows_package_c6(offline_c1));
-        }
+/// Everything an active core's temperature-independent terms depend on:
+/// kernel class, operand weight, SMT occupancy, effective GHz and
+/// voltage, the floats compared bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CoreKey {
+    class: KernelClass,
+    weight_bits: u64,
+    smt: SmtMode,
+    ghz_bits: u64,
+    voltage_bits: u64,
+}
+
+/// One active core's terms for the inputs in `key`.
+#[derive(Debug, Clone, Copy)]
+struct CoreTerms {
+    key: CoreKey,
+    true_w: f64,
+    est_activity_w: f64,
+    dram_demand_gbs: f64,
+}
+
+/// The simulator's evaluator: each core's last active terms and the
+/// per-CCD demand scratch, so a step allocates nothing and recomputes
+/// only the cores whose inputs moved.
+#[derive(Debug, Clone)]
+pub(crate) struct PowerEval {
+    memo: Vec<Option<CoreTerms>>,
+    ccd_demand_gbs: Vec<f64>,
+}
+
+impl PowerEval {
+    /// An evaluator with an empty memo.
+    pub(crate) fn new(topo: &Topology) -> Self {
+        Self { memo: vec![None; topo.num_cores()], ccd_demand_gbs: vec![0.0; topo.num_ccds()] }
     }
 
-    let mut core_true_w = vec![0.0; num_cores];
-    let mut core_est_w = vec![0.0; num_cores];
-    let mut ccd_demand_gbs = vec![0.0; topo.num_ccds()];
+    /// Evaluates `state` into `out`, a breakdown shaped for `cfg`'s
+    /// topology.
+    pub(crate) fn evaluate(
+        &mut self,
+        cfg: &SimConfig,
+        kernels: &WorkloadSet,
+        state: &MachineState<'_>,
+        out: &mut PowerBreakdown,
+    ) {
+        let topo = &cfg.topology;
+        let num_cores = topo.num_cores();
+        let tpc = topo.threads_per_core();
 
-    for core_idx in 0..num_cores {
-        let core = zen2_topology::CoreId::from_index(core_idx);
-        let pkg = topo.socket_of_core(core).index();
-        if !pkg_awake[pkg] {
-            continue;
-        }
-        let t0 = core_idx * tpc;
-        let threads = &state.thread_states[t0..t0 + tpc];
-        let die_c = state.die_temp_c[pkg];
-        match classify_core(threads, offline_c1) {
-            CoreIdleClass::Active { active_threads } => {
-                let f = state.core_eff_ghz[core_idx];
-                let v = state.core_voltage[core_idx];
-                let smt = SmtMode::from_active(active_threads);
-                // The kernel/weight of the first active thread drives the
-                // core model; mixed-kernel cores take the busier kernel
-                // (experiments never mix kernels within a core).
-                let (class, weight) = (0..tpc)
-                    .filter(|&i| threads[i].is_active())
-                    .filter_map(|i| state.workloads[t0 + i])
-                    .next()
-                    .unwrap_or((KernelClass::Idle, OperandWeight::HALF));
-                let kernel = kernels.kernel(class);
-                core_true_w[core_idx] = cfg.power.core.active_power_w(kernel, smt, f, v, weight);
-                core_est_w[core_idx] = cfg.rapl.core_estimate_w(kernel, smt, f, v, die_c)
-                    + state.est_noise_w[core_idx];
-                let ccd = topo.ccd_of_core(core).index();
-                // zen2-lint: allow(float-order) — accumulates in ascending core-index order, fixed by the topology
-                ccd_demand_gbs[ccd] += kernel.dram_demand_bytes_per_s(smt, f * 1e9) / 1e9;
-            }
-            CoreIdleClass::ClockGated => {
-                core_true_w[core_idx] = cfg.power.core.c1_power_w();
-                core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
-            }
-            CoreIdleClass::PowerGated => {
-                core_true_w[core_idx] = cfg.power.core.c2_power_w();
-                core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
-            }
-        }
-    }
-
-    // Cap per-CCD DRAM demand at the fabric/DRAM capacity.
-    let plan = ClockPlan::resolve(cfg.iod_pstate, cfg.dram);
-    let ccd_cap = cfg.bandwidth.link_cap_gbs(&plan).min(cfg.bandwidth.dram_cap_gbs(&plan));
-    // zen2-lint: allow(float-order) — one pass in ascending CCD-index order, fixed by the topology
-    let dram_traffic_gbs: f64 = ccd_demand_gbs.iter().map(|&d| d.min(ccd_cap)).sum();
-
-    let any_awake = pkg_awake.iter().any(|&a| a);
-    let dram_w = if any_awake {
-        cfg.power.dram.power_w(dram_traffic_gbs)
-    } else {
-        cfg.power.dram.self_refresh_w()
-    };
-
-    let mut pkg_true_w = vec![0.0; num_pkgs];
-    let mut pkg_est_w = vec![0.0; num_pkgs];
-    for pkg in 0..num_pkgs {
-        let cores = pkg * topo.cores_per_socket()..(pkg + 1) * topo.cores_per_socket();
-        // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
-        let cores_true: f64 = core_true_w[cores.clone()].iter().sum();
-        // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
-        let cores_est: f64 = core_est_w[cores].iter().sum();
-        if pkg_awake[pkg] {
-            let base = cfg.power.package.awake_base_w(cfg.iod_pstate, cfg.dram);
-            let leak = cfg.power.leakage.multiplier(state.die_temp_c[pkg]);
-            pkg_true_w[pkg] = (base + cores_true) * leak;
+        // Global package-C6 criterion (or per-package ablation).
+        let offline_c1 = cfg.os.offline_parks_in_c1;
+        let pkg_awake = &mut out.pkg_awake;
+        if cfg.global_package_c6 {
+            let any_blocker = state.thread_states.iter().any(|t| !t.allows_package_c6(offline_c1));
+            pkg_awake.fill(any_blocker);
         } else {
-            pkg_true_w[pkg] = cfg.power.package.sleeping_w();
+            for (pkg, awake) in pkg_awake.iter_mut().enumerate() {
+                let base = pkg * topo.cores_per_socket() * tpc;
+                let end = base + topo.cores_per_socket() * tpc;
+                *awake =
+                    state.thread_states[base..end].iter().any(|t| !t.allows_package_c6(offline_c1));
+            }
         }
-        pkg_est_w[pkg] = cfg.rapl.package_estimate_w(cores_est, pkg_awake[pkg]);
-    }
 
-    // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology
-    let dc_w = pkg_true_w.iter().sum::<f64>() + dram_w + cfg.power.platform_dc_w;
-    let ac_w = cfg.power.psu.ac_from_dc(dc_w);
+        let core_true_w = &mut out.core_true_w;
+        let core_est_w = &mut out.core_est_w;
+        core_true_w.fill(0.0);
+        core_est_w.fill(0.0);
+        let ccd_demand_gbs = &mut self.ccd_demand_gbs;
+        ccd_demand_gbs.fill(0.0);
 
-    PowerBreakdown {
-        core_true_w,
-        core_est_w,
-        pkg_true_w,
-        pkg_est_w,
-        pkg_awake,
-        dram_traffic_gbs,
-        dram_w,
-        dc_w,
-        ac_w,
+        for core_idx in 0..num_cores {
+            let core = zen2_topology::CoreId::from_index(core_idx);
+            let pkg = topo.socket_of_core(core).index();
+            if !pkg_awake[pkg] {
+                continue;
+            }
+            let t0 = core_idx * tpc;
+            let threads = &state.thread_states[t0..t0 + tpc];
+            let die_c = state.die_temp_c[pkg];
+            match classify_core(threads, offline_c1) {
+                CoreIdleClass::Active { active_threads } => {
+                    let f = state.core_eff_ghz[core_idx];
+                    let v = state.core_voltage[core_idx];
+                    let smt = SmtMode::from_active(active_threads);
+                    // The kernel/weight of the first active thread drives the
+                    // core model; mixed-kernel cores take the busier kernel
+                    // (experiments never mix kernels within a core).
+                    let (class, weight) = (0..tpc)
+                        .filter(|&i| threads[i].is_active())
+                        .filter_map(|i| state.workloads[t0 + i])
+                        .next()
+                        .unwrap_or((KernelClass::Idle, OperandWeight::HALF));
+                    let key = CoreKey {
+                        class,
+                        weight_bits: weight.0.to_bits(),
+                        smt,
+                        ghz_bits: f.to_bits(),
+                        voltage_bits: v.to_bits(),
+                    };
+                    let terms = match self.memo[core_idx] {
+                        Some(terms) if terms.key == key => terms,
+                        _ => {
+                            let kernel = kernels.kernel(class);
+                            let terms = CoreTerms {
+                                key,
+                                true_w: cfg.power.core.active_power_w(kernel, smt, f, v, weight),
+                                est_activity_w: cfg
+                                    .rapl
+                                    .core_activity_estimate_w(kernel, smt, f, v),
+                                dram_demand_gbs: kernel.dram_demand_bytes_per_s(smt, f * 1e9) / 1e9,
+                            };
+                            self.memo[core_idx] = Some(terms);
+                            terms
+                        }
+                    };
+                    core_true_w[core_idx] = terms.true_w;
+                    core_est_w[core_idx] = terms.est_activity_w
+                        + cfg.rapl.temperature_term_w(die_c)
+                        + state.est_noise_w[core_idx];
+                    let ccd = topo.ccd_of_core(core).index();
+                    // Accumulates in ascending core-index order, fixed by the topology.
+                    ccd_demand_gbs[ccd] += terms.dram_demand_gbs;
+                }
+                CoreIdleClass::ClockGated => {
+                    core_true_w[core_idx] = cfg.power.core.c1_power_w();
+                    core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
+                }
+                CoreIdleClass::PowerGated => {
+                    core_true_w[core_idx] = cfg.power.core.c2_power_w();
+                    core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
+                }
+            }
+        }
+
+        // Cap per-CCD DRAM demand at the fabric/DRAM capacity.
+        let plan = ClockPlan::resolve(cfg.iod_pstate, cfg.dram);
+        let ccd_cap = cfg.bandwidth.link_cap_gbs(&plan).min(cfg.bandwidth.dram_cap_gbs(&plan));
+        // zen2-lint: allow(float-order) — one pass in ascending CCD-index order, fixed by the topology
+        let dram_traffic_gbs: f64 = ccd_demand_gbs.iter().map(|&d| d.min(ccd_cap)).sum();
+
+        let any_awake = pkg_awake.iter().any(|&a| a);
+        let dram_w = if any_awake {
+            cfg.power.dram.power_w(dram_traffic_gbs)
+        } else {
+            cfg.power.dram.self_refresh_w()
+        };
+
+        for (pkg, &awake) in pkg_awake.iter().enumerate() {
+            let cores = pkg * topo.cores_per_socket()..(pkg + 1) * topo.cores_per_socket();
+            // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
+            let cores_true: f64 = core_true_w[cores.clone()].iter().sum();
+            // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
+            let cores_est: f64 = core_est_w[cores].iter().sum();
+            if awake {
+                let base = cfg.power.package.awake_base_w(cfg.iod_pstate, cfg.dram);
+                let leak = cfg.power.leakage.multiplier(state.die_temp_c[pkg]);
+                out.pkg_true_w[pkg] = (base + cores_true) * leak;
+            } else {
+                out.pkg_true_w[pkg] = cfg.power.package.sleeping_w();
+            }
+            out.pkg_est_w[pkg] = cfg.rapl.package_estimate_w(cores_est, awake);
+        }
+
+        // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology
+        let dc_w = out.pkg_true_w.iter().sum::<f64>() + dram_w + cfg.power.platform_dc_w;
+        out.dram_traffic_gbs = dram_traffic_gbs;
+        out.dram_w = dram_w;
+        out.dc_w = dc_w;
+        out.ac_w = cfg.power.psu.ac_from_dc(dc_w);
     }
 }
 

@@ -4,6 +4,8 @@
 use crate::ccx;
 use crate::config::{SimConfig, SmuParams};
 use crate::controller::PptController;
+use crate::cstate::ThreadState;
+use crate::power::PowerBreakdown;
 use crate::smu::Smu;
 use crate::snapshot::Snapshot;
 use crate::stats::{
@@ -11,8 +13,10 @@ use crate::stats::{
 };
 use crate::time::MILLISECOND;
 use crate::trace::{Event, Record};
+use crate::System;
 use proptest::prelude::*;
-use zen2_topology::CoreId;
+use zen2_isa::{KernelClass, OperandWeight};
+use zen2_topology::{CoreId, ThreadId};
 
 /// Finite `f64`s spanning the whole bit space (exponent extremes,
 /// subnormals, awkward fractions — the values a decimal round-trip is
@@ -47,6 +51,57 @@ where
     feed(&mut b);
     assert_eq!(a, b);
     assert_eq!(a.to_json_text(), b.to_json_text(), "continuation must be bit-identical");
+}
+
+/// Whether two breakdowns agree field for field, bit for bit.
+fn same_bits(a: &PowerBreakdown, b: &PowerBreakdown) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    bits(&a.core_true_w) == bits(&b.core_true_w)
+        && bits(&a.core_est_w) == bits(&b.core_est_w)
+        && bits(&a.pkg_true_w) == bits(&b.pkg_true_w)
+        && bits(&a.pkg_est_w) == bits(&b.pkg_est_w)
+        && a.pkg_awake == b.pkg_awake
+        && bits(&[a.dram_traffic_gbs, a.dram_w, a.dc_w, a.ac_w])
+            == bits(&[b.dram_traffic_gbs, b.dram_w, b.dc_w, b.ac_w])
+}
+
+/// One machine action of the memo property: `(kind, thread, choice,
+/// flag, gap ns)`, decoded by [`apply_action`].
+fn arb_action() -> impl Strategy<Value = (u8, u32, usize, bool, u64)> {
+    // Both siblings of three socket-0 cores (two CCXs) and of one
+    // socket-1 core.
+    let threads = vec![0u32, 1, 2, 3, 8, 9, 64, 65];
+    (0u8..8, prop::sample::select(threads), 0usize..12, any::<bool>(), 0u64..5_000_000)
+}
+
+/// Applies one decoded action to `sys`.
+fn apply_action(sys: &mut System, (kind, thread, choice, flag, gap): (u8, u32, usize, bool, u64)) {
+    const KERNELS: [KernelClass; 4] =
+        [KernelClass::VXorps, KernelClass::Shr, KernelClass::MemoryRead, KernelClass::Pause];
+    const WEIGHTS: [OperandWeight; 3] =
+        [OperandWeight::ZERO, OperandWeight::HALF, OperandWeight::FULL];
+    let thread = ThreadId(thread);
+    match kind {
+        0 | 1 if sys.thread_state(thread) != ThreadState::Offline => {
+            sys.set_workload(thread, KERNELS[choice % 4], WEIGHTS[choice % 3]);
+        }
+        2 => sys.set_idle(thread),
+        // Disabling both levels of an idle thread falls back to POLL.
+        3 => sys.set_cstate_enabled(thread, 1 + (choice % 2) as u8, flag),
+        // Onlining five times as often as offlining brings threads back.
+        4 => sys.set_online(thread, flag || choice < 8),
+        // A P-state request, then enough time to run past its transition.
+        5 => {
+            sys.set_thread_pstate_mhz(thread, [1500, 2200, 2500][choice % 3]);
+            if flag {
+                sys.run_for_ns(2 * MILLISECOND + gap);
+            }
+        }
+        // Thermal drift between actions.
+        6 => sys.run_for_ns(gap),
+        7 => sys.preheat(),
+        _ => {}
+    }
 }
 
 fn vf_points() -> Vec<(u32, f64)> {
@@ -106,6 +161,8 @@ proptest! {
     #[test]
     fn ccx_divider_bounds(requests in prop::collection::vec(800u32..3_000, 4),
                           active in prop::collection::vec(any::<bool>(), 4)) {
+        let requests: [u32; ccx::CORES_PER_CCX] = requests.try_into().expect("four requests");
+        let active: [bool; ccx::CORES_PER_CCX] = active.try_into().expect("four flags");
         let clocks = ccx::resolve(&requests, &active, true);
         for (i, &req) in requests.iter().enumerate() {
             let eff = clocks.effective_mhz[i];
@@ -118,6 +175,26 @@ proptest! {
             if a {
                 prop_assert!(clocks.mesh_mhz as f64 >= clocks.effective_mhz[i] - 1e-9);
             }
+        }
+    }
+
+    /// The simulator's memoized power step equals the stateless
+    /// `power::evaluate` of the same machine state after every action:
+    /// mixed kernels and weights on both SMT siblings, idling, C-state
+    /// disables down to POLL, offlining, P-state transitions, thermal
+    /// drift and preheat.
+    #[test]
+    fn memoized_power_matches_stateless_evaluation(
+        actions in prop::collection::vec(arb_action(), 1..40),
+    ) {
+        let mut sys = System::new(SimConfig::epyc_7502_2s(), 11);
+        prop_assert!(same_bits(sys.power_breakdown(), &sys.stateless_breakdown()));
+        for (i, &action) in actions.iter().enumerate() {
+            apply_action(&mut sys, action);
+            prop_assert!(
+                same_bits(sys.power_breakdown(), &sys.stateless_breakdown()),
+                "breakdowns diverge after action {i} {action:?}"
+            );
         }
     }
 

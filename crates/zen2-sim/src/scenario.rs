@@ -698,32 +698,37 @@ impl System {
             self.set_tracing(true);
         }
 
-        // Every scenario-relative instant the engine must stop at.
-        let mut breakpoints: BTreeSet<Ns> = BTreeSet::new();
-        for step in scenario.steps() {
-            breakpoints.insert(step.at);
-        }
-        for spec in scenario.probes() {
-            breakpoints.insert(spec.window.from);
-            breakpoints.insert(spec.window.to);
-            for t in spec.mid_times() {
-                breakpoints.insert(t);
-            }
-        }
-        breakpoints.insert(scenario.end());
-
-        let mut states: Vec<ProbeState> =
-            scenario.probes().iter().map(|_| ProbeState::Idle).collect();
-        let mid_times: Vec<Vec<Ns>> =
-            scenario.probes().iter().map(|spec| spec.mid_times()).collect();
-        // `mid_times` are ascending and breakpoints iterate ascending, so
-        // one cursor per probe matches each obligation in O(1); the same
-        // holds for the time-sorted steps (stable sort keeps insertion
-        // order within one tick).
-        let mut mid_cursor = vec![0usize; mid_times.len()];
+        // Time-indexed dispatch: the mid-window obligations, window ends
+        // and window starts are each sorted by tick once and walked with a
+        // cursor, so a breakpoint touches only the probes due at it. The
+        // sorts are stable, keeping declaration order within one tick:
+        // closes and draws that consume the machine RNG depend on it.
+        let probes = scenario.probes();
+        let mut mids: Vec<(Ns, usize)> = probes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, spec)| spec.mid_times().into_iter().map(move |t| (t, i)))
+            .collect();
+        mids.sort_by_key(|&(t, _)| t);
+        let mut ends: Vec<usize> = (0..probes.len()).collect();
+        ends.sort_by_key(|&i| probes[i].window.to);
+        let mut starts: Vec<usize> =
+            (0..probes.len()).filter(|&i| !probes[i].window.is_instant()).collect();
+        starts.sort_by_key(|&i| probes[i].window.from);
         let mut ordered_steps: Vec<&Step> = scenario.steps().iter().collect();
         ordered_steps.sort_by_key(|s| s.at);
-        let mut step_cursor = 0usize;
+        let (mut mid_cursor, mut end_cursor, mut start_cursor, mut step_cursor) = (0, 0, 0, 0);
+
+        // Every scenario-relative instant the engine must stop at. The set
+        // is filled one insert at a time, so it never holds more than the
+        // distinct ticks (many steps share one).
+        let mut breakpoints: BTreeSet<Ns> = BTreeSet::new();
+        breakpoints.extend(ordered_steps.iter().map(|s| s.at));
+        breakpoints.extend(mids.iter().map(|&(t, _)| t));
+        breakpoints.extend(probes.iter().flat_map(|spec| [spec.window.from, spec.window.to]));
+        breakpoints.insert(scenario.end());
+
+        let mut states: Vec<ProbeState> = probes.iter().map(|_| ProbeState::Idle).collect();
 
         for &t in &breakpoints {
             let target = offset + t;
@@ -732,12 +737,9 @@ impl System {
             }
 
             // 1. Mid-window sampling obligations due now.
-            for (i, (spec, state)) in scenario.probes().iter().zip(states.iter_mut()).enumerate() {
-                if mid_times[i].get(mid_cursor[i]) != Some(&t) {
-                    continue;
-                }
-                mid_cursor[i] += 1;
-                match (&spec.probe, state) {
+            while let Some(&(_, i)) = mids.get(mid_cursor).filter(|&&(at, _)| at == t) {
+                mid_cursor += 1;
+                match (&probes[i].probe, &mut states[i]) {
                     (Probe::CounterSeries { thread, .. }, ProbeState::SeriesOpen { snaps }) => {
                         snaps.push(self.counters(*thread));
                     }
@@ -755,10 +757,9 @@ impl System {
             }
 
             // 2. Window ends (and instant reads) due now.
-            for (spec, state) in scenario.probes().iter().zip(states.iter_mut()) {
-                if spec.window.to != t {
-                    continue;
-                }
+            while let Some(&i) = ends.get(end_cursor).filter(|&&i| probes[i].window.to == t) {
+                end_cursor += 1;
+                let (spec, state) = (&probes[i], &mut states[i]);
                 let from = offset + spec.window.from;
                 let to = offset + spec.window.to;
                 let done = match (&spec.probe, std::mem::replace(state, ProbeState::Idle)) {
@@ -848,11 +849,9 @@ impl System {
             }
 
             // 4. Window starts due now open on the post-action state.
-            for (spec, state) in scenario.probes().iter().zip(states.iter_mut()) {
-                if spec.window.from != t || spec.window.is_instant() {
-                    continue;
-                }
-                *state = match spec.probe {
+            while let Some(&i) = starts.get(start_cursor).filter(|&&i| probes[i].window.from == t) {
+                start_cursor += 1;
+                states[i] = match probes[i].probe {
                     Probe::CounterDelta(thread) => {
                         ProbeState::CounterOpen { begin: self.counters(thread) }
                     }
@@ -869,8 +868,7 @@ impl System {
             }
         }
 
-        let measurements = scenario
-            .probes()
+        let measurements = probes
             .iter()
             .zip(states)
             .map(|(spec, state)| match state {
@@ -1076,5 +1074,56 @@ mod tests {
         assert_eq!(sc.run_until_ns(), MILLISECOND);
         assert_eq!(sc.end(), 7 * MILLISECOND);
         assert!(sc.validate(&cfg()).is_ok(), "steps after run_until are legal");
+    }
+
+    /// Runs a scenario with one probe `declare` adds per label, declared
+    /// as `["a"]`, `["a", "b"]` and `["b", "a"]`, on same-seed machines.
+    fn run_declaration_orders(declare: impl Fn(&mut Scenario, &str)) -> [Run; 3] {
+        [&["a"][..], &["a", "b"], &["b", "a"]].map(|labels| {
+            let mut sc = Scenario::new();
+            sc.at(0).workload(ThreadId(0), KernelClass::BusyWait, OperandWeight::HALF);
+            for label in labels {
+                declare(&mut sc, label);
+            }
+            System::new(cfg(), 9).run_scenario(&sc).unwrap()
+        })
+    }
+
+    #[test]
+    fn same_tick_meter_closes_draw_in_declaration_order() {
+        let window = Window::span(10 * MILLISECOND, 130 * MILLISECOND);
+        let [alone, ab, ba] = run_declaration_orders(|sc, label| {
+            sc.probe(label, Probe::AcMeteredW, window);
+        });
+        let bits = |run: &Run, label| run.watts(label).to_bits();
+        // The first-declared close draws the meter noise first, as if it
+        // were alone; swapping the declarations swaps the values.
+        assert_eq!(bits(&ab, "a"), bits(&alone, "a"));
+        assert_ne!(bits(&ab, "a"), bits(&ab, "b"), "noise must differ");
+        assert_eq!(bits(&ab, "a"), bits(&ba, "b"));
+        assert_eq!(bits(&ab, "b"), bits(&ba, "a"));
+    }
+
+    #[test]
+    fn same_tick_wakeup_draws_follow_declaration_order() {
+        let probe = Probe::WakeupSamples {
+            caller: ThreadId(0),
+            callee: ThreadId(2),
+            count: 5,
+            gap: MILLISECOND,
+        };
+        let window = Window::span(MILLISECOND, 7 * MILLISECOND);
+        let [alone, ab, ba] = run_declaration_orders(|sc, label| {
+            sc.probe(label, probe, window);
+        });
+        let bits = |run: &Run, label| {
+            run.durations_ns(label).iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+        };
+        // Every sample tick is shared, and at each one the first-declared
+        // probe draws first: its first sample is the lone probe's.
+        assert_eq!(bits(&ab, "a")[0], bits(&alone, "a")[0]);
+        assert_ne!(bits(&ab, "a"), bits(&ab, "b"), "draws must differ");
+        assert_eq!(bits(&ab, "a"), bits(&ba, "b"));
+        assert_eq!(bits(&ab, "b"), bits(&ba, "a"));
     }
 }

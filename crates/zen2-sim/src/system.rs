@@ -6,7 +6,7 @@ use crate::controller::PptController;
 use crate::cstate::ThreadState;
 use crate::os::IdleConfig;
 use crate::perf::ThreadCounters;
-use crate::power::{self, MachineState, PowerBreakdown};
+use crate::power::{MachineState, PowerBreakdown, PowerEval};
 use crate::smu::{PendingTransition, Smu};
 use crate::time::{next_boundary, to_secs, Ns, MILLISECOND};
 use crate::trace::{Event, Tracer};
@@ -42,6 +42,8 @@ pub struct System {
 
     // Per-core state.
     smu: Smu,
+    /// The P-state table's frequencies, decoded once at boot.
+    pstate_mhz: Vec<u32>,
     core_eff_ghz: Vec<f64>,
     core_voltage: Vec<f64>,
     est_noise_w: Vec<f64>,
@@ -53,7 +55,11 @@ pub struct System {
     // Accounting.
     counters: Vec<ThreadCounters>,
     rapl: RaplAccounting,
+    power: PowerEval,
     breakdown: PowerBreakdown,
+    /// Scratch the next evaluation is written into before it is swapped
+    /// with `breakdown`.
+    next_breakdown: PowerBreakdown,
     ac_energy_j: f64,
     /// Piecewise-constant AC power trace: `(segment start, watts)`.
     trace: Vec<(Ns, f64)>,
@@ -69,15 +75,11 @@ impl System {
         let num_threads = topo.num_threads();
         let num_cores = topo.num_cores();
         let num_pkgs = topo.num_sockets();
-        let nominal = cfg.nominal_mhz();
+        let pstate_mhz = cfg.pstates.frequencies_mhz();
+        let nominal = pstate_mhz[0];
 
-        let vf_points: Vec<(u32, f64)> = cfg
-            .pstates
-            .frequencies_mhz()
-            .iter()
-            .rev()
-            .map(|&mhz| (mhz, cfg.voltage_for_mhz(mhz)))
-            .collect();
+        let vf_points: Vec<(u32, f64)> =
+            pstate_mhz.iter().rev().map(|&mhz| (mhz, cfg.voltage_for_mhz(mhz))).collect();
         let smu = Smu::new(cfg.smu.clone(), num_cores, nominal, vf_points);
         let controllers = (0..num_pkgs)
             .map(|_| PptController::new(&cfg.controller, nominal, cfg.min_mhz()))
@@ -95,6 +97,7 @@ impl System {
             pstate_req_mhz: vec![nominal; num_threads],
             idle_cfg: vec![IdleConfig::default(); num_threads],
             smu,
+            pstate_mhz,
             core_eff_ghz: vec![nominal as f64 / 1000.0; num_cores],
             core_voltage: vec![cfg.voltage_for_mhz(nominal); num_cores],
             est_noise_w: vec![0.0; num_cores],
@@ -102,17 +105,9 @@ impl System {
             die_temp_c: vec![cfg.power.thermal.ambient_c; num_pkgs],
             counters: vec![ThreadCounters::default(); num_threads],
             rapl: RaplAccounting::new(num_cores, num_pkgs),
-            breakdown: PowerBreakdown {
-                core_true_w: vec![0.0; num_cores],
-                core_est_w: vec![0.0; num_cores],
-                pkg_true_w: vec![0.0; num_pkgs],
-                pkg_est_w: vec![0.0; num_pkgs],
-                pkg_awake: vec![false; num_pkgs],
-                dram_traffic_gbs: 0.0,
-                dram_w: 0.0,
-                dc_w: 0.0,
-                ac_w: 0.0,
-            },
+            power: PowerEval::new(&topo),
+            breakdown: PowerBreakdown::zeroed(&topo),
+            next_breakdown: PowerBreakdown::zeroed(&topo),
             ac_energy_j: 0.0,
             trace: Vec::new(),
             tracer: Tracer::new(),
@@ -484,10 +479,19 @@ impl System {
     }
 
     /// True mean AC power over a past interval (no instrument noise).
+    ///
+    /// Scans only the segments that overlap the window: it starts at the
+    /// last segment beginning at or before `from` and stops at the first
+    /// one beginning at or after `to`. The segments outside never added
+    /// anything, so the sum is the full scan's, bit for bit.
     pub fn trace_mean_w(&self, from: Ns, to: Ns) -> f64 {
         assert!(from < to && to <= self.now, "invalid trace window");
+        let first = self.trace.partition_point(|&(start, _)| start <= from).saturating_sub(1);
         let mut energy = 0.0;
-        for (idx, &(seg_start, watts)) in self.trace.iter().enumerate() {
+        for (idx, &(seg_start, watts)) in self.trace.iter().enumerate().skip(first) {
+            if seg_start >= to {
+                break;
+            }
             let seg_end = self.trace.get(idx + 1).map(|&(t, _)| t).unwrap_or(self.now);
             let lo = seg_start.max(from);
             let hi = seg_end.min(to);
@@ -611,30 +615,30 @@ impl System {
     }
 
     fn update_clocks_and_power(&mut self) {
-        let topo = self.cfg.topology.clone();
-        let tpc = topo.threads_per_core();
-        for ccx in topo.all_ccxs() {
-            let cores: Vec<CoreId> = topo.cores_of_ccx(ccx).collect();
-            let applied: Vec<u32> =
-                cores.iter().map(|c| self.smu.core(c.index()).applied_mhz()).collect();
-            let active: Vec<bool> = cores.iter().map(|&c| self.core_has_active_thread(c)).collect();
+        let tpc = self.cfg.topology.threads_per_core();
+        for ccx in 0..self.cfg.topology.num_ccxs() {
+            // A CCX's cores are numbered contiguously.
+            let base = ccx * ccx::CORES_PER_CCX;
+            let applied: [u32; ccx::CORES_PER_CCX] =
+                std::array::from_fn(|i| self.smu.core(base + i).applied_mhz());
+            let active: [bool; ccx::CORES_PER_CCX] =
+                std::array::from_fn(|i| self.core_has_active_thread(CoreId::from_index(base + i)));
             let clocks = ccx::resolve(&applied, &active, self.cfg.ccx_coupling);
-            for (i, &core) in cores.iter().enumerate() {
-                self.core_eff_ghz[core.index()] = clocks.effective_mhz[i] / 1000.0;
-                self.core_voltage[core.index()] = self.smu.voltage(applied[i]);
+            for (i, &mhz) in applied.iter().enumerate() {
+                let core = base + i;
+                self.core_eff_ghz[core] = clocks.effective_mhz[i] / 1000.0;
+                self.core_voltage[core] = self.smu.voltage(mhz);
                 // Hardware keeps PStateStat coherent with the applied
                 // frequency (on-grid frequencies only; controller caps
                 // between table entries report the next-slower P-state).
                 let status = self
-                    .cfg
-                    .pstates
-                    .frequencies_mhz()
+                    .pstate_mhz
                     .iter()
-                    .position(|&mhz| mhz <= applied[i])
+                    .position(|&table_mhz| table_mhz <= mhz)
                     .unwrap_or(self.cfg.pstates.len() - 1);
                 for sib in 0..tpc {
                     self.msrs.poke(
-                        ThreadId((core.index() * tpc + sib) as u32),
+                        ThreadId((core * tpc + sib) as u32),
                         address::PSTATE_STAT,
                         status as u64,
                     );
@@ -653,7 +657,8 @@ impl System {
             die_temp_c: &self.die_temp_c,
             est_noise_w: &self.est_noise_w,
         };
-        let breakdown = power::evaluate(&self.cfg, &state);
+        self.power.evaluate(&self.cfg, &self.kernels, &state, &mut self.next_breakdown);
+        let breakdown = &self.next_breakdown;
         if self.tracer.is_enabled() {
             for pkg in 0..breakdown.pkg_awake.len() {
                 if breakdown.pkg_awake[pkg] != self.breakdown.pkg_awake[pkg] {
@@ -668,10 +673,27 @@ impl System {
             }
         }
         let changed = (breakdown.ac_w - self.breakdown.ac_w).abs() > 1e-9;
-        self.breakdown = breakdown;
+        std::mem::swap(&mut self.breakdown, &mut self.next_breakdown);
         if changed || self.trace.is_empty() {
             self.trace.push((self.now, self.breakdown.ac_w));
         }
+    }
+
+    /// The stateless [`power::evaluate`](crate::power::evaluate) of the
+    /// current machine state, which the memoized step must match.
+    #[cfg(test)]
+    pub(crate) fn stateless_breakdown(&self) -> PowerBreakdown {
+        crate::power::evaluate(
+            &self.cfg,
+            &MachineState {
+                thread_states: &self.thread_states,
+                workloads: &self.workloads,
+                core_eff_ghz: &self.core_eff_ghz,
+                core_voltage: &self.core_voltage,
+                die_temp_c: &self.die_temp_c,
+                est_noise_w: &self.est_noise_w,
+            },
+        )
     }
 
     fn apply_state_change(&mut self) {
@@ -701,7 +723,7 @@ impl System {
         }
         let dt_s = to_secs(dt);
         let tpc = self.cfg.topology.threads_per_core();
-        let nominal_ghz = self.cfg.nominal_mhz() as f64 / 1000.0;
+        let nominal_ghz = self.pstate_mhz[0] as f64 / 1000.0;
 
         for t in 0..self.thread_states.len() {
             let core = t / tpc;
@@ -880,6 +902,67 @@ mod tests {
         sys.run_for_secs(0.3);
         let busy_mean = sys.trace_mean_w(t0, sys.now_ns());
         assert!(busy_mean > idle_mean + 50.0, "busy {busy_mean:.0} vs idle {idle_mean:.0}");
+    }
+
+    #[test]
+    fn windowed_trace_mean_equals_full_scan() {
+        // Reference: the full scan from t=0, which the windowed scan must
+        // match bit for bit.
+        fn full_scan(sys: &System, from: Ns, to: Ns) -> f64 {
+            let mut energy = 0.0;
+            for (idx, &(seg_start, watts)) in sys.trace.iter().enumerate() {
+                let seg_end = sys.trace.get(idx + 1).map(|&(t, _)| t).unwrap_or(sys.now);
+                let lo = seg_start.max(from);
+                let hi = seg_end.min(to);
+                if hi > lo {
+                    energy += watts * to_secs(hi - lo);
+                }
+            }
+            energy / to_secs(to - from)
+        }
+
+        let mut sys = boot();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        for _ in 0..40 {
+            // Several changes in one tick leave zero-length segments.
+            for _ in 0..rng.gen_range(1..4) {
+                let thread = ThreadId(rng.gen_range(0..8));
+                if rng.gen_bool(0.7) {
+                    let weight = OperandWeight([0.0, 0.5, 1.0][rng.gen_range(0..3usize)]);
+                    sys.set_workload(thread, KernelClass::VXorps, weight);
+                } else {
+                    sys.set_idle(thread);
+                }
+            }
+            sys.run_for_ns(rng.gen_range(1..3 * MILLISECOND));
+        }
+        let now = sys.now_ns();
+        let starts: Vec<Ns> = sys.trace.iter().map(|&(t, _)| t).collect();
+        assert!(starts.len() > 40, "{} segments", starts.len());
+        let mut windows = Vec::new();
+        for _ in 0..300 {
+            // Arbitrary windows.
+            let a = rng.gen_range(0..now);
+            windows.push((a, rng.gen_range(a + 1..=now)));
+            // Windows starting on a segment boundary.
+            let b = starts[rng.gen_range(0..starts.len())].min(now - 1);
+            windows.push((b, rng.gen_range(b + 1..=now)));
+            // Windows inside one segment.
+            let i = rng.gen_range(0..starts.len());
+            let end = starts.get(i + 1).copied().unwrap_or(now);
+            if end > starts[i] + 1 {
+                let lo = rng.gen_range(starts[i]..end - 1);
+                windows.push((lo, rng.gen_range(lo + 1..=end)));
+            }
+        }
+        windows.push((0, now));
+        for (from, to) in windows {
+            assert_eq!(
+                sys.trace_mean_w(from, to).to_bits(),
+                full_scan(&sys, from, to).to_bits(),
+                "window [{from}, {to})"
+            );
+        }
     }
 
     #[test]
