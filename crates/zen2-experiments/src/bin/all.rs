@@ -18,7 +18,7 @@
 //! change results.
 use zen2_experiments as e;
 use zen2_experiments::report::{tables_to_json, Table};
-use zen2_experiments::{session_from_args, CheckpointCli, ObsCli, Scale};
+use zen2_experiments::{checkpoint_spec_from_args, session_from_args, spec_for, ObsCli, Scale};
 use zen2_isa::KernelClass;
 use zen2_sim::CheckpointError;
 
@@ -45,7 +45,7 @@ fn main() {
         eprintln!("all: {message}");
         std::process::exit(2);
     };
-    let ckpt = CheckpointCli::from_args().unwrap_or_else(|m| usage(m));
+    let ckpt = checkpoint_spec_from_args().unwrap_or_else(|m| usage(m));
     let obs = ObsCli::from_args().unwrap_or_else(|m| usage(m));
     let mut session = session_from_args().unwrap_or_else(|m| usage(m));
     let stack = obs.stack().unwrap_or_else(|m| usage(m));
@@ -90,7 +90,7 @@ fn main() {
     }
     announce("tab1");
     let tab1 = e::tab1_mixed_freq::Config::new(scale);
-    let tab1 = e::tab1_mixed_freq::run_checkpointed(&tab1, 2, &session, &ckpt.spec_for("tab1"));
+    let tab1 = e::tab1_mixed_freq::run_checkpointed(&tab1, 2, &session, &spec_for(&ckpt, "tab1"));
     if let Some(tab1) = wide("tab1", shard, tab1) {
         emit(e::tab1_mixed_freq::render(&tab1), e::tab1_mixed_freq::tables(&tab1));
     }
@@ -105,13 +105,14 @@ fn main() {
     announce("fig06");
     let fig06 = e::fig06_firestarter::Config::new(scale);
     let fig06 =
-        e::fig06_firestarter::run_checkpointed(&fig06, 5, &session, &ckpt.spec_for("fig06"));
+        e::fig06_firestarter::run_checkpointed(&fig06, 5, &session, &spec_for(&ckpt, "fig06"));
     if let Some(fig06) = wide("fig06", shard, fig06) {
         emit(e::fig06_firestarter::render(&fig06), e::fig06_firestarter::tables(&fig06));
     }
     announce("fig07");
     let fig07 = e::fig07_idle_power::Config::new(scale);
-    let fig07 = e::fig07_idle_power::run_checkpointed(&fig07, 6, &session, &ckpt.spec_for("fig07"));
+    let fig07 =
+        e::fig07_idle_power::run_checkpointed(&fig07, 6, &session, &spec_for(&ckpt, "fig07"));
     if let Some(fig07) = wide("fig07", shard, fig07) {
         emit(e::fig07_idle_power::render(&fig07), e::fig07_idle_power::tables(&fig07));
     }
@@ -123,7 +124,7 @@ fn main() {
     announce("fig09");
     let fig09 = e::fig09_rapl_quality::Config::new(scale);
     let fig09 =
-        e::fig09_rapl_quality::run_checkpointed(&fig09, 8, &session, &ckpt.spec_for("fig09"));
+        e::fig09_rapl_quality::run_checkpointed(&fig09, 8, &session, &spec_for(&ckpt, "fig09"));
     if let Some(fig09) = wide("fig09", shard, fig09) {
         emit(e::fig09_rapl_quality::render(&fig09), e::fig09_rapl_quality::tables(&fig09));
     }
@@ -133,7 +134,7 @@ fn main() {
     {
         announce(name);
         let fig10 =
-            e::fig10_hamming::run_checkpointed(&f10, seed, class, &session, &ckpt.spec_for(name));
+            e::fig10_hamming::run_checkpointed(&f10, seed, class, &session, &spec_for(&ckpt, name));
         if let Some(fig10) = wide(name, shard, fig10) {
             emit(e::fig10_hamming::render(&fig10), e::fig10_hamming::tables(&fig10));
         }
@@ -151,8 +152,12 @@ fn main() {
     }
     announce("ext_manycore");
     let manycore = e::ext_manycore::Config::new(scale);
-    let manycore =
-        e::ext_manycore::run_checkpointed(&manycore, 14, &session, &ckpt.spec_for("ext_manycore"));
+    let manycore = e::ext_manycore::run_checkpointed(
+        &manycore,
+        14,
+        &session,
+        &spec_for(&ckpt, "ext_manycore"),
+    );
     if let Some(manycore) = wide("ext_manycore", shard, manycore) {
         emit(e::ext_manycore::render(&manycore), e::ext_manycore::tables(&manycore));
     }

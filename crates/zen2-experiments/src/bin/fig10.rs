@@ -8,7 +8,8 @@
 //! and live progress without affecting results (see
 //! `docs/OBSERVABILITY.md`).
 use zen2_experiments::{
-    fig10_hamming as exp, report, session_from_args, CheckpointCli, ObsCli, Scale,
+    checkpoint_spec_from_args, fig10_hamming as exp, report, session_from_args, spec_for, ObsCli,
+    Scale,
 };
 use zen2_isa::KernelClass;
 
@@ -18,7 +19,7 @@ fn main() {
         eprintln!("fig10: {message}");
         std::process::exit(2);
     };
-    let cli = CheckpointCli::from_args().unwrap_or_else(|m| usage(m));
+    let spec = checkpoint_spec_from_args().unwrap_or_else(|m| usage(m));
     let obs = ObsCli::from_args().unwrap_or_else(|m| usage(m));
     let mut session = session_from_args().unwrap_or_else(|m| usage(m));
     let stack = obs.stack().unwrap_or_else(|m| usage(m));
@@ -29,7 +30,7 @@ fn main() {
     // machine), so a run can never halt mid-kernel; the result is
     // absent only for a `--shard-range` slice that holds no case.
     let run = |seed, class, name: &str| {
-        exp::run_checkpointed(&cfg, seed, class, &session, &cli.spec_for(name)).unwrap_or_else(
+        exp::run_checkpointed(&cfg, seed, class, &session, &spec_for(&spec, name)).unwrap_or_else(
             |error| {
                 eprintln!("fig10: {error}");
                 std::process::exit(1);
@@ -50,7 +51,7 @@ fn main() {
             || exp::tables(&vxorps).into_iter().chain(exp::tables(&shr)).collect(),
         ),
         _ => {
-            let shard = cli.shard.expect("single-case fig10 grids cannot halt mid-run");
+            let shard = spec.shard.expect("single-case fig10 grids cannot halt mid-run");
             eprintln!(
                 "fig10: shard {shard} done; merge the range checkpoints \
                  (zen2-fleet) to produce the report"

@@ -49,8 +49,8 @@ pub struct ManyCoreResult {
     pub epyc_7742: SkuResult,
 }
 
-/// A SKU's reduced result snapshots exactly (for checkpoint/resume —
-/// each case's cell is an `Option<SkuResult>`).
+/// A SKU's reduced result snapshots exactly: it is the cell each case
+/// reduces to for checkpoint/resume.
 impl Snapshot for SkuResult {
     fn snapshot(&self) -> Json {
         Json::obj([
@@ -161,18 +161,18 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<ManyCoreResult>, CheckpointError> {
-    let fold = |cell: &mut Option<SkuResult>, index: usize, run: Run| {
+    let reduce_sku = |index: usize, run: Run| {
         let (sim_cfg, label) = match index {
             0 => (SimConfig::epyc_7502_2s(), "EPYC 7502"),
             _ => (SimConfig::epyc_7742_1s(), "EPYC 7742"),
         };
-        *cell = Some(reduce(&sim_cfg, label, &run));
+        reduce(&sim_cfg, label, &run)
     };
-    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, reduce_sku)? else {
         return Ok(None);
     };
     // One cell per SKU, in axis order: the 7502, then the 7742.
-    let [epyc_7502, epyc_7742] = [0, 1].map(|i| cells[i].clone().expect("both SKUs streamed"));
+    let [epyc_7502, epyc_7742] = <[SkuResult; 2]>::try_from(cells).expect("one cell per SKU");
     Ok(Some(ManyCoreResult { epyc_7502, epyc_7742 }))
 }
 

@@ -98,8 +98,8 @@ pub struct Fig6Result {
     pub no_smt: ModeResult,
 }
 
-/// A mode's reduced result snapshots exactly (for checkpoint/resume —
-/// each case's cell is an `Option<ModeResult>`).
+/// A mode's reduced result snapshots exactly: it is the cell each case
+/// reduces to for checkpoint/resume.
 impl Snapshot for ModeResult {
     fn snapshot(&self) -> Json {
         Json::obj([
@@ -228,14 +228,12 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Fig6Result>, CheckpointError> {
-    let fold = |cell: &mut Option<ModeResult>, index: usize, run: Run| {
-        *cell = Some(reduce(&run, SMT_MODES[index].1));
-    };
-    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
+    let reduce_mode = |index: usize, run: Run| reduce(&run, SMT_MODES[index].1);
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, reduce_mode)? else {
         return Ok(None);
     };
     // One cell per SMT mode, in `SMT_MODES` order: on, then off.
-    let [smt, no_smt] = [0, 1].map(|i| cells[i].clone().expect("both modes streamed"));
+    let [smt, no_smt] = <[ModeResult; 2]>::try_from(cells).expect("one cell per SMT mode");
     Ok(Some(Fig6Result { smt, no_smt }))
 }
 

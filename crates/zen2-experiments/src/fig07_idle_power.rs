@@ -10,10 +10,10 @@
 //!
 //! Every configuration is one declarative [`Scenario`]; the whole grid is
 //! a two-axis [`Sweep`] (sweep kind × thread count) streamed through the
-//! [`Session`] worker pool, with the curves folded out of one cell per
-//! case. [`run_checkpointed`] persists those cells at every shard
-//! boundary for the `--checkpoint` / `--resume` workflow of
-//! `docs/SWEEPS.md`; the all-C2 baseline runs as one extra case once
+//! [`Session`] worker pool, with the curves read out of one cell per
+//! case: its mean AC power. [`run_checkpointed`] persists those cells
+//! at every shard boundary for the `--checkpoint` / `--resume` workflow
+//! of `docs/SWEEPS.md`; the all-C2 baseline runs as one extra case once
 //! the grid has returned.
 
 use crate::report::{compare, Table};
@@ -22,8 +22,8 @@ use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::{
-    Axis, Case, CheckpointError, CheckpointSpec, OnlineStats, Probe, Run, Scenario, Session,
-    SimConfig, Sweep, Window,
+    Axis, Case, CheckpointError, CheckpointSpec, Probe, Run, Scenario, Session, SimConfig, Sweep,
+    Window,
 };
 use zen2_topology::{CpuNumbering, LogicalCpu, ThreadId};
 
@@ -193,8 +193,8 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Fig7Result>, CheckpointError> {
-    let fold = |cell: &mut OnlineStats, _, run: Run| cell.push(run.watts(AC));
-    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
+    let reduce = |_, run: Run| run.watts(AC);
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, reduce)? else {
         return Ok(None);
     };
     // The all-C2 baseline sits outside the kind × count seed layout
@@ -209,15 +209,15 @@ pub fn run_checkpointed(
     );
     let baseline = session.run(&[baseline_case]).expect("the baseline scenario validates");
 
-    // One cell per (kind, count) case, in grid order — fold them back
-    // into the figure's per-kind curves.
-    let mut cells = cells.iter();
+    // One cell per (kind, count) case, in grid order — split them into
+    // the figure's per-kind curves.
+    let mut cells = cells.into_iter();
     let curves = kinds(cfg)
         .into_iter()
         .map(|kind| Curve {
             kind,
             thread_counts: cfg.thread_counts.clone(),
-            ac_w: cells.by_ref().take(cfg.thread_counts.len()).map(OnlineStats::mean).collect(),
+            ac_w: cells.by_ref().take(cfg.thread_counts.len()).collect(),
         })
         .collect();
     Ok(Some(Fig7Result { baseline_w: baseline[0].watts(AC), curves }))

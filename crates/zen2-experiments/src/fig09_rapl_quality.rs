@@ -24,8 +24,8 @@ use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::{
-    Axis, Case, CheckpointError, CheckpointSpec, Json, OnlineStats, Probe, Run, Scenario, Session,
-    SimConfig, Snapshot, SnapshotError, Sweep, Window,
+    Axis, Case, CheckpointError, CheckpointSpec, Json, Probe, Run, Scenario, Session, SimConfig,
+    Snapshot, SnapshotError, Sweep, Window,
 };
 use zen2_topology::{CpuNumbering, LogicalCpu, ThreadId};
 
@@ -124,39 +124,36 @@ fn classes() -> Vec<KernelClass> {
     zen2_isa::WorkloadSet::paper().rapl_quality_set().iter().map(|k| k.class).collect()
 }
 
-/// One scatter point's streamed measurements: AC reference, RAPL
-/// package sum, RAPL core sum (each a single observation per grid
-/// cell — [`OnlineStats::mean`] of one push is exact).
-#[derive(Debug, Clone, Default, PartialEq)]
-struct CellStats {
-    ac: OnlineStats,
-    pkg: OnlineStats,
-    core: OnlineStats,
+/// One scatter point's readings, W — the cell its case reduces to: AC
+/// reference, RAPL package sum, RAPL core sum.
+#[derive(Debug)]
+struct Readings {
+    ac: f64,
+    pkg: f64,
+    core: f64,
 }
 
-impl CellStats {
-    fn observe(&mut self, run: &Run) {
+impl Readings {
+    fn of(run: &Run) -> Self {
         let (pkg, core) = run.watts_pair("rapl");
-        self.ac.push(run.watts("ac"));
-        self.pkg.push(pkg);
-        self.core.push(core);
+        Self { ac: run.watts("ac"), pkg, core }
     }
 }
 
-impl Snapshot for CellStats {
+impl Snapshot for Readings {
     fn snapshot(&self) -> Json {
         Json::obj([
-            ("ac", self.ac.snapshot()),
-            ("pkg", self.pkg.snapshot()),
-            ("core", self.core.snapshot()),
+            ("ac", Json::f64(self.ac)),
+            ("pkg", Json::f64(self.pkg)),
+            ("core", Json::f64(self.core)),
         ])
     }
 
     fn restore(json: &Json) -> Result<Self, SnapshotError> {
         Ok(Self {
-            ac: OnlineStats::restore(json.get("ac")?)?,
-            pkg: OnlineStats::restore(json.get("pkg")?)?,
-            core: OnlineStats::restore(json.get("core")?)?,
+            ac: json.get("ac")?.as_f64()?,
+            pkg: json.get("pkg")?.as_f64()?,
+            core: json.get("core")?.as_f64()?,
         })
     }
 }
@@ -249,8 +246,8 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Fig9Result>, CheckpointError> {
-    let fold = |cell: &mut CellStats, _, run: Run| cell.observe(&run);
-    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
+    let reduce = |_, run: Run| Readings::of(&run);
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, reduce)? else {
         return Ok(None);
     };
     // Idle has no placement/frequency fan-out, so it runs as its own
@@ -262,8 +259,7 @@ pub fn run_checkpointed(
         point_scenario(cfg, KernelClass::Idle, 0, false, 2500),
         seeds::child(seed, idle_index),
     );
-    let mut idle = CellStats::default();
-    idle.observe(&session.run(&[idle_case]).expect("the idle scenario validates")[0]);
+    let idle = Readings::of(&session.run(&[idle_case]).expect("the idle scenario validates")[0]);
 
     // Reassemble the scatter in the historical jobs order: the cells
     // arrive in grid order (workload-major), with idle spliced back in
@@ -286,16 +282,16 @@ pub fn run_checkpointed(
     Ok(Some(fit(points)))
 }
 
-/// Builds one scatter [`Point`] from a grid cell's streamed statistics.
-fn point(class: KernelClass, cores: usize, smt: bool, mhz: u32, cell: &CellStats) -> Point {
+/// Builds one scatter [`Point`] from a grid cell's readings.
+fn point(class: KernelClass, cores: usize, smt: bool, mhz: u32, cell: &Readings) -> Point {
     Point {
         workload: class.name().into(),
         cores,
         smt,
         freq_mhz: mhz,
-        ac_w: cell.ac.mean(),
-        rapl_pkg_w: cell.pkg.mean(),
-        rapl_core_w: cell.core.mean(),
+        ac_w: cell.ac,
+        rapl_pkg_w: cell.pkg,
+        rapl_core_w: cell.core,
     }
 }
 

@@ -136,7 +136,7 @@ pub fn scenario(cfg: &Config, seed: u64, class: KernelClass) -> (Scenario, Vec<O
 
 /// The three per-weight metric buckets one instruction's blocks reduce
 /// into — the cell of the sweep's one case.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct WeightBuckets {
     ac_w: WeightSamples,
     rapl_core0_w: WeightSamples,
@@ -231,7 +231,8 @@ pub fn run_checkpointed(
     // keeps declaration order, so its readings are measurements 3k..3k+3;
     // reading them by position spares a label scan per reading, and the
     // label and kind checks keep a layout change loud.
-    let fold = |buckets: &mut WeightBuckets, _, run: Run| {
+    let reduce = |_, run: Run| {
+        let mut buckets = WeightBuckets::default();
         assert_eq!(run.measurements.len(), 3 * weights.len(), "three probes per block");
         for (k, (&weight, block)) in
             weights.iter().zip(run.measurements.chunks_exact(3)).enumerate()
@@ -253,8 +254,9 @@ pub fn run_checkpointed(
             buckets.rapl_core0_w.push(weight, *core0_w);
             buckets.rapl_pkg_w.push(weight, *pkg_w);
         }
+        buckets
     };
-    let Some(cells) = run_resumable(&sweep, session, spec, fold)? else {
+    let Some(cells) = run_resumable(&sweep, session, spec, reduce)? else {
         return Ok(None);
     };
     let buckets = cells.into_iter().next().expect("the instruction axis has exactly one case");

@@ -18,8 +18,9 @@
 //! itself, and results are byte-identical regardless of parallelism.
 //! The wide-grid modules additionally expose a `run_checkpointed`
 //! entry point wired to the uniform `--checkpoint` / `--resume` /
-//! `--halt-after` flags ([`CheckpointCli`]); `docs/SWEEPS.md` documents
-//! that workflow end to end.
+//! `--halt-after` / `--shard-range` flags
+//! ([`checkpoint_spec_from_args`]); `docs/SWEEPS.md` documents that
+//! workflow end to end.
 //!
 //! | Module | Paper item |
 //! |--------|-----------|
@@ -91,13 +92,14 @@ impl Scale {
     }
 }
 
-/// The uniform checkpoint/resume command-line flags of the wide-grid
-/// binaries (`fig06`, `fig07`, `fig09`, `fig10`, `tab1`, `ext_manycore`,
-/// `all`):
+/// Parses the uniform checkpoint/resume command-line flags of the
+/// wide-grid binaries (`fig06`, `fig07`, `fig09`, `fig10`, `tab1`,
+/// `ext_manycore`, `all`) into the [`CheckpointSpec`] they run under,
+/// ignoring unrelated flags such as `--json` and `--paper`:
 ///
-/// * `--checkpoint <path>` — persist the sweep's accumulators to
-///   `<path>` at every shard boundary (atomic replace; a kill at any
-///   instant leaves a valid checkpoint).
+/// * `--checkpoint <path>` — persist the sweep's cells to `<path>` at
+///   every shard boundary (atomic replace; a kill at any instant leaves
+///   a valid checkpoint).
 /// * `--resume` — pick the run back up from the checkpoint at `<path>`
 ///   (a missing file starts fresh, so restart scripts are idempotent).
 /// * `--halt-after <n>` — testing aid: halt cleanly after `n`
@@ -108,94 +110,69 @@ impl Scale {
 ///   (the shard's only output is its checkpoint file).
 ///
 /// `docs/SWEEPS.md` documents the workflow end to end.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CheckpointCli {
-    /// The `--checkpoint` path, when given.
-    pub path: Option<PathBuf>,
-    /// Whether `--resume` was passed.
-    pub resume: bool,
-    /// The `--halt-after` count, when given.
-    pub halt_after: Option<usize>,
-    /// The `--shard-range` partition slice, when given.
-    pub shard: Option<ShardRange>,
+///
+/// # Errors
+/// Errors with a usage message on an incomplete or inconsistent flag
+/// set.
+pub fn checkpoint_spec_from_args() -> Result<CheckpointSpec, String> {
+    parse_checkpoint_flags(std::env::args().skip(1))
 }
 
-impl CheckpointCli {
-    /// Parses the process arguments (ignoring unrelated flags such as
-    /// `--json` and `--paper`).
-    ///
-    /// # Errors
-    /// Errors with a usage message on an incomplete or inconsistent
-    /// flag set.
-    pub fn from_args() -> Result<Self, String> {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut cli = Self::default();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--checkpoint" => {
-                    let path = args.next().ok_or("--checkpoint needs a file path")?;
-                    cli.path = Some(PathBuf::from(path));
-                }
-                "--resume" => cli.resume = true,
-                "--halt-after" => {
-                    let n = args.next().ok_or("--halt-after needs a shard count")?;
-                    cli.halt_after =
-                        Some(n.parse().map_err(|_| format!("--halt-after {n:?}: not a count"))?);
-                }
-                "--shard-range" => {
-                    let range = args.next().ok_or("--shard-range needs i/N")?;
-                    cli.shard = Some(ShardRange::parse(&range)?);
-                }
-                _ => {}
+fn parse_checkpoint_flags(
+    args: impl IntoIterator<Item = String>,
+) -> Result<CheckpointSpec, String> {
+    let mut spec = CheckpointSpec::none();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--checkpoint" => {
+                let path = args.next().ok_or("--checkpoint needs a file path")?;
+                spec.path = Some(PathBuf::from(path));
             }
-        }
-        if cli.path.is_none() {
-            if cli.resume {
-                return Err("--resume requires --checkpoint <path>".into());
+            "--resume" => spec.resume = true,
+            "--halt-after" => {
+                let n = args.next().ok_or("--halt-after needs a shard count")?;
+                spec.halt_after =
+                    Some(n.parse().map_err(|_| format!("--halt-after {n:?}: not a count"))?);
             }
-            if cli.halt_after.is_some() {
-                return Err("--halt-after requires --checkpoint <path>".into());
+            "--shard-range" => {
+                let range = args.next().ok_or("--shard-range needs i/N")?;
+                spec.shard = Some(ShardRange::parse(&range)?);
             }
-            if cli.shard.is_some() {
-                return Err("--shard-range requires --checkpoint <path> — \
-                            a shard's only output is its checkpoint file"
-                    .into());
-            }
-        }
-        Ok(cli)
-    }
-
-    /// The [`CheckpointSpec`] a single-experiment binary hands its
-    /// `run_checkpointed`.
-    pub fn spec(&self) -> CheckpointSpec {
-        CheckpointSpec {
-            path: self.path.clone(),
-            resume: self.resume,
-            halt_after: self.halt_after,
-            shard: self.shard,
+            _ => {}
         }
     }
-
-    /// The per-experiment spec the `all` binary derives: the configured
-    /// path with `-<experiment>` appended, so one `--checkpoint` prefix
-    /// yields one file per wide-grid experiment. `--halt-after` is a
-    /// single-binary testing aid and is not propagated.
-    pub fn spec_for(&self, experiment: &str) -> CheckpointSpec {
-        let path = self.path.as_ref().map(|p| {
-            let mut name = p.as_os_str().to_os_string();
-            name.push(format!("-{experiment}"));
-            PathBuf::from(name)
-        });
-        CheckpointSpec { path, resume: self.resume, halt_after: None, shard: self.shard }
+    if spec.path.is_none() {
+        if spec.resume {
+            return Err("--resume requires --checkpoint <path>".into());
+        }
+        if spec.halt_after.is_some() {
+            return Err("--halt-after requires --checkpoint <path>".into());
+        }
+        if spec.shard.is_some() {
+            return Err("--shard-range requires --checkpoint <path> — \
+                        a shard's only output is its checkpoint file"
+                .into());
+        }
     }
+    Ok(spec)
+}
+
+/// The per-experiment spec the `all` and `fig10` binaries derive from
+/// theirs: the configured path with `-<experiment>` appended, so one
+/// `--checkpoint` prefix yields one file per grid. `--halt-after` is a
+/// single-binary testing aid and is not propagated.
+pub fn spec_for(spec: &CheckpointSpec, experiment: &str) -> CheckpointSpec {
+    let path = spec.path.as_ref().map(|p| {
+        let mut name = p.as_os_str().to_os_string();
+        name.push(format!("-{experiment}"));
+        PathBuf::from(name)
+    });
+    CheckpointSpec { path, resume: spec.resume, halt_after: None, shard: spec.shard }
 }
 
 /// The uniform observability flags of the wide-grid binaries (the same
-/// set as [`CheckpointCli`], plus `all`):
+/// set as [`checkpoint_spec_from_args`]):
 ///
 /// * `--obs <path>` — write the run's telemetry as a JSONL trace to
 ///   `<path>` and print an aggregate summary table (span durations,
@@ -341,14 +318,14 @@ pub fn run_checkpointed_bin<R>(
         eprintln!("{name}: {message}");
         std::process::exit(2);
     };
-    let cli = CheckpointCli::from_args().unwrap_or_else(|message| usage(message));
+    let spec = checkpoint_spec_from_args().unwrap_or_else(|message| usage(message));
     let obs = ObsCli::from_args().unwrap_or_else(|message| usage(message));
     let mut session = session_from_args().unwrap_or_else(|message| usage(message));
     let stack = obs.stack().unwrap_or_else(|message| usage(message));
     if let Some(stack) = &stack {
         session = stack.attach(session);
     }
-    let outcome = run(&session, &cli.spec());
+    let outcome = run(&session, &spec);
     if let Some(stack) = &stack {
         if let Err(message) = stack.finish() {
             eprintln!("{name}: {message}");
@@ -358,11 +335,11 @@ pub fn run_checkpointed_bin<R>(
     match outcome {
         Ok(Some(result)) => report::emit(|| render(&result), || tables(&result)),
         Ok(None) => {
-            let path = cli.path.as_deref().unwrap_or_else(|| std::path::Path::new("<path>"));
-            match cli.shard {
+            let path = spec.path.as_deref().unwrap_or_else(|| std::path::Path::new("<path>"));
+            match spec.shard {
                 // A shard run reports nothing even when its own range is
                 // done: only the merged whole renders (zen2-fleet).
-                Some(shard) if cli.halt_after.is_none() => eprintln!(
+                Some(shard) if spec.halt_after.is_none() => eprintln!(
                     "{name}: shard {shard} done; merge the range checkpoints \
                      (zen2-fleet) to produce the report"
                 ),
@@ -390,23 +367,23 @@ mod tests {
         assert_eq!(Scale::Paper.pick(1, 100), 100);
     }
 
-    fn parse(args: &[&str]) -> Result<CheckpointCli, String> {
-        CheckpointCli::parse(args.iter().map(|s| s.to_string()))
+    fn parse(args: &[&str]) -> Result<CheckpointSpec, String> {
+        parse_checkpoint_flags(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn checkpoint_cli_parses_the_flag_triple() {
-        let cli = parse(&["--json", "--checkpoint", "ck.json", "--resume"]).unwrap();
-        assert_eq!(cli.path.as_deref(), Some(std::path::Path::new("ck.json")));
-        assert!(cli.resume);
-        assert_eq!(cli.halt_after, None);
-        let cli = parse(&["--checkpoint", "ck", "--halt-after", "3"]).unwrap();
-        assert_eq!(cli.halt_after, Some(3));
-        assert_eq!(parse(&["--paper"]).unwrap(), CheckpointCli::default());
+    fn checkpoint_flags_parse_the_flag_triple() {
+        let spec = parse(&["--json", "--checkpoint", "ck.json", "--resume"]).unwrap();
+        assert_eq!(spec.path.as_deref(), Some(std::path::Path::new("ck.json")));
+        assert!(spec.resume);
+        assert_eq!(spec.halt_after, None);
+        let spec = parse(&["--checkpoint", "ck", "--halt-after", "3"]).unwrap();
+        assert_eq!(spec.halt_after, Some(3));
+        assert_eq!(parse(&["--paper"]).unwrap(), CheckpointSpec::none());
     }
 
     #[test]
-    fn checkpoint_cli_rejects_incomplete_flags() {
+    fn checkpoint_flags_reject_incomplete_sets() {
         assert!(parse(&["--checkpoint"]).is_err());
         assert!(parse(&["--resume"]).unwrap_err().contains("--checkpoint"));
         assert!(parse(&["--halt-after", "2"]).unwrap_err().contains("--checkpoint"));
@@ -418,12 +395,11 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_cli_parses_shard_ranges() {
-        let cli = parse(&["--checkpoint", "ck", "--shard-range", "1/3"]).unwrap();
-        assert_eq!(cli.shard, Some(ShardRange { index: 1, of: 3 }));
-        assert_eq!(cli.spec().shard, Some(ShardRange { index: 1, of: 3 }));
+    fn checkpoint_flags_parse_shard_ranges() {
+        let spec = parse(&["--checkpoint", "ck", "--shard-range", "1/3"]).unwrap();
+        assert_eq!(spec.shard, Some(ShardRange { index: 1, of: 3 }));
         // `all` propagates the shard to every per-experiment spec.
-        assert_eq!(cli.spec_for("fig09").shard, Some(ShardRange { index: 1, of: 3 }));
+        assert_eq!(spec_for(&spec, "fig09").shard, Some(ShardRange { index: 1, of: 3 }));
     }
 
     fn parse_obs(args: &[&str]) -> Result<ObsCli, String> {
@@ -449,11 +425,11 @@ mod tests {
 
     #[test]
     fn spec_for_appends_the_experiment_name() {
-        let cli = parse(&["--checkpoint", "run/ck", "--resume", "--halt-after", "2"]).unwrap();
-        let spec = cli.spec_for("fig09");
-        assert_eq!(spec.path.as_deref(), Some(std::path::Path::new("run/ck-fig09")));
-        assert!(spec.resume);
-        assert_eq!(spec.halt_after, None, "halt-after is not propagated to `all`");
-        assert_eq!(cli.spec().halt_after, Some(2));
+        let spec = parse(&["--checkpoint", "run/ck", "--resume", "--halt-after", "2"]).unwrap();
+        let derived = spec_for(&spec, "fig09");
+        assert_eq!(derived.path.as_deref(), Some(std::path::Path::new("run/ck-fig09")));
+        assert!(derived.resume);
+        assert_eq!(derived.halt_after, None, "halt-after is not propagated to `all`");
+        assert_eq!(spec.halt_after, Some(2));
     }
 }

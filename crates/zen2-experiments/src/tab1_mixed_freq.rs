@@ -18,8 +18,7 @@ use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::perf::ThreadCounters;
 use zen2_sim::time::{from_secs, Ns, MILLISECOND};
 use zen2_sim::{
-    Axis, CheckpointError, CheckpointSpec, OnlineStats, Probe, Run, Scenario, Session, SimConfig,
-    Sweep, Window,
+    Axis, CheckpointError, CheckpointSpec, Probe, Run, Scenario, Session, SimConfig, Sweep, Window,
 };
 use zen2_topology::ThreadId;
 
@@ -113,9 +112,8 @@ pub fn run(cfg: &Config, seed: u64) -> Tab1Result {
         .expect("no halt configured")
 }
 
-/// [`run`] with checkpoint/resume: persists the per-cell reductions at
-/// every shard boundary per `spec` and resumes byte-identically (the
-/// mean of a cell's single observation is that observation, exactly).
+/// [`run`] with checkpoint/resume: persists each cell's mean frequency
+/// at every shard boundary per `spec` and resumes byte-identically.
 /// Returns `None` on a deliberate `--halt-after` halt.
 ///
 /// # Errors
@@ -127,13 +125,13 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Tab1Result>, CheckpointError> {
-    let fold = |cell: &mut OnlineStats, _, run: Run| cell.push(reduce(&run));
-    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, fold)? else {
+    let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, |_, run| reduce(&run))?
+    else {
         return Ok(None);
     };
     let mut measured = [[0.0; 3]; 3];
-    for (flat, cell) in cells.iter().enumerate() {
-        measured[flat / 3][flat % 3] = cell.mean();
+    for (flat, cell) in cells.into_iter().enumerate() {
+        measured[flat / 3][flat % 3] = cell;
     }
     let mut worst = 0.0f64;
     for (row, paper_row) in measured.iter().zip(&PAPER_GHZ) {

@@ -14,8 +14,8 @@
 //!
 //! Extraction covers `Json::obj` literals in *every* non-test impl
 //! block of a type that has an `impl Snapshot` anywhere in the
-//! workspace — inherent helpers like `GroupedStats::shape_snapshot`
-//! write wire bytes too. Known limits: obj literals built outside impl
+//! workspace — an inherent helper that builds part of a snapshot
+//! writes wire bytes too. Known limits: obj literals built outside impl
 //! blocks of Snapshot types (e.g. `Checkpoint`'s own header, which has
 //! no `Snapshot` impl) and keys assembled from non-literal expressions
 //! are invisible to the extractor; see `docs/LINTS.md`.

@@ -1,20 +1,22 @@
-//! Durable checkpoints for paper-scale sweeps: persist the streaming
-//! accumulators at a shard boundary, resume later, produce byte-identical
-//! output.
+//! Durable checkpoints for paper-scale sweeps: persist every finished
+//! case's cell at a shard boundary, resume later, produce
+//! byte-identical output.
 //!
 //! A `--paper`-scale grid can run for hours with nothing on disk until
-//! the end. The checkpoint layer closes that gap with three pieces:
+//! the end. The checkpoint layer closes that gap with four pieces:
 //!
-//! * [`Checkpoint`] — named [`GroupedStats`] reducers (their
-//!   [`Snapshot`]s) plus the sweep's identity (label, grid shape, total
-//!   case count) and the `done` watermark. It saves atomically
-//!   (write-temp-then-rename, so a kill at any instant leaves either the
-//!   old or the new file, never a torn one) and validates everything on
-//!   load.
+//! * [`run_resumable`] — the driver every checkpointed experiment
+//!   shares: it reduces each case's run to one value, the case's
+//!   *cell*, and keeps the cells in case order.
+//! * [`Checkpoint`] — a durable cut of those cells: the sweep's
+//!   identity (label, grid shape, total case count, fingerprint), the
+//!   covered case range `start..done`, and one [`Snapshot`] per covered
+//!   case. It saves atomically (write-temp-then-rename, so a kill at
+//!   any instant leaves either the old or the new file, never a torn
+//!   one) and validates everything on load.
 //! * [`CheckpointSpec`] — what a checkpointed run was asked to do
-//!   (`--checkpoint <path>`, `--resume`, and the deterministic-interrupt
-//!   testing aid `--halt-after <n>`), with the shard-boundary hook body
-//!   the experiment modules share.
+//!   (`--checkpoint <path>`, `--resume`, `--shard-range`, and the
+//!   deterministic-interrupt testing aid `--halt-after <n>`).
 //! * [`CheckpointError`] — every way a resume can be refused, each with
 //!   a message naming the file and the disagreement (a checkpoint from
 //!   a different grid is an error, never a panic or a silent misfold).
@@ -25,48 +27,45 @@
 //! the leading magic):
 //!
 //! ```text
-//! zen2-sweep-checkpoint v2
-//! {"sweep":"fig09","total":72,"start":0,"done":32,"lens":[8,3,3],"fp":"91c3b2…"}
-//! {"state":"grid","shape":{"axes":[…],"positions":[0,1,2],"lens":[8,3,3]}}
-//! {"state":"grid","row":{"key":[0,0,0],"acc":{…}}}
-//! {"state":"grid","row":{"key":[0,0,1],"acc":{…}}}
+//! zen2-sweep-checkpoint v3
+//! {"sweep":"fig09","total":81,"start":0,"done":32,"lens":[9,3,3],"fp":"9055a9…"}
+//! {"ac":…,"pkg":…,"core":…}
+//! {"ac":…,"pkg":…,"core":…}
 //! ```
 //!
 //! Line 1 is the version header. Line 2 identifies the run: the sweep
 //! label, the total case count, the covered case-index range
-//! `start..done` (format v2 added `start` so a shard of a fleet run —
-//! see [`ShardRange`] and [`Checkpoint::merge`] — can declare which
-//! slice of the grid it folded; a whole-run checkpoint has `start` 0),
-//! the grid's axis lengths, and a fingerprint of the run's content
-//! (seeds, scale-dependent scenario data, machine configuration — so
-//! two runs whose grids merely share dimensions can never blend). After
-//! that, one JSON object per line: a `shape` line opens a grouped
-//! state, and each `row` line carries **one [`GroupedStats`] row** (its
-//! group key and accumulator snapshot). Everything is written with the
-//! exact [`Json`] encoding of [`snapshot`](crate::snapshot) — floats
+//! `start..done` (a shard of a fleet run — see [`ShardRange`] and
+//! [`Checkpoint::merge`] — covers its slice of the grid; a whole-run
+//! checkpoint has `start` 0), the grid's axis lengths, and a
+//! fingerprint of the run's content (seeds, scale-dependent scenario
+//! data, machine configuration — so two runs whose grids merely share
+//! dimensions can never blend). After that comes **one line per cell**
+//! of `start..done`, in case order: line `3 + k` holds case
+//! `start + k`'s cell. [`Checkpoint::load`] refuses a file whose cell
+//! count is not `done − start`. Everything is written with the exact
+//! [`Json`] encoding of [`snapshot`](crate::snapshot) — floats
 //! round-trip bit-for-bit, which is what makes a resumed sweep's output
 //! byte-identical.
 //!
 //! ```
-//! use zen2_sim::{Axis, Checkpoint, GroupedStats, OnlineStats, SimConfig, Sweep};
+//! use zen2_sim::{Axis, Checkpoint, SimConfig, Sweep};
 //!
 //! let sweep = Sweep::new("demo", SimConfig::epyc_7502_2s())
 //!     .seed(7)
 //!     .axis(Axis::param("x", [0.0, 1.0, 2.0]));
-//! let mut grouped: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["x"]);
-//! grouped.entry(0).push(99.1);
 //!
-//! // Persist after case 1 of 3, then pick the run back up elsewhere.
+//! // Persist after case 1 of 3 — case 0's cell — then pick the run back
+//! // up elsewhere.
 //! let mut ck = Checkpoint::new(&sweep, sweep.len(), 1);
-//! ck.set_grouped("grid", &grouped);
+//! ck.set_cells(&[99.1]);
 //! let path = std::env::temp_dir().join("zen2-checkpoint-doctest");
 //! ck.save(&path).unwrap();
 //!
 //! let loaded = Checkpoint::load(&path).unwrap();
 //! loaded.matches(&sweep, sweep.len()).unwrap();
 //! assert_eq!(loaded.done(), 1);
-//! let restored = loaded.grouped("grid", &GroupedStats::<OnlineStats>::new(&sweep, &["x"]));
-//! assert_eq!(restored.unwrap(), grouped);
+//! assert_eq!(loaded.cells::<f64>().unwrap(), [99.1]);
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
@@ -79,11 +78,10 @@ use crate::sweep::Sweep;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The first line of every checkpoint file. v2 added the `start` header
-/// key (covered-range lower bound) for fleet shards; v1 files are
-/// rejected with the version error rather than silently read as
-/// whole-run checkpoints.
-const MAGIC: &str = "zen2-sweep-checkpoint v2";
+/// The first line of every checkpoint file. v3 stores one line per
+/// case cell; v2 files (grouped-state rows) and v1 files are rejected
+/// with the version error rather than misread.
+const MAGIC: &str = "zen2-sweep-checkpoint v3";
 
 /// FNV-1a over `bytes`, folded into `state`.
 fn fnv1a(bytes: &[u8], state: &mut u64) {
@@ -139,11 +137,9 @@ pub enum CheckpointError {
     /// an incompatible format version).
     Malformed(String),
     /// The checkpoint is well-formed but belongs to a different run:
-    /// another sweep label, a different grid shape, or a grouped state
-    /// whose axes disagree with the reducer being restored.
+    /// another sweep label, grid shape, total or fingerprint, or a
+    /// shard resumed under another `--shard-range`.
     Mismatch(String),
-    /// A state the resume needs is not in the file.
-    MissingState(String),
     /// Two checkpoints being merged folded some case twice — their
     /// covered ranges intersect.
     RangeOverlap(String),
@@ -158,7 +154,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io(m) => write!(f, "checkpoint I/O failed: {m}"),
             CheckpointError::Malformed(m) => write!(f, "malformed checkpoint: {m}"),
             CheckpointError::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
-            CheckpointError::MissingState(m) => write!(f, "checkpoint missing state: {m}"),
             CheckpointError::RangeOverlap(m) => write!(f, "checkpoint ranges overlap: {m}"),
             CheckpointError::RangeGap(m) => write!(f, "checkpoint ranges leave a gap: {m}"),
         }
@@ -166,12 +161,6 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-impl From<SnapshotError> for CheckpointError {
-    fn from(error: SnapshotError) -> Self {
-        CheckpointError::Malformed(error.to_string())
-    }
-}
 
 impl CheckpointError {
     /// Maps a streaming failure out of a checkpointed run: a
@@ -187,16 +176,8 @@ impl CheckpointError {
     }
 }
 
-/// One named grouped reducer inside a checkpoint: its shape header
-/// plus one snapshot per row.
-#[derive(Debug, Clone, PartialEq)]
-struct State {
-    shape: Json,
-    rows: Vec<Json>,
-}
-
-/// A durable cut of a streaming sweep: which run it belongs to, how far
-/// it got, and every accumulator's exact state. See the
+/// A durable cut of a streaming sweep: which run it belongs to, which
+/// cases it covers, and each covered case's cell. See the
 /// [module docs](self) for the on-disk format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -206,19 +187,21 @@ pub struct Checkpoint {
     done: usize,
     lens: Vec<usize>,
     fingerprint: u64,
-    states: Vec<(String, State)>,
+    /// One snapshot per case of `start..done`, in case order.
+    cells: Vec<Json>,
 }
 
 impl Checkpoint {
-    /// An empty checkpoint for `sweep` at watermark `done`, covering
-    /// `total` cases. The covered range starts at case 0 — a whole-run
-    /// checkpoint; a fleet shard uses [`for_range`](Self::for_range).
+    /// A checkpoint for `sweep` at watermark `done`, covering `total`
+    /// cases, with no cells yet. The covered range starts at case 0 — a
+    /// whole-run checkpoint; a fleet shard uses
+    /// [`for_range`](Self::for_range).
     pub fn new(sweep: &Sweep, total: usize, done: usize) -> Self {
         Self::for_range(sweep, total, 0, done)
     }
 
-    /// An empty checkpoint covering the case-index range
-    /// `start..done` of a `total`-case run — what a `--shard-range`
+    /// A checkpoint covering the case-index range `start..done` of a
+    /// `total`-case run, with no cells yet — what a `--shard-range`
     /// worker cuts at its shard boundaries.
     pub fn for_range(sweep: &Sweep, total: usize, start: usize, done: usize) -> Self {
         Self {
@@ -228,7 +211,7 @@ impl Checkpoint {
             done,
             lens: sweep.axes().iter().map(crate::sweep::Axis::len).collect(),
             fingerprint: sweep_fingerprint(sweep),
-            states: Vec::new(),
+            cells: Vec::new(),
         }
     }
 
@@ -264,52 +247,39 @@ impl Checkpoint {
         self.start == 0 && self.done >= self.total
     }
 
-    /// Adds (or replaces) a grouped reducer's state.
-    pub fn set_grouped<A: Snapshot>(&mut self, name: impl Into<String>, stats: &GroupedStats<A>) {
-        let name = name.into();
-        let state = State { shape: stats.shape_snapshot(), rows: stats.row_snapshots().collect() };
-        match self.states.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, slot)) => *slot = state,
-            None => self.states.push((name, state)),
-        }
+    /// Stores the cells of the covered cases, in case order: one per
+    /// case of `start..done`, or [`load`](Self::load) refuses the saved
+    /// file.
+    pub fn set_cells<C: Snapshot>(&mut self, cells: &[C]) {
+        self.cells = cells.iter().map(Snapshot::snapshot).collect();
     }
 
-    /// Restores a grouped reducer by name, refusing a reducer whose
-    /// shape (grouping axes, value labels, grid lengths) differs from
-    /// `like` — the freshly built reducer of the run being resumed.
+    /// Stores a grouped reducer's rows as the cells. Rows come back in
+    /// grid order, so a reducer grouped by every sweep axis, in axis
+    /// order, has exactly one row per case in case order and saves the
+    /// bytes [`set_cells`](Self::set_cells) would. `_name` is ignored:
+    /// a checkpoint holds one cell store.
+    pub fn set_grouped<A: Snapshot>(&mut self, _name: impl Into<String>, stats: &GroupedStats<A>) {
+        self.cells = stats.rows().map(|(_, acc)| acc.snapshot()).collect();
+    }
+
+    /// Restores the cells of the covered cases, in case order.
     ///
     /// # Errors
-    /// Errors when the state is absent, the snapshot is corrupt, or the
-    /// shapes disagree.
-    pub fn grouped<A: Snapshot>(
-        &self,
-        name: &str,
-        like: &GroupedStats<A>,
-    ) -> Result<GroupedStats<A>, CheckpointError> {
-        let State { shape, rows } = self
-            .states
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
-            .ok_or_else(|| CheckpointError::MissingState(name.to_string()))?;
-        let mut restored = GroupedStats::<A>::restore_shape(shape)?;
-        if !restored.shape_matches(like) {
-            return Err(CheckpointError::Mismatch(format!(
-                "grouped state {name:?} was written for a different grid: \
-                 checkpoint has {}, this run builds {}",
-                restored.shape_description(),
-                like.shape_description()
-            )));
-        }
-        for row in rows {
-            restored.restore_row(row)?;
-        }
-        Ok(restored)
+    /// Errors with [`Malformed`](CheckpointError::Malformed), naming the
+    /// case, when a cell is not a snapshot of `C`.
+    pub fn cells<C: Snapshot>(&self) -> Result<Vec<C>, CheckpointError> {
+        let restore = |(k, cell)| {
+            C::restore(cell).map_err(|e| {
+                CheckpointError::Malformed(format!("cell of case {}: {e}", self.start + k))
+            })
+        };
+        self.cells.iter().enumerate().map(restore).collect()
     }
 
     /// Verifies the checkpoint belongs to this run: same sweep label,
-    /// same grid axis lengths, same total case count, and a watermark
-    /// within range.
+    /// same grid axis lengths, same total case count, same fingerprint,
+    /// and a watermark within range.
     ///
     /// # Errors
     /// Errors with the exact disagreement when it does not.
@@ -348,12 +318,6 @@ impl Checkpoint {
                 self.done, self.total
             )));
         }
-        if self.start > self.done {
-            return Err(CheckpointError::Malformed(format!(
-                "covered range starts at {} but the watermark is {}",
-                self.start, self.done
-            )));
-        }
         Ok(())
     }
 
@@ -361,25 +325,17 @@ impl Checkpoint {
     /// identities must agree exactly (label, grid shape, total,
     /// fingerprint), the covered ranges must be adjacent (in either
     /// order — merge left-to-right or right-to-left), and the union
-    /// becomes the new covered range.
-    ///
-    /// States merge at the file level, bit-for-bit: grouped states
-    /// union their rows (sorted by group key, exactly the order a
-    /// single-process run renders). Every wide-grid experiment groups
-    /// by **all** sweep axes, so a contiguous case partition never
-    /// splits a row and the union reproduces the single-process rows
-    /// verbatim — including P² quantile state, which is why the fleet
-    /// path is byte-identical rather than merely tolerance-close. A
-    /// partition that *does* cut through a row (a coarser grouping) is
-    /// rejected by the duplicate-row guard.
+    /// becomes the new covered range. The cells concatenate in case
+    /// order, so merging a full partition reproduces the single-process
+    /// file byte for byte.
     ///
     /// On error the target is left unchanged.
     ///
     /// # Errors
     /// [`RangeOverlap`](CheckpointError::RangeOverlap) /
     /// [`RangeGap`](CheckpointError::RangeGap) when the ranges are not
-    /// adjacent, [`Mismatch`](CheckpointError::Mismatch) for identity,
-    /// state-set, shape, or duplicate-row disagreements.
+    /// adjacent, [`Mismatch`](CheckpointError::Mismatch) for identity
+    /// disagreements.
     pub fn merge(&mut self, other: &Checkpoint) -> Result<(), CheckpointError> {
         if self.sweep != other.sweep {
             return Err(CheckpointError::Mismatch(format!(
@@ -408,19 +364,18 @@ impl Checkpoint {
         }
         // Range union: empty sides are trivial, otherwise the ranges
         // must tile — adjacency in either order.
-        if other.start == other.done {
-            return Ok(());
-        }
-        if self.start == self.done {
-            self.states = other.states.clone();
-            (self.start, self.done) = (other.start, other.done);
-            return Ok(());
-        }
         let (ours, theirs) = ((self.start, self.done), (other.start, other.done));
-        let range = if ours.1 == theirs.0 {
-            (ours.0, theirs.1)
+        if theirs.0 == theirs.1 {
+            return Ok(());
+        }
+        if ours.0 == ours.1 {
+            *self = other.clone();
+        } else if ours.1 == theirs.0 {
+            self.cells.extend_from_slice(&other.cells);
+            self.done = other.done;
         } else if theirs.1 == ours.0 {
-            (theirs.0, ours.1)
+            self.cells.splice(0..0, other.cells.iter().cloned());
+            self.start = other.start;
         } else if theirs.0 < ours.1 && ours.0 < theirs.1 {
             return Err(CheckpointError::RangeOverlap(format!(
                 "cases {}..{} and {}..{} were both folded — \
@@ -433,61 +388,13 @@ impl Checkpoint {
                  every case must be folded by exactly one shard",
                 ours.0, ours.1, theirs.0, theirs.1
             )));
-        };
-        let mut merged_states = Vec::with_capacity(self.states.len());
-        for (name, state) in &self.states {
-            let Some((_, their_state)) = other.states.iter().find(|(n, _)| n == name) else {
-                return Err(CheckpointError::Mismatch(format!(
-                    "state {name:?} is in only one of the checkpoints"
-                )));
-            };
-            merged_states.push((name.clone(), Self::merge_state(name, state, their_state)?));
         }
-        if let Some((name, _)) =
-            other.states.iter().find(|(n, _)| !self.states.iter().any(|(m, _)| m == n))
-        {
-            return Err(CheckpointError::Mismatch(format!(
-                "state {name:?} is in only one of the checkpoints"
-            )));
-        }
-        self.states = merged_states;
-        (self.start, self.done) = range;
         Ok(())
-    }
-
-    /// One state's half of [`merge`](Self::merge): the union of both
-    /// sides' rows.
-    fn merge_state(name: &str, ours: &State, theirs: &State) -> Result<State, CheckpointError> {
-        if ours.shape != theirs.shape {
-            return Err(CheckpointError::Mismatch(format!(
-                "grouped state {name:?} was grouped differently in the two checkpoints"
-            )));
-        }
-        // Keyed map so duplicate detection stays cheap on paper-scale
-        // grids (10^5 rows); iterating it back out yields the
-        // single-process render order — sorted by group key.
-        let mut union: std::collections::BTreeMap<Vec<usize>, Json> =
-            std::collections::BTreeMap::new();
-        for row in ours.rows.iter().chain(&theirs.rows) {
-            let key = row.get("key").and_then(Json::as_usizes).map_err(|e| {
-                CheckpointError::Malformed(format!("grouped row of {name:?} has no key: {e}"))
-            })?;
-            if union.insert(key.clone(), row.clone()).is_some() {
-                return Err(CheckpointError::Mismatch(format!(
-                    "grouped state {name:?} has row {key:?} in both checkpoints — \
-                     the partition cuts through a grouped row"
-                )));
-            }
-        }
-        Ok(State { shape: ours.shape.clone(), rows: union.into_values().collect() })
     }
 
     /// Renders the file body (see the [module docs](self) for the
     /// line-oriented format).
     fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
         let header = Json::obj([
             ("sweep", Json::str(self.sweep.clone())),
             ("total", Json::usize(self.total)),
@@ -496,17 +403,10 @@ impl Checkpoint {
             ("lens", Json::usizes(self.lens.iter().copied())),
             ("fp", Json::str(format!("{:016x}", self.fingerprint))),
         ]);
-        out.push_str(&header.render());
-        out.push('\n');
-        for (name, State { shape, rows }) in &self.states {
-            let line = Json::obj([("state", Json::str(name.clone())), ("shape", shape.clone())]);
-            out.push_str(&line.render());
+        let mut out = format!("{MAGIC}\n{}\n", header.render());
+        for cell in &self.cells {
+            out.push_str(&cell.render());
             out.push('\n');
-            for row in rows {
-                let line = Json::obj([("state", Json::str(name.clone())), ("row", row.clone())]);
-                out.push_str(&line.render());
-                out.push('\n');
-            }
         }
         out
     }
@@ -540,7 +440,8 @@ impl Checkpoint {
     ///
     /// # Errors
     /// Errors when the file cannot be read or any line is not what the
-    /// format promises, naming the offending line.
+    /// format promises — including one cell line too few or too many
+    /// for the covered range — naming the offending line.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CheckpointError::Io(format!("reading {}: {e}", path.display())))?;
@@ -578,34 +479,34 @@ impl Checkpoint {
         };
         let (sweep, total, start, done, lens, fingerprint) =
             parse_header(&header).map_err(|e| at(header_no, e.to_string()))?;
-        let mut checkpoint =
-            Checkpoint { sweep, total, start, done, lens, fingerprint, states: Vec::new() };
+        let Some(expected) = done.checked_sub(start) else {
+            return Err(at(
+                header_no,
+                format!("covered range starts at {start} but the watermark is {done}"),
+            ));
+        };
+        // Grown line by line, never sized from the header: a corrupt
+        // `done` must not become an allocation.
+        let mut cells = Vec::new();
         for (line_no, line) in lines {
-            if line.trim().is_empty() {
-                continue;
+            if cells.len() == expected {
+                return Err(at(
+                    line_no,
+                    format!("one cell line more than the {expected} of cases {start}..{done}"),
+                ));
             }
-            let json = Json::parse(line).map_err(|e| at(line_no, e.to_string()))?;
-            let name = json
-                .get("state")
-                .and_then(Json::as_str)
-                .map_err(|e| at(line_no, e.to_string()))?
-                .to_string();
-            if let Ok(shape) = json.get("shape") {
-                if checkpoint.states.iter().any(|(n, _)| *n == name) {
-                    return Err(at(line_no, format!("duplicate state {name:?}")));
-                }
-                checkpoint.states.push((name, State { shape: shape.clone(), rows: Vec::new() }));
-            } else if let Ok(row) = json.get("row") {
-                let Some((_, state)) = checkpoint.states.iter_mut().find(|(n, _)| *n == name)
-                else {
-                    return Err(at(line_no, format!("row for {name:?} before its shape line")));
-                };
-                state.rows.push(row.clone());
-            } else {
-                return Err(at(line_no, "expected a shape or row line".into()));
-            }
+            cells.push(Json::parse(line).map_err(|e| at(line_no, e.to_string()))?);
         }
-        Ok(checkpoint)
+        if cells.len() < expected {
+            return Err(at(
+                2 + cells.len(),
+                format!(
+                    "missing cell line: cases {start}..{done} need {expected}, found {}",
+                    cells.len()
+                ),
+            ));
+        }
+        Ok(Checkpoint { sweep, total, start, done, lens, fingerprint, cells })
     }
 }
 
@@ -655,7 +556,7 @@ impl fmt::Display for ShardRange {
 /// What a checkpointed run was asked to do — the decoded
 /// `--checkpoint` / `--resume` / `--halt-after` / `--shard-range`
 /// flags every wide-grid experiment binary shares.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointSpec {
     /// Where to persist checkpoints (and read them back from when
     /// resuming). `None` disables checkpointing entirely.
@@ -734,20 +635,18 @@ impl CheckpointSpec {
 }
 
 /// The resumable-sweep driver every checkpointed experiment shares:
-/// load the checkpoint `spec` names (restoring the cells and skipping
-/// the completed prefix), stream the remaining cases, `fold` each run
-/// into its case's cell, and persist the cells at every shard boundary.
+/// load the checkpoint `spec` names (restoring its cells and skipping
+/// the cases they cover), stream the remaining cases, `reduce` each run
+/// to its case's cell, and persist the cells at every shard boundary.
 ///
-/// There is one cell `C` per case: a [`GroupedStats`] keyed by every
-/// sweep axis, stored under the state name `"grid"`. `fold` receives
-/// the case's cell (created with `C::default()`), its global case index,
-/// and its run. Returns the cells in case order once every case of the
-/// *whole run* was folded in, and `None` when the run halted early per
-/// the spec (`--halt-after`) **or** ran only a [`ShardRange`] slice —
-/// either way the checkpoint then holds everything a later resume (or
-/// the fleet coordinator's [`Checkpoint::merge`]) needs. A shard run
-/// therefore never renders a report of its own: only the merged whole
-/// does.
+/// `reduce` receives the global case index and the case's run, and
+/// returns the case's cell. Returns the cells in case order once every
+/// case of the *whole run* was reduced, and `None` when the run halted
+/// early per the spec (`--halt-after`) **or** ran only a [`ShardRange`]
+/// slice — either way the checkpoint then holds everything a later
+/// resume (or the fleet coordinator's [`Checkpoint::merge`]) needs. A
+/// shard run therefore never renders a report of its own: only the
+/// merged whole does.
 ///
 /// With `spec.shard` set, the run covers exactly the shard's case
 /// range: the case iterator is bounded with
@@ -762,9 +661,7 @@ impl CheckpointSpec {
 ///
 /// ```
 /// use zen2_sim::checkpoint::run_resumable;
-/// use zen2_sim::{
-///     Axis, CheckpointSpec, OnlineStats, Probe, Scenario, Session, SimConfig, Sweep, Window,
-/// };
+/// use zen2_sim::{Axis, CheckpointSpec, Probe, Scenario, Session, SimConfig, Sweep, Window};
 ///
 /// let mut base = Scenario::new();
 /// base.probe("ac", Probe::AcPowerW, Window::at(0));
@@ -772,11 +669,11 @@ impl CheckpointSpec {
 ///     .scenario(base)
 ///     .seed(7)
 ///     .axis(Axis::param("rep", (0..3).map(f64::from)));
-/// let cells = run_resumable(
+/// let cells: Vec<f64> = run_resumable(
 ///     &sweep,
 ///     &Session::new().workers(2).shard_size(1),
 ///     &CheckpointSpec::none(),
-///     |cell: &mut OnlineStats, _, run| cell.push(run.watts("ac")),
+///     |_, run| run.watts("ac"),
 /// )
 /// .unwrap()
 /// .expect("a whole run completes");
@@ -786,21 +683,15 @@ impl CheckpointSpec {
 /// # Errors
 /// Errors when the checkpoint cannot be read, written, or does not
 /// belong to this run.
-///
-/// # Panics
-/// Panics when the sweep has no axes, or two axes share a name (see
-/// [`GroupedStats::new`]).
-pub fn run_resumable<C: Snapshot + Default>(
+pub fn run_resumable<C: Snapshot>(
     sweep: &Sweep,
     session: &Session,
     spec: &CheckpointSpec,
-    mut fold: impl FnMut(&mut C, usize, Run),
+    mut reduce: impl FnMut(usize, Run) -> C,
 ) -> Result<Option<Vec<C>>, CheckpointError> {
-    let axes: Vec<&str> = sweep.axes().iter().map(crate::sweep::Axis::name).collect();
-    let mut cells = GroupedStats::<C>::new(sweep, &axes);
     let total = sweep.len();
     let (lo, hi) = spec.shard.map_or((0, total), |shard| shard.bounds(total));
-    let mut start = lo;
+    let mut cells: Vec<C> = Vec::new();
     if let Some(checkpoint) = spec.load(sweep, total)? {
         let (covered_start, covered_done) = checkpoint.covered();
         if covered_start != lo || covered_done > hi {
@@ -810,9 +701,9 @@ pub fn run_resumable<C: Snapshot + Default>(
                  started with"
             )));
         }
-        cells = checkpoint.grouped("grid", &cells)?;
-        start = covered_done;
+        cells = checkpoint.cells()?;
     }
+    let start = lo + cells.len();
     // Announce the run's extent before streaming: progress sinks need
     // the total (and the resume offset) to show percentages and ETA.
     session.obs().event(
@@ -825,28 +716,31 @@ pub fn run_resumable<C: Snapshot + Default>(
     );
     let pending = sweep.take_range(start, hi - start);
     let mut saves = 0;
-    let delivered = session
+    session
         .run_streaming_checkpointed(start, pending, |event| match event {
             StreamEvent::Run { index, run } => {
-                fold(cells.entry(index), index, run);
+                // Runs arrive in case order, so the next cell is case
+                // `index`'s.
+                assert_eq!(index, lo + cells.len(), "runs arrive in case order");
+                cells.push(reduce(index, run));
                 Ok(StreamControl::Continue)
             }
             StreamEvent::ShardBoundary { next } => spec.on_boundary(&mut saves, || {
                 let mut checkpoint = Checkpoint::for_range(sweep, total, lo, next);
-                checkpoint.set_grouped("grid", &cells);
+                checkpoint.set_cells(&cells);
                 checkpoint
             }),
         })
         .map_err(CheckpointError::from_stream)?;
-    let complete = lo == 0 && start + delivered == total;
-    Ok(complete.then(|| cells.into_rows().map(|(_, cell)| cell).collect()))
+    let complete = lo == 0 && cells.len() == total;
+    Ok(complete.then_some(cells))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::stats::{OnlineStats, Welford};
+    use crate::stats::OnlineStats;
     use crate::sweep::Axis;
 
     fn sweep_3x2() -> Sweep {
@@ -860,12 +754,12 @@ mod tests {
         std::env::temp_dir().join(format!("zen2-ckpt-test-{name}-{}", std::process::id()))
     }
 
-    fn populated(sweep: &Sweep) -> GroupedStats<OnlineStats> {
-        let mut grouped: GroupedStats<OnlineStats> = GroupedStats::new(sweep, &["a"]);
-        for i in 0..4 {
-            grouped.entry(i).push(i as f64 * 0.7);
-        }
-        grouped
+    /// A checkpoint of `sweep_3x2` covering `start..done`, each case's
+    /// cell an `f64` derived from its index.
+    fn covering(start: usize, done: usize) -> Checkpoint {
+        let mut ck = Checkpoint::for_range(&sweep_3x2(), 6, start, done);
+        ck.set_cells(&(start..done).map(|i| i as f64 * 0.7).collect::<Vec<_>>());
+        ck
     }
 
     /// One instant power read per case: the cheapest scenario a driver
@@ -876,13 +770,25 @@ mod tests {
         sweep_3x2().scenario(base)
     }
 
+    /// The header line of a `sweep_3x2` checkpoint covering `start..done`.
+    fn header(start: usize, done: usize) -> String {
+        let ck = Checkpoint::for_range(&sweep_3x2(), 6, start, done);
+        ck.render().lines().nth(1).unwrap().to_string()
+    }
+
+    /// Writes `content` to a scratch file and loads it.
+    fn load_text(name: &str, content: &str) -> Result<Checkpoint, CheckpointError> {
+        let path = tmp(name);
+        std::fs::write(&path, content).unwrap();
+        let loaded = Checkpoint::load(&path);
+        std::fs::remove_file(&path).unwrap();
+        loaded
+    }
+
     #[test]
     fn save_load_round_trip_preserves_everything() {
         let sweep = sweep_3x2();
-        let grouped = populated(&sweep);
-        let mut ck = Checkpoint::new(&sweep, 6, 4);
-        ck.set_grouped("grid", &grouped);
-
+        let ck = covering(0, 4);
         let path = tmp("round-trip");
         ck.save(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
@@ -892,31 +798,23 @@ mod tests {
         assert_eq!((loaded.sweep(), loaded.done(), loaded.total()), ("ck-test", 4, 6));
         assert!(!loaded.is_complete());
         loaded.matches(&sweep, 6).unwrap();
-        let like: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["a"]);
-        assert_eq!(loaded.grouped("grid", &like).unwrap(), grouped);
+        assert_eq!(loaded.cells::<f64>().unwrap(), [0.0, 0.7, 1.4, 3.0 * 0.7]);
     }
 
     #[test]
-    fn file_format_is_one_object_per_row() {
-        let sweep = sweep_3x2();
-        let mut ck = Checkpoint::new(&sweep, 6, 4);
-        ck.set_grouped("grid", &populated(&sweep));
-        let text = ck.render();
+    fn file_format_is_one_line_per_cell() {
+        let text = covering(0, 4).render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], MAGIC);
         assert!(lines[1].starts_with("{\"sweep\":\"ck-test\",\"total\":6,\"start\":0,\"done\":4"));
-        assert!(lines[2].contains("\"shape\""));
-        // Cases 0..4 touch groups a=0 and a=1: one object per row.
-        let rows = lines.iter().filter(|l| l.contains("\"row\"")).count();
-        assert_eq!(rows, 2);
-        assert_eq!(lines.len(), 3 + rows);
+        // Cases 0..4: one exact-encoded cell per line, in case order.
+        assert_eq!(lines[2..], ["0.0", "0.7", "1.4", "2.0999999999999996"]);
     }
 
     #[test]
     fn mismatched_grids_are_rejected_with_clear_errors() {
         let sweep = sweep_3x2();
-        let mut ck = Checkpoint::new(&sweep, 6, 4);
-        ck.set_grouped("grid", &populated(&sweep));
+        let ck = covering(0, 4);
 
         // A different sweep label.
         let renamed = Sweep::new("other", SimConfig::epyc_7502_2s())
@@ -949,72 +847,63 @@ mod tests {
         let rescaled = sweep_3x2().scenario(rescaled_base);
         let err = ck.matches(&rescaled, 6).unwrap_err();
         assert!(err.to_string().contains("different run"), "{err}");
-
-        // A grouped state restored against a different grouping.
-        let by_b: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["b"]);
-        let err = ck.grouped("grid", &by_b).unwrap_err();
-        assert!(err.to_string().contains("different grid"), "{err}");
     }
 
     #[test]
-    fn missing_and_mistyped_states_are_named() {
-        let sweep = sweep_3x2();
-        let mut ck = Checkpoint::new(&sweep, 6, 4);
-        ck.set_grouped("grid", &populated(&sweep));
-
-        let like: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["a"]);
-        assert_eq!(
-            ck.grouped("nope", &like).unwrap_err(),
-            CheckpointError::MissingState("nope".into())
-        );
-        // Rows restored as another accumulator type are malformed.
-        let welford: GroupedStats<Welford> = GroupedStats::new(&sweep, &["a"]);
-        let err = ck.grouped("grid", &welford).unwrap_err();
+    fn mistyped_cells_are_malformed_and_name_the_case() {
+        // `f64` cells restored as another snapshot type.
+        let err = covering(2, 4).cells::<OnlineStats>().unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("cell of case 2"), "{err}");
     }
 
     #[test]
     fn load_rejects_non_checkpoints_and_torn_lines() {
-        let path = tmp("malformed");
         for (content, needle) in [
-            ("not a checkpoint\n", "unsupported version"),
-            (&format!("{MAGIC}\n")[..], "missing header"),
-            (&format!("{MAGIC}\n{{\"sweep\":\"x\"}}\n")[..], "line 2"),
-            (
-                &format!(
-                    "{MAGIC}\n\
-                     {{\"sweep\":\"x\",\"total\":1,\"start\":0,\"done\":0,\"lens\":[],\"fp\":\"00\"}}\n\
-                     {{\"state\":\"g\",\"row\":{{}}}}\n"
-                )[..],
-                "before its shape",
-            ),
-            (
-                &format!(
-                    "{MAGIC}\n\
-                     {{\"sweep\":\"x\",\"total\":1,\"start\":0,\"done\":0,\"lens\":[],\"fp\":\"00\"}}\n\
-                     {{\"state\":\"g\"}}\n"
-                )[..],
-                "shape or row",
-            ),
+            ("not a checkpoint\n".to_string(), "unsupported version"),
+            (format!("{MAGIC}\n"), "missing header"),
+            (format!("{MAGIC}\n{{\"sweep\":\"x\"}}\n"), "line 2"),
+            (format!("{MAGIC}\n{}\n", header(3, 2)), "line 2: covered range starts at 3"),
+            // A torn cell line.
+            (format!("{MAGIC}\n{}\n{{\"ac\":1.5\n", header(0, 1)), "line 3"),
             // A v1 file: rejected by the magic, never half-read.
-            ("zen2-sweep-checkpoint v1\n{\"sweep\":\"x\"}\n", "unsupported version"),
-            // A stand-alone `value` state, as Fig. 7 wrote its all-C2
-            // baseline before every state became one grouped grid.
-            (
-                &format!(
-                    "{MAGIC}\n\
-                     {{\"sweep\":\"fig07\",\"total\":1,\"start\":0,\"done\":1,\"lens\":[],\"fp\":\"00\"}}\n\
-                     {{\"state\":\"baseline\",\"value\":{{\"welford\":{{}}}}}}\n"
-                )[..],
-                "line 3: expected a shape or row line",
-            ),
+            ("zen2-sweep-checkpoint v1\n{\"sweep\":\"x\"}\n".to_string(), "unsupported version"),
         ] {
-            std::fs::write(&path, content).unwrap();
-            let err = Checkpoint::load(&path).unwrap_err();
+            let err = load_text("malformed", &content).unwrap_err();
             assert!(matches!(err, CheckpointError::Malformed(_)), "{content:?} → {err:?}");
             assert!(err.to_string().contains(needle), "{content:?} → {err}");
         }
-        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn cell_count_must_match_the_covered_range() {
+        let full = covering(1, 4).render();
+        assert!(load_text("count-ok", &full).is_ok());
+        // One cell line too few: the error names the line the missing
+        // cell belongs on.
+        let lines: Vec<&str> = full.lines().collect();
+        let short = format!("{}\n", lines[..lines.len() - 1].join("\n"));
+        let err = load_text("count-short", &short).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("line 5: missing cell line"), "{err}");
+        // One too many: the error names the extra line.
+        let long = format!("{full}9.5\n");
+        let err = load_text("count-long", &long).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("line 6: one cell line more"), "{err}");
+    }
+
+    #[test]
+    fn v2_files_are_refused_by_version() {
+        // A v2 file stored a grouped-state shape line plus keyed rows.
+        let v2 = "zen2-sweep-checkpoint v2\n\
+                  {\"sweep\":\"ck-test\",\"total\":6,\"start\":0,\"done\":1,\"lens\":[3,2],\"fp\":\"00\"}\n\
+                  {\"state\":\"grid\",\"shape\":{\"axes\":[],\"positions\":[],\"lens\":[3,2]}}\n\
+                  {\"state\":\"grid\",\"row\":{\"key\":[0,0],\"acc\":1.5}}\n";
+        let err = load_text("v2", v2).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("\"zen2-sweep-checkpoint v2\""), "{err}");
+        assert!(err.to_string().contains("unsupported version"), "{err}");
     }
 
     #[test]
@@ -1026,8 +915,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let bystander = dir.join("x.tmp");
         std::fs::write(&bystander, "unrelated").unwrap();
-        let sweep = sweep_3x2();
-        Checkpoint::new(&sweep, 6, 2).save(&dir.join("x.fig07")).unwrap();
+        covering(0, 2).save(&dir.join("x.fig07")).unwrap();
         assert_eq!(std::fs::read_to_string(&bystander).unwrap(), "unrelated");
         assert!(Checkpoint::load(&dir.join("x.fig07")).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1039,17 +927,17 @@ mod tests {
         // cells a straight-through run produces.
         let sweep = instant_sweep();
         let session = Session::new().workers(1).shard_size(2);
-        let fold = |cell: &mut OnlineStats, index: usize, _run: Run| cell.push(index as f64);
-        let clean = run_resumable(&sweep, &session, &CheckpointSpec::none(), fold).unwrap();
+        let reduce = |index: usize, _run: Run| index as f64;
+        let clean = run_resumable(&sweep, &session, &CheckpointSpec::none(), reduce).unwrap();
         let clean = clean.expect("an uninterrupted run completes");
-        assert_eq!(clean.len(), 6);
-        assert_eq!(clean[5].mean(), 5.0);
+        assert_eq!(clean, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
 
         let path = tmp("driver");
         let spec = CheckpointSpec { halt_after: Some(1), ..CheckpointSpec::at(&path) };
-        assert_eq!(run_resumable(&sweep, &session, &spec, fold).unwrap(), None);
+        assert_eq!(run_resumable(&sweep, &session, &spec, reduce).unwrap(), None);
+        assert_eq!(Checkpoint::load(&path).unwrap().cells::<f64>().unwrap(), [0.0, 1.0]);
         let spec = CheckpointSpec::resume_from(&path);
-        let resumed = run_resumable(&sweep, &session, &spec, fold).unwrap();
+        let resumed = run_resumable(&sweep, &session, &spec, reduce).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(resumed, Some(clean));
     }
@@ -1063,7 +951,7 @@ mod tests {
         assert_eq!(CheckpointSpec::at(&path).load(&sweep, 6).unwrap(), None);
         assert_eq!(CheckpointSpec::resume_from(&path).load(&sweep, 6).unwrap(), None);
         // With a file present, resume loads and validates it.
-        Checkpoint::new(&sweep, 6, 2).save(&path).unwrap();
+        covering(0, 2).save(&path).unwrap();
         let loaded = CheckpointSpec::resume_from(&path).load(&sweep, 6).unwrap().unwrap();
         assert_eq!(loaded.done(), 2);
         // …and a total mismatch is surfaced, not ignored.
@@ -1073,11 +961,10 @@ mod tests {
 
     #[test]
     fn on_boundary_saves_counts_and_halts() {
-        let sweep = sweep_3x2();
         let path = tmp("boundary");
         let spec = CheckpointSpec { halt_after: Some(2), ..CheckpointSpec::at(&path) };
         let mut saves = 0;
-        let build = || Checkpoint::new(&sweep, 6, 2);
+        let build = || covering(0, 2);
         assert_eq!(spec.on_boundary(&mut saves, build).unwrap(), StreamControl::Continue);
         assert_eq!(spec.on_boundary(&mut saves, build).unwrap(), StreamControl::Halt);
         assert_eq!(saves, 2);
@@ -1115,126 +1002,111 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_adjacent_shards_bit_exactly() {
-        let sweep = sweep_3x2();
-        let like = || GroupedStats::<OnlineStats>::new(&sweep, &["a", "b"]);
-        // A shard over `range` (grid grouped by all axes, so disjoint
-        // ranges touch disjoint rows).
-        let shard = |range: std::ops::Range<usize>| {
-            let mut grid = like();
-            for i in range.clone() {
-                grid.entry(i).push(i as f64 * 1.1);
-            }
-            let mut ck = Checkpoint::for_range(&sweep, 6, range.start, range.end);
-            ck.set_grouped("grid", &grid);
-            ck
-        };
-        // The single-process reference: all 6 grid cases.
-        let full = shard(0..6);
-        let (a, b) = (shard(0..3), shard(3..6));
-        let mut merged = a.clone();
-        merged.merge(&b).unwrap();
-        assert_eq!(merged, full);
-        assert_eq!(merged.render(), full.render());
-        assert!(merged.is_complete());
-        // Adjacency works in either order: same bytes.
-        let mut reversed = b;
-        reversed.merge(&a).unwrap();
-        assert_eq!(reversed.render(), full.render());
-        // Three-way, merged middle-out.
-        let mut m = shard(2..5);
-        m.merge(&shard(5..6)).unwrap();
-        m.merge(&shard(0..2)).unwrap();
-        assert_eq!(m.render(), full.render());
-    }
-
-    #[test]
     fn merge_rejects_overlap_gap_and_foreign_checkpoints() {
-        let sweep = sweep_3x2();
-        let ck = |start, done| Checkpoint::for_range(&sweep, 6, start, done);
-        let mut m = ck(0, 3);
-        let err = m.merge(&ck(2, 5)).unwrap_err();
+        let mut m = covering(0, 3);
+        let err = m.merge(&covering(2, 5)).unwrap_err();
         assert!(matches!(err, CheckpointError::RangeOverlap(_)), "{err}");
         assert!(err.to_string().contains("0..3"), "{err}");
-        let err = m.merge(&ck(4, 6)).unwrap_err();
+        let err = m.merge(&covering(4, 6)).unwrap_err();
         assert!(matches!(err, CheckpointError::RangeGap(_)), "{err}");
         // A shard written by a different run of the same grid shape.
         let reseeded = sweep_3x2().seed(2);
         let err = m.merge(&Checkpoint::for_range(&reseeded, 6, 3, 6)).unwrap_err();
         assert!(err.to_string().contains("different run"), "{err}");
         // On error the target is untouched.
-        assert_eq!(m.covered(), (0, 3));
-        // A partition cutting through a grouped row (coarser grouping
-        // than the case axes) is rejected.
-        let coarse = |case: usize, start: usize, done: usize| {
-            let mut grid: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["a"]);
-            grid.entry(case).push(case as f64);
-            let mut ck = ck(start, done);
-            ck.set_grouped("grid", &grid);
-            ck
-        };
-        // Cases 2 and 3 share the a=1 row.
-        let mut left = coarse(2, 0, 3);
-        let err = left.merge(&coarse(3, 3, 6)).unwrap_err();
-        assert!(err.to_string().contains("cuts through a grouped row"), "{err}");
-        // A state present on only one side is named.
-        let mut lonely = ck(0, 3);
-        lonely.set_grouped("extra", &GroupedStats::<OnlineStats>::new(&sweep, &["a"]));
-        let err = lonely.merge(&ck(3, 6)).unwrap_err();
-        assert!(err.to_string().contains("only one of"), "{err}");
+        assert_eq!(m, covering(0, 3));
+        // Empty ranges merge trivially, on either side.
+        m.merge(&covering(3, 3)).unwrap();
+        assert_eq!(m, covering(0, 3));
+        let mut empty = covering(6, 6);
+        empty.merge(&m).unwrap();
+        assert_eq!(empty, m);
     }
 
     #[test]
-    fn run_resumable_shards_partition_and_merge_to_the_clean_run() {
+    fn three_shards_merged_in_any_order_render_the_clean_file() {
         let sweep = instant_sweep();
         let session = Session::new().workers(2).shard_size(2);
-        let fold = |cell: &mut OnlineStats, index: usize, _run: Run| cell.push(index as f64 * 0.3);
+        let reduce = |index: usize, run: Run| run.watts("ac") + index as f64 * 0.3;
 
         // The single-process reference, checkpointed to the end.
         let clean_path = tmp("shard-clean");
         let spec = CheckpointSpec::at(&clean_path);
-        assert!(run_resumable(&sweep, &session, &spec, fold).unwrap().is_some());
+        assert!(run_resumable(&sweep, &session, &spec, reduce).unwrap().is_some());
         let clean_text = std::fs::read_to_string(&clean_path).unwrap();
         std::fs::remove_file(&clean_path).unwrap();
 
-        // Three shard runs over the same grid, merged at the file level.
-        let mut merged: Option<Checkpoint> = None;
-        for index in 0..3 {
-            let path = tmp(&format!("shard-{index}"));
-            let range = ShardRange { index, of: 3 };
-            let spec = CheckpointSpec { shard: Some(range), ..CheckpointSpec::at(&path) };
-            // A shard never claims the whole run completed.
-            assert_eq!(run_resumable(&sweep, &session, &spec, fold).unwrap(), None);
-            let shard = Checkpoint::load(&path).unwrap();
-            std::fs::remove_file(&path).unwrap();
-            assert_eq!(shard.covered(), range.bounds(6));
-            match merged.as_mut() {
-                None => merged = Some(shard),
-                Some(m) => m.merge(&shard).unwrap(),
+        // Three shard runs over the same grid.
+        let shards: Vec<Checkpoint> = (0..3)
+            .map(|index| {
+                let path = tmp(&format!("shard-{index}"));
+                let range = ShardRange { index, of: 3 };
+                let spec = CheckpointSpec { shard: Some(range), ..CheckpointSpec::at(&path) };
+                // A shard never claims the whole run completed.
+                assert_eq!(run_resumable(&sweep, &session, &spec, reduce).unwrap(), None);
+                let shard = Checkpoint::load(&path).unwrap();
+                std::fs::remove_file(&path).unwrap();
+                assert_eq!(shard.covered(), range.bounds(6));
+                shard
+            })
+            .collect();
+
+        // Merged in every order — a shard not yet adjacent to the
+        // merged range waits its turn — the bytes are the clean file's.
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let mut pending: std::collections::VecDeque<&Checkpoint> =
+                order.iter().map(|&i| &shards[i]).collect();
+            let mut merged = pending.pop_front().unwrap().clone();
+            while let Some(next) = pending.pop_front() {
+                match merged.merge(next) {
+                    Ok(()) => {}
+                    Err(CheckpointError::RangeGap(_)) => pending.push_back(next),
+                    Err(e) => panic!("order {order:?}: {e}"),
+                }
             }
+            assert!(merged.is_complete(), "order {order:?}");
+            assert_eq!(merged.render(), clean_text, "order {order:?}");
         }
-        let merged = merged.unwrap();
-        assert!(merged.is_complete());
-        assert_eq!(merged.render(), clean_text);
+    }
+
+    #[test]
+    fn set_grouped_over_every_axis_saves_the_set_cells_bytes() {
+        // perfbench's checkpoint path: a reducer grouped by every axis
+        // has one row per case, in case order.
+        let sweep = sweep_3x2();
+        let mut grouped = GroupedStats::<OnlineStats>::new(&sweep, &["a", "b"]);
+        let mut cells = Vec::new();
+        for i in 0..sweep.len() {
+            grouped.entry(i).push(i as f64 * 1.1);
+            let mut cell = OnlineStats::new();
+            cell.push(i as f64 * 1.1);
+            cells.push(cell);
+        }
+        let mut via_grouped = Checkpoint::new(&sweep, 6, 6);
+        via_grouped.set_grouped("grid", &grouped);
+        let mut via_cells = Checkpoint::new(&sweep, 6, 6);
+        via_cells.set_cells(&cells);
+        assert_eq!(via_grouped.render(), via_cells.render());
+
+        let path = tmp("grouped");
+        via_grouped.save(&path).unwrap();
+        let loaded = Checkpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.cells::<OnlineStats>().unwrap(), cells);
     }
 
     #[test]
     fn resuming_a_shard_needs_its_own_range() {
         let sweep = sweep_3x2();
         let path = tmp("shard-resume");
-        let mut grid = GroupedStats::<OnlineStats>::new(&sweep, &["a", "b"]);
-        grid.entry(2).push(1.0);
-        grid.entry(3).push(2.0);
-        let mut ck = Checkpoint::for_range(&sweep, 6, 2, 4);
-        ck.set_grouped("grid", &grid);
-        ck.save(&path).unwrap();
+        covering(2, 4).save(&path).unwrap();
         let session = Session::new();
         let spec = |index| CheckpointSpec {
             resume: true,
             shard: Some(ShardRange { index, of: 3 }),
             ..CheckpointSpec::at(&path)
         };
-        let nop = |_: &mut OnlineStats, _: usize, _: Run| {};
+        let nop = |_: usize, _: Run| 0.0;
         let err = run_resumable(&sweep, &session, &spec(0), nop).unwrap_err();
         assert!(err.to_string().contains("--shard-range"), "{err}");
         // The matching shard resumes; its range is already complete, so

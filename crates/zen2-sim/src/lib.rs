@@ -51,10 +51,11 @@
 //!   trace reductions) turning arbitrarily large sweeps into
 //!   bounded-size summaries, including [`GroupedStats`] buckets keyed
 //!   by sweep axes for per-frequency / per-config rows.
-//! * [`snapshot`] / [`checkpoint`] — exact JSON snapshots of every
-//!   aggregator and the durable checkpoint files built from them, so a
-//!   paper-scale sweep interrupted at a shard boundary resumes with
-//!   byte-identical output (see `docs/SWEEPS.md`).
+//! * [`snapshot`] / [`checkpoint`] — exact JSON snapshots and the
+//!   durable checkpoint files that store one snapshot per finished
+//!   case's cell, so a paper-scale sweep interrupted at a shard
+//!   boundary resumes with byte-identical output (see
+//!   `docs/SWEEPS.md`).
 //! * [`obs`] — the out-of-band telemetry facade ([`Recorder`]): session
 //!   runs report spans, counters, gauges, and progress events through
 //!   it; the sinks live in the `zen2-obs` crate, and results are

@@ -8,9 +8,7 @@ use crate::cstate::ThreadState;
 use crate::power::PowerBreakdown;
 use crate::smu::Smu;
 use crate::snapshot::Snapshot;
-use crate::stats::{
-    FreqResidency, GroupedStats, OnlineStats, P2Quantile, TransitionStats, Welford,
-};
+use crate::stats::{FreqResidency, OnlineStats, P2Quantile, TransitionStats, Welford};
 use crate::time::MILLISECOND;
 use crate::trace::{Event, Record};
 use crate::System;
@@ -270,22 +268,5 @@ proptest! {
 
         assert_exact_round_trip(&residency, |r| r.observe(&records, window.0, window.1));
         assert_exact_round_trip(&transitions, |t| t.observe(&records));
-    }
-
-    /// Grouped reducers round-trip exactly for any subset of touched
-    /// cells, and restored reducers keep routing case indices the same.
-    #[test]
-    fn grouped_snapshots_round_trip(
-        touches in prop::collection::vec((0usize..12, arb_finite_f64()), 0..40),
-        extra in 0usize..12,
-    ) {
-        let sweep = crate::sweep::Sweep::new("prop", SimConfig::epyc_7502_2s())
-            .axis(crate::sweep::Axis::param("a", [0.0, 1.0, 2.0]))
-            .axis(crate::sweep::Axis::param("b", [0.0, 1.0, 2.0, 3.0]));
-        let mut grouped: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["a"]);
-        for &(case, x) in &touches {
-            grouped.entry(case).push(x);
-        }
-        assert_exact_round_trip(&grouped, |g| g.entry(extra).push(0.5));
     }
 }

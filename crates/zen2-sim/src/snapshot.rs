@@ -1,21 +1,22 @@
 //! Exact JSON snapshots of streaming state: the durable half of
 //! checkpoint/resume.
 //!
-//! A paper-scale sweep reduces to a handful of on-line accumulators
-//! (see [`stats`](crate::stats)); persisting those accumulators at a
-//! shard boundary is enough to resume the sweep later — *if* the
-//! round-trip is exact. This module provides that round-trip:
+//! A paper-scale sweep reduces each case to one value, its cell (see
+//! [`checkpoint`](crate::checkpoint)); persisting the cells at a shard
+//! boundary is enough to resume the sweep later — *if* the round-trip
+//! is exact. This module provides that round-trip:
 //!
 //! * [`Json`] — a small JSON document tree with a hand-rolled renderer
 //!   and parser. It is the tree's only JSON writer: checkpoints, the
 //!   experiments' `--json` tables and the JSONL trace all render
 //!   through it. Numbers are kept as their literal text, so a `u64` or
 //!   an `f64` written by the renderer parses back to the identical bits.
-//! * [`Snapshot`] — the trait every accumulator implements: dump the
-//!   exact state as a [`Json`] tree, rebuild the identical state from
-//!   one. "Identical" is literal: feeding a restored accumulator the
-//!   remaining observations must produce bit-for-bit the same summary
-//!   as an uninterrupted run.
+//! * [`Snapshot`] — the trait every cell type implements (as do the
+//!   [`stats`](crate::stats) accumulators): dump the exact state as a
+//!   [`Json`] tree, rebuild the identical state from one. "Identical"
+//!   is literal: a restored value behaves bit-for-bit like the
+//!   original, so a resumed sweep's output matches an uninterrupted
+//!   run's.
 //!
 //! Floating-point values are rendered with Rust's shortest-round-trip
 //! formatting (guaranteed to parse back to the same bits); the
@@ -537,36 +538,30 @@ fn utf8_len(first: u8) -> Option<usize> {
 /// resumed sweep byte-identical to an uninterrupted one (see
 /// [`checkpoint`](crate::checkpoint)).
 ///
-/// Implementing the trait for an experiment-specific accumulator is a
-/// handful of lines with the [`Json`] helpers:
+/// Implementing the trait for an experiment's cell type is a handful of
+/// lines with the [`Json`] helpers:
 ///
 /// ```
-/// use zen2_sim::{Json, Snapshot, SnapshotError, Welford};
+/// use zen2_sim::{Json, Snapshot, SnapshotError};
 ///
-/// /// Two power readings folded per case.
-/// #[derive(Default, PartialEq, Debug)]
+/// /// One case's two power readings.
+/// #[derive(PartialEq, Debug)]
 /// struct AcAndRapl {
-///     ac: Welford,
-///     rapl: Welford,
+///     ac: f64,
+///     rapl: f64,
 /// }
 ///
 /// impl Snapshot for AcAndRapl {
 ///     fn snapshot(&self) -> Json {
-///         Json::obj([("ac", self.ac.snapshot()), ("rapl", self.rapl.snapshot())])
+///         Json::obj([("ac", Json::f64(self.ac)), ("rapl", Json::f64(self.rapl))])
 ///     }
 ///     fn restore(json: &Json) -> Result<Self, SnapshotError> {
-///         Ok(Self {
-///             ac: Welford::restore(json.get("ac")?)?,
-///             rapl: Welford::restore(json.get("rapl")?)?,
-///         })
+///         Ok(Self { ac: json.get("ac")?.as_f64()?, rapl: json.get("rapl")?.as_f64()? })
 ///     }
 /// }
 ///
-/// let mut acc = AcAndRapl::default();
-/// acc.ac.push(99.1);
-/// acc.rapl.push(84.0);
-/// let round_tripped = AcAndRapl::from_json_text(&acc.to_json_text()).unwrap();
-/// assert_eq!(round_tripped, acc);
+/// let cell = AcAndRapl { ac: 99.1, rapl: 84.0 };
+/// assert_eq!(AcAndRapl::from_json_text(&cell.to_json_text()).unwrap(), cell);
 /// ```
 pub trait Snapshot: Sized {
     /// The exact current state as a JSON tree.
@@ -592,25 +587,6 @@ pub trait Snapshot: Sized {
     }
 }
 
-/// `Option<S>` snapshots as `null` or the inner snapshot — the shape
-/// [`GroupedStats`](crate::stats::GroupedStats) accumulators that hold
-/// one reduced result per cell use.
-impl<S: Snapshot> Snapshot for Option<S> {
-    fn snapshot(&self) -> Json {
-        match self {
-            None => Json::Null,
-            Some(inner) => inner.snapshot(),
-        }
-    }
-
-    fn restore(json: &Json) -> Result<Self, SnapshotError> {
-        match json {
-            Json::Null => Ok(None),
-            other => Ok(Some(S::restore(other)?)),
-        }
-    }
-}
-
 impl Snapshot for f64 {
     fn snapshot(&self) -> Json {
         Json::f64(*self)
@@ -618,16 +594,6 @@ impl Snapshot for f64 {
 
     fn restore(json: &Json) -> Result<Self, SnapshotError> {
         json.as_f64()
-    }
-}
-
-impl Snapshot for u64 {
-    fn snapshot(&self) -> Json {
-        Json::u64(*self)
-    }
-
-    fn restore(json: &Json) -> Result<Self, SnapshotError> {
-        json.as_u64()
     }
 }
 
@@ -708,15 +674,6 @@ mod tests {
         assert!(Json::Null.as_f64().is_err());
         assert!(Json::Str("x".into()).as_u64().is_err());
         assert!(Json::Null.items().is_err());
-    }
-
-    #[test]
-    fn option_snapshot_is_null_or_inner() {
-        let none: Option<f64> = None;
-        assert_eq!(none.snapshot(), Json::Null);
-        let some = Some(1.5f64);
-        assert_eq!(Option::<f64>::restore(&some.snapshot()).unwrap(), some);
-        assert_eq!(Option::<f64>::restore(&Json::Null).unwrap(), None);
     }
 
     #[test]

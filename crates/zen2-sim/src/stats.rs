@@ -25,13 +25,11 @@
 //! [`Session::run_streaming`](crate::Session::run_streaming) sink gives
 //! bit-identical summaries for any parallelism.
 //!
-//! Every aggregator also implements [`Snapshot`]: its exact state dumps
-//! to a JSON tree and restores bit-for-bit, which is what lets a
-//! [`Checkpoint`](crate::checkpoint::Checkpoint) persist a half-finished
-//! sweep at a shard boundary and resume it later with byte-identical
-//! output. `GroupedStats<A>` is snapshottable whenever its accumulator
-//! `A` is — including experiment-specific accumulators that implement
-//! [`Snapshot`] themselves.
+//! Every aggregator except [`GroupedStats`] also implements
+//! [`Snapshot`]: its exact state dumps to a JSON tree and restores
+//! bit-for-bit, so it can be a
+//! [`Checkpoint`](crate::checkpoint::Checkpoint) cell that resumes with
+//! byte-identical output.
 
 use crate::snapshot::{Json, Snapshot, SnapshotError};
 use crate::sweep::Sweep;
@@ -551,11 +549,6 @@ impl<A> GroupedStats<A> {
         }
     }
 
-    /// The names of the grouping axes, in row order.
-    pub fn group_axes(&self) -> impl Iterator<Item = &str> {
-        self.axes.iter().map(|(name, _)| name.as_str())
-    }
-
     /// Decodes a case index into this reducer's group key.
     fn key_of(&self, case_index: usize) -> Vec<usize> {
         let total: usize = self.lens.iter().product();
@@ -616,16 +609,6 @@ impl<A> GroupedStats<A> {
         self.groups.iter().map(|(key, stats)| {
             let labels =
                 self.axes.iter().zip(key).map(|((_, values), &v)| values[v].as_str()).collect();
-            (labels, stats)
-        })
-    }
-
-    /// Like [`rows`](Self::rows), but consuming the reducer and handing
-    /// out owned accumulators (for building result structs).
-    pub fn into_rows(self) -> impl Iterator<Item = (Vec<String>, A)> {
-        let axes = self.axes;
-        self.groups.into_iter().map(move |(key, stats)| {
-            let labels = axes.iter().zip(&key).map(|((_, values), &v)| values[v].clone()).collect();
             (labels, stats)
         })
     }
@@ -759,125 +742,6 @@ impl Snapshot for TransitionStats {
             fast_path: json.get("fast_path")?.as_u64()?,
             latency_ns: OnlineStats::restore(json.get("latency_ns")?)?,
         })
-    }
-}
-
-impl<A> GroupedStats<A> {
-    /// Whether `other` reduces the same grid the same way: same grouping
-    /// axes (names and value labels), same axis positions, same sweep
-    /// axis lengths. Accumulator contents are not compared — this is the
-    /// resume-time guard that a checkpoint belongs to the sweep being
-    /// resumed.
-    pub fn shape_matches(&self, other: &Self) -> bool {
-        self.axes == other.axes && self.positions == other.positions && self.lens == other.lens
-    }
-
-    /// A one-line rendering of the shape, for mismatch errors.
-    pub fn shape_description(&self) -> String {
-        let axes: Vec<String> =
-            self.axes.iter().map(|(name, values)| format!("{name}({})", values.len())).collect();
-        format!("grouped by [{}] over grid {:?}", axes.join(", "), self.lens)
-    }
-
-    /// The shape alone (axes, positions, lens) as JSON — the grouped
-    /// header line of a checkpoint file.
-    pub(crate) fn shape_snapshot(&self) -> Json {
-        let axes = self
-            .axes
-            .iter()
-            .map(|(name, values)| {
-                Json::obj([
-                    ("name", Json::str(name.clone())),
-                    ("values", Json::Arr(values.iter().map(|v| Json::str(v.clone())).collect())),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("axes", Json::Arr(axes)),
-            ("positions", Json::usizes(self.positions.iter().copied())),
-            ("lens", Json::usizes(self.lens.iter().copied())),
-        ])
-    }
-
-    /// Rebuilds an empty reducer from a [`shape_snapshot`](Self::shape_snapshot).
-    pub(crate) fn restore_shape(json: &Json) -> Result<Self, SnapshotError> {
-        let mut axes = Vec::new();
-        for axis in json.get("axes")?.items()? {
-            let name = axis.get("name")?.as_str()?.to_string();
-            let values = axis
-                .get("values")?
-                .items()?
-                .iter()
-                .map(|v| Ok(v.as_str()?.to_string()))
-                .collect::<Result<Vec<_>, SnapshotError>>()?;
-            axes.push((name, values));
-        }
-        let positions = json.get("positions")?.as_usizes()?;
-        let lens = json.get("lens")?.as_usizes()?;
-        if positions.len() != axes.len() {
-            return Err(SnapshotError::new("positions and axes disagree in length"));
-        }
-        if positions.iter().any(|&p| p >= lens.len()) {
-            return Err(SnapshotError::new("grouping position outside the sweep's axes"));
-        }
-        Ok(Self { axes, positions, lens, groups: BTreeMap::new() })
-    }
-}
-
-impl<A: Snapshot> GroupedStats<A> {
-    /// One `{"key": …, "acc": …}` object per touched group, in grid
-    /// order — the row lines of a checkpoint file.
-    pub(crate) fn row_snapshots(&self) -> impl Iterator<Item = Json> + '_ {
-        self.groups.iter().map(|(key, acc)| {
-            Json::obj([("key", Json::usizes(key.iter().copied())), ("acc", acc.snapshot())])
-        })
-    }
-
-    /// Inserts one [`row_snapshots`](Self::row_snapshots) row back.
-    pub(crate) fn restore_row(&mut self, json: &Json) -> Result<(), SnapshotError> {
-        let key = json.get("key")?.as_usizes()?;
-        if key.len() != self.axes.len() {
-            return Err(SnapshotError::new(format!(
-                "group key {key:?} has {} indices, the shape groups by {} axes",
-                key.len(),
-                self.axes.len()
-            )));
-        }
-        for (i, (&v, (name, values))) in key.iter().zip(&self.axes).enumerate() {
-            if v >= values.len() {
-                return Err(SnapshotError::new(format!(
-                    "group key index {v} out of range for axis {name:?} (position {i}, {} values)",
-                    values.len()
-                )));
-            }
-        }
-        let acc = A::restore(json.get("acc")?)?;
-        if self.groups.insert(key.clone(), acc).is_some() {
-            return Err(SnapshotError::new(format!("duplicate group key {key:?}")));
-        }
-        Ok(())
-    }
-}
-
-/// The whole reducer — shape plus every touched group's accumulator —
-/// as one self-contained snapshot. Checkpoint files split the same data
-/// across lines (shape first, then one object per row) via the
-/// `pub(crate)` halves; this impl is the single-document form used by
-/// round-trip tests and ad-hoc persistence.
-impl<A: Snapshot> Snapshot for GroupedStats<A> {
-    fn snapshot(&self) -> Json {
-        Json::obj([
-            ("shape", self.shape_snapshot()),
-            ("rows", Json::Arr(self.row_snapshots().collect())),
-        ])
-    }
-
-    fn restore(json: &Json) -> Result<Self, SnapshotError> {
-        let mut grouped = Self::restore_shape(json.get("shape")?)?;
-        for row in json.get("rows")?.items()? {
-            grouped.restore_row(row)?;
-        }
-        Ok(grouped)
     }
 }
 
@@ -1062,11 +926,7 @@ mod tests {
         assert_eq!(labels[0], ["10", "1"]);
         assert_eq!(labels[1], ["10", "2"]);
         assert_eq!(labels[5], ["30", "2"]);
-        assert_eq!(g.group_axes().collect::<Vec<_>>(), ["outer", "inner"]);
-        // Owned extraction preserves grid order.
-        let owned: Vec<(Vec<String>, Welford)> = g.into_rows().collect();
-        assert_eq!(owned[5].0, ["30", "2"]);
-        assert_eq!(owned[5].1.mean(), 5.0);
+        assert_eq!(g.get(&["30", "2"]).unwrap().mean(), 5.0);
     }
 
     #[test]
@@ -1120,47 +980,6 @@ mod tests {
         restored.push(0.123456789);
         assert_eq!(online, restored);
         assert_eq!(online.p95().to_bits(), restored.p95().to_bits());
-    }
-
-    #[test]
-    fn grouped_snapshot_round_trips_and_guards_shape() {
-        let sweep = shape_sweep();
-        let mut g: GroupedStats<Welford> = GroupedStats::new(&sweep, &["outer"]);
-        for i in 0..4 {
-            g.entry(i).push(i as f64);
-        }
-        let restored = GroupedStats::<Welford>::from_json_text(&g.to_json_text()).unwrap();
-        assert_eq!(restored, g);
-        assert!(restored.shape_matches(&g));
-        // A reducer over different axes does not match.
-        let other: GroupedStats<Welford> = GroupedStats::new(&sweep, &["inner"]);
-        assert!(!other.shape_matches(&g));
-        assert!(g.shape_description().contains("outer(3)"));
-        // Restored reducers keep routing cases identically.
-        let mut a = g.clone();
-        let mut b = restored;
-        a.entry(5).push(9.0);
-        b.entry(5).push(9.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn grouped_restore_rejects_corrupt_rows() {
-        let sweep = shape_sweep();
-        let mut g: GroupedStats<Welford> = GroupedStats::new(&sweep, &["outer"]);
-        g.entry(0).push(1.0);
-        let shape = g.shape_snapshot();
-        let mut fresh = GroupedStats::<Welford>::restore_shape(&shape).unwrap();
-        // Key arity mismatch.
-        let bad = Json::obj([("key", Json::usizes([0, 1])), ("acc", Welford::new().snapshot())]);
-        assert!(fresh.restore_row(&bad).is_err());
-        // Key index out of range for the axis.
-        let bad = Json::obj([("key", Json::usizes([9])), ("acc", Welford::new().snapshot())]);
-        assert!(fresh.restore_row(&bad).unwrap_err().to_string().contains("out of range"));
-        // Duplicate rows are rejected.
-        let row = g.row_snapshots().next().unwrap();
-        fresh.restore_row(&row).unwrap();
-        assert!(fresh.restore_row(&row).unwrap_err().to_string().contains("duplicate"));
     }
 
     #[test]

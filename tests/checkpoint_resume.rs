@@ -1,7 +1,7 @@
 //! The checkpoint/resume acceptance guarantee: a sweep interrupted at
 //! *any* shard boundary and resumed — under a *different* worker/shard
-//! split — produces bit-identical per-case `OnlineStats` cells to an
-//! uninterrupted run.
+//! split — produces bit-identical per-case cells to an uninterrupted
+//! run.
 //!
 //! The interrupt points are exhaustive: for every split in
 //! workers ∈ {1, 2, 7} × shard sizes ∈ {1, 5, 64}, the sweep is halted
@@ -36,21 +36,19 @@ fn grid() -> Sweep {
 }
 
 /// Runs the grid through `run_resumable`, the resume path every
-/// checkpointed experiment module uses, folding each run into its
-/// case's cell and persisting at each shard boundary per `spec`.
-/// Returns `None` when the run halted early.
-fn run_grid(sweep: &Sweep, session: &Session, spec: &CheckpointSpec) -> Option<Vec<OnlineStats>> {
-    run_resumable(sweep, session, spec, |cell: &mut OnlineStats, _, run: Run| {
-        cell.push(run.watts("ac"))
-    })
-    .expect("checkpoint loads and saves")
+/// checkpointed experiment module uses, reducing each run to its case's
+/// cell (its AC power) and persisting at each shard boundary per
+/// `spec`. Returns `None` when the run halted early.
+fn run_grid(sweep: &Sweep, session: &Session, spec: &CheckpointSpec) -> Option<Vec<f64>> {
+    run_resumable(sweep, session, spec, |_, run: Run| run.watts("ac"))
+        .expect("checkpoint loads and saves")
 }
 
 fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zen2-resume-equiv-{tag}-{}", std::process::id()))
 }
 
-fn assert_bit_identical(cells: &[OnlineStats], baseline: &[OnlineStats], context: &str) {
+fn assert_bit_identical(cells: &[f64], baseline: &[f64], context: &str) {
     assert_eq!(cells.len(), baseline.len(), "{context}");
     for (i, (cell, reference)) in cells.iter().zip(baseline).enumerate() {
         assert_eq!(cell, reference, "{context}, cell {i}");
