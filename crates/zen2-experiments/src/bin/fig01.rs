@@ -1,7 +1,5 @@
 //! Regenerates Fig. 1 (Green500 efficiency by architecture).
 //! `--json` emits the summary tables as machine-readable JSON.
-use zen2_experiments::{fig01_green500 as exp, report};
 fn main() {
-    let r = exp::run();
-    report::emit(|| exp::render(&r), || exp::tables(&r));
+    zen2_experiments::main("fig01");
 }

@@ -4,13 +4,6 @@
 //! grid interruptible (see `docs/SWEEPS.md`); `--obs <path>` /
 //! `--progress` stream telemetry and live progress without affecting
 //! results (see `docs/OBSERVABILITY.md`).
-use zen2_experiments::{fig07_idle_power as exp, run_checkpointed_bin, Scale};
 fn main() {
-    let cfg = exp::Config::new(Scale::from_args());
-    run_checkpointed_bin(
-        "fig07",
-        |session, spec| exp::run_checkpointed(&cfg, 0xF167, session, spec),
-        exp::render,
-        exp::tables,
-    );
+    zen2_experiments::main("fig07");
 }

@@ -1,7 +1,5 @@
 //! Regenerates Fig. 8 (C-state wakeup latencies).
 //! `--json` emits the summary tables as machine-readable JSON.
-use zen2_experiments::{fig08_wakeup as exp, report, Scale};
 fn main() {
-    let r = exp::run(&exp::Config::new(Scale::from_args()), 0xF168);
-    report::emit(|| exp::render(&r), || exp::tables(&r));
+    zen2_experiments::main("fig08");
 }

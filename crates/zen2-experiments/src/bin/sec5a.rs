@@ -1,7 +1,5 @@
 //! Regenerates the §V-A observation (idle/offline sibling raises the core
 //! frequency). `--json` emits the summary tables as machine-readable JSON.
-use zen2_experiments::{report, sec5a_sibling as exp};
 fn main() {
-    let r = exp::run(0x5EC5A);
-    report::emit(|| exp::render(&r), || exp::tables(&r));
+    zen2_experiments::main("sec5a");
 }

@@ -1,7 +1,5 @@
 //! Regenerates the §VI-B observation (offline threads block package C6).
 //! `--json` emits the summary tables as machine-readable JSON.
-use zen2_experiments::{report, sec6b_offline as exp};
 fn main() {
-    let r = exp::run(0x5EC6B);
-    report::emit(|| exp::render(&r), || exp::tables(&r));
+    zen2_experiments::main("sec6b");
 }

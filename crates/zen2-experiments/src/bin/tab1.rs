@@ -4,13 +4,6 @@
 //! grid interruptible (see `docs/SWEEPS.md`); `--obs <path>` /
 //! `--progress` stream telemetry and live progress without affecting
 //! results (see `docs/OBSERVABILITY.md`).
-use zen2_experiments::{run_checkpointed_bin, tab1_mixed_freq as exp, Scale};
 fn main() {
-    let cfg = exp::Config::new(Scale::from_args());
-    run_checkpointed_bin(
-        "tab1",
-        |session, spec| exp::run_checkpointed(&cfg, 0x7AB1, session, spec),
-        exp::render,
-        exp::tables,
-    );
+    zen2_experiments::main("tab1");
 }

@@ -20,13 +20,14 @@
 //! drill exactly that pipeline. See `docs/TORTURE.md`.
 
 use std::path::PathBuf;
-use zen2_experiments::{session_from_args, ObsCli};
+use zen2_experiments::SessionCli;
 use zen2_sim::torture::{
     check_case, generate_case, inject_fault, render_reproducer, shrink_scenario, Fault, Violation,
 };
 use zen2_sim::{Case, Run, Scenario, Session, System};
 
 struct Cli {
+    session: SessionCli,
     seed: u64,
     cases: u64,
     differential: bool,
@@ -47,6 +48,7 @@ fn usage(message: &str) -> ! {
 
 fn parse_cli() -> Cli {
     let mut cli = Cli {
+        session: SessionCli::default(),
         seed: 1,
         cases: 1000,
         differential: false,
@@ -83,13 +85,12 @@ fn parse_cli() -> Cli {
                     .parse()
                     .unwrap_or_else(|_| usage(&format!("--inject-at {v:?}: not an index")));
             }
-            // Shared session/observability flags are parsed by their own
-            // helpers; anything else is a typo worth stopping on.
-            "--workers" | "--shard-size" | "--obs" => {
-                let _ = value(&arg);
+            other => {
+                let shared = cli.session.take(other, &mut args).unwrap_or_else(|m| usage(&m));
+                if !shared {
+                    usage(&format!("unknown flag {other:?}"));
+                }
             }
-            "--progress" => {}
-            other => usage(&format!("unknown flag {other:?}")),
         }
     }
     if cli.fault.is_some() && cli.inject_at >= cli.cases {
@@ -155,12 +156,7 @@ fn reproduce(cli: &Cli, index: u64, violations: &[Violation]) -> String {
 
 fn main() {
     let cli = parse_cli();
-    let obs = ObsCli::from_args().unwrap_or_else(|message| usage(&message));
-    let mut session = session_from_args().unwrap_or_else(|message| usage(&message));
-    let stack = obs.stack().unwrap_or_else(|message| usage(&message));
-    if let Some(stack) = &stack {
-        session = stack.attach(session);
-    }
+    let (session, stack) = cli.session.session().unwrap_or_else(|message| usage(&message));
 
     let start_ns = zen2_obs::clock::now_ns();
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();

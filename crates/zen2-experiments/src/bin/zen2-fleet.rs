@@ -10,10 +10,13 @@
 //! so the fleet's stdout is byte-identical to a single-process run of
 //! the same bin (see `docs/SWEEPS.md` § Fleet runs).
 //!
-//! Supported targets are the seven checkpoint-carrying bins: `fig06`,
-//! `fig07`, `fig09`, `fig10`, `tab1`, `ext_manycore`, and `all` (whose
-//! shard mode folds only the wide grids; the narrow experiments re-run
-//! deterministically in the re-emit pass). `--drill-kill <i>` aborts
+//! Supported targets are the bins with a checkpointed grid in the
+//! experiment table, and `all`. Each target's checkpoint files come
+//! from that table (`zen2_experiments::checkpoint_suffixes`): today
+//! `fig06`, `fig07`, `fig09`, `tab1` and `ext_manycore` write one file,
+//! `fig10` two, and `all` seven. `all`'s shard mode folds only the wide
+//! grids; the narrow experiments re-run deterministically in the
+//! re-emit pass. `--drill-kill <i>` aborts
 //! shard `i`'s first attempt after one checkpoint save — a fault drill
 //! for the retry path; it needs a target whose bin forwards
 //! `--halt-after` (the single-grid bins; `fig10` and `all` drop it).
@@ -21,30 +24,12 @@ use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
+use zen2_experiments::checkpoint_suffixes;
 use zen2_sim::{Checkpoint, ShardRange};
 
 const USAGE: &str = "usage: zen2-fleet --bin <fig06|fig07|fig09|fig10|tab1|ext_manycore|all> \
 -n <shards> --checkpoint <prefix> [--paper] [--json] [--workers N] [--shard-size N] \
 [--progress] [--retries K] [--drill-kill <shard>]";
-
-/// Checkpoint-file suffixes each target bin appends to its
-/// `--checkpoint` argument: one file per wide grid it runs.
-fn suffixes(bin: &str) -> Option<&'static [&'static str]> {
-    match bin {
-        "fig06" | "fig07" | "fig09" | "tab1" | "ext_manycore" => Some(&[""]),
-        "fig10" => Some(&["-vxorps", "-shr"]),
-        "all" => Some(&[
-            "-tab1",
-            "-fig06",
-            "-fig07",
-            "-fig09",
-            "-fig10-vxorps",
-            "-fig10-shr",
-            "-ext_manycore",
-        ]),
-        _ => None,
-    }
-}
 
 #[derive(Debug, PartialEq)]
 struct FleetCli {
@@ -110,7 +95,7 @@ impl FleetCli {
             }
         }
         let bin = bin.ok_or_else(|| format!("--bin is required\n{USAGE}"))?;
-        if suffixes(&bin).is_none() {
+        if checkpoint_suffixes(&bin).is_empty() {
             return Err(format!(
                 "--bin {bin:?} has no wide grid to shard; pick one of \
                  fig06, fig07, fig09, fig10, tab1, ext_manycore, all"
@@ -224,8 +209,8 @@ fn spawn_shard(cli: &FleetCli, exe: &Path, shard: usize, attempt: usize) -> Resu
 /// pass is the final authority on total coverage.
 fn shard_is_complete(cli: &FleetCli, shard: usize) -> Result<bool, String> {
     let range = ShardRange { index: shard, of: cli.shards };
-    for suffix in suffixes(&cli.bin).expect("bin was validated") {
-        let path = path_with_suffix(&cli.shard_base(shard), suffix);
+    for suffix in checkpoint_suffixes(&cli.bin) {
+        let path = path_with_suffix(&cli.shard_base(shard), &suffix);
         if !path.exists() {
             continue;
         }
@@ -289,10 +274,10 @@ fn run_fleet(cli: &FleetCli, exe: &Path) -> Result<(), String> {
 fn merge_shards(cli: &FleetCli) -> Result<(), String> {
     let started = zen2_obs::clock::now_ns();
     let mut files = 0usize;
-    for suffix in suffixes(&cli.bin).expect("bin was validated") {
+    for suffix in checkpoint_suffixes(&cli.bin) {
         let mut merged: Option<Checkpoint> = None;
         for shard in 0..cli.shards {
-            let path = path_with_suffix(&cli.shard_base(shard), suffix);
+            let path = path_with_suffix(&cli.shard_base(shard), &suffix);
             if !path.exists() {
                 continue; // empty slice of a small grid
             }
@@ -314,7 +299,7 @@ fn merge_shards(cli: &FleetCli) -> Result<(), String> {
                 merged.total()
             ));
         }
-        let out = path_with_suffix(&cli.merged_base(), suffix);
+        let out = path_with_suffix(&cli.merged_base(), &suffix);
         merged.save(&out).map_err(|e| format!("{}: {e}", out.display()))?;
     }
     eprintln!(
@@ -422,10 +407,13 @@ mod tests {
 
     #[test]
     fn suffix_table_matches_the_bins_checkpoint_layout() {
-        assert_eq!(suffixes("fig09"), Some(&[""][..]));
-        assert_eq!(suffixes("fig10"), Some(&["-vxorps", "-shr"][..]));
-        assert_eq!(suffixes("all").map(<[_]>::len), Some(7));
-        assert_eq!(suffixes("fig03"), None);
+        assert_eq!(checkpoint_suffixes("fig09"), [""]);
+        assert_eq!(checkpoint_suffixes("fig10"), ["-vxorps", "-shr"]);
+        assert_eq!(
+            checkpoint_suffixes("all"),
+            ["-tab1", "-fig06", "-fig07", "-fig09", "-fig10-vxorps", "-fig10-shr", "-ext_manycore"]
+        );
+        assert!(checkpoint_suffixes("fig03").is_empty());
         assert_eq!(
             path_with_suffix(&PathBuf::from("/tmp/fleet.shard0"), "-vxorps"),
             PathBuf::from("/tmp/fleet.shard0-vxorps")

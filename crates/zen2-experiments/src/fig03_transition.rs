@@ -15,14 +15,13 @@
 //! `FreqApplied` is exactly what the polling benchmark observes, up to
 //! its detection granularity (added as noise in the reduction).
 
-use crate::methodology_bridge::detection_noise_ns;
 use crate::report::{compare, Table};
-use crate::seeds;
 use crate::Scale;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::methodology::{mean, Histogram};
+use zen2_sim::sweep::child_seed;
 use zen2_sim::time::{Ns, MICROSECOND, MILLISECOND};
 use zen2_sim::trace::Event;
 use zen2_sim::{Case, EventFilter, Probe, Run, Scenario, Session, SimConfig, Window};
@@ -131,7 +130,7 @@ pub fn scenario(cfg: &Config, seed: u64) -> Scenario {
         .pstate(ThreadId(1), cfg.from_mhz)
         .pstate(ThreadId(0), cfg.from_mhz);
 
-    let mut rng = ChaCha8Rng::seed_from_u64(seeds::child(seed, 1));
+    let mut rng = ChaCha8Rng::seed_from_u64(child_seed(seed, 1));
     let span_us = (cfg.max_wait_ms - cfg.min_wait_ms) * 1000;
     let mut t = SETTLE_NS;
     for _ in 0..cfg.samples {
@@ -150,9 +149,16 @@ pub fn scenario(cfg: &Config, seed: u64) -> Scenario {
     sc
 }
 
+/// The performance-polling benchmark detects a completed transition only
+/// at the granularity of its minimal-workload iterations (~µs): uniform
+/// detection lag added to every measured delay.
+fn detection_noise_ns<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    rng.gen_range(0.0..2_000.0)
+}
+
 /// Recovers the per-direction delay distributions from the event trace.
 fn reduce(cfg: &Config, seed: u64, run: &Run) -> Fig3Result {
-    let mut noise_rng = ChaCha8Rng::seed_from_u64(seeds::child(seed, 2));
+    let mut noise_rng = ChaCha8Rng::seed_from_u64(child_seed(seed, 2));
     let mut down_delays = Vec::with_capacity(cfg.samples);
     let mut up_delays = Vec::with_capacity(cfg.samples);
 
@@ -214,7 +220,7 @@ fn reduce(cfg: &Config, seed: u64, run: &Run) -> Fig3Result {
 /// Runs the transition-delay experiment through a [`Session`].
 pub fn run(cfg: &Config, seed: u64) -> Fig3Result {
     let case =
-        Case::new("fig03", SimConfig::epyc_7502_2s(), scenario(cfg, seed), seeds::child(seed, 0));
+        Case::new("fig03", SimConfig::epyc_7502_2s(), scenario(cfg, seed), child_seed(seed, 0));
     let runs = Session::new().run(std::slice::from_ref(&case)).expect("fig03 scenario validates");
     reduce(cfg, seed, &runs[0])
 }
@@ -300,6 +306,15 @@ mod tests {
         let result = run(&Config::anomaly_long_waits(Scale::Quick), 17);
         assert_eq!(result.down.fast_fraction, 0.0, "min {}", result.down.min_us);
         assert_eq!(result.up.fast_fraction, 0.0, "min {}", result.up.min_us);
+    }
+
+    #[test]
+    fn noise_is_bounded_microseconds() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for _ in 0..1000 {
+            let n = detection_noise_ns(&mut rng);
+            assert!((0.0..2_000.0).contains(&n));
+        }
     }
 
     #[test]

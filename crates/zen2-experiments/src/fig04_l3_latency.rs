@@ -11,9 +11,9 @@
 //! [`Session`] batch.
 
 use crate::report::Table;
-use crate::seeds;
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
+use zen2_sim::sweep::child_seed;
 use zen2_sim::time::{Ns, MILLISECOND};
 use zen2_sim::{Case, Probe, Run, Scenario, Session, SimConfig, Window};
 use zen2_topology::{CoreId, ThreadId};
@@ -95,7 +95,7 @@ pub fn run(cfg: &Config, seed: u64) -> Fig4Result {
                 format!("reader{reader}-others{others}"),
                 SimConfig::epyc_7502_2s(),
                 cell_scenario(cfg, reader, others),
-                seeds::child(seed, (i * 3 + j) as u64),
+                child_seed(seed, (i * 3 + j) as u64),
             ));
         }
     }

@@ -11,8 +11,8 @@
 //! [`Probe::DramLatencyNs`], executed as one [`Session`] batch.
 
 use crate::report::Table;
-use crate::seeds;
 use zen2_mem::{DramFreq, IodPstate};
+use zen2_sim::sweep::child_seed;
 use zen2_sim::{Case, Probe, Run, Scenario, Session, SimConfig, Window};
 
 /// The core-count columns of Fig. 5a ("4 (2 CCX)" is the fifth).
@@ -94,7 +94,7 @@ pub fn run(seed: u64) -> Fig5Result {
                 format!("{pstate}-{dram}"),
                 cfg,
                 cell_scenario(),
-                seeds::child(seed, (pi * 2 + di) as u64),
+                child_seed(seed, (pi * 2 + di) as u64),
             ));
             sweep.push((pstate, dram));
         }

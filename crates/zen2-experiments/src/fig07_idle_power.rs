@@ -17,10 +17,10 @@
 //! the grid has returned.
 
 use crate::report::{compare, Table};
-use crate::seeds;
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::run_resumable;
+use zen2_sim::sweep::child_seed;
 use zen2_sim::{
     Axis, Case, CheckpointError, CheckpointSpec, Probe, Run, Scenario, Session, SimConfig, Sweep,
     Window,
@@ -156,7 +156,7 @@ pub fn sweep(cfg: &Config, seed: u64) -> Sweep {
     let counts = cfg.thread_counts.len().max(1) as u64;
     let cfg = cfg.clone();
     Sweep::new("fig07", sim_cfg)
-        .seed_fn(move |i| seeds::child(seed, (i / counts) * 1000 + i % counts))
+        .seed_fn(move |i| child_seed(seed, (i / counts) * 1000 + i % counts))
         .axis(kind_axis)
         .axis(count_axis)
         .finish(move |draft| {
@@ -205,7 +205,7 @@ pub fn run_checkpointed(
         "fig07/baseline",
         sim_cfg,
         scenario(cfg, &numbering, None, 0),
-        seeds::child(seed, 999),
+        child_seed(seed, 999),
     );
     let baseline = session.run(&[baseline_case]).expect("the baseline scenario validates");
 
@@ -300,7 +300,7 @@ mod tests {
             "baseline",
             sim_cfg.clone(),
             scenario(&cfg, &numbering, None, 0),
-            seeds::child(seed, 999),
+            child_seed(seed, 999),
         )];
         for (ki, &kind) in kinds.iter().enumerate() {
             for (ci, &count) in cfg.thread_counts.iter().enumerate() {
@@ -308,7 +308,7 @@ mod tests {
                     format!("{kind:?}/{count}"),
                     sim_cfg.clone(),
                     scenario(&cfg, &numbering, Some(kind), count),
-                    seeds::child(seed, (ki * 1000 + ci) as u64),
+                    child_seed(seed, (ki * 1000 + ci) as u64),
                 ));
             }
         }

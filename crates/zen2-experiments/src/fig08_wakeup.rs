@@ -9,9 +9,9 @@
 //! a [`Probe::WakeupSamples`] window; the grid fans out via [`Session`].
 
 use crate::report::Table;
-use crate::seeds;
 use crate::Scale;
 use zen2_sim::methodology::{mean, quantile};
+use zen2_sim::sweep::child_seed;
 use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
 use zen2_topology::ThreadId;
 
@@ -109,7 +109,7 @@ pub fn run(cfg: &Config, seed: u64) -> Fig8Result {
                 format!("C{cstate}/{freq}MHz/{}", if remote { "remote" } else { "local" }),
                 sim_cfg.clone(),
                 scenario(cfg, cstate, freq, remote),
-                seeds::child(seed, i as u64),
+                child_seed(seed, i as u64),
             )
         })
         .collect();

@@ -19,10 +19,10 @@
 //! documented in `docs/SWEEPS.md`.
 
 use crate::report::Table;
-use crate::seeds;
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::run_resumable;
+use zen2_sim::sweep::child_seed;
 use zen2_sim::{
     Axis, Case, CheckpointError, CheckpointSpec, Json, Probe, Run, Scenario, Session, SimConfig,
     Snapshot, SnapshotError, Sweep, Window,
@@ -183,7 +183,7 @@ pub fn sweep(cfg: &Config, seed: u64) -> Sweep {
     let cfg = cfg.clone();
     let placements = cfg.placements.clone();
     Sweep::new("fig09", SimConfig::epyc_7502_2s())
-        .seed_fn(move |i| seeds::child(seed, flat[i as usize]))
+        .seed_fn(move |i| child_seed(seed, flat[i as usize]))
         .axis(workload_axis)
         .axis(placement_axis)
         .axis(freq_axis)
@@ -257,7 +257,7 @@ pub fn run_checkpointed(
         "fig09/idle",
         SimConfig::epyc_7502_2s(),
         point_scenario(cfg, KernelClass::Idle, 0, false, 2500),
-        seeds::child(seed, idle_index),
+        child_seed(seed, idle_index),
     );
     let idle = Readings::of(&session.run(&[idle_case]).expect("the idle scenario validates")[0]);
 
@@ -401,7 +401,7 @@ mod tests {
                     format!("{}-{cores}c-smt{smt}-{mhz}", class.name()),
                     SimConfig::epyc_7502_2s(),
                     point_scenario(&cfg, class, cores, smt, mhz),
-                    seeds::child(seed, i as u64),
+                    child_seed(seed, i as u64),
                 )
             })
             .collect();

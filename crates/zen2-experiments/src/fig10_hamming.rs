@@ -19,7 +19,6 @@
 //! pool, its one run reduced into per-weight buckets.
 
 use crate::report::Table;
-use crate::seeds;
 use crate::Scale;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -27,6 +26,7 @@ use rand_chacha::ChaCha8Rng;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::methodology::mean;
+use zen2_sim::sweep::child_seed;
 use zen2_sim::{
     Axis, CheckpointError, CheckpointSpec, Json, Measurement, Probe, Run, Scenario, Session,
     SimConfig, Snapshot, SnapshotError, Sweep, Window,
@@ -109,7 +109,7 @@ const T_BLOCKS_S: f64 = 0.1;
 /// Builds the weight-sweep scenario plus the pre-drawn per-block weight
 /// sequence it schedules.
 pub fn scenario(cfg: &Config, seed: u64, class: KernelClass) -> (Scenario, Vec<OperandWeight>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seeds::child(seed, 1));
+    let mut rng = ChaCha8Rng::seed_from_u64(child_seed(seed, 1));
     let mut sc = Scenario::new();
     let mut at = sc.at(0);
     for t in 0..128u32 {
@@ -326,7 +326,7 @@ mod tests {
         let seed = 95;
         let class = KernelClass::VXorps;
         let (sc, weights) = scenario(&cfg, seed, class);
-        let case = Case::new("fig10", SimConfig::epyc_7502_2s(), sc, seeds::child(seed, 0));
+        let case = Case::new("fig10", SimConfig::epyc_7502_2s(), sc, child_seed(seed, 0));
         let runs = Session::new().run(std::slice::from_ref(&case)).unwrap();
         let mut materialized = Fig10Result {
             instruction: class.name().into(),

@@ -86,15 +86,22 @@ pub fn tables_to_json(tables: &[Table]) -> String {
     Json::Arr(tables.iter().map(Table::to_json).collect()).render()
 }
 
-/// Prints an experiment's report: the JSON array of `tables` when
-/// `--json` was passed on the command line, the rendered `text`
-/// otherwise. Every experiment binary routes its output through this,
-/// so the `--json` contract is uniform across the tree.
-pub fn emit(text: impl FnOnce() -> String, tables: impl FnOnce() -> Vec<Table>) {
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", tables_to_json(&tables()));
-    } else {
-        print!("{}", text());
+/// One experiment's output: the paper-style text report and the same
+/// report as tables for `--json`.
+pub(crate) struct Report {
+    pub(crate) text: String,
+    pub(crate) tables: Vec<Table>,
+}
+
+impl Report {
+    /// The report of result `r`, rendered by its module's `render` and
+    /// `tables`.
+    pub(crate) fn of<R: ?Sized>(
+        r: &R,
+        render: impl FnOnce(&R) -> String,
+        tables: impl FnOnce(&R) -> Vec<Table>,
+    ) -> Self {
+        Self { text: render(r), tables: tables(r) }
     }
 }
 

@@ -10,6 +10,7 @@
 
 use crate::report::Table;
 use zen2_sim::perf::ThreadCounters;
+use zen2_sim::sweep::child_seed;
 use zen2_sim::time::{MILLISECOND, SECOND};
 use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
 use zen2_topology::ThreadId;
@@ -78,7 +79,7 @@ pub fn run(seed: u64) -> Sec5aResult {
                 format!("{mode:?}"),
                 sim_cfg.clone(),
                 scenario(mode),
-                crate::seeds::child(seed, i as u64),
+                child_seed(seed, i as u64),
             )
         })
         .collect();

@@ -23,11 +23,11 @@ pub const FLOAT_ORDER_HOME: &str = "crates/zen2-sim/src/stats.rs";
 
 /// seed-discipline: every `seed_from_u64(…)` / `from_seed(…)` call in
 /// non-test code of [`SEED_SCOPE`] crates must root its seed expression
-/// in the derivation chain — `child_seed`, `seeds::child`, or a
-/// `seed`-named parameter of the enclosing function. A literal (or any
-/// other untracked) seed silently forks the RNG universe: two
-/// experiments can share a stream, and a sweep's per-case independence
-/// guarantee (docs/SWEEPS.md) no longer holds.
+/// in the derivation chain — `child_seed` or a `seed`-named parameter
+/// of the enclosing function. A literal (or any other untracked) seed
+/// silently forks the RNG universe: two experiments can share a stream,
+/// and a sweep's per-case independence guarantee (docs/SWEEPS.md) no
+/// longer holds.
 pub fn seed_discipline(f: &SourceFile, out: &mut Vec<Finding>) {
     if !SEED_SCOPE.iter().any(|p| f.rel.starts_with(p)) {
         return;
@@ -57,7 +57,7 @@ pub fn seed_discipline(f: &SourceFile, out: &mut Vec<Finding>) {
             SEED_DISCIPLINE,
             t.line,
             format!(
-                "`{}` seed is not rooted in the derivation chain: use child_seed/seeds::child, or thread a `seed` parameter through — literal seeds fork the RNG universe outside the sweep's control",
+                "`{}` seed is not rooted in the derivation chain: use child_seed, or thread a `seed` parameter through — literal seeds fork the RNG universe outside the sweep's control",
                 t.text
             ),
         ));
@@ -68,9 +68,6 @@ pub fn seed_discipline(f: &SourceFile, out: &mut Vec<Finding>) {
 /// derivation chain.
 fn seed_expr_is_rooted(args: &[Token], items: &[Item], call_idx: usize) -> bool {
     if args.iter().any(|t| is_code_ident(t, "child_seed")) {
-        return true;
-    }
-    if (0..args.len()).any(|k| seq(args, k, &["seeds", "::", "child"])) {
         return true;
     }
     // A `seed`-named parameter of the enclosing fn, used in the

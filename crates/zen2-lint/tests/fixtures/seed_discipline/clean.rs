@@ -3,8 +3,8 @@ fn per_case(child_seed: u64) {
     consume(rng.next());
 }
 
-fn derived(case_seed: u64) {
-    let mut rng = Rng::seed_from_u64(seeds::child(case_seed, 1));
+fn derived(root: u64) {
+    let mut rng = Rng::seed_from_u64(child_seed(root, 1));
     consume(rng.next());
 }
 
