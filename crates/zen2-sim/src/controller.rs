@@ -55,7 +55,7 @@ impl PptController {
     /// past the equilibrium and oscillate. Returns `true` if the cap
     /// changed.
     pub fn step(&mut self, estimated_w: f64, ppt_target_w: f64, applied_mhz: u32) -> bool {
-        if !self.params_enabled {
+        if self.holds(estimated_w, ppt_target_w) {
             return false;
         }
         let before = self.cap_mhz;
@@ -63,11 +63,23 @@ impl PptController {
             // One step below what is actually applied.
             self.cap_mhz =
                 self.cap_mhz.min(applied_mhz).saturating_sub(self.step_mhz).max(self.min_mhz);
-        } else if estimated_w < ppt_target_w - self.deadband_w && self.cap_mhz < self.max_mhz {
+        } else {
             // One step above what is actually applied.
             self.cap_mhz = (applied_mhz + self.step_mhz).min(self.max_mhz).max(self.min_mhz);
         }
         self.cap_mhz != before
+    }
+
+    /// Whether a [`step`](Self::step) at this estimate leaves the cap
+    /// where it is, whatever frequency is applied: the cap is at its
+    /// ceiling and the estimate at or below PPT, the estimate is inside
+    /// the deadband `[PPT − deadband, PPT]`, or the cap is at its floor
+    /// and the estimate above PPT. A caller that knows the step holds
+    /// need not look up the applied frequency.
+    pub(crate) fn holds(&self, estimated_w: f64, ppt_target_w: f64) -> bool {
+        let lowers = estimated_w > ppt_target_w && self.cap_mhz > self.min_mhz;
+        let raises = estimated_w < ppt_target_w - self.deadband_w && self.cap_mhz < self.max_mhz;
+        !self.params_enabled || !(lowers || raises)
     }
 }
 
@@ -155,6 +167,24 @@ mod tests {
             c.step(1_000.0, 170.0, c.cap_mhz());
         }
         assert_eq!(c.cap_mhz(), 1500, "floor at the lowest P-state");
+    }
+
+    #[test]
+    fn a_holding_step_never_moves_the_cap() {
+        for (start, est) in [(2500, 160.0), (2500, 170.0), (2100, 168.5), (1500, 400.0)] {
+            let mut c = controller();
+            while c.cap_mhz() > start {
+                c.step(1_000.0, 170.0, c.cap_mhz());
+            }
+            assert!(c.holds(est, 170.0), "cap {start} MHz at {est} W");
+            for applied in [1500, 2000, 2500] {
+                assert!(!c.clone().step(est, 170.0, applied));
+            }
+        }
+        // Outside those three cases the step acts.
+        let mut c = controller();
+        assert!(!c.holds(171.0, 170.0) && c.step(171.0, 170.0, 2500));
+        assert!(!c.holds(150.0, 170.0) && c.step(150.0, 170.0, 2000));
     }
 
     #[test]

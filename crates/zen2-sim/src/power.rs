@@ -3,12 +3,16 @@
 //! Given a snapshot of thread states, workloads and clocks, computes the
 //! true DC/AC power (what the LMG670 sees) and the SMU's estimated powers
 //! (what RAPL reports and the PPT loop regulates), plus DRAM traffic.
-//! The simulator re-evaluates after every action and every integrated
-//! segment; power is constant between evaluations, so energy integration
-//! is exact. It evaluates through its own `PowerEval`, whose per-core
-//! memo recomputes an active core's terms only when one of their five
-//! inputs changed bit for bit; [`evaluate`] runs the same code from an
-//! empty memo, so both give bit-identical breakdowns.
+//! The simulator re-evaluates after every tick of actions and every
+//! integrated segment; power is constant between evaluations, so energy
+//! integration is exact. It evaluates through its own `PowerEval`, whose
+//! per-core memo recomputes an active core's terms only when one of their
+//! five inputs changed bit for bit; [`evaluate`] runs the same code from
+//! an empty memo, so both give bit-identical breakdowns. After a segment
+//! in which only the die temperatures moved, `PowerEval::reevaluate_thermal`
+//! recomputes just the temperature-dependent terms from the last full
+//! evaluation's per-core classes, with the same expressions and the same
+//! package tail.
 
 use crate::config::SimConfig;
 use crate::cstate::{classify_core, CoreIdleClass, ThreadState};
@@ -100,19 +104,38 @@ struct CoreTerms {
     dram_demand_gbs: f64,
 }
 
-/// The simulator's evaluator: each core's last active terms and the
-/// per-CCD demand scratch, so a step allocates nothing and recomputes
-/// only the cores whose inputs moved.
+/// What the last full evaluation found for one core. Only a change of
+/// thread states, workloads or clocks can move it; die temperature
+/// cannot.
+#[derive(Debug, Clone, Copy)]
+enum CoreClass {
+    /// Its package sleeps: both powers are 0.
+    Asleep,
+    /// Executing, with this RAPL activity estimate.
+    Active { est_activity_w: f64 },
+    /// Clock- or power-gated: its estimate is the idle-core term.
+    Gated,
+}
+
+/// The simulator's evaluator: each core's last active terms, each core's
+/// class at the last full evaluation and the per-CCD demand scratch, so a
+/// step allocates nothing and recomputes only the terms whose inputs
+/// moved.
 #[derive(Debug, Clone)]
 pub(crate) struct PowerEval {
     memo: Vec<Option<CoreTerms>>,
+    class: Vec<CoreClass>,
     ccd_demand_gbs: Vec<f64>,
 }
 
 impl PowerEval {
     /// An evaluator with an empty memo.
     pub(crate) fn new(topo: &Topology) -> Self {
-        Self { memo: vec![None; topo.num_cores()], ccd_demand_gbs: vec![0.0; topo.num_ccds()] }
+        Self {
+            memo: vec![None; topo.num_cores()],
+            class: vec![CoreClass::Asleep; topo.num_cores()],
+            ccd_demand_gbs: vec![0.0; topo.num_ccds()],
+        }
     }
 
     /// Evaluates `state` into `out`, a breakdown shaped for `cfg`'s
@@ -154,6 +177,7 @@ impl PowerEval {
             let core = zen2_topology::CoreId::from_index(core_idx);
             let pkg = topo.socket_of_core(core).index();
             if !pkg_awake[pkg] {
+                self.class[core_idx] = CoreClass::Asleep;
                 continue;
             }
             let t0 = core_idx * tpc;
@@ -195,6 +219,8 @@ impl PowerEval {
                             terms
                         }
                     };
+                    self.class[core_idx] =
+                        CoreClass::Active { est_activity_w: terms.est_activity_w };
                     core_true_w[core_idx] = terms.true_w;
                     core_est_w[core_idx] = terms.est_activity_w
                         + cfg.rapl.temperature_term_w(die_c)
@@ -204,10 +230,12 @@ impl PowerEval {
                     ccd_demand_gbs[ccd] += terms.dram_demand_gbs;
                 }
                 CoreIdleClass::ClockGated => {
+                    self.class[core_idx] = CoreClass::Gated;
                     core_true_w[core_idx] = cfg.power.core.c1_power_w();
                     core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
                 }
                 CoreIdleClass::PowerGated => {
+                    self.class[core_idx] = CoreClass::Gated;
                     core_true_w[core_idx] = cfg.power.core.c2_power_w();
                     core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
                 }
@@ -221,35 +249,77 @@ impl PowerEval {
         let dram_traffic_gbs: f64 = ccd_demand_gbs.iter().map(|&d| d.min(ccd_cap)).sum();
 
         let any_awake = pkg_awake.iter().any(|&a| a);
-        let dram_w = if any_awake {
+        out.dram_w = if any_awake {
             cfg.power.dram.power_w(dram_traffic_gbs)
         } else {
             cfg.power.dram.self_refresh_w()
         };
-
-        for (pkg, &awake) in pkg_awake.iter().enumerate() {
-            let cores = pkg * topo.cores_per_socket()..(pkg + 1) * topo.cores_per_socket();
-            // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
-            let cores_true: f64 = core_true_w[cores.clone()].iter().sum();
-            // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
-            let cores_est: f64 = core_est_w[cores].iter().sum();
-            if awake {
-                let base = cfg.power.package.awake_base_w(cfg.iod_pstate, cfg.dram);
-                let leak = cfg.power.leakage.multiplier(state.die_temp_c[pkg]);
-                out.pkg_true_w[pkg] = (base + cores_true) * leak;
-            } else {
-                out.pkg_true_w[pkg] = cfg.power.package.sleeping_w();
-            }
-            out.pkg_est_w[pkg] = cfg.rapl.package_estimate_w(cores_est, awake);
-        }
-
-        // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology
-        let dc_w = out.pkg_true_w.iter().sum::<f64>() + dram_w + cfg.power.platform_dc_w;
         out.dram_traffic_gbs = dram_traffic_gbs;
-        out.dram_w = dram_w;
-        out.dc_w = dc_w;
-        out.ac_w = cfg.power.psu.ac_from_dc(dc_w);
+        package_tail(cfg, state.die_temp_c, out);
     }
+
+    /// Re-evaluates `out`, this evaluator's last breakdown, after only the
+    /// die temperatures moved: each core keeps the class, true power and
+    /// activity estimate of the last full [`evaluate`](Self::evaluate),
+    /// and the DRAM terms stay. Only the core estimates' temperature terms
+    /// and the package tail are recomputed, with the full path's
+    /// expressions, so the result is the full evaluation's bit for bit.
+    pub(crate) fn reevaluate_thermal(
+        &self,
+        cfg: &SimConfig,
+        die_temp_c: &[f64],
+        est_noise_w: &[f64],
+        out: &mut PowerBreakdown,
+    ) {
+        let per_pkg = cfg.topology.cores_per_socket();
+        let packages = self
+            .class
+            .chunks(per_pkg)
+            .zip(out.core_est_w.chunks_mut(per_pkg))
+            .zip(est_noise_w.chunks(per_pkg))
+            .zip(die_temp_c);
+        for (((classes, core_est_w), noise_w), &die_c) in packages {
+            let temperature_w = cfg.rapl.temperature_term_w(die_c);
+            let idle_w = cfg.rapl.idle_core_estimate_w(die_c);
+            for ((class, est_w), noise_w) in classes.iter().zip(core_est_w).zip(noise_w) {
+                match *class {
+                    CoreClass::Asleep => {}
+                    CoreClass::Active { est_activity_w } => {
+                        *est_w = est_activity_w + temperature_w + noise_w;
+                    }
+                    CoreClass::Gated => *est_w = idle_w,
+                }
+            }
+        }
+        package_tail(cfg, die_temp_c, out);
+    }
+}
+
+/// Package sums, leakage, DC and AC power from the per-core powers, wake
+/// states and DRAM power already in `out`: the tail both evaluation paths
+/// share.
+fn package_tail(cfg: &SimConfig, die_temp_c: &[f64], out: &mut PowerBreakdown) {
+    let per_pkg = cfg.topology.cores_per_socket();
+    for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
+        let cores = pkg * per_pkg..(pkg + 1) * per_pkg;
+        // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
+        let cores_true: f64 = out.core_true_w[cores.clone()].iter().sum();
+        // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
+        let cores_est: f64 = out.core_est_w[cores].iter().sum();
+        if awake {
+            let base = cfg.power.package.awake_base_w(cfg.iod_pstate, cfg.dram);
+            let leak = cfg.power.leakage.multiplier(die_temp_c[pkg]);
+            out.pkg_true_w[pkg] = (base + cores_true) * leak;
+        } else {
+            out.pkg_true_w[pkg] = cfg.power.package.sleeping_w();
+        }
+        out.pkg_est_w[pkg] = cfg.rapl.package_estimate_w(cores_est, awake);
+    }
+
+    // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology
+    let dc_w = out.pkg_true_w.iter().sum::<f64>() + out.dram_w + cfg.power.platform_dc_w;
+    out.dc_w = dc_w;
+    out.ac_w = cfg.power.psu.ac_from_dc(dc_w);
 }
 
 #[cfg(test)]

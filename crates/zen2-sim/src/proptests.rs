@@ -6,15 +6,18 @@ use crate::config::{SimConfig, SmuParams};
 use crate::controller::PptController;
 use crate::cstate::ThreadState;
 use crate::power::PowerBreakdown;
+use crate::scenario::Op;
 use crate::smu::Smu;
 use crate::snapshot::Snapshot;
 use crate::stats::{FreqResidency, OnlineStats, P2Quantile, TransitionStats, Welford};
-use crate::time::MILLISECOND;
+use crate::time::{Ns, MILLISECOND};
 use crate::trace::{Event, Record};
-use crate::System;
+use crate::{Scenario, System};
 use proptest::prelude::*;
+use rand::RngCore;
 use zen2_isa::{KernelClass, OperandWeight};
-use zen2_topology::{CoreId, ThreadId};
+use zen2_msr::address;
+use zen2_topology::{CoreId, SocketId, ThreadId};
 
 /// Finite `f64`s spanning the whole bit space (exponent extremes,
 /// subnormals, awkward fractions — the values a decimal round-trip is
@@ -63,13 +66,16 @@ fn same_bits(a: &PowerBreakdown, b: &PowerBreakdown) -> bool {
             == bits(&[b.dram_traffic_gbs, b.dram_w, b.dc_w, b.ac_w])
 }
 
+/// Both siblings of three socket-0 cores (two CCXs) and of one socket-1
+/// core.
+fn arb_thread() -> impl Strategy<Value = u32> {
+    prop::sample::select(vec![0u32, 1, 2, 3, 8, 9, 64, 65])
+}
+
 /// One machine action of the memo property: `(kind, thread, choice,
 /// flag, gap ns)`, decoded by [`apply_action`].
 fn arb_action() -> impl Strategy<Value = (u8, u32, usize, bool, u64)> {
-    // Both siblings of three socket-0 cores (two CCXs) and of one
-    // socket-1 core.
-    let threads = vec![0u32, 1, 2, 3, 8, 9, 64, 65];
-    (0u8..8, prop::sample::select(threads), 0usize..12, any::<bool>(), 0u64..5_000_000)
+    (0u8..9, arb_thread(), 0usize..12, any::<bool>(), 0u64..5_000_000)
 }
 
 /// Applies one decoded action to `sys`.
@@ -98,8 +104,114 @@ fn apply_action(sys: &mut System, (kind, thread, choice, flag, gap): (u8, u32, u
         // Thermal drift between actions.
         6 => sys.run_for_ns(gap),
         7 => sys.preheat(),
+        // FIRESTARTER everywhere for 10–30 ms: the PPT cap steps down,
+        // then holds, so thermal-only slots and held steps follow
+        // throttled ones.
+        8 => {
+            for t in (0..128).map(ThreadId) {
+                if sys.thread_state(t) != ThreadState::Offline {
+                    sys.set_workload(t, KernelClass::Firestarter, OperandWeight::HALF);
+                }
+            }
+            sys.run_for_ns(10 * MILLISECOND + 4 * gap);
+        }
         _ => {}
     }
+}
+
+/// One action of a tick: `(kind, thread, choice, flag)`, decoded by
+/// [`tick_op`] into any of the seven [`Op`] kinds.
+fn arb_tick_op() -> impl Strategy<Value = (u8, u32, usize, bool)> {
+    (0u8..7, arb_thread(), 0usize..12, any::<bool>())
+}
+
+/// Decodes one [`arb_tick_op`] action.
+fn tick_op((kind, thread, choice, flag): (u8, u32, usize, bool)) -> Op {
+    const KERNELS: [KernelClass; 4] = [
+        KernelClass::VXorps,
+        KernelClass::Firestarter,
+        KernelClass::MemoryRead,
+        KernelClass::Pause,
+    ];
+    const WEIGHTS: [OperandWeight; 3] =
+        [OperandWeight::ZERO, OperandWeight::HALF, OperandWeight::FULL];
+    let thread = ThreadId(thread);
+    match kind {
+        0 => Op::Workload { thread, class: KERNELS[choice % 4], weight: WEIGHTS[choice % 3] },
+        1 => Op::Idle { thread },
+        2 => Op::PstateMhz { thread, mhz: [1500, 2200, 2500][choice % 3] },
+        3 => Op::CstateEnabled { thread, level: 1 + (choice % 2) as u8, enabled: flag },
+        // Onlining five times as often as offlining keeps most schedules
+        // valid.
+        4 => Op::Online { thread, online: flag || choice < 8 },
+        5 => Op::Preheat,
+        _ => Op::Tracing(flag || choice < 8),
+    }
+}
+
+/// Applies one action through the public per-action API.
+fn apply_one(sys: &mut System, op: Op) {
+    match op {
+        Op::Workload { thread, class, weight } => sys.set_workload(thread, class, weight),
+        Op::Idle { thread } => sys.set_idle(thread),
+        Op::PstateMhz { thread, mhz } => {
+            sys.set_thread_pstate_mhz(thread, mhz);
+        }
+        Op::CstateEnabled { thread, level, enabled } => {
+            sys.set_cstate_enabled(thread, level, enabled)
+        }
+        Op::Online { thread, online } => sys.set_online(thread, online),
+        Op::Preheat => sys.preheat(),
+        Op::Tracing(enabled) => sys.set_tracing(enabled),
+    }
+}
+
+/// A scenario holding `ticks` as written: the first at t = 0, each later
+/// one `gap` ns after the one before, all its actions at one instant.
+fn tick_scenario(ticks: &[(Ns, Vec<Op>)]) -> (Scenario, Vec<Ns>) {
+    let mut sc = Scenario::new();
+    let mut times = Vec::new();
+    let mut at = 0;
+    for (i, (gap, ops)) in ticks.iter().enumerate() {
+        if i > 0 {
+            at += gap;
+        }
+        times.push(at);
+        let mut step = sc.at(at);
+        for &op in ops {
+            step = match op {
+                Op::Workload { thread, class, weight } => step.workload(thread, class, weight),
+                Op::Idle { thread } => step.idle(thread),
+                Op::PstateMhz { thread, mhz } => step.pstate(thread, mhz),
+                Op::CstateEnabled { thread, level, enabled } => step.cstate(thread, level, enabled),
+                Op::Online { thread, online } => step.online(thread, online),
+                Op::Preheat => step.preheat(),
+                Op::Tracing(enabled) => step.tracing(enabled),
+            };
+        }
+    }
+    sc.run_until(at + 3 * MILLISECOND);
+    times.push(at + 3 * MILLISECOND);
+    (sc, times)
+}
+
+/// Every counter field's bits, per thread.
+fn counter_bits(sys: &System) -> Vec<[u64; 5]> {
+    (0..sys.config().topology.num_threads() as u32)
+        .map(|t| {
+            let c = sys.counters(ThreadId(t));
+            [c.tsc, c.aperf, c.mperf, c.cycles, c.instructions].map(f64::to_bits)
+        })
+        .collect()
+}
+
+/// Both RAPL energy MSRs of every thread, as software reads them.
+fn rapl_msrs(sys: &mut System) -> Vec<Option<u64>> {
+    sys.sync_rapl_msrs();
+    (0..sys.config().topology.num_threads() as u32)
+        .flat_map(|t| [address::CORE_ENERGY_STAT, address::PKG_ENERGY_STAT].map(|a| (t, a)))
+        .map(|(t, a)| sys.msrs().read(ThreadId(t), a).ok())
+        .collect()
 }
 
 fn vf_points() -> Vec<(u32, f64)> {
@@ -180,7 +292,8 @@ proptest! {
     /// `power::evaluate` of the same machine state after every action:
     /// mixed kernels and weights on both SMT siblings, idling, C-state
     /// disables down to POLL, offlining, P-state transitions, thermal
-    /// drift and preheat.
+    /// drift, preheat, and throttled FIRESTARTER spans whose thermal-only
+    /// slots and held PPT steps follow cap moves.
     #[test]
     fn memoized_power_matches_stateless_evaluation(
         actions in prop::collection::vec(arb_action(), 1..40),
@@ -194,6 +307,75 @@ proptest! {
                 "breakdowns diverge after action {i} {action:?}"
             );
         }
+    }
+
+    /// Resolving a tick once, after its last action, ends in the machine
+    /// that applying the same actions one at a time reaches: the power
+    /// breakdown, AC energy, die temperatures, every thread's counters,
+    /// the RAPL MSRs and the RNG stream are bit-identical. So are the
+    /// tracer records other than `PackageSleep`, and each socket's asleep
+    /// time. AC-trace means only agree to 1e-8 W: the trace starts a
+    /// segment only when AC power moves by more than 1e-9 W, so skipping
+    /// a tick's zero-length intermediate states can leave the last bits
+    /// of a segment at the value before the tick.
+    #[test]
+    fn tick_batches_match_one_at_a_time(
+        ticks in prop::collection::vec(
+            (1u64..5_000_000, prop::collection::vec(arb_tick_op(), 1..6)),
+            1..8,
+        ),
+    ) {
+        let ticks: Vec<(Ns, Vec<Op>)> = ticks
+            .into_iter()
+            .map(|(gap, ops)| (gap, ops.into_iter().map(tick_op).collect()))
+            .collect();
+        let (sc, times) = tick_scenario(&ticks);
+        let cfg = SimConfig::epyc_7502_2s();
+        prop_assume!(sc.validate(&cfg).is_ok());
+
+        let mut batched = System::new(cfg.clone(), 5);
+        batched.set_tracing(true);
+        batched.run_scenario(&sc).expect("validated");
+
+        let mut single = System::new(cfg, 5);
+        single.set_tracing(true);
+        for (&at, (_, ops)) in times.iter().zip(&ticks) {
+            single.run_for_ns(at - single.now_ns());
+            for &op in ops {
+                apply_one(&mut single, op);
+            }
+        }
+        single.run_for_ns(batched.now_ns() - single.now_ns());
+
+        prop_assert!(same_bits(batched.power_breakdown(), single.power_breakdown()));
+        prop_assert_eq!(batched.ac_energy_j().to_bits(), single.ac_energy_j().to_bits());
+        for socket in [SocketId(0), SocketId(1)] {
+            prop_assert_eq!(
+                batched.die_temp_c(socket).to_bits(),
+                single.die_temp_c(socket).to_bits()
+            );
+            prop_assert_eq!(
+                batched.tracer().asleep_ns(socket, 0, batched.now_ns()),
+                single.tracer().asleep_ns(socket, 0, single.now_ns())
+            );
+        }
+        prop_assert!(counter_bits(&batched) == counter_bits(&single));
+        prop_assert!(rapl_msrs(&mut batched) == rapl_msrs(&mut single));
+        for pair in times.windows(2) {
+            let (from, to) = (pair[0], pair[1]);
+            let (a, b) = (batched.trace_mean_w(from, to), single.trace_mean_w(from, to));
+            prop_assert!((a - b).abs() <= 1e-8, "[{from}, {to}): {a} vs {b} W");
+        }
+        let not_sleep = |sys: &System| -> Vec<Record> {
+            sys.tracer()
+                .records()
+                .iter()
+                .filter(|r| !matches!(r.event, Event::PackageSleep { .. }))
+                .cloned()
+                .collect()
+        };
+        prop_assert!(not_sleep(&batched) == not_sleep(&single));
+        prop_assert_eq!(batched.rng().next_u64(), single.rng().next_u64());
     }
 
     /// The PPT controller never leaves its [min, max] range and always

@@ -675,7 +675,13 @@ impl System {
     /// Ordering within one timestamp is deterministic: probe sampling
     /// obligations and window *ends* first (measurements close before the
     /// machine changes), then scheduled actions, then window *starts*
-    /// (measurements open on the post-action state).
+    /// (measurements open on the post-action state). A tick's actions
+    /// apply in insertion order and resolve once, after the last of them:
+    /// DVFS, clocks and power are evaluated on the tick's final state, so
+    /// its intermediate states leave no AC-trace segment (they would last
+    /// zero time) and no package sleep event. A P-state request, preheat
+    /// or tracing toggle still resolves on its own, after the actions
+    /// before it.
     pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<Run, ScenarioError> {
         scenario.validate_with(self.config(), self.scheduling_snapshot())?;
         Ok(self.run_scenario_prechecked(scenario))
@@ -828,25 +834,11 @@ impl System {
                 *state = ProbeState::Done(done);
             }
 
-            // 3. Scheduled actions due now (insertion order within the tick).
-            while let Some(step) = ordered_steps.get(step_cursor).filter(|s| s.at == t) {
-                step_cursor += 1;
-                match step.op {
-                    Op::Workload { thread, class, weight } => {
-                        self.set_workload(thread, class, weight)
-                    }
-                    Op::Idle { thread } => self.set_idle(thread),
-                    Op::PstateMhz { thread, mhz } => {
-                        let _ = self.set_thread_pstate_mhz(thread, mhz);
-                    }
-                    Op::CstateEnabled { thread, level, enabled } => {
-                        self.set_cstate_enabled(thread, level, enabled)
-                    }
-                    Op::Online { thread, online } => self.set_online(thread, online),
-                    Op::Preheat => self.preheat(),
-                    Op::Tracing(enabled) => self.set_tracing(enabled),
-                }
-            }
+            // 3. Scheduled actions due now (insertion order within the tick),
+            //    resolved once after the last of them.
+            let due = ordered_steps[step_cursor..].iter().take_while(|s| s.at == t).count();
+            self.apply_ops(ordered_steps[step_cursor..step_cursor + due].iter().map(|s| s.op));
+            step_cursor += due;
 
             // 4. Window starts due now open on the post-action state.
             while let Some(&i) = starts.get(start_cursor).filter(|&&i| probes[i].window.from == t) {

@@ -7,6 +7,7 @@ use crate::cstate::ThreadState;
 use crate::os::IdleConfig;
 use crate::perf::ThreadCounters;
 use crate::power::{MachineState, PowerBreakdown, PowerEval};
+use crate::scenario::Op;
 use crate::smu::{PendingTransition, Smu};
 use crate::time::{next_boundary, to_secs, Ns, MILLISECOND};
 use crate::trace::{Event, Tracer};
@@ -37,6 +38,9 @@ pub struct System {
     // Per-thread state.
     thread_states: Vec<ThreadState>,
     workloads: Vec<Option<(KernelClass, OperandWeight)>>,
+    /// Instructions per cycle under the core's SMT occupancy, refreshed
+    /// whenever an action touches the core.
+    thread_ipc: Vec<f64>,
     pstate_req_mhz: Vec<u32>,
     idle_cfg: Vec<IdleConfig>,
 
@@ -94,6 +98,7 @@ impl System {
             rng: ChaCha8Rng::seed_from_u64(seed),
             thread_states: vec![ThreadState::C2; num_threads],
             workloads: vec![None; num_threads],
+            thread_ipc: vec![0.0; num_threads],
             pstate_req_mhz: vec![nominal; num_threads],
             idle_cfg: vec![IdleConfig::default(); num_threads],
             smu,
@@ -266,68 +271,116 @@ impl System {
 
     /// Schedules a workload on a hardware thread (pins it to C0).
     pub fn set_workload(&mut self, thread: ThreadId, class: KernelClass, weight: OperandWeight) {
-        assert!(
-            self.thread_states[thread.index()] != ThreadState::Offline,
-            "cannot schedule on an offline thread"
-        );
-        self.thread_states[thread.index()] = ThreadState::Active;
-        self.workloads[thread.index()] = Some((class, weight));
-        self.resample_noise(thread);
-        self.trace_thread_state(thread);
-        self.apply_state_change();
+        self.apply_ops([Op::Workload { thread, class, weight }]);
     }
 
     /// Removes the workload: the thread idles into its deepest enabled
     /// C-state.
     pub fn set_idle(&mut self, thread: ThreadId) {
-        if self.thread_states[thread.index()] == ThreadState::Offline {
-            return;
-        }
-        self.workloads[thread.index()] = None;
-        self.thread_states[thread.index()] = self.idle_cfg[thread.index()].deepest_idle_state();
-        // POLL fallback (all idle states disabled) is an active loop.
-        if self.thread_states[thread.index()] == ThreadState::Active {
-            self.workloads[thread.index()] = Some((KernelClass::Poll, OperandWeight::HALF));
-        }
-        self.resample_noise(thread);
-        self.trace_thread_state(thread);
-        self.apply_state_change();
+        self.apply_ops([Op::Idle { thread }]);
     }
 
     /// Enables/disables an idle state for one thread (sysfs
     /// `cpuidle/stateN/disable`). Re-settles the thread if it is idle.
     pub fn set_cstate_enabled(&mut self, thread: ThreadId, level: u8, enabled: bool) {
-        match level {
-            1 => self.idle_cfg[thread.index()].c1_enabled = enabled,
-            2 => self.idle_cfg[thread.index()].c2_enabled = enabled,
-            other => panic!("the test system has C-states 1 and 2, not {other}"),
-        }
-        if !self.thread_states[thread.index()].is_active()
-            && self.thread_states[thread.index()] != ThreadState::Offline
-        {
-            self.thread_states[thread.index()] = self.idle_cfg[thread.index()].deepest_idle_state();
-            if self.thread_states[thread.index()] == ThreadState::Active {
-                self.workloads[thread.index()] = Some((KernelClass::Poll, OperandWeight::HALF));
-            }
-        }
-        self.apply_state_change();
+        self.apply_ops([Op::CstateEnabled { thread, level, enabled }]);
     }
 
     /// Hotplugs a thread (sysfs `online`). Offlining parks the thread per
     /// the configured kernel behavior (Section VI-B anomaly); onlining
     /// returns it to the idle path.
     pub fn set_online(&mut self, thread: ThreadId, online: bool) {
-        if online {
-            if self.thread_states[thread.index()] == ThreadState::Offline {
-                self.thread_states[thread.index()] =
-                    self.idle_cfg[thread.index()].deepest_idle_state();
+        self.apply_ops([Op::Online { thread, online }]);
+    }
+
+    /// Applies one tick of actions in order. Scheduling actions
+    /// (`Workload`, `Idle`, `CstateEnabled`, `Online`) change thread
+    /// states, draw estimate noise and record `ThreadState` events as they
+    /// come; DVFS, clocks and power then resolve once, after the last of
+    /// them. DVFS reads only frequency requests and caps, never thread
+    /// states, so the deferral cannot change a transition. A P-state
+    /// request, preheat or tracing toggle first resolves what is staged,
+    /// then runs on its own: an in-flight ramp is never aborted, so every
+    /// request stays observable.
+    pub(crate) fn apply_ops(&mut self, ops: impl IntoIterator<Item = Op>) {
+        let mut staged = false;
+        for op in ops {
+            if staged && matches!(op, Op::PstateMhz { .. } | Op::Preheat | Op::Tracing(_)) {
+                self.apply_state_change();
+                staged = false;
             }
-        } else {
-            self.workloads[thread.index()] = None;
-            self.thread_states[thread.index()] = ThreadState::Offline;
+            let thread = match op {
+                Op::Workload { thread, class, weight } => {
+                    let t = thread.index();
+                    assert!(
+                        self.thread_states[t] != ThreadState::Offline,
+                        "cannot schedule on an offline thread"
+                    );
+                    self.thread_states[t] = ThreadState::Active;
+                    self.workloads[t] = Some((class, weight));
+                    self.resample_noise(thread);
+                    self.trace_thread_state(thread);
+                    thread
+                }
+                Op::Idle { thread } => {
+                    let t = thread.index();
+                    if self.thread_states[t] == ThreadState::Offline {
+                        continue;
+                    }
+                    self.workloads[t] = None;
+                    self.settle_idle(t);
+                    self.resample_noise(thread);
+                    self.trace_thread_state(thread);
+                    thread
+                }
+                Op::CstateEnabled { thread, level, enabled } => {
+                    let t = thread.index();
+                    match level {
+                        1 => self.idle_cfg[t].c1_enabled = enabled,
+                        2 => self.idle_cfg[t].c2_enabled = enabled,
+                        other => panic!("the test system has C-states 1 and 2, not {other}"),
+                    }
+                    let before = self.thread_states[t];
+                    if !before.is_active() && before != ThreadState::Offline {
+                        self.settle_idle(t);
+                        if self.thread_states[t] != before {
+                            self.trace_thread_state(thread);
+                        }
+                    }
+                    thread
+                }
+                Op::Online { thread, online } => {
+                    let t = thread.index();
+                    if online {
+                        if self.thread_states[t] == ThreadState::Offline {
+                            self.thread_states[t] = self.idle_cfg[t].deepest_idle_state();
+                        }
+                    } else {
+                        self.workloads[t] = None;
+                        self.thread_states[t] = ThreadState::Offline;
+                    }
+                    self.trace_thread_state(thread);
+                    thread
+                }
+                Op::PstateMhz { thread, mhz } => {
+                    let _ = self.set_thread_pstate_mhz(thread, mhz);
+                    continue;
+                }
+                Op::Preheat => {
+                    self.preheat();
+                    continue;
+                }
+                Op::Tracing(enabled) => {
+                    self.set_tracing(enabled);
+                    continue;
+                }
+            };
+            self.refresh_ipc(self.cfg.topology.core_of(thread).index());
+            staged = true;
         }
-        self.trace_thread_state(thread);
-        self.apply_state_change();
+        if staged {
+            self.apply_state_change();
+        }
     }
 
     /// Sets the userspace-governor frequency request of one hardware
@@ -364,20 +417,29 @@ impl System {
     /// Runs the machine forward by `dt` nanoseconds.
     pub fn run_for_ns(&mut self, dt: Ns) {
         let end = self.now + dt;
+        // Thread states cannot change while time runs.
+        let controller_active =
+            self.cfg.controller.enabled && self.thread_states.iter().any(|t| t.is_active());
+        let ppt_w = self.cfg.power.package.ppt_estimated_w;
+        let cores_per_pkg = self.cfg.topology.cores_per_socket();
         while self.now < end {
+            let smu_next = self.smu.next_event();
             let mut next = end.min(self.now + MAX_SEGMENT_NS);
-            if let Some(e) = self.smu.next_event() {
+            if let Some(e) = smu_next {
                 next = next.min(e);
             }
-            let controller_active =
-                self.cfg.controller.enabled && self.thread_states.iter().any(|t| t.is_active());
             if controller_active {
                 next = next.min(next_boundary(self.now, self.cfg.smu.slot_period_ns));
             }
             self.integrate_segment(next - self.now);
             self.now = next;
 
-            let completed = self.smu.advance(self.now);
+            // Nothing completes before the SMU's next event.
+            let completed = if smu_next.is_some_and(|e| e <= self.now) {
+                self.smu.advance(self.now)
+            } else {
+                Vec::new()
+            };
             let freq_changed = !completed.is_empty();
             if self.tracer.is_enabled() {
                 for c in &completed {
@@ -394,17 +456,15 @@ impl System {
             let mut caps_changed = false;
             if controller_active && self.now.is_multiple_of(self.cfg.smu.slot_period_ns) {
                 for pkg in 0..self.controllers.len() {
-                    let cores = pkg * self.cfg.topology.cores_per_socket()
-                        ..(pkg + 1) * self.cfg.topology.cores_per_socket();
-                    let applied = cores
+                    let est_w = self.breakdown.pkg_est_w[pkg];
+                    if self.controllers[pkg].holds(est_w, ppt_w) {
+                        continue;
+                    }
+                    let applied = (pkg * cores_per_pkg..(pkg + 1) * cores_per_pkg)
                         .map(|c| self.smu.core(c).applied_mhz())
                         .min()
                         .expect("packages have cores");
-                    let moved = self.controllers[pkg].step(
-                        self.breakdown.pkg_est_w[pkg],
-                        self.cfg.power.package.ppt_estimated_w,
-                        applied,
-                    );
+                    let moved = self.controllers[pkg].step(est_w, ppt_w, applied);
                     if moved {
                         self.tracer.record(
                             self.now,
@@ -423,8 +483,9 @@ impl System {
             if freq_changed || caps_changed {
                 self.update_clocks_and_power();
             } else {
-                // Thermal drift still moves leakage and estimates.
-                self.reevaluate_power();
+                // Only the die temperatures moved, and with them leakage
+                // and the estimates.
+                self.reevaluate_thermal();
             }
         }
     }
@@ -442,7 +503,7 @@ impl System {
                 self.die_temp_c[pkg] =
                     self.cfg.power.thermal.steady_state_c(self.breakdown.pkg_true_w[pkg]);
             }
-            self.reevaluate_power();
+            self.reevaluate_thermal();
         }
     }
 
@@ -672,9 +733,29 @@ impl System {
                 }
             }
         }
-        let changed = (breakdown.ac_w - self.breakdown.ac_w).abs() > 1e-9;
+        let before_ac_w = self.breakdown.ac_w;
         std::mem::swap(&mut self.breakdown, &mut self.next_breakdown);
-        if changed || self.trace.is_empty() {
+        self.trace_ac(before_ac_w);
+    }
+
+    /// Re-evaluates power when only the die temperatures moved since the
+    /// last evaluation. Package wake states cannot change, so there is no
+    /// sleep event to record.
+    fn reevaluate_thermal(&mut self) {
+        let before_ac_w = self.breakdown.ac_w;
+        self.power.reevaluate_thermal(
+            &self.cfg,
+            &self.die_temp_c,
+            &self.est_noise_w,
+            &mut self.breakdown,
+        );
+        self.trace_ac(before_ac_w);
+    }
+
+    /// Starts a new AC-trace segment if the evaluation just made moved AC
+    /// power by more than 1 nW.
+    fn trace_ac(&mut self, before_ac_w: f64) {
+        if (self.breakdown.ac_w - before_ac_w).abs() > 1e-9 || self.trace.is_empty() {
             self.trace.push((self.now, self.breakdown.ac_w));
         }
     }
@@ -699,6 +780,32 @@ impl System {
     fn apply_state_change(&mut self) {
         self.resolve_dvfs();
         self.update_clocks_and_power();
+    }
+
+    /// Settles an idle thread into its deepest enabled C-state, or into
+    /// the POLL loop when every C-state is disabled.
+    fn settle_idle(&mut self, t: usize) {
+        self.thread_states[t] = self.idle_cfg[t].deepest_idle_state();
+        // POLL fallback (all idle states disabled) is an active loop.
+        if self.thread_states[t] == ThreadState::Active {
+            self.workloads[t] = Some((KernelClass::Poll, OperandWeight::HALF));
+        }
+    }
+
+    /// Recomputes the instructions per cycle of one core's threads, which
+    /// depend on their workloads and on how many siblings execute.
+    fn refresh_ipc(&mut self, core: usize) {
+        let tpc = self.cfg.topology.threads_per_core();
+        let threads = core * tpc..(core + 1) * tpc;
+        let active = self.thread_states[threads.clone()].iter().filter(|s| s.is_active()).count();
+        for t in threads {
+            self.thread_ipc[t] = match (self.thread_states[t], self.workloads[t]) {
+                (ThreadState::Active, Some((class, _))) => {
+                    self.kernels.kernel(class).ipc_per_thread(SmtMode::from_active(active))
+                }
+                _ => 0.0,
+            };
+        }
     }
 
     /// Records a thread's current scheduling state into the event trace.
@@ -726,25 +833,12 @@ impl System {
         let nominal_ghz = self.pstate_mhz[0] as f64 / 1000.0;
 
         for t in 0..self.thread_states.len() {
-            let core = t / tpc;
-            let state = self.thread_states[t];
-            let ipc = match (state, self.workloads[t]) {
-                (ThreadState::Active, Some((class, _))) => {
-                    let base = core * tpc;
-                    let active = self.thread_states[base..base + tpc]
-                        .iter()
-                        .filter(|s| s.is_active())
-                        .count();
-                    self.kernels.kernel(class).ipc_per_thread(SmtMode::from_active(active))
-                }
-                _ => 0.0,
-            };
             self.counters[t].advance(
                 dt_s,
-                state,
-                self.core_eff_ghz[core],
+                self.thread_states[t],
+                self.core_eff_ghz[t / tpc],
                 nominal_ghz,
-                ipc,
+                self.thread_ipc[t],
                 self.cfg.os.idle_wake_cycles_per_s,
             );
         }

@@ -7,6 +7,11 @@
 //! a power trace looks the way it does: who requested which frequency
 //! when, when the SMU granted it, when packages fell into or out of deep
 //! sleep, and when the throttle controller moved its cap.
+//!
+//! A tick of scheduled actions resolves once, after the last of them, so
+//! a `PackageSleep` record gives the package state after the tick's
+//! actions: it follows the tick's `ThreadState` records, and a package
+//! that falls asleep and wakes again within one tick records neither.
 
 use crate::time::Ns;
 use zen2_topology::{CoreId, SocketId, ThreadId};

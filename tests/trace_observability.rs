@@ -121,6 +121,33 @@ fn package_sleep_time_accounting_matches_the_scenario() {
 }
 
 #[test]
+fn cstate_resettling_is_recorded() {
+    // Disabling C2 settles an idle thread into C1, re-enabling it settles
+    // the thread back into C2, and disabling both levels in one tick
+    // drops it into the POLL loop (C0). A change that leaves the state
+    // where it was records nothing, and a polling thread is active, so
+    // re-enabling C2 does not re-settle it.
+    let t = ThreadId(2);
+    let mut sc = Scenario::new();
+    sc.at_secs(0.01).cstate(t, 2, false);
+    sc.at_secs(0.02).cstate(t, 2, true);
+    sc.at_secs(0.03).cstate(t, 1, false).cstate(t, 2, false);
+    sc.at_secs(0.04).cstate(t, 2, true);
+    sc.run_until_secs(0.05);
+    sc.probe("t2", Probe::TraceEvents(EventFilter::ThreadState(t)), Window::span_secs(0.0, 0.05));
+    let run = System::new(SimConfig::epyc_7502_2s(), 3008).run_scenario(&sc).unwrap();
+    let states: Vec<(u64, &str)> = run
+        .events("t2")
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::ThreadState { state, .. } => Some((r.at_ns, state)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(states, [(10_000_000, "C1"), (20_000_000, "C2"), (30_000_000, "C0")]);
+}
+
+#[test]
 fn tracing_off_by_default_and_cheap() {
     let mut sys = System::new(SimConfig::epyc_7502_2s(), 3004);
     sys.set_workload(ThreadId(0), KernelClass::BusyWait, OperandWeight::HALF);
