@@ -126,24 +126,26 @@ fn reduce(sim_cfg: &SimConfig, sku: &str, run: &Run) -> SkuResult {
     }
 }
 
-/// The SKU grid as a declarative [`Sweep`]: one axis swapping both the
-/// machine configuration and its matching scenario.
+/// The swept SKUs, in presentation order: label and machine.
+fn skus() -> [(&'static str, SimConfig); 2] {
+    [("EPYC 7502", SimConfig::epyc_7502_2s()), ("EPYC 7742", SimConfig::epyc_7742_1s())]
+}
+
+/// The SKU grid as a declarative [`Sweep`]: one axis picking both the
+/// machine configuration and its matching scenario, built once.
 pub fn sweep(cfg: &Config, seed: u64) -> Sweep {
-    let skus = [SimConfig::epyc_7502_2s(), SimConfig::epyc_7742_1s()];
-    let mut axis = Axis::new("sku");
-    for (label, sim_cfg) in ["EPYC 7502", "EPYC 7742"].into_iter().zip(skus) {
+    let cases = skus().map(|(_, sim_cfg)| {
         let scenario = sku_scenario(cfg, &sim_cfg);
-        axis = axis.with(label, move |draft| {
-            draft.config = sim_cfg.clone();
-            draft.scenario = scenario.clone();
-        });
-    }
-    Sweep::new("manycore", SimConfig::epyc_7502_2s()).seed(seed).axis(axis)
+        (sim_cfg, scenario)
+    });
+    Sweep::new("manycore", move |ix| cases[ix[0]].clone())
+        .seed(seed)
+        .axis(Axis::new("sku", skus().map(|(label, _)| label)))
 }
 
 /// Runs both SKUs through the streaming sweep engine.
-pub fn run(cfg: &Config, seed: u64) -> ManyCoreResult {
-    run_checkpointed(cfg, seed, &Session::new(), &CheckpointSpec::none())
+pub fn run(cfg: &Config, seed: u64, session: &Session) -> ManyCoreResult {
+    run_checkpointed(cfg, seed, session, &CheckpointSpec::none())
         .expect("checkpointing disabled")
         .expect("no halt configured")
 }
@@ -161,12 +163,10 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<ManyCoreResult>, CheckpointError> {
+    let skus = skus();
     let reduce_sku = |index: usize, run: Run| {
-        let (sim_cfg, label) = match index {
-            0 => (SimConfig::epyc_7502_2s(), "EPYC 7502"),
-            _ => (SimConfig::epyc_7742_1s(), "EPYC 7742"),
-        };
-        reduce(&sim_cfg, label, &run)
+        let (label, sim_cfg) = &skus[index];
+        reduce(sim_cfg, label, &run)
     };
     let Some(cells) = run_resumable(&sweep(cfg, seed), session, spec, reduce_sku)? else {
         return Ok(None);
@@ -251,19 +251,23 @@ mod tests {
                 child_seed(seed, 1),
             ),
         ];
+        crate::assert_same_cases(&sweep(&cfg, seed), &cases);
         let runs = Session::new().run(&cases).unwrap();
         let materialized = ManyCoreResult {
             epyc_7502: reduce(&cfg_7502, "EPYC 7502", &runs[0]),
             epyc_7742: reduce(&cfg_7742, "EPYC 7742", &runs[1]),
         };
-        assert_eq!(render(&run(&cfg, seed)), render(&materialized));
-        assert_eq!(table(&run(&cfg, seed)).to_json(), table(&materialized).to_json());
+        assert_eq!(render(&run(&cfg, seed, &Session::new())), render(&materialized));
+        assert_eq!(
+            table(&run(&cfg, seed, &Session::new())).to_json(),
+            table(&materialized).to_json()
+        );
     }
 
     #[test]
     fn many_core_part_throttles_deeper() {
         // The paper's expectation: "a more severe impact".
-        let r = run(&quick(), 131);
+        let r = run(&quick(), 131, &Session::new());
         assert!(
             r.epyc_7742.throttle_depth > r.epyc_7502.throttle_depth + 0.02,
             "7742 {:.3} vs 7502 {:.3}",
@@ -274,7 +278,7 @@ mod tests {
 
     #[test]
     fn per_core_budget_shrinks_with_core_count() {
-        let r = run(&quick(), 132);
+        let r = run(&quick(), 132, &Session::new());
         assert!(r.epyc_7742.per_core_budget_w < r.epyc_7502.per_core_budget_w);
         // Both stay regulated near their PPT targets.
         assert!((r.epyc_7502.rapl_pkg_w - 170.0).abs() < 8.0);
@@ -283,13 +287,13 @@ mod tests {
 
     #[test]
     fn baseline_matches_fig6() {
-        let r = run(&quick(), 133);
+        let r = run(&quick(), 133, &Session::new());
         assert!((r.epyc_7502.equilibrium_ghz - 2.03).abs() < 0.05);
     }
 
     #[test]
     fn render_labels_the_prediction() {
-        let s = render(&run(&quick(), 134));
+        let s = render(&run(&quick(), 134, &Session::new()));
         assert!(s.contains("model predictions"));
         assert!(s.contains("EPYC 7742"));
     }

@@ -217,11 +217,11 @@ fn reduce(cfg: &Config, seed: u64, run: &Run) -> Fig3Result {
     }
 }
 
-/// Runs the transition-delay experiment through a [`Session`].
-pub fn run(cfg: &Config, seed: u64) -> Fig3Result {
+/// Runs the transition-delay experiment through `session`.
+pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig3Result {
     let case =
         Case::new("fig03", SimConfig::epyc_7502_2s(), scenario(cfg, seed), child_seed(seed, 0));
-    let runs = Session::new().run(std::slice::from_ref(&case)).expect("fig03 scenario validates");
+    let runs = session.run(std::slice::from_ref(&case)).expect("fig03 scenario validates");
     reduce(cfg, seed, &runs[0])
 }
 
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn fig3_distribution_is_uniform_390_to_1390() {
-        let result = run(&Config::fig3(Scale::Quick), 7);
+        let result = run(&Config::fig3(Scale::Quick), 7, &Session::new());
         assert_eq!(result.down.delays_us.len(), Config::fig3(Scale::Quick).samples);
         assert_eq!(result.up.delays_us.len(), Config::fig3(Scale::Quick).samples);
         assert!(result.down.min_us >= 389.0, "min {}", result.down.min_us);
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn up_switches_are_slightly_faster() {
-        let result = run(&Config::fig3(Scale::Quick), 11);
+        let result = run(&Config::fig3(Scale::Quick), 11, &Session::new());
         // 360 us ramp vs 390 us ramp.
         assert!(result.up.min_us >= 359.0 && result.up.min_us < 375.0, "{}", result.up.min_us);
         assert!(result.up.mean_us < result.down.mean_us);
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn anomaly_appears_for_25_22_with_short_waits() {
-        let result = run(&Config::anomaly(Scale::Quick), 13);
+        let result = run(&Config::anomaly(Scale::Quick), 13, &Session::new());
         // Down-switches below the 390 us minimum exist (down to ~160 us).
         assert!(result.down.min_us < 250.0, "fast down min {}", result.down.min_us);
         assert!(result.down.fast_fraction > 0.05, "{}", result.down.fast_fraction);
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn anomaly_vanishes_with_5ms_waits() {
-        let result = run(&Config::anomaly_long_waits(Scale::Quick), 17);
+        let result = run(&Config::anomaly_long_waits(Scale::Quick), 17, &Session::new());
         assert_eq!(result.down.fast_fraction, 0.0, "min {}", result.down.min_us);
         assert_eq!(result.up.fast_fraction, 0.0, "min {}", result.up.min_us);
     }
@@ -321,7 +321,7 @@ mod tests {
     fn render_contains_key_lines() {
         let mut cfg = Config::fig3(Scale::Quick);
         cfg.samples = 50;
-        let s = render(&run(&cfg, 3));
+        let s = render(&run(&cfg, 3, &Session::new()));
         assert!(s.contains("Fig. 3"));
         assert!(s.contains("2200 -> 1500 MHz"));
         assert!(s.contains("histogram"));

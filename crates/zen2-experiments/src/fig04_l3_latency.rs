@@ -7,15 +7,14 @@
 //!
 //! Each of the nine cells is a declarative [`Scenario`] — the workload
 //! placement, the DVFS settle and the repeated [`Probe::L3LatencyNs`]
-//! reads are all recorded as data — and the matrix runs as one
-//! [`Session`] batch.
+//! reads are all recorded as data — and the matrix is a two-axis
+//! [`Sweep`] streamed through the [`Session`] worker pool.
 
 use crate::report::Table;
 use crate::Scale;
 use zen2_isa::{KernelClass, OperandWeight};
-use zen2_sim::sweep::child_seed;
 use zen2_sim::time::{Ns, MILLISECOND};
-use zen2_sim::{Case, Probe, Run, Scenario, Session, SimConfig, Window};
+use zen2_sim::{Axis, Probe, Run, Scenario, Session, SimConfig, Sweep, Window};
 use zen2_topology::{CoreId, ThreadId};
 
 /// The swept frequencies (MHz), as in Fig. 4.
@@ -86,24 +85,25 @@ fn reduce(cfg: &Config, run: &Run) -> f64 {
     (0..cfg.repetitions).map(|rep| run.nanos(&format!("l3_{rep}"))).fold(f64::INFINITY, f64::min)
 }
 
-/// Runs the full 3×3 matrix as one [`Session`] batch.
-pub fn run(cfg: &Config, seed: u64) -> Fig4Result {
-    let mut cases = Vec::new();
-    for (i, &reader) in FREQS_MHZ.iter().enumerate() {
-        for (j, &others) in FREQS_MHZ.iter().enumerate() {
-            cases.push(Case::new(
-                format!("reader{reader}-others{others}"),
-                SimConfig::epyc_7502_2s(),
-                cell_scenario(cfg, reader, others),
-                child_seed(seed, (i * 3 + j) as u64),
-            ));
-        }
-    }
-    let runs = Session::new().run(&cases).expect("fig04 scenarios validate");
+/// The 3×3 matrix as a declarative [`Sweep`]: the reader's frequency
+/// outermost (the figure's rows), the other cores' innermost.
+fn sweep(cfg: &Config, seed: u64) -> Sweep {
+    let cfg = cfg.clone();
+    let sim_cfg = SimConfig::epyc_7502_2s();
+    Sweep::new("fig04", move |ix| {
+        (sim_cfg.clone(), cell_scenario(&cfg, FREQS_MHZ[ix[0]], FREQS_MHZ[ix[1]]))
+    })
+    .seed(seed)
+    .axis(Axis::new("reader", FREQS_MHZ))
+    .axis(Axis::new("others", FREQS_MHZ))
+}
+
+/// Runs the full 3×3 matrix through `session`.
+pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig4Result {
     let mut measured = [[0.0; 3]; 3];
-    for (flat, run) in runs.iter().enumerate() {
-        measured[flat / 3][flat % 3] = reduce(cfg, run);
-    }
+    sweep(cfg, seed)
+        .stream(session, |flat, run| measured[flat / 3][flat % 3] = reduce(cfg, &run))
+        .expect("fig04 scenarios validate");
     let mut worst = 0.0f64;
     for (row, paper_row) in measured.iter().zip(&PAPER_NS) {
         for (&cell, &paper) in row.iter().zip(paper_row) {
@@ -150,8 +150,29 @@ mod tests {
     }
 
     #[test]
+    fn sweep_builds_the_hand_built_cases() {
+        // The sweep port must not change results: the 3×3 grid as the
+        // module built it by hand holds the sweep's cases.
+        use zen2_sim::{sweep::child_seed, Case};
+        let cfg = quick();
+        let seed = 30;
+        let mut cases = Vec::new();
+        for (i, &reader) in FREQS_MHZ.iter().enumerate() {
+            for (j, &others) in FREQS_MHZ.iter().enumerate() {
+                cases.push(Case::new(
+                    format!("reader{reader}-others{others}"),
+                    SimConfig::epyc_7502_2s(),
+                    cell_scenario(&cfg, reader, others),
+                    child_seed(seed, (i * 3 + j) as u64),
+                ));
+            }
+        }
+        crate::assert_same_cases(&sweep(&cfg, seed), &cases);
+    }
+
+    #[test]
     fn matrix_matches_fig4_within_four_percent() {
-        let r = run(&quick(), 31);
+        let r = run(&quick(), 31, &Session::new());
         assert!(r.worst_rel_err < 0.04, "worst {:.3}", r.worst_rel_err);
         // The coupling mechanism explains the cell a naive model misses:
         // reader at an effective 2.0 GHz gives ~17.4 ns vs paper 17.2 ns.
@@ -163,14 +184,14 @@ mod tests {
         // Paper: "the latency to the L3 cache decreases for a core running
         // at 1.5 GHz when other cores in the same CCX apply a higher core
         // frequency".
-        let r = run(&quick(), 32);
+        let r = run(&quick(), 32, &Session::new());
         assert!(r.measured_ns[0][1] < r.measured_ns[0][0]);
         assert!(r.measured_ns[0][2] < r.measured_ns[0][1]);
     }
 
     #[test]
     fn reader_frequency_dominates() {
-        let r = run(&quick(), 33);
+        let r = run(&quick(), 33, &Session::new());
         assert!(r.measured_ns[2][0] < r.measured_ns[1][0]);
         assert!(r.measured_ns[1][0] < r.measured_ns[0][0]);
     }

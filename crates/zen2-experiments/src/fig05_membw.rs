@@ -8,12 +8,12 @@
 //!
 //! Every swept BIOS configuration is its own `SimConfig`; the cells are
 //! declarative [`Scenario`]s observing [`Probe::StreamTriadGbs`] and
-//! [`Probe::DramLatencyNs`], executed as one [`Session`] batch.
+//! [`Probe::DramLatencyNs`], and the P-state × DRAM-clock grid is a
+//! two-axis [`Sweep`] streamed through the [`Session`] worker pool.
 
 use crate::report::Table;
 use zen2_mem::{DramFreq, IodPstate};
-use zen2_sim::sweep::child_seed;
-use zen2_sim::{Case, Probe, Run, Scenario, Session, SimConfig, Window};
+use zen2_sim::{Axis, Probe, Run, Scenario, Session, SimConfig, Sweep, Window};
 
 /// The core-count columns of Fig. 5a ("4 (2 CCX)" is the fifth).
 pub const CORE_COLUMNS: [u32; 5] = [1, 2, 3, 4, 4];
@@ -81,27 +81,32 @@ fn reduce(pstate: IodPstate, dram: DramFreq, run: &Run) -> CellResult {
     }
 }
 
-/// Runs the full sweep as one [`Session`] batch.
-pub fn run(seed: u64) -> Fig5Result {
-    let mut cases = Vec::new();
-    let mut sweep = Vec::new();
-    for (pi, &pstate) in IodPstate::SWEEP.iter().enumerate() {
-        for (di, &dram) in DramFreq::SWEEP.iter().enumerate() {
-            let mut cfg = SimConfig::epyc_7502_2s();
-            cfg.iod_pstate = pstate;
-            cfg.dram = dram;
-            cases.push(Case::new(
-                format!("{pstate}-{dram}"),
-                cfg,
-                cell_scenario(),
-                child_seed(seed, (pi * 2 + di) as u64),
-            ));
-            sweep.push((pstate, dram));
-        }
-    }
-    let runs = Session::new().run(&cases).expect("fig05 scenarios validate");
-    let cells: Vec<CellResult> =
-        sweep.iter().zip(&runs).map(|(&(pstate, dram), run)| reduce(pstate, dram, run)).collect();
+/// The BIOS grid as a declarative [`Sweep`]: the I/O-die P-state
+/// outermost (the figure's rows), the DRAM clock innermost. Each point
+/// boots its own machine configuration; the scenario is shared.
+fn sweep(seed: u64) -> Sweep {
+    let scenario = cell_scenario();
+    Sweep::new("fig05", move |ix| {
+        let mut cfg = SimConfig::epyc_7502_2s();
+        cfg.iod_pstate = IodPstate::SWEEP[ix[0]];
+        cfg.dram = DramFreq::SWEEP[ix[1]];
+        (cfg, scenario.clone())
+    })
+    .seed(seed)
+    .axis(Axis::new("iod_pstate", IodPstate::SWEEP))
+    .axis(Axis::new("dram", DramFreq::SWEEP))
+}
+
+/// Runs the full sweep through `session`.
+pub fn run(seed: u64, session: &Session) -> Fig5Result {
+    let sweep = sweep(seed);
+    let mut cells = Vec::with_capacity(sweep.len());
+    sweep
+        .stream(session, |i, run| {
+            let ix = sweep.axis_indices(i);
+            cells.push(reduce(IodPstate::SWEEP[ix[0]], DramFreq::SWEEP[ix[1]], &run));
+        })
+        .expect("fig05 scenarios validate");
 
     let mut worst_bw = 0.0f64;
     let mut worst_lat = 0.0f64;
@@ -163,15 +168,38 @@ mod tests {
     use super::*;
 
     #[test]
+    fn sweep_builds_the_hand_built_cases() {
+        // The sweep port must not change results: the BIOS grid as the
+        // module built it by hand holds the sweep's cases.
+        use zen2_sim::{sweep::child_seed, Case};
+        let seed = 40;
+        let mut cases = Vec::new();
+        for (pi, &pstate) in IodPstate::SWEEP.iter().enumerate() {
+            for (di, &dram) in DramFreq::SWEEP.iter().enumerate() {
+                let mut cfg = SimConfig::epyc_7502_2s();
+                cfg.iod_pstate = pstate;
+                cfg.dram = dram;
+                cases.push(Case::new(
+                    format!("{pstate}-{dram}"),
+                    cfg,
+                    cell_scenario(),
+                    child_seed(seed, (pi * 2 + di) as u64),
+                ));
+            }
+        }
+        crate::assert_same_cases(&sweep(seed), &cases);
+    }
+
+    #[test]
     fn matrices_match_fig5_within_ten_percent() {
-        let r = run(41);
+        let r = run(41, &Session::new());
         assert!(r.worst_bw_rel_err < 0.10, "bw {:.3}", r.worst_bw_rel_err);
         assert!(r.worst_lat_rel_err < 0.08, "lat {:.3}", r.worst_lat_rel_err);
     }
 
     #[test]
     fn auto_wins_latency_and_p0_matches_auto_bandwidth() {
-        let r = run(42);
+        let r = run(42, &Session::new());
         let lat = |pi: usize, di: usize| r.cells[pi * 2 + di].latency_ns;
         // auto (index 4) beats pinned P0 (index 3) at DDR4-2933.
         assert!(lat(4, 0) < lat(3, 0));
@@ -183,7 +211,7 @@ mod tests {
 
     #[test]
     fn p3_loses_a_third_of_bandwidth() {
-        let r = run(43);
+        let r = run(43, &Session::new());
         let p3 = r.cells[0].bandwidth_gbs[3];
         let p0 = r.cells[3 * 2].bandwidth_gbs[3];
         assert!(p3 < 0.9 * p0, "P3 {p3:.1} vs P0 {p0:.1}");
@@ -191,7 +219,7 @@ mod tests {
 
     #[test]
     fn two_ccx_column_equals_one_ccx_column() {
-        let r = run(44);
+        let r = run(44, &Session::new());
         for cell in &r.cells {
             assert_eq!(cell.bandwidth_gbs[3], cell.bandwidth_gbs[4]);
         }
@@ -199,7 +227,7 @@ mod tests {
 
     #[test]
     fn render_includes_both_panels() {
-        let s = render(&run(45));
+        let s = render(&run(45, &Session::new()));
         assert!(s.contains("Fig. 5a"));
         assert!(s.contains("Fig. 5b"));
     }

@@ -188,28 +188,21 @@ fn reduce(run: &Run, smt: bool) -> ModeResult {
 const SMT_MODES: [(&str, bool); 2] = [("on", true), ("off", false)];
 
 /// The two SMT modes as a declarative [`Sweep`]: one axis whose values
-/// swap in the per-mode scenario ("on" first, matching the paper's
-/// presentation order).
+/// pick the per-mode scenario, each built once ("on" first, matching
+/// the paper's presentation order).
 pub fn sweep(cfg: &Config, seed: u64) -> Sweep {
     let mut sim_cfg = SimConfig::epyc_7502_2s();
     if cfg.boost {
         sim_cfg.controller.boost_max_mhz = Some(3350);
     }
-    let mut axis = Axis::new("smt");
-    for (label, smt) in SMT_MODES {
-        let sc = scenario(cfg, smt);
-        axis = axis.with(label, move |draft| draft.scenario = sc.clone());
-    }
-    Sweep::new("fig06", sim_cfg).seed(seed).axis(axis)
+    let scenarios = SMT_MODES.map(|(_, smt)| scenario(cfg, smt));
+    Sweep::new("fig06", move |ix| (sim_cfg.clone(), scenarios[ix[0]].clone()))
+        .seed(seed)
+        .axis(Axis::new("smt", SMT_MODES.map(|(label, _)| label)))
 }
 
 /// Runs both SMT modes through the streaming sweep engine.
-pub fn run(cfg: &Config, seed: u64) -> Fig6Result {
-    run_with(cfg, seed, &Session::new())
-}
-
-/// [`run`] on an explicit session (the worker/shard-invariance hook).
-fn run_with(cfg: &Config, seed: u64, session: &Session) -> Fig6Result {
+pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig6Result {
     run_checkpointed(cfg, seed, session, &CheckpointSpec::none())
         .expect("checkpointing disabled")
         .expect("no halt configured")
@@ -306,19 +299,23 @@ mod tests {
             Case::new("smt", sim_cfg.clone(), scenario(&cfg, true), child_seed(seed, 0)),
             Case::new("no-smt", sim_cfg, scenario(&cfg, false), child_seed(seed, 1)),
         ];
+        crate::assert_same_cases(&sweep(&cfg, seed), &cases);
         let runs = Session::new().run(&cases).unwrap();
         let materialized =
             Fig6Result { smt: reduce(&runs[0], true), no_smt: reduce(&runs[1], false) };
         for (workers, shard) in [(1, 1), (7, 64)] {
-            let streamed = run_with(&cfg, seed, &Session::new().workers(workers).shard_size(shard));
+            let streamed = run(&cfg, seed, &Session::new().workers(workers).shard_size(shard));
             assert_eq!(render(&streamed), render(&materialized), "workers {workers} shard {shard}");
         }
-        assert_eq!(tables(&run(&cfg, seed))[0].to_json(), tables(&materialized)[0].to_json());
+        assert_eq!(
+            tables(&run(&cfg, seed, &Session::new()))[0].to_json(),
+            tables(&materialized)[0].to_json()
+        );
     }
 
     #[test]
     fn equilibria_match_fig6() {
-        let r = run(&quick(), 51);
+        let r = run(&quick(), 51, &Session::new());
         assert!((r.smt.freq_ghz - PAPER_SMT.freq_ghz).abs() < 0.05, "smt {}", r.smt.freq_ghz);
         assert!(
             (r.no_smt.freq_ghz - PAPER_NO_SMT.freq_ghz).abs() < 0.05,
@@ -332,7 +329,7 @@ mod tests {
 
     #[test]
     fn power_and_rapl_match_fig6() {
-        let r = run(&quick(), 52);
+        let r = run(&quick(), 52, &Session::new());
         assert!((r.smt.ac_w - PAPER_SMT.ac_w).abs() < 10.0, "smt AC {}", r.smt.ac_w);
         assert!((r.no_smt.ac_w - PAPER_NO_SMT.ac_w).abs() < 10.0, "no-smt AC {}", r.no_smt.ac_w);
         // RAPL reads ~the same in both modes while AC differs by ~20 W.
@@ -344,7 +341,7 @@ mod tests {
 
     #[test]
     fn ipc_matches_paper_throughput() {
-        let r = run(&quick(), 53);
+        let r = run(&quick(), 53, &Session::new());
         assert!((r.smt.ipc - 3.56).abs() < 0.05, "smt IPC {}", r.smt.ipc);
         assert!((r.no_smt.ipc - 3.23).abs() < 0.05, "no-smt IPC {}", r.no_smt.ipc);
     }
@@ -354,8 +351,8 @@ mod tests {
         // Paper: "Enabling Core Performance Boost has almost no influence
         // on throughput, frequency and power" — the workload sits below
         // nominal anyway.
-        let plain = run(&quick(), 54);
-        let boosted = run(&Config { boost: true, ..quick() }, 54);
+        let plain = run(&quick(), 54, &Session::new());
+        let boosted = run(&Config { boost: true, ..quick() }, 54, &Session::new());
         assert!((plain.smt.freq_ghz - boosted.smt.freq_ghz).abs() < 0.05);
         assert!((plain.smt.ac_w - boosted.smt.ac_w).abs() < 10.0);
     }

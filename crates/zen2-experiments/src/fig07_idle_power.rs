@@ -140,39 +140,27 @@ fn kinds(cfg: &Config) -> Vec<SweepKind> {
 
 /// The full staircase grid as a declarative [`Sweep`]: a kind axis
 /// (outermost, like the figure's curves) crossed with a thread-count
-/// axis, the joint cell scenario built in the finish hook. The seed
-/// derivation reproduces the module's historical per-case seeds
-/// (`child(seed, kind_index * 1000 + count_index)`).
+/// axis. The seed derivation reproduces the module's historical
+/// per-case seeds (`child(seed, kind_index * 1000 + count_index)`).
 pub fn sweep(cfg: &Config, seed: u64) -> Sweep {
     let sim_cfg = SimConfig::epyc_7502_2s();
     let numbering = CpuNumbering::linux_default(&sim_cfg.topology);
     let kinds = kinds(cfg);
-    let mut kind_axis = Axis::new("kind");
-    for (ki, kind) in kinds.iter().enumerate() {
-        kind_axis =
-            kind_axis.with(format!("{kind:?}"), move |draft| draft.set_param("kind", ki as f64));
-    }
-    let count_axis = Axis::param("threads", cfg.thread_counts.iter().map(|&count| count as f64));
+    let kind_axis = Axis::new("kind", kinds.iter().map(|kind| format!("{kind:?}")));
+    let count_axis = Axis::new("threads", &cfg.thread_counts);
     let counts = cfg.thread_counts.len().max(1) as u64;
     let cfg = cfg.clone();
-    Sweep::new("fig07", sim_cfg)
-        .seed_fn(move |i| child_seed(seed, (i / counts) * 1000 + i % counts))
-        .axis(kind_axis)
-        .axis(count_axis)
-        .finish(move |draft| {
-            let kind = kinds[draft.param("kind") as usize];
-            let count = draft.param("threads") as usize;
-            draft.scenario = scenario(&cfg, &numbering, Some(kind), count);
-        })
+    Sweep::new("fig07", move |ix| {
+        let sc = scenario(&cfg, &numbering, Some(kinds[ix[0]]), cfg.thread_counts[ix[1]]);
+        (sim_cfg.clone(), sc)
+    })
+    .seed_fn(move |i| child_seed(seed, (i / counts) * 1000 + i % counts))
+    .axis(kind_axis)
+    .axis(count_axis)
 }
 
 /// Runs the staircase through the streaming sweep engine.
-pub fn run(cfg: &Config, seed: u64) -> Fig7Result {
-    run_with(cfg, seed, &Session::new())
-}
-
-/// [`run`] on an explicit session (the worker/shard-invariance hook).
-fn run_with(cfg: &Config, seed: u64, session: &Session) -> Fig7Result {
+pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig7Result {
     run_checkpointed(cfg, seed, session, &CheckpointSpec::none())
         .expect("checkpointing disabled")
         .expect("no halt configured")
@@ -312,6 +300,7 @@ mod tests {
                 ));
             }
         }
+        crate::assert_same_cases(&sweep(&cfg, seed), &cases[1..]);
         let runs = Session::new().run(&cases).unwrap();
         let mut curves = Vec::new();
         let mut next = 1;
@@ -324,7 +313,7 @@ mod tests {
         let materialized = Fig7Result { baseline_w: runs[0].watts(AC), curves };
 
         for (workers, shard) in [(1, 1), (7, 5)] {
-            let streamed = run_with(&cfg, seed, &Session::new().workers(workers).shard_size(shard));
+            let streamed = run(&cfg, seed, &Session::new().workers(workers).shard_size(shard));
             assert_eq!(streamed.baseline_w, materialized.baseline_w);
             for (s, m) in streamed.curves.iter().zip(&materialized.curves) {
                 assert_eq!(s.kind, m.kind);
@@ -335,7 +324,7 @@ mod tests {
 
     #[test]
     fn baseline_and_first_step_match_paper() {
-        let r = run(&quick(), 61);
+        let r = run(&quick(), 61, &Session::new());
         assert!((r.baseline_w - paper::ALL_C2_W).abs() < 1.5, "baseline {}", r.baseline_w);
         let (first_c1, slope) = c1_staircase(&r);
         assert!((first_c1 - paper::FIRST_C1_W).abs() < 2.0, "first C1 {first_c1}");
@@ -344,7 +333,7 @@ mod tests {
 
     #[test]
     fn second_hardware_threads_add_nothing_in_c1() {
-        let r = run(&quick(), 62);
+        let r = run(&quick(), 62, &Session::new());
         let c1 = &r.curves[0];
         let at_64 = c1.ac_w[c1.thread_counts.iter().position(|&n| n == 64).unwrap()];
         let at_128 = c1.ac_w[c1.thread_counts.iter().position(|&n| n == 128).unwrap()];
@@ -353,7 +342,7 @@ mod tests {
 
     #[test]
     fn active_power_depends_on_frequency_c1_does_not() {
-        let r = run(&quick(), 63);
+        let r = run(&quick(), 63, &Session::new());
         let slope = |kind: SweepKind| {
             let c = r.curves.iter().find(|c| c.kind == kind).unwrap();
             let i1 = c.thread_counts.iter().position(|&n| n == 1).unwrap();
@@ -369,7 +358,7 @@ mod tests {
     #[test]
     fn first_active_thread_matches_first_c1_level() {
         // Paper: 180.4 W vs 180.3 W — the package wake dominates.
-        let r = run(&quick(), 64);
+        let r = run(&quick(), 64, &Session::new());
         let active = r.curves.iter().find(|c| c.kind == SweepKind::ActivePause(2500)).unwrap();
         let (first_c1, _) = c1_staircase(&r);
         assert!((active.ac_w[0] - first_c1).abs() < 1.0);

@@ -6,18 +6,25 @@
 //! C-state, frequency and placement.
 //!
 //! Each combination is a declarative [`Scenario`] whose sampling plan is
-//! a [`Probe::WakeupSamples`] window; the grid fans out via [`Session`].
+//! a [`Probe::WakeupSamples`] window; the C-state × frequency ×
+//! placement grid is a three-axis [`Sweep`] streamed through the
+//! [`Session`] worker pool.
 
 use crate::report::Table;
 use crate::Scale;
 use zen2_sim::methodology::{mean, quantile};
-use zen2_sim::sweep::child_seed;
-use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
+use zen2_sim::{Axis, Probe, Scenario, Session, SimConfig, Sweep, Window};
 use zen2_topology::ThreadId;
 
 /// Paper reference: C1 ≈ 1 µs at 2.2/2.5 GHz, 1.5 µs at 1.5 GHz; C2
 /// between 20 µs and 25 µs; remote adds ~1 µs; ACPI reports 1/400 µs.
 pub const FREQS_MHZ: [u32; 3] = [1500, 2200, 2500];
+
+/// The swept OS C-states, C1 first.
+const CSTATES: [u8; 2] = [1, 2];
+
+/// The swept placements: local (same CCX), then remote (other socket).
+const REMOTE: [bool; 2] = [false, true];
 
 /// One measured distribution.
 #[derive(Debug, Clone)]
@@ -90,48 +97,40 @@ fn scenario(cfg: &Config, cstate: u8, freq_mhz: u32, remote: bool) -> Scenario {
     sc
 }
 
-/// Runs all combinations as one [`Session`] batch.
-pub fn run(cfg: &Config, seed: u64) -> Fig8Result {
-    let mut combos = Vec::new();
-    for &cstate in &[1u8, 2u8] {
-        for &freq in &FREQS_MHZ {
-            for &remote in &[false, true] {
-                combos.push((cstate, freq, remote));
-            }
-        }
-    }
+/// The combinations as a declarative [`Sweep`]: C-state outermost,
+/// then frequency, then placement (the table's row order).
+fn sweep(cfg: &Config, seed: u64) -> Sweep {
+    let cfg = cfg.clone();
     let sim_cfg = SimConfig::epyc_7502_2s();
-    let cases: Vec<Case> = combos
-        .iter()
-        .enumerate()
-        .map(|(i, &(cstate, freq, remote))| {
-            Case::new(
-                format!("C{cstate}/{freq}MHz/{}", if remote { "remote" } else { "local" }),
-                sim_cfg.clone(),
-                scenario(cfg, cstate, freq, remote),
-                child_seed(seed, i as u64),
-            )
-        })
-        .collect();
-    let runs = Session::new().run(&cases).expect("fig08 scenarios validate");
+    Sweep::new("fig08", move |ix| {
+        (sim_cfg.clone(), scenario(&cfg, CSTATES[ix[0]], FREQS_MHZ[ix[1]], REMOTE[ix[2]]))
+    })
+    .seed(seed)
+    .axis(Axis::new("cstate", CSTATES.map(|c| format!("C{c}"))))
+    .axis(Axis::new("freq", FREQS_MHZ))
+    .axis(Axis::new("placement", ["local", "remote"]))
+}
 
-    let dists = combos
-        .iter()
-        .zip(&runs)
-        .map(|(&(cstate, freq_mhz, remote), run)| {
+/// Runs all combinations through `session`.
+pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig8Result {
+    let sweep = sweep(cfg, seed);
+    let mut dists = Vec::with_capacity(sweep.len());
+    sweep
+        .stream(session, |i, run| {
+            let ix = sweep.axis_indices(i);
             let samples_us: Vec<f64> =
                 run.durations_ns("wakeups").iter().map(|ns| ns / 1000.0).collect();
-            WakeupDist {
-                cstate,
-                freq_mhz,
-                remote,
+            dists.push(WakeupDist {
+                cstate: CSTATES[ix[0]],
+                freq_mhz: FREQS_MHZ[ix[1]],
+                remote: REMOTE[ix[2]],
                 median_us: quantile(&samples_us, 0.5),
                 mean_us: mean(&samples_us),
                 p95_us: quantile(&samples_us, 0.95),
                 max_us: samples_us.iter().copied().fold(0.0, f64::max),
-            }
+            });
         })
-        .collect();
+        .expect("fig08 scenarios validate");
     Fig8Result { dists }
 }
 
@@ -177,8 +176,39 @@ mod tests {
     }
 
     #[test]
+    fn sweep_builds_the_hand_built_cases() {
+        // The sweep port must not change results: the combinations as
+        // the module built them by hand hold the sweep's cases.
+        use zen2_sim::{sweep::child_seed, Case};
+        let cfg = quick();
+        let seed = 70;
+        let mut combos = Vec::new();
+        for &cstate in &[1u8, 2u8] {
+            for &freq in &FREQS_MHZ {
+                for &remote in &[false, true] {
+                    combos.push((cstate, freq, remote));
+                }
+            }
+        }
+        let sim_cfg = SimConfig::epyc_7502_2s();
+        let cases: Vec<Case> = combos
+            .iter()
+            .enumerate()
+            .map(|(i, &(cstate, freq, remote))| {
+                Case::new(
+                    format!("C{cstate}/{freq}MHz/{}", if remote { "remote" } else { "local" }),
+                    sim_cfg.clone(),
+                    scenario(&cfg, cstate, freq, remote),
+                    child_seed(seed, i as u64),
+                )
+            })
+            .collect();
+        crate::assert_same_cases(&sweep(&cfg, seed), &cases);
+    }
+
+    #[test]
     fn c1_latencies_match_fig8a() {
-        let r = run(&quick(), 71);
+        let r = run(&quick(), 71, &Session::new());
         assert!((find(&r, 1, 2500, false).median_us - 1.0).abs() < 0.15);
         assert!((find(&r, 1, 2200, false).median_us - 1.14).abs() < 0.2);
         assert!((find(&r, 1, 1500, false).median_us - 1.67).abs() < 0.3);
@@ -186,7 +216,7 @@ mod tests {
 
     #[test]
     fn c2_latencies_match_fig8b() {
-        let r = run(&quick(), 72);
+        let r = run(&quick(), 72, &Session::new());
         for &f in &FREQS_MHZ {
             let d = find(&r, 2, f, false);
             assert!((19.0..27.0).contains(&d.median_us), "C2 @{f}: {}", d.median_us);
@@ -197,7 +227,7 @@ mod tests {
 
     #[test]
     fn remote_adds_about_one_microsecond() {
-        let r = run(&quick(), 73);
+        let r = run(&quick(), 73, &Session::new());
         for &c in &[1u8, 2u8] {
             let local = find(&r, c, 2500, false).median_us;
             let remote = find(&r, c, 2500, true).median_us;
@@ -207,7 +237,7 @@ mod tests {
 
     #[test]
     fn outliers_exist_but_are_rare() {
-        let r = run(&Config { samples: 300 }, 74);
+        let r = run(&Config { samples: 300 }, 74, &Session::new());
         let d = find(&r, 2, 2500, false);
         assert!(d.max_us > d.median_us, "some samples are perturbed");
         assert!(d.p95_us < d.median_us * 1.3, "but the bulk is tight");

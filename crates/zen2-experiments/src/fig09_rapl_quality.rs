@@ -159,39 +159,33 @@ impl Snapshot for Readings {
 }
 
 /// The non-idle grid as a declarative [`Sweep`]: workload × placement ×
-/// frequency, the joint point scenario built in the finish hook. The
-/// seed derivation reproduces the module's historical flat job indices
-/// (idle — excluded here because it has no placement/frequency fan-out —
-/// occupies one index in that flat order).
+/// frequency. The seed derivation reproduces the module's historical
+/// flat job indices (idle — excluded here because it has no
+/// placement/frequency fan-out — occupies one index in that flat
+/// order).
 pub fn sweep(cfg: &Config, seed: u64) -> Sweep {
     let active: Vec<KernelClass> =
         classes().into_iter().filter(|&c| c != KernelClass::Idle).collect();
-    let mut workload_axis = Axis::new("workload");
-    for (ci, class) in active.iter().enumerate() {
-        workload_axis =
-            workload_axis.with(class.name(), move |draft| draft.set_param("workload", ci as f64));
-    }
-    let mut placement_axis = Axis::new("placement");
-    for (pi, &(cores, smt)) in cfg.placements.iter().enumerate() {
-        let label = format!("{cores}c{}", if smt { "+smt" } else { "" });
-        placement_axis =
-            placement_axis.with(label, move |draft| draft.set_param("placement", pi as f64));
-    }
-    let freq_axis = Axis::param("freq", cfg.freqs_mhz.iter().map(|&mhz| mhz as f64));
+    let workload_axis = Axis::new("workload", active.iter().map(|class| class.name()));
+    let placement_axis = Axis::new(
+        "placement",
+        cfg.placements
+            .iter()
+            .map(|&(cores, smt)| format!("{cores}c{}", if smt { "+smt" } else { "" })),
+    );
+    let freq_axis = Axis::new("freq", &cfg.freqs_mhz);
 
     let (_, flat) = flat_job_indices(cfg);
     let cfg = cfg.clone();
-    let placements = cfg.placements.clone();
-    Sweep::new("fig09", SimConfig::epyc_7502_2s())
-        .seed_fn(move |i| child_seed(seed, flat[i as usize]))
-        .axis(workload_axis)
-        .axis(placement_axis)
-        .axis(freq_axis)
-        .finish(move |draft| {
-            let class = active[draft.param("workload") as usize];
-            let (cores, smt) = placements[draft.param("placement") as usize];
-            draft.scenario = point_scenario(&cfg, class, cores, smt, draft.param("freq") as u32);
-        })
+    let sim_cfg = SimConfig::epyc_7502_2s();
+    Sweep::new("fig09", move |ix| {
+        let (cores, smt) = cfg.placements[ix[1]];
+        (sim_cfg.clone(), point_scenario(&cfg, active[ix[0]], cores, smt, cfg.freqs_mhz[ix[2]]))
+    })
+    .seed_fn(move |i| child_seed(seed, flat[i as usize]))
+    .axis(workload_axis)
+    .axis(placement_axis)
+    .axis(freq_axis)
 }
 
 /// The historical flat job indices, in one pass over the legend order:
@@ -218,12 +212,7 @@ fn flat_job_indices(cfg: &Config) -> (u64, Vec<u64>) {
 }
 
 /// Runs the full grid through the streaming sweep engine.
-pub fn run(cfg: &Config, seed: u64) -> Fig9Result {
-    run_with(cfg, seed, &Session::new())
-}
-
-/// [`run`] on an explicit session (the worker/shard-invariance hook).
-fn run_with(cfg: &Config, seed: u64, session: &Session) -> Fig9Result {
+pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig9Result {
     run_checkpointed(cfg, seed, session, &CheckpointSpec::none())
         .expect("checkpointing disabled")
         .expect("no halt configured")
@@ -405,6 +394,13 @@ mod tests {
                 )
             })
             .collect();
+        let grid: Vec<Case> = jobs
+            .iter()
+            .zip(&cases)
+            .filter(|((class, ..), _)| *class != KernelClass::Idle)
+            .map(|(_, case)| case.clone())
+            .collect();
+        crate::assert_same_cases(&sweep(&cfg, seed), &grid);
         let runs = Session::new().run(&cases).unwrap();
         let points: Vec<Point> = jobs
             .iter()
@@ -424,12 +420,15 @@ mod tests {
             .collect();
         let materialized = fit(points);
         for (workers, shard) in [(1, 1), (7, 5)] {
-            let streamed = run_with(&cfg, seed, &Session::new().workers(workers).shard_size(shard));
+            let streamed = run(&cfg, seed, &Session::new().workers(workers).shard_size(shard));
             assert_eq!(render(&streamed), render(&materialized), "workers {workers} shard {shard}");
             assert_eq!(streamed.fit_slope, materialized.fit_slope);
             assert_eq!(streamed.worst_residual_w, materialized.worst_residual_w);
         }
-        assert_eq!(tables(&run(&cfg, seed))[0].to_json(), tables(&materialized)[0].to_json());
+        assert_eq!(
+            tables(&run(&cfg, seed, &Session::new()))[0].to_json(),
+            tables(&materialized)[0].to_json()
+        );
     }
 
     #[test]
@@ -440,7 +439,7 @@ mod tests {
         // across different worker/shard splits on the two halves.
         let cfg = quick();
         let seed = 86;
-        let clean = run(&cfg, seed);
+        let clean = run(&cfg, seed, &Session::new());
         let path =
             std::env::temp_dir().join(format!("zen2-fig09-resume-test-{}", std::process::id()));
         let halted = run_checkpointed(
@@ -490,7 +489,7 @@ mod tests {
 
     #[test]
     fn rapl_underreports_and_points_scatter() {
-        let r = run(&quick(), 81);
+        let r = run(&quick(), 81, &Session::new());
         // "the RAPL package domain reports significantly lower power
         // compared to the external measurement": every active point.
         for p in r.points.iter().filter(|p| p.workload != "idle") {
@@ -502,7 +501,7 @@ mod tests {
 
     #[test]
     fn memory_workloads_sit_above_the_fit() {
-        let r = run(&quick(), 82);
+        let r = run(&quick(), 82, &Session::new());
         assert!(
             r.memory_residual_w > 5.0,
             "memory workloads draw AC that RAPL cannot see: {:+.1} W",
@@ -512,7 +511,7 @@ mod tests {
 
     #[test]
     fn core_domain_is_below_package_domain() {
-        let r = run(&quick(), 83);
+        let r = run(&quick(), 83, &Session::new());
         for p in &r.points {
             assert!(
                 p.rapl_core_w <= p.rapl_pkg_w + 1e-6,
@@ -526,7 +525,7 @@ mod tests {
 
     #[test]
     fn compute_workloads_scale_with_frequency() {
-        let r = run(&quick(), 84);
+        let r = run(&quick(), 84, &Session::new());
         let find = |mhz: u32| {
             r.points
                 .iter()

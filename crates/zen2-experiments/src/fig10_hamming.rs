@@ -185,20 +185,16 @@ impl Snapshot for WeightBuckets {
 /// weight sequence its scenario schedules.
 pub fn sweep(cfg: &Config, seed: u64, class: KernelClass) -> (Sweep, Vec<OperandWeight>) {
     let (sc, weights) = scenario(cfg, seed, class);
-    let sweep = Sweep::new("fig10", SimConfig::epyc_7502_2s())
+    let sim_cfg = SimConfig::epyc_7502_2s();
+    let sweep = Sweep::new("fig10", move |_| (sim_cfg.clone(), sc.clone()))
         .seed(seed)
-        .axis(Axis::new("instr").with(class.name(), move |draft| draft.scenario = sc.clone()));
+        .axis(Axis::new("instr", [class.name()]));
     (sweep, weights)
 }
 
 /// Runs the weight sweep for one instruction kernel through the
 /// streaming sweep engine.
-pub fn run(cfg: &Config, seed: u64, class: KernelClass) -> Fig10Result {
-    run_with(cfg, seed, class, &Session::new())
-}
-
-/// [`run`] on an explicit session (the worker/shard-invariance hook).
-fn run_with(cfg: &Config, seed: u64, class: KernelClass, session: &Session) -> Fig10Result {
+pub fn run(cfg: &Config, seed: u64, class: KernelClass, session: &Session) -> Fig10Result {
     run_checkpointed(cfg, seed, class, session, &CheckpointSpec::none())
         .expect("checkpointing disabled")
         .expect("no halt configured")
@@ -327,6 +323,7 @@ mod tests {
         let class = KernelClass::VXorps;
         let (sc, weights) = scenario(&cfg, seed, class);
         let case = Case::new("fig10", SimConfig::epyc_7502_2s(), sc, child_seed(seed, 0));
+        crate::assert_same_cases(&sweep(&cfg, seed, class).0, std::slice::from_ref(&case));
         let runs = Session::new().run(std::slice::from_ref(&case)).unwrap();
         let mut materialized = Fig10Result {
             instruction: class.name().into(),
@@ -341,20 +338,20 @@ mod tests {
         }
         for (workers, shard) in [(1, 1), (7, 64)] {
             let streamed =
-                run_with(&cfg, seed, class, &Session::new().workers(workers).shard_size(shard));
+                run(&cfg, seed, class, &Session::new().workers(workers).shard_size(shard));
             assert_eq!(render(&streamed), render(&materialized), "workers {workers} shard {shard}");
             assert_eq!(streamed.ac_w.w0, materialized.ac_w.w0);
             assert_eq!(streamed.rapl_pkg_w.w1, materialized.rapl_pkg_w.w1);
         }
         assert_eq!(
-            tables(&run(&cfg, seed, class))[0].to_json(),
+            tables(&run(&cfg, seed, class, &Session::new()))[0].to_json(),
             tables(&materialized)[0].to_json()
         );
     }
 
     #[test]
     fn vxorps_ac_separation_matches_fig10a() {
-        let r = run(&quick(), 91, KernelClass::VXorps);
+        let r = run(&quick(), 91, KernelClass::VXorps, &Session::new());
         let spread = r.ac_w.mean_spread();
         assert!((spread - 21.0).abs() < 4.0, "AC spread {spread:.1} W");
         // "with no overlap in distributions".
@@ -366,7 +363,7 @@ mod tests {
 
     #[test]
     fn vxorps_rapl_is_blind_fig10b() {
-        let r = run(&quick(), 92, KernelClass::VXorps);
+        let r = run(&quick(), 92, KernelClass::VXorps, &Session::new());
         let (_, mid, _) = r.rapl_core0_w.means();
         let rel = r.rapl_core0_w.mean_spread() / mid;
         assert!(rel < 0.005, "RAPL core relative spread {rel:.5}");
@@ -375,7 +372,7 @@ mod tests {
 
     #[test]
     fn shr_barely_shows_even_at_the_wall() {
-        let r = run(&quick(), 93, KernelClass::Shr);
+        let r = run(&quick(), 93, KernelClass::Shr, &Session::new());
         let (_, mid, _) = r.ac_w.means();
         let rel = r.ac_w.mean_spread() / mid;
         // Paper: "much closer, within 0.9 %".
@@ -385,6 +382,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "vxorps or shr")]
     fn other_kernels_are_rejected() {
-        let _ = run(&quick(), 94, KernelClass::AddPd);
+        let _ = run(&quick(), 94, KernelClass::AddPd, &Session::new());
     }
 }

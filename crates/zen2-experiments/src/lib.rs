@@ -5,18 +5,20 @@
 //!
 //! * a `Config` with the paper's full parameters ([`Scale::Paper`]) and a
 //!   cheaper variant for CI and quick runs ([`Scale::Quick`]),
-//! * a `run(config, seed)` function that drives `zen2-sim` through the
-//!   paper's methodology and returns a plain result struct,
+//! * a `run(config, seed, &Session)` function that drives `zen2-sim`
+//!   through the paper's methodology on the caller's session and
+//!   returns a plain result struct,
 //! * a `render()` producing the paper-style text table, including the
 //!   published reference values next to the measured ones, and a
 //!   `tables()` giving the same report as [`report::Table`]s for
 //!   `--json`.
 //!
-//! Sweeps are expressed declaratively: each configuration is a
-//! `(SimConfig, Scenario, seed)` [`Case`](zen2_sim::Case) with a
-//! deterministic child seed, and the batch executes through a
-//! [`Session`] worker pool — no experiment module spawns threads
-//! itself, and results are byte-identical regardless of parallelism.
+//! Grids are expressed declaratively: a [`Sweep`](zen2_sim::Sweep) is
+//! its axes plus one function from a grid point's axis indices to its
+//! `(SimConfig, Scenario)`, each case with a deterministic child seed,
+//! and the batch executes through the binary's [`Session`] worker pool —
+//! no experiment module spawns threads itself, and results are
+//! byte-identical regardless of parallelism.
 //! The wide-grid modules additionally expose a `run_checkpointed`
 //! entry point taking a [`CheckpointSpec`]; `docs/SWEEPS.md` documents
 //! that workflow end to end.
@@ -118,9 +120,9 @@ struct Experiment {
 
 /// How a row runs, at a scale under a seed.
 enum Run {
-    /// A narrow experiment: it keeps its own `Session::new()` and has no
+    /// A narrow experiment: it runs on the binary's session and has no
     /// grid to checkpoint.
-    Narrow(fn(Scale, u64) -> Report),
+    Narrow(fn(Scale, u64, &Session) -> Report),
     /// A checkpointed grid, run on the binary's session. Its checkpoint
     /// file adds the suffix to its bin's `--checkpoint` path (`""` for a
     /// bin's only grid); under `all` it adds `-<bin><suffix>`.
@@ -147,14 +149,14 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "fig01",
         seed: 0,
         all_seed: Some(0),
-        run: Narrow(|_, _| Report::of(&fig01::run()[..], fig01::render, fig01::tables)),
+        run: Narrow(|_, _, _| Report::of(&fig01::run()[..], fig01::render, fig01::tables)),
     },
     Experiment {
         bin: "fig03",
         seed: 0xF163,
         all_seed: Some(1),
-        run: Narrow(|scale, seed| {
-            let r = fig03::run(&fig03::Config::fig3(scale), seed);
+        run: Narrow(|scale, seed, session| {
+            let r = fig03::run(&fig03::Config::fig3(scale), seed, session);
             Report::of(&r, fig03::render, fig03::tables)
         }),
     },
@@ -162,8 +164,8 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "fig03",
         seed: 0xF163A,
         all_seed: None,
-        run: Narrow(|scale, seed| {
-            let r = fig03::run(&fig03::Config::anomaly(scale), seed);
+        run: Narrow(|scale, seed, session| {
+            let r = fig03::run(&fig03::Config::anomaly(scale), seed, session);
             let title = "SS V-B anomaly: 2.5 <-> 2.2 GHz, waits 0-10 ms";
             Report::of(&r, |r| format!("\n--- {title} ---\n{}", fig03::render(r)), fig03::tables)
         }),
@@ -172,8 +174,8 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "fig03",
         seed: 0xF163B,
         all_seed: None,
-        run: Narrow(|scale, seed| {
-            let r = fig03::run(&fig03::Config::anomaly_long_waits(scale), seed);
+        run: Narrow(|scale, seed, session| {
+            let r = fig03::run(&fig03::Config::anomaly_long_waits(scale), seed, session);
             let title = "SS V-B anomaly control: waits >= 5 ms (effect must vanish)";
             Report::of(&r, |r| format!("\n--- {title} ---\n{}", fig03::render(r)), fig03::tables)
         }),
@@ -183,8 +185,8 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "fig04",
         seed: 0xF164,
         all_seed: Some(3),
-        run: Narrow(|scale, seed| {
-            let r = fig04::run(&fig04::Config::new(scale), seed);
+        run: Narrow(|scale, seed, session| {
+            let r = fig04::run(&fig04::Config::new(scale), seed, session);
             Report::of(&r, fig04::render, fig04::tables)
         }),
     },
@@ -192,7 +194,9 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "fig05",
         seed: 0xF165,
         all_seed: Some(4),
-        run: Narrow(|_, seed| Report::of(&fig05::run(seed), fig05::render, fig05::tables)),
+        run: Narrow(|_, seed, session| {
+            Report::of(&fig05::run(seed, session), fig05::render, fig05::tables)
+        }),
     },
     Experiment { bin: "fig06", seed: 0xF166, all_seed: Some(5), run: grid!(fig06) },
     Experiment { bin: "fig07", seed: 0xF167, all_seed: Some(6), run: grid!(fig07) },
@@ -200,8 +204,8 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "fig08",
         seed: 0xF168,
         all_seed: Some(7),
-        run: Narrow(|scale, seed| {
-            let r = fig08::run(&fig08::Config::new(scale), seed);
+        run: Narrow(|scale, seed, session| {
+            let r = fig08::run(&fig08::Config::new(scale), seed, session);
             Report::of(&r, fig08::render, fig08::tables)
         }),
     },
@@ -230,19 +234,23 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "sec5a",
         seed: 0x5EC5A,
         all_seed: Some(11),
-        run: Narrow(|_, seed| Report::of(&sec5a::run(seed), sec5a::render, sec5a::tables)),
+        run: Narrow(|_, seed, session| {
+            Report::of(&sec5a::run(seed, session), sec5a::render, sec5a::tables)
+        }),
     },
     Experiment {
         bin: "sec6b",
         seed: 0x5EC6B,
         all_seed: Some(12),
-        run: Narrow(|_, seed| Report::of(&sec6b::run(seed), sec6b::render, sec6b::tables)),
+        run: Narrow(|_, seed, session| {
+            Report::of(&sec6b::run(seed, session), sec6b::render, sec6b::tables)
+        }),
     },
     Experiment {
         bin: "sec7",
         seed: 0x5EC7,
         all_seed: Some(13),
-        run: Narrow(|_, seed| {
+        run: Narrow(|_, seed, _| {
             let r = sec7::run(&sec7::Config::default(), seed);
             Report::of(&r, sec7::render, sec7::tables)
         }),
@@ -252,7 +260,7 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "ext_breakeven",
         seed: 0xB4EA,
         all_seed: Some(15),
-        run: Narrow(|_, seed| {
+        run: Narrow(|_, seed, _| {
             let r = breakeven::run(seed);
             Report::of(&r, breakeven::render, breakeven::tables)
         }),
@@ -418,7 +426,7 @@ pub fn main(bin: &str) {
         }
         let spec = spec_for(&cli.checkpoint, &suffix(bin, row).unwrap_or_default());
         let outcome = match row.run {
-            Narrow(run) => Ok(Some(run(cli.scale, seed))),
+            Narrow(run) => Ok(Some(run(cli.scale, seed, &session))),
             Grid(_, run) => run(cli.scale, seed, &session, &spec),
         };
         match outcome {
@@ -589,6 +597,19 @@ impl ObsStack {
     }
 }
 
+/// Asserts that `sweep` builds exactly `reference`'s cases, case by
+/// case: the same config, scenario and seed (labels may differ).
+#[cfg(test)]
+fn assert_same_cases(sweep: &zen2_sim::Sweep, reference: &[zen2_sim::Case]) {
+    assert_eq!(sweep.len(), reference.len(), "{}: case count", sweep.label());
+    for (index, want) in reference.iter().enumerate() {
+        let case = sweep.case(index);
+        assert_eq!(case.config, want.config, "{}: config", case.label);
+        assert_eq!(case.scenario, want.scenario, "{}: scenario", case.label);
+        assert_eq!(case.seed, want.seed, "{}: seed", case.label);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,6 +727,25 @@ mod tests {
         bins.sort();
         bins.dedup();
         assert_eq!(files, bins);
+    }
+
+    #[test]
+    fn narrow_rows_run_on_the_session_they_are_given() {
+        // The binary's session reaches every narrow row: a recorder on
+        // it sees fig04's nine cells, and recording changes no report.
+        use zen2_obs::MemorySink;
+        use zen2_sim::obs::SPAN_CASE;
+        for (row, seed) in rows("all", false) {
+            let Narrow(run) = row.run else { continue };
+            let sink = Arc::new(MemorySink::new());
+            let recorded = run(Scale::Quick, seed, &Session::new().recorder(sink.clone()));
+            let single = run(Scale::Quick, seed, &Session::new().workers(1));
+            assert_eq!(recorded.text, single.text, "{}", row.bin);
+            assert_eq!(tables_to_json(&recorded.tables), tables_to_json(&single.tables));
+            if row.bin == "fig04" {
+                assert_eq!(sink.span_count(SPAN_CASE), 9);
+            }
+        }
     }
 
     #[test]

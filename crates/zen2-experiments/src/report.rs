@@ -31,11 +31,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Appends one row from displayable items.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
     /// Renders the table as aligned text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();

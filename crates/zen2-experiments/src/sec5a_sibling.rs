@@ -5,14 +5,13 @@
 //! offlined). On Zen 2 the idle/offline sibling's request still elevates
 //! the core — never observed on Intel with deep idle states enabled.
 //!
-//! The three sibling configurations are declarative [`Scenario`]s run as
-//! one [`Session`] batch.
+//! The three sibling configurations are declarative [`Scenario`]s on one
+//! axis of a [`Sweep`] streamed through the [`Session`] worker pool.
 
 use crate::report::Table;
 use zen2_sim::perf::ThreadCounters;
-use zen2_sim::sweep::child_seed;
 use zen2_sim::time::{MILLISECOND, SECOND};
-use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
+use zen2_sim::{Axis, Probe, Scenario, Session, SimConfig, Sweep, Window};
 use zen2_topology::ThreadId;
 
 /// Sibling configurations swept.
@@ -26,6 +25,10 @@ pub enum SiblingMode {
     /// recommended mitigation.
     IdleAtMinimum,
 }
+
+/// The swept sibling configurations, in presentation order.
+const MODES: [SiblingMode; 3] =
+    [SiblingMode::IdleAtNominal, SiblingMode::OfflineAtNominal, SiblingMode::IdleAtMinimum];
 
 /// One observation.
 #[derive(Debug, Clone)]
@@ -66,38 +69,28 @@ fn scenario(mode: SiblingMode) -> Scenario {
     sc
 }
 
-/// Runs the three sibling configurations.
-pub fn run(seed: u64) -> Sec5aResult {
-    let modes =
-        [SiblingMode::IdleAtNominal, SiblingMode::OfflineAtNominal, SiblingMode::IdleAtMinimum];
+/// The sibling configurations as a one-axis [`Sweep`].
+fn sweep(seed: u64) -> Sweep {
     let sim_cfg = SimConfig::epyc_7502_2s();
-    let cases: Vec<Case> = modes
-        .iter()
-        .enumerate()
-        .map(|(i, &mode)| {
-            Case::new(
-                format!("{mode:?}"),
-                sim_cfg.clone(),
-                scenario(mode),
-                child_seed(seed, i as u64),
-            )
-        })
-        .collect();
-    let runs = Session::new().run(&cases).expect("sec5a scenarios validate");
+    Sweep::new("sec5a", move |ix| (sim_cfg.clone(), scenario(MODES[ix[0]])))
+        .seed(seed)
+        .axis(Axis::new("sibling", MODES.map(|mode| format!("{mode:?}"))))
+}
 
-    let observations = modes
-        .iter()
-        .zip(&runs)
-        .map(|(&mode, run)| {
+/// Runs the three sibling configurations through `session`.
+pub fn run(seed: u64, session: &Session) -> Sec5aResult {
+    let mut observations = Vec::with_capacity(MODES.len());
+    sweep(seed)
+        .stream(session, |i, run| {
             let (a_begin, a_end, _) = run.counter_delta("active");
             let (s_begin, s_end, wall_s) = run.counter_delta("sibling");
-            Observation {
-                mode,
+            observations.push(Observation {
+                mode: MODES[i],
                 active_freq_ghz: ThreadCounters::effective_ghz(&a_begin, &a_end, 2.5),
                 sibling_cycles_per_s: (s_end.cycles - s_begin.cycles) / wall_s,
-            }
+            });
         })
-        .collect();
+        .expect("sec5a scenarios validate");
     Sec5aResult { observations }
 }
 
@@ -131,15 +124,39 @@ mod tests {
     }
 
     #[test]
+    fn sweep_builds_the_hand_built_cases() {
+        // The sweep port must not change results: the three cases as the
+        // module built them by hand hold the sweep's cases.
+        use zen2_sim::{sweep::child_seed, Case};
+        let seed = 100;
+        let modes =
+            [SiblingMode::IdleAtNominal, SiblingMode::OfflineAtNominal, SiblingMode::IdleAtMinimum];
+        let sim_cfg = SimConfig::epyc_7502_2s();
+        let cases: Vec<Case> = modes
+            .iter()
+            .enumerate()
+            .map(|(i, &mode)| {
+                Case::new(
+                    format!("{mode:?}"),
+                    sim_cfg.clone(),
+                    scenario(mode),
+                    child_seed(seed, i as u64),
+                )
+            })
+            .collect();
+        crate::assert_same_cases(&sweep(seed), &cases);
+    }
+
+    #[test]
     fn idle_sibling_elevates_the_core() {
-        let r = run(101);
+        let r = run(101, &Session::new());
         let o = find(&r, SiblingMode::IdleAtNominal);
         assert!((o.active_freq_ghz - 2.5).abs() < 0.01, "elevated to {}", o.active_freq_ghz);
     }
 
     #[test]
     fn offline_sibling_also_elevates() {
-        let r = run(102);
+        let r = run(102, &Session::new());
         let o = find(&r, SiblingMode::OfflineAtNominal);
         assert!((o.active_freq_ghz - 2.5).abs() < 0.01, "elevated to {}", o.active_freq_ghz);
         // Offline threads execute nothing at all.
@@ -148,7 +165,7 @@ mod tests {
 
     #[test]
     fn lowering_the_sibling_request_restores_control() {
-        let r = run(103);
+        let r = run(103, &Session::new());
         let o = find(&r, SiblingMode::IdleAtMinimum);
         assert!((o.active_freq_ghz - 1.5).abs() < 0.01, "restored to {}", o.active_freq_ghz);
     }
@@ -157,7 +174,7 @@ mod tests {
     fn idle_sibling_reports_under_60k_cycles() {
         // "The idling thread reports only a usage of less than
         // 60 000 cycle/s".
-        let r = run(104);
+        let r = run(104, &Session::new());
         let o = find(&r, SiblingMode::IdleAtNominal);
         assert!(
             o.sibling_cycles_per_s > 0.0 && o.sibling_cycles_per_s < 60_000.0,

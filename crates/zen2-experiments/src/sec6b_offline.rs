@@ -74,8 +74,9 @@ fn clean_scenario(threads: &[ThreadId]) -> Scenario {
     sc
 }
 
-/// Runs the offline/re-online sequence plus the clean-parking ablation.
-pub fn run(seed: u64) -> Sec6bResult {
+/// Runs the offline/re-online sequence plus the clean-parking ablation
+/// through `session`.
+pub fn run(seed: u64, session: &Session) -> Sec6bResult {
     let cfg = SimConfig::epyc_7502_2s();
     let mut clean_cfg = SimConfig::epyc_7502_2s();
     clean_cfg.os.offline_parks_in_c1 = false;
@@ -85,7 +86,7 @@ pub fn run(seed: u64) -> Sec6bResult {
         Case::new("sequence", cfg, sequence_scenario(&threads), seed),
         Case::new("clean-parking", clean_cfg, clean_scenario(&threads), seed ^ 1),
     ];
-    let runs = Session::new().run(&cases).expect("sec6b scenarios validate");
+    let runs = session.run(&cases).expect("sec6b scenarios validate");
 
     Sec6bResult {
         baseline_w: runs[0].watts("baseline"),
@@ -119,7 +120,7 @@ mod tests {
 
     #[test]
     fn offline_threads_raise_idle_power_to_c1_level() {
-        let r = run(111);
+        let r = run(111, &Session::new());
         assert!((r.baseline_w - 99.1).abs() < 1.5, "baseline {}", r.baseline_w);
         // "System power consumption is increased to the C1 level": the
         // package wake step plus the per-core clock-gate residual of all
@@ -130,13 +131,13 @@ mod tests {
 
     #[test]
     fn reonlining_fixes_it() {
-        let r = run(112);
+        let r = run(112, &Session::new());
         assert!((r.reonline_w - r.baseline_w).abs() < 1.0, "re-online {}", r.reonline_w);
     }
 
     #[test]
     fn clean_parking_kernel_would_not_show_the_anomaly() {
-        let r = run(113);
+        let r = run(113, &Session::new());
         assert!((r.clean_parking_w - r.baseline_w).abs() < 1.5, "clean {}", r.clean_parking_w);
     }
 }

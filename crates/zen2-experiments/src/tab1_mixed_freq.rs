@@ -89,25 +89,23 @@ fn reduce(run: &Run) -> f64 {
     zen2_sim::methodology::mean(&means)
 }
 
-/// The 3×3 matrix as a declarative [`Sweep`]: one parameter axis per
+/// The 3×3 matrix as a declarative [`Sweep`]: one frequency axis per
 /// Table I dimension (measured core's set frequency outermost, like the
-/// paper's rows), with the joint cell scenario built in the finish hook.
+/// paper's rows).
 pub fn sweep(cfg: &Config, seed: u64) -> Sweep {
-    let freqs = FREQS_MHZ.map(|mhz| mhz as f64);
     let cfg = cfg.clone();
-    Sweep::new("tab1", SimConfig::epyc_7502_2s())
-        .seed(seed)
-        .axis(Axis::param("set", freqs))
-        .axis(Axis::param("others", freqs))
-        .finish(move |draft| {
-            draft.scenario =
-                cell_scenario(&cfg, draft.param("set") as u32, draft.param("others") as u32);
-        })
+    let sim_cfg = SimConfig::epyc_7502_2s();
+    Sweep::new("tab1", move |ix| {
+        (sim_cfg.clone(), cell_scenario(&cfg, FREQS_MHZ[ix[0]], FREQS_MHZ[ix[1]]))
+    })
+    .seed(seed)
+    .axis(Axis::new("set", FREQS_MHZ))
+    .axis(Axis::new("others", FREQS_MHZ))
 }
 
 /// Runs the full 3×3 matrix through the streaming sweep engine.
-pub fn run(cfg: &Config, seed: u64) -> Tab1Result {
-    run_checkpointed(cfg, seed, &Session::new(), &CheckpointSpec::none())
+pub fn run(cfg: &Config, seed: u64, session: &Session) -> Tab1Result {
+    run_checkpointed(cfg, seed, session, &CheckpointSpec::none())
         .expect("checkpointing disabled")
         .expect("no halt configured")
 }
@@ -187,8 +185,9 @@ mod tests {
     #[test]
     fn sweep_engine_matches_materialized_session() {
         // The sweep port must not change results: the 3×3 grid built by
-        // hand (as the module did before the sweep engine) and run
-        // materialized produces a byte-identical Table I rendering.
+        // hand (as the module did before the sweep engine) holds the
+        // sweep's cases, and run materialized produces a byte-identical
+        // Table I rendering.
         use zen2_sim::{sweep::child_seed, Case};
         let cfg = quick();
         let seed = 21;
@@ -203,12 +202,13 @@ mod tests {
                 ));
             }
         }
+        crate::assert_same_cases(&sweep(&cfg, seed), &cases);
         let runs = Session::new().run(&cases).unwrap();
         let mut measured = [[0.0; 3]; 3];
         for (flat, r) in runs.iter().enumerate() {
             measured[flat / 3][flat % 3] = reduce(r);
         }
-        let streamed = run(&cfg, seed);
+        let streamed = run(&cfg, seed, &Session::new());
         assert_eq!(streamed.measured_ghz, measured);
         let mut worst = 0.0f64;
         for (row, paper_row) in measured.iter().zip(&PAPER_GHZ) {
@@ -222,13 +222,13 @@ mod tests {
 
     #[test]
     fn matrix_matches_table1_within_one_percent() {
-        let result = run(&quick(), 21);
+        let result = run(&quick(), 21, &Session::new());
         assert!(result.worst_rel_err < 0.01, "worst {:.3}%", result.worst_rel_err * 100.0);
     }
 
     #[test]
     fn severe_penalty_for_22_under_25_neighbors() {
-        let result = run(&quick(), 22);
+        let result = run(&quick(), 22, &Session::new());
         // Paper: 200 MHz loss.
         let penalty = coupling_penalty_ghz(&result);
         assert!((penalty - 0.2).abs() < 0.01, "penalty {penalty:.3} GHz");
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn diagonal_is_unperturbed() {
-        let result = run(&quick(), 23);
+        let result = run(&quick(), 23, &Session::new());
         for (i, &mhz) in FREQS_MHZ.iter().enumerate() {
             let set = mhz as f64 / 1000.0;
             assert!((result.measured_ghz[i][i] - set).abs() < 0.005);
@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn render_shows_highlighted_cells() {
-        let s = render(&run(&quick(), 24));
+        let s = render(&run(&quick(), 24, &Session::new()));
         assert!(s.contains("Table I"));
         assert!(s.contains("2.000") || s.contains("1.999"));
     }

@@ -188,11 +188,6 @@ impl ClockPlan {
     pub fn uclk_ghz(&self) -> f64 {
         self.uclk_mhz as f64 / 1000.0
     }
-
-    /// MEMCLK in GHz.
-    pub fn memclk_ghz(&self) -> f64 {
-        self.dram.memclk_mhz() as f64 / 1000.0
-    }
 }
 
 #[cfg(test)]

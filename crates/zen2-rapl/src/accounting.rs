@@ -98,11 +98,6 @@ impl RaplAccounting {
     pub fn package_published_joules(&self, package: usize) -> f64 {
         self.pkg_published_j[package]
     }
-
-    /// Total published joules for a core.
-    pub fn core_published_joules(&self, core: usize) -> f64 {
-        self.core_published_j[core]
-    }
 }
 
 fn quantize(joules: f64, units: &RaplUnits) -> u32 {

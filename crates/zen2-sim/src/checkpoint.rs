@@ -49,11 +49,11 @@
 //! byte-identical.
 //!
 //! ```
-//! use zen2_sim::{Axis, Checkpoint, SimConfig, Sweep};
+//! use zen2_sim::{Axis, Checkpoint, Scenario, SimConfig, Sweep};
 //!
-//! let sweep = Sweep::new("demo", SimConfig::epyc_7502_2s())
+//! let sweep = Sweep::new("demo", |_| (SimConfig::epyc_7502_2s(), Scenario::new()))
 //!     .seed(7)
-//!     .axis(Axis::param("x", [0.0, 1.0, 2.0]));
+//!     .axis(Axis::new("x", [0, 1, 2]));
 //!
 //! // Persist after case 1 of 3 — case 0's cell — then pick the run back
 //! // up elsewhere.
@@ -665,10 +665,9 @@ impl CheckpointSpec {
 ///
 /// let mut base = Scenario::new();
 /// base.probe("ac", Probe::AcPowerW, Window::at(0));
-/// let sweep = Sweep::new("demo", SimConfig::epyc_7502_2s())
-///     .scenario(base)
+/// let sweep = Sweep::new("demo", move |_| (SimConfig::epyc_7502_2s(), base.clone()))
 ///     .seed(7)
-///     .axis(Axis::param("rep", (0..3).map(f64::from)));
+///     .axis(Axis::new("rep", 0..3));
 /// let cells: Vec<f64> = run_resumable(
 ///     &sweep,
 ///     &Session::new().workers(2).shard_size(1),
@@ -740,14 +739,20 @@ pub fn run_resumable<C: Snapshot>(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::scenario::Scenario;
     use crate::stats::OnlineStats;
     use crate::sweep::Axis;
 
     fn sweep_3x2() -> Sweep {
-        Sweep::new("ck-test", SimConfig::epyc_7502_2s())
+        sweep_3x2_of(Scenario::new())
+    }
+
+    /// The `sweep_3x2` grid with `scenario` as every case's scenario.
+    fn sweep_3x2_of(scenario: Scenario) -> Sweep {
+        Sweep::new("ck-test", move |_| (SimConfig::epyc_7502_2s(), scenario.clone()))
             .seed(1)
-            .axis(Axis::param("a", [0.0, 1.0, 2.0]))
-            .axis(Axis::param("b", [0.0, 1.0]))
+            .axis(Axis::new("a", [0, 1, 2]))
+            .axis(Axis::new("b", [0, 1]))
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -765,9 +770,9 @@ mod tests {
     /// One instant power read per case: the cheapest scenario a driver
     /// test can stream.
     fn instant_sweep() -> Sweep {
-        let mut base = crate::scenario::Scenario::new();
+        let mut base = Scenario::new();
         base.probe("ac", crate::probe::Probe::AcPowerW, crate::probe::Window::at(0));
-        sweep_3x2().scenario(base)
+        sweep_3x2_of(base)
     }
 
     /// The header line of a `sweep_3x2` checkpoint covering `start..done`.
@@ -817,16 +822,16 @@ mod tests {
         let ck = covering(0, 4);
 
         // A different sweep label.
-        let renamed = Sweep::new("other", SimConfig::epyc_7502_2s())
-            .axis(Axis::param("a", [0.0, 1.0, 2.0]))
-            .axis(Axis::param("b", [0.0, 1.0]));
+        let renamed = Sweep::new("other", |_| (SimConfig::epyc_7502_2s(), Scenario::new()))
+            .axis(Axis::new("a", [0, 1, 2]))
+            .axis(Axis::new("b", [0, 1]));
         let err = ck.matches(&renamed, 6).unwrap_err();
         assert!(err.to_string().contains("\"other\""), "{err}");
 
         // A different grid shape (e.g. the scale changed between runs).
-        let reshaped = Sweep::new("ck-test", SimConfig::epyc_7502_2s())
-            .axis(Axis::param("a", [0.0, 1.0, 2.0, 3.0]))
-            .axis(Axis::param("b", [0.0, 1.0]));
+        let reshaped = Sweep::new("ck-test", |_| (SimConfig::epyc_7502_2s(), Scenario::new()))
+            .axis(Axis::new("a", [0, 1, 2, 3]))
+            .axis(Axis::new("b", [0, 1]));
         let err = ck.matches(&reshaped, 8).unwrap_err();
         assert!(err.to_string().contains("grid shape"), "{err}");
 
@@ -842,9 +847,9 @@ mod tests {
 
         // The same shape with scale-dependent scenario content (e.g. a
         // quick-vs-paper duration change): also fingerprint-caught.
-        let mut rescaled_base = crate::scenario::Scenario::new();
+        let mut rescaled_base = Scenario::new();
         rescaled_base.probe("ac", crate::probe::Probe::AcPowerW, crate::probe::Window::at(123_456));
-        let rescaled = sweep_3x2().scenario(rescaled_base);
+        let rescaled = sweep_3x2_of(rescaled_base);
         let err = ck.matches(&rescaled, 6).unwrap_err();
         assert!(err.to_string().contains("different run"), "{err}");
     }

@@ -44,9 +44,10 @@
 //!   batches across a worker pool, booting one machine per case, with
 //!   results independent of the worker count; [`Session::run_streaming`]
 //!   does the same for lazy case streams with bounded memory.
-//! * [`sweep`] — a [`Sweep`] declares a parameter grid as [`Axis`] values
-//!   over a base `(config, scenario)`, lazily yields its cases, and
-//!   streams them through a session.
+//! * [`sweep`] — a [`Sweep`] declares a parameter grid as named
+//!   [`Axis`] labels plus one function from a grid point's axis indices
+//!   to its `(config, scenario)`, lazily yields its cases, and streams
+//!   them through a session.
 //! * [`stats`] — on-line aggregators (Welford, streaming quantiles,
 //!   trace reductions) turning arbitrarily large sweeps into
 //!   bounded-size summaries, including [`GroupedStats`] buckets keyed
@@ -99,6 +100,6 @@ pub use scenario::{Op, Scenario, ScenarioError, Step};
 pub use session::{Case, Session, SessionError, SessionErrorKind, StreamControl, StreamEvent};
 pub use snapshot::{Json, Snapshot, SnapshotError};
 pub use stats::{FreqResidency, GroupedStats, OnlineStats, P2Quantile, TransitionStats, Welford};
-pub use sweep::{Axis, CaseDraft, Sweep};
+pub use sweep::{Axis, Sweep};
 pub use system::System;
 pub use time::{Duration, Instant, Ns};

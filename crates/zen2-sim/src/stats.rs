@@ -478,22 +478,19 @@ impl TransitionStats {
 /// use zen2_topology::ThreadId;
 ///
 /// // 2 load levels × 3 seeds; group the 6 cases by load level.
-/// let mut base = Scenario::new();
-/// base.probe("ac", Probe::AcPowerW, Window::at(20_000)); // 20 µs: load has landed
-/// let mut load = Axis::new("busy_threads");
-/// for n in [1u32, 8] {
-///     load = load.with(format!("{n}"), move |draft| {
-///         let mut at = draft.scenario.at(0);
-///         for t in 0..n {
-///             at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
-///         }
-///     });
-/// }
-/// let sweep = Sweep::new("demo", SimConfig::epyc_7502_2s())
-///     .scenario(base)
-///     .seed(7)
-///     .axis(load)
-///     .axis(Axis::param("rep", (0..3).map(f64::from)));
+/// const LOADS: [u32; 2] = [1, 8];
+/// let sweep = Sweep::new("demo", |ix| {
+///     let mut sc = Scenario::new();
+///     sc.probe("ac", Probe::AcPowerW, Window::at(20_000)); // 20 µs: load has landed
+///     let mut at = sc.at(0);
+///     for t in 0..LOADS[ix[0]] {
+///         at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
+///     }
+///     (SimConfig::epyc_7502_2s(), sc)
+/// })
+/// .seed(7)
+/// .axis(Axis::new("busy_threads", LOADS))
+/// .axis(Axis::new("rep", 0..3));
 ///
 /// let mut by_load: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["busy_threads"]);
 /// let session = Session::new().workers(2).shard_size(2);
@@ -887,9 +884,9 @@ mod tests {
 
     /// A 3×2 grid shape for grouped-routing tests (never simulated).
     fn shape_sweep() -> Sweep {
-        Sweep::new("shape", crate::SimConfig::epyc_7502_2s())
-            .axis(crate::sweep::Axis::param("outer", [10.0, 20.0, 30.0]))
-            .axis(crate::sweep::Axis::param("inner", [1.0, 2.0]))
+        Sweep::new("shape", |_| (crate::SimConfig::epyc_7502_2s(), crate::Scenario::new()))
+            .axis(crate::sweep::Axis::new("outer", [10, 20, 30]))
+            .axis(crate::sweep::Axis::new("inner", [1, 2]))
     }
 
     #[test]

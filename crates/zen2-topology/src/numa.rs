@@ -5,7 +5,7 @@
 //! publication 56338), which corresponds to NPS4: each quadrant with its two
 //! memory channels is one NUMA node.
 
-use crate::ids::{CcdId, NumaNodeId, QuadrantId, SocketId};
+use crate::ids::{NumaNodeId, QuadrantId, SocketId};
 use std::fmt;
 
 /// BIOS "NUMA nodes per socket" selection.
@@ -77,13 +77,6 @@ impl NumaConfig {
         // Quadrants fold onto nodes evenly: NPS4 1:1, NPS2 2:1, NPS1 4:1.
         let local_node = local_quadrant * per_socket / 4;
         NumaNodeId(socket * per_socket + local_node)
-    }
-
-    /// The NUMA node a CCD's memory accesses are local to, given its
-    /// quadrant attachment.
-    pub fn node_of_ccd(&self, ccd: CcdId, quadrant: QuadrantId) -> NumaNodeId {
-        let _ = ccd;
-        self.node_of_quadrant(quadrant)
     }
 
     /// The socket that owns a NUMA node.

@@ -108,12 +108,6 @@ impl CpuNumbering {
     pub fn cpus_in_os_order(&self) -> impl Iterator<Item = LogicalCpu> + '_ {
         (0..self.num_cpus() as u32).map(LogicalCpu)
     }
-
-    /// Hardware threads in OS sweep order (primary threads by package, then
-    /// secondary threads by package).
-    pub fn threads_in_os_order(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        self.cpus_in_os_order().map(move |c| self.thread_of(c))
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Machine-shape description and builder.
 
-use crate::ids::{CcdId, CcxId, CoreId, QuadrantId, SmtSibling, SocketId, ThreadId, UmcId};
+use crate::ids::{CcdId, CcxId, CoreId, QuadrantId, SmtSibling, SocketId, ThreadId};
 use crate::numa::{NumaConfig, NumaMode};
 use std::fmt;
 
@@ -199,18 +199,6 @@ impl Topology {
             .expect("preset is valid")
     }
 
-    /// A Zen 2 desktop-like part (one CCD), used to mirror the PLATYPUS
-    /// desktop observations in Section VII-B.
-    pub fn desktop_1ccd() -> Self {
-        TopologyBuilder::new()
-            .sockets(1)
-            .ccds_per_socket(1)
-            .smt(true)
-            .numa_mode(NumaMode::Nps1)
-            .build()
-            .expect("preset is valid")
-    }
-
     // ----- counts ---------------------------------------------------------
 
     /// Number of processor packages.
@@ -404,11 +392,6 @@ impl Topology {
         let local = ccd.0 - socket.0 * self.ccds_per_socket;
         let per_quadrant = self.ccds_per_socket.div_ceil(consts::QUADRANTS_PER_SOCKET).max(1);
         QuadrantId(socket.0 * consts::QUADRANTS_PER_SOCKET + local / per_quadrant)
-    }
-
-    /// The two UMCs (memory channels) attached to a quadrant.
-    pub fn umcs_of_quadrant(&self, quadrant: QuadrantId) -> [UmcId; 2] {
-        [UmcId(quadrant.0 * 2), UmcId(quadrant.0 * 2 + 1)]
     }
 
     /// Human-readable one-line summary (`2 sockets x 4 CCDs x 8 cores ...`).

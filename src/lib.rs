@@ -65,11 +65,10 @@ pub mod prelude {
     pub use zen2_isa::{KernelClass, OperandWeight, SmtMode};
     pub use zen2_mem::{DramFreq, IodPstate};
     pub use zen2_sim::{
-        Axis, Case, CaseDraft, Checkpoint, CheckpointError, CheckpointSpec, EventFilter,
-        FreqResidency, GroupedStats, Json, Measurement, OnlineStats, P2Quantile, Probe, Run,
-        Scenario, ScenarioError, Session, SessionError, SessionErrorKind, ShardRange, SimConfig,
-        Snapshot, SnapshotError, StreamControl, StreamEvent, Sweep, System, TransitionStats,
-        Welford, Window,
+        Axis, Case, Checkpoint, CheckpointError, CheckpointSpec, EventFilter, FreqResidency,
+        GroupedStats, Json, Measurement, OnlineStats, P2Quantile, Probe, Run, Scenario,
+        ScenarioError, Session, SessionError, SessionErrorKind, ShardRange, SimConfig, Snapshot,
+        SnapshotError, StreamControl, StreamEvent, Sweep, System, TransitionStats, Welford, Window,
     };
     pub use zen2_topology::{CoreId, LogicalCpu, SocketId, ThreadId, Topology};
 }

@@ -17,22 +17,25 @@ use zen2_ee::sim::checkpoint::run_resumable;
 /// A 3 × 4 grid of instantaneous power reads — cheap enough to run a
 /// few hundred times, rich enough that every cell differs.
 fn grid() -> Sweep {
-    let mut base = Scenario::new();
-    base.probe("ac", Probe::AcPowerW, Window::at(20_000));
-    let mut load = Axis::new("busy_threads");
-    for n in [1u32, 4, 9] {
-        load = load.with(format!("{n}"), move |draft| {
-            let mut at = draft.scenario.at(0);
-            for t in 0..n {
-                at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
-            }
-        });
-    }
-    Sweep::new("resume-grid", SimConfig::epyc_7502_2s())
-        .scenario(base)
-        .seed(0xC0FFEE)
-        .axis(load)
-        .axis(Axis::param("rep", (0..4).map(f64::from)))
+    const LOADS: [u32; 3] = [1, 4, 9];
+    Sweep::new("resume-grid", |ix| {
+        let mut sc = Scenario::new();
+        sc.probe("ac", Probe::AcPowerW, Window::at(20_000));
+        let mut at = sc.at(0);
+        for t in 0..LOADS[ix[0]] {
+            at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
+        }
+        (SimConfig::epyc_7502_2s(), sc)
+    })
+    .seed(0xC0FFEE)
+    .axis(Axis::new("busy_threads", LOADS))
+    .axis(Axis::new("rep", 0..4))
+}
+
+/// A sweep of empty scenarios under `grid`'s root seed, for identity
+/// checks: only its label, axes and seeds meet a checkpoint.
+fn shape(label: &str) -> Sweep {
+    Sweep::new(label, |_| (SimConfig::epyc_7502_2s(), Scenario::new())).seed(0xC0FFEE)
 }
 
 /// Runs the grid through `run_resumable`, the resume path every
@@ -130,17 +133,13 @@ fn resume_from_a_mismatched_sweep_is_an_error_not_a_panic() {
     );
     assert!(interrupted.is_none());
     // A sweep with a different grid shape must be rejected up front.
-    let reshaped = Sweep::new("resume-grid", SimConfig::epyc_7502_2s())
-        .seed(0xC0FFEE)
-        .axis(Axis::param("rep", (0..5).map(f64::from)));
+    let reshaped = shape("resume-grid").axis(Axis::new("rep", 0..5));
     let err = CheckpointSpec::resume_from(&path).load(&reshaped, reshaped.len()).unwrap_err();
     assert!(err.to_string().contains("grid shape"), "{err}");
     // And a rewritten label too.
     let relabeled = grid();
-    let relabeled = Sweep::new("other-grid", SimConfig::epyc_7502_2s())
-        .seed(0xC0FFEE)
-        .axis(relabeled.axes()[0].clone())
-        .axis(relabeled.axes()[1].clone());
+    let relabeled =
+        shape("other-grid").axis(relabeled.axes()[0].clone()).axis(relabeled.axes()[1].clone());
     let err = CheckpointSpec::resume_from(&path).load(&relabeled, relabeled.len()).unwrap_err();
     assert!(err.to_string().contains("other-grid"), "{err}");
     std::fs::remove_file(Path::new(&path)).unwrap();

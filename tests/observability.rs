@@ -16,22 +16,18 @@ use zen2_sim::time::MICROSECOND;
 /// A 10 × 8 grid: load levels × reps, one instantaneous power read per
 /// case — the same shape the sweep-engine acceptance tests use.
 fn grid() -> Sweep {
-    let mut base = Scenario::new();
-    base.probe("ac", Probe::AcPowerW, Window::at(20 * MICROSECOND));
-    let mut load = Axis::new("busy_threads");
-    for n in 1..=10u32 {
-        load = load.with(format!("{n}"), move |draft| {
-            let mut at = draft.scenario.at(0);
-            for t in 0..n {
-                at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
-            }
-        });
-    }
-    Sweep::new("obs-grid", SimConfig::epyc_7502_2s())
-        .scenario(base)
-        .seed(0x0B5)
-        .axis(load)
-        .axis(Axis::param("rep", (0..8).map(f64::from)))
+    Sweep::new("obs-grid", |ix| {
+        let mut sc = Scenario::new();
+        sc.probe("ac", Probe::AcPowerW, Window::at(20 * MICROSECOND));
+        let mut at = sc.at(0);
+        for t in 0..=ix[0] as u32 {
+            at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
+        }
+        (SimConfig::epyc_7502_2s(), sc)
+    })
+    .seed(0x0B5)
+    .axis(Axis::new("busy_threads", 1..=10))
+    .axis(Axis::new("rep", 0..8))
 }
 
 /// Every watt reading of a streamed run of `session`, as exact bits.

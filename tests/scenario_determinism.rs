@@ -361,10 +361,9 @@ fn streamed_sweep_statistics_are_worker_and_shard_invariant() {
         Probe::TraceEvents(EventFilter::Freq(CoreId(0))),
         Window::span(0, 30 * MILLISECOND),
     );
-    let sweep = Sweep::new("invariance", SimConfig::epyc_7502_2s())
-        .scenario(base)
+    let sweep = Sweep::new("invariance", move |_| (SimConfig::epyc_7502_2s(), base.clone()))
         .seed(99)
-        .axis(Axis::param("rep", (0..12).map(f64::from)));
+        .axis(Axis::new("rep", 0..12));
 
     let reduce = |workers: usize, shard: usize| {
         let mut watts = OnlineStats::new();

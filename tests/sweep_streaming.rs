@@ -8,25 +8,30 @@ use zen2_ee::prelude::*;
 use zen2_sim::stats::TransitionStats;
 use zen2_sim::time::{MICROSECOND, MILLISECOND};
 
+/// One instantaneous power read shortly after `busy` threads start
+/// spinning.
+fn load_scenario(busy: u32) -> Scenario {
+    let mut sc = Scenario::new();
+    sc.probe("ac", Probe::AcPowerW, Window::at(20 * MICROSECOND));
+    let mut at = sc.at(0);
+    for t in 0..busy {
+        at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
+    }
+    sc
+}
+
+/// A load-level × rep grid: `busy_threads` 1..=10, `reps` seeds each.
+fn load_grid(label: &str, seed: u64, reps: u32) -> Sweep {
+    Sweep::new(label, |ix| (SimConfig::epyc_7502_2s(), load_scenario(ix[0] as u32 + 1)))
+        .seed(seed)
+        .axis(Axis::new("busy_threads", 1..=10))
+        .axis(Axis::new("rep", 0..reps))
+}
+
 /// A 10^4-point grid: 10 load levels × 1000 seeds, one instantaneous
 /// power read per case shortly after the load lands.
 fn grid() -> Sweep {
-    let mut base = Scenario::new();
-    base.probe("ac", Probe::AcPowerW, Window::at(20 * MICROSECOND));
-    let mut load = Axis::new("busy_threads");
-    for n in 1..=10u32 {
-        load = load.with(format!("{n}"), move |draft| {
-            let mut at = draft.scenario.at(0);
-            for t in 0..n {
-                at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
-            }
-        });
-    }
-    Sweep::new("grid10k", SimConfig::epyc_7502_2s())
-        .scenario(base)
-        .seed(0xABCD)
-        .axis(load)
-        .axis(Axis::param("rep", (0..1000).map(f64::from)))
+    load_grid("grid10k", 0xABCD, 1000)
 }
 
 #[test]
@@ -78,22 +83,7 @@ fn ten_thousand_case_sweep_has_bounded_residency_and_materialized_identical_stat
 /// A 10 × 25 grid for grouped-aggregation tests: load levels × seeds,
 /// with an instantaneous power read per case.
 fn grouped_grid() -> Sweep {
-    let mut base = Scenario::new();
-    base.probe("ac", Probe::AcPowerW, Window::at(20 * MICROSECOND));
-    let mut load = Axis::new("busy_threads");
-    for n in 1..=10u32 {
-        load = load.with(format!("{n}"), move |draft| {
-            let mut at = draft.scenario.at(0);
-            for t in 0..n {
-                at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
-            }
-        });
-    }
-    Sweep::new("grouped", SimConfig::epyc_7502_2s())
-        .scenario(base)
-        .seed(0x6789)
-        .axis(load)
-        .axis(Axis::param("rep", (0..25).map(f64::from)))
+    load_grid("grouped", 0x6789, 25)
 }
 
 #[test]
@@ -127,7 +117,7 @@ fn grouped_stats_are_invariant_across_worker_and_shard_splits() {
 fn zero_case_grid_streams_nothing_and_grouped_stats_stay_empty() {
     // An axis with no values empties the whole grid: the stream
     // delivers zero runs and the grouped reducer has no rows.
-    let sweep = grouped_grid().axis(Axis::new("empty"));
+    let sweep = grouped_grid().axis(Axis::new("empty", Vec::<&str>::new()));
     assert!(sweep.is_empty());
     let mut grouped: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["busy_threads"]);
     let delivered = sweep
@@ -190,10 +180,9 @@ fn dvfs_sweep() -> Sweep {
         Probe::TraceEvents(EventFilter::Freq(CoreId(0))),
         Window::span(0, 50 * MILLISECOND),
     );
-    Sweep::new("dvfs", SimConfig::epyc_7502_2s())
-        .scenario(base)
+    Sweep::new("dvfs", move |_| (SimConfig::epyc_7502_2s(), base.clone()))
         .seed(7)
-        .axis(Axis::param("rep", (0..6).map(f64::from)))
+        .axis(Axis::new("rep", 0..6))
 }
 
 #[test]
