@@ -112,12 +112,6 @@ pub fn compare_precise(paper: f64, measured: f64, unit: &str) -> String {
     format!("{paper:.3}{unit} / {measured:.3}{unit} ({err:+.1}%)")
 }
 
-/// Relative deviation |measured−paper|/paper.
-pub fn rel_err(paper: f64, measured: f64) -> f64 {
-    assert!(paper.abs() > 1e-12, "relative error against zero reference");
-    ((measured - paper) / paper).abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +204,6 @@ mod tests {
         let s = compare(92.0, 91.5, " ns");
         assert!(s.contains("92.0 ns"));
         assert!(s.contains("-0.5%"));
-        assert!((rel_err(100.0, 95.0) - 0.05).abs() < 1e-12);
     }
 
     #[test]

@@ -32,21 +32,6 @@ impl SmtMode {
     }
 }
 
-/// Instructions retired over a wall-clock interval at a given effective
-/// frequency and IPC.
-#[inline]
-pub fn instructions_in(seconds: f64, freq_hz: f64, ipc: f64) -> f64 {
-    assert!(seconds >= 0.0 && freq_hz >= 0.0 && ipc >= 0.0);
-    seconds * freq_hz * ipc
-}
-
-/// Unhalted cycles over a wall-clock interval (what APERF accumulates in C0).
-#[inline]
-pub fn cycles_in(seconds: f64, freq_hz: f64) -> f64 {
-    assert!(seconds >= 0.0 && freq_hz >= 0.0);
-    seconds * freq_hz
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,13 +48,5 @@ mod tests {
     #[should_panic(expected = "1 or 2 threads")]
     fn zero_active_threads_is_a_bug() {
         let _ = SmtMode::from_active(0);
-    }
-
-    #[test]
-    fn instruction_accounting() {
-        // 2 s at 2.5 GHz and IPC 3.56: 17.8e9 instructions.
-        let n = instructions_in(2.0, 2.5e9, 3.56);
-        assert!((n - 17.8e9).abs() < 1e3);
-        assert_eq!(cycles_in(1.0, 2.5e9), 2.5e9);
     }
 }

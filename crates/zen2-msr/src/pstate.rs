@@ -86,16 +86,6 @@ impl PstateDef {
         VID_BASE_V - VID_STEP_V * self.vid as f64
     }
 
-    /// Expected maximum single-core current in amperes.
-    pub fn idd_amps(&self) -> f64 {
-        let div = match self.idd_div {
-            0 => 1.0,
-            1 => 10.0,
-            _ => 100.0,
-        };
-        self.idd_value as f64 / div
-    }
-
     /// Encodes into the 64-bit register format.
     pub fn encode(&self) -> u64 {
         let mut raw = (self.fid as u64) & FID_MASK;
@@ -257,9 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn idd_field_scaling() {
+    fn idd_fields_round_trip() {
         let def = PstateDef { fid: 100, did: 8, vid: 88, idd_value: 15, idd_div: 1, enabled: true };
-        assert!((def.idd_amps() - 1.5).abs() < 1e-9);
         let decoded = PstateDef::decode(def.encode());
         assert_eq!(decoded.idd_value, 15);
         assert_eq!(decoded.idd_div, 1);

@@ -70,12 +70,6 @@ pub fn counter_delta(before: u32, after: u32) -> u64 {
     after.wrapping_sub(before) as u64
 }
 
-/// Seconds until a 32-bit counter wraps at the given power draw.
-pub fn seconds_to_wrap(units: &RaplUnits, watts: f64) -> f64 {
-    assert!(watts > 0.0, "wrap time undefined for non-positive power");
-    (u32::MAX as f64 + 1.0) * units.joules_per_count() / watts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,19 +102,5 @@ mod tests {
         assert_eq!(counter_delta(10, 20), 10);
         assert_eq!(counter_delta(u32::MAX, 4), 5);
         assert_eq!(counter_delta(0, 0), 0);
-    }
-
-    #[test]
-    fn wrap_time_at_tdp_is_under_ten_minutes() {
-        // Sanity for the tooling note: at 180 W the package counter wraps
-        // in roughly six minutes.
-        let secs = seconds_to_wrap(&RaplUnits::amd_default(), 180.0);
-        assert!(secs > 300.0 && secs < 420.0, "got {secs}");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-positive")]
-    fn wrap_time_rejects_zero_power() {
-        let _ = seconds_to_wrap(&RaplUnits::amd_default(), 0.0);
     }
 }

@@ -115,14 +115,6 @@ impl MemorySink {
             .count()
     }
 
-    /// The last level recorded for gauge `name`, if any.
-    pub fn gauge_last(&self, name: &str) -> Option<f64> {
-        self.records().iter().rev().find_map(|r| match r {
-            Record::Gauge { name: n, value } if *n == name => Some(*value),
-            _ => None,
-        })
-    }
-
     fn push(&self, r: Record) {
         self.records.lock().expect("memory sink poisoned").push(r);
     }
@@ -185,7 +177,6 @@ mod tests {
         assert_eq!(sink.counter_total("cache.hit"), 5);
         assert_eq!(sink.counter_total("cache.miss"), 0);
         assert_eq!(sink.span_count("case"), 1);
-        assert_eq!(sink.gauge_last("cache.len"), Some(4.0));
         let records = sink.records();
         assert_eq!(records.len(), 6);
         assert_eq!(

@@ -120,19 +120,6 @@ impl CorePowerModel {
         (1.0 - s) + s * self.toggle.factor(weight)
     }
 
-    /// Core current draw in amperes at an operating point — the quantity
-    /// the EDC manager supervises.
-    pub fn current_a(
-        &self,
-        kernel: &Kernel,
-        smt: SmtMode,
-        freq_ghz: f64,
-        voltage_v: f64,
-        weight: OperandWeight,
-    ) -> f64 {
-        self.active_power_w(kernel, smt, freq_ghz, voltage_v, weight) / voltage_v
-    }
-
     /// Power of a core whose threads are all in C1 (clock-gated).
     pub fn c1_power_w(&self) -> f64 {
         self.c1_residual_w
@@ -250,16 +237,6 @@ mod tests {
                 - m.active_power_w(k, SmtMode::Both, 2.5, 1.0, OperandWeight::ZERO)
         };
         assert!(swing(vx) > 6.0 * swing(shr));
-    }
-
-    #[test]
-    fn current_follows_power_over_voltage() {
-        let set = kernels();
-        let m = model();
-        let k = set.kernel(KernelClass::AddPd);
-        let p = m.active_power_w(k, SmtMode::Single, 2.5, 1.0, OperandWeight::HALF);
-        let i = m.current_a(k, SmtMode::Single, 2.5, 1.0, OperandWeight::HALF);
-        assert!((i - p / 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Durable checkpoints for paper-scale sweeps: persist every finished
-//! case's cell at a shard boundary, resume later, produce
+//! case's cell after each case group, resume later, produce
 //! byte-identical output.
 //!
 //! A `--paper`-scale grid can run for hours with nothing on disk until
 //! the end. The checkpoint layer closes that gap with four pieces:
 //!
 //! * [`run_resumable`] — the driver every checkpointed experiment
-//!   shares: it reduces each case's run to one value, the case's
-//!   *cell*, and keeps the cells in case order.
+//!   shares: it pulls the grid one case group (`workers × shard_size`
+//!   cases) at a time, runs each group on the session, reduces each
+//!   case's run to one value, the case's *cell*, keeps the cells in
+//!   case order, and saves them after every group.
 //! * [`Checkpoint`] — a durable cut of those cells: the sweep's
 //!   identity (label, grid shape, total case count, fingerprint), the
 //!   covered case range `start..done`, and one [`Snapshot`] per covered
@@ -64,14 +66,14 @@
 //!
 //! let loaded = Checkpoint::load(&path).unwrap();
 //! loaded.matches(&sweep, sweep.len()).unwrap();
-//! assert_eq!(loaded.done(), 1);
+//! assert_eq!(loaded.covered(), (0, 1));
 //! assert_eq!(loaded.cells::<f64>().unwrap(), [99.1]);
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
-use crate::obs::{AttrValue, EVT_SWEEP_TOTAL};
+use crate::obs::{AttrValue, EVT_SWEEP_TOTAL, SPAN_CHECKPOINT};
 use crate::probe::Run;
-use crate::session::{Session, SessionError, SessionErrorKind, StreamControl, StreamEvent};
+use crate::session::{Case, Session};
 use crate::snapshot::{Json, Snapshot, SnapshotError};
 use crate::stats::GroupedStats;
 use crate::sweep::Sweep;
@@ -162,20 +164,6 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl CheckpointError {
-    /// Maps a streaming failure out of a checkpointed run: a
-    /// [`SessionErrorKind::CheckpointFailed`] becomes a checkpoint I/O
-    /// error; anything else (scenario validation, worker panic) is an
-    /// engine or authoring bug exactly as in a non-checkpointed run,
-    /// and panics with the same message those paths always produced.
-    pub fn from_stream(error: SessionError) -> CheckpointError {
-        match error.kind {
-            SessionErrorKind::CheckpointFailed(message) => CheckpointError::Io(message),
-            _ => panic!("{error}"),
-        }
-    }
-}
-
 /// A durable cut of a streaming sweep: which run it belongs to, which
 /// cases it covers, and each covered case's cell. See the
 /// [module docs](self) for the on-disk format.
@@ -213,17 +201,6 @@ impl Checkpoint {
             fingerprint: sweep_fingerprint(sweep),
             cells: Vec::new(),
         }
-    }
-
-    /// The sweep label the checkpoint was written for.
-    pub fn sweep(&self) -> &str {
-        &self.sweep
-    }
-
-    /// Cases folded in when the checkpoint was cut — the index of the
-    /// first case a resumed run must execute.
-    pub fn done(&self) -> usize {
-        self.done
     }
 
     /// The total case count of the run.
@@ -609,35 +586,15 @@ impl CheckpointSpec {
         checkpoint.matches(sweep, total)?;
         Ok(Some(checkpoint))
     }
-
-    /// The shard-boundary hook body of [`run_resumable`]: build and save
-    /// a checkpoint when a path is configured, count the save, and
-    /// request a clean [`StreamControl::Halt`] once
-    /// [`halt_after`](Self::halt_after) saves have landed. `saves` is
-    /// the caller's running save counter. The error type is the
-    /// `String` the session's checkpoint hook contract uses.
-    ///
-    /// # Errors
-    /// Errors when saving fails.
-    pub(crate) fn on_boundary(
-        &self,
-        saves: &mut usize,
-        build: impl FnOnce() -> Checkpoint,
-    ) -> Result<StreamControl, String> {
-        let Some(path) = &self.path else { return Ok(StreamControl::Continue) };
-        build().save(path).map_err(|e| e.to_string())?;
-        *saves += 1;
-        if self.halt_after.is_some_and(|limit| *saves >= limit) {
-            return Ok(StreamControl::Halt);
-        }
-        Ok(StreamControl::Continue)
-    }
 }
 
 /// The resumable-sweep driver every checkpointed experiment shares:
 /// load the checkpoint `spec` names (restoring its cells and skipping
-/// the cases they cover), stream the remaining cases, `reduce` each run
-/// to its case's cell, and persist the cells at every shard boundary.
+/// the cases they cover), run the remaining cases one case group
+/// (`workers × shard_size` cases) at a time, `reduce` each run to its
+/// case's cell, and, when `spec` has a path, save the cells after every
+/// group, stopping once [`halt_after`](CheckpointSpec::halt_after)
+/// saves have landed.
 ///
 /// `reduce` receives the global case index and the case's run, and
 /// returns the case's cell. Returns the cells in case order once every
@@ -682,6 +639,11 @@ impl CheckpointSpec {
 /// # Errors
 /// Errors when the checkpoint cannot be read, written, or does not
 /// belong to this run.
+///
+/// # Panics
+/// Panics with the [`SessionError`](crate::SessionError) message when a
+/// case fails validation or panics: an authoring or engine bug, as in
+/// an uncheckpointed run.
 pub fn run_resumable<C: Snapshot>(
     sweep: &Sweep,
     session: &Session,
@@ -703,9 +665,10 @@ pub fn run_resumable<C: Snapshot>(
         cells = checkpoint.cells()?;
     }
     let start = lo + cells.len();
+    let obs = session.obs();
     // Announce the run's extent before streaming: progress sinks need
     // the total (and the resume offset) to show percentages and ETA.
-    session.obs().event(
+    obs.event(
         EVT_SWEEP_TOTAL,
         &[
             ("sweep", AttrValue::Str(sweep.label())),
@@ -713,24 +676,36 @@ pub fn run_resumable<C: Snapshot>(
             ("start", AttrValue::U64(start as u64)),
         ],
     );
-    let pending = sweep.take_range(start, hi - start);
+    let mut pending = sweep.take_range(start, hi - start);
+    // On a save error the open spans are left unclosed: the run is
+    // aborting, and sinks tolerate it.
+    let sweep_span = session.open_sweep(start);
     let mut saves = 0;
-    session
-        .run_streaming_checkpointed(start, pending, |event| match event {
-            StreamEvent::Run { index, run } => {
-                // Runs arrive in case order, so the next cell is case
-                // `index`'s.
-                assert_eq!(index, lo + cells.len(), "runs arrive in case order");
+    loop {
+        let group: Vec<Case> = pending.by_ref().take(session.group_size()).collect();
+        if group.is_empty() {
+            break;
+        }
+        session
+            .run_group(sweep_span, lo + cells.len(), &group, |index, run| {
                 cells.push(reduce(index, run));
-                Ok(StreamControl::Continue)
-            }
-            StreamEvent::ShardBoundary { next } => spec.on_boundary(&mut saves, || {
-                let mut checkpoint = Checkpoint::for_range(sweep, total, lo, next);
-                checkpoint.set_cells(&cells);
-                checkpoint
-            }),
-        })
-        .map_err(CheckpointError::from_stream)?;
+            })
+            .unwrap_or_else(|error| panic!("{error}"));
+        // Every case below `next` is reduced and none above it: a
+        // consistent cut.
+        let Some(path) = &spec.path else { continue };
+        let next = lo + cells.len();
+        let span = obs.open(sweep_span, SPAN_CHECKPOINT, &[("next", AttrValue::U64(next as u64))]);
+        let mut checkpoint = Checkpoint::for_range(sweep, total, lo, next);
+        checkpoint.set_cells(&cells);
+        checkpoint.save(path)?;
+        obs.close(span);
+        saves += 1;
+        if spec.halt_after.is_some_and(|limit| saves >= limit) {
+            break;
+        }
+    }
+    obs.close(sweep_span);
     let complete = lo == 0 && cells.len() == total;
     Ok(complete.then_some(cells))
 }
@@ -739,9 +714,11 @@ pub fn run_resumable<C: Snapshot>(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::obs::{Attr, Recorder, SpanId, SPAN_SWEEP};
     use crate::scenario::Scenario;
     use crate::stats::OnlineStats;
     use crate::sweep::Axis;
+    use std::sync::Arc;
 
     fn sweep_3x2() -> Sweep {
         sweep_3x2_of(Scenario::new())
@@ -800,7 +777,7 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
 
         assert_eq!(loaded, ck);
-        assert_eq!((loaded.sweep(), loaded.done(), loaded.total()), ("ck-test", 4, 6));
+        assert_eq!((loaded.covered(), loaded.total()), ((0, 4), 6));
         assert!(!loaded.is_complete());
         loaded.matches(&sweep, 6).unwrap();
         assert_eq!(loaded.cells::<f64>().unwrap(), [0.0, 0.7, 1.4, 3.0 * 0.7]);
@@ -958,28 +935,79 @@ mod tests {
         // With a file present, resume loads and validates it.
         covering(0, 2).save(&path).unwrap();
         let loaded = CheckpointSpec::resume_from(&path).load(&sweep, 6).unwrap().unwrap();
-        assert_eq!(loaded.done(), 2);
+        assert_eq!(loaded.covered(), (0, 2));
         // …and a total mismatch is surfaced, not ignored.
         assert!(CheckpointSpec::resume_from(&path).load(&sweep, 7).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Records every span open as `(name, id, parent)`.
+    #[derive(Default)]
+    struct Spans(std::sync::Mutex<Vec<(&'static str, SpanId, Option<SpanId>)>>);
+
+    impl Recorder for Spans {
+        fn span_open(
+            &self,
+            id: SpanId,
+            parent: Option<SpanId>,
+            name: &'static str,
+            _: &[Attr<'_>],
+        ) {
+            self.0.lock().unwrap().push((name, id, parent));
+        }
+        fn span_close(&self, _: SpanId) {}
+        fn counter(&self, _: &'static str, _: u64) {}
+        fn gauge(&self, _: &'static str, _: f64) {}
+        fn observe(&self, _: &'static str, _: f64) {}
+        fn event(&self, _: &'static str, _: &[Attr<'_>]) {}
+    }
+
     #[test]
-    fn on_boundary_saves_counts_and_halts() {
-        let path = tmp("boundary");
-        let spec = CheckpointSpec { halt_after: Some(2), ..CheckpointSpec::at(&path) };
-        let mut saves = 0;
-        let build = || covering(0, 2);
-        assert_eq!(spec.on_boundary(&mut saves, build).unwrap(), StreamControl::Continue);
-        assert_eq!(spec.on_boundary(&mut saves, build).unwrap(), StreamControl::Halt);
-        assert_eq!(saves, 2);
-        assert!(path.exists());
-        std::fs::remove_file(&path).unwrap();
+    fn run_resumable_saves_only_with_a_path_each_save_under_the_sweep_span() {
+        let sweep = instant_sweep();
+        let reduce = |index: usize, _run: Run| index as f64;
+        let run = |spec: &CheckpointSpec| {
+            let spans = Arc::new(Spans::default());
+            let session = Session::new().workers(1).shard_size(2).recorder(spans.clone());
+            let cells = run_resumable(&sweep, &session, spec, reduce).unwrap();
+            let spans = spans.0.lock().unwrap().clone();
+            let sweep_span = spans.iter().find(|(name, ..)| *name == SPAN_SWEEP).map(|s| s.1);
+            let saves: Vec<Option<SpanId>> = spans
+                .iter()
+                .filter(|(name, ..)| *name == SPAN_CHECKPOINT)
+                .map(|(.., parent)| *parent)
+                .collect();
+            (cells, sweep_span, saves)
+        };
         // Without a path nothing is written and nothing halts.
-        let mut saves = 0;
         let spec = CheckpointSpec { halt_after: Some(1), ..CheckpointSpec::none() };
-        assert_eq!(spec.on_boundary(&mut saves, build).unwrap(), StreamControl::Continue);
-        assert_eq!(saves, 0);
+        let (cells, _, saves) = run(&spec);
+        assert_eq!(cells, Some(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]));
+        assert!(saves.is_empty(), "{saves:?}");
+        // With one, every case group ends in one save under the sweep.
+        let path = tmp("spans");
+        let (cells, sweep_span, saves) = run(&CheckpointSpec::at(&path));
+        std::fs::remove_file(&path).unwrap();
+        assert!(cells.is_some());
+        assert!(sweep_span.is_some());
+        assert_eq!(saves, [sweep_span; 3]);
+    }
+
+    #[test]
+    fn an_unwritable_checkpoint_is_one_io_error_naming_the_path() {
+        // A checkpoint path under a regular file: its directory cannot
+        // be created.
+        let file = tmp("notadir");
+        std::fs::write(&file, "").unwrap();
+        let path = file.join("ck");
+        let session = Session::new().workers(1).shard_size(2);
+        let spec = CheckpointSpec::at(&path);
+        let err = run_resumable(&instant_sweep(), &session, &spec, |_, _| 0.0).unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err:?}");
+        let text = err.to_string();
+        assert_eq!(text.matches("checkpoint I/O failed").count(), 1, "{text}");
+        assert!(text.contains(&path.display().to_string()), "{text}");
     }
 
     #[test]

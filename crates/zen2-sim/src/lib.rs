@@ -97,7 +97,7 @@ pub use config::SimConfig;
 pub use obs::{Attr, AttrValue, Recorder, SpanId};
 pub use probe::{EventFilter, Measurement, Probe, ProbeSpec, Run, Window};
 pub use scenario::{Op, Scenario, ScenarioError, Step};
-pub use session::{Case, Session, SessionError, SessionErrorKind, StreamControl, StreamEvent};
+pub use session::{Case, Session, SessionError, SessionErrorKind};
 pub use snapshot::{Json, Snapshot, SnapshotError};
 pub use stats::{FreqResidency, GroupedStats, OnlineStats, P2Quantile, TransitionStats, Welford};
 pub use sweep::{Axis, Sweep};

@@ -16,18 +16,6 @@ pub fn std_dev(samples: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Half-width of the 95 % confidence interval of the mean (normal
-/// approximation — the paper validates performance levels "with a
-/// confidence interval of 95 %").
-pub fn ci95_half_width(samples: &[f64]) -> f64 {
-    1.96 * std_dev(samples) / (samples.len() as f64).sqrt()
-}
-
-/// Whether a sample set's mean is within the 95 % CI of an expected value.
-pub fn validates_against(samples: &[f64], expected: f64) -> bool {
-    (mean(samples) - expected).abs() <= ci95_half_width(samples).max(expected * 1e-3)
-}
-
 /// A histogram with fixed-width bins, as in Fig. 3 (25 µs bins).
 #[derive(Debug, Clone)]
 pub struct Histogram {
@@ -72,31 +60,12 @@ impl Histogram {
         &self.counts
     }
 
-    /// The center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        self.lo + (i as f64 + 0.5) * self.width
-    }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Coefficient of variation of the in-range bin counts over a sub-range
     /// of bins — a uniformity check for the Fig. 3 plateau.
     pub fn plateau_cv(&self, from_bin: usize, to_bin: usize) -> f64 {
         let slice: Vec<f64> = self.counts[from_bin..to_bin].iter().map(|&c| c as f64).collect();
         std_dev(&slice) / mean(&slice)
     }
-}
-
-/// Empirical cumulative distribution function points (Fig. 10 rendering).
-pub fn ecdf(samples: &[f64]) -> Vec<(f64, f64)> {
-    assert!(!samples.is_empty(), "ECDF of an empty sample set");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in samples"));
-    let n = sorted.len() as f64;
-    sorted.into_iter().enumerate().map(|(i, v)| (v, (i + 1) as f64 / n)).collect()
 }
 
 /// Quantile of a sample set (linear interpolation).
@@ -123,14 +92,6 @@ mod tests {
         let s = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&s), 2.5);
         assert!((std_dev(&s) - 1.2909944).abs() < 1e-6);
-        assert!(ci95_half_width(&s) > 0.0);
-    }
-
-    #[test]
-    fn validation_accepts_matching_and_rejects_shifted() {
-        let near: Vec<f64> = (0..100).map(|i| 10.0 + 0.01 * ((i % 7) as f64 - 3.0)).collect();
-        assert!(validates_against(&near, 10.0));
-        assert!(!validates_against(&near, 10.5));
     }
 
     #[test]
@@ -144,8 +105,6 @@ mod tests {
         h.add(100.0);
         assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow, 1);
-        assert_eq!(h.total(), 5);
-        assert!((h.bin_center(0) - 12.5).abs() < 1e-12);
     }
 
     #[test]
@@ -155,17 +114,6 @@ mod tests {
             h.add((i % 1000) as f64 / 100.0);
         }
         assert!(h.plateau_cv(0, 10) < 0.01);
-    }
-
-    #[test]
-    fn ecdf_is_monotone_and_normalized() {
-        let points = ecdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0], (1.0, 1.0 / 3.0));
-        assert_eq!(points.last().unwrap().1, 1.0);
-        for w in points.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1);
-        }
     }
 
     #[test]

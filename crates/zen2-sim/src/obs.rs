@@ -27,18 +27,20 @@
 //!
 //! ```text
 //! sweep                         one streaming run
-//! └── shard                     one workers × shard_size case group
-//!     ├── pool                  the worker-pool execution of the shard
-//!     │   └── case              one case, on its worker thread
-//!     │       ├── boot          the case's machine boot
-//!     │       └── sim           scenario execution (the hot kernel)
-//!     ├── reduce                one delivery folded by the caller
-//!     └── checkpoint            the shard-boundary callback
+//! ├── shard                     one workers × shard_size case group
+//! │   ├── pool                  the worker-pool execution of the group
+//! │   │   └── case              one case, on its worker thread
+//! │   │       ├── boot          the case's machine boot
+//! │   │       └── sim           scenario execution (the hot kernel)
+//! │   └── reduce                one delivery folded by the caller
+//! └── checkpoint                one checkpoint save after a group
 //! ```
 //!
 //! Every entry point, [`Session::run`](crate::Session::run) included,
-//! reports this shape. A failed run aborts mid-span, so sinks must
-//! tolerate spans that never close (the bundled sinks all do).
+//! reports this shape; only
+//! [`run_resumable`](crate::checkpoint::run_resumable) with a checkpoint
+//! path opens `checkpoint` spans. A failed run aborts mid-span, so sinks
+//! must tolerate spans that never close (the bundled sinks all do).
 //!
 //! Span ids come from one process-wide counter, so they are unique
 //! across concurrent sessions sharing a sink but are **not** stable
@@ -100,7 +102,8 @@ pub trait Recorder: Send + Sync {
 /// Root span of one streaming run. Attrs: `first_index`, `workers`,
 /// `shard_size`.
 pub const SPAN_SWEEP: &str = "sweep";
-/// One shard-group of a streaming run. Attrs: `first`, `cases`.
+/// One case group (`workers × shard_size` cases) of a streaming run.
+/// Attrs: `first`, `cases`.
 pub const SPAN_SHARD: &str = "shard";
 /// The worker-pool execution of one shard. Attrs: `cases`,
 /// `workers`.
@@ -118,8 +121,9 @@ pub const SPAN_SIM: &str = "sim";
 /// One delivery folded by the caller's sink/accumulators. Attrs:
 /// `index`.
 pub const SPAN_REDUCE: &str = "reduce";
-/// The shard-boundary callback (typically a checkpoint save). Attrs:
-/// `next`.
+/// One checkpoint save of
+/// [`run_resumable`](crate::checkpoint::run_resumable), under the
+/// `sweep` span. Attrs: `next`.
 pub const SPAN_CHECKPOINT: &str = "checkpoint";
 
 /// Cases booted without a prototype to fork. The session never reports

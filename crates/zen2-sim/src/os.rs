@@ -5,7 +5,6 @@
 //! sysfs files to control C-states and hardware threads."
 
 use crate::cstate::ThreadState;
-use zen2_topology::LogicalCpu;
 
 /// Per-CPU cpuidle configuration: which idle states the governor may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,22 +36,6 @@ impl IdleConfig {
     }
 }
 
-/// The sysfs path for a cpuidle state-disable knob, as in the paper's
-/// footnote 5.
-pub fn cpuidle_disable_path(cpu: LogicalCpu, state: u8) -> String {
-    format!("/sys/devices/system/cpu/{cpu}/cpuidle/state{state}/disable")
-}
-
-/// The sysfs path for a hotplug knob, as in the paper's footnote 6.
-pub fn online_path(cpu: LogicalCpu) -> String {
-    format!("/sys/devices/system/cpu/{cpu}/online")
-}
-
-/// The sysfs path of the userspace governor's setspeed file.
-pub fn setspeed_path(cpu: LogicalCpu) -> String {
-    format!("/sys/devices/system/cpu/{cpu}/cpufreq/scaling_setspeed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,15 +48,5 @@ mod tests {
         assert_eq!(c1_only.deepest_idle_state(), ThreadState::C1);
         let none = IdleConfig { c1_enabled: false, c2_enabled: false };
         assert_eq!(none.deepest_idle_state(), ThreadState::Active, "POLL fallback");
-    }
-
-    #[test]
-    fn sysfs_paths_match_the_papers_footnotes() {
-        assert_eq!(
-            cpuidle_disable_path(LogicalCpu(7), 2),
-            "/sys/devices/system/cpu/cpu7/cpuidle/state2/disable"
-        );
-        assert_eq!(online_path(LogicalCpu(127)), "/sys/devices/system/cpu/cpu127/online");
-        assert!(setspeed_path(LogicalCpu(0)).ends_with("cpu0/cpufreq/scaling_setspeed"));
     }
 }

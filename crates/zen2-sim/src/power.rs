@@ -15,7 +15,7 @@
 //! package tail.
 
 use crate::config::SimConfig;
-use crate::cstate::{classify_core, CoreIdleClass, ThreadState};
+use crate::cstate::{classify_core, package_c6_allowed, CoreIdleClass, ThreadState};
 use zen2_isa::{KernelClass, OperandWeight, SmtMode, WorkloadSet};
 use zen2_mem::ClockPlan;
 use zen2_topology::Topology;
@@ -152,18 +152,12 @@ impl PowerEval {
         let tpc = topo.threads_per_core();
 
         // Global package-C6 criterion (or per-package ablation).
-        let offline_c1 = cfg.os.offline_parks_in_c1;
+        let (all, offline_c1) = (state.thread_states, cfg.os.offline_parks_in_c1);
+        let per_pkg = topo.cores_per_socket() * tpc;
         let pkg_awake = &mut out.pkg_awake;
-        if cfg.global_package_c6 {
-            let any_blocker = state.thread_states.iter().any(|t| !t.allows_package_c6(offline_c1));
-            pkg_awake.fill(any_blocker);
-        } else {
-            for (pkg, awake) in pkg_awake.iter_mut().enumerate() {
-                let base = pkg * topo.cores_per_socket() * tpc;
-                let end = base + topo.cores_per_socket() * tpc;
-                *awake =
-                    state.thread_states[base..end].iter().any(|t| !t.allows_package_c6(offline_c1));
-            }
+        for (pkg, awake) in pkg_awake.iter_mut().enumerate() {
+            let own = &all[pkg * per_pkg..(pkg + 1) * per_pkg];
+            *awake = !package_c6_allowed(all, own, offline_c1, cfg.global_package_c6);
         }
 
         let core_true_w = &mut out.core_true_w;

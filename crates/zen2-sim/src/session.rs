@@ -1,17 +1,15 @@
 //! Batch execution: many `(SimConfig, Scenario, seed)` cases across a
 //! worker pool, with results identical to serial execution.
 //!
-//! Every entry point runs one streaming core: it pulls cases one
-//! shard-group (`workers × shard_size` cases) at a time, validates them,
-//! executes them across the pool, and delivers each completed [`Run`] in
-//! case order. [`Session::run`] collects a slice of cases into a `Vec`.
+//! Every entry point runs one loop: it pulls one *case group*
+//! (`workers × shard_size` cases) at a time, validates it, executes it
+//! across the pool, and delivers each completed [`Run`] in case order.
+//! [`Session::run`] collects a slice of cases into a `Vec`.
 //! [`Session::run_streaming`] consumes a lazy case iterator (e.g.
 //! [`Sweep::cases`](crate::Sweep::cases)) and hands each run to a sink,
-//! holding at most `workers × shard_size` cases in memory.
-//! [`Session::run_streaming_checkpointed`] adds two things for
-//! interruptible paper-scale sweeps: the sink also observes every shard
-//! boundary (a consistent cut to persist accumulator snapshots at), and
-//! delivery indices can start at a resume offset.
+//! holding at most `workers × shard_size` cases in memory. The
+//! resumable driver [`run_resumable`](crate::checkpoint::run_resumable)
+//! pulls the same groups itself and saves its checkpoint between them.
 //!
 //! Each case boots its own freshly seeded machine
 //! (`System::new(case.config, case.seed)`), so results depend only on
@@ -140,7 +138,7 @@ impl Session {
     }
 
     /// Executes a lazily produced case stream without ever materializing
-    /// it: cases are pulled from the iterator one shard-group
+    /// it: cases are pulled from the iterator one case group
     /// (`workers × shard_size` cases) at a time, executed across the
     /// worker pool, and delivered to `sink` as `(case index, run)` — in
     /// case-index order, regardless of the worker count or shard size,
@@ -174,74 +172,7 @@ impl Session {
         I: IntoIterator<Item = Case>,
         F: FnMut(usize, Run),
     {
-        self.run_streaming_with(cases, sink, |sys, case| {
-            sys.run_scenario_prechecked(&case.scenario)
-        })
-    }
-
-    /// [`run_streaming`](Self::run_streaming) with a checkpoint hook:
-    /// the callback observes every delivery *and* every shard boundary,
-    /// and delivered indices start at `first_index` — the two pieces a
-    /// resumable sweep needs.
-    ///
-    /// [`StreamEvent::ShardBoundary`] fires after each shard's runs have
-    /// been delivered (including the last), carrying the index of the
-    /// next case the stream will execute. At that instant every case
-    /// below the boundary has been folded into the caller's accumulators
-    /// and nothing above it has — a consistent cut to persist (see
-    /// [`Checkpoint`](crate::checkpoint::Checkpoint)). `first_index`
-    /// offsets delivery indices for resumed streams: pass the index of
-    /// the first case in `cases` (e.g. the `done` count of a loaded
-    /// checkpoint, with `cases` starting at that case of the grid).
-    ///
-    /// The callback steers the stream: [`StreamControl::Halt`] stops
-    /// cleanly after the current event (the paper-scale "stop now,
-    /// resume later" path — the caller sees fewer deliveries than cases
-    /// and knows the stream is incomplete), and an `Err` aborts with
-    /// [`SessionErrorKind::CheckpointFailed`] (e.g. the checkpoint file
-    /// could not be written). Returns the number of runs delivered by
-    /// *this* call.
-    ///
-    /// ```
-    /// use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
-    /// use zen2_sim::{StreamControl, StreamEvent};
-    ///
-    /// let mut sc = Scenario::new();
-    /// sc.probe("ac", Probe::AcPowerW, Window::at(0));
-    /// let case = |i: usize| {
-    ///     Case::new(format!("case{i}"), SimConfig::epyc_7502_2s(), sc.clone(), i as u64)
-    /// };
-    /// // Resume at case 4 of 10: indices continue where the first run
-    /// // stopped, and every shard boundary offers a durable cut.
-    /// let mut delivered = Vec::new();
-    /// let mut boundaries = Vec::new();
-    /// let session = Session::new().workers(2).shard_size(2);
-    /// let n = session
-    ///     .run_streaming_checkpointed(4, (4..10).map(case), |event| {
-    ///         match event {
-    ///             StreamEvent::Run { index, .. } => delivered.push(index),
-    ///             StreamEvent::ShardBoundary { next } => boundaries.push(next),
-    ///         }
-    ///         Ok(StreamControl::Continue)
-    ///     })
-    ///     .unwrap();
-    /// assert_eq!(n, 6);
-    /// assert_eq!(delivered, [4, 5, 6, 7, 8, 9]);
-    /// assert_eq!(boundaries, [8, 10]); // workers × shard_size = 4 per shard
-    /// ```
-    pub fn run_streaming_checkpointed<I, F>(
-        &self,
-        first_index: usize,
-        cases: I,
-        on_event: F,
-    ) -> Result<usize, SessionError>
-    where
-        I: IntoIterator<Item = Case>,
-        F: FnMut(StreamEvent) -> Result<StreamControl, String>,
-    {
-        self.run_streaming_events_with(first_index, cases, on_event, |sys, case| {
-            sys.run_scenario_prechecked(&case.scenario)
-        })
+        self.run_streaming_with(cases, sink, run_prechecked)
     }
 
     /// [`run_streaming`](Self::run_streaming) with an injectable per-case
@@ -257,42 +188,32 @@ impl Session {
         I: IntoIterator<Item = Case>,
         F: FnMut(usize, Run),
     {
-        self.run_streaming_events_with(
-            0,
-            cases,
-            |event| {
-                if let StreamEvent::Run { index, run } = event {
-                    sink(index, run);
-                }
-                Ok(StreamControl::Continue)
-            },
-            execute,
-        )
-    }
-
-    /// The streaming core every public streaming entry point reduces
-    /// to: pulls `cases` one shard-group (`workers × shard_size` cases)
-    /// at a time, executes each shard on the worker pool, and reports
-    /// deliveries and shard boundaries through `on_event` with indices
-    /// offset by `first_index`.
-    fn run_streaming_events_with<I, F>(
-        &self,
-        first_index: usize,
-        cases: I,
-        mut on_event: F,
-        execute: impl Fn(&mut System, &Case) -> Run + Sync,
-    ) -> Result<usize, SessionError>
-    where
-        I: IntoIterator<Item = Case>,
-        F: FnMut(StreamEvent) -> Result<StreamControl, String>,
-    {
-        let group = self.workers.saturating_mul(self.shard);
         let mut iter = cases.into_iter();
         let mut delivered = 0usize;
-        let obs = self.obs();
         // On error paths (`?`) the open spans are deliberately left
         // unclosed: the run is aborting, and sinks tolerate it.
-        let sweep_span = obs.open(
+        let sweep_span = self.open_sweep(0);
+        loop {
+            let group: Vec<Case> = iter.by_ref().take(self.group_size()).collect();
+            if group.is_empty() {
+                self.obs().close(sweep_span);
+                return Ok(delivered);
+            }
+            self.run_group_with(sweep_span, delivered, &group, &mut sink, &execute)?;
+            delivered += group.len();
+        }
+    }
+
+    /// Cases per *case group*, the unit a streaming run pulls, runs on
+    /// the pool and delivers: `workers × shard_size`.
+    pub(crate) fn group_size(&self) -> usize {
+        self.workers.saturating_mul(self.shard)
+    }
+
+    /// Opens the root `sweep` span of a streaming run whose first case
+    /// has global index `first_index`.
+    pub(crate) fn open_sweep(&self, first_index: usize) -> Option<SpanId> {
+        self.obs().open(
             None,
             obs::SPAN_SWEEP,
             &[
@@ -300,114 +221,67 @@ impl Session {
                 ("workers", AttrValue::U64(self.workers as u64)),
                 ("shard_size", AttrValue::U64(self.shard as u64)),
             ],
-        );
-        // Forwards one event, attributing a callback failure to `at`.
-        let mut notify = |event: StreamEvent, at: &str| -> Result<StreamControl, SessionError> {
-            on_event(event).map_err(|message| SessionError {
-                case: at.to_string(),
-                kind: SessionErrorKind::CheckpointFailed(message),
-            })
-        };
-        loop {
-            let shard_cases: Vec<Case> = iter.by_ref().take(group).collect();
-            if shard_cases.is_empty() {
-                obs.close(sweep_span);
-                return Ok(delivered);
-            }
-            for case in &shard_cases {
-                validate_case(case)?;
-            }
-            let shard_span = obs.open(
-                sweep_span,
-                obs::SPAN_SHARD,
-                &[
-                    ("first", AttrValue::U64((first_index + delivered) as u64)),
-                    ("cases", AttrValue::U64(shard_cases.len() as u64)),
-                ],
-            );
-            obs.observe(OBS_SHARD_CASES, shard_cases.len() as f64);
-            let outcomes = pool_outcomes(
-                &shard_cases,
-                self.workers,
-                &execute,
-                obs,
-                shard_span,
-                first_index + delivered,
-            );
-            for (case, outcome) in shard_cases.iter().zip(outcomes) {
-                match outcome {
-                    Ok(run) => {
-                        let index = first_index + delivered;
-                        let reduce_span = obs.open(
-                            shard_span,
-                            obs::SPAN_REDUCE,
-                            &[("index", AttrValue::U64(index as u64))],
-                        );
-                        let control = notify(StreamEvent::Run { index, run }, &case.label)?;
-                        obs.close(reduce_span);
-                        obs.counter(CTR_CASES_DONE, 1);
-                        delivered += 1;
-                        if matches!(control, StreamControl::Halt) {
-                            obs.close(shard_span);
-                            obs.close(sweep_span);
-                            return Ok(delivered);
-                        }
-                    }
-                    Err(panic) => {
-                        return Err(SessionError {
-                            case: case.label.clone(),
-                            kind: SessionErrorKind::WorkerPanicked(panic),
-                        })
-                    }
-                }
-            }
-            let next = first_index + delivered;
-            let boundary = StreamEvent::ShardBoundary { next };
-            let checkpoint_span = obs.open(
-                shard_span,
-                obs::SPAN_CHECKPOINT,
-                &[("next", AttrValue::U64(next as u64))],
-            );
-            let control = notify(boundary, &format!("shard boundary at {next}"))?;
-            obs.close(checkpoint_span);
-            obs.close(shard_span);
-            if let StreamControl::Halt = control {
-                obs.close(sweep_span);
-                return Ok(delivered);
-            }
+        )
+    }
+
+    /// Runs one case group under `parent`: validates every case, runs
+    /// the group on the pool, and hands each run to `sink` in case order
+    /// with its global index, `first` being the first case's.
+    pub(crate) fn run_group(
+        &self,
+        parent: Option<SpanId>,
+        first: usize,
+        cases: &[Case],
+        sink: impl FnMut(usize, Run),
+    ) -> Result<(), SessionError> {
+        self.run_group_with(parent, first, cases, sink, &run_prechecked)
+    }
+
+    /// [`run_group`](Self::run_group) with the per-case executor of
+    /// [`run_streaming_with`](Self::run_streaming_with).
+    fn run_group_with(
+        &self,
+        parent: Option<SpanId>,
+        first: usize,
+        cases: &[Case],
+        mut sink: impl FnMut(usize, Run),
+        execute: &(impl Fn(&mut System, &Case) -> Run + Sync),
+    ) -> Result<(), SessionError> {
+        for case in cases {
+            validate_case(case)?;
         }
+        let obs = self.obs();
+        let shard_span = obs.open(
+            parent,
+            obs::SPAN_SHARD,
+            &[
+                ("first", AttrValue::U64(first as u64)),
+                ("cases", AttrValue::U64(cases.len() as u64)),
+            ],
+        );
+        obs.observe(OBS_SHARD_CASES, cases.len() as f64);
+        let outcomes = pool_outcomes(cases, self.workers, execute, obs, shard_span, first);
+        for (offset, (case, outcome)) in cases.iter().zip(outcomes).enumerate() {
+            let run = outcome.map_err(|panic| SessionError {
+                case: case.label.clone(),
+                kind: SessionErrorKind::WorkerPanicked(panic),
+            })?;
+            let index = first + offset;
+            let reduce_span =
+                obs.open(shard_span, obs::SPAN_REDUCE, &[("index", AttrValue::U64(index as u64))]);
+            sink(index, run);
+            obs.close(reduce_span);
+            obs.counter(CTR_CASES_DONE, 1);
+        }
+        obs.close(shard_span);
+        Ok(())
     }
 }
 
-/// One notification from the checkpointed streaming path
-/// ([`Session::run_streaming_checkpointed`]).
-#[derive(Debug)]
-pub enum StreamEvent {
-    /// Case `index`'s completed run, delivered in case order.
-    Run {
-        /// The case's global index (`first_index` + deliveries so far).
-        index: usize,
-        /// The completed run.
-        run: Run,
-    },
-    /// Every case with index < `next` has been delivered and nothing at
-    /// or above `next` has — a consistent cut for persisting
-    /// accumulator snapshots.
-    ShardBoundary {
-        /// The index of the next case the stream will execute.
-        next: usize,
-    },
-}
-
-/// What a checkpointed stream should do after an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamControl {
-    /// Keep streaming.
-    Continue,
-    /// Stop cleanly after this event: remaining cases are not executed
-    /// and the call returns `Ok` with the deliveries so far (the
-    /// deliberate mid-run halt of a checkpointed sweep).
-    Halt,
+/// The executor of every public entry point: each group was validated
+/// before it runs.
+fn run_prechecked(sys: &mut System, case: &Case) -> Run {
+    sys.run_scenario_prechecked(&case.scenario)
 }
 
 /// Validates one case, attributing any scenario error to its label.
@@ -532,11 +406,6 @@ pub enum SessionErrorKind {
     /// authoring error); the other cases of its shard still ran to
     /// completion.
     WorkerPanicked(String),
-    /// The streaming event callback failed (typically: a checkpoint
-    /// file could not be written at a shard boundary); the stream
-    /// stopped at the failing event. The `case` field names the
-    /// delivery or boundary the callback was handling.
-    CheckpointFailed(String),
 }
 
 impl fmt::Display for SessionError {
@@ -548,9 +417,6 @@ impl fmt::Display for SessionError {
             SessionErrorKind::WorkerPanicked(message) => {
                 write!(f, "case {:?}: worker panicked: {}", self.case, message)
             }
-            SessionErrorKind::CheckpointFailed(message) => {
-                write!(f, "checkpoint at {:?} failed: {}", self.case, message)
-            }
         }
     }
 }
@@ -559,7 +425,7 @@ impl std::error::Error for SessionError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match &self.kind {
             SessionErrorKind::InvalidScenario(error) => Some(error),
-            SessionErrorKind::WorkerPanicked(_) | SessionErrorKind::CheckpointFailed(_) => None,
+            SessionErrorKind::WorkerPanicked(_) => None,
         }
     }
 }
@@ -664,65 +530,6 @@ mod tests {
             Session::new().run_streaming(vec![bad], |_, _| panic!("must not deliver")).unwrap_err();
         assert_eq!(err.case, "inverted");
         assert!(matches!(err.kind, SessionErrorKind::InvalidScenario(_)));
-    }
-
-    #[test]
-    fn checkpointed_stream_reports_boundaries_and_offsets_indices() {
-        let batch = cases(&["a", "b", "c", "d", "e"]);
-        let mut indices = Vec::new();
-        let mut boundaries = Vec::new();
-        let n = Session::new()
-            .workers(1)
-            .shard_size(2)
-            .run_streaming_checkpointed(10, batch, |event| {
-                match event {
-                    StreamEvent::Run { index, .. } => indices.push(index),
-                    StreamEvent::ShardBoundary { next } => boundaries.push(next),
-                }
-                Ok(StreamControl::Continue)
-            })
-            .unwrap();
-        assert_eq!(n, 5);
-        assert_eq!(indices, [10, 11, 12, 13, 14]);
-        // Shards of 2 cases: boundaries after 2, 4 and 5 deliveries,
-        // including one after the final (short) shard.
-        assert_eq!(boundaries, [12, 14, 15]);
-    }
-
-    #[test]
-    fn checkpointed_stream_halts_cleanly_at_a_boundary() {
-        let batch = cases(&["a", "b", "c", "d", "e"]);
-        let mut delivered = 0;
-        let n = Session::new()
-            .workers(1)
-            .shard_size(2)
-            .run_streaming_checkpointed(0, batch, |event| {
-                Ok(match event {
-                    StreamEvent::Run { .. } => {
-                        delivered += 1;
-                        StreamControl::Continue
-                    }
-                    // Stop at the first boundary: cases 2.. never run.
-                    StreamEvent::ShardBoundary { .. } => StreamControl::Halt,
-                })
-            })
-            .unwrap();
-        assert_eq!((n, delivered), (2, 2));
-    }
-
-    #[test]
-    fn checkpoint_callback_failure_aborts_with_its_own_kind() {
-        let batch = cases(&["a", "b", "c"]);
-        let err = Session::new()
-            .workers(1)
-            .shard_size(2)
-            .run_streaming_checkpointed(0, batch, |event| match event {
-                StreamEvent::Run { .. } => Ok(StreamControl::Continue),
-                StreamEvent::ShardBoundary { .. } => Err("disk full".into()),
-            })
-            .unwrap_err();
-        assert!(matches!(err.kind, SessionErrorKind::CheckpointFailed(ref m) if m == "disk full"));
-        assert!(err.to_string().contains("disk full"));
     }
 
     #[test]

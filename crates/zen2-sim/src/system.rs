@@ -19,7 +19,7 @@ use zen2_mem::ClockPlan;
 use zen2_msr::{address, MsrFile};
 use zen2_power::MeterSample;
 use zen2_rapl::RaplAccounting;
-use zen2_topology::{CoreId, CpuNumbering, SocketId, ThreadId};
+use zen2_topology::{CoreId, SocketId, ThreadId};
 
 /// Maximum segment length, bounding thermal-integration error.
 const MAX_SEGMENT_NS: Ns = 100 * MILLISECOND;
@@ -29,7 +29,6 @@ const MAX_SEGMENT_NS: Ns = 100 * MILLISECOND;
 pub struct System {
     cfg: SimConfig,
     kernels: WorkloadSet,
-    numbering: CpuNumbering,
     now: Ns,
     seed: u64,
     rng: ChaCha8Rng,
@@ -90,7 +89,6 @@ impl System {
             .collect();
 
         let mut sys = Self {
-            numbering: CpuNumbering::linux_default(&topo),
             msrs: MsrFile::with_pstate_table(&topo, &cfg.pstates),
             kernels: WorkloadSet::paper(),
             now: 0,
@@ -175,16 +173,6 @@ impl System {
         &self.cfg
     }
 
-    /// The Linux-style CPU numbering of this machine.
-    pub fn numbering(&self) -> &CpuNumbering {
-        &self.numbering
-    }
-
-    /// The workload registry.
-    pub fn kernels(&self) -> &WorkloadSet {
-        &self.kernels
-    }
-
     /// Instantaneous true AC (wall) power.
     pub fn ac_power_w(&self) -> f64 {
         self.breakdown.ac_w
@@ -239,8 +227,10 @@ impl System {
             .collect()
     }
 
-    /// Mutable access to the machine's RNG (for experiment-side sampling).
-    pub fn rng(&mut self) -> &mut ChaCha8Rng {
+    /// Mutable access to the machine's RNG, for tests that compare its
+    /// stream across machines.
+    #[cfg(test)]
+    pub(crate) fn rng(&mut self) -> &mut ChaCha8Rng {
         &mut self.rng
     }
 

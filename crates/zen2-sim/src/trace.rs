@@ -112,17 +112,6 @@ impl Tracer {
         self.records.iter().filter(move |r| r.at_ns >= from_ns && r.at_ns < to_ns)
     }
 
-    /// The applied-frequency timeline of one core: `(time, MHz)` pairs.
-    pub fn frequency_timeline(&self, core: CoreId) -> Vec<(Ns, u32)> {
-        self.records
-            .iter()
-            .filter_map(|r| match r.event {
-                Event::FreqApplied { core: c, mhz, .. } if c == core => Some((r.at_ns, mhz)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Time spent asleep by a socket within `[from, to)`, assuming the
     /// socket was awake at `from` unless a sleep record says otherwise.
     pub fn asleep_ns(&self, socket: SocketId, from_ns: Ns, to_ns: Ns) -> Ns {
@@ -194,14 +183,6 @@ mod tests {
         t.set_enabled(true);
         t.record(2, Event::CapChanged { socket: SocketId(0), cap_mhz: 2450 });
         assert_eq!(t.records().len(), 1);
-    }
-
-    #[test]
-    fn frequency_timeline_filters_by_core() {
-        let t = sample();
-        assert_eq!(t.frequency_timeline(CoreId(0)), vec![(1_390_000, 1500)]);
-        assert_eq!(t.frequency_timeline(CoreId(1)), vec![(6_000_000, 2200)]);
-        assert!(t.frequency_timeline(CoreId(2)).is_empty());
     }
 
     #[test]

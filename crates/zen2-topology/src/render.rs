@@ -3,7 +3,6 @@
 //! Produces the tree view an operator would get from hwloc, so simulated
 //! experiments can document the machine shape they ran on.
 
-use crate::ids::LogicalCpu;
 use crate::numbering::CpuNumbering;
 use crate::topology::{consts, Topology};
 use std::fmt::Write as _;
@@ -47,27 +46,6 @@ pub fn lstopo(topology: &Topology) -> String {
     out
 }
 
-/// Renders a one-line-per-CPU mapping (`cpu -> socket/core/thread`), the
-/// `/proc/cpuinfo`-style view.
-pub fn cpu_map(topology: &Topology) -> String {
-    let numbering = CpuNumbering::linux_default(topology);
-    let mut out = String::new();
-    for cpu_idx in 0..numbering.num_cpus() as u32 {
-        let cpu = LogicalCpu(cpu_idx);
-        let thread = numbering.thread_of(cpu);
-        let core = topology.core_of(thread);
-        let _ = writeln!(
-            out,
-            "{cpu}: socket {} ccx {} core {} smt {}",
-            topology.socket_of_thread(thread).0,
-            topology.ccx_of_core(core).0,
-            core.0,
-            topology.sibling_of(thread).index()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,18 +61,6 @@ mod tests {
         assert!(out.contains("L2 512 KiB"));
         // First core of the machine pairs cpu0 with its SMT sibling cpu64.
         assert!(out.contains("PU: cpu0 + cpu64"), "{out}");
-    }
-
-    #[test]
-    fn cpu_map_is_complete_and_linux_ordered() {
-        let topo = Topology::epyc_7502_2s();
-        let out = cpu_map(&topo);
-        assert_eq!(out.lines().count(), 128);
-        assert!(out.starts_with("cpu0: socket 0 ccx 0 core 0 smt 0"));
-        // cpu32 is the first core of socket 1.
-        assert!(out.contains("cpu32: socket 1"));
-        // cpu64 is core 0's second hardware thread.
-        assert!(out.contains("cpu64: socket 0 ccx 0 core 0 smt 1"));
     }
 
     #[test]

@@ -16,8 +16,6 @@ pub mod consts {
     pub const QUADRANTS_PER_SOCKET: u32 = 4;
     /// Maximum CCDs attachable to one I/O die.
     pub const MAX_CCDS_PER_SOCKET: u32 = 8;
-    /// Unified memory controllers per socket (two per quadrant).
-    pub const UMCS_PER_SOCKET: u32 = 8;
     /// L3 capacity per CCX in bytes (16 MiB in four 4 MiB slices).
     pub const L3_BYTES_PER_CCX: u64 = 16 * 1024 * 1024;
     /// L2 capacity per core in bytes.
@@ -255,11 +253,6 @@ impl Topology {
         self.num_cores() * self.threads_per_core()
     }
 
-    /// Number of UMCs (DDR4 channels) in the whole system.
-    pub fn num_umcs(&self) -> usize {
-        (self.sockets * consts::UMCS_PER_SOCKET) as usize
-    }
-
     /// The NUMA configuration derived from the BIOS mode.
     pub fn numa(&self) -> &NumaConfig {
         &self.numa
@@ -422,7 +415,6 @@ mod tests {
         assert_eq!(t.num_cores(), 64);
         assert_eq!(t.num_threads(), 128);
         assert_eq!(t.cores_per_socket(), 32);
-        assert_eq!(t.num_umcs(), 16);
         assert!(t.smt_enabled());
     }
 

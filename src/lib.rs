@@ -68,7 +68,7 @@ pub mod prelude {
         Axis, Case, Checkpoint, CheckpointError, CheckpointSpec, EventFilter, FreqResidency,
         GroupedStats, Json, Measurement, OnlineStats, P2Quantile, Probe, Run, Scenario,
         ScenarioError, Session, SessionError, SessionErrorKind, ShardRange, SimConfig, Snapshot,
-        SnapshotError, StreamControl, StreamEvent, Sweep, System, TransitionStats, Welford, Window,
+        SnapshotError, Sweep, System, TransitionStats, Welford, Window,
     };
     pub use zen2_topology::{CoreId, LogicalCpu, SocketId, ThreadId, Topology};
 }

@@ -10,7 +10,9 @@ use std::sync::Arc;
 
 use zen2_ee::prelude::*;
 use zen2_obs::{Heartbeat, JsonlSink, MemorySink, Multi, SummarySink};
-use zen2_sim::obs::{CTR_CASES_DONE, SPAN_BOOT, SPAN_CASE, SPAN_SHARD, SPAN_SWEEP};
+use zen2_sim::obs::{
+    CTR_CASES_DONE, SPAN_BOOT, SPAN_CASE, SPAN_CHECKPOINT, SPAN_SHARD, SPAN_SWEEP,
+};
 use zen2_sim::time::MICROSECOND;
 
 /// A 10 × 8 grid: load levels × reps, one instantaneous power read per
@@ -139,6 +141,7 @@ fn every_case_boots_its_own_machine_under_the_documented_span_shape() {
     assert_eq!(sink.span_count(SPAN_SHARD), 8);
     assert_eq!(sink.span_count(SPAN_CASE), 16);
     assert_eq!(sink.span_count(SPAN_BOOT), 16);
+    assert_eq!(sink.span_count(SPAN_CHECKPOINT), 0, "a plain stream saves nothing");
     let records = sink.records();
     let case_ids: Vec<u64> = records
         .iter()

@@ -5,6 +5,7 @@
 
 use std::cell::Cell;
 use zen2_ee::prelude::*;
+use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::stats::TransitionStats;
 use zen2_sim::time::{MICROSECOND, MILLISECOND};
 
@@ -142,24 +143,33 @@ fn take_range_never_derives_cases_past_the_shard() {
     let session = Session::new().workers(4).shard_size(8); // 32-case group pulls
 
     // take_range derives exactly the shard's ten cases — the group pull
-    // stops at the slice's end — and delivers them with global indices.
+    // stops at the slice's end.
     let created = Cell::new(0usize);
     let bounded = sweep.take_range(10, 10).inspect(|_| created.set(created.get() + 1));
-    let mut indices = Vec::new();
-    let mut boundaries = Vec::new();
-    let delivered = session
-        .run_streaming_checkpointed(10, bounded, |event| {
-            match event {
-                StreamEvent::Run { index, .. } => indices.push(index),
-                StreamEvent::ShardBoundary { next } => boundaries.push(next),
-            }
-            Ok(StreamControl::Continue)
-        })
-        .unwrap();
+    let delivered = session.run_streaming(bounded, |_, _| {}).unwrap();
     assert_eq!(created.get(), 10);
     assert_eq!(delivered, 10);
+
+    // The resumable driver runs shard 1 of 25 — cases 10..20 — with
+    // their global indices, and cuts its one checkpoint at 20.
+    let path = std::env::temp_dir().join(format!("zen2-take-range-{}", std::process::id()));
+    let spec = CheckpointSpec {
+        shard: Some(ShardRange { index: 1, of: 25 }),
+        ..CheckpointSpec::at(&path)
+    };
+    let mut indices = Vec::new();
+    let cells = run_resumable(&sweep, &session, &spec, |index, _| {
+        indices.push(index);
+        index as f64
+    })
+    .unwrap();
+    let checkpoint = Checkpoint::load(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(cells, None, "a shard never completes the whole run");
     assert_eq!(indices, (10..20).collect::<Vec<_>>());
-    assert_eq!(boundaries, [20]);
+    assert_eq!(checkpoint.covered(), (10, 20));
+    let expected: Vec<f64> = (10..20).map(|i| i as f64).collect();
+    assert_eq!(checkpoint.cells::<f64>().unwrap(), expected);
 
     // Both ends clamp to the grid.
     assert_eq!(sweep.take_range(245, 32).count(), 5);
