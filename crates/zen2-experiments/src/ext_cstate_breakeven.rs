@@ -11,13 +11,14 @@
 //! residency above which entering C2 beats staying in C1 (the classic
 //! menu-governor break-even), using the measured exit latencies instead
 //! of the ACPI fiction — plus the system-level PC6 consideration that
-//! dwarfs the per-core numbers.
+//! dwarfs the per-core numbers, measured by one [`Scenario`] on the
+//! caller's [`Session`].
 
 use crate::report::Table;
 use zen2_sim::config::CstateParams;
 use zen2_sim::cstate::ThreadState;
 use zen2_sim::wakeup;
-use zen2_sim::{SimConfig, System};
+use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
 use zen2_topology::ThreadId;
 
 /// Break-even figures for one core frequency.
@@ -46,8 +47,19 @@ pub struct BreakEvenResult {
     pub pc6_step_w: f64,
 }
 
-/// Computes the break-even residencies from the calibrated models.
-pub fn run(seed: u64) -> BreakEvenResult {
+/// The PC6 step as one scenario: the all-C2 floor over 0.1–0.3 s, then
+/// thread 0 loses C2 at 0.3 s and idles in C1 over 0.35–0.55 s.
+fn pc6_step_scenario() -> Scenario {
+    let mut sc = Scenario::new();
+    sc.at_secs(0.3).cstate(ThreadId(0), 2, false);
+    sc.probe("floor", Probe::AcTrueMeanW, Window::span_secs(0.1, 0.3));
+    sc.probe("one_c1", Probe::AcTrueMeanW, Window::span_secs(0.35, 0.55));
+    sc
+}
+
+/// Computes the break-even residencies from the calibrated models and
+/// measures the PC6 step through `session`.
+pub fn run(seed: u64, session: &Session) -> BreakEvenResult {
     let cfg = SimConfig::epyc_7502_2s();
     let cstate = CstateParams::default();
     let c1_core_w = cfg.power.core.c1_power_w();
@@ -81,18 +93,11 @@ pub fn run(seed: u64) -> BreakEvenResult {
 
     // The PC6 step, measured end to end on the simulator: power with one
     // C1 thread minus power with everything in C2.
-    let mut sys = System::new(cfg, seed);
-    sys.run_for_secs(0.1);
-    let t0 = sys.now_ns();
-    sys.run_for_secs(0.2);
-    let floor = sys.trace_mean_w(t0, sys.now_ns());
-    sys.set_cstate_enabled(ThreadId(0), 2, false);
-    sys.run_for_secs(0.05);
-    let t1 = sys.now_ns();
-    sys.run_for_secs(0.2);
-    let one_c1 = sys.trace_mean_w(t1, sys.now_ns());
+    let case = Case::new("pc6-step", cfg, pc6_step_scenario(), seed);
+    let runs = session.run(&[case]).expect("the PC6-step scenario validates");
+    let pc6_step_w = runs[0].watts("one_c1") - runs[0].watts("floor");
 
-    BreakEvenResult { rows, pc6_step_w: one_c1 - floor }
+    BreakEvenResult { rows, pc6_step_w }
 }
 
 /// Renders the governor guidance table.
@@ -137,7 +142,7 @@ mod tests {
 
     #[test]
     fn per_core_breakeven_is_tens_of_microseconds() {
-        let r = run(141);
+        let r = run(141, &Session::new());
         for row in &r.rows {
             assert!(
                 row.breakeven_us > 10.0 && row.breakeven_us < 500.0,
@@ -153,7 +158,7 @@ mod tests {
 
     #[test]
     fn pc6_step_dominates_everything() {
-        let r = run(142);
+        let r = run(142, &Session::new());
         assert!((r.pc6_step_w - 81.2).abs() < 3.0, "PC6 step {:.1} W", r.pc6_step_w);
     }
 
@@ -162,7 +167,7 @@ mod tests {
         // Faster cores exit C2 sooner, but the wake path burns power at
         // f*V^2 — the energy term wins, so high-frequency cores need
         // longer idle periods to amortize C2.
-        let r = run(143);
+        let r = run(143, &Session::new());
         assert!(r.rows[0].breakeven_us < r.rows[2].breakeven_us);
     }
 }

@@ -260,8 +260,8 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "ext_breakeven",
         seed: 0xB4EA,
         all_seed: Some(15),
-        run: Narrow(|_, seed, _| {
-            let r = breakeven::run(seed);
+        run: Narrow(|_, seed, session| {
+            let r = breakeven::run(seed, session);
             Report::of(&r, breakeven::render, breakeven::tables)
         }),
     },
@@ -732,7 +732,8 @@ mod tests {
     #[test]
     fn narrow_rows_run_on_the_session_they_are_given() {
         // The binary's session reaches every narrow row: a recorder on
-        // it sees fig04's nine cells, and recording changes no report.
+        // it sees fig04's nine cells and ext_breakeven's one case, and
+        // recording changes no report.
         use zen2_obs::MemorySink;
         use zen2_sim::obs::SPAN_CASE;
         for (row, seed) in rows("all", false) {
@@ -744,6 +745,9 @@ mod tests {
             assert_eq!(tables_to_json(&recorded.tables), tables_to_json(&single.tables));
             if row.bin == "fig04" {
                 assert_eq!(sink.span_count(SPAN_CASE), 9);
+            }
+            if row.bin == "ext_breakeven" {
+                assert_eq!(sink.span_count(SPAN_CASE), 1);
             }
         }
     }

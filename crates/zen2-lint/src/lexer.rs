@@ -374,7 +374,9 @@ fn scan_char_or_lifetime(
 /// Finds every attribute of the shape `#[cfg(… test …)]`, then extends
 /// over the attributed item's body: attributes that follow are skipped,
 /// and the region runs to the matching `}` of the first brace opened
-/// (or to the `;` for body-less items like `mod tests;`).
+/// (or to the `;` for body-less items like `mod tests;`). An attributed
+/// struct field or field initializer (`name: …`) ends at its `,`, or at
+/// the brace closing its struct.
 pub fn test_line_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut i = 0;
@@ -395,6 +397,11 @@ pub fn test_line_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
         // Find the item's body: the first `{` at this level (a `;`
         // first means a body-less item — the region is just its line).
         let mut end_line = tokens.get(j).map_or(start_line, |t| t.line);
+        if let Some(end) = field_end(tokens, j) {
+            ranges.push((start_line, tokens[end].line));
+            i = end + 1;
+            continue;
+        }
         while j < tokens.len() {
             if tokens[j].text == ";" {
                 end_line = tokens[j].line;
@@ -420,6 +427,32 @@ pub fn test_line_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
         i = j.max(i + 1);
     }
     ranges
+}
+
+/// If `tokens[j..]` is a struct field or field initializer (`name: …`,
+/// possibly `pub`), the index of the `,` ending it or of the `}` closing
+/// its struct, whichever comes first outside brackets.
+fn field_end(tokens: &[Token], mut j: usize) -> Option<usize> {
+    if tokens.get(j)?.text == "pub" {
+        j += 1;
+        if tokens.get(j)?.text == "(" {
+            j = matching(tokens, j, "(", ")")? + 1;
+        }
+    }
+    if tokens.get(j)?.kind != TokenKind::Ident || tokens.get(j + 1)?.text != ":" {
+        return None;
+    }
+    let mut depth = 0usize;
+    for (k, t) in tokens.iter().enumerate().skip(j + 2) {
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            "," if depth == 0 => return Some(k),
+            ")" | "]" | "}" if depth == 0 => return Some(k),
+            ")" | "]" | "}" => depth -= 1,
+            _ => {}
+        }
+    }
+    None
 }
 
 /// If `tokens[i..]` starts a `#[cfg(…)]` attribute whose argument list
@@ -542,6 +575,15 @@ mod tests {
         let src = "#[cfg(all(test, feature = \"x\"))]\nmod proptests;\nfn live() {}\n";
         let ranges = test_line_ranges(&lex(src).tokens);
         assert_eq!(ranges, vec![(1, 2)]);
+    }
+
+    #[test]
+    fn cfg_test_fields_end_at_their_comma_or_struct_brace() {
+        let src = "struct S {\n    a: u32,\n    #[cfg(test)]\n    b: Vec<[u8; 2]>,\n    c: u32,\n}\n\
+                   impl S {\n    fn f() {}\n}\n\
+                   fn g() -> S {\n    S {\n        #[cfg(test)]\n        b: vec![[0; 2]; 3],\n    }\n}\n";
+        let ranges = test_line_ranges(&lex(src).tokens);
+        assert_eq!(ranges, vec![(3, 4), (12, 13)]);
     }
 
     #[test]

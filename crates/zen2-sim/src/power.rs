@@ -12,7 +12,9 @@
 //! in which only the die temperatures moved, `PowerEval::reevaluate_thermal`
 //! recomputes just the temperature-dependent terms from the last full
 //! evaluation's per-core classes, with the same expressions and the same
-//! package tail.
+//! package tail. Each package's sum of true core powers does not depend
+//! on temperature, so the full evaluation sums it once and the thermal
+//! path reuses it; only the estimates are summed again.
 
 use crate::config::SimConfig;
 use crate::cstate::{classify_core, package_c6_allowed, CoreIdleClass, ThreadState};
@@ -118,13 +120,14 @@ enum CoreClass {
 }
 
 /// The simulator's evaluator: each core's last active terms, each core's
-/// class at the last full evaluation and the per-CCD demand scratch, so a
-/// step allocates nothing and recomputes only the terms whose inputs
-/// moved.
+/// class and each package's true-core sum at the last full evaluation,
+/// and the per-CCD demand scratch, so a step allocates nothing and
+/// recomputes only the terms whose inputs moved.
 #[derive(Debug, Clone)]
 pub(crate) struct PowerEval {
     memo: Vec<Option<CoreTerms>>,
     class: Vec<CoreClass>,
+    cores_true_w: Vec<f64>,
     ccd_demand_gbs: Vec<f64>,
 }
 
@@ -134,6 +137,7 @@ impl PowerEval {
         Self {
             memo: vec![None; topo.num_cores()],
             class: vec![CoreClass::Asleep; topo.num_cores()],
+            cores_true_w: vec![0.0; topo.num_sockets()],
             ccd_demand_gbs: vec![0.0; topo.num_ccds()],
         }
     }
@@ -249,15 +253,21 @@ impl PowerEval {
             cfg.power.dram.self_refresh_w()
         };
         out.dram_traffic_gbs = dram_traffic_gbs;
-        package_tail(cfg, state.die_temp_c, out);
+        let per_pkg = topo.cores_per_socket();
+        for (sum, cores) in self.cores_true_w.iter_mut().zip(out.core_true_w.chunks(per_pkg)) {
+            // One pass in ascending core-index order, fixed by the topology.
+            *sum = cores.iter().sum();
+        }
+        package_tail(cfg, state.die_temp_c, &self.cores_true_w, out);
     }
 
     /// Re-evaluates `out`, this evaluator's last breakdown, after only the
     /// die temperatures moved: each core keeps the class, true power and
     /// activity estimate of the last full [`evaluate`](Self::evaluate),
-    /// and the DRAM terms stay. Only the core estimates' temperature terms
-    /// and the package tail are recomputed, with the full path's
-    /// expressions, so the result is the full evaluation's bit for bit.
+    /// each package its true-core sum, and the DRAM terms stay. Only the
+    /// core estimates' temperature terms and the package tail are
+    /// recomputed, with the full path's expressions, so the result is the
+    /// full evaluation's bit for bit.
     pub(crate) fn reevaluate_thermal(
         &self,
         cfg: &SimConfig,
@@ -285,25 +295,28 @@ impl PowerEval {
                 }
             }
         }
-        package_tail(cfg, die_temp_c, out);
+        package_tail(cfg, die_temp_c, &self.cores_true_w, out);
     }
 }
 
-/// Package sums, leakage, DC and AC power from the per-core powers, wake
-/// states and DRAM power already in `out`: the tail both evaluation paths
-/// share.
-fn package_tail(cfg: &SimConfig, die_temp_c: &[f64], out: &mut PowerBreakdown) {
+/// Package sums, leakage, DC and AC power from each package's true-core
+/// sum `cores_true_w` and the per-core estimates, wake states and DRAM
+/// power already in `out`: the tail both evaluation paths share.
+fn package_tail(
+    cfg: &SimConfig,
+    die_temp_c: &[f64],
+    cores_true_w: &[f64],
+    out: &mut PowerBreakdown,
+) {
     let per_pkg = cfg.topology.cores_per_socket();
     for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
         let cores = pkg * per_pkg..(pkg + 1) * per_pkg;
-        // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
-        let cores_true: f64 = out.core_true_w[cores.clone()].iter().sum();
         // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
         let cores_est: f64 = out.core_est_w[cores].iter().sum();
         if awake {
             let base = cfg.power.package.awake_base_w(cfg.iod_pstate, cfg.dram);
             let leak = cfg.power.leakage.multiplier(die_temp_c[pkg]);
-            out.pkg_true_w[pkg] = (base + cores_true) * leak;
+            out.pkg_true_w[pkg] = (base + cores_true_w[pkg]) * leak;
         } else {
             out.pkg_true_w[pkg] = cfg.power.package.sleeping_w();
         }

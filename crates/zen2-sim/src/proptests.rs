@@ -5,6 +5,7 @@ use crate::ccx;
 use crate::config::{SimConfig, SmuParams};
 use crate::controller::PptController;
 use crate::cstate::ThreadState;
+use crate::perf::ThreadCounters;
 use crate::power::PowerBreakdown;
 use crate::scenario::Op;
 use crate::smu::Smu;
@@ -195,13 +196,15 @@ fn tick_scenario(ticks: &[(Ns, Vec<Op>)]) -> (Scenario, Vec<Ns>) {
     (sc, times)
 }
 
+/// Every field's bits of one thread's counters.
+fn bits(c: ThreadCounters) -> [u64; 5] {
+    [c.tsc, c.aperf, c.mperf, c.cycles, c.instructions].map(f64::to_bits)
+}
+
 /// Every counter field's bits, per thread.
 fn counter_bits(sys: &System) -> Vec<[u64; 5]> {
     (0..sys.config().topology.num_threads() as u32)
-        .map(|t| {
-            let c = sys.counters(ThreadId(t));
-            [c.tsc, c.aperf, c.mperf, c.cycles, c.instructions].map(f64::to_bits)
-        })
+        .map(|t| bits(sys.counters(ThreadId(t))))
         .collect()
 }
 
@@ -246,6 +249,33 @@ proptest! {
         smu.advance(now);
         prop_assert_eq!(smu.core(0).applied_mhz(), last);
         prop_assert!(smu.core(0).pending().is_none());
+    }
+
+    /// After any sequence of requests and advances on several cores, the
+    /// SMU's kept next event is the earliest completion over every core's
+    /// pending transition: queued follow-ups that `advance` issues
+    /// included.
+    #[test]
+    fn smu_next_event_is_the_earliest_pending_completion(
+        steps in prop::collection::vec(
+            (0usize..4, arb_freq(), 0u64..2_000_000, any::<bool>()),
+            1..40,
+        ),
+    ) {
+        let mut smu = Smu::new(SmuParams::default(), 4, 2500, vf_points());
+        let mut now = 0u64;
+        for (core, freq, gap, advance) in steps {
+            now += gap;
+            if advance {
+                smu.advance(now);
+            } else {
+                smu.request(now, core, freq);
+            }
+            let earliest = (0..smu.num_cores())
+                .filter_map(|c| smu.core(c).pending().map(|p| p.completes_at))
+                .min();
+            prop_assert_eq!(smu.next_event(), earliest);
+        }
     }
 
     /// Transition delays never exceed slot + ramp, and fast-path delays
@@ -306,6 +336,30 @@ proptest! {
                 same_bits(sys.power_breakdown(), &sys.stateless_breakdown()),
                 "breakdowns diverge after action {i} {action:?}"
             );
+        }
+    }
+
+    /// Every thread's grouped counters equal, bit for bit, the per-thread
+    /// reference integration after every action: both SMT siblings,
+    /// idling, POLL, hotplug, P-state ramps, thermal drift, preheat and
+    /// throttled FIRESTARTER split and merge the groups.
+    #[test]
+    fn grouped_counters_match_per_thread_integration(
+        actions in prop::collection::vec(arb_action(), 1..40),
+    ) {
+        let mut sys = System::new(SimConfig::epyc_7502_2s(), 13);
+        for (i, &action) in actions.iter().enumerate() {
+            apply_action(&mut sys, action);
+            for t in (0..sys.config().topology.num_threads() as u32).map(ThreadId) {
+                prop_assert_eq!(
+                    bits(sys.counters(t)),
+                    bits(sys.per_thread_counters(t)),
+                    "thread {} diverges after action {} {:?}",
+                    t.0,
+                    i,
+                    action
+                );
+            }
         }
     }
 

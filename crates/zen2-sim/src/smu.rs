@@ -17,6 +17,10 @@
 //! but ramps in only 160 µs. On the paper's system only the 2.2/2.5 GHz
 //! pair is close enough in voltage to qualify, and "the effect disappears
 //! with random wait times of at least 5 ms".
+//!
+//! [`Smu`] keeps its earliest pending completion, the simulator's next SMU
+//! event, so a segment reads it instead of scanning every core: a request
+//! lowers it and each [`Smu::advance`] recomputes it.
 
 use crate::config::SmuParams;
 use crate::time::{next_boundary, Ns};
@@ -96,6 +100,8 @@ impl CoreDvfs {
 pub struct Smu {
     params: SmuParams,
     cores: Vec<CoreDvfs>,
+    /// The earliest `completes_at` over every core's pending transition.
+    next_event: Option<Ns>,
     voltage_of: fn(&Smu, u32) -> f64,
     vf_points: Vec<(u32, f64)>,
 }
@@ -113,6 +119,7 @@ impl Smu {
         Self {
             params,
             cores: vec![CoreDvfs::new(initial_mhz); num_cores],
+            next_event: None,
             voltage_of: Self::interp_voltage,
             vf_points,
         }
@@ -155,7 +162,7 @@ impl Smu {
     /// The earliest pending completion across all cores, if any — the
     /// simulator's next SMU event.
     pub fn next_event(&self) -> Option<Ns> {
-        self.cores.iter().filter_map(|c| c.pending.map(|p| p.completes_at)).min()
+        self.next_event
     }
 
     /// Submits a frequency request for a core at time `now`. Returns the
@@ -212,6 +219,7 @@ impl Smu {
         let pending =
             PendingTransition { target_mhz, requested_at: now, completes_at, fast_path: fast };
         self.cores[core].pending = Some(pending);
+        self.next_event = Some(self.next_event.map_or(completes_at, |e| e.min(completes_at)));
         Some(pending)
     }
 
@@ -248,6 +256,7 @@ impl Smu {
                 }
             }
         }
+        self.next_event = self.cores.iter().filter_map(|c| c.pending.map(|p| p.completes_at)).min();
         completed
     }
 }

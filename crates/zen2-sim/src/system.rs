@@ -5,7 +5,7 @@ use crate::config::SimConfig;
 use crate::controller::PptController;
 use crate::cstate::ThreadState;
 use crate::os::IdleConfig;
-use crate::perf::ThreadCounters;
+use crate::perf::{CounterGroups, ThreadCounters};
 use crate::power::{MachineState, PowerBreakdown, PowerEval};
 use crate::scenario::Op;
 use crate::smu::{PendingTransition, Smu};
@@ -56,7 +56,11 @@ pub struct System {
     die_temp_c: Vec<f64>,
 
     // Accounting.
-    counters: Vec<ThreadCounters>,
+    counters: CounterGroups,
+    /// Every thread's counters advanced one thread at a time, the
+    /// reference the grouped counters must match.
+    #[cfg(test)]
+    per_thread_counters: Vec<ThreadCounters>,
     rapl: RaplAccounting,
     power: PowerEval,
     breakdown: PowerBreakdown,
@@ -106,7 +110,13 @@ impl System {
             est_noise_w: vec![0.0; num_cores],
             controllers,
             die_temp_c: vec![cfg.power.thermal.ambient_c; num_pkgs],
-            counters: vec![ThreadCounters::default(); num_threads],
+            counters: CounterGroups::new(
+                num_threads,
+                nominal as f64 / 1000.0,
+                cfg.os.idle_wake_cycles_per_s,
+            ),
+            #[cfg(test)]
+            per_thread_counters: vec![ThreadCounters::default(); num_threads],
             rapl: RaplAccounting::new(num_cores, num_pkgs),
             power: PowerEval::new(&topo),
             breakdown: PowerBreakdown::zeroed(&topo),
@@ -200,7 +210,14 @@ impl System {
 
     /// Performance-counter snapshot for a thread.
     pub fn counters(&self, thread: ThreadId) -> ThreadCounters {
-        self.counters[thread.index()]
+        self.counters.get(thread.index())
+    }
+
+    /// A thread's counters as the per-thread reference integration has
+    /// them, which the grouped counters must match.
+    #[cfg(test)]
+    pub(crate) fn per_thread_counters(&self, thread: ThreadId) -> ThreadCounters {
+        self.per_thread_counters[thread.index()]
     }
 
     /// The scheduling state of a thread.
@@ -665,7 +682,11 @@ impl System {
         out
     }
 
+    /// Resolves every core's clocks, then re-evaluates power. Thread
+    /// states, IPC and clocks have all settled by now, so this is where
+    /// the counter grouping goes stale.
     fn update_clocks_and_power(&mut self) {
+        self.counters.invalidate();
         let tpc = self.cfg.topology.threads_per_core();
         for ccx in 0..self.cfg.topology.num_ccxs() {
             // A CCX's cores are numbered contiguously.
@@ -819,18 +840,21 @@ impl System {
             return;
         }
         let dt_s = to_secs(dt);
-        let tpc = self.cfg.topology.threads_per_core();
-        let nominal_ghz = self.pstate_mhz[0] as f64 / 1000.0;
-
-        for t in 0..self.thread_states.len() {
-            self.counters[t].advance(
-                dt_s,
-                self.thread_states[t],
-                self.core_eff_ghz[t / tpc],
-                nominal_ghz,
-                self.thread_ipc[t],
-                self.cfg.os.idle_wake_cycles_per_s,
-            );
+        self.counters.advance(dt_s, &self.thread_states, &self.core_eff_ghz, &self.thread_ipc);
+        #[cfg(test)]
+        {
+            let tpc = self.cfg.topology.threads_per_core();
+            let nominal_ghz = self.pstate_mhz[0] as f64 / 1000.0;
+            for t in 0..self.thread_states.len() {
+                self.per_thread_counters[t].advance(
+                    dt_s,
+                    self.thread_states[t],
+                    self.core_eff_ghz[t / tpc],
+                    nominal_ghz,
+                    self.thread_ipc[t],
+                    self.cfg.os.idle_wake_cycles_per_s,
+                );
+            }
         }
 
         self.rapl.accumulate(dt_s, &self.breakdown.core_est_w, &self.breakdown.pkg_est_w);
