@@ -2,7 +2,10 @@
 //! session worker pool and audits every run against the physics
 //! invariants (`zen2_sim::torture`), optionally re-running each case
 //! through `System::run_scenario` directly and asserting bit-identical
-//! `Run`s (differential mode).
+//! `Run`s (differential mode). The session runs every case whose
+//! scenario reads no RAPL counter without RAPL accounting, and the
+//! direct runs keep it, so the differential check covers both paths;
+//! the summary counts the runs that took the first.
 //!
 //! ```text
 //! torture [--seed N] [--cases N] [--differential]
@@ -22,7 +25,8 @@
 use std::path::PathBuf;
 use zen2_experiments::SessionCli;
 use zen2_sim::torture::{
-    check_case, generate_case, inject_fault, render_reproducer, shrink_scenario, Fault, Violation,
+    check_case, generate_case, inject_fault, keeps_rapl_accounting, render_reproducer,
+    shrink_scenario, Fault, Violation,
 };
 use zen2_sim::{Case, Run, Scenario, Session, System};
 
@@ -161,6 +165,7 @@ fn main() {
     let start_ns = zen2_obs::clock::now_ns();
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();
     let mut measured = 0usize;
+    let mut without_rapl = 0usize;
     let outcome = session.run_streaming(zen2_sim::torture::cases(cli.seed, cli.cases), |i, run| {
         let index = i as u64;
         // Regeneration is cheap and deterministic, so the sink needs no
@@ -168,6 +173,7 @@ fn main() {
         let case = generate_case(cli.seed, index);
         let (violations, m) = audit(&cli, index, run, &case);
         measured += m;
+        without_rapl += usize::from(!keeps_rapl_accounting(&case));
         if !violations.is_empty() {
             failures.push((index, violations));
         }
@@ -198,6 +204,7 @@ fn main() {
         "checked: {delivered} runs, {measured} measurements, differential {}",
         if cli.differential { "on" } else { "off" }
     );
+    println!("without RAPL accounting: {without_rapl} runs");
     match cli.fault {
         Some(fault) => println!("injected: {} fault at case {}", fault.kind(), cli.inject_at),
         None => println!("injected: none"),

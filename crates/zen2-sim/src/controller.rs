@@ -10,6 +10,12 @@
 //! the estimate — not the wall truth — is regulated, the counters read a
 //! flat 170 W under FIRESTARTER while the external meter shows 489/509 W
 //! (Fig. 6).
+//!
+//! A step reads the estimate only through two comparisons, against PPT
+//! and against PPT − deadband. A machine that keeps no RAPL accounting
+//! knows the estimate only as an interval between evaluations; when
+//! neither threshold lies inside it, any point of the interval gives the
+//! same step (`decides_alike`).
 
 use crate::config::ControllerParams;
 
@@ -59,7 +65,8 @@ impl PptController {
             return false;
         }
         let before = self.cap_mhz;
-        if estimated_w > ppt_target_w && self.cap_mhz > self.min_mhz {
+        let (above, _) = self.sides(estimated_w, ppt_target_w);
+        if above && self.cap_mhz > self.min_mhz {
             // One step below what is actually applied.
             self.cap_mhz =
                 self.cap_mhz.min(applied_mhz).saturating_sub(self.step_mhz).max(self.min_mhz);
@@ -77,9 +84,25 @@ impl PptController {
     /// and the estimate above PPT. A caller that knows the step holds
     /// need not look up the applied frequency.
     pub(crate) fn holds(&self, estimated_w: f64, ppt_target_w: f64) -> bool {
-        let lowers = estimated_w > ppt_target_w && self.cap_mhz > self.min_mhz;
-        let raises = estimated_w < ppt_target_w - self.deadband_w && self.cap_mhz < self.max_mhz;
+        let (above, below) = self.sides(estimated_w, ppt_target_w);
+        let lowers = above && self.cap_mhz > self.min_mhz;
+        let raises = below && self.cap_mhz < self.max_mhz;
         !self.params_enabled || !(lowers || raises)
+    }
+
+    /// Whether every estimate in `[lo_w, hi_w]` gives the same
+    /// [`holds`](Self::holds) and [`step`](Self::step) as any other: no
+    /// threshold lies inside the interval. Both comparisons of
+    /// [`sides`](Self::sides) are monotone in the estimate, so agreeing at
+    /// the two ends means agreeing throughout.
+    pub(crate) fn decides_alike(&self, lo_w: f64, hi_w: f64, ppt_target_w: f64) -> bool {
+        self.sides(lo_w, ppt_target_w) == self.sides(hi_w, ppt_target_w)
+    }
+
+    /// The only two comparisons a step makes with the estimate: above
+    /// PPT, and below PPT − deadband.
+    fn sides(&self, estimated_w: f64, ppt_target_w: f64) -> (bool, bool) {
+        (estimated_w > ppt_target_w, estimated_w < ppt_target_w - self.deadband_w)
     }
 }
 
@@ -185,6 +208,19 @@ mod tests {
         let mut c = controller();
         assert!(!c.holds(171.0, 170.0) && c.step(171.0, 170.0, 2500));
         assert!(!c.holds(150.0, 170.0) && c.step(150.0, 170.0, 2000));
+    }
+
+    #[test]
+    fn intervals_decide_alike_unless_a_threshold_is_inside() {
+        let c = controller();
+        // PPT 170 W, deadband below it.
+        let low = 170.0 - ControllerParams::default().deadband_w;
+        assert!(c.decides_alike(171.0, 172.0, 170.0));
+        assert!(c.decides_alike(low + 0.1, 170.0, 170.0), "the deadband includes PPT");
+        assert!(c.decides_alike(low - 2.0, low - 1.0, 170.0));
+        assert!(!c.decides_alike(169.9, 170.1, 170.0));
+        assert!(!c.decides_alike(low - 0.1, low + 0.1, 170.0));
+        assert!(!c.decides_alike(low - 1.0, 171.0, 170.0));
     }
 
     #[test]

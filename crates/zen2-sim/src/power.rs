@@ -15,6 +15,17 @@
 //! package tail. Each package's sum of true core powers does not depend
 //! on temperature, so the full evaluation sums it once and the thermal
 //! path reuses it; only the estimates are summed again.
+//!
+//! A machine that keeps no RAPL accounting skips even that: its thermal
+//! path recomputes only true package, DC and AC power and leaves the
+//! estimates stale. Each package's estimate is linear in the die
+//! temperature term, so the full evaluation also keeps per package the
+//! sum of (activity estimate + noise) over active cores, the sum of those
+//! terms' magnitudes and the active and gated core counts; from them
+//! `PowerEval::estimate_bounds` returns an interval that provably holds
+//! the estimate the thermal path would compute at the last evaluation's
+//! die temperatures, and `PowerEval::refresh_estimates` computes it
+//! exactly when the PPT controller cannot decide from the interval.
 
 use crate::config::SimConfig;
 use crate::cstate::{classify_core, package_c6_allowed, CoreIdleClass, ThreadState};
@@ -119,15 +130,38 @@ enum CoreClass {
     Gated,
 }
 
+/// The temperature-independent parts of one package's estimate at the
+/// last full evaluation. The estimate the thermal path computes is, in
+/// exact arithmetic, `active_sum_w + active · t + gated · max(t, 0)` plus
+/// the uncore term, where `t` is the die temperature term.
+#[derive(Debug, Clone, Copy, Default)]
+struct EstimateTerms {
+    /// Σ (activity estimate + noise) over the package's active cores.
+    active_sum_w: f64,
+    /// Σ (|activity estimate| + |noise|) over the same cores.
+    magnitude_w: f64,
+    /// Active cores.
+    active: u32,
+    /// Clock- or power-gated cores.
+    gated: u32,
+}
+
 /// The simulator's evaluator: each core's last active terms, each core's
-/// class and each package's true-core sum at the last full evaluation,
-/// and the per-CCD demand scratch, so a step allocates nothing and
-/// recomputes only the terms whose inputs moved.
+/// class and each package's true-core sum and estimate terms at the last
+/// full evaluation, the die temperatures of the last evaluation, and the
+/// per-CCD demand scratch, so a step allocates nothing and recomputes
+/// only the terms whose inputs moved.
 #[derive(Debug, Clone)]
 pub(crate) struct PowerEval {
     memo: Vec<Option<CoreTerms>>,
     class: Vec<CoreClass>,
     cores_true_w: Vec<f64>,
+    est_terms: Vec<EstimateTerms>,
+    /// The die temperatures the last evaluation, full or thermal, used.
+    die_c: Vec<f64>,
+    /// Whether the last thermal re-evaluation left the breakdown's
+    /// estimates as an earlier evaluation computed them.
+    estimates_stale: bool,
     ccd_demand_gbs: Vec<f64>,
 }
 
@@ -138,6 +172,9 @@ impl PowerEval {
             memo: vec![None; topo.num_cores()],
             class: vec![CoreClass::Asleep; topo.num_cores()],
             cores_true_w: vec![0.0; topo.num_sockets()],
+            est_terms: vec![EstimateTerms::default(); topo.num_sockets()],
+            die_c: vec![0.0; topo.num_sockets()],
+            estimates_stale: false,
             ccd_demand_gbs: vec![0.0; topo.num_ccds()],
         }
     }
@@ -170,6 +207,8 @@ impl PowerEval {
         core_est_w.fill(0.0);
         let ccd_demand_gbs = &mut self.ccd_demand_gbs;
         ccd_demand_gbs.fill(0.0);
+        let est_terms = &mut self.est_terms;
+        est_terms.fill(EstimateTerms::default());
 
         for core_idx in 0..num_cores {
             let core = zen2_topology::CoreId::from_index(core_idx);
@@ -220,22 +259,30 @@ impl PowerEval {
                     self.class[core_idx] =
                         CoreClass::Active { est_activity_w: terms.est_activity_w };
                     core_true_w[core_idx] = terms.true_w;
-                    core_est_w[core_idx] = terms.est_activity_w
-                        + cfg.rapl.temperature_term_w(die_c)
-                        + state.est_noise_w[core_idx];
+                    let noise_w = state.est_noise_w[core_idx];
+                    core_est_w[core_idx] =
+                        terms.est_activity_w + cfg.rapl.temperature_term_w(die_c) + noise_w;
                     let ccd = topo.ccd_of_core(core).index();
                     // Accumulates in ascending core-index order, fixed by the topology.
                     ccd_demand_gbs[ccd] += terms.dram_demand_gbs;
+                    // So do the estimate terms; `estimate_bounds` covers
+                    // the rounding whatever the order.
+                    let pkg_terms = &mut est_terms[pkg];
+                    pkg_terms.active_sum_w += terms.est_activity_w + noise_w;
+                    pkg_terms.magnitude_w += terms.est_activity_w.abs() + noise_w.abs();
+                    pkg_terms.active += 1;
                 }
                 CoreIdleClass::ClockGated => {
                     self.class[core_idx] = CoreClass::Gated;
                     core_true_w[core_idx] = cfg.power.core.c1_power_w();
                     core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
+                    est_terms[pkg].gated += 1;
                 }
                 CoreIdleClass::PowerGated => {
                     self.class[core_idx] = CoreClass::Gated;
                     core_true_w[core_idx] = cfg.power.core.c2_power_w();
                     core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
+                    est_terms[pkg].gated += 1;
                 }
             }
         }
@@ -258,7 +305,10 @@ impl PowerEval {
             // One pass in ascending core-index order, fixed by the topology.
             *sum = cores.iter().sum();
         }
-        package_tail(cfg, state.die_temp_c, &self.cores_true_w, out);
+        self.die_c.copy_from_slice(state.die_temp_c);
+        self.estimates_stale = false;
+        package_estimates(cfg, out);
+        package_truth(cfg, state.die_temp_c, &self.cores_true_w, out);
     }
 
     /// Re-evaluates `out`, this evaluator's last breakdown, after only the
@@ -267,21 +317,53 @@ impl PowerEval {
     /// each package its true-core sum, and the DRAM terms stay. Only the
     /// core estimates' temperature terms and the package tail are
     /// recomputed, with the full path's expressions, so the result is the
-    /// full evaluation's bit for bit.
+    /// full evaluation's bit for bit. Without `estimates` it recomputes
+    /// only true package, DC and AC power, and the estimates stay stale
+    /// until [`refresh_estimates`](Self::refresh_estimates).
     pub(crate) fn reevaluate_thermal(
-        &self,
+        &mut self,
         cfg: &SimConfig,
         die_temp_c: &[f64],
         est_noise_w: &[f64],
+        estimates: bool,
         out: &mut PowerBreakdown,
     ) {
+        self.die_c.copy_from_slice(die_temp_c);
+        self.estimates_stale = !estimates;
+        if estimates {
+            self.thermal_estimates(cfg, est_noise_w, out);
+        }
+        package_truth(cfg, die_temp_c, &self.cores_true_w, out);
+    }
+
+    /// Whether `out`'s estimates predate the last evaluation.
+    pub(crate) fn estimates_stale(&self) -> bool {
+        self.estimates_stale
+    }
+
+    /// Brings `out`'s stale estimates up to the last evaluation: the
+    /// estimates [`reevaluate_thermal`](Self::reevaluate_thermal) skipped,
+    /// with its expressions at its die temperatures.
+    pub(crate) fn refresh_estimates(
+        &mut self,
+        cfg: &SimConfig,
+        est_noise_w: &[f64],
+        out: &mut PowerBreakdown,
+    ) {
+        self.thermal_estimates(cfg, est_noise_w, out);
+        self.estimates_stale = false;
+    }
+
+    /// The thermal path's estimates: each core's at the die temperatures
+    /// of the last evaluation, then each package's.
+    fn thermal_estimates(&self, cfg: &SimConfig, est_noise_w: &[f64], out: &mut PowerBreakdown) {
         let per_pkg = cfg.topology.cores_per_socket();
         let packages = self
             .class
             .chunks(per_pkg)
             .zip(out.core_est_w.chunks_mut(per_pkg))
             .zip(est_noise_w.chunks(per_pkg))
-            .zip(die_temp_c);
+            .zip(&self.die_c);
         for (((classes, core_est_w), noise_w), &die_c) in packages {
             let temperature_w = cfg.rapl.temperature_term_w(die_c);
             let idle_w = cfg.rapl.idle_core_estimate_w(die_c);
@@ -295,24 +377,70 @@ impl PowerEval {
                 }
             }
         }
-        package_tail(cfg, die_temp_c, &self.cores_true_w, out);
+        package_estimates(cfg, out);
+    }
+
+    /// An interval that holds package `pkg`'s estimate as the thermal
+    /// path computes it at the last evaluation's die temperature, `awake`
+    /// being the package's wake state.
+    ///
+    /// With `t` the temperature term and `g = max(t, 0)` the gated-core
+    /// term (the same floats on both paths), the thermal path computes
+    /// `fl(a + t) + n` per active core, sums the package's `N` cores in
+    /// order and adds the uncore term `U`. Let `W` be the sum of the
+    /// magnitudes of every term: `Σ(|a| + |n|) + A·|t| + G·g + |U|` over
+    /// `A` active and `G` gated cores. With `u = 2⁻⁵³`, the two roundings
+    /// per active core cost at most `2u·W`, the `N − 1` roundings of the
+    /// core sum at most `(N − 1)u·W` and the uncore addition `u·W`, so
+    /// the thermal path is within `(N + 2)u·W` of the exact value, to
+    /// first order. The interval's centre sums `A` rounded `a + n` terms
+    /// (at most `A·u·W`), then forms `A·t` and `G·g` and adds three terms
+    /// (at most `4u·W` more), so it is within `(N + 4)u·W` of the exact
+    /// value. The two differ by at most `(2N + 6)u·W ≤ (N + 4)·2⁻⁵²·W`.
+    /// The half-width doubles that, which covers the second-order terms
+    /// (`O(N²u²)·W`) and the rounding of `W`, of the half-width and of
+    /// the two ends.
+    pub(crate) fn estimate_bounds(&self, cfg: &SimConfig, pkg: usize, awake: bool) -> (f64, f64) {
+        let terms = &self.est_terms[pkg];
+        let die_c = self.die_c[pkg];
+        let temperature_w = cfg.rapl.temperature_term_w(die_c);
+        let idle_w = cfg.rapl.idle_core_estimate_w(die_c);
+        let (active, gated) = (f64::from(terms.active), f64::from(terms.gated));
+        let cores_w = terms.active_sum_w + active * temperature_w + gated * idle_w;
+        let centre_w = cfg.rapl.package_estimate_w(cores_w, awake);
+        let uncore_w = cfg.rapl.package_estimate_w(0.0, awake);
+        let magnitude_w =
+            terms.magnitude_w + active * temperature_w.abs() + gated * idle_w + uncore_w.abs();
+        let cores = cfg.topology.cores_per_socket() as f64;
+        let half_width_w = 2.0 * (cores + 4.0) * f64::EPSILON * magnitude_w;
+        (centre_w - half_width_w, centre_w + half_width_w)
     }
 }
 
-/// Package sums, leakage, DC and AC power from each package's true-core
-/// sum `cores_true_w` and the per-core estimates, wake states and DRAM
-/// power already in `out`: the tail both evaluation paths share.
-fn package_tail(
-    cfg: &SimConfig,
-    die_temp_c: &[f64],
-    cores_true_w: &[f64],
-    out: &mut PowerBreakdown,
-) {
+/// Each package's estimate from the per-core estimates and wake states
+/// already in `out`: the estimate half of the tail both evaluation paths
+/// share.
+fn package_estimates(cfg: &SimConfig, out: &mut PowerBreakdown) {
     let per_pkg = cfg.topology.cores_per_socket();
     for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
         let cores = pkg * per_pkg..(pkg + 1) * per_pkg;
         // zen2-lint: allow(float-order) — one pass in ascending core-index order, fixed by the topology
         let cores_est: f64 = out.core_est_w[cores].iter().sum();
+        out.pkg_est_w[pkg] = cfg.rapl.package_estimate_w(cores_est, awake);
+    }
+}
+
+/// True package power (with leakage), DC and AC power from each
+/// package's true-core sum `cores_true_w` and the wake states and DRAM
+/// power already in `out`: the true half of the tail both evaluation
+/// paths share.
+fn package_truth(
+    cfg: &SimConfig,
+    die_temp_c: &[f64],
+    cores_true_w: &[f64],
+    out: &mut PowerBreakdown,
+) {
+    for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
         if awake {
             let base = cfg.power.package.awake_base_w(cfg.iod_pstate, cfg.dram);
             let leak = cfg.power.leakage.multiplier(die_temp_c[pkg]);
@@ -320,7 +448,6 @@ fn package_tail(
         } else {
             out.pkg_true_w[pkg] = cfg.power.package.sleeping_w();
         }
-        out.pkg_est_w[pkg] = cfg.rapl.package_estimate_w(cores_est, awake);
     }
 
     // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology

@@ -217,6 +217,40 @@ fn rapl_msrs(sys: &mut System) -> Vec<Option<u64>> {
         .collect()
 }
 
+/// Asserts that a machine without RAPL accounting, `lean`, has stepped
+/// exactly like `full`, which keeps it: AC power, die temperatures, true
+/// package power, effective clocks, both caps, every thread's counters
+/// and the AC trace are bit-equal, `lean`'s bound on each package
+/// estimate holds `full`'s exact estimate, and a PPT target inside the
+/// bound makes `lean` read that estimate bit for bit.
+fn assert_steps_alike(full: &System, lean: &System) -> Result<(), TestCaseError> {
+    prop_assert_eq!(full.ac_power_w().to_bits(), lean.ac_power_w().to_bits());
+    let (f, l) = (full.power_breakdown(), lean.power_breakdown());
+    for socket in [SocketId(0), SocketId(1)] {
+        let pkg = socket.index();
+        prop_assert_eq!(full.die_temp_c(socket).to_bits(), lean.die_temp_c(socket).to_bits());
+        prop_assert_eq!(f.pkg_true_w[pkg].to_bits(), l.pkg_true_w[pkg].to_bits());
+        prop_assert_eq!(full.cap_mhz(socket), lean.cap_mhz(socket));
+        let (lo, hi) = lean.estimate_bounds(socket);
+        let exact = f.pkg_est_w[pkg];
+        prop_assert!(lo <= exact && exact <= hi, "package {pkg}: {exact} W outside [{lo}, {hi}]");
+        let read = lean.clone().ppt_estimate_w(socket, lo + (hi - lo) / 2.0);
+        prop_assert_eq!(read.to_bits(), exact.to_bits(), "package {} exact path", pkg);
+    }
+    for core in (0..full.config().topology.num_cores()).map(CoreId::from_index) {
+        prop_assert_eq!(
+            full.effective_core_ghz(core).to_bits(),
+            lean.effective_core_ghz(core).to_bits()
+        );
+    }
+    prop_assert!(counter_bits(full) == counter_bits(lean));
+    let trace_bits = |sys: &System| -> Vec<(Ns, u64)> {
+        sys.ac_trace().iter().map(|&(t, w)| (t, w.to_bits())).collect()
+    };
+    prop_assert!(trace_bits(full) == trace_bits(lean));
+    Ok(())
+}
+
 fn vf_points() -> Vec<(u32, f64)> {
     vec![(1500, 0.85), (2200, 0.95), (2500, 1.00)]
 }
@@ -249,6 +283,31 @@ proptest! {
         smu.advance(now);
         prop_assert_eq!(smu.core(0).applied_mhz(), last);
         prop_assert!(smu.core(0).pending().is_none());
+    }
+
+    /// A request never moves an applied frequency, on its own core or any
+    /// other: only `advance` applies transitions.
+    #[test]
+    fn smu_request_never_changes_an_applied_frequency(
+        steps in prop::collection::vec(
+            (0usize..4, arb_freq(), 0u64..2_000_000, any::<bool>()),
+            1..40,
+        ),
+    ) {
+        let mut smu = Smu::new(SmuParams::default(), 4, 2500, vf_points());
+        let mut now = 0u64;
+        let applied = |smu: &Smu| -> Vec<u32> {
+            (0..smu.num_cores()).map(|c| smu.core(c).applied_mhz()).collect()
+        };
+        for (core, freq, gap, advance) in steps {
+            now += gap;
+            if advance {
+                smu.advance(now);
+            }
+            let before = applied(&smu);
+            smu.request(now, core, freq);
+            prop_assert_eq!(applied(&smu), before);
+        }
     }
 
     /// After any sequence of requests and advances on several cores, the
@@ -432,6 +491,51 @@ proptest! {
         prop_assert_eq!(batched.rng().next_u64(), single.rng().next_u64());
     }
 
+    /// Scheduling actions move neither a frequency request nor a cap, so
+    /// after any tick of them, with P-state ramps in flight and requests
+    /// queued behind them, resolving every core starts no transition and
+    /// retargets no core.
+    #[test]
+    fn scheduling_ticks_leave_dvfs_resolved(
+        ticks in prop::collection::vec(
+            (1u64..1_500_000, prop::collection::vec(arb_tick_op(), 1..6)),
+            1..10,
+        ),
+    ) {
+        let ticks: Vec<(Ns, Vec<Op>)> = ticks
+            .into_iter()
+            .map(|(gap, ops)| (gap, ops.into_iter().map(tick_op).collect()))
+            .collect();
+        let (sc, times) = tick_scenario(&ticks);
+        let cfg = SimConfig::epyc_7502_2s();
+        prop_assume!(sc.validate(&cfg).is_ok());
+        let mut sys = System::new(cfg, 7);
+        for (&at, (_, ops)) in times.iter().zip(&ticks) {
+            sys.run_for_ns(at - sys.now_ns());
+            sys.apply_ops(ops.iter().copied());
+            let targets = sys.dvfs_targets();
+            prop_assert_eq!(sys.resolve_dvfs(), 0, "a transition started at {} ns", at);
+            prop_assert_eq!(sys.dvfs_targets(), targets);
+        }
+    }
+
+    /// A machine without RAPL accounting steps bit for bit like one with
+    /// it after every action, throttled FIRESTARTER spans included, and
+    /// the bound its PPT loop decides from holds the exact estimate.
+    #[test]
+    fn machines_without_rapl_accounting_step_alike(
+        actions in prop::collection::vec(arb_action(), 1..40),
+    ) {
+        let mut full = System::new(SimConfig::epyc_7502_2s(), 23);
+        let mut lean = System::new(SimConfig::epyc_7502_2s(), 23);
+        lean.drop_rapl_accounting();
+        for &action in &actions {
+            apply_action(&mut full, action);
+            apply_action(&mut lean, action);
+            assert_steps_alike(&full, &lean)?;
+        }
+    }
+
     /// The PPT controller never leaves its [min, max] range and always
     /// converges for any monotone power curve.
     #[test]
@@ -505,4 +609,13 @@ proptest! {
         assert_exact_round_trip(&residency, |r| r.observe(&records, window.0, window.1));
         assert_exact_round_trip(&transitions, |t| t.observe(&records));
     }
+}
+
+#[test]
+#[should_panic(expected = "RAPL read on a machine that keeps no RAPL accounting")]
+fn rapl_read_without_accounting_is_a_bug() {
+    let mut sys = System::new(SimConfig::epyc_7502_2s(), 3);
+    sys.drop_rapl_accounting();
+    sys.run_for_ns(2 * MILLISECOND);
+    sys.sync_rapl_msrs();
 }

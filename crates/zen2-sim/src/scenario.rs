@@ -222,6 +222,14 @@ impl Scenario {
         &self.probes
     }
 
+    /// Whether a probe reads a RAPL counter ([`Probe::RaplW`] or
+    /// [`Probe::RaplCoreW`]). [`Session`](crate::Session) runs a case
+    /// whose scenario does not on a machine that keeps no RAPL
+    /// accounting.
+    pub(crate) fn reads_rapl(&self) -> bool {
+        self.probes.iter().any(|spec| matches!(spec.probe, Probe::RaplW | Probe::RaplCoreW(_)))
+    }
+
     /// The explicit minimum run length set through
     /// [`run_until`](Self::run_until), ns (0 when never set). The
     /// scenario may still run longer — see [`end`](Self::end).
@@ -677,11 +685,15 @@ impl System {
     /// machine changes), then scheduled actions, then window *starts*
     /// (measurements open on the post-action state). A tick's actions
     /// apply in insertion order and resolve once, after the last of them:
-    /// DVFS, clocks and power are evaluated on the tick's final state, so
-    /// its intermediate states leave no AC-trace segment (they would last
+    /// clocks and power are evaluated on the tick's final state, so its
+    /// intermediate states leave no AC-trace segment (they would last
     /// zero time) and no package sleep event. A P-state request, preheat
     /// or tracing toggle still resolves on its own, after the actions
     /// before it.
+    ///
+    /// The machine keeps its RAPL accounting whatever the scenario reads;
+    /// only [`Session`](crate::Session) runs a scenario that reads no RAPL
+    /// counter without it, with the same results.
     pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<Run, ScenarioError> {
         scenario.validate_with(self.config(), self.scheduling_snapshot())?;
         Ok(self.run_scenario_prechecked(scenario))

@@ -13,7 +13,12 @@
 //!
 //! Each case boots its own freshly seeded machine
 //! (`System::new(case.config, case.seed)`), so results depend only on
-//! the case — never on scheduling or on the worker count.
+//! the case — never on scheduling or on the worker count. A case whose
+//! scenario reads no RAPL counter runs without RAPL accounting: its
+//! machine integrates and publishes no RAPL energy and its PPT loop
+//! decides from a bound on each package estimate, which leaves every
+//! result bit-identical to a run with accounting. Each `case` span
+//! records the choice as its `rapl_accounting` attribute.
 //!
 //! A case that panics mid-simulation does not take the batch down with
 //! it: the panic is caught on the worker, attributed to its case, and
@@ -279,8 +284,12 @@ impl Session {
 }
 
 /// The executor of every public entry point: each group was validated
-/// before it runs.
+/// before it runs. A machine whose scenario reads no RAPL counter keeps
+/// no RAPL accounting.
 fn run_prechecked(sys: &mut System, case: &Case) -> Run {
+    if !case.scenario.reads_rapl() {
+        sys.drop_rapl_accounting();
+    }
     sys.run_scenario_prechecked(&case.scenario)
 }
 
@@ -335,6 +344,7 @@ fn pool_outcomes(
                         ("index", AttrValue::U64((base_index + i) as u64)),
                         ("label", AttrValue::Str(&case.label)),
                         ("worker", AttrValue::U64(w as u64)),
+                        ("rapl_accounting", AttrValue::Bool(case.scenario.reads_rapl())),
                     ],
                 );
                 // Contain a panicking case: record it against slot `i`

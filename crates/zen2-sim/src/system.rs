@@ -1,4 +1,12 @@
 //! The simulated machine: a deterministic, event-driven EPYC 7502 system.
+//!
+//! A step costs only what changed and what a case can read. A tick of
+//! scheduling actions re-evaluates clocks and power once and resolves no
+//! DVFS (it moves no request and no cap); a P-state request resolves only
+//! its own core. A machine that keeps no RAPL accounting (see
+//! `System::drop_rapl_accounting`) integrates no RAPL energy, skips the
+//! estimates in thermal-only steps, and lets its PPT loop decide from a
+//! bound on each package estimate.
 
 use crate::ccx;
 use crate::config::SimConfig;
@@ -61,7 +69,10 @@ pub struct System {
     /// reference the grouped counters must match.
     #[cfg(test)]
     per_thread_counters: Vec<ThreadCounters>,
-    rapl: RaplAccounting,
+    /// RAPL energy integration and publication; `None` on a machine whose
+    /// scenario reads no RAPL counter (see
+    /// [`drop_rapl_accounting`](Self::drop_rapl_accounting)).
+    rapl: Option<RaplAccounting>,
     power: PowerEval,
     breakdown: PowerBreakdown,
     /// Scratch the next evaluation is written into before it is swapped
@@ -117,7 +128,7 @@ impl System {
             ),
             #[cfg(test)]
             per_thread_counters: vec![ThreadCounters::default(); num_threads],
-            rapl: RaplAccounting::new(num_cores, num_pkgs),
+            rapl: Some(RaplAccounting::new(num_cores, num_pkgs)),
             power: PowerEval::new(&topo),
             breakdown: PowerBreakdown::zeroed(&topo),
             next_breakdown: PowerBreakdown::zeroed(&topo),
@@ -146,8 +157,9 @@ impl System {
     /// # Panics
     /// Panics if this machine is not in its boot state — time advanced,
     /// any workload scheduled (scheduling consumes the RNG, which a
-    /// reseed would not reproduce), or any frequency request / C-state
-    /// configuration changed from boot defaults.
+    /// reseed would not reproduce), any frequency request / C-state
+    /// configuration changed from boot defaults, or RAPL accounting
+    /// dropped.
     pub fn fork(&self, seed: u64) -> System {
         let nominal = self.cfg.nominal_mhz();
         assert!(
@@ -157,7 +169,8 @@ impl System {
                 && self.pstate_req_mhz.iter().all(|&mhz| mhz == nominal)
                 && self.idle_cfg.iter().all(|c| *c == IdleConfig::default())
                 && !self.tracer.is_enabled()
-                && self.tracer.records().is_empty(),
+                && self.tracer.records().is_empty()
+                && self.rapl.is_some(),
             "fork requires a pristine booted system"
         );
         let mut sys = self.clone();
@@ -251,6 +264,51 @@ impl System {
         &mut self.rng
     }
 
+    /// A package's PPT frequency cap.
+    #[cfg(test)]
+    pub(crate) fn cap_mhz(&self, socket: SocketId) -> u32 {
+        self.controllers[socket.index()].cap_mhz()
+    }
+
+    /// The piecewise-constant AC power trace: `(segment start, watts)`.
+    #[cfg(test)]
+    pub(crate) fn ac_trace(&self) -> &[(Ns, f64)] {
+        &self.trace
+    }
+
+    /// Every core's DVFS target: its queued, pending or applied frequency.
+    #[cfg(test)]
+    pub(crate) fn dvfs_targets(&self) -> Vec<u32> {
+        (0..self.smu.num_cores()).map(|c| self.smu.core(c).target_mhz()).collect()
+    }
+
+    /// The interval the PPT step decides from on a machine without RAPL
+    /// accounting: it holds the package estimate of the last evaluation.
+    #[cfg(test)]
+    pub(crate) fn estimate_bounds(&self, socket: SocketId) -> (f64, f64) {
+        let pkg = socket.index();
+        self.power.estimate_bounds(&self.cfg, pkg, self.breakdown.pkg_awake[pkg])
+    }
+
+    /// The package estimate the PPT step reads at target `ppt_w`: a point
+    /// of the bound, or the exact estimate when `ppt_w` lies inside it.
+    #[cfg(test)]
+    pub(crate) fn ppt_estimate_w(&mut self, socket: SocketId, ppt_w: f64) -> f64 {
+        self.slot_estimate_w(socket.index(), ppt_w)
+    }
+
+    /// Stops RAPL accounting for good: segments no longer integrate or
+    /// publish energy, thermal-only steps no longer recompute the
+    /// estimates, and the PPT loop decides from a bound on each package
+    /// estimate, computing it exactly only when a threshold falls inside
+    /// the bound. Every other result stays bit-identical; the estimates in
+    /// [`power_breakdown`](Self::power_breakdown) go stale, and reading a
+    /// RAPL counter panics. [`Session`](crate::Session) drops the
+    /// accounting of a case whose scenario reads no RAPL counter.
+    pub(crate) fn drop_rapl_accounting(&mut self) {
+        self.rapl = None;
+    }
+
     /// Enables or disables event tracing (lo2s-style). Enabling records
     /// the current package sleep states as baseline events so later
     /// residency accounting starts from the right state.
@@ -303,17 +361,17 @@ impl System {
     /// Applies one tick of actions in order. Scheduling actions
     /// (`Workload`, `Idle`, `CstateEnabled`, `Online`) change thread
     /// states, draw estimate noise and record `ThreadState` events as they
-    /// come; DVFS, clocks and power then resolve once, after the last of
-    /// them. DVFS reads only frequency requests and caps, never thread
-    /// states, so the deferral cannot change a transition. A P-state
-    /// request, preheat or tracing toggle first resolves what is staged,
-    /// then runs on its own: an in-flight ramp is never aborted, so every
-    /// request stays observable.
+    /// come; clocks and power then resolve once, after the last of them.
+    /// DVFS reads only frequency requests and caps, which scheduling
+    /// actions never move, so they start no transition and nothing
+    /// re-resolves DVFS. A P-state request, preheat or tracing toggle
+    /// first resolves what is staged, then runs on its own: an in-flight
+    /// ramp is never aborted, so every request stays observable.
     pub(crate) fn apply_ops(&mut self, ops: impl IntoIterator<Item = Op>) {
         let mut staged = false;
         for op in ops {
             if staged && matches!(op, Op::PstateMhz { .. } | Op::Preheat | Op::Tracing(_)) {
-                self.apply_state_change();
+                self.update_clocks_and_power();
                 staged = false;
             }
             let thread = match op {
@@ -386,7 +444,7 @@ impl System {
             staged = true;
         }
         if staged {
-            self.apply_state_change();
+            self.update_clocks_and_power();
         }
     }
 
@@ -394,6 +452,12 @@ impl System {
     /// thread. The core's DVFS request is the maximum over both siblings
     /// — including idle and offline ones (Section V-A). Returns the SMU
     /// transition this triggered, if any.
+    ///
+    /// Only the thread's core is resolved: every other core's request and
+    /// cap are unchanged, so its resolution would start nothing. Nothing
+    /// is re-evaluated either: `Smu::request` never changes an applied
+    /// frequency, so clocks, voltages, `PSTATE_STAT` and power stay as
+    /// the last evaluation left them.
     pub fn set_thread_pstate_mhz(
         &mut self,
         thread: ThreadId,
@@ -409,14 +473,9 @@ impl System {
             address::PSTATE_CTL,
             self.cfg.pstates.index_of_frequency(mhz).expect("checked above") as u64,
         );
-        self.tracer.record(
-            self.now,
-            Event::FreqRequested { core: self.cfg.topology.core_of(thread), target_mhz: mhz },
-        );
-        let pending = self.resolve_dvfs();
-        self.update_clocks_and_power();
         let core = self.cfg.topology.core_of(thread);
-        pending.into_iter().find(|(c, _)| *c == core.index()).map(|(_, p)| p)
+        self.tracer.record(self.now, Event::FreqRequested { core, target_mhz: mhz });
+        self.resolve_core(core.index())
     }
 
     // ---- time advancement --------------------------------------------------
@@ -463,7 +522,7 @@ impl System {
             let mut caps_changed = false;
             if controller_active && self.now.is_multiple_of(self.cfg.smu.slot_period_ns) {
                 for pkg in 0..self.controllers.len() {
-                    let est_w = self.breakdown.pkg_est_w[pkg];
+                    let est_w = self.slot_estimate_w(pkg, ppt_w);
                     if self.controllers[pkg].holds(est_w, ppt_w) {
                         continue;
                     }
@@ -573,17 +632,26 @@ impl System {
 
     /// Copies the published RAPL counters into the MSR file (the moment
     /// software performs a read).
+    ///
+    /// # Panics
+    /// Panics on a machine that dropped its RAPL accounting: the session
+    /// drops it only for a scenario that reads no RAPL counter, so such a
+    /// read is a simulator bug.
     pub fn sync_rapl_msrs(&mut self) {
-        self.rapl.maybe_publish(self.now);
+        let Some(rapl) = self.rapl.as_mut() else {
+            panic!("RAPL read on a machine that keeps no RAPL accounting");
+        };
+        rapl.maybe_publish(self.now);
+        let rapl = &*rapl;
         let tpc = self.cfg.topology.threads_per_core();
         for core in 0..self.cfg.topology.num_cores() {
-            let raw = self.rapl.core_counter(core) as u64;
+            let raw = rapl.core_counter(core) as u64;
             for sib in 0..tpc {
                 self.msrs.poke(ThreadId((core * tpc + sib) as u32), address::CORE_ENERGY_STAT, raw);
             }
         }
         for pkg in 0..self.cfg.topology.num_sockets() {
-            let raw = self.rapl.package_counter(pkg) as u64;
+            let raw = rapl.package_counter(pkg) as u64;
             for t in 0..self.cfg.topology.cores_per_socket() * tpc {
                 let thread =
                     ThreadId((pkg * self.cfg.topology.cores_per_socket() * tpc + t) as u32);
@@ -660,26 +728,45 @@ impl System {
         self.est_noise_w[core] = sigma * z;
     }
 
-    /// Re-resolves every core's DVFS target; returns triggered transitions.
-    fn resolve_dvfs(&mut self) -> Vec<(usize, PendingTransition)> {
+    /// Re-resolves every core's DVFS target after a cap moved; returns
+    /// how many transitions that started.
+    pub(crate) fn resolve_dvfs(&mut self) -> usize {
+        (0..self.cfg.topology.num_cores()).filter_map(|core| self.resolve_core(core)).count()
+    }
+
+    /// Resolves one core's DVFS target, its request capped by its
+    /// package's PPT cap; returns the transition this started, if any.
+    fn resolve_core(&mut self, core: usize) -> Option<PendingTransition> {
         let tpc = self.cfg.topology.threads_per_core();
-        let mut out = Vec::new();
-        for core in 0..self.cfg.topology.num_cores() {
-            let base = core * tpc;
-            // Section V-A: the request is the max over both hardware
-            // threads, whether idle, offline or active.
-            let req = self.pstate_req_mhz[base..base + tpc]
-                .iter()
-                .copied()
-                .max()
-                .expect("cores have threads");
-            let pkg = self.cfg.topology.socket_of_core(CoreId::from_index(core)).index();
-            let target = req.min(self.controllers[pkg].cap_mhz());
-            if let Some(p) = self.smu.request(self.now, core, target) {
-                out.push((core, p));
+        let base = core * tpc;
+        // Section V-A: the request is the max over both hardware
+        // threads, whether idle, offline or active.
+        let req = self.pstate_req_mhz[base..base + tpc]
+            .iter()
+            .copied()
+            .max()
+            .expect("cores have threads");
+        let pkg = self.cfg.topology.socket_of_core(CoreId::from_index(core)).index();
+        let target = req.min(self.controllers[pkg].cap_mhz());
+        self.smu.request(self.now, core, target)
+    }
+
+    /// The package estimate this slot's PPT step reads: the last
+    /// evaluation's. While it is stale (a machine without RAPL accounting
+    /// skips it in thermal-only steps), a bound on it stands in whenever
+    /// no controller threshold lies inside the bound, since any point of
+    /// the bound then gives the same step; otherwise the estimates are
+    /// computed exactly, as the thermal path would have.
+    fn slot_estimate_w(&mut self, pkg: usize, ppt_w: f64) -> f64 {
+        if self.power.estimates_stale() {
+            let awake = self.breakdown.pkg_awake[pkg];
+            let (lo_w, hi_w) = self.power.estimate_bounds(&self.cfg, pkg, awake);
+            if self.controllers[pkg].decides_alike(lo_w, hi_w, ppt_w) {
+                return lo_w;
             }
+            self.power.refresh_estimates(&self.cfg, &self.est_noise_w, &mut self.breakdown);
         }
-        out
+        self.breakdown.pkg_est_w[pkg]
     }
 
     /// Resolves every core's clocks, then re-evaluates power. Thread
@@ -758,6 +845,7 @@ impl System {
             &self.cfg,
             &self.die_temp_c,
             &self.est_noise_w,
+            self.rapl.is_some(),
             &mut self.breakdown,
         );
         self.trace_ac(before_ac_w);
@@ -786,11 +874,6 @@ impl System {
                 est_noise_w: &self.est_noise_w,
             },
         )
-    }
-
-    fn apply_state_change(&mut self) {
-        self.resolve_dvfs();
-        self.update_clocks_and_power();
     }
 
     /// Settles an idle thread into its deepest enabled C-state, or into
@@ -857,7 +940,11 @@ impl System {
             }
         }
 
-        self.rapl.accumulate(dt_s, &self.breakdown.core_est_w, &self.breakdown.pkg_est_w);
+        if let Some(rapl) = &mut self.rapl {
+            rapl.accumulate(dt_s, &self.breakdown.core_est_w, &self.breakdown.pkg_est_w);
+            // RAPL counters publish on their 1 ms cadence.
+            rapl.maybe_publish(self.now + dt);
+        }
         self.ac_energy_j += self.breakdown.ac_w * dt_s;
         for pkg in 0..self.die_temp_c.len() {
             self.die_temp_c[pkg] = self.cfg.power.thermal.step(
@@ -866,8 +953,6 @@ impl System {
                 dt_s,
             );
         }
-        // RAPL counters publish on their 1 ms cadence.
-        self.rapl.maybe_publish(self.now + dt);
     }
 
     /// Total AC energy consumed since boot, joules.

@@ -952,6 +952,15 @@ pub fn check_case(case: &Case, run: &Run) -> Vec<Violation> {
     Invariants::for_config(&case.config).check(&case.scenario, run)
 }
 
+/// Whether [`Session`](crate::Session) runs `case` on a machine that
+/// keeps RAPL accounting: only a case whose scenario reads a RAPL counter
+/// does. The differential soak compares the other cases' session runs
+/// with direct [`System::run_scenario`](crate::System::run_scenario)
+/// runs, which keep it.
+pub fn keeps_rapl_accounting(case: &Case) -> bool {
+    case.scenario.reads_rapl()
+}
+
 // ---- deliberate faults -----------------------------------------------------
 
 /// A deliberate, seeded defect for checker self-validation and the

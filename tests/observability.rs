@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use zen2_ee::prelude::*;
-use zen2_obs::{Heartbeat, JsonlSink, MemorySink, Multi, SummarySink};
+use zen2_obs::{Heartbeat, JsonlSink, MemorySink, Multi, SummarySink, Value};
 use zen2_sim::obs::{
     CTR_CASES_DONE, SPAN_BOOT, SPAN_CASE, SPAN_CHECKPOINT, SPAN_SHARD, SPAN_SWEEP,
 };
@@ -158,4 +158,58 @@ fn every_case_boots_its_own_machine_under_the_documented_span_shape() {
         })
         .collect();
     assert_eq!(boot_parents, case_ids, "one boot under each case, in case order");
+}
+
+#[test]
+fn case_spans_record_which_cases_keep_rapl_accounting() {
+    // A Fig. 7-style case (active pause threads at a lowered P-state,
+    // mean AC power) reads no RAPL counter; its twin adds a RAPL probe.
+    let mut fig07 = Scenario::new();
+    let mut at = fig07.at(0);
+    for t in (0..8u32).map(ThreadId) {
+        at = at.pstate(t, 1500).pstate(ThreadId(t.0 ^ 1), 1500).workload(
+            t,
+            KernelClass::Pause,
+            OperandWeight::HALF,
+        );
+    }
+    fig07.probe("ac", Probe::AcTrueMeanW, Window::span_secs(0.05, 0.25));
+    let mut with_rapl = fig07.clone();
+    with_rapl.probe("rapl", Probe::RaplW, Window::span_secs(0.05, 0.25));
+    let cfg = SimConfig::epyc_7502_2s();
+    let cases = vec![
+        Case::new("fig07-style", cfg.clone(), fig07, 7),
+        Case::new("with-rapl", cfg, with_rapl, 7),
+    ];
+
+    let sink = Arc::new(MemorySink::new());
+    let runs =
+        Session::new().workers(1).recorder(sink.clone()).run(&cases).expect("cases validate");
+    let flags: Vec<(String, bool)> = sink
+        .records()
+        .iter()
+        .filter_map(|r| match r {
+            zen2_obs::Record::SpanOpen { name, attrs, .. } if *name == SPAN_CASE => {
+                let attr = |key: &str| attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+                match (attr("label"), attr("rapl_accounting")) {
+                    (Some(Value::Str(label)), Some(Value::Bool(keeps))) => {
+                        Some((label.clone(), *keeps))
+                    }
+                    other => panic!("case span without label or rapl_accounting: {other:?}"),
+                }
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(flags, [("fig07-style".to_string(), false), ("with-rapl".to_string(), true)]);
+
+    // Either way the session's run is the direct run, which keeps its
+    // accounting, bit for bit.
+    for (case, run) in cases.iter().zip(&runs) {
+        let direct = System::new(case.config.clone(), case.seed)
+            .run_scenario(&case.scenario)
+            .expect("scenario validates");
+        assert_eq!(&direct, run, "{}", case.label);
+    }
+    assert_eq!(runs[0].watts("ac").to_bits(), runs[1].watts("ac").to_bits());
 }
