@@ -5,7 +5,8 @@
 //! `Run`s (differential mode). The session runs every case whose
 //! scenario reads no RAPL counter without RAPL accounting, and the
 //! direct runs keep it, so the differential check covers both paths;
-//! the summary counts the runs that took the first.
+//! the summary counts the runs that took the first, and the runs whose
+//! PPT loop moved a cap.
 //!
 //! ```text
 //! torture [--seed N] [--cases N] [--differential]
@@ -26,7 +27,7 @@ use std::path::PathBuf;
 use zen2_experiments::SessionCli;
 use zen2_sim::torture::{
     check_case, generate_case, inject_fault, keeps_rapl_accounting, render_reproducer,
-    shrink_scenario, Fault, Violation,
+    shrink_scenario, throttled, Fault, Violation,
 };
 use zen2_sim::{Case, Run, Scenario, Session, System};
 
@@ -166,11 +167,13 @@ fn main() {
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();
     let mut measured = 0usize;
     let mut without_rapl = 0usize;
+    let mut throttled_runs = 0usize;
     let outcome = session.run_streaming(zen2_sim::torture::cases(cli.seed, cli.cases), |i, run| {
         let index = i as u64;
         // Regeneration is cheap and deterministic, so the sink needs no
         // side channel to know which scenario produced this run.
         let case = generate_case(cli.seed, index);
+        throttled_runs += usize::from(throttled(&run));
         let (violations, m) = audit(&cli, index, run, &case);
         measured += m;
         without_rapl += usize::from(!keeps_rapl_accounting(&case));
@@ -205,6 +208,7 @@ fn main() {
         if cli.differential { "on" } else { "off" }
     );
     println!("without RAPL accounting: {without_rapl} runs");
+    println!("throttled: {throttled_runs} runs");
     match cli.fault {
         Some(fault) => println!("injected: {} fault at case {}", fault.kind(), cli.inject_at),
         None => println!("injected: none"),

@@ -98,7 +98,7 @@ proptest! {
                                      dt in 0.001f64..1_000.0) {
         let t = ThermalModel::two_socket_air();
         let target = t.steady_state_c(power);
-        let next = t.step(start, power, dt);
+        let next = t.step_by(start, power, t.alpha(dt));
         if start < target {
             prop_assert!(next >= start && next <= target + 1e-9);
         } else {

@@ -38,12 +38,19 @@ impl ThermalModel {
         self.ambient_c + self.r_th_c_per_w * package_w
     }
 
-    /// Advances the die temperature over `dt_s` seconds toward the steady
-    /// state for `package_w`.
-    pub fn step(&self, current_c: f64, package_w: f64, dt_s: f64) -> f64 {
+    /// The share of the way to the steady state that the die temperature
+    /// covers in `dt_s` seconds: `1 − e^(−dt/τ)`. It depends only on the
+    /// segment length, so a run of equal segments computes it once.
+    pub fn alpha(&self, dt_s: f64) -> f64 {
         assert!(dt_s >= 0.0, "time cannot run backwards");
+        1.0 - (-dt_s / self.tau_s).exp()
+    }
+
+    /// Advances the die temperature toward the steady state for
+    /// `package_w` by the share `alpha` ([`alpha`](Self::alpha) of the
+    /// segment length).
+    pub fn step_by(&self, current_c: f64, package_w: f64, alpha: f64) -> f64 {
         let target = self.steady_state_c(package_w);
-        let alpha = 1.0 - (-dt_s / self.tau_s).exp();
         current_c + (target - current_c) * alpha
     }
 }
@@ -94,19 +101,19 @@ mod tests {
         let t = ThermalModel::two_socket_air();
         let mut temp = t.ambient_c;
         // One time constant: ~63 % of the way there.
-        temp = t.step(temp, 180.0, 60.0);
+        temp = t.step_by(temp, 180.0, t.alpha(60.0));
         assert!((temp - (25.0 + 45.0 * 0.632)).abs() < 0.2);
         // Fifteen minutes (the paper's pre-heat): fully settled.
-        let settled = t.step(t.ambient_c, 180.0, 900.0);
+        let settled = t.step_by(t.ambient_c, 180.0, t.alpha(900.0));
         assert!((settled - 70.0).abs() < 0.01);
     }
 
     #[test]
     fn step_is_monotone_toward_target() {
         let t = ThermalModel::two_socket_air();
-        let warm = t.step(80.0, 100.0, 30.0);
+        let warm = t.step_by(80.0, 100.0, t.alpha(30.0));
         assert!(warm < 80.0, "cooling toward a lower steady state");
-        let cold = t.step(30.0, 100.0, 30.0);
+        let cold = t.step_by(30.0, 100.0, t.alpha(30.0));
         assert!(cold > 30.0, "heating toward a higher steady state");
     }
 

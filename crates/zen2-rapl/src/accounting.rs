@@ -5,6 +5,14 @@
 //! the SMU, but the MSR-visible counters step only at update boundaries;
 //! between updates a reader sees a frozen value. Counters are quantized
 //! to the energy-status unit and wrap at 32 bits.
+//!
+//! A publication copies nothing: it swaps the pending and published
+//! buffers, so the published ones hold the pending energy and the
+//! pending ones are scratch. The next accumulation writes the moved sums
+//! from the published buffers into the pending ones. A run of segments
+//! that each end on a publication boundary, the simulator's busy 1 ms
+//! slots, thus never copies a counter, and every read sees the values an
+//! eager copy at each publication would show.
 
 use zen2_msr::RaplUnits;
 
@@ -18,14 +26,20 @@ pub const UPDATE_PERIOD_NS: Ns = 1_000_000;
 #[derive(Debug, Clone)]
 pub struct RaplAccounting {
     units: RaplUnits,
-    /// Continuously-integrated joules per core (the SMU's internal view).
+    /// Continuously-integrated joules per core (the SMU's internal view),
+    /// unless `pending_is_published`.
     core_pending_j: Vec<f64>,
-    /// Continuously-integrated joules per package.
+    /// Continuously-integrated joules per package, unless
+    /// `pending_is_published`.
     pkg_pending_j: Vec<f64>,
     /// Published joules per core (what the MSR shows, pre-quantization).
     core_published_j: Vec<f64>,
     /// Published joules per package.
     pkg_published_j: Vec<f64>,
+    /// Whether the pending energy is the published one, the pending
+    /// buffers being scratch: set by a publication, cleared when pending
+    /// energy next moves.
+    pending_is_published: bool,
     /// Timestamp of the last publication boundary.
     last_publish_ns: Ns,
 }
@@ -39,6 +53,7 @@ impl RaplAccounting {
             pkg_pending_j: vec![0.0; packages],
             core_published_j: vec![0.0; cores],
             pkg_published_j: vec![0.0; packages],
+            pending_is_published: false,
             last_publish_ns: 0,
         }
     }
@@ -57,11 +72,18 @@ impl RaplAccounting {
         assert!(dt_s >= 0.0, "time cannot run backwards");
         assert_eq!(core_w.len(), self.core_pending_j.len(), "core count mismatch");
         assert_eq!(pkg_w.len(), self.pkg_pending_j.len(), "package count mismatch");
-        for (acc, &w) in self.core_pending_j.iter_mut().zip(core_w) {
-            *acc += w * dt_s;
-        }
-        for (acc, &w) in self.pkg_pending_j.iter_mut().zip(pkg_w) {
-            *acc += w * dt_s;
+        if std::mem::take(&mut self.pending_is_published) {
+            // The published counters keep the values pending energy moves
+            // from; the moved sums go to the scratch pending buffers.
+            integrate_into(&mut self.core_pending_j, &self.core_published_j, core_w, dt_s);
+            integrate_into(&mut self.pkg_pending_j, &self.pkg_published_j, pkg_w, dt_s);
+        } else {
+            for (acc, &w) in self.core_pending_j.iter_mut().zip(core_w) {
+                *acc += w * dt_s;
+            }
+            for (acc, &w) in self.pkg_pending_j.iter_mut().zip(pkg_w) {
+                *acc += w * dt_s;
+            }
         }
     }
 
@@ -74,11 +96,10 @@ impl RaplAccounting {
             return false;
         }
         self.last_publish_ns = boundary;
-        for (publ, pend) in self.core_published_j.iter_mut().zip(&self.core_pending_j) {
-            *publ = *pend;
-        }
-        for (publ, pend) in self.pkg_published_j.iter_mut().zip(&self.pkg_pending_j) {
-            *publ = *pend;
+        if !self.pending_is_published {
+            std::mem::swap(&mut self.core_pending_j, &mut self.core_published_j);
+            std::mem::swap(&mut self.pkg_pending_j, &mut self.pkg_published_j);
+            self.pending_is_published = true;
         }
         true
     }
@@ -97,6 +118,14 @@ impl RaplAccounting {
     /// for test assertions, not visible to simulated software.
     pub fn package_published_joules(&self, package: usize) -> f64 {
         self.pkg_published_j[package]
+    }
+}
+
+/// Writes `from[i] + w[i] * dt_s` to `into[i]`: the in-place sum of
+/// [`RaplAccounting::accumulate`], bit for bit, into another buffer.
+fn integrate_into(into: &mut [f64], from: &[f64], w: &[f64], dt_s: f64) {
+    for ((acc, &j), &w) in into.iter_mut().zip(from).zip(w) {
+        *acc = j + w * dt_s;
     }
 }
 

@@ -10,11 +10,15 @@
 //! five inputs changed bit for bit; [`evaluate`] runs the same code from
 //! an empty memo, so both give bit-identical breakdowns. After a segment
 //! in which only the die temperatures moved, `PowerEval::reevaluate_thermal`
-//! recomputes just the temperature-dependent terms from the last full
-//! evaluation's per-core classes, with the same expressions and the same
-//! package tail. Each package's sum of true core powers does not depend
-//! on temperature, so the full evaluation sums it once and the thermal
-//! path reuses it; only the estimates are summed again.
+//! recomputes just the temperature-dependent terms, with the same
+//! expressions and the same package tail: from the last full
+//! evaluation's dense per-core activity estimates it makes one
+//! branch-free pass of the active expression over an awake package's
+//! cores, then writes the idle-core term to that package's gated cores,
+//! kept as an index list; a sleeping package is skipped. Each package's
+//! sum of true core powers and the awake package base power do not
+//! depend on temperature, so the full evaluation computes them once and
+//! the thermal path reuses them; only the estimates are summed again.
 //!
 //! A machine that keeps no RAPL accounting skips even that: its thermal
 //! path recomputes only true package, DC and AC power and leaves the
@@ -117,23 +121,11 @@ struct CoreTerms {
     dram_demand_gbs: f64,
 }
 
-/// What the last full evaluation found for one core. Only a change of
-/// thread states, workloads or clocks can move it; die temperature
-/// cannot.
-#[derive(Debug, Clone, Copy)]
-enum CoreClass {
-    /// Its package sleeps: both powers are 0.
-    Asleep,
-    /// Executing, with this RAPL activity estimate.
-    Active { est_activity_w: f64 },
-    /// Clock- or power-gated: its estimate is the idle-core term.
-    Gated,
-}
-
 /// The temperature-independent parts of one package's estimate at the
 /// last full evaluation. The estimate the thermal path computes is, in
 /// exact arithmetic, `active_sum_w + active · t + gated · max(t, 0)` plus
-/// the uncore term, where `t` is the die temperature term.
+/// the uncore term, where `t` is the die temperature term and `gated`
+/// the length of the package's gated-core list.
 #[derive(Debug, Clone, Copy, Default)]
 struct EstimateTerms {
     /// Σ (activity estimate + noise) over the package's active cores.
@@ -142,21 +134,28 @@ struct EstimateTerms {
     magnitude_w: f64,
     /// Active cores.
     active: u32,
-    /// Clock- or power-gated cores.
-    gated: u32,
 }
 
-/// The simulator's evaluator: each core's last active terms, each core's
-/// class and each package's true-core sum and estimate terms at the last
-/// full evaluation, the die temperatures of the last evaluation, and the
-/// per-CCD demand scratch, so a step allocates nothing and recomputes
-/// only the terms whose inputs moved.
+/// The simulator's evaluator: each core's last active terms, and from the
+/// last full evaluation each core's activity estimate, each awake
+/// package's gated cores, each package's true-core sum and estimate
+/// terms and the awake package base power; the die temperatures of the
+/// last evaluation, and the per-CCD demand scratch, so a step allocates
+/// nothing and recomputes only the terms whose inputs moved.
 #[derive(Debug, Clone)]
 pub(crate) struct PowerEval {
     memo: Vec<Option<CoreTerms>>,
-    class: Vec<CoreClass>,
+    /// Each core's RAPL activity estimate: an active core's, 0 for the
+    /// others. Only a change of thread states, workloads or clocks can
+    /// move it; die temperature cannot.
+    est_activity_w: Vec<f64>,
+    /// Per package, its clock- or power-gated cores, whose estimate is
+    /// the idle-core term; empty while the package sleeps.
+    gated: Vec<Vec<usize>>,
     cores_true_w: Vec<f64>,
     est_terms: Vec<EstimateTerms>,
+    /// An awake package's power before its cores' contributions.
+    awake_base_w: f64,
     /// The die temperatures the last evaluation, full or thermal, used.
     die_c: Vec<f64>,
     /// Whether the last thermal re-evaluation left the breakdown's
@@ -170,9 +169,11 @@ impl PowerEval {
     pub(crate) fn new(topo: &Topology) -> Self {
         Self {
             memo: vec![None; topo.num_cores()],
-            class: vec![CoreClass::Asleep; topo.num_cores()],
+            est_activity_w: vec![0.0; topo.num_cores()],
+            gated: vec![Vec::new(); topo.num_sockets()],
             cores_true_w: vec![0.0; topo.num_sockets()],
             est_terms: vec![EstimateTerms::default(); topo.num_sockets()],
+            awake_base_w: 0.0,
             die_c: vec![0.0; topo.num_sockets()],
             estimates_stale: false,
             ccd_demand_gbs: vec![0.0; topo.num_ccds()],
@@ -209,12 +210,13 @@ impl PowerEval {
         ccd_demand_gbs.fill(0.0);
         let est_terms = &mut self.est_terms;
         est_terms.fill(EstimateTerms::default());
+        self.est_activity_w.fill(0.0);
+        self.gated.iter_mut().for_each(Vec::clear);
 
         for core_idx in 0..num_cores {
             let core = zen2_topology::CoreId::from_index(core_idx);
             let pkg = topo.socket_of_core(core).index();
             if !pkg_awake[pkg] {
-                self.class[core_idx] = CoreClass::Asleep;
                 continue;
             }
             let t0 = core_idx * tpc;
@@ -256,8 +258,7 @@ impl PowerEval {
                             terms
                         }
                     };
-                    self.class[core_idx] =
-                        CoreClass::Active { est_activity_w: terms.est_activity_w };
+                    self.est_activity_w[core_idx] = terms.est_activity_w;
                     core_true_w[core_idx] = terms.true_w;
                     let noise_w = state.est_noise_w[core_idx];
                     core_est_w[core_idx] =
@@ -273,16 +274,14 @@ impl PowerEval {
                     pkg_terms.active += 1;
                 }
                 CoreIdleClass::ClockGated => {
-                    self.class[core_idx] = CoreClass::Gated;
                     core_true_w[core_idx] = cfg.power.core.c1_power_w();
                     core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
-                    est_terms[pkg].gated += 1;
+                    self.gated[pkg].push(core_idx);
                 }
                 CoreIdleClass::PowerGated => {
-                    self.class[core_idx] = CoreClass::Gated;
                     core_true_w[core_idx] = cfg.power.core.c2_power_w();
                     core_est_w[core_idx] = cfg.rapl.idle_core_estimate_w(die_c);
-                    est_terms[pkg].gated += 1;
+                    self.gated[pkg].push(core_idx);
                 }
             }
         }
@@ -307,14 +306,16 @@ impl PowerEval {
         }
         self.die_c.copy_from_slice(state.die_temp_c);
         self.estimates_stale = false;
+        self.awake_base_w = cfg.power.package.awake_base_w(cfg.iod_pstate, cfg.dram);
         package_estimates(cfg, out);
-        package_truth(cfg, state.die_temp_c, &self.cores_true_w, out);
+        self.package_truth(cfg, state.die_temp_c, out);
     }
 
     /// Re-evaluates `out`, this evaluator's last breakdown, after only the
-    /// die temperatures moved: each core keeps the class, true power and
+    /// die temperatures moved: each core keeps the true power and
     /// activity estimate of the last full [`evaluate`](Self::evaluate),
-    /// each package its true-core sum, and the DRAM terms stay. Only the
+    /// each package its gated cores and true-core sum, and the DRAM terms
+    /// and awake base power stay. Only the
     /// core estimates' temperature terms and the package tail are
     /// recomputed, with the full path's expressions, so the result is the
     /// full evaluation's bit for bit. Without `estimates` it recomputes
@@ -333,7 +334,7 @@ impl PowerEval {
         if estimates {
             self.thermal_estimates(cfg, est_noise_w, out);
         }
-        package_truth(cfg, die_temp_c, &self.cores_true_w, out);
+        self.package_truth(cfg, die_temp_c, out);
     }
 
     /// Whether `out`'s estimates predate the last evaluation.
@@ -355,29 +356,50 @@ impl PowerEval {
     }
 
     /// The thermal path's estimates: each core's at the die temperatures
-    /// of the last evaluation, then each package's.
+    /// of the last evaluation, then each package's. An awake package's
+    /// cores all take the active expression `(a + t) + n` in one pass,
+    /// then its gated cores the idle-core term; a sleeping package's
+    /// estimates stay the full evaluation's zeros.
     fn thermal_estimates(&self, cfg: &SimConfig, est_noise_w: &[f64], out: &mut PowerBreakdown) {
         let per_pkg = cfg.topology.cores_per_socket();
-        let packages = self
-            .class
-            .chunks(per_pkg)
-            .zip(out.core_est_w.chunks_mut(per_pkg))
-            .zip(est_noise_w.chunks(per_pkg))
-            .zip(&self.die_c);
-        for (((classes, core_est_w), noise_w), &die_c) in packages {
+        for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
+            if !awake {
+                continue;
+            }
+            let cores = pkg * per_pkg..(pkg + 1) * per_pkg;
+            let die_c = self.die_c[pkg];
             let temperature_w = cfg.rapl.temperature_term_w(die_c);
+            let core_est_w = &mut out.core_est_w[cores.clone()];
+            let terms = self.est_activity_w[cores.clone()].iter().zip(&est_noise_w[cores]);
+            for (est_w, (&activity_w, &noise_w)) in core_est_w.iter_mut().zip(terms) {
+                *est_w = activity_w + temperature_w + noise_w;
+            }
             let idle_w = cfg.rapl.idle_core_estimate_w(die_c);
-            for ((class, est_w), noise_w) in classes.iter().zip(core_est_w).zip(noise_w) {
-                match *class {
-                    CoreClass::Asleep => {}
-                    CoreClass::Active { est_activity_w } => {
-                        *est_w = est_activity_w + temperature_w + noise_w;
-                    }
-                    CoreClass::Gated => *est_w = idle_w,
-                }
+            for &core in &self.gated[pkg] {
+                out.core_est_w[core] = idle_w;
             }
         }
         package_estimates(cfg, out);
+    }
+
+    /// True package power (with leakage), DC and AC power from each
+    /// package's true-core sum, the awake base power and the wake states
+    /// and DRAM power already in `out`: the true half of the tail both
+    /// evaluation paths share.
+    fn package_truth(&self, cfg: &SimConfig, die_temp_c: &[f64], out: &mut PowerBreakdown) {
+        for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
+            if awake {
+                let leak = cfg.power.leakage.multiplier(die_temp_c[pkg]);
+                out.pkg_true_w[pkg] = (self.awake_base_w + self.cores_true_w[pkg]) * leak;
+            } else {
+                out.pkg_true_w[pkg] = cfg.power.package.sleeping_w();
+            }
+        }
+
+        // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology
+        let dc_w = out.pkg_true_w.iter().sum::<f64>() + out.dram_w + cfg.power.platform_dc_w;
+        out.dc_w = dc_w;
+        out.ac_w = cfg.power.psu.ac_from_dc(dc_w);
     }
 
     /// An interval that holds package `pkg`'s estimate as the thermal
@@ -405,7 +427,7 @@ impl PowerEval {
         let die_c = self.die_c[pkg];
         let temperature_w = cfg.rapl.temperature_term_w(die_c);
         let idle_w = cfg.rapl.idle_core_estimate_w(die_c);
-        let (active, gated) = (f64::from(terms.active), f64::from(terms.gated));
+        let (active, gated) = (f64::from(terms.active), self.gated[pkg].len() as f64);
         let cores_w = terms.active_sum_w + active * temperature_w + gated * idle_w;
         let centre_w = cfg.rapl.package_estimate_w(cores_w, awake);
         let uncore_w = cfg.rapl.package_estimate_w(0.0, awake);
@@ -428,32 +450,6 @@ fn package_estimates(cfg: &SimConfig, out: &mut PowerBreakdown) {
         let cores_est: f64 = out.core_est_w[cores].iter().sum();
         out.pkg_est_w[pkg] = cfg.rapl.package_estimate_w(cores_est, awake);
     }
-}
-
-/// True package power (with leakage), DC and AC power from each
-/// package's true-core sum `cores_true_w` and the wake states and DRAM
-/// power already in `out`: the true half of the tail both evaluation
-/// paths share.
-fn package_truth(
-    cfg: &SimConfig,
-    die_temp_c: &[f64],
-    cores_true_w: &[f64],
-    out: &mut PowerBreakdown,
-) {
-    for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
-        if awake {
-            let base = cfg.power.package.awake_base_w(cfg.iod_pstate, cfg.dram);
-            let leak = cfg.power.leakage.multiplier(die_temp_c[pkg]);
-            out.pkg_true_w[pkg] = (base + cores_true_w[pkg]) * leak;
-        } else {
-            out.pkg_true_w[pkg] = cfg.power.package.sleeping_w();
-        }
-    }
-
-    // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology
-    let dc_w = out.pkg_true_w.iter().sum::<f64>() + out.dram_w + cfg.power.platform_dc_w;
-    out.dc_w = dc_w;
-    out.ac_w = cfg.power.psu.ac_from_dc(dc_w);
 }
 
 #[cfg(test)]

@@ -378,24 +378,27 @@ impl Run {
 }
 
 /// An open RAPL measurement window: reader plus bookkeeping, so every
-/// RAPL probe observes counters through the same MSR path.
+/// RAPL probe observes counters through the same MSR path. It reads the
+/// energy MSRs as [`System::sync_rapl_msrs`] last left them: the scenario
+/// engine syncs once per breakpoint with a RAPL action due, before the
+/// first of them, and nothing integrates until the breakpoint ends.
 pub(crate) struct RaplWindow {
     reader: RaplReader,
     from: Ns,
 }
 
 impl RaplWindow {
-    /// Opens the window at the machine's current time.
-    pub(crate) fn open(sys: &mut System) -> Self {
-        sys.sync_rapl_msrs();
+    /// Opens the window at the machine's current time, on MSRs synced at
+    /// this instant.
+    pub(crate) fn open(sys: &System) -> Self {
         let reader = RaplReader::new(&sys.config().topology, sys.msrs())
             .expect("simulator MSR file is always well-formed");
         Self { reader, from: sys.now_ns() }
     }
 
-    /// Polls the counters at the machine's current time.
-    pub(crate) fn poll(&mut self, sys: &mut System) {
-        sys.sync_rapl_msrs();
+    /// Polls the counters at the machine's current time, on MSRs synced at
+    /// this instant.
+    pub(crate) fn poll(&mut self, sys: &System) {
         self.reader.poll(sys.msrs()).expect("simulator MSR file is always well-formed");
     }
 

@@ -251,6 +251,62 @@ fn assert_steps_alike(full: &System, lean: &System) -> Result<(), TestCaseError>
     Ok(())
 }
 
+/// Runs `ticks` once as a scenario, each tick resolved after its last
+/// action, and once through the public per-action API, then asserts that
+/// both end in one machine: the power breakdown, AC energy, die
+/// temperatures, every thread's counters, the RAPL MSRs and the RNG
+/// stream are bit-identical. So are the tracer records other than
+/// `PackageSleep`, and each socket's asleep time. AC-trace means only
+/// agree to 1e-8 W: the trace starts a segment only when AC power moves by
+/// more than 1e-9 W, so skipping a tick's zero-length intermediate states
+/// can leave the last bits of a segment at the value before the tick.
+fn assert_batched_matches_single(ticks: &[(Ns, Vec<Op>)]) -> Result<(), TestCaseError> {
+    let (sc, times) = tick_scenario(ticks);
+    let cfg = SimConfig::epyc_7502_2s();
+
+    let mut batched = System::new(cfg.clone(), 5);
+    batched.set_tracing(true);
+    batched.run_scenario(&sc).expect("validated");
+
+    let mut single = System::new(cfg, 5);
+    single.set_tracing(true);
+    for (&at, (_, ops)) in times.iter().zip(ticks) {
+        single.run_for_ns(at - single.now_ns());
+        for &op in ops {
+            apply_one(&mut single, op);
+        }
+    }
+    single.run_for_ns(batched.now_ns() - single.now_ns());
+
+    prop_assert!(same_bits(batched.power_breakdown(), single.power_breakdown()));
+    prop_assert_eq!(batched.ac_energy_j().to_bits(), single.ac_energy_j().to_bits());
+    for socket in [SocketId(0), SocketId(1)] {
+        prop_assert_eq!(batched.die_temp_c(socket).to_bits(), single.die_temp_c(socket).to_bits());
+        prop_assert_eq!(
+            batched.tracer().asleep_ns(socket, 0, batched.now_ns()),
+            single.tracer().asleep_ns(socket, 0, single.now_ns())
+        );
+    }
+    prop_assert!(counter_bits(&batched) == counter_bits(&single));
+    prop_assert!(rapl_msrs(&mut batched) == rapl_msrs(&mut single));
+    for pair in times.windows(2) {
+        let (from, to) = (pair[0], pair[1]);
+        let (a, b) = (batched.trace_mean_w(from, to), single.trace_mean_w(from, to));
+        prop_assert!((a - b).abs() <= 1e-8, "[{from}, {to}): {a} vs {b} W");
+    }
+    let not_sleep = |sys: &System| -> Vec<Record> {
+        sys.tracer()
+            .records()
+            .iter()
+            .filter(|r| !matches!(r.event, Event::PackageSleep { .. }))
+            .cloned()
+            .collect()
+    };
+    prop_assert!(not_sleep(&batched) == not_sleep(&single));
+    prop_assert_eq!(batched.rng().next_u64(), single.rng().next_u64());
+    Ok(())
+}
+
 fn vf_points() -> Vec<(u32, f64)> {
     vec![(1500, 0.85), (2200, 0.95), (2500, 1.00)]
 }
@@ -423,18 +479,14 @@ proptest! {
     }
 
     /// Resolving a tick once, after its last action, ends in the machine
-    /// that applying the same actions one at a time reaches: the power
-    /// breakdown, AC energy, die temperatures, every thread's counters,
-    /// the RAPL MSRs and the RNG stream are bit-identical. So are the
-    /// tracer records other than `PackageSleep`, and each socket's asleep
-    /// time. AC-trace means only agree to 1e-8 W: the trace starts a
-    /// segment only when AC power moves by more than 1e-9 W, so skipping
-    /// a tick's zero-length intermediate states can leave the last bits
-    /// of a segment at the value before the tick.
+    /// that applying the same actions one at a time reaches (see
+    /// [`assert_batched_matches_single`]). Up to 23 actions on four cores
+    /// make a tick touch a core many times, so the flush must settle each
+    /// core from its last noise draw.
     #[test]
     fn tick_batches_match_one_at_a_time(
         ticks in prop::collection::vec(
-            (1u64..5_000_000, prop::collection::vec(arb_tick_op(), 1..6)),
+            (1u64..5_000_000, prop::collection::vec(arb_tick_op(), 1..24)),
             1..8,
         ),
     ) {
@@ -442,53 +494,9 @@ proptest! {
             .into_iter()
             .map(|(gap, ops)| (gap, ops.into_iter().map(tick_op).collect()))
             .collect();
-        let (sc, times) = tick_scenario(&ticks);
-        let cfg = SimConfig::epyc_7502_2s();
-        prop_assume!(sc.validate(&cfg).is_ok());
-
-        let mut batched = System::new(cfg.clone(), 5);
-        batched.set_tracing(true);
-        batched.run_scenario(&sc).expect("validated");
-
-        let mut single = System::new(cfg, 5);
-        single.set_tracing(true);
-        for (&at, (_, ops)) in times.iter().zip(&ticks) {
-            single.run_for_ns(at - single.now_ns());
-            for &op in ops {
-                apply_one(&mut single, op);
-            }
-        }
-        single.run_for_ns(batched.now_ns() - single.now_ns());
-
-        prop_assert!(same_bits(batched.power_breakdown(), single.power_breakdown()));
-        prop_assert_eq!(batched.ac_energy_j().to_bits(), single.ac_energy_j().to_bits());
-        for socket in [SocketId(0), SocketId(1)] {
-            prop_assert_eq!(
-                batched.die_temp_c(socket).to_bits(),
-                single.die_temp_c(socket).to_bits()
-            );
-            prop_assert_eq!(
-                batched.tracer().asleep_ns(socket, 0, batched.now_ns()),
-                single.tracer().asleep_ns(socket, 0, single.now_ns())
-            );
-        }
-        prop_assert!(counter_bits(&batched) == counter_bits(&single));
-        prop_assert!(rapl_msrs(&mut batched) == rapl_msrs(&mut single));
-        for pair in times.windows(2) {
-            let (from, to) = (pair[0], pair[1]);
-            let (a, b) = (batched.trace_mean_w(from, to), single.trace_mean_w(from, to));
-            prop_assert!((a - b).abs() <= 1e-8, "[{from}, {to}): {a} vs {b} W");
-        }
-        let not_sleep = |sys: &System| -> Vec<Record> {
-            sys.tracer()
-                .records()
-                .iter()
-                .filter(|r| !matches!(r.event, Event::PackageSleep { .. }))
-                .cloned()
-                .collect()
-        };
-        prop_assert!(not_sleep(&batched) == not_sleep(&single));
-        prop_assert_eq!(batched.rng().next_u64(), single.rng().next_u64());
+        let (sc, _) = tick_scenario(&ticks);
+        prop_assume!(sc.validate(&SimConfig::epyc_7502_2s()).is_ok());
+        assert_batched_matches_single(&ticks)?;
     }
 
     /// Scheduling actions move neither a frequency request nor a cap, so
@@ -609,6 +617,24 @@ proptest! {
         assert_exact_round_trip(&residency, |r| r.observe(&records, window.0, window.1));
         assert_exact_round_trip(&transitions, |t| t.observe(&records));
     }
+}
+
+/// A fig10 block's tick: after all 128 threads load, one tick re-weights
+/// every one of them, touching each core twice. Settling each core once,
+/// from its second draw, matches the per-action machine bit for bit.
+#[test]
+fn reweighting_every_thread_in_one_tick_matches_one_at_a_time() {
+    let all = |weight| -> Vec<Op> {
+        (0..128)
+            .map(|t| Op::Workload { thread: ThreadId(t), class: KernelClass::VXorps, weight })
+            .collect()
+    };
+    let ticks = [
+        (0, all(OperandWeight::HALF)),
+        (5 * MILLISECOND, all(OperandWeight::FULL)),
+        (3 * MILLISECOND + 250_000, all(OperandWeight::ZERO)),
+    ];
+    assert_batched_matches_single(&ticks).expect("batched and per-action machines agree");
 }
 
 #[test]

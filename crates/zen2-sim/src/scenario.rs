@@ -17,6 +17,12 @@
 //! let run = System::new(SimConfig::epyc_7502_2s(), 7).run_scenario(&sc).unwrap();
 //! assert!(run.watts("busy") > 150.0);
 //! ```
+//!
+//! Execution walks the steps, the probes' mid-window obligations, their
+//! window ends and their window starts, each sorted by tick once, with
+//! one cursor each: the next breakpoint is the earliest tick under the
+//! four cursors. The RAPL polls and window opens due at one breakpoint
+//! read the energy MSRs of one sync.
 
 use crate::config::SimConfig;
 use crate::perf::ThreadCounters;
@@ -25,7 +31,6 @@ use crate::probe::{
 };
 use crate::system::System;
 use crate::time::{from_secs, to_secs, Ns, MILLISECOND};
-use std::collections::BTreeSet;
 use std::fmt;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_topology::ThreadId;
@@ -716,11 +721,13 @@ impl System {
             self.set_tracing(true);
         }
 
-        // Time-indexed dispatch: the mid-window obligations, window ends
-        // and window starts are each sorted by tick once and walked with a
-        // cursor, so a breakpoint touches only the probes due at it. The
-        // sorts are stable, keeping declaration order within one tick:
-        // closes and draws that consume the machine RNG depend on it.
+        // Time-indexed dispatch: the steps, mid-window obligations, window
+        // ends and window starts are each sorted by tick once and walked
+        // with a cursor. The next breakpoint is the earliest tick under
+        // the four cursors, so a breakpoint touches only what is due at
+        // it. The sorts are stable, keeping declaration order within one
+        // tick: closes and draws that consume the machine RNG depend on
+        // it.
         let probes = scenario.probes();
         let mut mids: Vec<(Ns, usize)> = probes
             .iter()
@@ -737,22 +744,20 @@ impl System {
         ordered_steps.sort_by_key(|s| s.at);
         let (mut mid_cursor, mut end_cursor, mut start_cursor, mut step_cursor) = (0, 0, 0, 0);
 
-        // Every scenario-relative instant the engine must stop at. The set
-        // is filled one insert at a time, so it never holds more than the
-        // distinct ticks (many steps share one).
-        let mut breakpoints: BTreeSet<Ns> = BTreeSet::new();
-        breakpoints.extend(ordered_steps.iter().map(|s| s.at));
-        breakpoints.extend(mids.iter().map(|&(t, _)| t));
-        breakpoints.extend(probes.iter().flat_map(|spec| [spec.window.from, spec.window.to]));
-        breakpoints.insert(scenario.end());
-
         let mut states: Vec<ProbeState> = probes.iter().map(|_| ProbeState::Idle).collect();
 
-        for &t in &breakpoints {
-            let target = offset + t;
-            if target > self.now_ns() {
-                self.run_for_ns(target - self.now_ns());
-            }
+        loop {
+            let next = [
+                ordered_steps.get(step_cursor).map(|s| s.at),
+                mids.get(mid_cursor).map(|&(at, _)| at),
+                ends.get(end_cursor).map(|&i| probes[i].window.to),
+                starts.get(start_cursor).map(|&i| probes[i].window.from),
+            ];
+            let Some(t) = next.into_iter().flatten().min() else { break };
+            self.run_to_ns(offset + t);
+            // The RAPL actions due now read the energy MSRs of one sync:
+            // nothing integrates until the next breakpoint.
+            let mut rapl_synced = false;
 
             // 1. Mid-window sampling obligations due now.
             while let Some(&(_, i)) = mids.get(mid_cursor).filter(|&&(at, _)| at == t) {
@@ -762,6 +767,7 @@ impl System {
                         snaps.push(self.counters(*thread));
                     }
                     (Probe::RaplW | Probe::RaplCoreW(_), ProbeState::RaplOpen { window }) => {
+                        self.sync_rapl_msrs_once(&mut rapl_synced);
                         window.poll(self);
                     }
                     (
@@ -863,6 +869,7 @@ impl System {
                         ProbeState::SeriesOpen { snaps: vec![self.counters(thread)] }
                     }
                     Probe::RaplW | Probe::RaplCoreW(_) => {
+                        self.sync_rapl_msrs_once(&mut rapl_synced);
                         ProbeState::RaplOpen { window: RaplWindow::open(self) }
                     }
                     Probe::WakeupSamples { .. } => ProbeState::WakeupOpen { samples: Vec::new() },
@@ -871,6 +878,7 @@ impl System {
                 };
             }
         }
+        self.run_to_ns(offset + scenario.end());
 
         let measurements = probes
             .iter()
@@ -890,6 +898,21 @@ impl System {
             end_ns: self.now_ns(),
             final_ac_w: self.ac_power_w(),
             measurements,
+        }
+    }
+
+    /// Runs the machine to absolute time `target` if it lies ahead.
+    fn run_to_ns(&mut self, target: Ns) {
+        if target > self.now_ns() {
+            self.run_for_ns(target - self.now_ns());
+        }
+    }
+
+    /// Syncs the RAPL MSRs unless `synced` says this breakpoint already
+    /// did.
+    fn sync_rapl_msrs_once(&mut self, synced: &mut bool) {
+        if !std::mem::replace(synced, true) {
+            self.sync_rapl_msrs();
         }
     }
 }

@@ -1,12 +1,15 @@
 //! The simulated machine: a deterministic, event-driven EPYC 7502 system.
 //!
 //! A step costs only what changed and what a case can read. A tick of
-//! scheduling actions re-evaluates clocks and power once and resolves no
-//! DVFS (it moves no request and no cap); a P-state request resolves only
-//! its own core. A machine that keeps no RAPL accounting (see
-//! `System::drop_rapl_accounting`) integrates no RAPL energy, skips the
-//! estimates in thermal-only steps, and lets its PPT loop decide from a
-//! bound on each package estimate.
+//! scheduling actions draws each action's noise uniforms as it comes,
+//! then settles each touched core once and re-evaluates clocks and power
+//! once, and resolves no DVFS (it moves no request and no cap); a P-state
+//! request resolves only its own core. A segment reuses the thermal α of
+//! the last segment length, so a run of 1 ms slots computes `exp` once,
+//! and RAPL publication copies no counter. A machine that keeps no RAPL
+//! accounting (see `System::drop_rapl_accounting`) integrates no RAPL
+//! energy, skips the estimates in thermal-only steps, and lets its PPT
+//! loop decide from a bound on each package estimate.
 
 use crate::ccx;
 use crate::config::SimConfig;
@@ -32,6 +35,19 @@ use zen2_topology::{CoreId, SocketId, ThreadId};
 /// Maximum segment length, bounding thermal-integration error.
 const MAX_SEGMENT_NS: Ns = 100 * MILLISECOND;
 
+/// What the current tick's scheduling actions left one core to settle at
+/// the tick's flush.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Touch {
+    /// No action of the tick touched it.
+    None,
+    /// Its threads changed: its IPC is refreshed.
+    Threads,
+    /// Its threads changed and it drew estimate noise: the uniforms of its
+    /// last draw, which the flush transforms.
+    Noise { u1: f64, u2: f64 },
+}
+
 /// The simulated system.
 #[derive(Clone)]
 pub struct System {
@@ -46,10 +62,16 @@ pub struct System {
     thread_states: Vec<ThreadState>,
     workloads: Vec<Option<(KernelClass, OperandWeight)>>,
     /// Instructions per cycle under the core's SMT occupancy, refreshed
-    /// whenever an action touches the core.
+    /// at the flush of every tick whose actions touched the core.
     thread_ipc: Vec<f64>,
     pstate_req_mhz: Vec<u32>,
     idle_cfg: Vec<IdleConfig>,
+
+    // The tick being applied.
+    /// Per core, what the tick left to settle.
+    tick_touch: Vec<Touch>,
+    /// The cores the tick touched, each once.
+    tick_cores: Vec<usize>,
 
     // Per-core state.
     smu: Smu,
@@ -62,6 +84,9 @@ pub struct System {
     // Per-package state.
     controllers: Vec<PptController>,
     die_temp_c: Vec<f64>,
+    /// The last integrated segment's length and its thermal α, reused
+    /// while segments keep that length.
+    thermal_alpha: (Ns, f64),
 
     // Accounting.
     counters: CounterGroups,
@@ -114,6 +139,8 @@ impl System {
             thread_ipc: vec![0.0; num_threads],
             pstate_req_mhz: vec![nominal; num_threads],
             idle_cfg: vec![IdleConfig::default(); num_threads],
+            tick_touch: vec![Touch::None; num_cores],
+            tick_cores: Vec::with_capacity(num_cores),
             smu,
             pstate_mhz,
             core_eff_ghz: vec![nominal as f64 / 1000.0; num_cores],
@@ -121,6 +148,7 @@ impl System {
             est_noise_w: vec![0.0; num_cores],
             controllers,
             die_temp_c: vec![cfg.power.thermal.ambient_c; num_pkgs],
+            thermal_alpha: (0, cfg.power.thermal.alpha(0.0)),
             counters: CounterGroups::new(
                 num_threads,
                 nominal as f64 / 1000.0,
@@ -360,21 +388,23 @@ impl System {
 
     /// Applies one tick of actions in order. Scheduling actions
     /// (`Workload`, `Idle`, `CstateEnabled`, `Online`) change thread
-    /// states, draw estimate noise and record `ThreadState` events as they
-    /// come; clocks and power then resolve once, after the last of them.
-    /// DVFS reads only frequency requests and caps, which scheduling
-    /// actions never move, so they start no transition and nothing
-    /// re-resolves DVFS. A P-state request, preheat or tracing toggle
-    /// first resolves what is staged, then runs on its own: an in-flight
-    /// ramp is never aborted, so every request stays observable.
+    /// states and record `ThreadState` events as they come, and `Workload`
+    /// and `Idle` draw their estimate-noise uniforms from the machine RNG
+    /// at the action. The tick's flush, after the last of them, settles
+    /// each touched core once (the Box–Muller transform of its last draw,
+    /// then its IPC), and clocks and power then resolve once. DVFS reads
+    /// only frequency requests and caps, which scheduling actions never
+    /// move, so they start no transition and nothing re-resolves DVFS. A
+    /// P-state request, preheat or tracing toggle first flushes what is
+    /// staged, then runs on its own: an in-flight ramp is never aborted,
+    /// so every request stays observable.
     pub(crate) fn apply_ops(&mut self, ops: impl IntoIterator<Item = Op>) {
-        let mut staged = false;
         for op in ops {
+            let staged = !self.tick_cores.is_empty();
             if staged && matches!(op, Op::PstateMhz { .. } | Op::Preheat | Op::Tracing(_)) {
-                self.update_clocks_and_power();
-                staged = false;
+                self.flush_tick();
             }
-            let thread = match op {
+            match op {
                 Op::Workload { thread, class, weight } => {
                     let t = thread.index();
                     assert!(
@@ -383,9 +413,8 @@ impl System {
                     );
                     self.thread_states[t] = ThreadState::Active;
                     self.workloads[t] = Some((class, weight));
-                    self.resample_noise(thread);
+                    self.touch(thread, true);
                     self.trace_thread_state(thread);
-                    thread
                 }
                 Op::Idle { thread } => {
                     let t = thread.index();
@@ -394,9 +423,8 @@ impl System {
                     }
                     self.workloads[t] = None;
                     self.settle_idle(t);
-                    self.resample_noise(thread);
+                    self.touch(thread, true);
                     self.trace_thread_state(thread);
-                    thread
                 }
                 Op::CstateEnabled { thread, level, enabled } => {
                     let t = thread.index();
@@ -412,7 +440,7 @@ impl System {
                             self.trace_thread_state(thread);
                         }
                     }
-                    thread
+                    self.touch(thread, false);
                 }
                 Op::Online { thread, online } => {
                     let t = thread.index();
@@ -425,27 +453,52 @@ impl System {
                         self.thread_states[t] = ThreadState::Offline;
                     }
                     self.trace_thread_state(thread);
-                    thread
+                    self.touch(thread, false);
                 }
                 Op::PstateMhz { thread, mhz } => {
                     let _ = self.set_thread_pstate_mhz(thread, mhz);
-                    continue;
                 }
-                Op::Preheat => {
-                    self.preheat();
-                    continue;
-                }
-                Op::Tracing(enabled) => {
-                    self.set_tracing(enabled);
-                    continue;
-                }
-            };
-            self.refresh_ipc(self.cfg.topology.core_of(thread).index());
-            staged = true;
+                Op::Preheat => self.preheat(),
+                Op::Tracing(enabled) => self.set_tracing(enabled),
+            }
         }
-        if staged {
-            self.update_clocks_and_power();
+        if !self.tick_cores.is_empty() {
+            self.flush_tick();
         }
+    }
+
+    /// Marks `thread`'s core for the tick's flush; with `draw_noise`, draws
+    /// the uniforms of a fresh estimate-noise sample for it now, so the
+    /// RNG stream follows the actions.
+    fn touch(&mut self, thread: ThreadId, draw_noise: bool) {
+        let core = self.cfg.topology.core_of(thread).index();
+        if self.tick_touch[core] == Touch::None {
+            self.tick_cores.push(core);
+            self.tick_touch[core] = Touch::Threads;
+        }
+        if draw_noise {
+            let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = self.rng.gen_range(0.0..1.0);
+            self.tick_touch[core] = Touch::Noise { u1, u2 };
+        }
+    }
+
+    /// Settles each core the tick touched, once: its estimate noise from
+    /// its last draw (Box–Muller), then its IPC, which depends only on its
+    /// own threads. Then clocks and power resolve.
+    fn flush_tick(&mut self) {
+        let sigma = self.cfg.rapl.noise_sigma_w;
+        for i in 0..self.tick_cores.len() {
+            let core = self.tick_cores[i];
+            if let Touch::Noise { u1, u2 } = self.tick_touch[core] {
+                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                self.est_noise_w[core] = sigma * z;
+            }
+            self.tick_touch[core] = Touch::None;
+            self.refresh_ipc(core);
+        }
+        self.tick_cores.clear();
+        self.update_clocks_and_power();
     }
 
     /// Sets the userspace-governor frequency request of one hardware
@@ -719,15 +772,6 @@ impl System {
         self.thread_states[base..base + tpc].iter().any(|t| t.is_active())
     }
 
-    fn resample_noise(&mut self, thread: ThreadId) {
-        let core = self.cfg.topology.core_of(thread).index();
-        let sigma = self.cfg.rapl.noise_sigma_w;
-        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        self.est_noise_w[core] = sigma * z;
-    }
-
     /// Re-resolves every core's DVFS target after a cap moved; returns
     /// how many transitions that started.
     pub(crate) fn resolve_dvfs(&mut self) -> usize {
@@ -946,12 +990,13 @@ impl System {
             rapl.maybe_publish(self.now + dt);
         }
         self.ac_energy_j += self.breakdown.ac_w * dt_s;
-        for pkg in 0..self.die_temp_c.len() {
-            self.die_temp_c[pkg] = self.cfg.power.thermal.step(
-                self.die_temp_c[pkg],
-                self.breakdown.pkg_true_w[pkg],
-                dt_s,
-            );
+        let thermal = &self.cfg.power.thermal;
+        if self.thermal_alpha.0 != dt {
+            self.thermal_alpha = (dt, thermal.alpha(dt_s));
+        }
+        let alpha = self.thermal_alpha.1;
+        for (die_c, &pkg_w) in self.die_temp_c.iter_mut().zip(&self.breakdown.pkg_true_w) {
+            *die_c = thermal.step_by(*die_c, pkg_w, alpha);
         }
     }
 

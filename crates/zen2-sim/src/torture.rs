@@ -133,12 +133,37 @@ fn random_span(rng: &mut StdRng, end: Ns) -> (Ns, Ns) {
 }
 
 fn random_scenario(cfg: &SimConfig, rng: &mut StdRng) -> Scenario {
-    let num_threads = cfg.topology.num_threads() as u32;
-    let num_cores = cfg.topology.num_cores() as u32;
-    let num_sockets = cfg.topology.num_sockets() as u32;
     let end = rng.gen_range(20 * MILLISECOND..=150 * MILLISECOND);
     let mut sc = Scenario::new();
+    let targets = if rng.gen_range(0u32..8) == 0 {
+        load_every_thread(&mut sc, rng, cfg.topology.num_threads() as u32, end)
+    } else {
+        random_timeline(cfg, &mut sc, rng, end)
+    };
+    random_probes(&mut sc, rng, cfg, &targets, end);
+    sc
+}
 
+/// The timeline of about one case in eight: every thread loads with
+/// FIRESTARTER at `t = 0`, which pushes the package estimates past PPT
+/// so the cap moves, and one later tick re-weights every thread, as a
+/// Fig. 10 block does, so the engine settles a tick that touches every
+/// core twice. Every thread is a target.
+fn load_every_thread(sc: &mut Scenario, rng: &mut StdRng, num_threads: u32, end: Ns) -> Vec<u32> {
+    let reweight_at = rng.gen_range(MILLISECOND..=end);
+    let weight = OperandWeight(rng.gen_range(0.0..=1.0));
+    for (at, weight) in [(0, OperandWeight::HALF), (reweight_at, weight)] {
+        let mut step = sc.at(at);
+        for t in 0..num_threads {
+            step = step.workload(ThreadId(t), KernelClass::Firestarter, weight);
+        }
+    }
+    (0..num_threads).collect()
+}
+
+/// A random action timeline on 1–6 random targets; returns the targets.
+fn random_timeline(cfg: &SimConfig, sc: &mut Scenario, rng: &mut StdRng, end: Ns) -> Vec<u32> {
+    let num_threads = cfg.topology.num_threads() as u32;
     // A small set of distinct action targets: scenario cost scales with
     // active threads, and a handful exercises every interaction (SMT
     // siblings, CCX coupling, package-C6 criterion) as well as 128 do.
@@ -202,6 +227,15 @@ fn random_scenario(cfg: &SimConfig, rng: &mut StdRng) -> Scenario {
             }
         }
     }
+    targets
+}
+
+/// The probe set and `run_until` mode of a case whose action targets are
+/// `targets`.
+fn random_probes(sc: &mut Scenario, rng: &mut StdRng, cfg: &SimConfig, targets: &[u32], end: Ns) {
+    let num_threads = cfg.topology.num_threads() as u32;
+    let num_cores = cfg.topology.num_cores() as u32;
+    let num_sockets = cfg.topology.num_sockets() as u32;
 
     // Mandatory probes: the two invariant trace streams over the full
     // window (spans ending exactly at the scenario end), plus instant
@@ -317,7 +351,6 @@ fn random_scenario(cfg: &SimConfig, rng: &mut StdRng) -> Scenario {
         }
         _ => {}
     }
-    sc
 }
 
 // ---- invariant checking ----------------------------------------------------
@@ -959,6 +992,16 @@ pub fn check_case(case: &Case, run: &Run) -> Vec<Violation> {
 /// runs, which keep it.
 pub fn keeps_rapl_accounting(case: &Case) -> bool {
     case.scenario.reads_rapl()
+}
+
+/// Whether the PPT loop moved a cap during `run`: its [`EV_ALL`] trace
+/// holds a `CapChanged` event.
+pub fn throttled(run: &Run) -> bool {
+    matches!(
+        run.get(EV_ALL),
+        Measurement::Events(records)
+            if records.iter().any(|r| matches!(r.event, Event::CapChanged { .. }))
+    )
 }
 
 // ---- deliberate faults -----------------------------------------------------
