@@ -3,10 +3,11 @@
 //! invariants (`zen2_sim::torture`), optionally re-running each case
 //! through `System::run_scenario` directly and asserting bit-identical
 //! `Run`s (differential mode). The session runs every case whose
-//! scenario reads no RAPL counter without RAPL accounting, and the
-//! direct runs keep it, so the differential check covers both paths;
-//! the summary counts the runs that took the first, and the runs whose
-//! PPT loop moved a cap.
+//! scenario reads no RAPL counter without RAPL accounting, and trims
+//! every case's AC trace behind its open windows; the direct runs keep
+//! both, so the differential check covers every path. The summary counts
+//! the runs without RAPL accounting, the runs that trimmed segments an
+//! earlier window read, and the runs whose PPT loop moved a cap.
 //!
 //! ```text
 //! torture [--seed N] [--cases N] [--differential]
@@ -27,7 +28,7 @@ use std::path::PathBuf;
 use zen2_experiments::SessionCli;
 use zen2_sim::torture::{
     check_case, generate_case, inject_fault, keeps_rapl_accounting, render_reproducer,
-    shrink_scenario, throttled, Fault, Violation,
+    shrink_scenario, throttled, trims_ac_trace, Fault, Violation,
 };
 use zen2_sim::{Case, Run, Scenario, Session, System};
 
@@ -167,6 +168,7 @@ fn main() {
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();
     let mut measured = 0usize;
     let mut without_rapl = 0usize;
+    let mut trimmed = 0usize;
     let mut throttled_runs = 0usize;
     let outcome = session.run_streaming(zen2_sim::torture::cases(cli.seed, cli.cases), |i, run| {
         let index = i as u64;
@@ -177,6 +179,7 @@ fn main() {
         let (violations, m) = audit(&cli, index, run, &case);
         measured += m;
         without_rapl += usize::from(!keeps_rapl_accounting(&case));
+        trimmed += usize::from(trims_ac_trace(&case));
         if !violations.is_empty() {
             failures.push((index, violations));
         }
@@ -208,6 +211,7 @@ fn main() {
         if cli.differential { "on" } else { "off" }
     );
     println!("without RAPL accounting: {without_rapl} runs");
+    println!("trimmed AC trace: {trimmed} runs");
     println!("throttled: {throttled_runs} runs");
     match cli.fault {
         Some(fault) => println!("injected: {} fault at case {}", fault.kind(), cli.inject_at),

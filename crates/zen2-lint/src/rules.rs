@@ -59,8 +59,18 @@ pub const RESULT_CRATES: &[&str] = &["crates/zen2-sim/", "crates/zen2-experiment
 /// identity rather than display when they appear earlier in the same
 /// statement. Structural sinks only — names like `key`/`fingerprint`
 /// as plain variables false-positive on Debug in error messages.
-const IDENTITY_SINKS: &[&str] =
-    &["insert", "entry", "remove", "get", "get_mut", "contains", "contains_key", "hash", "fnv1a"];
+const IDENTITY_SINKS: &[&str] = &[
+    "insert",
+    "entry",
+    "remove",
+    "get",
+    "get_mut",
+    "contains",
+    "contains_key",
+    "hash",
+    "fnv1a",
+    "fnv1a_fmt",
+];
 
 /// Runs every single-file rule on `f`.
 pub fn lint_file(f: &SourceFile) -> Vec<Finding> {
@@ -214,15 +224,16 @@ fn no_unordered_iteration(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// no-debug-keying: a `format!("…{:?}…")` value used as a key, hash
-/// input, or identity in the same statement. Debug output is not a
-/// stable identity (field order, float rendering, and derive output all
-/// shift under refactors) — the exact bug behind the PR 2 `Session`
-/// keying fix. Structural keys (`Eq`/`Hash` on the type) are the fix.
+/// no-debug-keying: a `format!("…{:?}…")` or `format_args!("…{:?}…")`
+/// value used as a key, hash input, or identity in the same statement.
+/// Debug output is not a stable identity (field order, float rendering,
+/// and derive output all shift under refactors) — the exact bug behind
+/// the `Session` keying fix that replaced Debug-string keys. Structural
+/// keys (`Eq`/`Hash` on the type) are the fix.
 fn no_debug_keying(f: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &f.tokens;
     for i in 0..toks.len() {
-        if !seq(toks, i, &["format", "!", "("]) {
+        if !seq(toks, i, &["format", "!", "("]) && !seq(toks, i, &["format_args", "!", "("]) {
             continue;
         }
         let Some(lit) = toks.get(i + 3) else { continue };

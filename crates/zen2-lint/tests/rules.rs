@@ -122,7 +122,7 @@ fn no_debug_keying_triple() {
         include_str!("fixtures/no_debug_keying/flagged.rs"),
         include_str!("fixtures/no_debug_keying/clean.rs"),
         include_str!("fixtures/no_debug_keying/suppressed.rs"),
-        &[4, 5],
+        &[4, 5, 7],
     );
 }
 

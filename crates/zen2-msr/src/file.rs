@@ -6,6 +6,11 @@
 //! The simulator plays the hardware role through [`MsrFile::poke`], which
 //! bypasses access control to keep status registers coherent with the
 //! machine state.
+//!
+//! Most registers hold one value per hardware thread. The RAPL energy
+//! counters hold one per domain, as on the hardware: `CORE_ENERGY_STAT`
+//! one per core and `PKG_ENERGY_STAT` one per package, so a read, peek,
+//! poke or bump through any thread of the domain reaches that one value.
 
 use crate::address as addr;
 use crate::cstate_addr::CstateBaseAddress;
@@ -49,14 +54,25 @@ impl fmt::Display for MsrError {
 
 impl std::error::Error for MsrError {}
 
-/// Number of registers implemented per hardware thread: eleven named
-/// registers plus the eight P-state definitions.
-const NUM_REGS: usize = 11 + addr::NUM_PSTATE_DEFS as usize;
+/// Number of registers stored per hardware thread: nine named registers
+/// plus the eight P-state definitions.
+const NUM_REGS: usize = 9 + addr::NUM_PSTATE_DEFS as usize;
 
-/// The storage slot of an implemented register; `None` for every other
+/// Where an implemented register's value lives.
+#[derive(Debug, Clone, Copy)]
+enum Storage {
+    /// One value per hardware thread, at this slot of its array.
+    Thread(usize),
+    /// One value per core, shared by its SMT siblings.
+    Core,
+    /// One value per package, shared by all of its threads.
+    Package,
+}
+
+/// The storage of an implemented register; `None` for every other
 /// address (those fault like a #GP).
-fn slot(msr: u32) -> Option<usize> {
-    Some(match msr {
+fn storage(msr: u32) -> Option<Storage> {
+    Some(Storage::Thread(match msr {
         addr::TSC => 0,
         addr::MPERF => 1,
         addr::APERF => 2,
@@ -66,15 +82,15 @@ fn slot(msr: u32) -> Option<usize> {
         addr::PSTATE_STAT => 6,
         addr::CSTATE_BASE_ADDR => 7,
         addr::RAPL_PWR_UNIT => 8,
-        addr::CORE_ENERGY_STAT => 9,
-        addr::PKG_ENERGY_STAT => 10,
+        addr::CORE_ENERGY_STAT => return Some(Storage::Core),
+        addr::PKG_ENERGY_STAT => return Some(Storage::Package),
         _ if (addr::PSTATE_DEF_BASE..addr::PSTATE_DEF_BASE + addr::NUM_PSTATE_DEFS)
             .contains(&msr) =>
         {
-            11 + (msr - addr::PSTATE_DEF_BASE) as usize
+            9 + (msr - addr::PSTATE_DEF_BASE) as usize
         }
         _ => return None,
-    })
+    }))
 }
 
 /// Registers that reject software writes. P-state definitions are locked on
@@ -93,12 +109,20 @@ fn read_only(msr: u32) -> bool {
     ) || (addr::PSTATE_DEF_BASE..addr::PSTATE_DEF_BASE + addr::NUM_PSTATE_DEFS).contains(&msr)
 }
 
-/// Per-thread MSR storage for a whole machine: one fixed array of the
-/// implemented registers per hardware thread, addressed through a
-/// register-to-slot `match`, so a clone is one flat copy.
+/// MSR storage for a whole machine: one fixed array of the per-thread
+/// registers per hardware thread, addressed through a register-to-slot
+/// `match`, plus one energy counter per core and per package, so a clone
+/// is a few flat copies.
 #[derive(Debug, Clone)]
 pub struct MsrFile {
     per_thread: Vec<[u64; NUM_REGS]>,
+    /// `CORE_ENERGY_STAT`, per core.
+    core_energy: Vec<u64>,
+    /// `PKG_ENERGY_STAT`, per package.
+    pkg_energy: Vec<u64>,
+    /// Threads are numbered core by core, and cores package by package.
+    threads_per_core: usize,
+    threads_per_package: usize,
 }
 
 impl MsrFile {
@@ -112,8 +136,9 @@ impl MsrFile {
     /// Initializes with a caller-provided P-state table.
     pub fn with_pstate_table(topology: &Topology, table: &PstateTable) -> Self {
         let mut template = [0u64; NUM_REGS];
-        let mut set = |msr: u32, value: u64| {
-            template[slot(msr).expect("reset values cover implemented registers")] = value;
+        let mut set = |msr: u32, value: u64| match storage(msr) {
+            Some(Storage::Thread(slot)) => template[slot] = value,
+            _ => panic!("reset values cover per-thread registers only: 0x{msr:08X}"),
         };
         set(addr::PSTATE_CUR_LIM, table.cur_lim_register());
         set(addr::CSTATE_BASE_ADDR, CstateBaseAddress::rome_default().encode());
@@ -121,30 +146,59 @@ impl MsrFile {
         for i in 0..addr::NUM_PSTATE_DEFS {
             set(addr::pstate_def(i), table.get(i as usize).map(|d| d.encode()).unwrap_or(0));
         }
-        Self { per_thread: vec![template; topology.num_threads()] }
+        let threads_per_core = topology.threads_per_core();
+        Self {
+            per_thread: vec![template; topology.num_threads()],
+            core_energy: vec![0; topology.num_cores()],
+            pkg_energy: vec![0; topology.num_sockets()],
+            threads_per_core,
+            threads_per_package: topology.cores_per_socket() * threads_per_core,
+        }
     }
 
-    fn regs(&self, thread: ThreadId) -> Result<&[u64; NUM_REGS], MsrError> {
-        self.per_thread.get(thread.index()).ok_or(MsrError::NoSuchCpu { thread: thread.0 })
+    /// The value `storage` keeps for thread index `t`; panics when the
+    /// machine has no such thread.
+    fn cell(&self, t: usize, storage: Storage) -> u64 {
+        match storage {
+            Storage::Thread(slot) => self.per_thread[t][slot],
+            Storage::Core => self.core_energy[t / self.threads_per_core],
+            Storage::Package => self.pkg_energy[t / self.threads_per_package],
+        }
     }
 
-    fn regs_mut(&mut self, thread: ThreadId) -> Result<&mut [u64; NUM_REGS], MsrError> {
-        self.per_thread.get_mut(thread.index()).ok_or(MsrError::NoSuchCpu { thread: thread.0 })
+    /// [`cell`](Self::cell), writable.
+    fn cell_mut(&mut self, t: usize, storage: Storage) -> &mut u64 {
+        match storage {
+            Storage::Thread(slot) => &mut self.per_thread[t][slot],
+            Storage::Core => &mut self.core_energy[t / self.threads_per_core],
+            Storage::Package => &mut self.pkg_energy[t / self.threads_per_package],
+        }
+    }
+
+    /// The index of `thread`, if the machine has it.
+    fn index(&self, thread: ThreadId) -> Result<usize, MsrError> {
+        let t = thread.index();
+        if t < self.per_thread.len() {
+            Ok(t)
+        } else {
+            Err(MsrError::NoSuchCpu { thread: thread.0 })
+        }
     }
 
     /// Software read (rdmsr through the msr module).
     pub fn read(&self, thread: ThreadId, msr: u32) -> Result<u64, MsrError> {
-        let slot = slot(msr).ok_or(MsrError::GeneralProtectionFault { msr })?;
-        Ok(self.regs(thread)?[slot])
+        let storage = storage(msr).ok_or(MsrError::GeneralProtectionFault { msr })?;
+        Ok(self.cell(self.index(thread)?, storage))
     }
 
     /// Software write (wrmsr through the msr module).
     pub fn write(&mut self, thread: ThreadId, msr: u32, value: u64) -> Result<(), MsrError> {
-        let slot = slot(msr).ok_or(MsrError::GeneralProtectionFault { msr })?;
+        let storage = storage(msr).ok_or(MsrError::GeneralProtectionFault { msr })?;
         if read_only(msr) {
             return Err(MsrError::ReadOnly { msr });
         }
-        self.regs_mut(thread)?[slot] = value;
+        let t = self.index(thread)?;
+        *self.cell_mut(t, storage) = value;
         Ok(())
     }
 
@@ -154,9 +208,9 @@ impl MsrFile {
     /// Panics on unknown threads or unimplemented registers — those are
     /// simulator bugs, not recoverable software errors.
     pub fn poke(&mut self, thread: ThreadId, msr: u32, value: u64) {
-        let slot =
-            slot(msr).unwrap_or_else(|| panic!("simulator poked unimplemented MSR 0x{msr:08X}"));
-        self.per_thread[thread.index()][slot] = value;
+        let storage =
+            storage(msr).unwrap_or_else(|| panic!("simulator poked unimplemented MSR 0x{msr:08X}"));
+        *self.cell_mut(thread.index(), storage) = value;
     }
 
     /// Hardware-side read without access checks.
@@ -164,9 +218,9 @@ impl MsrFile {
     /// # Panics
     /// Panics on unknown threads or unimplemented registers.
     pub fn peek(&self, thread: ThreadId, msr: u32) -> u64 {
-        let slot =
-            slot(msr).unwrap_or_else(|| panic!("simulator peeked unimplemented MSR 0x{msr:08X}"));
-        self.per_thread[thread.index()][slot]
+        let storage = storage(msr)
+            .unwrap_or_else(|| panic!("simulator peeked unimplemented MSR 0x{msr:08X}"));
+        self.cell(thread.index(), storage)
     }
 
     /// Adds a counter increment to a hardware-owned register (TSC, APERF,
@@ -232,7 +286,8 @@ mod tests {
             addr::PKG_ENERGY_STAT,
         ];
         let all: Vec<u32> = named.into_iter().chain((0..8).map(addr::pstate_def)).collect();
-        assert_eq!(all.len(), NUM_REGS);
+        // Every per-thread register plus the two energy counters.
+        assert_eq!(all.len(), NUM_REGS + 2);
         for (i, &msr) in all.iter().enumerate() {
             f.poke(ThreadId(5), msr, 0x1000 + i as u64);
         }
@@ -292,6 +347,25 @@ mod tests {
         f.poke(ThreadId(0), addr::APERF, u64::MAX);
         f.bump(ThreadId(0), addr::APERF, 2, 64);
         assert_eq!(f.peek(ThreadId(0), addr::APERF), 1);
+    }
+
+    #[test]
+    fn energy_counters_are_one_per_domain() {
+        let mut f = file();
+        // Core 1's SMT siblings are threads 2 and 3.
+        f.poke(ThreadId(2), addr::CORE_ENERGY_STAT, 77);
+        assert_eq!(f.read(ThreadId(3), addr::CORE_ENERGY_STAT).unwrap(), 77);
+        assert_eq!(f.read(ThreadId(1), addr::CORE_ENERGY_STAT).unwrap(), 0, "core 0");
+        f.bump(ThreadId(3), addr::CORE_ENERGY_STAT, 3, 32);
+        assert_eq!(f.peek(ThreadId(2), addr::CORE_ENERGY_STAT), 80);
+        // Package 1 holds threads 64..128: its first thread's value is
+        // its last thread's, and package 0's stays apart.
+        f.poke(ThreadId(64), addr::PKG_ENERGY_STAT, 9);
+        assert_eq!(f.read(ThreadId(127), addr::PKG_ENERGY_STAT).unwrap(), 9);
+        assert_eq!(f.read(ThreadId(63), addr::PKG_ENERGY_STAT).unwrap(), 0);
+        f.poke(ThreadId(63), addr::PKG_ENERGY_STAT, 5);
+        assert_eq!(f.read(ThreadId(0), addr::PKG_ENERGY_STAT).unwrap(), 5);
+        assert_eq!(f.read(ThreadId(127), addr::PKG_ENERGY_STAT).unwrap(), 9);
     }
 
     #[test]

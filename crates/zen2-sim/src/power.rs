@@ -7,18 +7,21 @@
 //! integrated segment; power is constant between evaluations, so energy
 //! integration is exact. It evaluates through its own `PowerEval`, whose
 //! per-core memo recomputes an active core's terms only when one of their
-//! five inputs changed bit for bit; [`evaluate`] runs the same code from
-//! an empty memo, so both give bit-identical breakdowns. After a segment
-//! in which only the die temperatures moved, `PowerEval::reevaluate_thermal`
-//! recomputes just the temperature-dependent terms, with the same
-//! expressions and the same package tail: from the last full
-//! evaluation's dense per-core activity estimates it makes one
-//! branch-free pass of the active expression over an awake package's
-//! cores, then writes the idle-core term to that package's gated cores,
-//! kept as an index list; a sleeping package is skipped. Each package's
-//! sum of true core powers and the awake package base power do not
-//! depend on temperature, so the full evaluation computes them once and
-//! the thermal path reuses them; only the estimates are summed again.
+//! five inputs changed bit for bit, and an active core whose inputs equal
+//! the previous active core's takes that core's terms, so a tick that
+//! re-weights every core alike computes them once; [`evaluate`] runs the
+//! same code from an empty memo, so both give bit-identical breakdowns.
+//! After a segment in which only the die temperatures moved,
+//! `PowerEval::reevaluate_thermal` recomputes just the
+//! temperature-dependent terms, with the same expressions and the same
+//! package tail: from the last full evaluation's dense per-core activity
+//! estimates it makes one branch-free pass of the active expression over
+//! an awake package's cores, then writes the idle-core term to that
+//! package's gated cores, kept as an index list; a sleeping package is
+//! skipped. Each package's sum of true core powers and the awake package
+//! base power do not depend on temperature, so the full evaluation
+//! computes them once and the thermal path reuses them; only the
+//! estimates are summed again.
 //!
 //! A machine that keeps no RAPL accounting skips even that: its thermal
 //! path recomputes only true package, DC and AC power and leaves the
@@ -212,6 +215,9 @@ impl PowerEval {
         est_terms.fill(EstimateTerms::default());
         self.est_activity_w.fill(0.0);
         self.gated.iter_mut().for_each(Vec::clear);
+        // The last active core's terms: the terms are a function of their
+        // key, so an equal key may take them.
+        let mut previous: Option<CoreTerms> = None;
 
         for core_idx in 0..num_cores {
             let core = zen2_topology::CoreId::from_index(core_idx);
@@ -242,8 +248,12 @@ impl PowerEval {
                         ghz_bits: f.to_bits(),
                         voltage_bits: v.to_bits(),
                     };
-                    let terms = match self.memo[core_idx] {
-                        Some(terms) if terms.key == key => terms,
+                    let terms = match (self.memo[core_idx], previous) {
+                        (Some(terms), _) if terms.key == key => terms,
+                        (_, Some(terms)) if terms.key == key => {
+                            self.memo[core_idx] = Some(terms);
+                            terms
+                        }
                         _ => {
                             let kernel = kernels.kernel(class);
                             let terms = CoreTerms {
@@ -258,6 +268,7 @@ impl PowerEval {
                             terms
                         }
                     };
+                    previous = Some(terms);
                     self.est_activity_w[core_idx] = terms.est_activity_w;
                     core_true_w[core_idx] = terms.true_w;
                     let noise_w = state.est_noise_w[core_idx];

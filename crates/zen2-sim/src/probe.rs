@@ -143,6 +143,13 @@ impl Probe {
                 | Probe::StreamTriadGbs(_)
         )
     }
+
+    /// Whether this probe reads the machine's AC power trace when its
+    /// window closes: [`Probe::AcTrueMeanW`], [`Probe::AcMeteredW`] and
+    /// [`Probe::MeterSamples`].
+    pub(crate) fn reads_ac_trace(&self) -> bool {
+        matches!(self, Probe::AcTrueMeanW | Probe::AcMeteredW | Probe::MeterSamples)
+    }
 }
 
 /// Which recorded tracer events a [`Probe::TraceEvents`] collects.

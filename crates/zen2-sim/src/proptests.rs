@@ -13,7 +13,7 @@ use crate::snapshot::Snapshot;
 use crate::stats::{FreqResidency, OnlineStats, P2Quantile, TransitionStats, Welford};
 use crate::time::{Ns, MILLISECOND};
 use crate::trace::{Event, Record};
-use crate::{Scenario, System};
+use crate::{Probe, Scenario, System, Window};
 use proptest::prelude::*;
 use rand::RngCore;
 use zen2_isa::{KernelClass, OperandWeight};
@@ -307,6 +307,43 @@ fn assert_batched_matches_single(ticks: &[(Ns, Vec<Op>)]) -> Result<(), TestCase
     Ok(())
 }
 
+/// One AC-reading window of [`trimmed_and_whole_traces_read_alike`]:
+/// `(shape, probe, offset ns, length ns)`, decoded against the window
+/// before it by [`ac_windows`].
+fn arb_ac_window() -> impl Strategy<Value = (u8, u8, u64, u64)> {
+    (0u8..4, 0u8..3, 0u64..60_000_000, 1u64..200_000_000)
+}
+
+/// Adds one AC-reading probe per decoded window to `sc`. Each window is
+/// free-standing, back to back with the one before it, nested inside it,
+/// or overlapping its end; an `AcMeteredW` window too short for a meter
+/// sample reads `AcTrueMeanW` instead.
+fn ac_windows(sc: &mut Scenario, windows: &[(u8, u8, u64, u64)]) {
+    let mut before = Window::span(0, 50 * MILLISECOND);
+    for (i, &(shape, probe, offset, len)) in windows.iter().enumerate() {
+        let window = match shape {
+            0 => Window::span(offset, offset + len),
+            1 => Window::span(before.to, before.to + len),
+            2 => {
+                let from = before.from + offset % (before.to - before.from);
+                Window::span(from, from + 1 + len % (before.to - from))
+            }
+            _ => {
+                let from = before.from + offset % (before.to - before.from);
+                Window::span(from, before.to + len)
+            }
+        };
+        let probe = match probe {
+            0 => Probe::AcTrueMeanW,
+            1 if window.to - window.from >= 120 * MILLISECOND => Probe::AcMeteredW,
+            1 => Probe::AcTrueMeanW,
+            _ => Probe::MeterSamples,
+        };
+        sc.probe(format!("w{i}"), probe, window);
+        before = window;
+    }
+}
+
 fn vf_points() -> Vec<(u32, f64)> {
     vec![(1500, 0.85), (2200, 0.95), (2500, 1.00)]
 }
@@ -542,6 +579,41 @@ proptest! {
             apply_action(&mut lean, action);
             assert_steps_alike(&full, &lean)?;
         }
+    }
+
+    /// A run that trims its AC trace behind its open windows, as a
+    /// session case does, measures what a run keeping the whole trace
+    /// does, bit for bit: random loaded tick schedules, with FIRESTARTER
+    /// everywhere in some, read by nested, overlapping and back-to-back
+    /// `AcTrueMeanW`, `AcMeteredW` and `MeterSamples` windows.
+    #[test]
+    fn trimmed_and_whole_traces_read_alike(
+        ticks in prop::collection::vec(
+            (1u64..40_000_000, prop::collection::vec(arb_tick_op(), 1..6)),
+            1..6,
+        ),
+        firestarter in any::<bool>(),
+        windows in prop::collection::vec(arb_ac_window(), 1..8),
+    ) {
+        let mut ticks: Vec<(Ns, Vec<Op>)> = ticks
+            .into_iter()
+            .map(|(gap, ops)| (gap, ops.into_iter().map(tick_op).collect()))
+            .collect();
+        if firestarter {
+            ticks[0].1.extend((0..128).map(|t| Op::Workload {
+                thread: ThreadId(t),
+                class: KernelClass::Firestarter,
+                weight: OperandWeight::HALF,
+            }));
+        }
+        let (mut sc, _) = tick_scenario(&ticks);
+        ac_windows(&mut sc, &windows);
+        let cfg = SimConfig::epyc_7502_2s();
+        prop_assume!(sc.validate(&cfg).is_ok());
+        let whole = System::new(cfg.clone(), 17).run_scenario(&sc).expect("validated");
+        let mut trimming = System::new(cfg, 17);
+        let trimmed = trimming.run_scenario_prechecked(&sc, true);
+        prop_assert_eq!(format!("{trimmed:?}"), format!("{whole:?}"));
     }
 
     /// The PPT controller never leaves its [min, max] range and always

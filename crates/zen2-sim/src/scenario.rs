@@ -18,11 +18,19 @@
 //! assert!(run.watts("busy") > 150.0);
 //! ```
 //!
-//! Execution walks the steps, the probes' mid-window obligations, their
-//! window ends and their window starts, each sorted by tick once, with
-//! one cursor each: the next breakpoint is the earliest tick under the
-//! four cursors. The RAPL polls and window opens due at one breakpoint
-//! read the energy MSRs of one sync.
+//! A scenario keeps its steps in time order (insertion order within one
+//! tick) and holds steps and probes behind `Arc`s, so a clone — a
+//! sweep's build function handing out its scenario, a
+//! [`Case`](crate::Case) — shares them and copies none. Each [`At`]
+//! cursor takes the steps once and puts its actions in time order.
+//!
+//! Execution walks the steps in that order and the probes' mid-window
+//! obligations, window ends and window starts, each sorted by tick once,
+//! with one cursor each: the next breakpoint is the earliest tick under
+//! the four cursors. The RAPL polls and window opens due at one
+//! breakpoint read the energy MSRs of one sync. A
+//! [`Session`](crate::Session) case also drops the AC-trace segments no
+//! probe can read any more (see `run_scenario_prechecked`).
 
 use crate::config::SimConfig;
 use crate::perf::ThreadCounters;
@@ -32,6 +40,7 @@ use crate::probe::{
 use crate::system::System;
 use crate::time::{from_secs, to_secs, Ns, MILLISECOND};
 use std::fmt;
+use std::sync::Arc;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_topology::ThreadId;
 
@@ -174,11 +183,13 @@ pub struct Step {
     pub op: Op,
 }
 
-/// A declarative machine schedule plus its observation plan.
+/// A declarative machine schedule plus its observation plan. Clones
+/// share the steps and probes until one of them is modified.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scenario {
-    steps: Vec<Step>,
-    probes: Vec<ProbeSpec>,
+    /// In time order, insertion order within one tick.
+    steps: Arc<Vec<Step>>,
+    probes: Arc<Vec<ProbeSpec>>,
     /// Minimum run length, ns (the scenario runs to at least here even if
     /// no step or window reaches that far).
     run_until: Ns,
@@ -192,7 +203,7 @@ impl Scenario {
 
     /// Opens a cursor scheduling actions at `t` nanoseconds.
     pub fn at(&mut self, t: Ns) -> At<'_> {
-        At { scenario: self, t }
+        At { steps: Arc::make_mut(&mut self.steps), t }
     }
 
     /// Opens a cursor scheduling actions at `t` seconds.
@@ -202,7 +213,7 @@ impl Scenario {
 
     /// Registers an observation.
     pub fn probe(&mut self, label: impl Into<String>, probe: Probe, window: Window) -> &mut Self {
-        self.probes.push(ProbeSpec { label: label.into(), probe, window });
+        Arc::make_mut(&mut self.probes).push(ProbeSpec { label: label.into(), probe, window });
         self
     }
 
@@ -217,7 +228,7 @@ impl Scenario {
         self.run_until(from_secs(t))
     }
 
-    /// The scheduled steps, in insertion order.
+    /// The scheduled steps, in time order, insertion order within a tick.
     pub fn steps(&self) -> &[Step] {
         &self.steps
     }
@@ -245,7 +256,7 @@ impl Scenario {
     /// Total scenario length: the furthest step, window edge, or
     /// [`run_until`](Self::run_until) point.
     pub fn end(&self) -> Ns {
-        let step_end = self.steps.iter().map(|s| s.at).max().unwrap_or(0);
+        let step_end = self.steps.last().map_or(0, |s| s.at);
         let probe_end = self.probes.iter().map(|p| p.window.to).max().unwrap_or(0);
         self.run_until.max(step_end).max(probe_end)
     }
@@ -282,7 +293,7 @@ impl Scenario {
             }
         };
 
-        for step in &self.steps {
+        for step in self.steps.iter() {
             match step.op {
                 Op::Workload { thread, .. } | Op::Idle { thread } => check_thread(thread)?,
                 Op::PstateMhz { thread, mhz } => {
@@ -302,14 +313,12 @@ impl Scenario {
             }
         }
 
-        // Schedule consistency: replay the steps in time order, tracking
-        // each thread's scheduling state, and reject transitions the
-        // runtime would panic on (or silently ignore) mid-simulation.
-        let mut ordered: Vec<&Step> = self.steps.iter().collect();
-        ordered.sort_by_key(|s| s.at);
+        // Schedule consistency: replay the steps (already in time order),
+        // tracking each thread's scheduling state, and reject transitions
+        // the runtime would panic on (or silently ignore) mid-simulation.
         assert_eq!(initial.len(), num_threads as usize, "initial state per thread");
         let mut threads = initial.clone();
-        for step in &ordered {
+        for step in self.steps.iter() {
             match step.op {
                 Op::Workload { thread, .. } | Op::Idle { thread }
                     if threads[thread.index()].offline =>
@@ -331,7 +340,7 @@ impl Scenario {
 
         // zen2-lint: allow(no-unordered-iteration) — membership-only duplicate-label probe; never iterated
         let mut labels = std::collections::HashSet::new();
-        for spec in &self.probes {
+        for spec in self.probes.iter() {
             if !labels.insert(spec.label.as_str()) {
                 return Err(ScenarioError::DuplicateLabel { label: spec.label.clone() });
             }
@@ -382,7 +391,7 @@ impl Scenario {
                     // instant).
                     let mut state = initial[callee.index()];
                     let mut steps =
-                        ordered.iter().filter(|s| s.op.target() == Some(callee)).peekable();
+                        self.steps.iter().filter(|s| s.op.target() == Some(callee)).peekable();
                     for k in 1..=count as u64 {
                         let t = w.from + k * gap;
                         while steps.peek().is_some_and(|s| s.at < t) {
@@ -452,48 +461,67 @@ impl Scenario {
 }
 
 /// A cursor scheduling actions at one point in time; every method chains.
+/// Its actions go behind every step scheduled at or before their time and
+/// in front of any later one, so the scenario stays in time order.
 pub struct At<'a> {
-    scenario: &'a mut Scenario,
+    steps: &'a mut Vec<Step>,
     t: Ns,
 }
 
+// The methods are inlined across crates: a Fig. 10 build chains 384k of
+// them.
 impl At<'_> {
+    #[inline]
     fn push(self, op: Op) -> Self {
-        self.scenario.steps.push(Step { at: self.t, op });
+        let step = Step { at: self.t, op };
+        match self.steps.last() {
+            Some(last) if last.at > self.t => {
+                let i = self.steps.partition_point(|s| s.at <= self.t);
+                self.steps.insert(i, step);
+            }
+            _ => self.steps.push(step),
+        }
         self
     }
 
     /// Schedules a workload on a hardware thread.
+    #[inline]
     pub fn workload(self, thread: ThreadId, class: KernelClass, weight: OperandWeight) -> Self {
         self.push(Op::Workload { thread, class, weight })
     }
 
     /// Schedules the removal of a thread's workload.
+    #[inline]
     pub fn idle(self, thread: ThreadId) -> Self {
         self.push(Op::Idle { thread })
     }
 
     /// Schedules a frequency request.
+    #[inline]
     pub fn pstate(self, thread: ThreadId, mhz: u32) -> Self {
         self.push(Op::PstateMhz { thread, mhz })
     }
 
     /// Schedules a C-state enable/disable.
+    #[inline]
     pub fn cstate(self, thread: ThreadId, level: u8, enabled: bool) -> Self {
         self.push(Op::CstateEnabled { thread, level, enabled })
     }
 
     /// Schedules a hotplug transition.
+    #[inline]
     pub fn online(self, thread: ThreadId, online: bool) -> Self {
         self.push(Op::Online { thread, online })
     }
 
     /// Schedules a thermal pre-heat (steady-state fast-forward).
+    #[inline]
     pub fn preheat(self) -> Self {
         self.push(Op::Preheat)
     }
 
     /// Schedules enabling/disabling the event tracer.
+    #[inline]
     pub fn tracing(self, enabled: bool) -> Self {
         self.push(Op::Tracing(enabled))
     }
@@ -696,18 +724,30 @@ impl System {
     /// or tracing toggle still resolves on its own, after the actions
     /// before it.
     ///
-    /// The machine keeps its RAPL accounting whatever the scenario reads;
-    /// only [`Session`](crate::Session) runs a scenario that reads no RAPL
-    /// counter without it, with the same results.
+    /// The machine keeps its RAPL accounting whatever the scenario reads,
+    /// and its whole AC trace, so [`trace_mean_w`](Self::trace_mean_w)
+    /// can read any past window afterwards; only
+    /// [`Session`](crate::Session) runs a scenario that reads no RAPL
+    /// counter without the accounting, and trims the trace, with the same
+    /// results.
     pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<Run, ScenarioError> {
         scenario.validate_with(self.config(), self.scheduling_snapshot())?;
-        Ok(self.run_scenario_prechecked(scenario))
+        Ok(self.run_scenario_prechecked(scenario, false))
     }
 
     /// Executes an already-validated scenario ([`Session`](crate::Session)
     /// validates each shard's cases before running them and skips the
     /// per-case re-check).
-    pub(crate) fn run_scenario_prechecked(&mut self, scenario: &Scenario) -> Run {
+    ///
+    /// With `trim_trace`, each breakpoint, after its window ends, drops
+    /// the AC-trace segments that end before the earliest open window
+    /// reading the trace ([`Probe::AcTrueMeanW`], [`Probe::AcMeteredW`],
+    /// [`Probe::MeterSamples`]), or before now when none is open, once
+    /// they are at least half the trace. No later read reaches them: a
+    /// window not yet open starts at or after now. A run that closes such
+    /// windows one after another then holds about one window's segments,
+    /// however long it runs, and every measurement stays bit-identical.
+    pub(crate) fn run_scenario_prechecked(&mut self, scenario: &Scenario, trim_trace: bool) -> Run {
         let offset = self.now_ns();
 
         // A trace probe needs the tracer running for the whole scenario;
@@ -740,15 +780,17 @@ impl System {
         let mut starts: Vec<usize> =
             (0..probes.len()).filter(|&i| !probes[i].window.is_instant()).collect();
         starts.sort_by_key(|&i| probes[i].window.from);
-        let mut ordered_steps: Vec<&Step> = scenario.steps().iter().collect();
-        ordered_steps.sort_by_key(|s| s.at);
+        let steps = scenario.steps();
         let (mut mid_cursor, mut end_cursor, mut start_cursor, mut step_cursor) = (0, 0, 0, 0);
+        // The earliest-opened window that may still read the AC trace: no
+        // window before it in `starts` does.
+        let mut oldest_trace_reader = 0;
 
         let mut states: Vec<ProbeState> = probes.iter().map(|_| ProbeState::Idle).collect();
 
         loop {
             let next = [
-                ordered_steps.get(step_cursor).map(|s| s.at),
+                steps.get(step_cursor).map(|s| s.at),
                 mids.get(mid_cursor).map(|&(at, _)| at),
                 ends.get(end_cursor).map(|&i| probes[i].window.to),
                 starts.get(start_cursor).map(|&i| probes[i].window.from),
@@ -852,10 +894,22 @@ impl System {
                 *state = ProbeState::Done(done);
             }
 
+            if trim_trace {
+                while starts[..start_cursor].get(oldest_trace_reader).is_some_and(|&i| {
+                    !probes[i].probe.reads_ac_trace() || matches!(states[i], ProbeState::Done(_))
+                }) {
+                    oldest_trace_reader += 1;
+                }
+                let keep_from = starts[..start_cursor]
+                    .get(oldest_trace_reader)
+                    .map_or(offset + t, |&i| offset + probes[i].window.from);
+                self.trim_ac_trace(keep_from);
+            }
+
             // 3. Scheduled actions due now (insertion order within the tick),
             //    resolved once after the last of them.
-            let due = ordered_steps[step_cursor..].iter().take_while(|s| s.at == t).count();
-            self.apply_ops(ordered_steps[step_cursor..step_cursor + due].iter().map(|s| s.op));
+            let due = steps[step_cursor..].iter().take_while(|s| s.at == t).count();
+            self.apply_ops(steps[step_cursor..step_cursor + due].iter().map(|s| s.op));
             step_cursor += due;
 
             // 4. Window starts due now open on the post-action state.
@@ -1101,6 +1155,47 @@ mod tests {
         assert_eq!(sc.run_until_ns(), MILLISECOND);
         assert_eq!(sc.end(), 7 * MILLISECOND);
         assert!(sc.validate(&cfg()).is_ok(), "steps after run_until are legal");
+    }
+
+    #[test]
+    fn out_of_order_cursors_build_the_time_ordered_scenario() {
+        let t = |i| ThreadId(i);
+        let busy = |sc: &mut Scenario, at, thread| {
+            sc.at(at).workload(thread, KernelClass::BusyWait, OperandWeight::HALF);
+        };
+        let probes = |sc: &mut Scenario| {
+            sc.probe("ac", Probe::AcTrueMeanW, Window::span(0, 4 * MILLISECOND));
+            sc.probe("ghz", Probe::EffectiveGhz(CoreId(1)), Window::at(3 * MILLISECOND));
+        };
+        let mut in_order = Scenario::new();
+        busy(&mut in_order, 0, t(0));
+        busy(&mut in_order, MILLISECOND, t(2));
+        in_order.at(2 * MILLISECOND).idle(t(0)).pstate(t(2), 1500).pstate(t(3), 1500);
+        in_order.at(2 * MILLISECOND).idle(t(5));
+        in_order.at(4 * MILLISECOND).preheat();
+        probes(&mut in_order);
+
+        // The same steps, each tick's cursors in the same order, the
+        // ticks shuffled.
+        let mut shuffled = Scenario::new();
+        shuffled.at(4 * MILLISECOND).preheat();
+        shuffled.at(2 * MILLISECOND).idle(t(0)).pstate(t(2), 1500).pstate(t(3), 1500);
+        busy(&mut shuffled, 0, t(0));
+        shuffled.at(2 * MILLISECOND).idle(t(5));
+        busy(&mut shuffled, MILLISECOND, t(2));
+        probes(&mut shuffled);
+
+        assert_eq!(shuffled.steps(), in_order.steps());
+        assert!(shuffled.steps().windows(2).all(|w| w[0].at <= w[1].at));
+        assert_eq!(format!("{shuffled:?}"), format!("{in_order:?}"));
+        assert_eq!(shuffled.end(), 4 * MILLISECOND);
+        assert_eq!(shuffled.validate(&cfg()), Ok(()));
+        let run = |sc: &Scenario| System::new(cfg(), 4).run_scenario(sc).unwrap();
+        assert_eq!(format!("{:?}", run(&shuffled)), format!("{:?}", run(&in_order)));
+
+        let clone = shuffled.clone();
+        assert!(Arc::ptr_eq(&clone.steps, &shuffled.steps), "a clone shares its steps");
+        assert!(Arc::ptr_eq(&clone.probes, &shuffled.probes), "and its probes");
     }
 
     /// Runs a scenario with one probe `declare` adds per label, declared

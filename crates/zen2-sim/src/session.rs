@@ -20,6 +20,14 @@
 //! result bit-identical to a run with accounting. Each `case` span
 //! records the choice as its `rapl_accounting` attribute.
 //!
+//! A case holds only what a probe can still read. Its scenario's steps
+//! and probes are shared with the case's source (a [`Scenario`] clone
+//! copies no step), and its machine drops the AC-trace segments that
+//! end before its earliest open AC-reading window, so a long scenario
+//! whose windows close one after another runs in memory bounded by one
+//! window, with every result bit-identical to
+//! [`System::run_scenario`], which keeps the whole trace.
+//!
 //! A case that panics mid-simulation does not take the batch down with
 //! it: the panic is caught on the worker, attributed to its case, and
 //! surfaced as a [`SessionError`] while every other case of its shard
@@ -285,12 +293,13 @@ impl Session {
 
 /// The executor of every public entry point: each group was validated
 /// before it runs. A machine whose scenario reads no RAPL counter keeps
-/// no RAPL accounting.
+/// no RAPL accounting, and every case trims its AC trace behind its open
+/// windows.
 fn run_prechecked(sys: &mut System, case: &Case) -> Run {
     if !case.scenario.reads_rapl() {
         sys.drop_rapl_accounting();
     }
-    sys.run_scenario_prechecked(&case.scenario)
+    sys.run_scenario_prechecked(&case.scenario, true)
 }
 
 /// Validates one case, attributing any scenario error to its label.
@@ -444,6 +453,9 @@ impl std::error::Error for SessionError {
 mod tests {
     use super::*;
     use crate::probe::{Probe, Window};
+    use crate::time::MILLISECOND;
+    use zen2_isa::{KernelClass, OperandWeight};
+    use zen2_topology::ThreadId;
 
     /// A scenario cheap enough for the containment tests: one instant
     /// read at t = 0.
@@ -520,7 +532,7 @@ mod tests {
                     if case.label == "boom" {
                         panic!("stream kaboom");
                     }
-                    sys.run_scenario_prechecked(&case.scenario)
+                    run_prechecked(sys, case)
                 },
             )
             .unwrap_err();
@@ -565,7 +577,7 @@ mod tests {
                     if case.label == "boom" {
                         panic!("kaboom in {}", case.label);
                     }
-                    sys.run_scenario_prechecked(&case.scenario)
+                    run_prechecked(sys, case)
                 },
             )
             .unwrap_err();
@@ -593,7 +605,7 @@ mod tests {
                         if case.label.starts_with("boom") {
                             panic!("{} fell over", case.label);
                         }
-                        sys.run_scenario_prechecked(&case.scenario)
+                        run_prechecked(sys, case)
                     },
                 )
                 .unwrap_err();
@@ -615,11 +627,69 @@ mod tests {
                     panic!("down");
                 }
                 executed.lock().unwrap().push(case.label.clone());
-                sys.run_scenario_prechecked(&case.scenario)
+                run_prechecked(sys, case)
             },
         );
         let mut ran = executed.into_inner().unwrap();
         ran.sort();
         assert_eq!(ran, ["a", "c", "d"]);
+    }
+
+    /// 1 ms slots per AC window of [`throttled_windows`].
+    const SLOTS_PER_WINDOW: u64 = 100;
+
+    /// 128 FIRESTARTER threads, preheated so the PPT loop throttles them,
+    /// read by `windows` back-to-back 100 ms `AcTrueMeanW` windows under
+    /// one `RaplW` window spanning them all.
+    fn throttled_windows(windows: u64) -> Scenario {
+        let mut sc = Scenario::new();
+        let mut at = sc.at(0);
+        for t in 0..128 {
+            at = at.workload(ThreadId(t), KernelClass::Firestarter, OperandWeight::HALF);
+        }
+        at.preheat();
+        let window_ns = SLOTS_PER_WINDOW * MILLISECOND;
+        for k in 0..windows {
+            let window = Window::span(k * window_ns, (k + 1) * window_ns);
+            sc.probe(format!("ac{k}"), Probe::AcTrueMeanW, window);
+        }
+        sc.probe("rapl", Probe::RaplW, Window::span(0, windows * window_ns));
+        sc
+    }
+
+    #[test]
+    fn a_session_case_keeps_an_ac_trace_bounded_in_scenario_length() {
+        let cfg = SimConfig::epyc_7502_2s();
+        for windows in [4, 16] {
+            let case = Case::new("throttled", cfg.clone(), throttled_windows(windows), 3);
+            let mut direct = System::new(cfg.clone(), case.seed);
+            let full = direct.run_scenario(&case.scenario).unwrap();
+            let mut session_way = System::new(cfg.clone(), case.seed);
+            let trimmed = run_prechecked(&mut session_way, &case);
+            assert_eq!(format!("{trimmed:?}"), format!("{full:?}"), "{windows} windows");
+            // Throttled slots each start a segment, so the whole trace
+            // grows with the scenario...
+            assert!(
+                direct.ac_trace_high_water() as u64 > windows * SLOTS_PER_WINDOW * 9 / 10,
+                "{windows} windows: {} segments",
+                direct.ac_trace_high_water()
+            );
+            // ...while the session keeps about one window's segments.
+            assert!(
+                session_way.ac_trace_high_water() as u64 <= 2 * SLOTS_PER_WINDOW + 8,
+                "{windows} windows: {} segments",
+                session_way.ac_trace_high_water()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before the kept trace")]
+    fn a_trimmed_trace_refuses_a_window_before_it() {
+        let cfg = SimConfig::epyc_7502_2s();
+        let case = Case::new("throttled", cfg.clone(), throttled_windows(4), 3);
+        let mut sys = System::new(cfg, case.seed);
+        run_prechecked(&mut sys, &case);
+        sys.trace_mean_w(0, sys.now_ns());
     }
 }

@@ -4,12 +4,20 @@
 //! scheduling actions draws each action's noise uniforms as it comes,
 //! then settles each touched core once and re-evaluates clocks and power
 //! once, and resolves no DVFS (it moves no request and no cap); a P-state
-//! request resolves only its own core. A segment reuses the thermal α of
-//! the last segment length, so a run of 1 ms slots computes `exp` once,
-//! and RAPL publication copies no counter. A machine that keeps no RAPL
+//! request resolves only its own core. Clocks re-resolve only in the CCXs
+//! whose applied frequencies or core activity moved. A segment reuses the
+//! thermal α of the last segment length, so a run of 1 ms slots computes
+//! `exp` once, and RAPL publication copies no counter; a RAPL sync writes
+//! each energy counter once per domain. A machine that keeps no RAPL
 //! accounting (see `System::drop_rapl_accounting`) integrates no RAPL
 //! energy, skips the estimates in thermal-only steps, and lets its PPT
 //! loop decide from a bound on each package estimate.
+//!
+//! The machine records its AC power as a piecewise-constant trace, one
+//! segment per change. A hand-driven machine keeps all of it, so
+//! `System::trace_mean_w` can read any past window; a session case drops
+//! the segments behind its open windows as it runs (see
+//! `System::trim_ac_trace`), so its trace stays about one window long.
 
 use crate::ccx;
 use crate::config::SimConfig;
@@ -48,6 +56,10 @@ enum Touch {
     Noise { u1: f64, u2: f64 },
 }
 
+/// What one CCX's clocks resolve from: each core's applied frequency and
+/// whether it has an active thread.
+type CcxInputs = ([u32; ccx::CORES_PER_CCX], [bool; ccx::CORES_PER_CCX]);
+
 /// The simulated system.
 #[derive(Clone)]
 pub struct System {
@@ -80,6 +92,10 @@ pub struct System {
     core_eff_ghz: Vec<f64>,
     core_voltage: Vec<f64>,
     est_noise_w: Vec<f64>,
+    /// Per CCX, the applied frequencies and core activity its clocks,
+    /// voltages and `PSTATE_STAT` were last resolved from; `None` until
+    /// the first resolution.
+    ccx_resolved: Vec<Option<CcxInputs>>,
 
     // Per-package state.
     controllers: Vec<PptController>,
@@ -104,8 +120,13 @@ pub struct System {
     /// with `breakdown`.
     next_breakdown: PowerBreakdown,
     ac_energy_j: f64,
-    /// Piecewise-constant AC power trace: `(segment start, watts)`.
+    /// Piecewise-constant AC power trace: `(segment start, watts)`, from
+    /// boot or, once trimmed (see [`trim_ac_trace`](Self::trim_ac_trace)),
+    /// from the first segment a probe can still read.
     trace: Vec<(Ns, f64)>,
+    /// The longest the AC trace has been.
+    #[cfg(test)]
+    trace_high_water: usize,
     /// Event recorder (disabled by default).
     tracer: Tracer,
 }
@@ -146,6 +167,7 @@ impl System {
             core_eff_ghz: vec![nominal as f64 / 1000.0; num_cores],
             core_voltage: vec![cfg.voltage_for_mhz(nominal); num_cores],
             est_noise_w: vec![0.0; num_cores],
+            ccx_resolved: vec![None; topo.num_ccxs()],
             controllers,
             die_temp_c: vec![cfg.power.thermal.ambient_c; num_pkgs],
             thermal_alpha: (0, cfg.power.thermal.alpha(0.0)),
@@ -162,6 +184,8 @@ impl System {
             next_breakdown: PowerBreakdown::zeroed(&topo),
             ac_energy_j: 0.0,
             trace: Vec::new(),
+            #[cfg(test)]
+            trace_high_water: 0,
             tracer: Tracer::new(),
             cfg,
         };
@@ -302,6 +326,12 @@ impl System {
     #[cfg(test)]
     pub(crate) fn ac_trace(&self) -> &[(Ns, f64)] {
         &self.trace
+    }
+
+    /// The longest the AC trace has been since boot, in segments.
+    #[cfg(test)]
+    pub(crate) fn ac_trace_high_water(&self) -> usize {
+        self.trace_high_water
     }
 
     /// Every core's DVFS target: its queued, pending or applied frequency.
@@ -664,8 +694,18 @@ impl System {
     /// last segment beginning at or before `from` and stops at the first
     /// one beginning at or after `to`. The segments outside never added
     /// anything, so the sum is the full scan's, bit for bit.
+    ///
+    /// # Panics
+    /// Panics on an empty or future window, and on a window that starts
+    /// before the kept trace: a [`Session`](crate::Session) case keeps
+    /// only the segments its open windows can read.
     pub fn trace_mean_w(&self, from: Ns, to: Ns) -> f64 {
         assert!(from < to && to <= self.now, "invalid trace window");
+        assert!(
+            from >= self.trace[0].0,
+            "AC trace window starts at {from} ns, before the kept trace ({} ns)",
+            self.trace[0].0
+        );
         let first = self.trace.partition_point(|&(start, _)| start <= from).saturating_sub(1);
         let mut energy = 0.0;
         for (idx, &(seg_start, watts)) in self.trace.iter().enumerate().skip(first) {
@@ -696,20 +736,17 @@ impl System {
         };
         rapl.maybe_publish(self.now);
         let rapl = &*rapl;
+        // The MSR file keeps one counter per domain: one poke through the
+        // domain's first thread reaches every thread of it.
         let tpc = self.cfg.topology.threads_per_core();
         for core in 0..self.cfg.topology.num_cores() {
             let raw = rapl.core_counter(core) as u64;
-            for sib in 0..tpc {
-                self.msrs.poke(ThreadId((core * tpc + sib) as u32), address::CORE_ENERGY_STAT, raw);
-            }
+            self.msrs.poke(ThreadId((core * tpc) as u32), address::CORE_ENERGY_STAT, raw);
         }
+        let threads_per_pkg = self.cfg.topology.cores_per_socket() * tpc;
         for pkg in 0..self.cfg.topology.num_sockets() {
             let raw = rapl.package_counter(pkg) as u64;
-            for t in 0..self.cfg.topology.cores_per_socket() * tpc {
-                let thread =
-                    ThreadId((pkg * self.cfg.topology.cores_per_socket() * tpc + t) as u32);
-                self.msrs.poke(thread, address::PKG_ENERGY_STAT, raw);
-            }
+            self.msrs.poke(ThreadId((pkg * threads_per_pkg) as u32), address::PKG_ENERGY_STAT, raw);
         }
     }
 
@@ -813,9 +850,11 @@ impl System {
         self.breakdown.pkg_est_w[pkg]
     }
 
-    /// Resolves every core's clocks, then re-evaluates power. Thread
-    /// states, IPC and clocks have all settled by now, so this is where
-    /// the counter grouping goes stale.
+    /// Resolves the clocks of every CCX whose applied frequencies or core
+    /// activity moved since its last resolution (the others would resolve
+    /// to what they hold), then re-evaluates power. Thread states, IPC and
+    /// clocks have all settled by now, so this is where the counter
+    /// grouping goes stale.
     fn update_clocks_and_power(&mut self) {
         self.counters.invalidate();
         let tpc = self.cfg.topology.threads_per_core();
@@ -826,6 +865,10 @@ impl System {
                 std::array::from_fn(|i| self.smu.core(base + i).applied_mhz());
             let active: [bool; ccx::CORES_PER_CCX] =
                 std::array::from_fn(|i| self.core_has_active_thread(CoreId::from_index(base + i)));
+            if self.ccx_resolved[ccx] == Some((applied, active)) {
+                continue;
+            }
+            self.ccx_resolved[ccx] = Some((applied, active));
             let clocks = ccx::resolve(&applied, &active, self.cfg.ccx_coupling);
             for (i, &mhz) in applied.iter().enumerate() {
                 let core = base + i;
@@ -900,6 +943,23 @@ impl System {
     fn trace_ac(&mut self, before_ac_w: f64) {
         if (self.breakdown.ac_w - before_ac_w).abs() > 1e-9 || self.trace.is_empty() {
             self.trace.push((self.now, self.breakdown.ac_w));
+            #[cfg(test)]
+            {
+                self.trace_high_water = self.trace_high_water.max(self.trace.len());
+            }
+        }
+    }
+
+    /// Drops the AC-trace segments that end at or before `keep_from`, once
+    /// they are at least half the trace, so a drain moves no more segments
+    /// than it drops. The segment holding `keep_from` stays first: a
+    /// [`trace_mean_w`](Self::trace_mean_w) window starting at or after
+    /// `keep_from` scans the same segments in the same order as on the
+    /// whole trace, bit for bit.
+    pub(crate) fn trim_ac_trace(&mut self, keep_from: Ns) {
+        let dead = self.trace.partition_point(|&(start, _)| start <= keep_from).saturating_sub(1);
+        if dead > 0 && 2 * dead >= self.trace.len() {
+            self.trace.drain(..dead);
         }
     }
 
@@ -1087,6 +1147,24 @@ mod tests {
         sys.run_for_ns(5 * MILLISECOND);
         let eff = sys.effective_core_ghz(CoreId(0));
         assert!((eff - 2.0).abs() < 0.001, "Table I cell: {eff:.4} GHz");
+    }
+
+    #[test]
+    fn ccx_clocks_follow_activity_without_a_frequency_change() {
+        let mut sys = boot();
+        // Table I's cell: core 0 at 2.2 GHz under a 2.5 GHz mesh.
+        for t in 0..8u32 {
+            sys.set_workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
+            sys.set_thread_pstate_mhz(ThreadId(t), if t < 2 { 2200 } else { 2500 });
+        }
+        sys.run_for_ns(5 * MILLISECOND);
+        assert!((sys.effective_core_ghz(CoreId(0)) - 2.0).abs() < 0.001);
+        // Cores 1-3 go idle and keep their 2.5 GHz: no applied frequency
+        // moves, but the mesh follows core 0 now, which runs undivided.
+        for t in 2..8u32 {
+            sys.set_idle(ThreadId(t));
+        }
+        assert_eq!(sys.effective_core_ghz(CoreId(0)), 2.2);
     }
 
     #[test]

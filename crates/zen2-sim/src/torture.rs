@@ -28,9 +28,12 @@
 //!   round-trip through their exact-JSON wire format bit-for-bit.
 //!
 //! Worker-count/shard-split invariance and the differential
-//! `System::run_scenario`-vs-streaming check need more than one
-//! execution of the same case, so they live in the `torture` bin and
-//! the proptest suite, both of which drive this module. A greedy
+//! `System::run_scenario`-vs-streaming check need more than one execution
+//! of the same case, so they live in the `torture` bin and the proptest
+//! suite, both of which drive this module. The streaming side runs a case
+//! without RAPL accounting when it reads no RAPL counter
+//! ([`keeps_rapl_accounting`]) and trims its AC trace behind its open
+//! windows ([`trims_ac_trace`]); the direct side does neither. A greedy
 //! [`shrink_scenario`] reduces a failing case to a minimal reproducer
 //! (the vendored proptest shim does not shrink), and [`inject_fault`]
 //! seeds deliberate violations so the checker itself stays tested. See
@@ -992,6 +995,18 @@ pub fn check_case(case: &Case, run: &Run) -> Vec<Violation> {
 /// runs, which keep it.
 pub fn keeps_rapl_accounting(case: &Case) -> bool {
     case.scenario.reads_rapl()
+}
+
+/// Whether [`Session`](crate::Session) trims `case`'s AC trace behind a
+/// window that read it: its scenario closes a window reading the trace
+/// ([`Probe::AcTrueMeanW`], [`Probe::AcMeteredW`] or
+/// [`Probe::MeterSamples`]) before its end, so the run goes on without
+/// the segments behind it. The differential soak compares those runs
+/// with direct [`System::run_scenario`](crate::System::run_scenario)
+/// runs, which keep the whole trace.
+pub fn trims_ac_trace(case: &Case) -> bool {
+    let end = case.scenario.end();
+    case.scenario.probes().iter().any(|spec| spec.probe.reads_ac_trace() && spec.window.to < end)
 }
 
 /// Whether the PPT loop moved a cap during `run`: its [`EV_ALL`] trace
