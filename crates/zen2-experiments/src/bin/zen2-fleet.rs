@@ -12,14 +12,13 @@
 //!
 //! Supported targets are the bins with a checkpointed grid in the
 //! experiment table, and `all`. Each target's checkpoint files come
-//! from that table (`zen2_experiments::checkpoint_suffixes`): today
-//! `fig06`, `fig07`, `fig09`, `tab1` and `ext_manycore` write one file,
-//! `fig10` two, and `all` seven. `all`'s shard mode folds only the wide
-//! grids; the narrow experiments re-run deterministically in the
-//! re-emit pass. `--drill-kill <i>` aborts
+//! from that table (`zen2_experiments::checkpoint_suffixes`): each
+//! figure bin writes one file, and `all` six, one per grid. `all`'s
+//! shard mode folds only the grids; the narrow experiments re-run
+//! deterministically in the re-emit pass. `--drill-kill <i>` aborts
 //! shard `i`'s first attempt after one checkpoint save — a fault drill
 //! for the retry path; it needs a target whose bin forwards
-//! `--halt-after` (the single-grid bins; `fig10` and `all` drop it).
+//! `--halt-after` (every figure bin with a grid; `all` drops it).
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -408,15 +407,15 @@ mod tests {
     #[test]
     fn suffix_table_matches_the_bins_checkpoint_layout() {
         assert_eq!(checkpoint_suffixes("fig09"), [""]);
-        assert_eq!(checkpoint_suffixes("fig10"), ["-vxorps", "-shr"]);
+        assert_eq!(checkpoint_suffixes("fig10"), [""]);
         assert_eq!(
             checkpoint_suffixes("all"),
-            ["-tab1", "-fig06", "-fig07", "-fig09", "-fig10-vxorps", "-fig10-shr", "-ext_manycore"]
+            ["-tab1", "-fig06", "-fig07", "-fig09", "-fig10", "-ext_manycore"]
         );
         assert!(checkpoint_suffixes("fig03").is_empty());
         assert_eq!(
-            path_with_suffix(&PathBuf::from("/tmp/fleet.shard0"), "-vxorps"),
-            PathBuf::from("/tmp/fleet.shard0-vxorps")
+            path_with_suffix(&PathBuf::from("/tmp/fleet.shard0"), "-fig10"),
+            PathBuf::from("/tmp/fleet.shard0-fig10")
         );
     }
 }

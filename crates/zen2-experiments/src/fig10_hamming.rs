@@ -12,11 +12,13 @@
 //! sequence is pre-drawn from the seed, each block re-schedules the
 //! kernel at its weight, and every block carries its own AC
 //! ([`Probe::AcTrueMeanW`]), RAPL package ([`Probe::RaplW`]) and RAPL
-//! core-0 ([`Probe::RaplCoreW`]) windows. The blocks must share one
-//! machine (thermal state carries across them, which is exactly the
-//! side channel under study), so the grid is a single-case [`Sweep`]
-//! over an instruction axis streamed through the [`Session`] worker
-//! pool, its one run reduced into per-weight buckets.
+//! core-0 ([`Probe::RaplCoreW`]) windows. The blocks of one instruction
+//! must share one machine (thermal state carries across them, which is
+//! exactly the side channel under study), so each instruction is one
+//! case of a [`Sweep`] over an instruction axis, streamed through the
+//! [`Session`] worker pool and reduced into per-weight buckets. The
+//! figure runs both instructions as one two-case grid ([`run_grid`]);
+//! [`run`] runs one of them alone, as the same case.
 
 use crate::report::Table;
 use crate::Scale;
@@ -135,7 +137,7 @@ pub fn scenario(cfg: &Config, seed: u64, class: KernelClass) -> (Scenario, Vec<O
 }
 
 /// The three per-weight metric buckets one instruction's blocks reduce
-/// into — the cell of the sweep's one case.
+/// into — the cell of its case.
 #[derive(Debug, Default)]
 struct WeightBuckets {
     ac_w: WeightSamples,
@@ -179,17 +181,27 @@ impl Snapshot for WeightBuckets {
     }
 }
 
-/// The weight sweep as a declarative [`Sweep`]: a single-value
-/// instruction axis (the blocks of one instruction must share one
-/// machine, so they stay inside one case), plus the pre-drawn per-block
-/// weight sequence its scenario schedules.
-pub fn sweep(cfg: &Config, seed: u64, class: KernelClass) -> (Sweep, Vec<OperandWeight>) {
-    let (sc, weights) = scenario(cfg, seed, class);
+/// The weight sweeps of `(instruction, seed)` pairs as one [`Sweep`] over
+/// an instruction axis: case `i` runs pair `i`'s scenario on a machine
+/// seeded `child_seed(seed, 0)`, whatever the other pairs. Also returns
+/// each case's pre-drawn per-block weight sequence.
+fn grid(cfg: &Config, pairs: &[(KernelClass, u64)]) -> (Sweep, Vec<Vec<OperandWeight>>) {
+    let (scenarios, weights): (Vec<Scenario>, Vec<_>) =
+        pairs.iter().map(|&(class, seed)| scenario(cfg, seed, class)).unzip();
+    let seeds: Vec<u64> = pairs.iter().map(|&(_, seed)| child_seed(seed, 0)).collect();
     let sim_cfg = SimConfig::epyc_7502_2s();
-    let sweep = Sweep::new("fig10", move |_| (sim_cfg.clone(), sc.clone()))
-        .seed(seed)
-        .axis(Axis::new("instr", [class.name()]));
+    let sweep = Sweep::new("fig10", move |ix| (sim_cfg.clone(), scenarios[ix[0]].clone()))
+        .seed_fn(move |index| seeds[index as usize])
+        .axis(Axis::new("instr", pairs.iter().map(|(class, _)| class.name())));
     (sweep, weights)
+}
+
+/// The weight sweep of one instruction as a declarative [`Sweep`] of one
+/// case, plus the pre-drawn per-block weight sequence its scenario
+/// schedules.
+pub fn sweep(cfg: &Config, seed: u64, class: KernelClass) -> (Sweep, Vec<OperandWeight>) {
+    let (sweep, mut weights) = grid(cfg, &[(class, seed)]);
+    (sweep, weights.swap_remove(0))
 }
 
 /// Runs the weight sweep for one instruction kernel through the
@@ -203,9 +215,8 @@ pub fn run(cfg: &Config, seed: u64, class: KernelClass, session: &Session) -> Fi
 /// [`run`] with checkpoint/resume. The grid is a single case (the
 /// blocks must share one machine), so the only possible cut is after
 /// that case completes — `--checkpoint` still makes a finished run
-/// re-emittable via `--resume` without re-simulating, and the flag
-/// exists uniformly across every wide-grid binary. Returns `None` on a
-/// deliberate `--halt-after` halt.
+/// re-emittable via `--resume` without re-simulating. Returns `None` on
+/// a deliberate `--halt-after` halt.
 ///
 /// # Errors
 /// Errors when the checkpoint cannot be read, written, or does not
@@ -217,17 +228,37 @@ pub fn run_checkpointed(
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Result<Option<Fig10Result>, CheckpointError> {
+    Ok(run_grid(cfg, &[(class, seed)], session, spec)?.map(|mut r| r.swap_remove(0)))
+}
+
+/// Runs the weight sweep of each `(instruction, seed)` pair as one case
+/// of one grid, each exactly the case [`run`] runs for it at that seed,
+/// so they share the session's worker pool and one checkpoint file. One
+/// result per pair, in order; `None` on a deliberate `--halt-after` halt
+/// or a `--shard-range` slice.
+///
+/// # Errors
+/// Errors when the checkpoint cannot be read, written, or does not
+/// belong to this grid.
+pub fn run_grid(
+    cfg: &Config,
+    pairs: &[(KernelClass, u64)],
+    session: &Session,
+    spec: &CheckpointSpec,
+) -> Result<Option<Vec<Fig10Result>>, CheckpointError> {
     assert!(
-        matches!(class, KernelClass::VXorps | KernelClass::Shr),
+        pairs.iter().all(|(class, _)| matches!(class, KernelClass::VXorps | KernelClass::Shr)),
         "Fig. 10 sweeps vxorps or shr"
     );
-    let (sweep, weights) = sweep(cfg, seed, class);
-    // Route each block's readings by the pre-drawn weight sequence. Block
-    // k declared its `ac`, `pkg` and `core0_` probes in a row and a `Run`
-    // keeps declaration order, so its readings are measurements 3k..3k+3;
-    // reading them by position spares a label scan per reading, and the
-    // label and kind checks keep a layout change loud.
-    let reduce = |_, run: Run| {
+    let (sweep, weights) = grid(cfg, pairs);
+    // Route each block's readings by its case's pre-drawn weight
+    // sequence. Block k declared its `ac`, `pkg` and `core0_` probes in a
+    // row and a `Run` keeps declaration order, so its readings are
+    // measurements 3k..3k+3; reading them by position spares a label scan
+    // per reading, and the label and kind checks keep a layout change
+    // loud.
+    let reduce = |index: usize, run: Run| {
+        let weights = &weights[index];
         let mut buckets = WeightBuckets::default();
         assert_eq!(run.measurements.len(), 3 * weights.len(), "three probes per block");
         for (k, (&weight, block)) in
@@ -255,13 +286,13 @@ pub fn run_checkpointed(
     let Some(cells) = run_resumable(&sweep, session, spec, reduce)? else {
         return Ok(None);
     };
-    let buckets = cells.into_iter().next().expect("the instruction axis has exactly one case");
-    Ok(Some(Fig10Result {
+    let results = cells.into_iter().zip(pairs).map(|(buckets, (class, _))| Fig10Result {
         instruction: class.name().into(),
         ac_w: buckets.ac_w,
         rapl_core0_w: buckets.rapl_core0_w,
         rapl_pkg_w: buckets.rapl_pkg_w,
-    }))
+    });
+    Ok(Some(results.collect()))
 }
 
 /// Renders the paper-style summary.
@@ -324,6 +355,11 @@ mod tests {
         let (sc, weights) = scenario(&cfg, seed, class);
         let case = Case::new("fig10", SimConfig::epyc_7502_2s(), sc, child_seed(seed, 0));
         crate::assert_same_cases(&sweep(&cfg, seed, class).0, std::slice::from_ref(&case));
+        // The figure's two-case grid runs each instruction as that case.
+        let (shr, _) = scenario(&cfg, seed + 1, KernelClass::Shr);
+        let shr = Case::new("fig10", SimConfig::epyc_7502_2s(), shr, child_seed(seed + 1, 0));
+        let pairs = [(class, seed), (KernelClass::Shr, seed + 1)];
+        crate::assert_same_cases(&grid(&cfg, &pairs).0, &[case.clone(), shr]);
         let runs = Session::new().run(std::slice::from_ref(&case)).unwrap();
         let mut materialized = Fig10Result {
             instruction: class.name().into(),

@@ -23,13 +23,13 @@
 //! entry point taking a [`CheckpointSpec`]; `docs/SWEEPS.md` documents
 //! that workflow end to end.
 //!
-//! One table lists every experiment: the bin that runs it, the suffix
-//! its checkpoint grid adds to the `--checkpoint` path (if it has a
-//! grid), its seed under that bin and under `all`, and how to run it
-//! into a text report and `--json` tables. Each figure bin's `main` is
-//! one call to [`main`], which parses the shared flags once and runs
-//! the bin's rows; `all` runs every row, and `zen2-fleet` derives each
-//! target's checkpoint files from the table ([`checkpoint_suffixes`]).
+//! One table lists every experiment: the bin that runs it, its seed
+//! under that bin and under `all`, and how to run it into a text report
+//! and `--json` tables, either narrow or as the bin's one checkpointed
+//! grid. Each figure bin's `main` is one call to [`main`], which parses
+//! the shared flags once and runs the bin's rows; `all` runs every row,
+//! and `zen2-fleet` derives each target's checkpoint files from the
+//! table ([`checkpoint_suffixes`]).
 //!
 //! | Module | Paper item |
 //! |--------|-----------|
@@ -123,17 +123,17 @@ enum Run {
     /// A narrow experiment: it runs on the binary's session and has no
     /// grid to checkpoint.
     Narrow(fn(Scale, u64, &Session) -> Report),
-    /// A checkpointed grid, run on the binary's session. Its checkpoint
-    /// file adds the suffix to its bin's `--checkpoint` path (`""` for a
-    /// bin's only grid); under `all` it adds `-<bin><suffix>`.
-    Grid(&'static str, fn(Scale, u64, &Session, &CheckpointSpec) -> Outcome),
+    /// The bin's one checkpointed grid, run on the binary's session. It
+    /// checkpoints to its bin's `--checkpoint` path, and to that path
+    /// plus `-<bin>` under `all`.
+    Grid(fn(Scale, u64, &Session, &CheckpointSpec) -> Outcome),
 }
 
-/// The [`Run::Grid`] of a bin's only grid, for a module of the standard
-/// shape: `run_checkpointed(&Config::new(scale), seed, session, spec)`.
+/// The [`Run::Grid`] of a module of the standard shape:
+/// `run_checkpointed(&Config::new(scale), seed, session, spec)`.
 macro_rules! grid {
     ($module:ident) => {
-        Grid("", |scale, seed, session, spec| {
+        Grid(|scale, seed, session, spec| {
             let r = $module::run_checkpointed(&$module::Config::new(scale), seed, session, spec)?;
             Ok(r.map(|r| Report::of(&r, $module::render, $module::tables)))
         })
@@ -210,24 +210,18 @@ const EXPERIMENTS: &[Experiment] = &[
         }),
     },
     Experiment { bin: "fig09", seed: 0xF169, all_seed: Some(8), run: grid!(fig09) },
+    // One grid of two cases: vxorps at the row's seed, shr at the next.
     Experiment {
         bin: "fig10",
         seed: 0xF1610,
         all_seed: Some(9),
-        run: Grid("-vxorps", |scale, seed, session, spec| {
-            let cfg = fig10::Config::new(scale);
-            let r = fig10::run_checkpointed(&cfg, seed, KernelClass::VXorps, session, spec)?;
-            Ok(r.map(|r| Report::of(&r, fig10::render, fig10::tables)))
-        }),
-    },
-    Experiment {
-        bin: "fig10",
-        seed: 0xF1611,
-        all_seed: Some(10),
-        run: Grid("-shr", |scale, seed, session, spec| {
-            let cfg = fig10::Config::new(scale);
-            let r = fig10::run_checkpointed(&cfg, seed, KernelClass::Shr, session, spec)?;
-            Ok(r.map(|r| Report::of(&r, fig10::render, fig10::tables)))
+        run: Grid(|scale, seed, session, spec| {
+            let pairs = [(KernelClass::VXorps, seed), (KernelClass::Shr, seed + 1)];
+            let r = fig10::run_grid(&fig10::Config::new(scale), &pairs, session, spec)?;
+            Ok(r.map(|r| Report {
+                text: r.iter().map(fig10::render).collect(),
+                tables: r.iter().flat_map(fig10::tables).collect(),
+            }))
         }),
     },
     Experiment {
@@ -250,8 +244,8 @@ const EXPERIMENTS: &[Experiment] = &[
         bin: "sec7",
         seed: 0x5EC7,
         all_seed: Some(13),
-        run: Narrow(|_, seed, _| {
-            let r = sec7::run(&sec7::Config::default(), seed);
+        run: Narrow(|_, seed, session| {
+            let r = sec7::run(&sec7::Config::default(), seed, session);
             Report::of(&r, sec7::render, sec7::tables)
         }),
     },
@@ -280,14 +274,14 @@ fn rows(target: &str, anomaly: bool) -> impl Iterator<Item = (&'static Experimen
 /// The suffix `row`'s checkpoint file adds to binary `target`'s
 /// `--checkpoint` path, or `None` when the row checkpoints nothing.
 fn suffix(target: &str, row: &Experiment) -> Option<String> {
-    let Grid(grid, _) = row.run else { return None };
-    Some(if target == "all" { format!("-{}{grid}", row.bin) } else { grid.to_string() })
+    let Grid(_) = row.run else { return None };
+    Some(if target == "all" { format!("-{}", row.bin) } else { String::new() })
 }
 
 /// The checkpoint files binary `target` writes, as the suffixes it adds
-/// to its `--checkpoint` path, in run order: `[""]` for a single-grid
-/// bin, `["-vxorps", "-shr"]` for `fig10`, one `-<bin>…` entry per grid
-/// for `all`, and none for a bin without a grid.
+/// to its `--checkpoint` path, in run order: `[""]` for a bin with a
+/// grid, one `-<bin>` entry per grid for `all`, and none for a bin
+/// without a grid.
 pub fn checkpoint_suffixes(target: &str) -> Vec<String> {
     rows(target, false).filter_map(|(row, _)| suffix(target, row)).collect()
 }
@@ -295,7 +289,7 @@ pub fn checkpoint_suffixes(target: &str) -> Vec<String> {
 /// The spec one grid runs under: `spec` with `suffix` appended to its
 /// path. `--halt-after`, a testing aid for a binary with a single
 /// checkpoint file, passes only to a grid at the exact `--checkpoint`
-/// path — `fig10` and `all` drop it, so their runs always finish.
+/// path — `all` drops it, so its runs always finish.
 fn spec_for(spec: &CheckpointSpec, suffix: &str) -> CheckpointSpec {
     let path = spec.path.as_ref().map(|p| {
         let mut name = p.as_os_str().to_os_string();
@@ -422,12 +416,12 @@ pub fn main(bin: &str) {
             continue;
         }
         if cli.session.progress {
-            eprintln!("{bin}: running {}{}", row.bin, suffix(row.bin, row).unwrap_or_default());
+            eprintln!("{bin}: running {}", row.bin);
         }
         let spec = spec_for(&cli.checkpoint, &suffix(bin, row).unwrap_or_default());
         let outcome = match row.run {
             Narrow(run) => Ok(Some(run(cli.scale, seed, &session))),
-            Grid(_, run) => run(cli.scale, seed, &session, &spec),
+            Grid(run) => run(cli.scale, seed, &session, &spec),
         };
         match outcome {
             Ok(Some(report)) if shard.is_none() => {
@@ -732,8 +726,9 @@ mod tests {
     #[test]
     fn narrow_rows_run_on_the_session_they_are_given() {
         // The binary's session reaches every narrow row: a recorder on
-        // it sees fig04's nine cells and ext_breakeven's one case, and
-        // recording changes no report.
+        // it sees a case for every row that simulates (fig04's nine
+        // cells, ext_breakeven's and sec7's one case), and recording
+        // changes no report.
         use zen2_obs::MemorySink;
         use zen2_sim::obs::SPAN_CASE;
         for (row, seed) in rows("all", false) {
@@ -743,11 +738,12 @@ mod tests {
             let single = run(Scale::Quick, seed, &Session::new().workers(1));
             assert_eq!(recorded.text, single.text, "{}", row.bin);
             assert_eq!(tables_to_json(&recorded.tables), tables_to_json(&single.tables));
-            if row.bin == "fig04" {
-                assert_eq!(sink.span_count(SPAN_CASE), 9);
-            }
-            if row.bin == "ext_breakeven" {
-                assert_eq!(sink.span_count(SPAN_CASE), 1);
+            let cases = sink.span_count(SPAN_CASE);
+            match row.bin {
+                "fig01" => assert_eq!(cases, 0, "fig01 replots published data"),
+                "fig04" => assert_eq!(cases, 9),
+                "ext_breakeven" | "sec7" => assert_eq!(cases, 1, "{}", row.bin),
+                bin => assert!(cases >= 1, "{bin} simulates outside the session"),
             }
         }
     }
@@ -757,7 +753,9 @@ mod tests {
         let seeds: Vec<u64> = rows("fig03", true).map(|(_, seed)| seed).collect();
         assert_eq!(seeds, [0xF163, 0xF163A, 0xF163B]);
         assert_eq!(rows("fig03", false).count(), 1, "--anomaly alone adds the §V-B rows");
+        // fig10's row runs shr at its seed + 1, so `all` seeds shr with 10.
         let all: Vec<u64> = rows("all", true).map(|(_, seed)| seed).collect();
-        assert_eq!(all, (0..=15).collect::<Vec<_>>(), "`all` runs every row but §V-B, in order");
+        let want: Vec<u64> = (0..=9).chain(11..=15).collect();
+        assert_eq!(all, want, "`all` runs every row but §V-B, in order");
     }
 }

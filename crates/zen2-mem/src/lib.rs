@@ -26,7 +26,6 @@
 
 pub mod bandwidth;
 pub mod fclk;
-pub mod hierarchy;
 pub mod latency;
 
 #[cfg(test)]
@@ -34,5 +33,4 @@ mod proptests;
 
 pub use bandwidth::StreamBandwidthModel;
 pub use fclk::{ClockPlan, CrossingQuality, DramFreq, IodPstate};
-pub use hierarchy::CacheHierarchy;
 pub use latency::{DramLatencyModel, L3LatencyModel};

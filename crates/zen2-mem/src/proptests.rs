@@ -2,7 +2,6 @@
 
 use crate::bandwidth::StreamBandwidthModel;
 use crate::fclk::{classify_crossing, ClockPlan, DramFreq, IodPstate};
-use crate::hierarchy::{CacheHierarchy, CacheLevel};
 use crate::latency::{DramLatencyModel, L3LatencyModel};
 use proptest::prelude::*;
 
@@ -75,31 +74,5 @@ proptest! {
         prop_assert!(plan.uclk_mhz <= plan.fclk_mhz);
         prop_assert!(plan.uclk_mhz <= d.memclk_mhz());
         prop_assert!(plan.fclk_mhz <= IodPstate::MAX_FCLK_MHZ);
-    }
-
-    /// Working-set classification is monotone: bigger sets never move to a
-    /// smaller level.
-    #[test]
-    fn working_set_classification_is_monotone(a in 1u64..1 << 28, b in 1u64..1 << 28) {
-        fn rank(l: CacheLevel) -> u8 {
-            match l {
-                CacheLevel::L1 => 0,
-                CacheLevel::L2 => 1,
-                CacheLevel::L3 => 2,
-                CacheLevel::Dram => 3,
-            }
-        }
-        let h = CacheHierarchy::zen2();
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(rank(h.level_for_working_set(lo)) <= rank(h.level_for_working_set(hi)));
-    }
-
-    /// Cache hit latencies scale inversely with the core clock.
-    #[test]
-    fn hit_latency_scales_with_clock(f in 0.5f64..3.0) {
-        let h = CacheHierarchy::zen2();
-        let l1 = h.hit_latency_ns(CacheLevel::L1, f, f).unwrap();
-        let l1_double = h.hit_latency_ns(CacheLevel::L1, 2.0 * f, 2.0 * f).unwrap();
-        prop_assert!((l1 / l1_double - 2.0).abs() < 1e-9);
     }
 }

@@ -128,6 +128,11 @@ pub enum Probe {
     /// GB/s (Fig. 5a benchmark). The count must be between 1 and the
     /// machine's core count. Instant probe.
     StreamTriadGbs(u32),
+    /// One socket's `PKG_ENERGY_STAT` MSR as software reads it, in raw
+    /// energy-status counts (§VII's polling benchmark). The counter
+    /// publishes every 1 ms, so two reads inside one publication period
+    /// agree. Instant probe.
+    PkgEnergyMsr(SocketId),
 }
 
 impl Probe {
@@ -141,6 +146,7 @@ impl Probe {
                 | Probe::L3LatencyNs(_)
                 | Probe::DramLatencyNs
                 | Probe::StreamTriadGbs(_)
+                | Probe::PkgEnergyMsr(_)
         )
     }
 
@@ -269,6 +275,8 @@ pub enum Measurement {
     GigabytesPerSec(f64),
     /// Recorded tracer events (machine-absolute timestamps).
     Events(Vec<Record>),
+    /// A raw register value.
+    Raw(u64),
 }
 
 /// The complete result of executing one `(SimConfig, Scenario, seed)`

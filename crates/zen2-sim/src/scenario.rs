@@ -238,12 +238,14 @@ impl Scenario {
         &self.probes
     }
 
-    /// Whether a probe reads a RAPL counter ([`Probe::RaplW`] or
-    /// [`Probe::RaplCoreW`]). [`Session`](crate::Session) runs a case
-    /// whose scenario does not on a machine that keeps no RAPL
-    /// accounting.
+    /// Whether a probe reads a RAPL counter ([`Probe::RaplW`],
+    /// [`Probe::RaplCoreW`] or [`Probe::PkgEnergyMsr`]).
+    /// [`Session`](crate::Session) runs a case whose scenario does not on
+    /// a machine that keeps no RAPL accounting.
     pub(crate) fn reads_rapl(&self) -> bool {
-        self.probes.iter().any(|spec| matches!(spec.probe, Probe::RaplW | Probe::RaplCoreW(_)))
+        self.probes.iter().any(|spec| {
+            matches!(spec.probe, Probe::RaplW | Probe::RaplCoreW(_) | Probe::PkgEnergyMsr(_))
+        })
     }
 
     /// The explicit minimum run length set through
@@ -410,7 +412,9 @@ impl Scenario {
                 {
                     return Err(ScenarioError::CoreOutOfRange { core: core.0, num_cores });
                 }
-                Probe::PkgTrueW(socket) if socket.0 >= num_sockets => {
+                Probe::PkgTrueW(socket) | Probe::PkgEnergyMsr(socket)
+                    if socket.0 >= num_sockets =>
+                {
                     return Err(ScenarioError::SocketOutOfRange { socket: socket.0, num_sockets });
                 }
                 Probe::StreamTriadGbs(0) => {
@@ -883,6 +887,10 @@ impl System {
                     }
                     (Probe::StreamTriadGbs(cores), ProbeState::Idle) => {
                         Measurement::GigabytesPerSec(self.stream_triad_gbs(*cores))
+                    }
+                    (Probe::PkgEnergyMsr(socket), ProbeState::Idle) => {
+                        self.sync_rapl_msrs_once(&mut rapl_synced);
+                        Measurement::Raw(self.pkg_energy_counts(*socket))
                     }
                     (probe, _) => {
                         unreachable!(

@@ -102,7 +102,6 @@ pub struct Smu {
     cores: Vec<CoreDvfs>,
     /// The earliest `completes_at` over every core's pending transition.
     next_event: Option<Ns>,
-    voltage_of: fn(&Smu, u32) -> f64,
     vf_points: Vec<(u32, f64)>,
 }
 
@@ -120,12 +119,13 @@ impl Smu {
             params,
             cores: vec![CoreDvfs::new(initial_mhz); num_cores],
             next_event: None,
-            voltage_of: Self::interp_voltage,
             vf_points,
         }
     }
 
-    fn interp_voltage(&self, mhz: u32) -> f64 {
+    /// Voltage the regulator supplies for a frequency: the V/f points,
+    /// interpolated linearly and clamped at both ends.
+    pub fn voltage(&self, mhz: u32) -> f64 {
         let pts = &self.vf_points;
         if mhz <= pts[0].0 {
             return pts[0].1;
@@ -142,11 +142,6 @@ impl Smu {
             }
         }
         unreachable!("covered by clamps")
-    }
-
-    /// Voltage the regulator supplies for a frequency.
-    pub fn voltage(&self, mhz: u32) -> f64 {
-        (self.voltage_of)(self, mhz)
     }
 
     /// Per-core state access.

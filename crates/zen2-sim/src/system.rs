@@ -38,7 +38,7 @@ use zen2_mem::ClockPlan;
 use zen2_msr::{address, MsrFile};
 use zen2_power::MeterSample;
 use zen2_rapl::RaplAccounting;
-use zen2_topology::{CoreId, SocketId, ThreadId};
+use zen2_topology::{CoreId, SocketId, ThreadId, Topology};
 
 /// Maximum segment length, bounding thermal-integration error.
 const MAX_SEGMENT_NS: Ns = 100 * MILLISECOND;
@@ -59,6 +59,12 @@ enum Touch {
 /// What one CCX's clocks resolve from: each core's applied frequency and
 /// whether it has an active thread.
 type CcxInputs = ([u32; ccx::CORES_PER_CCX], [bool; ccx::CORES_PER_CCX]);
+
+/// The first hardware thread of package `pkg`, through which the MSR
+/// file's one counter per package is written and read.
+fn package_lead(topo: &Topology, pkg: usize) -> ThreadId {
+    ThreadId((pkg * topo.cores_per_socket() * topo.threads_per_core()) as u32)
+}
 
 /// The simulated system.
 #[derive(Clone)]
@@ -743,11 +749,16 @@ impl System {
             let raw = rapl.core_counter(core) as u64;
             self.msrs.poke(ThreadId((core * tpc) as u32), address::CORE_ENERGY_STAT, raw);
         }
-        let threads_per_pkg = self.cfg.topology.cores_per_socket() * tpc;
         for pkg in 0..self.cfg.topology.num_sockets() {
             let raw = rapl.package_counter(pkg) as u64;
-            self.msrs.poke(ThreadId((pkg * threads_per_pkg) as u32), address::PKG_ENERGY_STAT, raw);
+            self.msrs.poke(package_lead(&self.cfg.topology, pkg), address::PKG_ENERGY_STAT, raw);
         }
+    }
+
+    /// A socket's `PKG_ENERGY_STAT` raw counts as the last
+    /// [`sync_rapl_msrs`](Self::sync_rapl_msrs) left them.
+    pub(crate) fn pkg_energy_counts(&self, socket: SocketId) -> u64 {
+        self.msrs.peek(package_lead(&self.cfg.topology, socket.index()), address::PKG_ENERGY_STAT)
     }
 
     /// Read-only access to the MSR file (the `/dev/cpu/N/msr` interface).

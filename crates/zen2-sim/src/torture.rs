@@ -24,6 +24,8 @@
 //!   target a defined P-state, applied frequencies never above nominal,
 //!   request→apply pairing never time-travelling, and every scheduled
 //!   P-state step producing its request record.
+//! * **RAPL publication** — two package-energy MSR reads of one socket
+//!   inside one 1 ms publication period agree (§VII).
 //! * **[`Snapshot`] identity** — accumulators built from the run
 //!   round-trip through their exact-JSON wire format bit-for-bit.
 //!
@@ -54,6 +56,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
 use zen2_isa::{KernelClass, OperandWeight};
+use zen2_rapl::accounting::UPDATE_PERIOD_NS;
 use zen2_topology::{CoreId, SocketId, ThreadId};
 
 /// Label of the mandatory all-events trace probe every generated
@@ -317,13 +320,24 @@ fn random_probes(sc: &mut Scenario, rng: &mut StdRng, cfg: &SimConfig, targets: 
                     1 => end,
                     _ => rng.gen_range(0..=end),
                 };
-                let probe = match rng.gen_range(0u32..6) {
+                let probe = match rng.gen_range(0u32..7) {
                     0 => Probe::EffectiveGhz(CoreId(rng.gen_range(0..num_cores))),
                     1 => Probe::AcPowerW,
                     2 => Probe::PkgTrueW(SocketId(rng.gen_range(0..num_sockets))),
                     3 => Probe::L3LatencyNs(CoreId(rng.gen_range(0..num_cores))),
                     4 => Probe::DramLatencyNs,
-                    _ => Probe::StreamTriadGbs(rng.gen_range(1..=num_cores)),
+                    5 => Probe::StreamTriadGbs(rng.gen_range(1..=num_cores)),
+                    _ => {
+                        // A second read of the socket inside the same
+                        // publication period, which the checker requires
+                        // to agree with the first.
+                        let socket = SocketId(rng.gen_range(0..num_sockets));
+                        let period = t - t % UPDATE_PERIOD_NS;
+                        let again = rng.gen_range(period..=end.min(period + UPDATE_PERIOD_NS - 1));
+                        let probe = Probe::PkgEnergyMsr(socket);
+                        sc.probe(format!("{label}-again"), probe, Window::at(again));
+                        probe
+                    }
                 };
                 sc.probe(label, probe, Window::at(t));
             }
@@ -481,7 +495,7 @@ pub struct Invariants {
 /// flagged a 5 kW "violation" on a degenerate 17 µs RaplW window.)
 fn rapl_window_ceiling(dc_ceil_w: f64, window: &Window) -> f64 {
     let len = (window.to - window.from).max(1);
-    dc_ceil_w * (len + 2 * zen2_rapl::accounting::UPDATE_PERIOD_NS) as f64 / len as f64
+    dc_ceil_w * (len + 2 * UPDATE_PERIOD_NS) as f64 / len as f64
 }
 
 impl Invariants {
@@ -541,6 +555,7 @@ impl Invariants {
             self.check_measurement(spec, m, offset, scenario, &mut out);
         }
         self.check_ac("final_ac_w", run.final_ac_w, &mut out);
+        check_energy_reads(scenario, run, offset, &mut out);
         self.check_residency(scenario, run, offset, end, &mut out);
         self.check_snapshots(scenario, run, &mut out);
         out
@@ -687,6 +702,8 @@ impl Invariants {
             (Probe::TraceEvents(filter), Measurement::Events(records)) => {
                 self.check_events(spec, filter, records, offset, scenario, out);
             }
+            // Audited across reads by `check_energy_reads`.
+            (Probe::PkgEnergyMsr(_), Measurement::Raw(_)) => {}
             _ => out.push(Violation::Malformed {
                 detail: format!("probe {label:?} delivered a foreign measurement shape"),
             }),
@@ -978,6 +995,31 @@ impl Invariants {
                 residency.observe(records, offset, offset + end);
                 roundtrip(&residency, "FreqResidency", out);
             }
+        }
+    }
+}
+
+/// Two reads of one socket's package-energy MSR inside one 1 ms
+/// publication period must agree: the counter publishes only at period
+/// boundaries (§VII). A window's period counts from machine boot, so the
+/// read times include the run's `offset`.
+fn check_energy_reads(scenario: &Scenario, run: &Run, offset: Ns, out: &mut Vec<Violation>) {
+    let mut first: BTreeMap<(SocketId, Ns), (&str, u64)> = BTreeMap::new();
+    for (spec, (label, m)) in scenario.probes().iter().zip(&run.measurements) {
+        let (Probe::PkgEnergyMsr(socket), Measurement::Raw(counts)) = (spec.probe, m) else {
+            continue;
+        };
+        let period = (offset + spec.window.from) / UPDATE_PERIOD_NS;
+        let (earlier, was) = *first.entry((socket, period)).or_insert((label, *counts));
+        if was != *counts {
+            out.push(Violation::Counters {
+                label: label.clone(),
+                detail: format!(
+                    "socket {} energy read {counts} counts, {earlier:?} read {was} in the same \
+                     1 ms publication period",
+                    socket.0
+                ),
+            });
         }
     }
 }

@@ -20,10 +20,6 @@ pub mod consts {
     pub const L3_BYTES_PER_CCX: u64 = 16 * 1024 * 1024;
     /// L2 capacity per core in bytes.
     pub const L2_BYTES_PER_CORE: u64 = 512 * 1024;
-    /// L1 data/instruction capacity per core in bytes.
-    pub const L1_BYTES_PER_CORE: u64 = 32 * 1024;
-    /// Op-cache capacity in macro-ops.
-    pub const OP_CACHE_OPS: u32 = 4096;
 }
 
 /// Errors produced while building a [`Topology`].

@@ -157,6 +157,7 @@ fn sec6b_offline_anomaly_reproduces() {
 
 #[test]
 fn sec7_rapl_updates_every_millisecond() {
-    let r = e::sec7_update_rate::run(&e::sec7_update_rate::Config::default(), 1015);
+    let r =
+        e::sec7_update_rate::run(&e::sec7_update_rate::Config::default(), 1015, &Session::new());
     assert!((r.mean_us - 1000.0).abs() < 60.0);
 }

@@ -1,6 +1,7 @@
 //! The invariant checker is tested, not just trusted: hand-built
 //! violating `Run`s — a residency histogram missing 2 % of the window,
-//! a non-monotone trace, power outside the envelope — must each trip
+//! a non-monotone trace, power outside the envelope, energy reads that
+//! change inside one RAPL publication period — must each trip
 //! exactly their own invariant, a hand-built clean run must pass, and
 //! structurally broken runs must be called malformed.
 
@@ -147,6 +148,34 @@ fn event_outside_its_window_trips_exactly_trace() {
     let violations = checker().check(&scenario(), &run(vec![outside], vec![]));
     assert!(!violations.is_empty(), "an out-of-window event must trip");
     assert!(violations.iter().all(|v| v.kind() == "trace"), "{violations:?}");
+}
+
+#[test]
+fn energy_reads_disagreeing_inside_one_publication_period_trip_exactly_counters() {
+    // PKG_ENERGY_STAT publishes every 1 ms (§VII): two reads of one socket
+    // inside one period must agree; reads of another period or another
+    // socket need not.
+    let mut sc = scenario();
+    for (label, socket, at_ns) in [
+        ("a", 0, 10 * MILLISECOND + 100),
+        ("b", 0, 11 * MILLISECOND - 1),
+        ("c", 0, 11 * MILLISECOND),
+        ("d", 1, 10 * MILLISECOND + 200),
+    ] {
+        sc.probe(label, Probe::PkgEnergyMsr(SocketId(socket)), Window::at(at_ns));
+    }
+    let reads = |b: u64| {
+        let mut r = run(vec![], vec![]);
+        for (label, counts) in [("a", 5), ("b", b), ("c", 9), ("d", 7)] {
+            r.measurements.push((label.to_string(), Measurement::Raw(counts)));
+        }
+        r
+    };
+    let violations = checker().check(&sc, &reads(5));
+    assert!(violations.is_empty(), "{violations:?}");
+    let violations = checker().check(&sc, &reads(6));
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].kind(), "counters");
 }
 
 #[test]
