@@ -3,11 +3,14 @@
 //! invariants (`zen2_sim::torture`), optionally re-running each case
 //! through `System::run_scenario` directly and asserting bit-identical
 //! `Run`s (differential mode). The session runs every case whose
-//! scenario reads no RAPL counter without RAPL accounting, and trims
-//! every case's AC trace behind its open windows; the direct runs keep
-//! both, so the differential check covers every path. The summary counts
-//! the runs without RAPL accounting, the runs that trimmed segments an
-//! earlier window read, and the runs whose PPT loop moved a cap.
+//! scenario reads no RAPL counter without RAPL accounting, every case
+//! whose scenario reads no performance counter without counters, and
+//! trims every case's AC trace behind its open windows; the direct runs
+//! keep all three, so the differential check covers every path. The
+//! summary counts the runs without RAPL accounting, the runs without
+//! performance counters, the runs that trimmed segments an earlier window
+//! read, the runs whose PPT loop moved a cap, and the runs that read one
+//! socket's energy counter twice inside one 1 ms publication period.
 //!
 //! ```text
 //! torture [--seed N] [--cases N] [--differential]
@@ -27,8 +30,9 @@
 use std::path::PathBuf;
 use zen2_experiments::SessionCli;
 use zen2_sim::torture::{
-    check_case, generate_case, inject_fault, keeps_rapl_accounting, render_reproducer,
-    shrink_scenario, throttled, trims_ac_trace, Fault, Violation,
+    check_case, generate_case, inject_fault, keeps_counters, keeps_rapl_accounting,
+    reads_energy_twice_per_period, render_reproducer, shrink_scenario, throttled, trims_ac_trace,
+    Fault, Violation,
 };
 use zen2_sim::{Case, Run, Scenario, Session, System};
 
@@ -168,8 +172,10 @@ fn main() {
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();
     let mut measured = 0usize;
     let mut without_rapl = 0usize;
+    let mut without_counters = 0usize;
     let mut trimmed = 0usize;
     let mut throttled_runs = 0usize;
+    let mut same_period_reads = 0usize;
     let outcome = session.run_streaming(zen2_sim::torture::cases(cli.seed, cli.cases), |i, run| {
         let index = i as u64;
         // Regeneration is cheap and deterministic, so the sink needs no
@@ -179,7 +185,9 @@ fn main() {
         let (violations, m) = audit(&cli, index, run, &case);
         measured += m;
         without_rapl += usize::from(!keeps_rapl_accounting(&case));
+        without_counters += usize::from(!keeps_counters(&case));
         trimmed += usize::from(trims_ac_trace(&case));
+        same_period_reads += usize::from(reads_energy_twice_per_period(&case));
         if !violations.is_empty() {
             failures.push((index, violations));
         }
@@ -211,8 +219,10 @@ fn main() {
         if cli.differential { "on" } else { "off" }
     );
     println!("without RAPL accounting: {without_rapl} runs");
+    println!("without performance counters: {without_counters} runs");
     println!("trimmed AC trace: {trimmed} runs");
     println!("throttled: {throttled_runs} runs");
+    println!("same-period energy reads: {same_period_reads} runs");
     match cli.fault {
         Some(fault) => println!("injected: {} fault at case {}", fault.kind(), cli.inject_at),
         None => println!("injected: none"),

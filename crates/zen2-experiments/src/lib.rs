@@ -26,10 +26,11 @@
 //! One table lists every experiment: the bin that runs it, its seed
 //! under that bin and under `all`, and how to run it into a text report
 //! and `--json` tables, either narrow or as the bin's one checkpointed
-//! grid. Each figure bin's `main` is one call to [`main`], which parses
-//! the shared flags once and runs the bin's rows; `all` runs every row,
-//! and `zen2-fleet` derives each target's checkpoint files from the
-//! table ([`checkpoint_suffixes`]).
+//! grid. Each figure bin's `main` is one call to [`main`], which prints
+//! what [`render`] renders: it parses the shared flags once and runs the
+//! bin's rows; `all` runs every row, and `zen2-fleet` derives each
+//! target's checkpoint files from the table ([`checkpoint_suffixes`]).
+//! The tier-1 golden test renders through [`render`] too.
 //!
 //! | Module | Paper item |
 //! |--------|-----------|
@@ -66,6 +67,7 @@ pub mod sec6b_offline;
 pub mod sec7_update_rate;
 pub mod tab1_mixed_freq;
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -386,27 +388,52 @@ impl Cli {
     }
 }
 
-/// The `main` of every figure bin and of `all`: parses the flags, runs
-/// `bin`'s rows of the experiment table on one session, and prints each
-/// report — text as soon as it finishes, `--json` as one array at the
-/// end. `all` runs every row under its own seeds and prints a header
-/// first. A `--shard-range` run skips the narrow rows and prints no
-/// report: only the merged whole renders (`zen2-fleet`).
+/// What one invocation of a figure bin or of `all` prints: its whole
+/// stdout, and the closing stderr message and exit code, if any.
+#[derive(Debug)]
+pub struct Rendered {
+    /// Everything the invocation writes to stdout.
+    pub stdout: String,
+    /// The last line for stderr, after the bin's name: a usage error, a
+    /// checkpoint or telemetry failure, or the hint a deliberate halt or a
+    /// `--shard-range` slice leaves.
+    pub stderr: Option<String>,
+    /// The exit code: 2 for a usage error, 1 for a failure, else 0.
+    pub code: i32,
+}
+
+/// Runs `bin`'s rows of the experiment table under the flags in `args`
+/// on one session and renders what the bin prints: each report's text
+/// in order, or with `--json` one array of every report's tables. `all`
+/// runs every row under its own seeds and prints a header first. A
+/// `--shard-range` run skips the narrow rows and prints no report: only
+/// the merged whole renders (`zen2-fleet`).
 ///
-/// Usage errors exit 2 and checkpoint failures 1; a deliberate
-/// `--halt-after` halt exits 0 with a resume hint on stderr. `--obs` /
-/// `--progress` telemetry goes to the trace file and stderr, never
-/// stdout, so report output is unaffected.
-pub fn main(bin: &str) {
-    let usage = |message: String| -> ! {
-        eprintln!("{bin}: {message}\nusage: {bin} {USAGE}");
-        std::process::exit(2);
+/// Usage errors exit 2 and checkpoint failures 1, keeping the reports of
+/// the rows before the failure; a deliberate `--halt-after` halt exits 0
+/// with a resume hint. `--obs` / `--progress` telemetry goes to the trace
+/// file and stderr as the rows run, never into the rendered stdout.
+pub fn render(bin: &str, args: impl IntoIterator<Item = String>) -> Rendered {
+    let mut stdout = String::new();
+    let usage = |message: String| Rendered {
+        stdout: String::new(),
+        stderr: Some(format!("{message}\nusage: {bin} {USAGE}")),
+        code: 2,
     };
-    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|message| usage(message));
-    let (session, stack) = cli.session.session().unwrap_or_else(|message| usage(message));
+    let cli = match Cli::parse(args) {
+        Ok(cli) => cli,
+        Err(message) => return usage(message),
+    };
+    let (session, stack) = match cli.session.session() {
+        Ok(built) => built,
+        Err(message) => return usage(message),
+    };
     let shard = cli.checkpoint.shard;
     if bin == "all" && shard.is_none() && !cli.json {
-        println!("=== zen2-ee: full experiment suite ({:?} scale) ===\n", cli.scale);
+        stdout.push_str(&format!(
+            "=== zen2-ee: full experiment suite ({:?} scale) ===\n\n",
+            cli.scale
+        ));
     }
     let mut tables = Vec::new();
     let mut halted = false;
@@ -428,7 +455,7 @@ pub fn main(bin: &str) {
                 if cli.json {
                     tables.extend(report.tables);
                 } else {
-                    print!("{}", report.text);
+                    stdout.push_str(&report.text);
                 }
             }
             Ok(None) if spec.halt_after.is_some() => {
@@ -442,29 +469,45 @@ pub fn main(bin: &str) {
             }
         }
     }
-    if let Some(stack) = &stack {
-        if let Err(message) = stack.finish() {
-            eprintln!("{bin}: {message}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(error) = failure {
-        eprintln!("{bin}: {error}");
-        std::process::exit(1);
-    }
-    if halted {
+    let (stderr, code) = if let Some(Err(message)) = stack.as_ref().map(ObsStack::finish) {
+        (Some(message), 1)
+    } else if let Some(error) = failure {
+        (Some(error.to_string()), 1)
+    } else if halted {
         let path = cli.checkpoint.path.unwrap_or_default();
-        eprintln!(
-            "{bin}: halted mid-sweep (--halt-after); resume with --checkpoint {} --resume",
+        let hint = format!(
+            "halted mid-sweep (--halt-after); resume with --checkpoint {} --resume",
             path.display()
         );
+        (Some(hint), 0)
     } else if let Some(shard) = shard {
-        eprintln!(
-            "{bin}: shard {shard} done; merge the range checkpoints (zen2-fleet) to produce \
-             the report"
+        let hint = format!(
+            "shard {shard} done; merge the range checkpoints (zen2-fleet) to produce the report"
         );
-    } else if cli.json {
-        println!("{}", tables_to_json(&tables));
+        (Some(hint), 0)
+    } else {
+        if cli.json {
+            stdout.push_str(&tables_to_json(&tables));
+            stdout.push('\n');
+        }
+        (None, 0)
+    };
+    Rendered { stdout, stderr, code }
+}
+
+/// The `main` of every figure bin and of `all`: prints what [`render`]
+/// renders for the process's arguments, then the closing stderr line,
+/// and exits with its code.
+pub fn main(bin: &str) {
+    let rendered = render(bin, std::env::args().skip(1));
+    print!("{}", rendered.stdout);
+    if let Some(message) = rendered.stderr {
+        eprintln!("{bin}: {message}");
+    }
+    if rendered.code != 0 {
+        // `exit` skips the flush a normal return would make.
+        let _ = std::io::stdout().flush();
+        std::process::exit(rendered.code);
     }
 }
 

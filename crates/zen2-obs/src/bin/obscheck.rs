@@ -146,6 +146,28 @@ mod tests {
     }
 
     #[test]
+    fn accepts_a_case_with_its_ppt_slot_counts() {
+        let trace = concat!(
+            r#"{"e":"span_open","t":1,"id":1,"parent":null,"name":"case","attrs":"#,
+            r#"{"index":0,"label":"c","worker":0,"rapl_accounting":false,"counters":false}}"#,
+            "\n",
+            r#"{"e":"counter","t":2,"name":"ppt.proof_slots","delta":20100}"#,
+            "\n",
+            r#"{"e":"counter","t":2,"name":"ppt.proofs","delta":2}"#,
+            "\n",
+            r#"{"e":"counter","t":2,"name":"ppt.proofs_failed","delta":1}"#,
+            "\n",
+            r#"{"e":"counter","t":2,"name":"ppt.fallback_slots","delta":3}"#,
+            "\n",
+            r#"{"e":"counter","t":2,"name":"ppt.exact_refreshes","delta":1}"#,
+            "\n",
+            r#"{"e":"span_close","t":3,"id":1,"name":"case","dur_ns":2}"#,
+            "\n",
+        );
+        assert_eq!(check(trace).unwrap()["counter"], 5);
+    }
+
+    #[test]
     fn rejects_malformed_lines() {
         assert!(check("not json\n").is_err());
         assert!(check(r#"{"t":1}"#).is_err(), "missing kind");

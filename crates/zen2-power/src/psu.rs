@@ -29,6 +29,7 @@ impl PsuModel {
     }
 
     /// Wall power for a DC load.
+    #[inline]
     pub fn ac_from_dc(&self, dc_w: f64) -> f64 {
         assert!(dc_w >= 0.0, "DC load cannot be negative");
         self.idle_loss_w + self.marginal_ac_per_dc * dc_w

@@ -33,6 +33,7 @@ impl ThermalModel {
     }
 
     /// Steady-state die temperature at a package power.
+    #[inline]
     pub fn steady_state_c(&self, package_w: f64) -> f64 {
         assert!(package_w >= 0.0);
         self.ambient_c + self.r_th_c_per_w * package_w
@@ -41,6 +42,7 @@ impl ThermalModel {
     /// The share of the way to the steady state that the die temperature
     /// covers in `dt_s` seconds: `1 − e^(−dt/τ)`. It depends only on the
     /// segment length, so a run of equal segments computes it once.
+    #[inline]
     pub fn alpha(&self, dt_s: f64) -> f64 {
         assert!(dt_s >= 0.0, "time cannot run backwards");
         1.0 - (-dt_s / self.tau_s).exp()
@@ -49,9 +51,27 @@ impl ThermalModel {
     /// Advances the die temperature toward the steady state for
     /// `package_w` by the share `alpha` ([`alpha`](Self::alpha) of the
     /// segment length).
+    #[inline]
     pub fn step_by(&self, current_c: f64, package_w: f64, alpha: f64) -> f64 {
         let target = self.steady_state_c(package_w);
         current_c + (target - current_c) * alpha
+    }
+
+    /// The die temperature at which [`step_by`](Self::step_by) stands
+    /// still when the package draws `base_w` times `leakage`'s multiplier
+    /// at that temperature: the `d` with `d = ambient + R·base·m(d)`. With
+    /// `m(d) = 1 + k·(d − ref)`, that is
+    /// `(ambient + R·base·(1 − k·ref)) / (1 − R·base·k)`. A step moves the
+    /// die by `(1 − R·base·k)·α` of its distance to this point, so while
+    /// `R·base·k < 1` the die relaxes toward it without crossing it;
+    /// `None` when the leakage feedback is that strong or stronger.
+    pub fn coupled_steady_state_c(&self, leakage: &LeakageModel, base_w: f64) -> Option<f64> {
+        let k = leakage.leakage_fraction * leakage.per_c;
+        let gain = self.r_th_c_per_w * base_w * k;
+        (gain < 1.0).then(|| {
+            (self.ambient_c + self.r_th_c_per_w * base_w * (1.0 - k * leakage.reference_c))
+                / (1.0 - gain)
+        })
     }
 }
 
@@ -80,6 +100,7 @@ impl LeakageModel {
     }
 
     /// The multiplier on package power at a die temperature.
+    #[inline]
     pub fn multiplier(&self, die_c: f64) -> f64 {
         1.0 + self.leakage_fraction * self.per_c * (die_c - self.reference_c)
     }
@@ -115,6 +136,24 @@ mod tests {
         assert!(warm < 80.0, "cooling toward a lower steady state");
         let cold = t.step_by(30.0, 100.0, t.alpha(30.0));
         assert!(cold > 30.0, "heating toward a higher steady state");
+    }
+
+    #[test]
+    fn coupled_steady_state_is_the_leaky_step_fixed_point() {
+        let t = ThermalModel::two_socket_air();
+        let l = LeakageModel::zen2();
+        for base_w in [0.0, 12.0, 180.0, 420.0] {
+            let d = t.coupled_steady_state_c(&l, base_w).expect("weak feedback");
+            let step = t.step_by(d, base_w * l.multiplier(d), t.alpha(0.1));
+            assert!((step - d).abs() < 1e-9, "{base_w} W: {d} -> {step}");
+            // From either side, the die relaxes toward it without crossing.
+            for start in [d - 20.0, d + 20.0] {
+                let next = t.step_by(start, base_w * l.multiplier(start), t.alpha(30.0));
+                assert!((next - d).abs() < (start - d).abs() && (next - d) * (start - d) > 0.0);
+            }
+        }
+        // Feedback gain R·base·k = 0.25 · 9000 · 0.00048 > 1: no fixed point.
+        assert_eq!(t.coupled_steady_state_c(&l, 9000.0), None);
     }
 
     #[test]

@@ -68,6 +68,7 @@ impl RaplAccounting {
     ///
     /// # Panics
     /// Panics if slice lengths disagree with the machine shape.
+    #[inline]
     pub fn accumulate(&mut self, dt_s: f64, core_w: &[f64], pkg_w: &[f64]) {
         assert!(dt_s >= 0.0, "time cannot run backwards");
         assert_eq!(core_w.len(), self.core_pending_j.len(), "core count mismatch");
@@ -90,6 +91,7 @@ impl RaplAccounting {
     /// Publishes pending energy to the MSR-visible counters if `now_ns`
     /// has crossed at least one 1 ms boundary since the last publication.
     /// Returns `true` if the visible counters changed.
+    #[inline]
     pub fn maybe_publish(&mut self, now_ns: Ns) -> bool {
         let boundary = now_ns - now_ns % UPDATE_PERIOD_NS;
         if boundary <= self.last_publish_ns && now_ns != 0 {

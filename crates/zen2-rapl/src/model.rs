@@ -91,17 +91,20 @@ impl RaplModel {
 
     /// The thermal-diode leakage term of one core's estimate at die
     /// temperature `die_c` (negative below the reference temperature).
+    #[inline]
     pub fn temperature_term_w(&self, die_c: f64) -> f64 {
         self.temp_coeff_w_per_c * (die_c - self.temp_ref_c)
     }
 
     /// Estimated power of an idle (C1/C2) core: the event view sees no
     /// activity at all, only the leakage term.
+    #[inline]
     pub fn idle_core_estimate_w(&self, die_c: f64) -> f64 {
         self.temperature_term_w(die_c).max(0.0)
     }
 
     /// Package estimate: sum of core estimates plus the uncore constant.
+    #[inline]
     pub fn package_estimate_w(&self, core_estimates_sum_w: f64, awake: bool) -> f64 {
         core_estimates_sum_w + if awake { self.uncore_awake_w } else { self.uncore_pc6_w }
     }

@@ -15,7 +15,11 @@
 //! and against PPT − deadband. A machine that keeps no RAPL accounting
 //! knows the estimate only as an interval between evaluations; when
 //! neither threshold lies inside it, any point of the interval gives the
-//! same step (`decides_alike`).
+//! same step (`decides_alike`). The same test over the interval of every
+//! estimate a package can reach before its next full evaluation, with
+//! `holds` at one point of it, proves that every slot until then holds,
+//! so the simulator asks it once per machine state instead of once per
+//! slot.
 
 use crate::config::ControllerParams;
 

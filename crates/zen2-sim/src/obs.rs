@@ -108,7 +108,9 @@ pub const SPAN_SHARD: &str = "shard";
 /// The worker-pool execution of one shard. Attrs: `cases`,
 /// `workers`.
 pub const SPAN_POOL: &str = "pool";
-/// One case on its worker thread. Attrs: `index`, `label`, `worker`.
+/// One case on its worker thread. Attrs: `index`, `label`, `worker`,
+/// `rapl_accounting` and `counters` (whether its machine keeps RAPL
+/// accounting and performance counters).
 pub const SPAN_CASE: &str = "case";
 /// The case's machine boot, under its `case` span.
 pub const SPAN_BOOT: &str = "boot";
@@ -132,6 +134,23 @@ pub const SPAN_CHECKPOINT: &str = "checkpoint";
 pub const CTR_CACHE_MISS: &str = "cache.miss";
 /// Cases delivered to the caller.
 pub const CTR_CASES_DONE: &str = "cases.done";
+
+/// Package-slots (one package at one 1 ms PPT slot) that a standing hold
+/// proof decided. This and the four `ppt.*` counters below are each
+/// case's own counts, reported when its `sim` span closes.
+pub const CTR_PPT_PROOF_SLOTS: &str = "ppt.proof_slots";
+/// Hold proofs made: a package's PPT step proven to hold at every die
+/// temperature it can reach before the next full power evaluation.
+pub const CTR_PPT_PROOFS: &str = "ppt.proofs";
+/// Attempts at a hold proof that failed.
+pub const CTR_PPT_PROOFS_FAILED: &str = "ppt.proofs_failed";
+/// Package-slots decided on their own, with no proof standing or with the
+/// die temperature outside the proof's range.
+pub const CTR_PPT_FALLBACK_SLOTS: &str = "ppt.fallback_slots";
+/// Exact package-estimate refreshes those package-slots made, on a
+/// machine without RAPL accounting whose estimate bound straddled a
+/// controller threshold.
+pub const CTR_PPT_EXACT_REFRESHES: &str = "ppt.exact_refreshes";
 
 /// Shard sizes actually pulled (the tail shard is usually short).
 pub const OBS_SHARD_CASES: &str = "shard.cases";

@@ -30,9 +30,12 @@
 //! sum of (activity estimate + noise) over active cores, the sum of those
 //! terms' magnitudes and the active and gated core counts; from them
 //! `PowerEval::estimate_bounds` returns an interval that provably holds
-//! the estimate the thermal path would compute at the last evaluation's
-//! die temperatures, and `PowerEval::refresh_estimates` computes it
-//! exactly when the PPT controller cannot decide from the interval.
+//! the estimate the thermal path would compute at any die temperature of
+//! a span — the last evaluation's alone, or every temperature the die can
+//! reach before the next full evaluation, up to the fixed point
+//! `PowerEval::die_fixed_point_c` — and `PowerEval::refresh_estimates`
+//! computes it exactly when the PPT controller cannot decide from the
+//! interval.
 
 use crate::config::SimConfig;
 use crate::cstate::{classify_core, package_c6_allowed, CoreIdleClass, ThreadState};
@@ -371,7 +374,12 @@ impl PowerEval {
     /// cores all take the active expression `(a + t) + n` in one pass,
     /// then its gated cores the idle-core term; a sleeping package's
     /// estimates stay the full evaluation's zeros.
-    fn thermal_estimates(&self, cfg: &SimConfig, est_noise_w: &[f64], out: &mut PowerBreakdown) {
+    pub(crate) fn thermal_estimates(
+        &self,
+        cfg: &SimConfig,
+        est_noise_w: &[f64],
+        out: &mut PowerBreakdown,
+    ) {
         let per_pkg = cfg.topology.cores_per_socket();
         for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
             if !awake {
@@ -413,29 +421,85 @@ impl PowerEval {
         out.ac_w = cfg.power.psu.ac_from_dc(dc_w);
     }
 
+    /// The die temperature of package `pkg` that the last evaluation,
+    /// full or thermal, used.
+    pub(crate) fn die_c(&self, pkg: usize) -> f64 {
+        self.die_c[pkg]
+    }
+
+    /// The die temperature package `pkg`'s thermal step relaxes toward
+    /// while the machine state of the last full evaluation lasts: the
+    /// steady state of a sleeping package's constant power, or the fixed
+    /// point of an awake package's leakage-coupled step
+    /// ([`ThermalModel::coupled_steady_state_c`](zen2_power::ThermalModel::coupled_steady_state_c)
+    /// of the package's power before leakage). `None` when the leakage
+    /// feedback runs away.
+    pub(crate) fn die_fixed_point_c(
+        &self,
+        cfg: &SimConfig,
+        pkg: usize,
+        awake: bool,
+    ) -> Option<f64> {
+        let thermal = &cfg.power.thermal;
+        if awake {
+            let base_w = self.awake_base_w + self.cores_true_w[pkg];
+            thermal.coupled_steady_state_c(&cfg.power.leakage, base_w)
+        } else {
+            Some(thermal.steady_state_c(cfg.power.package.sleeping_w()))
+        }
+    }
+
     /// An interval that holds package `pkg`'s estimate as the thermal
-    /// path computes it at the last evaluation's die temperature, `awake`
-    /// being the package's wake state.
+    /// path computes it at every die temperature in `[lo_c, hi_c]`,
+    /// `awake` being the package's wake state and the other inputs those
+    /// of the last full evaluation; the span `[d, d]` bounds it at `d`.
     ///
-    /// With `t` the temperature term and `g = max(t, 0)` the gated-core
-    /// term (the same floats on both paths), the thermal path computes
-    /// `fl(a + t) + n` per active core, sums the package's `N` cores in
-    /// order and adds the uncore term `U`. Let `W` be the sum of the
-    /// magnitudes of every term: `Σ(|a| + |n|) + A·|t| + G·g + |U|` over
-    /// `A` active and `G` gated cores. With `u = 2⁻⁵³`, the two roundings
-    /// per active core cost at most `2u·W`, the `N − 1` roundings of the
-    /// core sum at most `(N − 1)u·W` and the uncore addition `u·W`, so
-    /// the thermal path is within `(N + 2)u·W` of the exact value, to
-    /// first order. The interval's centre sums `A` rounded `a + n` terms
-    /// (at most `A·u·W`), then forms `A·t` and `G·g` and adds three terms
-    /// (at most `4u·W` more), so it is within `(N + 4)u·W` of the exact
-    /// value. The two differ by at most `(2N + 6)u·W ≤ (N + 4)·2⁻⁵²·W`.
-    /// The half-width doubles that, which covers the second-order terms
+    /// At one temperature: with `t` the temperature term and
+    /// `g = max(t, 0)` the gated-core term (the same floats on both
+    /// paths), the thermal path computes `fl(a + t) + n` per active core,
+    /// sums the package's `N` cores in order and adds the uncore term
+    /// `U`. Let `W` be the sum of the magnitudes of every term:
+    /// `Σ(|a| + |n|) + A·|t| + G·g + |U|` over `A` active and `G` gated
+    /// cores. With `u = 2⁻⁵³`, the two roundings per active core cost at
+    /// most `2u·W`, the `N − 1` roundings of the core sum at most
+    /// `(N − 1)u·W` and the uncore addition `u·W`, so the thermal path is
+    /// within `(N + 2)u·W` of the exact value, to first order. The
+    /// interval's centre sums `A` rounded `a + n` terms (at most
+    /// `A·u·W`), then forms `A·t` and `G·g` and adds three terms (at most
+    /// `4u·W` more), so it is within `(N + 4)u·W` of the exact value. The
+    /// two differ by at most `(2N + 6)u·W ≤ (N + 4)·2⁻⁵²·W`. The
+    /// half-width doubles that, which covers the second-order terms
     /// (`O(N²u²)·W`) and the rounding of `W`, of the half-width and of
     /// the two ends.
-    pub(crate) fn estimate_bounds(&self, cfg: &SimConfig, pkg: usize, awake: bool) -> (f64, f64) {
+    ///
+    /// Over a span: the float `t` is monotone in the die temperature
+    /// (a subtraction and a scaling, each rounding monotone), `g` moves
+    /// with it, and both enter the exact value with non-negative counts,
+    /// so the exact value at any temperature of the span lies between its
+    /// values at the two ends. `|t|` and `max(t, 0)` are convex in `t`, so
+    /// `W` at any temperature of the span is at most `W*`, the larger of
+    /// its values at the two ends. The thermal path is then within
+    /// `(N + 2)u·W*` of an exact value between the ends' exact values,
+    /// each within `(N + 4)u·W*` of its own centre: the lower centre less
+    /// the half-width at `W*`, up to the higher centre plus it, holds it.
+    pub(crate) fn estimate_bounds(
+        &self,
+        cfg: &SimConfig,
+        pkg: usize,
+        awake: bool,
+        (lo_c, hi_c): (f64, f64),
+    ) -> (f64, f64) {
+        let (lo_centre_w, lo_magnitude_w) = self.estimate_centre(cfg, pkg, awake, lo_c);
+        let (hi_centre_w, hi_magnitude_w) = self.estimate_centre(cfg, pkg, awake, hi_c);
+        let cores = cfg.topology.cores_per_socket() as f64;
+        let half_width_w = 2.0 * (cores + 4.0) * f64::EPSILON * lo_magnitude_w.max(hi_magnitude_w);
+        (lo_centre_w.min(hi_centre_w) - half_width_w, lo_centre_w.max(hi_centre_w) + half_width_w)
+    }
+
+    /// The centre of [`estimate_bounds`](Self::estimate_bounds) at die
+    /// temperature `die_c`, and `W` there.
+    fn estimate_centre(&self, cfg: &SimConfig, pkg: usize, awake: bool, die_c: f64) -> (f64, f64) {
         let terms = &self.est_terms[pkg];
-        let die_c = self.die_c[pkg];
         let temperature_w = cfg.rapl.temperature_term_w(die_c);
         let idle_w = cfg.rapl.idle_core_estimate_w(die_c);
         let (active, gated) = (f64::from(terms.active), self.gated[pkg].len() as f64);
@@ -444,9 +508,7 @@ impl PowerEval {
         let uncore_w = cfg.rapl.package_estimate_w(0.0, awake);
         let magnitude_w =
             terms.magnitude_w + active * temperature_w.abs() + gated * idle_w + uncore_w.abs();
-        let cores = cfg.topology.cores_per_socket() as f64;
-        let half_width_w = 2.0 * (cores + 4.0) * f64::EPSILON * magnitude_w;
-        (centre_w - half_width_w, centre_w + half_width_w)
+        (centre_w, magnitude_w)
     }
 }
 
@@ -572,6 +634,55 @@ mod tests {
         let est: f64 = b.pkg_est_w.iter().sum();
         let truth: f64 = b.pkg_true_w.iter().sum::<f64>() + b.dram_w;
         assert!(est < truth * 0.8, "est {est:.0} W vs true-with-dram {truth:.0} W");
+    }
+
+    #[test]
+    fn span_bounds_hold_every_estimate_and_instant_bound_inside_them() {
+        // Every third thread runs FIRESTARTER, one more idles in C1, the
+        // rest in C2, and each core carries its own estimate noise.
+        let cfg = SimConfig::epyc_7502_2s();
+        let (mut threads, mut workloads) = idle_state(&cfg);
+        for t in (0..threads.len()).step_by(3) {
+            threads[t] = ThreadState::Active;
+            workloads[t] = Some((KernelClass::Firestarter, OperandWeight::HALF));
+        }
+        threads[4] = ThreadState::C1;
+        let cores = cfg.topology.num_cores();
+        let noise_w: Vec<f64> = (0..cores).map(|c| (c as f64 - 30.0) * 1e-3).collect();
+        let state = MachineState {
+            thread_states: &threads,
+            workloads: &workloads,
+            core_eff_ghz: &vec![2.5; cores],
+            core_voltage: &vec![1.0; cores],
+            die_temp_c: &[40.0, 90.0],
+            est_noise_w: &noise_w,
+        };
+        let mut eval = PowerEval::new(&cfg.topology);
+        let mut out = PowerBreakdown::zeroed(&cfg.topology);
+        eval.evaluate(&cfg, &WorkloadSet::paper(), &state, &mut out);
+        let fixed = eval.clone();
+
+        // Die temperatures on both sides of the estimate's 68 °C reference.
+        let temps = [-40.0, 20.0, 67.5, 68.0, 68.25, 90.0, 150.0];
+        for pkg in 0..2 {
+            for (i, &from_c) in temps.iter().enumerate() {
+                for &to_c in &temps[i..] {
+                    let (lo_w, hi_w) = fixed.estimate_bounds(&cfg, pkg, true, (from_c, to_c));
+                    for share in [0.0, 0.3, 0.5, 0.9, 1.0] {
+                        let die_c = from_c + (to_c - from_c) * share;
+                        let (at_lo_w, at_hi_w) =
+                            fixed.estimate_bounds(&cfg, pkg, true, (die_c, die_c));
+                        assert!(
+                            lo_w <= at_lo_w && at_hi_w <= hi_w,
+                            "package {pkg}, [{from_c}, {to_c}] °C at {die_c} °C"
+                        );
+                        eval.reevaluate_thermal(&cfg, &[die_c; 2], &noise_w, true, &mut out);
+                        let est_w = out.pkg_est_w[pkg];
+                        assert!(lo_w <= est_w && est_w <= hi_w, "{est_w} W at {die_c} °C");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -616,6 +616,69 @@ proptest! {
         prop_assert_eq!(format!("{trimmed:?}"), format!("{whole:?}"));
     }
 
+    /// A machine whose PPT loop decides held slots from hold proofs runs
+    /// every scenario bit for bit like a same-seed twin that decides every
+    /// slot on its own, with RAPL accounting and without: random ticks
+    /// with P-state ramps in flight and mid-run preheats, over no extra
+    /// load, a light pause load, or FIRESTARTER everywhere, whose cap
+    /// steps down and settles into the deadband. Every proven slot also
+    /// asserts, in these builds, that the per-slot decision holds.
+    #[test]
+    fn hold_proofs_decide_like_every_slot_on_its_own(
+        ticks in prop::collection::vec(
+            (1u64..40_000_000, prop::collection::vec(arb_tick_op(), 1..6)),
+            1..6,
+        ),
+        load in 0u8..3,
+        lean in any::<bool>(),
+    ) {
+        let mut ticks: Vec<(Ns, Vec<Op>)> = ticks
+            .into_iter()
+            .map(|(gap, ops)| (gap, ops.into_iter().map(tick_op).collect()))
+            .collect();
+        let (class, threads) = match load {
+            0 => (KernelClass::Pause, 0),
+            1 => (KernelClass::Pause, 8),
+            _ => (KernelClass::Firestarter, 128),
+        };
+        let loaded = (0..threads).map(|t| Op::Workload {
+            thread: ThreadId(t),
+            class,
+            weight: OperandWeight::HALF,
+        });
+        ticks[0].1.splice(0..0, loaded);
+        let (mut sc, times) = tick_scenario(&ticks);
+        let whole = Window::span(0, times[times.len() - 1]);
+        sc.probe("ac", Probe::AcTrueMeanW, whole);
+        if !lean {
+            sc.probe("rapl", Probe::RaplW, whole);
+        }
+        let cfg = SimConfig::epyc_7502_2s();
+        prop_assume!(sc.validate(&cfg).is_ok());
+        let mut proven = System::new(cfg.clone(), 29);
+        let mut per_slot = System::new(cfg, 29);
+        per_slot.disable_hold_proofs();
+        if lean {
+            proven.drop_rapl_accounting();
+            per_slot.drop_rapl_accounting();
+        }
+        let proven_run = proven.run_scenario_prechecked(&sc, false);
+        let per_slot_run = per_slot.run_scenario_prechecked(&sc, false);
+        prop_assert_eq!(format!("{proven_run:?}"), format!("{per_slot_run:?}"));
+        for socket in [SocketId(0), SocketId(1)] {
+            prop_assert_eq!(proven.cap_mhz(socket), per_slot.cap_mhz(socket));
+            prop_assert_eq!(
+                proven.die_temp_c(socket).to_bits(),
+                per_slot.die_temp_c(socket).to_bits()
+            );
+        }
+        let trace_bits = |sys: &System| -> Vec<(Ns, u64)> {
+            sys.ac_trace().iter().map(|&(t, w)| (t, w.to_bits())).collect()
+        };
+        prop_assert!(trace_bits(&proven) == trace_bits(&per_slot));
+        prop_assert_eq!(per_slot.slot_counts().proof_slots, 0);
+    }
+
     /// The PPT controller never leaves its [min, max] range and always
     /// converges for any monotone power curve.
     #[test]
@@ -707,6 +770,17 @@ fn reweighting_every_thread_in_one_tick_matches_one_at_a_time() {
         (3 * MILLISECOND + 250_000, all(OperandWeight::ZERO)),
     ];
     assert_batched_matches_single(&ticks).expect("batched and per-action machines agree");
+}
+
+#[test]
+#[should_panic(
+    expected = "performance-counter read on a machine that keeps no performance counters"
+)]
+fn counter_read_without_counters_is_a_bug() {
+    let mut sys = System::new(SimConfig::epyc_7502_2s(), 3);
+    sys.drop_counters();
+    sys.run_for_ns(2 * MILLISECOND);
+    sys.counters(ThreadId(0));
 }
 
 #[test]

@@ -248,6 +248,15 @@ impl Scenario {
         })
     }
 
+    /// Whether a probe reads performance counters ([`Probe::CounterDelta`]
+    /// or [`Probe::CounterSeries`]). [`Session`](crate::Session) runs a
+    /// case whose scenario does not on a machine that keeps no counters.
+    pub(crate) fn reads_counters(&self) -> bool {
+        self.probes
+            .iter()
+            .any(|spec| matches!(spec.probe, Probe::CounterDelta(_) | Probe::CounterSeries { .. }))
+    }
+
     /// The explicit minimum run length set through
     /// [`run_until`](Self::run_until), ns (0 when never set). The
     /// scenario may still run longer — see [`end`](Self::end).

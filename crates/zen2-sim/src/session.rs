@@ -17,8 +17,11 @@
 //! scenario reads no RAPL counter runs without RAPL accounting: its
 //! machine integrates and publishes no RAPL energy and its PPT loop
 //! decides from a bound on each package estimate, which leaves every
-//! result bit-identical to a run with accounting. Each `case` span
-//! records the choice as its `rapl_accounting` attribute.
+//! result bit-identical to a run with accounting. Likewise a case whose
+//! scenario reads no performance counter runs on a machine that keeps
+//! none. Each `case` span records both choices, as its `rapl_accounting`
+//! and `counters` attributes, and the case reports how its PPT loop
+//! decided its slots as the `ppt.*` counters when its `sim` span closes.
 //!
 //! A case holds only what a probe can still read. Its scenario's steps
 //! and probes are shared with the case's source (a [`Scenario`] clone
@@ -293,11 +296,15 @@ impl Session {
 
 /// The executor of every public entry point: each group was validated
 /// before it runs. A machine whose scenario reads no RAPL counter keeps
-/// no RAPL accounting, and every case trims its AC trace behind its open
+/// no RAPL accounting, one whose scenario reads no performance counter
+/// keeps no counters, and every case trims its AC trace behind its open
 /// windows.
 fn run_prechecked(sys: &mut System, case: &Case) -> Run {
     if !case.scenario.reads_rapl() {
         sys.drop_rapl_accounting();
+    }
+    if !case.scenario.reads_counters() {
+        sys.drop_counters();
     }
     sys.run_scenario_prechecked(&case.scenario, true)
 }
@@ -314,7 +321,8 @@ fn validate_case(case: &Case) -> Result<(), SessionError> {
 /// case, and returns each case's outcome in case order. Panicking cases
 /// are contained and reported as `Err` outcomes. Each case reports a
 /// `case` span (with `boot` and `sim` child phases) through `obs`,
-/// indexed globally from `base_index`.
+/// indexed globally from `base_index`, and its machine's slot counts
+/// after its `sim` phase.
 fn pool_outcomes(
     cases: &[Case],
     workers: usize,
@@ -354,6 +362,7 @@ fn pool_outcomes(
                         ("label", AttrValue::Str(&case.label)),
                         ("worker", AttrValue::U64(w as u64)),
                         ("rapl_accounting", AttrValue::Bool(case.scenario.reads_rapl())),
+                        ("counters", AttrValue::Bool(case.scenario.reads_counters())),
                     ],
                 );
                 // Contain a panicking case: record it against slot `i`
@@ -367,6 +376,9 @@ fn pool_outcomes(
                     let sim_span = obs.open(case_span, obs::SPAN_SIM, &[]);
                     let run = execute(&mut sys, case);
                     obs.close(sim_span);
+                    for (name, count) in sys.slot_counts().named() {
+                        obs.counter(name, count);
+                    }
                     run
                 }))
                 .map_err(|payload| panic_text(payload.as_ref()));

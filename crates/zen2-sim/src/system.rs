@@ -11,7 +11,15 @@
 //! each energy counter once per domain. A machine that keeps no RAPL
 //! accounting (see `System::drop_rapl_accounting`) integrates no RAPL
 //! energy, skips the estimates in thermal-only steps, and lets its PPT
-//! loop decide from a bound on each package estimate.
+//! loop decide from a bound on each package estimate; one that keeps no
+//! performance counters (see `System::drop_counters`) advances none.
+//!
+//! The PPT loop proves a package's hold once per machine state, not once
+//! per 1 ms slot: the first slot after a full evaluation bounds the
+//! estimate over every die temperature the package can reach before the
+//! next one (`System::prove_hold`), and while that proof stands a slot
+//! only checks that its die temperature lies in the proven range. The
+//! slot boundaries themselves are found by adding one period to the last.
 //!
 //! The machine records its AC power as a piecewise-constant trace, one
 //! segment per change. A hand-driven machine keeps all of it, so
@@ -23,6 +31,7 @@ use crate::ccx;
 use crate::config::SimConfig;
 use crate::controller::PptController;
 use crate::cstate::ThreadState;
+use crate::obs;
 use crate::os::IdleConfig;
 use crate::perf::{CounterGroups, ThreadCounters};
 use crate::power::{MachineState, PowerBreakdown, PowerEval};
@@ -59,6 +68,50 @@ enum Touch {
 /// What one CCX's clocks resolve from: each core's applied frequency and
 /// whether it has an active thread.
 type CcxInputs = ([u32; ccx::CORES_PER_CCX], [bool; ccx::CORES_PER_CCX]);
+
+/// What the PPT loop knows of one package's step between two full
+/// evaluations.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum HoldProof {
+    /// No slot has tried to prove the hold since the last full evaluation.
+    Unproven,
+    /// The step holds at every die temperature in `[lo_c, hi_c]`.
+    Holds { lo_c: f64, hi_c: f64 },
+    /// The step could not be proven to hold: every slot decides on its
+    /// own until the next full evaluation or preheat.
+    Failed,
+}
+
+/// How the PPT loop decided its package-slots (one package at one 1 ms
+/// slot) since boot, as plain counts the session reports when a case
+/// closes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SlotCounts {
+    /// Package-slots a standing hold proof decided.
+    pub(crate) proof_slots: u64,
+    /// Hold proofs made.
+    pub(crate) proofs: u64,
+    /// Attempts at a hold proof that failed.
+    pub(crate) proofs_failed: u64,
+    /// Package-slots decided on their own: no proof stood, or its range
+    /// missed the die temperature.
+    pub(crate) fallback_slots: u64,
+    /// Exact estimate refreshes those package-slots made.
+    pub(crate) exact_refreshes: u64,
+}
+
+impl SlotCounts {
+    /// Each count under its recorder counter name.
+    pub(crate) fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            (obs::CTR_PPT_PROOF_SLOTS, self.proof_slots),
+            (obs::CTR_PPT_PROOFS, self.proofs),
+            (obs::CTR_PPT_PROOFS_FAILED, self.proofs_failed),
+            (obs::CTR_PPT_FALLBACK_SLOTS, self.fallback_slots),
+            (obs::CTR_PPT_EXACT_REFRESHES, self.exact_refreshes),
+        ]
+    }
+}
 
 /// The first hardware thread of package `pkg`, through which the MSR
 /// file's one counter per package is written and read.
@@ -105,13 +158,23 @@ pub struct System {
 
     // Per-package state.
     controllers: Vec<PptController>,
+    /// What each package's PPT step is proven to do until the next full
+    /// evaluation.
+    hold_proofs: Vec<HoldProof>,
+    /// Whether slots may decide from a hold proof; off only in tests that
+    /// compare against machines deciding every slot on its own.
+    #[cfg(test)]
+    hold_proofs_enabled: bool,
+    slot_counts: SlotCounts,
     die_temp_c: Vec<f64>,
     /// The last integrated segment's length and its thermal α, reused
     /// while segments keep that length.
     thermal_alpha: (Ns, f64),
 
     // Accounting.
-    counters: CounterGroups,
+    /// Performance counters; `None` on a machine whose scenario reads
+    /// none (see [`drop_counters`](Self::drop_counters)).
+    counters: Option<CounterGroups>,
     /// Every thread's counters advanced one thread at a time, the
     /// reference the grouped counters must match.
     #[cfg(test)]
@@ -175,13 +238,17 @@ impl System {
             est_noise_w: vec![0.0; num_cores],
             ccx_resolved: vec![None; topo.num_ccxs()],
             controllers,
+            hold_proofs: vec![HoldProof::Unproven; num_pkgs],
+            #[cfg(test)]
+            hold_proofs_enabled: true,
+            slot_counts: SlotCounts::default(),
             die_temp_c: vec![cfg.power.thermal.ambient_c; num_pkgs],
             thermal_alpha: (0, cfg.power.thermal.alpha(0.0)),
-            counters: CounterGroups::new(
+            counters: Some(CounterGroups::new(
                 num_threads,
                 nominal as f64 / 1000.0,
                 cfg.os.idle_wake_cycles_per_s,
-            ),
+            )),
             #[cfg(test)]
             per_thread_counters: vec![ThreadCounters::default(); num_threads],
             rapl: Some(RaplAccounting::new(num_cores, num_pkgs)),
@@ -216,8 +283,8 @@ impl System {
     /// Panics if this machine is not in its boot state — time advanced,
     /// any workload scheduled (scheduling consumes the RNG, which a
     /// reseed would not reproduce), any frequency request / C-state
-    /// configuration changed from boot defaults, or RAPL accounting
-    /// dropped.
+    /// configuration changed from boot defaults, or RAPL accounting or
+    /// performance counters dropped.
     pub fn fork(&self, seed: u64) -> System {
         let nominal = self.cfg.nominal_mhz();
         assert!(
@@ -228,7 +295,8 @@ impl System {
                 && self.idle_cfg.iter().all(|c| *c == IdleConfig::default())
                 && !self.tracer.is_enabled()
                 && self.tracer.records().is_empty()
-                && self.rapl.is_some(),
+                && self.rapl.is_some()
+                && self.counters.is_some(),
             "fork requires a pristine booted system"
         );
         let mut sys = self.clone();
@@ -280,8 +348,16 @@ impl System {
     }
 
     /// Performance-counter snapshot for a thread.
+    ///
+    /// # Panics
+    /// Panics on a machine that dropped its performance counters: the
+    /// session drops them only for a scenario that reads no counter, so
+    /// such a read is a simulator bug.
     pub fn counters(&self, thread: ThreadId) -> ThreadCounters {
-        self.counters.get(thread.index())
+        let Some(counters) = &self.counters else {
+            panic!("performance-counter read on a machine that keeps no performance counters");
+        };
+        counters.get(thread.index())
     }
 
     /// A thread's counters as the per-thread reference integration has
@@ -351,7 +427,20 @@ impl System {
     #[cfg(test)]
     pub(crate) fn estimate_bounds(&self, socket: SocketId) -> (f64, f64) {
         let pkg = socket.index();
-        self.power.estimate_bounds(&self.cfg, pkg, self.breakdown.pkg_awake[pkg])
+        let die_c = self.power.die_c(pkg);
+        self.power.estimate_bounds(&self.cfg, pkg, self.breakdown.pkg_awake[pkg], (die_c, die_c))
+    }
+
+    /// How the PPT loop decided its package-slots since boot.
+    pub(crate) fn slot_counts(&self) -> SlotCounts {
+        self.slot_counts
+    }
+
+    /// Makes every slot decide on its own, as a machine without hold
+    /// proofs would.
+    #[cfg(test)]
+    pub(crate) fn disable_hold_proofs(&mut self) {
+        self.hold_proofs_enabled = false;
     }
 
     /// The package estimate the PPT step reads at target `ppt_w`: a point
@@ -371,6 +460,15 @@ impl System {
     /// accounting of a case whose scenario reads no RAPL counter.
     pub(crate) fn drop_rapl_accounting(&mut self) {
         self.rapl = None;
+    }
+
+    /// Stops performance-counter integration for good: segments no longer
+    /// advance any thread's counters, and reading one panics. Nothing else
+    /// reads them, so every other result stays bit-identical.
+    /// [`Session`](crate::Session) drops the counters of a case whose
+    /// scenario reads none.
+    pub(crate) fn drop_counters(&mut self) {
+        self.counters = None;
     }
 
     /// Enables or disables event tracing (lo2s-style). Enabling records
@@ -575,16 +673,16 @@ impl System {
         // Thread states cannot change while time runs.
         let controller_active =
             self.cfg.controller.enabled && self.thread_states.iter().any(|t| t.is_active());
-        let ppt_w = self.cfg.power.package.ppt_estimated_w;
-        let cores_per_pkg = self.cfg.topology.cores_per_socket();
+        let slot_ns = self.cfg.smu.slot_period_ns;
+        // The next PPT slot boundary, one period further at each boundary
+        // reached; none while no thread is active.
+        let mut next_slot =
+            if controller_active { next_boundary(self.now, slot_ns) } else { Ns::MAX };
         while self.now < end {
             let smu_next = self.smu.next_event();
-            let mut next = end.min(self.now + MAX_SEGMENT_NS);
+            let mut next = end.min(self.now + MAX_SEGMENT_NS).min(next_slot);
             if let Some(e) = smu_next {
                 next = next.min(e);
-            }
-            if controller_active {
-                next = next.min(next_boundary(self.now, self.cfg.smu.slot_period_ns));
             }
             self.integrate_segment(next - self.now);
             self.now = next;
@@ -609,28 +707,9 @@ impl System {
                 }
             }
             let mut caps_changed = false;
-            if controller_active && self.now.is_multiple_of(self.cfg.smu.slot_period_ns) {
-                for pkg in 0..self.controllers.len() {
-                    let est_w = self.slot_estimate_w(pkg, ppt_w);
-                    if self.controllers[pkg].holds(est_w, ppt_w) {
-                        continue;
-                    }
-                    let applied = (pkg * cores_per_pkg..(pkg + 1) * cores_per_pkg)
-                        .map(|c| self.smu.core(c).applied_mhz())
-                        .min()
-                        .expect("packages have cores");
-                    let moved = self.controllers[pkg].step(est_w, ppt_w, applied);
-                    if moved {
-                        self.tracer.record(
-                            self.now,
-                            Event::CapChanged {
-                                socket: SocketId(pkg as u32),
-                                cap_mhz: self.controllers[pkg].cap_mhz(),
-                            },
-                        );
-                    }
-                    caps_changed |= moved;
-                }
+            if self.now == next_slot {
+                next_slot += slot_ns;
+                caps_changed = self.ppt_slot();
             }
             if caps_changed {
                 self.resolve_dvfs();
@@ -645,6 +724,117 @@ impl System {
         }
     }
 
+    /// One PPT slot: each package's step, decided by its hold proof where
+    /// one covers the die temperature of the last evaluation, and on its
+    /// own otherwise. Returns whether a cap moved.
+    fn ppt_slot(&mut self) -> bool {
+        let ppt_w = self.cfg.power.package.ppt_estimated_w;
+        let cores_per_pkg = self.cfg.topology.cores_per_socket();
+        let mut caps_changed = false;
+        for pkg in 0..self.controllers.len() {
+            if self.proven_hold(pkg, ppt_w) {
+                continue;
+            }
+            self.slot_counts.fallback_slots += 1;
+            let est_w = self.slot_estimate_w(pkg, ppt_w);
+            if self.controllers[pkg].holds(est_w, ppt_w) {
+                continue;
+            }
+            let applied = (pkg * cores_per_pkg..(pkg + 1) * cores_per_pkg)
+                .map(|c| self.smu.core(c).applied_mhz())
+                .min()
+                .expect("packages have cores");
+            let moved = self.controllers[pkg].step(est_w, ppt_w, applied);
+            if moved {
+                self.tracer.record(
+                    self.now,
+                    Event::CapChanged {
+                        socket: SocketId(pkg as u32),
+                        cap_mhz: self.controllers[pkg].cap_mhz(),
+                    },
+                );
+            }
+            caps_changed |= moved;
+        }
+        caps_changed
+    }
+
+    /// Whether package `pkg`'s step holds by proof this slot: a hold proof
+    /// made since the last full evaluation covers the die temperature the
+    /// last evaluation used. The first slot after a full evaluation or a
+    /// preheat tries to make the proof ([`prove_hold`](Self::prove_hold));
+    /// if that fails, every slot decides on its own until the next one.
+    fn proven_hold(&mut self, pkg: usize, ppt_w: f64) -> bool {
+        #[cfg(test)]
+        if !self.hold_proofs_enabled {
+            return false;
+        }
+        if self.hold_proofs[pkg] == HoldProof::Unproven {
+            self.hold_proofs[pkg] = match self.prove_hold(pkg, ppt_w) {
+                Some((lo_c, hi_c)) => {
+                    self.slot_counts.proofs += 1;
+                    HoldProof::Holds { lo_c, hi_c }
+                }
+                None => {
+                    self.slot_counts.proofs_failed += 1;
+                    HoldProof::Failed
+                }
+            };
+        }
+        let HoldProof::Holds { lo_c, hi_c } = self.hold_proofs[pkg] else { return false };
+        let die_c = self.power.die_c(pkg);
+        if !(lo_c <= die_c && die_c <= hi_c) {
+            return false;
+        }
+        self.slot_counts.proof_slots += 1;
+        #[cfg(test)]
+        assert!(
+            self.per_slot_decision_holds(pkg, ppt_w),
+            "package {pkg}: a proven hold at {die_c} °C in [{lo_c}, {hi_c}] does not hold"
+        );
+        true
+    }
+
+    /// Tries to prove that package `pkg`'s step holds at every slot until
+    /// the next full evaluation; returns the die-temperature range the
+    /// proof covers.
+    ///
+    /// Until then only the die temperature moves the estimate. From the
+    /// last evaluation's it relaxes toward the fixed point of the
+    /// leakage-coupled thermal step, monotonically in exact arithmetic: a
+    /// step moves it by `(1 − R·B·k)·α` of its distance there, a share in
+    /// (0, 1). The estimate bound over that range
+    /// ([`PowerEval::estimate_bounds`]) then holds every estimate a slot
+    /// can read, and when no controller threshold lies inside it and the
+    /// step holds there, every such slot holds. Rounding may still carry
+    /// the die past the fixed point, so each slot checks that the die
+    /// temperature it reads lies in the range.
+    fn prove_hold(&self, pkg: usize, ppt_w: f64) -> Option<(f64, f64)> {
+        let awake = self.breakdown.pkg_awake[pkg];
+        let from_c = self.power.die_c(pkg);
+        let to_c = self.power.die_fixed_point_c(&self.cfg, pkg, awake)?;
+        let range = (from_c.min(to_c), from_c.max(to_c));
+        let (lo_w, hi_w) = self.power.estimate_bounds(&self.cfg, pkg, awake, range);
+        let controller = &self.controllers[pkg];
+        (controller.decides_alike(lo_w, hi_w, ppt_w) && controller.holds(lo_w, ppt_w))
+            .then_some(range)
+    }
+
+    /// Whether the per-slot decision holds package `pkg`'s step, made
+    /// without touching the machine: at the exact estimate a thermal
+    /// evaluation computes at the last evaluation's die temperatures.
+    #[cfg(test)]
+    fn per_slot_decision_holds(&self, pkg: usize, ppt_w: f64) -> bool {
+        let est_w = if self.power.estimates_stale() {
+            let mut exact = self.breakdown.clone();
+            self.power.thermal_estimates(&self.cfg, &self.est_noise_w, &mut exact);
+            exact.pkg_est_w[pkg]
+        } else {
+            self.breakdown.pkg_est_w[pkg]
+        };
+        self.controllers[pkg].holds(est_w, ppt_w)
+    }
+
     /// Runs the machine forward by (fractional) seconds.
     pub fn run_for_secs(&mut self, secs: f64) {
         self.run_for_ns(crate::time::from_secs(secs));
@@ -653,6 +843,9 @@ impl System {
     /// Fast-forwards the thermal state to steady conditions (the paper's
     /// pre-heat phase) without paying for simulated seconds.
     pub fn preheat(&mut self) {
+        // A hold proof covers the dies' relaxation through thermal steps;
+        // preheating sets them another way, so the next slot proves anew.
+        self.hold_proofs.fill(HoldProof::Unproven);
         for _ in 0..4 {
             for pkg in 0..self.die_temp_c.len() {
                 self.die_temp_c[pkg] =
@@ -672,7 +865,7 @@ impl System {
 
     /// Externally-measured mean AC power over a past interval: LMG670
     /// samples averaged over the inner 80 % of the window.
-    pub fn metered_mean_w(&mut self, from: Ns, to: Ns) -> f64 {
+    pub(crate) fn metered_mean_w(&mut self, from: Ns, to: Ns) -> f64 {
         let samples = self.meter_samples(from, to);
         zen2_power::PowerMeter::inner_window_mean(&samples, to_secs(from), to_secs(to))
     }
@@ -768,7 +961,7 @@ impl System {
 
     /// Samples one cond-var wakeup of `callee` triggered by `caller`
     /// (Fig. 8 benchmark). The callee must be idle.
-    pub fn sample_wakeup_ns(&mut self, caller: ThreadId, callee: ThreadId) -> f64 {
+    pub(crate) fn sample_wakeup_ns(&mut self, caller: ThreadId, callee: ThreadId) -> f64 {
         let state = self.thread_states[callee.index()];
         let callee_core = self.cfg.topology.core_of(callee);
         let ghz = self.core_eff_ghz[callee_core.index()];
@@ -852,10 +1045,12 @@ impl System {
     fn slot_estimate_w(&mut self, pkg: usize, ppt_w: f64) -> f64 {
         if self.power.estimates_stale() {
             let awake = self.breakdown.pkg_awake[pkg];
-            let (lo_w, hi_w) = self.power.estimate_bounds(&self.cfg, pkg, awake);
+            let die_c = self.power.die_c(pkg);
+            let (lo_w, hi_w) = self.power.estimate_bounds(&self.cfg, pkg, awake, (die_c, die_c));
             if self.controllers[pkg].decides_alike(lo_w, hi_w, ppt_w) {
                 return lo_w;
             }
+            self.slot_counts.exact_refreshes += 1;
             self.power.refresh_estimates(&self.cfg, &self.est_noise_w, &mut self.breakdown);
         }
         self.breakdown.pkg_est_w[pkg]
@@ -867,7 +1062,9 @@ impl System {
     /// clocks have all settled by now, so this is where the counter
     /// grouping goes stale.
     fn update_clocks_and_power(&mut self) {
-        self.counters.invalidate();
+        if let Some(counters) = &mut self.counters {
+            counters.invalidate();
+        }
         let tpc = self.cfg.topology.threads_per_core();
         for ccx in 0..self.cfg.topology.num_ccxs() {
             // A CCX's cores are numbered contiguously.
@@ -906,6 +1103,8 @@ impl System {
     }
 
     fn reevaluate_power(&mut self) {
+        // A new machine state: the hold proofs covered the old one.
+        self.hold_proofs.fill(HoldProof::Unproven);
         let state = MachineState {
             thread_states: &self.thread_states,
             workloads: &self.workloads,
@@ -1038,20 +1237,22 @@ impl System {
             return;
         }
         let dt_s = to_secs(dt);
-        self.counters.advance(dt_s, &self.thread_states, &self.core_eff_ghz, &self.thread_ipc);
-        #[cfg(test)]
-        {
-            let tpc = self.cfg.topology.threads_per_core();
-            let nominal_ghz = self.pstate_mhz[0] as f64 / 1000.0;
-            for t in 0..self.thread_states.len() {
-                self.per_thread_counters[t].advance(
-                    dt_s,
-                    self.thread_states[t],
-                    self.core_eff_ghz[t / tpc],
-                    nominal_ghz,
-                    self.thread_ipc[t],
-                    self.cfg.os.idle_wake_cycles_per_s,
-                );
+        if let Some(counters) = &mut self.counters {
+            counters.advance(dt_s, &self.thread_states, &self.core_eff_ghz, &self.thread_ipc);
+            #[cfg(test)]
+            {
+                let tpc = self.cfg.topology.threads_per_core();
+                let nominal_ghz = self.pstate_mhz[0] as f64 / 1000.0;
+                for t in 0..self.thread_states.len() {
+                    self.per_thread_counters[t].advance(
+                        dt_s,
+                        self.thread_states[t],
+                        self.core_eff_ghz[t / tpc],
+                        nominal_ghz,
+                        self.thread_ipc[t],
+                        self.cfg.os.idle_wake_cycles_per_s,
+                    );
+                }
             }
         }
 
@@ -1350,5 +1551,116 @@ mod tests {
         sys.set_cstate_enabled(ThreadId(2), 2, false);
         let c1 = sys.sample_wakeup_ns(ThreadId(0), ThreadId(2));
         assert!(c1 < 3_000.0, "C1 wake {c1:.0} ns");
+    }
+
+    /// A machine with hold proofs, and its twin deciding every slot on
+    /// its own, built alike.
+    fn proven_and_per_slot() -> (System, System) {
+        let proven = boot();
+        let mut per_slot = boot();
+        per_slot.disable_hold_proofs();
+        (proven, per_slot)
+    }
+
+    /// Applies `act` to both machines.
+    fn both(pair: &mut (System, System), act: impl Fn(&mut System)) {
+        act(&mut pair.0);
+        act(&mut pair.1);
+    }
+
+    /// Asserts that both machines stepped alike: caps, die temperatures
+    /// and the AC trace are bit-equal.
+    fn assert_decided_alike((proven, per_slot): &(System, System)) {
+        for socket in [SocketId(0), SocketId(1)] {
+            assert_eq!(proven.cap_mhz(socket), per_slot.cap_mhz(socket));
+            assert_eq!(proven.die_temp_c(socket).to_bits(), per_slot.die_temp_c(socket).to_bits());
+        }
+        let bits = |sys: &System| -> Vec<(Ns, u64)> {
+            sys.trace.iter().map(|&(t, w)| (t, w.to_bits())).collect()
+        };
+        assert!(bits(proven) == bits(per_slot), "AC traces differ");
+        assert_eq!(per_slot.slot_counts().proof_slots, 0);
+    }
+
+    fn load_all(sys: &mut System, class: KernelClass) {
+        for t in 0..128u32 {
+            sys.set_workload(ThreadId(t), class, OperandWeight::HALF);
+        }
+    }
+
+    #[test]
+    fn hold_proofs_decide_light_loads_and_the_throttled_deadband() {
+        let mut pair = proven_and_per_slot();
+        both(&mut pair, |sys| {
+            for t in 0..8u32 {
+                sys.set_workload(ThreadId(t), KernelClass::Pause, OperandWeight::HALF);
+            }
+            sys.run_for_ns(50 * MILLISECOND);
+        });
+        // A light load far below PPT: the first slot proves the hold at the
+        // ceiling, and every later slot reads the proof.
+        let light = pair.0.slot_counts();
+        assert_eq!(light, SlotCounts { proof_slots: 100, proofs: 2, ..SlotCounts::default() });
+        assert_decided_alike(&pair);
+
+        // FIRESTARTER everywhere is a new machine state, which the light
+        // load's proofs do not cover: the cap steps down.
+        both(&mut pair, |sys| {
+            load_all(sys, KernelClass::Firestarter);
+            sys.preheat();
+            sys.run_for_ns(300 * MILLISECOND);
+        });
+        let cap = pair.0.cap_mhz(SocketId(0));
+        assert!((1500..2500).contains(&cap), "throttled to {cap} MHz");
+        let throttled = pair.0.slot_counts();
+        assert!(throttled.proofs_failed > 0 && throttled.fallback_slots > 0, "{throttled:?}");
+        assert_decided_alike(&pair);
+
+        // Settled inside the deadband, the slots read proofs again.
+        both(&mut pair, |sys| sys.run_for_ns(100 * MILLISECOND));
+        let settled = pair.0.slot_counts();
+        assert_eq!(pair.0.cap_mhz(SocketId(0)), cap);
+        assert_eq!(settled.proof_slots - throttled.proof_slots, 200, "{settled:?}");
+        assert_eq!(settled.fallback_slots, throttled.fallback_slots);
+        assert_decided_alike(&pair);
+    }
+
+    #[test]
+    fn preheat_clears_the_hold_proofs() {
+        let mut sys = boot();
+        for t in 0..8u32 {
+            sys.set_workload(ThreadId(t), KernelClass::Pause, OperandWeight::HALF);
+        }
+        sys.run_for_ns(10 * MILLISECOND);
+        assert_eq!(sys.slot_counts().proofs, 2);
+        // Preheating moves the dies without a full evaluation; the next
+        // slot proves each package's hold again from the preheated die.
+        sys.preheat();
+        sys.run_for_ns(10 * MILLISECOND);
+        assert_eq!(sys.slot_counts().proofs, 4);
+        assert_eq!(sys.slot_counts().proof_slots, 40);
+    }
+
+    #[test]
+    fn a_die_outside_the_proven_range_decides_on_its_own() {
+        let mut pair = proven_and_per_slot();
+        both(&mut pair, |sys| {
+            load_all(sys, KernelClass::Firestarter);
+            sys.preheat();
+            sys.run_for_ns(400 * MILLISECOND);
+        });
+        let before = pair.0.slot_counts();
+        let cap = pair.0.cap_mhz(SocketId(0));
+        assert_eq!(pair.0.hold_proofs[0], pair.0.hold_proofs[1]);
+        assert!(matches!(pair.0.hold_proofs[0], HoldProof::Holds { .. }), "{before:?}");
+        // Far hotter dies than the proofs cover push the estimate above
+        // PPT: each slot must decide on its own and step the cap down.
+        both(&mut pair, |sys| {
+            sys.die_temp_c.iter_mut().for_each(|die_c| *die_c += 250.0);
+            sys.run_for_ns(3 * MILLISECOND);
+        });
+        assert!(pair.0.cap_mhz(SocketId(0)) < cap);
+        assert!(pair.0.slot_counts().fallback_slots > before.fallback_slots);
+        assert_decided_alike(&pair);
     }
 }

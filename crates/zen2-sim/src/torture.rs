@@ -34,8 +34,11 @@
 //! of the same case, so they live in the `torture` bin and the proptest
 //! suite, both of which drive this module. The streaming side runs a case
 //! without RAPL accounting when it reads no RAPL counter
-//! ([`keeps_rapl_accounting`]) and trims its AC trace behind its open
-//! windows ([`trims_ac_trace`]); the direct side does neither. A greedy
+//! ([`keeps_rapl_accounting`]), without performance counters when it
+//! reads none ([`keeps_counters`]), and trims its AC trace behind its
+//! open windows ([`trims_ac_trace`]); the direct side does none of these.
+//! [`reads_energy_twice_per_period`] tells which cases exercise the
+//! same-period RAPL check. A greedy
 //! [`shrink_scenario`] reduces a failing case to a minimal reproducer
 //! (the vendored proptest shim does not shrink), and [`inject_fault`]
 //! seeds deliberate violations so the checker itself stays tested. See
@@ -53,7 +56,7 @@ use crate::trace::{Event, Record};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_rapl::accounting::UPDATE_PERIOD_NS;
@@ -1037,6 +1040,28 @@ pub fn check_case(case: &Case, run: &Run) -> Vec<Violation> {
 /// runs, which keep it.
 pub fn keeps_rapl_accounting(case: &Case) -> bool {
     case.scenario.reads_rapl()
+}
+
+/// Whether [`Session`](crate::Session) runs `case` on a machine that
+/// keeps performance counters: only a case whose scenario reads one
+/// ([`Probe::CounterDelta`] or [`Probe::CounterSeries`]) does. The
+/// differential soak compares the other cases' session runs with direct
+/// [`System::run_scenario`](crate::System::run_scenario) runs, which keep
+/// them.
+pub fn keeps_counters(case: &Case) -> bool {
+    case.scenario.reads_counters()
+}
+
+/// Whether `case`'s scenario reads one socket's package-energy MSR twice
+/// inside one 1 ms publication period, so that [`Invariants::check`]
+/// compares the two reads. A case runs on a freshly booted machine, so
+/// its periods count from the scenario's start.
+pub fn reads_energy_twice_per_period(case: &Case) -> bool {
+    let mut reads = BTreeSet::new();
+    case.scenario.probes().iter().any(|spec| match spec.probe {
+        Probe::PkgEnergyMsr(socket) => !reads.insert((socket, spec.window.from / UPDATE_PERIOD_NS)),
+        _ => false,
+    })
 }
 
 /// Whether [`Session`](crate::Session) trims `case`'s AC trace behind a

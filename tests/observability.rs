@@ -11,7 +11,8 @@ use std::sync::Arc;
 use zen2_ee::prelude::*;
 use zen2_obs::{Heartbeat, JsonlSink, MemorySink, Multi, SummarySink, Value};
 use zen2_sim::obs::{
-    CTR_CASES_DONE, SPAN_BOOT, SPAN_CASE, SPAN_CHECKPOINT, SPAN_SHARD, SPAN_SWEEP,
+    CTR_CASES_DONE, CTR_PPT_FALLBACK_SLOTS, CTR_PPT_PROOFS, CTR_PPT_PROOF_SLOTS, SPAN_BOOT,
+    SPAN_CASE, SPAN_CHECKPOINT, SPAN_SHARD, SPAN_SWEEP,
 };
 use zen2_sim::time::MICROSECOND;
 
@@ -212,4 +213,76 @@ fn case_spans_record_which_cases_keep_rapl_accounting() {
         assert_eq!(&direct, run, "{}", case.label);
     }
     assert_eq!(runs[0].watts("ac").to_bits(), runs[1].watts("ac").to_bits());
+}
+
+#[test]
+fn case_spans_record_which_cases_keep_performance_counters() {
+    // A Fig. 7-style case (active pause threads at a lowered P-state,
+    // mean AC power) reads no performance counter; its twin reads one
+    // thread's counters over the same window.
+    let mut fig07 = Scenario::new();
+    let mut at = fig07.at(0);
+    for t in (0..8u32).map(ThreadId) {
+        at = at.pstate(t, 1500).pstate(ThreadId(t.0 ^ 1), 1500).workload(
+            t,
+            KernelClass::Pause,
+            OperandWeight::HALF,
+        );
+    }
+    let window = Window::span_secs(0.05, 0.25);
+    fig07.probe("ac", Probe::AcTrueMeanW, window);
+    let mut with_counters = fig07.clone();
+    with_counters.probe("perf", Probe::CounterDelta(ThreadId(0)), window);
+    let cfg = SimConfig::epyc_7502_2s();
+    let cases = vec![
+        Case::new("fig07-style", cfg.clone(), fig07, 7),
+        Case::new("with-counters", cfg, with_counters, 7),
+    ];
+
+    let sink = Arc::new(MemorySink::new());
+    let runs =
+        Session::new().workers(1).recorder(sink.clone()).run(&cases).expect("cases validate");
+    let records = sink.records();
+    let flags: Vec<(String, bool)> = records
+        .iter()
+        .filter_map(|r| match r {
+            zen2_obs::Record::SpanOpen { name, attrs, .. } if *name == SPAN_CASE => {
+                let attr = |key: &str| attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+                match (attr("label"), attr("counters")) {
+                    (Some(Value::Str(label)), Some(Value::Bool(keeps))) => {
+                        Some((label.clone(), *keeps))
+                    }
+                    other => panic!("case span without label or counters: {other:?}"),
+                }
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(flags, [("fig07-style".to_string(), false), ("with-counters".to_string(), true)]);
+
+    // Either way the session's run is the direct run, which keeps its
+    // counters, bit for bit.
+    for (case, run) in cases.iter().zip(&runs) {
+        let direct = System::new(case.config.clone(), case.seed)
+            .run_scenario(&case.scenario)
+            .expect("scenario validates");
+        assert_eq!(&direct, run, "{}", case.label);
+    }
+    assert_eq!(runs[0].watts("ac").to_bits(), runs[1].watts("ac").to_bits());
+
+    // Far below PPT, each case's PPT loop proves its hold per package
+    // after every full power evaluation (the load starting, its P-state
+    // ramps landing) and decides every one of its 250 slots by proof.
+    let total = |counter: &str| -> u64 {
+        records
+            .iter()
+            .filter_map(|r| match r {
+                zen2_obs::Record::Counter { name, delta } if *name == counter => Some(*delta),
+                _ => None,
+            })
+            .sum()
+    };
+    assert!(total(CTR_PPT_PROOFS) >= 2 * 2);
+    assert_eq!(total(CTR_PPT_PROOF_SLOTS), 2 * 2 * 250);
+    assert_eq!(total(CTR_PPT_FALLBACK_SLOTS), 0);
 }
