@@ -170,7 +170,7 @@ pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig7Result {
 /// every shard boundary per `spec`, and resumes byte-identically. The
 /// all-C2 baseline is not checkpointed: it runs once the grid has
 /// returned. Returns `None` on a deliberate `--halt-after` halt or a
-/// `--shard-range` slice.
+/// [`CheckpointSpec::shard`] slice.
 ///
 /// # Errors
 /// Errors when the checkpoint cannot be read, written, or does not

@@ -223,7 +223,7 @@ pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig9Result {
 /// asked, and produces output byte-identical to an uninterrupted run.
 /// The idle point is not checkpointed: it runs once the grid has
 /// returned. Returns `None` when the run halted early (`--halt-after`)
-/// or ran a `--shard-range` slice, with the checkpoint holding
+/// or ran a [`CheckpointSpec::shard`] slice, with the checkpoint holding
 /// everything needed to resume or merge.
 ///
 /// # Errors

@@ -235,7 +235,7 @@ pub fn run_checkpointed(
 /// of one grid, each exactly the case [`run`] runs for it at that seed,
 /// so they share the session's worker pool and one checkpoint file. One
 /// result per pair, in order; `None` on a deliberate `--halt-after` halt
-/// or a `--shard-range` slice.
+/// or a [`CheckpointSpec::shard`] slice.
 ///
 /// # Errors
 /// Errors when the checkpoint cannot be read, written, or does not

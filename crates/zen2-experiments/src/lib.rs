@@ -28,9 +28,8 @@
 //! and `--json` tables, either narrow or as the bin's one checkpointed
 //! grid. Each figure bin's `main` is one call to [`main`], which prints
 //! what [`render`] renders: it parses the shared flags once and runs the
-//! bin's rows; `all` runs every row, and `zen2-fleet` derives each
-//! target's checkpoint files from the table ([`checkpoint_suffixes`]).
-//! The tier-1 golden test renders through [`render`] too.
+//! bin's rows, and `all` runs every row. The tier-1 golden test renders
+//! through [`render`] too.
 //!
 //! | Module | Paper item |
 //! |--------|-----------|
@@ -81,7 +80,7 @@ use crate::{
 };
 use zen2_isa::KernelClass;
 use zen2_obs::{Heartbeat, JsonlSink, Multi, Recorder, SummarySink};
-use zen2_sim::{CheckpointError, CheckpointSpec, Session, ShardRange};
+use zen2_sim::{CheckpointError, CheckpointSpec, Session};
 use Run::{Grid, Narrow};
 
 /// Experiment size: the paper's full parameters or a CI-friendly subset.
@@ -103,8 +102,7 @@ impl Scale {
     }
 }
 
-/// A grid's report, or `None` when it has nothing to report: a
-/// `--halt-after` halt or a `--shard-range` slice.
+/// A grid's report, or `None` after a `--halt-after` halt.
 type Outcome = Result<Option<Report>, CheckpointError>;
 
 /// One experiment as the binaries run it.
@@ -280,14 +278,6 @@ fn suffix(target: &str, row: &Experiment) -> Option<String> {
     Some(if target == "all" { format!("-{}", row.bin) } else { String::new() })
 }
 
-/// The checkpoint files binary `target` writes, as the suffixes it adds
-/// to its `--checkpoint` path, in run order: `[""]` for a bin with a
-/// grid, one `-<bin>` entry per grid for `all`, and none for a bin
-/// without a grid.
-pub fn checkpoint_suffixes(target: &str) -> Vec<String> {
-    rows(target, false).filter_map(|(row, _)| suffix(target, row)).collect()
-}
-
 /// The spec one grid runs under: `spec` with `suffix` appended to its
 /// path. `--halt-after`, a testing aid for a binary with a single
 /// checkpoint file, passes only to a grid at the exact `--checkpoint`
@@ -303,7 +293,7 @@ fn spec_for(spec: &CheckpointSpec, suffix: &str) -> CheckpointSpec {
 }
 
 const USAGE: &str = "[--paper] [--json] [--anomaly] [--checkpoint PATH [--resume] \
-[--halt-after N] [--shard-range I/N]] [--workers N] [--shard-size N] [--obs PATH] [--progress]";
+[--halt-after N]] [--workers N] [--shard-size N] [--obs PATH] [--progress]";
 
 /// The command line of every figure bin and of `all`, parsed once. Any
 /// flag outside this set is a usage error.
@@ -318,10 +308,6 @@ const USAGE: &str = "[--paper] [--json] [--anomaly] [--checkpoint PATH [--resume
 ///   file starts fresh, so restart scripts are idempotent).
 /// * `--halt-after <n>` — testing aid: halt cleanly after `n`
 ///   checkpoint saves, exactly as a kill right after the save would.
-/// * `--shard-range i/N` — fleet mode: run only shard `i` of an `N`-way
-///   contiguous case partition of each grid, leaving range checkpoints
-///   for `zen2-fleet` to merge. Requires `--checkpoint` (the shard's
-///   only output is its checkpoint file).
 /// * the [`SessionCli`] flags.
 ///
 /// `docs/SWEEPS.md` documents the checkpoint workflow end to end.
@@ -360,10 +346,6 @@ impl Cli {
                     spec.halt_after =
                         Some(n.parse().map_err(|_| format!("--halt-after {n:?}: not a count"))?);
                 }
-                "--shard-range" => {
-                    let range = args.next().ok_or("--shard-range needs i/N")?;
-                    spec.shard = Some(ShardRange::parse(&range)?);
-                }
                 other => {
                     if !cli.session.take(other, &mut args)? {
                         return Err(format!("unknown flag {other:?}"));
@@ -378,11 +360,6 @@ impl Cli {
             if spec.halt_after.is_some() {
                 return Err("--halt-after requires --checkpoint <path>".into());
             }
-            if spec.shard.is_some() {
-                return Err("--shard-range requires --checkpoint <path> — \
-                            a shard's only output is its checkpoint file"
-                    .into());
-            }
         }
         Ok(cli)
     }
@@ -395,8 +372,8 @@ pub struct Rendered {
     /// Everything the invocation writes to stdout.
     pub stdout: String,
     /// The last line for stderr, after the bin's name: a usage error, a
-    /// checkpoint or telemetry failure, or the hint a deliberate halt or a
-    /// `--shard-range` slice leaves.
+    /// checkpoint or telemetry failure, or the hint a deliberate halt
+    /// leaves.
     pub stderr: Option<String>,
     /// The exit code: 2 for a usage error, 1 for a failure, else 0.
     pub code: i32,
@@ -405,9 +382,7 @@ pub struct Rendered {
 /// Runs `bin`'s rows of the experiment table under the flags in `args`
 /// on one session and renders what the bin prints: each report's text
 /// in order, or with `--json` one array of every report's tables. `all`
-/// runs every row under its own seeds and prints a header first. A
-/// `--shard-range` run skips the narrow rows and prints no report: only
-/// the merged whole renders (`zen2-fleet`).
+/// runs every row under its own seeds and prints a header first.
 ///
 /// Usage errors exit 2 and checkpoint failures 1, keeping the reports of
 /// the rows before the failure; a deliberate `--halt-after` halt exits 0
@@ -428,8 +403,7 @@ pub fn render(bin: &str, args: impl IntoIterator<Item = String>) -> Rendered {
         Ok(built) => built,
         Err(message) => return usage(message),
     };
-    let shard = cli.checkpoint.shard;
-    if bin == "all" && shard.is_none() && !cli.json {
+    if bin == "all" && !cli.json {
         stdout.push_str(&format!(
             "=== zen2-ee: full experiment suite ({:?} scale) ===\n\n",
             cli.scale
@@ -439,9 +413,6 @@ pub fn render(bin: &str, args: impl IntoIterator<Item = String>) -> Rendered {
     let mut halted = false;
     let mut failure = None;
     for (row, seed) in rows(bin, cli.anomaly) {
-        if shard.is_some() && matches!(row.run, Narrow(_)) {
-            continue;
-        }
         if cli.session.progress {
             eprintln!("{bin}: running {}", row.bin);
         }
@@ -451,18 +422,17 @@ pub fn render(bin: &str, args: impl IntoIterator<Item = String>) -> Rendered {
             Grid(run) => run(cli.scale, seed, &session, &spec),
         };
         match outcome {
-            Ok(Some(report)) if shard.is_none() => {
+            Ok(Some(report)) => {
                 if cli.json {
                     tables.extend(report.tables);
                 } else {
                     stdout.push_str(&report.text);
                 }
             }
-            Ok(None) if spec.halt_after.is_some() => {
+            Ok(None) => {
                 halted = true;
                 break;
             }
-            Ok(_) => {}
             Err(error) => {
                 failure = Some(error);
                 break;
@@ -478,11 +448,6 @@ pub fn render(bin: &str, args: impl IntoIterator<Item = String>) -> Rendered {
         let hint = format!(
             "halted mid-sweep (--halt-after); resume with --checkpoint {} --resume",
             path.display()
-        );
-        (Some(hint), 0)
-    } else if let Some(shard) = shard {
-        let hint = format!(
-            "shard {shard} done; merge the range checkpoints (zen2-fleet) to produce the report"
         );
         (Some(hint), 0)
     } else {
@@ -683,18 +648,6 @@ mod tests {
         assert!(parse(&["--resume"]).unwrap_err().contains("--checkpoint"));
         assert!(parse(&["--halt-after", "2"]).unwrap_err().contains("--checkpoint"));
         assert!(parse(&["--checkpoint", "ck", "--halt-after", "soon"]).is_err());
-        assert!(parse(&["--shard-range", "0/3"]).unwrap_err().contains("--checkpoint"));
-        assert!(parse(&["--checkpoint", "ck", "--shard-range", "3/3"])
-            .unwrap_err()
-            .contains("i/N"));
-    }
-
-    #[test]
-    fn checkpoint_flags_parse_shard_ranges() {
-        let spec = parse(&["--checkpoint", "ck", "--shard-range", "1/3"]).unwrap();
-        assert_eq!(spec.shard, Some(ShardRange { index: 1, of: 3 }));
-        // `all` propagates the shard to every per-experiment spec.
-        assert_eq!(spec_for(&spec, "-fig09").shard, Some(ShardRange { index: 1, of: 3 }));
     }
 
     #[test]
@@ -703,9 +656,11 @@ mod tests {
         assert!(err.contains("unknown flag \"--chekpoint\""), "{err}");
         assert!(parse_cli(&["fig09"]).unwrap_err().contains("unknown flag"));
         assert!(parse_cli(&["--quick"]).unwrap_err().contains("unknown flag"));
+        let err = parse_cli(&["--checkpoint", "ck", "--shard-range", "0/2"]).unwrap_err();
+        assert!(err.contains("unknown flag \"--shard-range\""), "{err}");
         // The accepted set: the union of every figure bin's flags.
         let every = "--paper --json --anomaly --checkpoint ck --resume --halt-after 1 \
-                     --shard-range 0/2 --workers 2 --shard-size 3 --obs trace.jsonl --progress";
+                     --workers 2 --shard-size 3 --obs trace.jsonl --progress";
         let cli = parse_cli(&every.split_whitespace().collect::<Vec<_>>()).unwrap();
         assert_eq!((cli.scale, cli.json, cli.anomaly), (Scale::Paper, true, true));
         assert_eq!((cli.session.workers, cli.session.shard_size), (Some(2), Some(3)));
@@ -751,7 +706,7 @@ mod tests {
         for entry in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin")).unwrap() {
             let path = entry.unwrap().path();
             let bin = path.file_stem().unwrap().to_str().unwrap().to_string();
-            if ["ablations", "torture", "zen2-fleet"].contains(&bin.as_str()) {
+            if ["ablations", "torture"].contains(&bin.as_str()) {
                 continue; // not figure bins: they run no rows
             }
             // Each file runs its own rows: it calls `main` with its name.

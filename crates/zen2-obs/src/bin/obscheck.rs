@@ -178,5 +178,8 @@ mod tests {
             "close without open"
         );
         assert!(check("").is_err(), "empty trace");
+        let deep = format!("{{\"e\":{}\n", "[".repeat(1_000_000));
+        let err = check(&deep).unwrap_err();
+        assert!(err.contains("line 1: not JSON: nesting deeper than 64 levels"), "{err}");
     }
 }

@@ -17,8 +17,9 @@
 //!   any instant leaves either the old or the new file, never a torn
 //!   one) and validates everything on load.
 //! * [`CheckpointSpec`] — what a checkpointed run was asked to do
-//!   (`--checkpoint <path>`, `--resume`, `--shard-range`, and the
-//!   deterministic-interrupt testing aid `--halt-after <n>`).
+//!   (`--checkpoint <path>`, `--resume`, the deterministic-interrupt
+//!   testing aid `--halt-after <n>`, and a library caller's
+//!   [`ShardRange`]).
 //! * [`CheckpointError`] — every way a resume can be refused, each with
 //!   a message naming the file and the disagreement (a checkpoint from
 //!   a different grid is an error, never a panic or a silent misfold).
@@ -37,7 +38,7 @@
 //!
 //! Line 1 is the version header. Line 2 identifies the run: the sweep
 //! label, the total case count, the covered case-index range
-//! `start..done` (a shard of a fleet run — see [`ShardRange`] and
+//! `start..done` (a shard run — see [`ShardRange`] and
 //! [`Checkpoint::merge`] — covers its slice of the grid; a whole-run
 //! checkpoint has `start` 0), the grid's axis lengths, and a
 //! fingerprint of the run's content (seeds, scale-dependent scenario
@@ -155,7 +156,7 @@ pub enum CheckpointError {
     Malformed(String),
     /// The checkpoint is well-formed but belongs to a different run:
     /// another sweep label, grid shape, total or fingerprint, or a
-    /// shard resumed under another `--shard-range`.
+    /// shard resumed under another [`ShardRange`].
     Mismatch(String),
     /// Two checkpoints being merged folded some case twice — their
     /// covered ranges intersect.
@@ -197,15 +198,15 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// A checkpoint for `sweep` at watermark `done`, covering `total`
     /// cases, with no cells yet. The covered range starts at case 0 — a
-    /// whole-run checkpoint; a fleet shard uses
+    /// whole-run checkpoint; a shard run uses
     /// [`for_range`](Self::for_range).
     pub fn new(sweep: &Sweep, total: usize, done: usize) -> Self {
         Self::for_range(sweep, total, 0, done)
     }
 
     /// A checkpoint covering the case-index range `start..done` of a
-    /// `total`-case run, with no cells yet — what a `--shard-range`
-    /// worker cuts at its shard boundaries.
+    /// `total`-case run, with no cells yet — what [`run_resumable`]
+    /// cuts at a shard run's boundaries.
     pub fn for_range(sweep: &Sweep, total: usize, start: usize, done: usize) -> Self {
         Self {
             sweep: sweep.label().to_string(),
@@ -225,8 +226,7 @@ impl Checkpoint {
 
     /// The covered case-index range `start..done`: which slice of the
     /// run's cases this checkpoint folded. A whole-run checkpoint
-    /// starts at 0; a `--shard-range` worker's starts at its shard's
-    /// lower bound.
+    /// starts at 0; a shard run's starts at its shard's lower bound.
     pub fn covered(&self) -> (usize, usize) {
         (self.start, self.done)
     }
@@ -502,8 +502,8 @@ impl Checkpoint {
     }
 }
 
-/// One shard of an `N`-way fleet partition: the decoded
-/// `--shard-range i/N` flag. The partition is row-major contiguous —
+/// One shard of an `N`-way partition of a grid's cases, run through
+/// [`CheckpointSpec::shard`]. The partition is row-major contiguous —
 /// shard `i` covers case indices
 /// `i*total/N .. (i+1)*total/N` — so every case lands in exactly one
 /// shard, shard sizes differ by at most one, and concatenating the
@@ -517,21 +517,6 @@ pub struct ShardRange {
 }
 
 impl ShardRange {
-    /// Decodes `"i/N"` (e.g. `"0/3"`), requiring `N ≥ 1` and `i < N`.
-    ///
-    /// # Errors
-    /// Errors with a usage message on any other input.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let usage = || format!("--shard-range wants i/N with 0 <= i < N, got {text:?}");
-        let (index, of) = text.split_once('/').ok_or_else(usage)?;
-        let index: usize = index.trim().parse().map_err(|_| usage())?;
-        let of: usize = of.trim().parse().map_err(|_| usage())?;
-        if of == 0 || index >= of {
-            return Err(usage());
-        }
-        Ok(Self { index, of })
-    }
-
     /// This shard's case-index range `start..end` of a `total`-case
     /// run. The `N` shards tile `0..total` exactly.
     pub fn bounds(&self, total: usize) -> (usize, usize) {
@@ -539,15 +524,9 @@ impl ShardRange {
     }
 }
 
-impl fmt::Display for ShardRange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.of)
-    }
-}
-
 /// What a checkpointed run was asked to do — the decoded
-/// `--checkpoint` / `--resume` / `--halt-after` / `--shard-range`
-/// flags every wide-grid experiment binary shares.
+/// `--checkpoint` / `--resume` / `--halt-after` flags every wide-grid
+/// experiment binary shares, and the shard a library caller may run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointSpec {
     /// Where to persist checkpoints (and read them back from when
@@ -561,9 +540,9 @@ pub struct CheckpointSpec {
     /// saves, halt the stream cleanly (the state on disk is exactly
     /// what a kill right after the save would leave).
     pub halt_after: Option<usize>,
-    /// Run only this shard of the fleet partition; the checkpoint then
-    /// covers the shard's case range and is merged with its peers by
-    /// the coordinator. `None` runs the whole sweep.
+    /// Run only this shard of the case partition; the checkpoint then
+    /// covers the shard's case range and merges with its peers' through
+    /// [`Checkpoint::merge`]. `None` runs the whole sweep.
     pub shard: Option<ShardRange>,
 }
 
@@ -616,16 +595,16 @@ impl CheckpointSpec {
 /// case of the *whole run* was reduced, and `None` when the run halted
 /// early per the spec (`--halt-after`) **or** ran only a [`ShardRange`]
 /// slice — either way the checkpoint then holds everything a later
-/// resume (or the fleet coordinator's [`Checkpoint::merge`]) needs. A
-/// shard run therefore never renders a report of its own: only the
-/// merged whole does.
+/// resume (or a [`Checkpoint::merge`] with its peers) needs. A shard
+/// run therefore never renders a report of its own: only the merged
+/// whole does.
 ///
 /// With `spec.shard` set, the run covers exactly the shard's case
 /// range: the case iterator is bounded with
 /// [`Sweep::take_range`](crate::sweep::Sweep::take_range), so the lazy
 /// grid is never pulled past the shard's end, and every boundary save
 /// is cut with [`Checkpoint::for_range`]. Resuming a shard requires
-/// the same `--shard-range` it was started with.
+/// the same shard range it was started with.
 ///
 /// Interrupt-at-any-boundary plus resume — under any worker/shard
 /// split — is byte-identical to one uninterrupted run, provided `C`'s
@@ -673,7 +652,7 @@ pub fn run_resumable<C: Snapshot>(
         if covered_start != lo || covered_done > hi {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint covers cases {covered_start}..{covered_done}, this run's shard \
-                 is {lo}..{hi} — resume a shard with the same --shard-range it was \
+                 is {lo}..{hi} — resume a shard with the same shard range it was \
                  started with"
             )));
         }
@@ -877,6 +856,11 @@ mod tests {
             (format!("{MAGIC}\n{}\n{{\"ac\":1.5\n", header(0, 1)), "line 3"),
             // A v1 file: rejected by the magic, never half-read.
             ("zen2-sweep-checkpoint v1\n{\"sweep\":\"x\"}\n".to_string(), "unsupported version"),
+            // A cell nested past the parser's depth bound.
+            (
+                format!("{MAGIC}\n{}\n{}\n", header(0, 1), "[".repeat(1_000_000)),
+                "line 3: nesting deeper than 64 levels",
+            ),
         ] {
             let err = load_text("malformed", &content).unwrap_err();
             assert!(matches!(err, CheckpointError::Malformed(_)), "{content:?} → {err:?}");
@@ -1038,13 +1022,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_range_parses_and_tiles_the_grid() {
-        assert_eq!(ShardRange::parse("0/3").unwrap(), ShardRange { index: 0, of: 3 });
-        assert_eq!(ShardRange::parse("2/3").unwrap().bounds(7), (4, 7));
-        assert_eq!(ShardRange::parse("2/3").unwrap().to_string(), "2/3");
-        for bad in ["", "3", "3/3", "4/3", "a/b", "1/0", "-1/2", "1/2/3"] {
-            assert!(ShardRange::parse(bad).is_err(), "{bad:?} parsed");
-        }
+    fn shard_ranges_tile_the_grid() {
+        assert_eq!(ShardRange { index: 2, of: 3 }.bounds(7), (4, 7));
         // The N shards tile 0..total exactly: contiguous, disjoint,
         // nothing left over — for totals below, at, and above N.
         for total in [0, 1, 6, 7, 100] {
@@ -1168,10 +1147,36 @@ mod tests {
         };
         let nop = |_: usize, _: Run| 0.0;
         let err = run_resumable(&sweep, &session, &spec(0), nop).unwrap_err();
-        assert!(err.to_string().contains("--shard-range"), "{err}");
+        assert!(err.to_string().contains("the same shard range it was started with"), "{err}");
         // The matching shard resumes; its range is already complete, so
         // nothing streams and the whole run is still unfinished.
         assert_eq!(run_resumable(&sweep, &session, &spec(1), nop).unwrap(), None);
         std::fs::remove_file(&path).unwrap();
+
+        // A shard halted after its first save resumes, under its own
+        // range and another split, to an uninterrupted shard run's bytes.
+        let sweep = instant_sweep();
+        let reduce = |index: usize, run: Run| run.watts("ac") + index as f64 * 0.3;
+        for index in 0..3 {
+            let range = ShardRange { index, of: 3 };
+            let (lo, _) = range.bounds(sweep.len());
+            let shard_at =
+                |path: &Path| CheckpointSpec { shard: Some(range), ..CheckpointSpec::at(path) };
+            let clean_path = tmp(&format!("shard-clean-{index}"));
+            run_resumable(&sweep, &session, &shard_at(&clean_path), reduce).unwrap();
+            let clean = std::fs::read_to_string(&clean_path).unwrap();
+            std::fs::remove_file(&clean_path).unwrap();
+
+            let path = tmp(&format!("shard-halted-{index}"));
+            let halted = CheckpointSpec { halt_after: Some(1), ..shard_at(&path) };
+            let one_case = Session::new().workers(1).shard_size(1);
+            assert_eq!(run_resumable(&sweep, &one_case, &halted, reduce).unwrap(), None);
+            assert_eq!(Checkpoint::load(&path).unwrap().covered(), (lo, lo + 1), "shard {index}");
+            let resume = CheckpointSpec { resume: true, ..shard_at(&path) };
+            let split = Session::new().workers(2).shard_size(3);
+            run_resumable(&sweep, &split, &resume, reduce).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), clean, "shard {index}");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

@@ -293,9 +293,10 @@ impl Json {
     /// else after the document is an error).
     ///
     /// # Errors
-    /// Errors on malformed JSON, with a byte offset in the message.
+    /// Errors on malformed JSON, or on arrays and objects nested deeper
+    /// than 64 levels, with a byte offset in the message.
     pub fn parse(text: &str) -> Result<Json, SnapshotError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         let value = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -324,10 +325,17 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so an unbounded depth would let one line of
+/// `[`s overflow the stack; checkpoint cells nest at most 3 deep.
+const MAX_DEPTH: usize = 64;
+
 /// A recursive-descent JSON parser over raw bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// How many arrays and objects enclose `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -370,11 +378,26 @@ impl Parser<'_> {
             Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, SnapshotError>,
+    ) -> Result<Json, SnapshotError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, SnapshotError> {
@@ -655,9 +678,16 @@ mod tests {
 
     #[test]
     fn parser_reports_malformed_documents() {
-        for text in ["", "{", "[1,]", "{\"a\":}", "tru", "1.2.3", "\"unterminated", "1 2"] {
+        let deep = "[".repeat(1_000_000);
+        for text in ["", "{", "[1,]", "{\"a\":}", "tru", "1.2.3", "\"unterminated", "1 2", &deep] {
             assert!(Json::parse(text).is_err(), "{text:?} must not parse");
         }
+        // The depth bound is a named error, and the bound itself parses.
+        let err = Json::parse(&deep).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+        assert!(Json::parse(&format!("{{\"a\":{at_bound}}}")).is_err());
     }
 
     #[test]

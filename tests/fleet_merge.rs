@@ -1,15 +1,16 @@
-//! The fleet acceptance guarantee: partitioning a wide-grid experiment
-//! into contiguous `--shard-range i/N` slices, running every slice as
-//! its own checkpointed run (under varying worker counts), and merging
-//! the range checkpoints with `Checkpoint::merge` produces a checkpoint
-//! file that is **byte-for-byte identical** to the one a single-process
-//! run of the same experiment writes.
+//! The sharding guarantee: partitioning a wide-grid experiment into
+//! contiguous `ShardRange` slices (`CheckpointSpec::shard`), running
+//! every slice as its own checkpointed run (under varying worker
+//! counts), and merging the range checkpoints with `Checkpoint::merge`
+//! produces a checkpoint file that is **byte-for-byte identical** to the
+//! one an unsharded run of the same experiment writes.
 //!
-//! The battery drives the real experiment modules behind the `fig07`,
-//! `fig09`, and `tab1` bins — one grid cell per case — across every
-//! partition in shards ∈ {1, 2, 3, 7} × workers ∈ {1, 2, 7}, and then
-//! checks the rejection paths: overlapping ranges, gapped ranges, and
-//! checkpoints from a different run all fail with their named errors.
+//! The battery drives the real drivers behind every bin with a grid —
+//! `fig06`, `fig07`, `fig09`, `tab1`, `ext_manycore`, and `fig10`'s
+//! two-case grid as `all` runs it — across every partition in
+//! shards ∈ {1, 2, 3, 7} × workers ∈ {1, 2, 7}, and then checks the
+//! rejection paths: overlapping ranges, gapped ranges, and checkpoints
+//! from a different run all fail with their named errors.
 
 use std::path::PathBuf;
 use zen2_ee::experiments as exp;
@@ -116,6 +117,34 @@ fn tab1_partitions_merge_to_the_single_process_checkpoint() {
     let cfg = exp::tab1_mixed_freq::Config::new(Scale::Quick);
     partition_battery("tab1", &|session, spec| {
         exp::tab1_mixed_freq::run_checkpointed(&cfg, 2, session, spec).map(|r| r.is_some())
+    });
+}
+
+#[test]
+fn fig06_partitions_merge_to_the_single_process_checkpoint() {
+    let cfg = exp::fig06_firestarter::Config::new(Scale::Quick);
+    partition_battery("fig06", &|session, spec| {
+        exp::fig06_firestarter::run_checkpointed(&cfg, 5, session, spec).map(|r| r.is_some())
+    });
+}
+
+#[test]
+fn fig10_partitions_merge_to_the_single_process_checkpoint() {
+    // `all`'s two-case grid, vxorps and shr, shrunk like `fig09_cfg`:
+    // a partition into more slices than cases leaves some empty, and
+    // an empty slice writes no file.
+    let cfg = exp::fig10_hamming::Config { blocks: 12, block_s: 0.05 };
+    let pairs = [(KernelClass::VXorps, 9), (KernelClass::Shr, 10)];
+    partition_battery("fig10", &|session, spec| {
+        exp::fig10_hamming::run_grid(&cfg, &pairs, session, spec).map(|r| r.is_some())
+    });
+}
+
+#[test]
+fn ext_manycore_partitions_merge_to_the_single_process_checkpoint() {
+    let cfg = exp::ext_manycore::Config::new(Scale::Quick);
+    partition_battery("ext_manycore", &|session, spec| {
+        exp::ext_manycore::run_checkpointed(&cfg, 14, session, spec).map(|r| r.is_some())
     });
 }
 
