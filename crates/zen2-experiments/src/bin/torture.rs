@@ -9,8 +9,10 @@
 //! keep all three, so the differential check covers every path. The
 //! summary counts the runs without RAPL accounting, the runs without
 //! performance counters, the runs that trimmed segments an earlier window
-//! read, the runs whose PPT loop moved a cap, and the runs that read one
-//! socket's energy counter twice inside one 1 ms publication period.
+//! read, the runs whose PPT loop moved a cap, the runs that read one
+//! socket's energy counter twice inside one 1 ms publication period, and
+//! the runs whose session side advanced a slot in the held loop, which the
+//! direct runs, keeping RAPL accounting and counters, never enter.
 //!
 //! ```text
 //! torture [--seed N] [--cases N] [--differential]
@@ -28,7 +30,10 @@
 //! drill exactly that pipeline. See `docs/TORTURE.md`.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use zen2_experiments::SessionCli;
+use zen2_obs::{MemorySink, Record};
+use zen2_sim::obs::CTR_PPT_HELD_LOOP_SLOTS;
 use zen2_sim::torture::{
     check_case, generate_case, inject_fault, keeps_counters, keeps_rapl_accounting,
     reads_energy_twice_per_period, render_reproducer, shrink_scenario, throttled, trims_ac_trace,
@@ -166,7 +171,11 @@ fn reproduce(cli: &Cli, index: u64, violations: &[Violation]) -> String {
 
 fn main() {
     let cli = parse_cli();
-    let (session, stack) = cli.session.session().unwrap_or_else(|message| usage(&message));
+    // A case reports its held-loop slots once, when nonzero, so the
+    // reports count the runs that entered the loop.
+    let counts = Arc::new(MemorySink::new());
+    let (session, stack) =
+        cli.session.session_with(vec![counts.clone()]).unwrap_or_else(|message| usage(&message));
 
     let start_ns = zen2_obs::clock::now_ns();
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();
@@ -223,6 +232,12 @@ fn main() {
     println!("trimmed AC trace: {trimmed} runs");
     println!("throttled: {throttled_runs} runs");
     println!("same-period energy reads: {same_period_reads} runs");
+    let held_loop = counts
+        .records()
+        .iter()
+        .filter(|r| matches!(r, Record::Counter { name, .. } if *name == CTR_PPT_HELD_LOOP_SLOTS))
+        .count();
+    println!("held loop: {held_loop} runs");
     match cli.fault {
         Some(fault) => println!("injected: {} fault at case {}", fault.kind(), cli.inject_at),
         None => println!("injected: none"),

@@ -533,6 +533,18 @@ impl SessionCli {
     /// # Errors
     /// Errors when the `--obs` trace file cannot be created.
     pub fn session(&self) -> Result<(Session, Option<ObsStack>), String> {
+        self.session_with(Vec::new())
+    }
+
+    /// [`session`](Self::session), with `sinks` in the telemetry stack
+    /// after the ones the flags ask for.
+    ///
+    /// # Errors
+    /// Errors when the `--obs` trace file cannot be created.
+    pub fn session_with(
+        &self,
+        sinks: Vec<Arc<dyn Recorder>>,
+    ) -> Result<(Session, Option<ObsStack>), String> {
         let mut session = Session::new();
         if let Some(n) = self.workers {
             session = session.workers(n);
@@ -540,17 +552,17 @@ impl SessionCli {
         if let Some(n) = self.shard_size {
             session = session.shard_size(n);
         }
-        let stack = self.stack()?;
+        let stack = self.stack(sinks)?;
         if let Some(stack) = &stack {
             session = session.recorder(stack.recorder.clone());
         }
         Ok((session, stack))
     }
 
-    /// The sink stack `--obs` / `--progress` ask for — `None` when
-    /// neither was passed (the session then runs with zero telemetry
-    /// overhead).
-    fn stack(&self) -> Result<Option<ObsStack>, String> {
+    /// The sink stack `--obs` / `--progress` ask for, followed by
+    /// `extra` — `None` when there is no sink at all (the session then
+    /// runs with zero telemetry overhead).
+    fn stack(&self, extra: Vec<Arc<dyn Recorder>>) -> Result<Option<ObsStack>, String> {
         let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
         let mut jsonl = None;
         let mut summary = None;
@@ -567,6 +579,7 @@ impl SessionCli {
         if self.progress {
             sinks.push(Arc::new(Heartbeat::new()));
         }
+        sinks.extend(extra);
         if sinks.is_empty() {
             return Ok(None);
         }
@@ -682,9 +695,14 @@ mod tests {
 
     #[test]
     fn obs_stack_is_absent_without_flags() {
-        assert!(SessionCli::default().stack().unwrap().is_none());
+        assert!(SessionCli::default().stack(Vec::new()).unwrap().is_none());
         let progress_only = SessionCli { progress: true, ..SessionCli::default() };
-        let stack = progress_only.stack().unwrap().expect("progress builds a stack");
+        let stack = progress_only.stack(Vec::new()).unwrap().expect("progress builds a stack");
+        stack.finish().unwrap();
+        // A caller's own sink builds a stack without any flag.
+        let sink: Arc<dyn Recorder> = Arc::new(zen2_obs::MemorySink::new());
+        let stack =
+            SessionCli::default().stack(vec![sink]).unwrap().expect("a sink builds a stack");
         stack.finish().unwrap();
     }
 

@@ -161,10 +161,14 @@ mod tests {
             "\n",
             r#"{"e":"counter","t":2,"name":"ppt.exact_refreshes","delta":1}"#,
             "\n",
+            r#"{"e":"counter","t":2,"name":"ppt.held_loop_slots","delta":10048}"#,
+            "\n",
+            r#"{"e":"counter","t":2,"name":"power.full_evaluations","delta":4}"#,
+            "\n",
             r#"{"e":"span_close","t":3,"id":1,"name":"case","dur_ns":2}"#,
             "\n",
         );
-        assert_eq!(check(trace).unwrap()["counter"], 5);
+        assert_eq!(check(trace).unwrap()["counter"], 7);
     }
 
     #[test]

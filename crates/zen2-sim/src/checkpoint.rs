@@ -675,30 +675,32 @@ pub fn run_resumable<C: Snapshot>(
     // aborting, and sinks tolerate it.
     let sweep_span = session.open_sweep(start);
     let mut saves = 0;
-    loop {
-        let group: Vec<Case> = pending.by_ref().take(session.group_size()).collect();
-        if group.is_empty() {
-            break;
-        }
-        session
-            .run_group(sweep_span, lo + cells.len(), &group, |index, run| {
+    session.pooled(|pool| -> Result<(), CheckpointError> {
+        loop {
+            let group: Vec<Case> = pending.by_ref().take(session.group_size()).collect();
+            if group.is_empty() {
+                return Ok(());
+            }
+            pool.run_group(sweep_span, lo + cells.len(), group, |index, run| {
                 cells.push(reduce(index, run));
             })
             .unwrap_or_else(|error| panic!("{error}"));
-        // Every case below `next` is reduced and none above it: a
-        // consistent cut.
-        let Some(path) = &spec.path else { continue };
-        let next = lo + cells.len();
-        let span = obs.open(sweep_span, SPAN_CHECKPOINT, &[("next", AttrValue::U64(next as u64))]);
-        let mut checkpoint = Checkpoint::for_range(sweep, total, lo, next);
-        checkpoint.set_cells(&cells);
-        checkpoint.save(path)?;
-        obs.close(span);
-        saves += 1;
-        if spec.halt_after.is_some_and(|limit| saves >= limit) {
-            break;
+            // Every case below `next` is reduced and none above it: a
+            // consistent cut.
+            let Some(path) = &spec.path else { continue };
+            let next = lo + cells.len();
+            let span =
+                obs.open(sweep_span, SPAN_CHECKPOINT, &[("next", AttrValue::U64(next as u64))]);
+            let mut checkpoint = Checkpoint::for_range(sweep, total, lo, next);
+            checkpoint.set_cells(&cells);
+            checkpoint.save(path)?;
+            obs.close(span);
+            saves += 1;
+            if spec.halt_after.is_some_and(|limit| saves >= limit) {
+                return Ok(());
+            }
         }
-    }
+    })?;
     obs.close(sweep_span);
     let complete = lo == 0 && cells.len() == total;
     Ok(complete.then_some(cells))

@@ -136,8 +136,8 @@ pub const CTR_CACHE_MISS: &str = "cache.miss";
 pub const CTR_CASES_DONE: &str = "cases.done";
 
 /// Package-slots (one package at one 1 ms PPT slot) that a standing hold
-/// proof decided. This and the four `ppt.*` counters below are each
-/// case's own counts, reported when its `sim` span closes.
+/// proof decided. This and the `ppt.*` and `power.*` counters below are
+/// each case's own counts, reported when its `sim` span closes.
 pub const CTR_PPT_PROOF_SLOTS: &str = "ppt.proof_slots";
 /// Hold proofs made: a package's PPT step proven to hold at every die
 /// temperature it can reach before the next full power evaluation.
@@ -151,6 +151,15 @@ pub const CTR_PPT_FALLBACK_SLOTS: &str = "ppt.fallback_slots";
 /// machine without RAPL accounting whose estimate bound straddled a
 /// controller threshold.
 pub const CTR_PPT_EXACT_REFRESHES: &str = "ppt.exact_refreshes";
+/// Slots (every package at one 1 ms PPT slot) that the held loop
+/// advanced: slots every package's standing hold proof decided, on a
+/// machine that keeps neither RAPL accounting nor performance counters.
+/// Reported when the case's `sim` span closes, like the `ppt.*` counters
+/// above.
+pub const CTR_PPT_HELD_LOOP_SLOTS: &str = "ppt.held_loop_slots";
+/// Full power evaluations the case's machine made, the two at boot
+/// included. Reported when the case's `sim` span closes.
+pub const CTR_POWER_FULL_EVALUATIONS: &str = "power.full_evaluations";
 
 /// Shard sizes actually pulled (the tail shard is usually short).
 pub const OBS_SHARD_CASES: &str = "shard.cases";

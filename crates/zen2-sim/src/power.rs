@@ -407,18 +407,26 @@ impl PowerEval {
     /// evaluation paths share.
     fn package_truth(&self, cfg: &SimConfig, die_temp_c: &[f64], out: &mut PowerBreakdown) {
         for (pkg, &awake) in out.pkg_awake.iter().enumerate() {
-            if awake {
-                let leak = cfg.power.leakage.multiplier(die_temp_c[pkg]);
-                out.pkg_true_w[pkg] = (self.awake_base_w + self.cores_true_w[pkg]) * leak;
-            } else {
-                out.pkg_true_w[pkg] = cfg.power.package.sleeping_w();
-            }
+            out.pkg_true_w[pkg] =
+                package_true_w(cfg, awake, self.package_base_w(pkg), die_temp_c[pkg]);
         }
+        (out.dc_w, out.ac_w) = dc_ac_w(cfg, &out.pkg_true_w, out.dram_w);
+    }
 
-        // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology
-        let dc_w = out.pkg_true_w.iter().sum::<f64>() + out.dram_w + cfg.power.platform_dc_w;
-        out.dc_w = dc_w;
-        out.ac_w = cfg.power.psu.ac_from_dc(dc_w);
+    /// Package `pkg`'s power before leakage while awake, as of the last
+    /// full evaluation: the awake base power plus its true-core sum.
+    #[inline]
+    pub(crate) fn package_base_w(&self, pkg: usize) -> f64 {
+        self.awake_base_w + self.cores_true_w[pkg]
+    }
+
+    /// Records a thermal re-evaluation without estimates that the caller
+    /// made itself through [`package_true_w`] and [`dc_ac_w`], as
+    /// `System`'s held PPT slots do: the die temperatures it used, with
+    /// the estimates left stale.
+    pub(crate) fn record_thermal(&mut self, die_temp_c: &[f64]) {
+        self.die_c.copy_from_slice(die_temp_c);
+        self.estimates_stale = true;
     }
 
     /// The die temperature of package `pkg` that the last evaluation,
@@ -442,8 +450,7 @@ impl PowerEval {
     ) -> Option<f64> {
         let thermal = &cfg.power.thermal;
         if awake {
-            let base_w = self.awake_base_w + self.cores_true_w[pkg];
-            thermal.coupled_steady_state_c(&cfg.power.leakage, base_w)
+            thermal.coupled_steady_state_c(&cfg.power.leakage, self.package_base_w(pkg))
         } else {
             Some(thermal.steady_state_c(cfg.power.package.sleeping_w()))
         }
@@ -510,6 +517,26 @@ impl PowerEval {
             terms.magnitude_w + active * temperature_w.abs() + gated * idle_w + uncore_w.abs();
         (centre_w, magnitude_w)
     }
+}
+
+/// A package's true power at die temperature `die_c`: while awake, its
+/// power before leakage, `base_w` ([`PowerEval::package_base_w`]), times
+/// the leakage multiplier; while asleep, its PC6 power.
+#[inline]
+pub(crate) fn package_true_w(cfg: &SimConfig, awake: bool, base_w: f64, die_c: f64) -> f64 {
+    if awake {
+        base_w * cfg.power.leakage.multiplier(die_c)
+    } else {
+        cfg.power.package.sleeping_w()
+    }
+}
+
+/// DC and AC power from each package's true power and the DRAM power.
+#[inline]
+pub(crate) fn dc_ac_w(cfg: &SimConfig, pkg_true_w: &[f64], dram_w: f64) -> (f64, f64) {
+    // zen2-lint: allow(float-order) — one pass in ascending package-index order, fixed by the topology
+    let dc_w = pkg_true_w.iter().sum::<f64>() + dram_w + cfg.power.platform_dc_w;
+    (dc_w, cfg.power.psu.ac_from_dc(dc_w))
 }
 
 /// Each package's estimate from the per-core estimates and wake states

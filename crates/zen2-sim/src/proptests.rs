@@ -618,10 +618,12 @@ proptest! {
 
     /// A machine whose PPT loop decides held slots from hold proofs runs
     /// every scenario bit for bit like a same-seed twin that decides every
-    /// slot on its own, with RAPL accounting and without: random ticks
-    /// with P-state ramps in flight and mid-run preheats, over no extra
-    /// load, a light pause load, or FIRESTARTER everywhere, whose cap
-    /// steps down and settles into the deadband. Every proven slot also
+    /// slot on its own, with RAPL accounting and counters, without RAPL
+    /// accounting, and without either, where held slots run in the held
+    /// loop: random ticks with P-state ramps in flight and mid-run
+    /// preheats, over no extra load, a light pause load, or FIRESTARTER
+    /// everywhere, whose cap steps down and settles into the deadband,
+    /// then a quiet tail in which the SMU settles. Every proven slot also
     /// asserts, in these builds, that the per-slot decision holds.
     #[test]
     fn hold_proofs_decide_like_every_slot_on_its_own(
@@ -630,7 +632,7 @@ proptest! {
             1..6,
         ),
         load in 0u8..3,
-        lean in any::<bool>(),
+        mode in 0u8..3,
     ) {
         let mut ticks: Vec<(Ns, Vec<Op>)> = ticks
             .into_iter()
@@ -650,7 +652,9 @@ proptest! {
         let (mut sc, times) = tick_scenario(&ticks);
         let whole = Window::span(0, times[times.len() - 1]);
         sc.probe("ac", Probe::AcTrueMeanW, whole);
-        if !lean {
+        // Mode 0 keeps RAPL accounting and counters, mode 1 only
+        // counters, mode 2 neither.
+        if mode == 0 {
             sc.probe("rapl", Probe::RaplW, whole);
         }
         let cfg = SimConfig::epyc_7502_2s();
@@ -658,13 +662,22 @@ proptest! {
         let mut proven = System::new(cfg.clone(), 29);
         let mut per_slot = System::new(cfg, 29);
         per_slot.disable_hold_proofs();
-        if lean {
-            proven.drop_rapl_accounting();
-            per_slot.drop_rapl_accounting();
+        for sys in [&mut proven, &mut per_slot] {
+            if mode >= 1 {
+                sys.drop_rapl_accounting();
+            }
+            if mode == 2 {
+                sys.drop_counters();
+            }
         }
         let proven_run = proven.run_scenario_prechecked(&sc, false);
         let per_slot_run = per_slot.run_scenario_prechecked(&sc, false);
         prop_assert_eq!(format!("{proven_run:?}"), format!("{per_slot_run:?}"));
+        // A request queues at most one more behind its ramp, so 10 quiet
+        // ms settle the SMU and leave whole slots that proofs decide.
+        proven.run_for_ns(10 * MILLISECOND);
+        per_slot.run_for_ns(10 * MILLISECOND);
+        prop_assert_eq!(proven.ac_energy_j().to_bits(), per_slot.ac_energy_j().to_bits());
         for socket in [SocketId(0), SocketId(1)] {
             prop_assert_eq!(proven.cap_mhz(socket), per_slot.cap_mhz(socket));
             prop_assert_eq!(
@@ -677,6 +690,15 @@ proptest! {
         };
         prop_assert!(trace_bits(&proven) == trace_bits(&per_slot));
         prop_assert_eq!(per_slot.slot_counts().proof_slots, 0);
+        prop_assert_eq!(per_slot.slot_counts().held_loop_slots, 0);
+        // Only a machine without RAPL accounting and counters runs the
+        // held loop, and a light load far below PPT always enters it.
+        let held = proven.slot_counts().held_loop_slots;
+        if mode < 2 {
+            prop_assert_eq!(held, 0);
+        } else if load == 1 {
+            prop_assert!(held > 0, "a light load advanced no slot in the held loop");
+        }
     }
 
     /// The PPT controller never leaves its [min, max] range and always

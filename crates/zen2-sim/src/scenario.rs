@@ -733,9 +733,11 @@ impl System {
     /// apply in insertion order and resolve once, after the last of them:
     /// clocks and power are evaluated on the tick's final state, so its
     /// intermediate states leave no AC-trace segment (they would last
-    /// zero time) and no package sleep event. A P-state request, preheat
-    /// or tracing toggle still resolves on its own, after the actions
-    /// before it.
+    /// zero time) and no package sleep event. A P-state request resolves
+    /// nothing, so the tick still resolves once however its requests
+    /// interleave with its scheduling actions, and its package sleep
+    /// events follow its `FreqRequested` records. A preheat or tracing
+    /// toggle still resolves on its own, after the actions before it.
     ///
     /// The machine keeps its RAPL accounting whatever the scenario reads,
     /// and its whole AC trace, so [`trace_mean_w`](Self::trace_mean_w)

@@ -4,6 +4,10 @@
 //! Every entry point runs one loop: it pulls one *case group*
 //! (`workers × shard_size` cases) at a time, validates it, executes it
 //! across the pool, and delivers each completed [`Run`] in case order.
+//! One pool serves the whole loop: the calling thread works as worker
+//! 0, and the other workers' threads start with the first group that
+//! has cases for them and wait between groups, so a group starts no
+//! thread.
 //! [`Session::run`] collects a slice of cases into a `Vec`.
 //! [`Session::run_streaming`] consumes a lazy case iterator (e.g.
 //! [`Sweep::cases`](crate::Sweep::cases)) and hands each run to a sink,
@@ -55,9 +59,10 @@ use crate::probe::Run;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::system::System;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One unit of batch work: a machine configuration, a scenario, and the
 /// boot seed.
@@ -209,15 +214,16 @@ impl Session {
         // On error paths (`?`) the open spans are deliberately left
         // unclosed: the run is aborting, and sinks tolerate it.
         let sweep_span = self.open_sweep(0);
-        loop {
+        self.with_pool(&execute, |pool| loop {
             let group: Vec<Case> = iter.by_ref().take(self.group_size()).collect();
             if group.is_empty() {
                 self.obs().close(sweep_span);
                 return Ok(delivered);
             }
-            self.run_group_with(sweep_span, delivered, &group, &mut sink, &execute)?;
-            delivered += group.len();
-        }
+            let n = group.len();
+            pool.run_group(sweep_span, delivered, group, &mut sink)?;
+            delivered += n;
+        })
     }
 
     /// Cases per *case group*, the unit a streaming run pulls, runs on
@@ -240,59 +246,39 @@ impl Session {
         )
     }
 
-    /// Runs one case group under `parent`: validates every case, runs
-    /// the group on the pool, and hands each run to `sink` in case order
-    /// with its global index, `first` being the first case's.
-    pub(crate) fn run_group(
-        &self,
-        parent: Option<SpanId>,
-        first: usize,
-        cases: &[Case],
-        sink: impl FnMut(usize, Run),
-    ) -> Result<(), SessionError> {
-        self.run_group_with(parent, first, cases, sink, &run_prechecked)
+    /// Runs `drive` with one worker pool for all the case groups it runs,
+    /// each through [`Pool::run_group`]: the pool's threads live until
+    /// `drive` returns, not one group.
+    pub(crate) fn pooled<R>(&self, drive: impl FnOnce(&mut Pool<'_, '_, Prechecked>) -> R) -> R {
+        self.with_pool(&(run_prechecked as Prechecked), drive)
     }
 
-    /// [`run_group`](Self::run_group) with the per-case executor of
+    /// [`pooled`](Self::pooled) with the per-case executor of
     /// [`run_streaming_with`](Self::run_streaming_with).
-    fn run_group_with(
-        &self,
-        parent: Option<SpanId>,
-        first: usize,
-        cases: &[Case],
-        mut sink: impl FnMut(usize, Run),
-        execute: &(impl Fn(&mut System, &Case) -> Run + Sync),
-    ) -> Result<(), SessionError> {
-        for case in cases {
-            validate_case(case)?;
-        }
-        let obs = self.obs();
-        let shard_span = obs.open(
-            parent,
-            obs::SPAN_SHARD,
-            &[
-                ("first", AttrValue::U64(first as u64)),
-                ("cases", AttrValue::U64(cases.len() as u64)),
-            ],
-        );
-        obs.observe(OBS_SHARD_CASES, cases.len() as f64);
-        let outcomes = pool_outcomes(cases, self.workers, execute, obs, shard_span, first);
-        for (offset, (case, outcome)) in cases.iter().zip(outcomes).enumerate() {
-            let run = outcome.map_err(|panic| SessionError {
-                case: case.label.clone(),
-                kind: SessionErrorKind::WorkerPanicked(panic),
-            })?;
-            let index = first + offset;
-            let reduce_span =
-                obs.open(shard_span, obs::SPAN_REDUCE, &[("index", AttrValue::U64(index as u64))]);
-            sink(index, run);
-            obs.close(reduce_span);
-            obs.counter(CTR_CASES_DONE, 1);
-        }
-        obs.close(shard_span);
-        Ok(())
+    fn with_pool<'env, E, R>(
+        &'env self,
+        execute: &'env E,
+        drive: impl FnOnce(&mut Pool<'_, 'env, E>) -> R,
+    ) -> R
+    where
+        E: Fn(&mut System, &Case) -> Run + Sync,
+    {
+        std::thread::scope(|scope| {
+            drive(&mut Pool {
+                scope,
+                shared: Arc::default(),
+                execute,
+                obs: self.obs(),
+                workers: self.workers,
+                helpers: 0,
+                spin_checks: 0,
+            })
+        })
     }
 }
+
+/// The executor of [`Session::pooled`].
+pub(crate) type Prechecked = fn(&mut System, &Case) -> Run;
 
 /// The executor of every public entry point: each group was validated
 /// before it runs. A machine whose scenario reads no RAPL counter keeps
@@ -317,94 +303,317 @@ fn validate_case(case: &Case) -> Result<(), SessionError> {
     })
 }
 
-/// Executes every case across a worker pool, booting a fresh machine per
-/// case, and returns each case's outcome in case order. Panicking cases
-/// are contained and reported as `Err` outcomes. Each case reports a
-/// `case` span (with `boot` and `sim` child phases) through `obs`,
-/// indexed globally from `base_index`, and its machine's slot counts
-/// after its `sim` phase.
-fn pool_outcomes(
-    cases: &[Case],
+/// How many times a waiting worker checks for its next case group, and
+/// the calling thread for its helpers' last cases, before it sleeps:
+/// about 1.4 ms on a 2-CPU Xeon virtual machine. The gap between two
+/// groups (the delivery of one and the generation of the next) takes
+/// ~0.25 ms there, and up to a few ms when the host is busy. A CPU that
+/// stays awake through it starts the next group at once; one that went
+/// to sleep may take milliseconds to wake. A pool with more workers
+/// than the host has CPUs does not spin: its waiting threads would take
+/// the CPUs its working ones need.
+const SPIN_CHECKS: u32 = 1 << 16;
+
+/// One worker pool across the case groups of one run
+/// ([`Session::pooled`]). The calling thread works as worker 0, and the
+/// pool starts the other `workers − 1` threads the first time a group
+/// has cases for them, then keeps them until the run ends, so a group
+/// starts no thread and a one-worker pool none.
+pub(crate) struct Pool<'scope, 'env, E> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    shared: Arc<Shared>,
+    execute: &'env E,
+    obs: Obs<'env>,
     workers: usize,
-    execute: &(impl Fn(&mut System, &Case) -> Run + Sync),
-    obs: Obs<'_>,
-    parent: Option<SpanId>,
-    base_index: usize,
-) -> Vec<Result<Run, String>> {
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<Run, String>>>> =
-        cases.iter().map(|_| Mutex::new(None)).collect();
-    let workers = workers.min(cases.len()).max(1);
-    let results_ref = &results;
-    let next_ref = &next;
-    let pool_span = obs.open(
-        parent,
-        obs::SPAN_POOL,
-        &[
-            ("cases", AttrValue::U64(cases.len() as u64)),
-            ("workers", AttrValue::U64(workers as u64)),
-        ],
-    );
+    /// Helper threads started so far: workers `1..=helpers`.
+    helpers: usize,
+    /// How often a waiting thread checks before it sleeps, set when the
+    /// first helper starts: [`SPIN_CHECKS`], or 0 on an oversubscribed
+    /// host.
+    spin_checks: u32,
+}
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= cases.len() {
-                    break;
-                }
-                let case = &cases[i];
-                let case_span = obs.open(
-                    pool_span,
-                    obs::SPAN_CASE,
-                    &[
-                        ("index", AttrValue::U64((base_index + i) as u64)),
-                        ("label", AttrValue::Str(&case.label)),
-                        ("worker", AttrValue::U64(w as u64)),
-                        ("rapl_accounting", AttrValue::Bool(case.scenario.reads_rapl())),
-                        ("counters", AttrValue::Bool(case.scenario.reads_counters())),
-                    ],
-                );
-                // Contain a panicking case: record it against slot `i`
-                // and keep the worker alive for the remaining cases,
-                // instead of letting the unwind cross the scope and
-                // cascade into unrelated cases.
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let boot_span = obs.open(case_span, obs::SPAN_BOOT, &[]);
-                    let mut sys = System::new(case.config.clone(), case.seed);
-                    obs.close(boot_span);
-                    let sim_span = obs.open(case_span, obs::SPAN_SIM, &[]);
-                    let run = execute(&mut sys, case);
-                    obs.close(sim_span);
-                    for (name, count) in sys.slot_counts().named() {
-                        obs.counter(name, count);
-                    }
-                    run
-                }))
-                .map_err(|payload| panic_text(payload.as_ref()));
-                obs.close(case_span);
-                // Nothing here can poison the slot (the fallible work
-                // all sits inside the catch above), but stay robust.
-                let mut slot = match results_ref[i].lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                *slot = Some(outcome);
-            });
+impl<E> Pool<'_, '_, E>
+where
+    E: Fn(&mut System, &Case) -> Run + Sync,
+{
+    /// Runs one case group under `parent`: validates every case, runs
+    /// the group on the pool, booting a fresh machine per case, and hands
+    /// each run to `sink` in case order with its global index, `first`
+    /// being the first case's. Panicking cases are contained and reported
+    /// as [`SessionErrorKind::WorkerPanicked`]. Each case reports a `case`
+    /// span (with `boot` and `sim` child phases), and its machine's slot
+    /// counts after its `sim` phase.
+    pub(crate) fn run_group(
+        &mut self,
+        parent: Option<SpanId>,
+        first: usize,
+        cases: Vec<Case>,
+        mut sink: impl FnMut(usize, Run),
+    ) -> Result<(), SessionError> {
+        for case in &cases {
+            validate_case(case)?;
         }
-    });
-    obs.close(pool_span);
+        let obs = self.obs;
+        let shard_span = obs.open(
+            parent,
+            obs::SPAN_SHARD,
+            &[
+                ("first", AttrValue::U64(first as u64)),
+                ("cases", AttrValue::U64(cases.len() as u64)),
+            ],
+        );
+        obs.observe(OBS_SHARD_CASES, cases.len() as f64);
+        let workers = self.workers.min(cases.len()).max(1);
+        let span = obs.open(
+            shard_span,
+            obs::SPAN_POOL,
+            &[
+                ("cases", AttrValue::U64(cases.len() as u64)),
+                ("workers", AttrValue::U64(workers as u64)),
+            ],
+        );
+        let results = cases.iter().map(|_| Mutex::new(None)).collect();
+        let group =
+            Arc::new(Group { cases, first, workers, span, next: AtomicUsize::new(0), results });
+        if workers > 1 {
+            self.hire(workers - 1);
+            self.shared.post(Some(group.clone()));
+        }
+        work(&group, 0, self.execute, obs);
+        if workers > 1 {
+            self.shared.withdraw(self.spin_checks);
+        }
+        obs.close(span);
 
-    results
-        .into_iter()
-        .map(|slot| {
-            let outcome = match slot.into_inner() {
-                Ok(value) => value,
-                Err(poisoned) => poisoned.into_inner(),
+        for (offset, (case, slot)) in group.cases.iter().zip(&group.results).enumerate() {
+            let outcome = lock(slot).take();
+            let run = outcome.expect("every claimed case stores its outcome").map_err(|panic| {
+                SessionError {
+                    case: case.label.clone(),
+                    kind: SessionErrorKind::WorkerPanicked(panic),
+                }
+            })?;
+            let index = first + offset;
+            let reduce_span =
+                obs.open(shard_span, obs::SPAN_REDUCE, &[("index", AttrValue::U64(index as u64))]);
+            sink(index, run);
+            obs.close(reduce_span);
+            obs.counter(CTR_CASES_DONE, 1);
+        }
+        obs.close(shard_span);
+        Ok(())
+    }
+
+    /// Starts helper threads until there are `helpers`.
+    fn hire(&mut self, helpers: usize) {
+        if self.helpers == 0 {
+            let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            self.spin_checks = if self.workers <= cpus { SPIN_CHECKS } else { 0 };
+        }
+        while self.helpers < helpers {
+            self.helpers += 1;
+            let (w, shared, execute, obs, spin_checks) =
+                (self.helpers, Arc::clone(&self.shared), self.execute, self.obs, self.spin_checks);
+            self.scope.spawn(move || help(&shared, w, execute, obs, spin_checks));
+        }
+    }
+}
+
+impl<E> Drop for Pool<'_, '_, E> {
+    /// Closes the pool, also when the run unwinds, so its helpers return
+    /// and the scope can join them.
+    fn drop(&mut self) {
+        self.shared.post(None);
+    }
+}
+
+/// One case group on the pool.
+struct Group {
+    cases: Vec<Case>,
+    /// The global index of the first case.
+    first: usize,
+    /// The workers that may claim its cases: no more than it has cases.
+    workers: usize,
+    /// Its `pool` span.
+    span: Option<SpanId>,
+    /// The next unclaimed case.
+    next: AtomicUsize,
+    results: Vec<Mutex<Option<Result<Run, String>>>>,
+}
+
+/// What the calling thread posts to its helpers and they report back.
+#[derive(Default)]
+struct Board {
+    /// The group in progress, while it may still be claimed.
+    group: Option<Arc<Group>>,
+    /// Posts so far: one per group, and one more when the pool closes.
+    posts: u64,
+    closed: bool,
+    /// Helpers holding a clone of `group`.
+    busy: usize,
+}
+
+/// The pool's one lock and its two signals, with `posts` and `busy`
+/// mirrored in atomics that waiting threads spin on before they sleep.
+/// The mirrors publish nothing: a thread that sees one change reads the
+/// board under the lock before it acts.
+#[derive(Default)]
+struct Shared {
+    board: Mutex<Board>,
+    /// Notified when a group is posted or the pool closes.
+    posted: Condvar,
+    /// Notified when the last busy helper lets go of its group.
+    idle: Condvar,
+    posts: AtomicU64,
+    busy: AtomicUsize,
+}
+
+impl Shared {
+    /// Posts `group` to the helpers, or closes the pool with `None`.
+    fn post(&self, group: Option<Arc<Group>>) {
+        let mut board = lock(&self.board);
+        board.closed = group.is_none();
+        board.group = group;
+        board.posts += 1;
+        self.posts.store(board.posts, Ordering::Release);
+        drop(board);
+        self.posted.notify_all();
+    }
+
+    /// Waits until no helper holds the posted group, then withdraws it:
+    /// every case it claimed has stored its outcome, and no helper joins
+    /// it late.
+    fn withdraw(&self, spin_checks: u32) {
+        spin_until(spin_checks, || self.busy.load(Ordering::Acquire) == 0);
+        let mut board = lock(&self.board);
+        while board.busy > 0 {
+            board = self.idle.wait(board).unwrap_or_else(PoisonError::into_inner);
+        }
+        board.group = None;
+    }
+
+    /// Sets the helpers holding the posted group.
+    fn set_busy(&self, board: &mut Board, busy: usize) {
+        board.busy = busy;
+        self.busy.store(busy, Ordering::Release);
+    }
+}
+
+/// A helper's hold on a posted group. Dropping it, also in an unwind,
+/// lets go of the group and then of its place in `busy`, so the group is
+/// freed before the calling thread moves on.
+struct Lease<'a> {
+    shared: &'a Shared,
+    group: Option<Arc<Group>>,
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        self.group = None;
+        let mut board = lock(&self.shared.board);
+        let busy = board.busy - 1;
+        self.shared.set_busy(&mut board, busy);
+        if busy == 0 {
+            self.shared.idle.notify_one();
+        }
+    }
+}
+
+/// Helper thread `w`: runs its share of every posted group with more
+/// than `w` workers, until the pool closes.
+fn help<E>(shared: &Shared, w: usize, execute: &E, obs: Obs<'_>, spin_checks: u32)
+where
+    E: Fn(&mut System, &Case) -> Run + Sync,
+{
+    let mut seen = 0;
+    loop {
+        spin_until(spin_checks, || shared.posts.load(Ordering::Acquire) != seen);
+        let lease = {
+            let mut board = lock(&shared.board);
+            while board.posts == seen {
+                board = shared.posted.wait(board).unwrap_or_else(PoisonError::into_inner);
+            }
+            if board.closed {
+                return;
+            }
+            seen = board.posts;
+            let Some(group) = board.group.clone().filter(|group| w < group.workers) else {
+                continue;
             };
-            outcome.expect("every claimed case stores its outcome")
-        })
-        .collect()
+            let busy = board.busy + 1;
+            shared.set_busy(&mut board, busy);
+            Lease { shared, group: Some(group) }
+        };
+        if let Some(group) = &lease.group {
+            work(group, w, execute, obs);
+        }
+    }
+}
+
+/// Claims and runs `group`'s cases as worker `w` until none is left,
+/// storing each outcome in its case's slot.
+fn work<E>(group: &Group, w: usize, execute: &E, obs: Obs<'_>)
+where
+    E: Fn(&mut System, &Case) -> Run + Sync,
+{
+    loop {
+        let i = group.next.fetch_add(1, Ordering::Relaxed);
+        let Some(case) = group.cases.get(i) else { break };
+        let case_span = obs.open(
+            group.span,
+            obs::SPAN_CASE,
+            &[
+                ("index", AttrValue::U64((group.first + i) as u64)),
+                ("label", AttrValue::Str(&case.label)),
+                ("worker", AttrValue::U64(w as u64)),
+                ("rapl_accounting", AttrValue::Bool(case.scenario.reads_rapl())),
+                ("counters", AttrValue::Bool(case.scenario.reads_counters())),
+            ],
+        );
+        // Contain a panicking case: record it against slot `i` and keep
+        // the worker alive for the remaining cases, instead of letting the
+        // unwind cascade into unrelated cases.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let boot_span = obs.open(case_span, obs::SPAN_BOOT, &[]);
+            let mut sys = System::new(case.config.clone(), case.seed);
+            obs.close(boot_span);
+            let sim_span = obs.open(case_span, obs::SPAN_SIM, &[]);
+            let run = execute(&mut sys, case);
+            obs.close(sim_span);
+            for (name, count) in sys.slot_counts().named() {
+                obs.counter(name, count);
+            }
+            run
+        }))
+        .map_err(|payload| panic_text(payload.as_ref()));
+        obs.close(case_span);
+        *lock(&group.results[i]) = Some(outcome);
+    }
+}
+
+/// Checks `ready` until it holds, at most `checks` times; the caller
+/// then waits on the pool's lock for what it spun on. Every 64th check
+/// yields the CPU, so a thread that shares it with the spinner (the host
+/// may run both of a pool's threads on one CPU for a while) still runs.
+fn spin_until(checks: u32, mut ready: impl FnMut() -> bool) {
+    for i in 0..checks {
+        if ready() {
+            return;
+        }
+        if i % 64 == 63 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// Locks `mutex`. Nothing that holds one of the pool's locks can panic
+/// (the fallible work all sits inside the catch in [`work`]), but stay
+/// robust.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Renders a caught panic payload (the first panicking case's, in case
@@ -645,6 +854,41 @@ mod tests {
         let mut ran = executed.into_inner().unwrap();
         ran.sort();
         assert_eq!(ran, ["a", "c", "d"]);
+    }
+
+    #[test]
+    fn one_pool_serves_every_group_of_a_run() {
+        // Four groups of three cases: the run's cases all execute on its
+        // workers' threads, not on threads started per group, and a
+        // one-worker run executes them on the calling thread.
+        let labels: Vec<String> = (0..12).map(|i| format!("case{i}")).collect();
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        for workers in [1, 3] {
+            let threads = Mutex::new(Vec::new());
+            let n = Session::new()
+                .workers(workers)
+                .shard_size(1)
+                .run_streaming_with(
+                    cases(&labels),
+                    |_, _| {},
+                    |sys, case| {
+                        let id = std::thread::current().id();
+                        let mut seen = threads.lock().unwrap();
+                        if !seen.contains(&id) {
+                            seen.push(id);
+                        }
+                        drop(seen);
+                        run_prechecked(sys, case)
+                    },
+                )
+                .unwrap();
+            assert_eq!(n, 12);
+            let seen = threads.into_inner().unwrap();
+            assert!(seen.len() <= workers, "{workers} workers ran cases on {} threads", seen.len());
+            if workers == 1 {
+                assert_eq!(seen, [std::thread::current().id()]);
+            }
+        }
     }
 
     /// 1 ms slots per AC window of [`throttled_windows`].

@@ -4,7 +4,9 @@
 //! scheduling actions draws each action's noise uniforms as it comes,
 //! then settles each touched core once and re-evaluates clocks and power
 //! once, and resolves no DVFS (it moves no request and no cap); a P-state
-//! request resolves only its own core. Clocks re-resolve only in the CCXs
+//! request resolves only its own core and re-evaluates nothing, so a tick
+//! that interleaves requests with scheduling actions still resolves clocks
+//! and power once. Clocks re-resolve only in the CCXs
 //! whose applied frequencies or core activity moved. A segment reuses the
 //! thermal α of the last segment length, so a run of 1 ms slots computes
 //! `exp` once, and RAPL publication copies no counter; a RAPL sync writes
@@ -20,6 +22,12 @@
 //! next one (`System::prove_hold`), and while that proof stands a slot
 //! only checks that its die temperature lies in the proven range. The
 //! slot boundaries themselves are found by adding one period to the last.
+//! On a machine that keeps neither RAPL accounting nor performance
+//! counters, the slots that every package's standing proof decides run in
+//! one loop that keeps each package's die temperature and true power, and
+//! the DC, AC and AC energy, in locals and writes the machine back once
+//! (`System::run_held_slots`), with the per-slot expressions in their
+//! order, so every result stays bit-identical.
 //!
 //! The machine records its AC power as a piecewise-constant trace, one
 //! segment per change. A hand-driven machine keeps all of it, so
@@ -34,7 +42,7 @@ use crate::cstate::ThreadState;
 use crate::obs;
 use crate::os::IdleConfig;
 use crate::perf::{CounterGroups, ThreadCounters};
-use crate::power::{MachineState, PowerBreakdown, PowerEval};
+use crate::power::{self, MachineState, PowerBreakdown, PowerEval};
 use crate::scenario::Op;
 use crate::smu::{PendingTransition, Smu};
 use crate::time::{next_boundary, to_secs, Ns, MILLISECOND};
@@ -83,8 +91,9 @@ enum HoldProof {
 }
 
 /// How the PPT loop decided its package-slots (one package at one 1 ms
-/// slot) since boot, as plain counts the session reports when a case
-/// closes.
+/// slot) since boot, how many slots the held loop advanced and how many
+/// full power evaluations ran, as plain counts the session reports when a
+/// case closes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SlotCounts {
     /// Package-slots a standing hold proof decided.
@@ -98,19 +107,47 @@ pub(crate) struct SlotCounts {
     pub(crate) fallback_slots: u64,
     /// Exact estimate refreshes those package-slots made.
     pub(crate) exact_refreshes: u64,
+    /// Slots (all packages at one 1 ms slot) the held loop advanced.
+    pub(crate) held_loop_slots: u64,
+    /// Full power evaluations, the two at boot included.
+    pub(crate) full_evaluations: u64,
 }
 
 impl SlotCounts {
     /// Each count under its recorder counter name.
-    pub(crate) fn named(&self) -> [(&'static str, u64); 5] {
+    pub(crate) fn named(&self) -> [(&'static str, u64); 7] {
         [
             (obs::CTR_PPT_PROOF_SLOTS, self.proof_slots),
             (obs::CTR_PPT_PROOFS, self.proofs),
             (obs::CTR_PPT_PROOFS_FAILED, self.proofs_failed),
             (obs::CTR_PPT_FALLBACK_SLOTS, self.fallback_slots),
             (obs::CTR_PPT_EXACT_REFRESHES, self.exact_refreshes),
+            (obs::CTR_PPT_HELD_LOOP_SLOTS, self.held_loop_slots),
+            (obs::CTR_POWER_FULL_EVALUATIONS, self.full_evaluations),
         ]
     }
+}
+
+/// Most packages whose state the held loop keeps in locals; every slot
+/// of a machine with more runs through the per-slot loop.
+const HELD_PKGS: usize = 2;
+
+/// What the held loop advances in locals, slot by slot, and writes back
+/// into the machine once (see [`System::run_held_slots`]).
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    /// The end of the last slot advanced.
+    now: Ns,
+    /// Slots advanced.
+    slots: u64,
+    /// Each package's die temperature.
+    die_c: [f64; HELD_PKGS],
+    /// Each package's true power.
+    pkg_w: [f64; HELD_PKGS],
+    dc_w: f64,
+    ac_w: f64,
+    /// AC energy since boot.
+    ac_energy_j: f64,
 }
 
 /// The first hardware thread of package `pkg`, through which the MSR
@@ -528,14 +565,20 @@ impl System {
     /// each touched core once (the Box–Muller transform of its last draw,
     /// then its IPC), and clocks and power then resolve once. DVFS reads
     /// only frequency requests and caps, which scheduling actions never
-    /// move, so they start no transition and nothing re-resolves DVFS. A
-    /// P-state request, preheat or tracing toggle first flushes what is
-    /// staged, then runs on its own: an in-flight ramp is never aborted,
-    /// so every request stays observable.
+    /// move, so they start no transition and nothing re-resolves DVFS.
+    ///
+    /// A P-state request runs as it comes, without flushing what is
+    /// staged: it reads only the threads' requests, its package's cap and
+    /// the SMU, which no scheduling action moves, and it re-evaluates
+    /// nothing, so the flush after the tick's last action sees what a
+    /// flush before the request would have. An in-flight ramp is never
+    /// aborted, so every request stays observable. A preheat or tracing
+    /// toggle first flushes what is staged, then runs on its own: preheat
+    /// steps the dies from the settled package powers, and enabling
+    /// tracing records the settled wake states.
     pub(crate) fn apply_ops(&mut self, ops: impl IntoIterator<Item = Op>) {
         for op in ops {
-            let staged = !self.tick_cores.is_empty();
-            if staged && matches!(op, Op::PstateMhz { .. } | Op::Preheat | Op::Tracing(_)) {
+            if !self.tick_cores.is_empty() && matches!(op, Op::Preheat | Op::Tracing(_)) {
                 self.flush_tick();
             }
             match op {
@@ -644,7 +687,9 @@ impl System {
     /// cap are unchanged, so its resolution would start nothing. Nothing
     /// is re-evaluated either: `Smu::request` never changes an applied
     /// frequency, so clocks, voltages, `PSTATE_STAT` and power stay as
-    /// the last evaluation left them.
+    /// the last evaluation left them. It reads no thread state, IPC or
+    /// power, so inside a tick it needs nothing the tick has staged (see
+    /// `apply_ops`).
     pub fn set_thread_pstate_mhz(
         &mut self,
         thread: ThreadId,
@@ -678,7 +723,20 @@ impl System {
         // reached; none while no thread is active.
         let mut next_slot =
             if controller_active { next_boundary(self.now, slot_ns) } else { Ns::MAX };
+        // Whether held slots may run in the held loop: a held slot then
+        // integrates nothing but AC energy and die temperatures.
+        let held_loop = controller_active
+            && self.rapl.is_none()
+            && self.counters.is_none()
+            && slot_ns <= MAX_SEGMENT_NS;
         while self.now < end {
+            if held_loop && self.now + slot_ns == next_slot {
+                self.run_held_slots(end);
+                next_slot = self.now + slot_ns;
+                if self.now == end {
+                    break;
+                }
+            }
             let smu_next = self.smu.next_event();
             let mut next = end.min(self.now + MAX_SEGMENT_NS).min(next_slot);
             if let Some(e) = smu_next {
@@ -722,6 +780,120 @@ impl System {
                 self.reevaluate_thermal();
             }
         }
+    }
+
+    /// Advances, from `self.now`, a slot boundary, the whole PPT slots
+    /// toward `end` that every package's standing hold proof decides, in
+    /// one loop over per-package locals ([`Held`]) that writes the machine
+    /// back once. On a machine that keeps neither RAPL accounting nor
+    /// performance counters such a slot integrates only AC energy and die
+    /// temperatures, and it records no event: no SMU completion, cap move
+    /// or wake change falls in it. Each slot evaluates what
+    /// `integrate_segment`, `proven_hold` and `reevaluate_thermal` do, in
+    /// their order and through the same helpers, so the machine ends bit
+    /// for bit where the per-slot loop would. The loop stops at `end`'s
+    /// last whole slot, before the slot holding the next SMU completion,
+    /// and before the first slot whose die temperature leaves its proven
+    /// range; the per-slot loop takes over there.
+    fn run_held_slots(&mut self, end: Ns) {
+        #[cfg(test)]
+        if !self.hold_proofs_enabled {
+            return;
+        }
+        let n = self.die_temp_c.len();
+        let slot_ns = self.cfg.smu.slot_period_ns;
+        // The latest a held slot may end: at `end`, and before the next
+        // SMU completion.
+        let limit = self.smu.next_event().map_or(end, |e| end.min(e.saturating_sub(1)));
+        if n > HELD_PKGS || self.now + slot_ns > limit {
+            return;
+        }
+        let mut held = Held {
+            now: self.now,
+            slots: 0,
+            die_c: [0.0; HELD_PKGS],
+            pkg_w: [0.0; HELD_PKGS],
+            dc_w: self.breakdown.dc_w,
+            ac_w: self.breakdown.ac_w,
+            ac_energy_j: self.ac_energy_j,
+        };
+        let mut range_c = [(0.0, 0.0); HELD_PKGS];
+        let mut last_c = [0.0; HELD_PKGS];
+        let mut base_w = [0.0; HELD_PKGS];
+        let mut awake = [false; HELD_PKGS];
+        for pkg in 0..n {
+            let HoldProof::Holds { lo_c, hi_c } = self.hold_proofs[pkg] else { return };
+            range_c[pkg] = (lo_c, hi_c);
+            last_c[pkg] = self.power.die_c(pkg);
+            held.die_c[pkg] = self.die_temp_c[pkg];
+            held.pkg_w[pkg] = self.breakdown.pkg_true_w[pkg];
+            base_w[pkg] = self.power.package_base_w(pkg);
+            awake[pkg] = self.breakdown.pkg_awake[pkg];
+        }
+        // Whether every package's proof covers these die temperatures, the
+        // ones the next slot's check reads: the last evaluation's.
+        let covers = |die_c: &[f64; HELD_PKGS]| {
+            (0..n).all(|pkg| range_c[pkg].0 <= die_c[pkg] && die_c[pkg] <= range_c[pkg].1)
+        };
+        if !covers(&last_c) {
+            return;
+        }
+        let thermal = self.cfg.power.thermal;
+        let dt_s = to_secs(slot_ns);
+        if self.thermal_alpha.0 != slot_ns {
+            self.thermal_alpha = (slot_ns, thermal.alpha(dt_s));
+        }
+        let alpha = self.thermal_alpha.1;
+        let dram_w = self.breakdown.dram_w;
+        loop {
+            // Test builds re-run the per-slot decision of every package.
+            #[cfg(test)]
+            {
+                if held.slots > 0 {
+                    self.store_held(&held);
+                }
+                let ppt_w = self.cfg.power.package.ppt_estimated_w;
+                for pkg in 0..n {
+                    assert!(
+                        self.per_slot_decision_holds(pkg, ppt_w),
+                        "package {pkg}: a held slot at {} °C does not hold",
+                        self.power.die_c(pkg)
+                    );
+                }
+            }
+            held.ac_energy_j += held.ac_w * dt_s;
+            for pkg in 0..n {
+                held.die_c[pkg] = thermal.step_by(held.die_c[pkg], held.pkg_w[pkg], alpha);
+            }
+            for pkg in 0..n {
+                held.pkg_w[pkg] =
+                    power::package_true_w(&self.cfg, awake[pkg], base_w[pkg], held.die_c[pkg]);
+            }
+            let before_ac_w = held.ac_w;
+            (held.dc_w, held.ac_w) = power::dc_ac_w(&self.cfg, &held.pkg_w[..n], dram_w);
+            held.now += slot_ns;
+            held.slots += 1;
+            self.trace_ac(held.now, before_ac_w, held.ac_w);
+            if held.now + slot_ns > limit || !covers(&held.die_c) {
+                break;
+            }
+        }
+        self.store_held(&held);
+        self.slot_counts.proof_slots += held.slots * n as u64;
+        self.slot_counts.held_loop_slots += held.slots;
+    }
+
+    /// Writes the held loop's locals back into the machine, as the last
+    /// slot's thermal re-evaluation would have left it.
+    fn store_held(&mut self, held: &Held) {
+        let n = self.die_temp_c.len();
+        self.now = held.now;
+        self.die_temp_c.copy_from_slice(&held.die_c[..n]);
+        self.power.record_thermal(&held.die_c[..n]);
+        self.breakdown.pkg_true_w.copy_from_slice(&held.pkg_w[..n]);
+        self.breakdown.dc_w = held.dc_w;
+        self.breakdown.ac_w = held.ac_w;
+        self.ac_energy_j = held.ac_energy_j;
     }
 
     /// One PPT slot: each package's step, decided by its hold proof where
@@ -1105,6 +1277,7 @@ impl System {
     fn reevaluate_power(&mut self) {
         // A new machine state: the hold proofs covered the old one.
         self.hold_proofs.fill(HoldProof::Unproven);
+        self.slot_counts.full_evaluations += 1;
         let state = MachineState {
             thread_states: &self.thread_states,
             workloads: &self.workloads,
@@ -1130,7 +1303,7 @@ impl System {
         }
         let before_ac_w = self.breakdown.ac_w;
         std::mem::swap(&mut self.breakdown, &mut self.next_breakdown);
-        self.trace_ac(before_ac_w);
+        self.trace_ac(self.now, before_ac_w, self.breakdown.ac_w);
     }
 
     /// Re-evaluates power when only the die temperatures moved since the
@@ -1145,14 +1318,14 @@ impl System {
             self.rapl.is_some(),
             &mut self.breakdown,
         );
-        self.trace_ac(before_ac_w);
+        self.trace_ac(self.now, before_ac_w, self.breakdown.ac_w);
     }
 
-    /// Starts a new AC-trace segment if the evaluation just made moved AC
-    /// power by more than 1 nW.
-    fn trace_ac(&mut self, before_ac_w: f64) {
-        if (self.breakdown.ac_w - before_ac_w).abs() > 1e-9 || self.trace.is_empty() {
-            self.trace.push((self.now, self.breakdown.ac_w));
+    /// Starts a new AC-trace segment at `at` if the evaluation made there
+    /// moved AC power from `before_ac_w` to `ac_w` by more than 1 nW.
+    fn trace_ac(&mut self, at: Ns, before_ac_w: f64, ac_w: f64) {
+        if (ac_w - before_ac_w).abs() > 1e-9 || self.trace.is_empty() {
+            self.trace.push((at, ac_w));
             #[cfg(test)]
             {
                 self.trace_high_water = self.trace_high_water.max(self.trace.len());
@@ -1554,12 +1727,19 @@ mod tests {
     }
 
     /// A machine with hold proofs, and its twin deciding every slot on
-    /// its own, built alike.
-    fn proven_and_per_slot() -> (System, System) {
-        let proven = boot();
-        let mut per_slot = boot();
-        per_slot.disable_hold_proofs();
-        (proven, per_slot)
+    /// its own, built alike. `lean` machines keep neither RAPL accounting
+    /// nor performance counters, as a Fig. 7 session case, so the first
+    /// advances its held slots in the held loop.
+    fn proven_and_per_slot(lean: bool) -> (System, System) {
+        let mut pair = (boot(), boot());
+        pair.1.disable_hold_proofs();
+        if lean {
+            both(&mut pair, |sys| {
+                sys.drop_rapl_accounting();
+                sys.drop_counters();
+            });
+        }
+        pair
     }
 
     /// Applies `act` to both machines.
@@ -1568,18 +1748,25 @@ mod tests {
         act(&mut pair.1);
     }
 
-    /// Asserts that both machines stepped alike: caps, die temperatures
-    /// and the AC trace are bit-equal.
+    /// Asserts that both machines stepped alike: time, caps, die
+    /// temperatures, the power breakdown, AC energy and the AC trace are
+    /// bit-equal.
     fn assert_decided_alike((proven, per_slot): &(System, System)) {
+        assert_eq!(proven.now_ns(), per_slot.now_ns());
         for socket in [SocketId(0), SocketId(1)] {
             assert_eq!(proven.cap_mhz(socket), per_slot.cap_mhz(socket));
             assert_eq!(proven.die_temp_c(socket).to_bits(), per_slot.die_temp_c(socket).to_bits());
         }
+        // `Debug` prints each float's shortest round-trip form.
+        let breakdown = |sys: &System| format!("{:?}", sys.power_breakdown());
+        assert_eq!(breakdown(proven), breakdown(per_slot));
+        assert_eq!(proven.ac_energy_j().to_bits(), per_slot.ac_energy_j().to_bits());
         let bits = |sys: &System| -> Vec<(Ns, u64)> {
             sys.trace.iter().map(|&(t, w)| (t, w.to_bits())).collect()
         };
         assert!(bits(proven) == bits(per_slot), "AC traces differ");
         assert_eq!(per_slot.slot_counts().proof_slots, 0);
+        assert_eq!(per_slot.slot_counts().held_loop_slots, 0);
     }
 
     fn load_all(sys: &mut System, class: KernelClass) {
@@ -1590,7 +1777,13 @@ mod tests {
 
     #[test]
     fn hold_proofs_decide_light_loads_and_the_throttled_deadband() {
-        let mut pair = proven_and_per_slot();
+        for lean in [false, true] {
+            hold_proofs_decide_light_loads_and_the_throttled_deadband_on(lean);
+        }
+    }
+
+    fn hold_proofs_decide_light_loads_and_the_throttled_deadband_on(lean: bool) {
+        let mut pair = proven_and_per_slot(lean);
         both(&mut pair, |sys| {
             for t in 0..8u32 {
                 sys.set_workload(ThreadId(t), KernelClass::Pause, OperandWeight::HALF);
@@ -1598,9 +1791,18 @@ mod tests {
             sys.run_for_ns(50 * MILLISECOND);
         });
         // A light load far below PPT: the first slot proves the hold at the
-        // ceiling, and every later slot reads the proof.
+        // ceiling, and every later slot reads the proof; a lean machine
+        // advances those 49 slots in the held loop. Two evaluations at
+        // boot and one per workload action make ten.
         let light = pair.0.slot_counts();
-        assert_eq!(light, SlotCounts { proof_slots: 100, proofs: 2, ..SlotCounts::default() });
+        let expected = SlotCounts {
+            proof_slots: 100,
+            proofs: 2,
+            held_loop_slots: if lean { 49 } else { 0 },
+            full_evaluations: 10,
+            ..SlotCounts::default()
+        };
+        assert_eq!(light, expected);
         assert_decided_alike(&pair);
 
         // FIRESTARTER everywhere is a new machine state, which the light
@@ -1622,6 +1824,10 @@ mod tests {
         assert_eq!(pair.0.cap_mhz(SocketId(0)), cap);
         assert_eq!(settled.proof_slots - throttled.proof_slots, 200, "{settled:?}");
         assert_eq!(settled.fallback_slots, throttled.fallback_slots);
+        // A lean machine advances every one of those slots in the held
+        // loop.
+        let held = settled.held_loop_slots - throttled.held_loop_slots;
+        assert_eq!(held, if lean { 100 } else { 0 }, "{settled:?}");
         assert_decided_alike(&pair);
     }
 
@@ -1643,7 +1849,13 @@ mod tests {
 
     #[test]
     fn a_die_outside_the_proven_range_decides_on_its_own() {
-        let mut pair = proven_and_per_slot();
+        for lean in [false, true] {
+            a_die_outside_the_proven_range_decides_on_its_own_on(lean);
+        }
+    }
+
+    fn a_die_outside_the_proven_range_decides_on_its_own_on(lean: bool) {
+        let mut pair = proven_and_per_slot(lean);
         both(&mut pair, |sys| {
             load_all(sys, KernelClass::Firestarter);
             sys.preheat();
@@ -1662,5 +1874,41 @@ mod tests {
         assert!(pair.0.cap_mhz(SocketId(0)) < cap);
         assert!(pair.0.slot_counts().fallback_slots > before.fallback_slots);
         assert_decided_alike(&pair);
+    }
+
+    /// Fig. 7's active-pause tick for all 128 threads: each thread's and
+    /// its sibling's P-state request, then its pause workload; or every
+    /// request first.
+    fn fig7_pause_tick(requests_first: bool) -> Vec<Op> {
+        let requests = |t: u32| {
+            [ThreadId(t), ThreadId(t ^ 1)].map(|thread| Op::PstateMhz { thread, mhz: 1500 })
+        };
+        let pause = |t: u32| Op::Workload {
+            thread: ThreadId(t),
+            class: KernelClass::Pause,
+            weight: OperandWeight::HALF,
+        };
+        if requests_first {
+            (0..128).flat_map(requests).chain((0..128).map(pause)).collect()
+        } else {
+            (0..128).flat_map(|t| requests(t).into_iter().chain([pause(t)])).collect()
+        }
+    }
+
+    #[test]
+    fn a_tick_interleaving_pstate_requests_resolves_once() {
+        use rand::RngCore;
+        let mut interleaved = boot();
+        let mut requests_first = boot();
+        let booted = interleaved.slot_counts().full_evaluations;
+        interleaved.apply_ops(fig7_pause_tick(false));
+        requests_first.apply_ops(fig7_pause_tick(true));
+        // One full evaluation for the tick, not one per thread after the
+        // first.
+        assert_eq!(interleaved.slot_counts().full_evaluations - booted, 1);
+        let breakdown = |sys: &System| format!("{:?}", sys.power_breakdown());
+        assert_eq!(breakdown(&interleaved), breakdown(&requests_first));
+        assert_eq!(interleaved.rng().next_u64(), requests_first.rng().next_u64());
+        assert_eq!(interleaved.dvfs_targets(), requests_first.dvfs_targets());
     }
 }

@@ -11,8 +11,9 @@ use std::sync::Arc;
 use zen2_ee::prelude::*;
 use zen2_obs::{Heartbeat, JsonlSink, MemorySink, Multi, SummarySink, Value};
 use zen2_sim::obs::{
-    CTR_CASES_DONE, CTR_PPT_FALLBACK_SLOTS, CTR_PPT_PROOFS, CTR_PPT_PROOF_SLOTS, SPAN_BOOT,
-    SPAN_CASE, SPAN_CHECKPOINT, SPAN_SHARD, SPAN_SWEEP,
+    CTR_CASES_DONE, CTR_POWER_FULL_EVALUATIONS, CTR_PPT_FALLBACK_SLOTS, CTR_PPT_HELD_LOOP_SLOTS,
+    CTR_PPT_PROOFS, CTR_PPT_PROOF_SLOTS, SPAN_BOOT, SPAN_CASE, SPAN_CHECKPOINT, SPAN_SHARD,
+    SPAN_SWEEP,
 };
 use zen2_sim::time::MICROSECOND;
 
@@ -285,4 +286,11 @@ fn case_spans_record_which_cases_keep_performance_counters() {
     assert!(total(CTR_PPT_PROOFS) >= 2 * 2);
     assert_eq!(total(CTR_PPT_PROOF_SLOTS), 2 * 2 * 250);
     assert_eq!(total(CTR_PPT_FALLBACK_SLOTS), 0);
+    // Each case evaluates power in full twice at boot, once for its tick
+    // (its P-state requests leave the tick's workloads staged) and once
+    // when its ramps land.
+    assert_eq!(total(CTR_POWER_FULL_EVALUATIONS), 2 * 4);
+    // Only the case without counters runs held slots in the held loop:
+    // all 250 but the two whose ends make its proofs.
+    assert_eq!(total(CTR_PPT_HELD_LOOP_SLOTS), 248);
 }
