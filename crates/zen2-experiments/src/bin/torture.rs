@@ -4,11 +4,12 @@
 //! through `System::run_scenario` directly and asserting bit-identical
 //! `Run`s (differential mode). The session runs every case whose
 //! scenario reads no RAPL counter without RAPL accounting, every case
-//! whose scenario reads no performance counter without counters, and
-//! trims every case's AC trace behind its open windows; the direct runs
-//! keep all three, so the differential check covers every path. The
-//! summary counts the runs without RAPL accounting, the runs without
-//! performance counters, the runs that trimmed segments an earlier window
+//! with the performance counters of only the threads its probes read,
+//! and trims every case's AC trace behind its open windows; the direct
+//! runs keep all of them, so the differential check covers every path.
+//! The summary counts the runs without RAPL accounting, the runs without
+//! performance counters, the runs that kept their probed threads'
+//! counters only, the runs that trimmed segments an earlier window
 //! read, the runs whose PPT loop moved a cap, the runs that read one
 //! socket's energy counter twice inside one 1 ms publication period, and
 //! the runs whose session side advanced a slot in the held loop, which the
@@ -182,6 +183,7 @@ fn main() {
     let mut measured = 0usize;
     let mut without_rapl = 0usize;
     let mut without_counters = 0usize;
+    let mut probed_counters = 0usize;
     let mut trimmed = 0usize;
     let mut throttled_runs = 0usize;
     let mut same_period_reads = 0usize;
@@ -194,7 +196,9 @@ fn main() {
         let (violations, m) = audit(&cli, index, run, &case);
         measured += m;
         without_rapl += usize::from(!keeps_rapl_accounting(&case));
-        without_counters += usize::from(!keeps_counters(&case));
+        let keeps = keeps_counters(&case);
+        without_counters += usize::from(!keeps);
+        probed_counters += usize::from(keeps);
         trimmed += usize::from(trims_ac_trace(&case));
         same_period_reads += usize::from(reads_energy_twice_per_period(&case));
         if !violations.is_empty() {
@@ -229,6 +233,7 @@ fn main() {
     );
     println!("without RAPL accounting: {without_rapl} runs");
     println!("without performance counters: {without_counters} runs");
+    println!("counters of probed threads: {probed_counters} runs");
     println!("trimmed AC trace: {trimmed} runs");
     println!("throttled: {throttled_runs} runs");
     println!("same-period energy reads: {same_period_reads} runs");

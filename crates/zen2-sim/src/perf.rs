@@ -10,12 +10,9 @@
 //! * an "idle" hardware thread still executes timer interrupts and
 //!   reports "less than 60 000 cycle/s" (Section V-A).
 //!
-//! The simulator keeps the counters once per *counter group*
-//! (`CounterGroups`): threads whose counters and whose rate inputs
-//! (scheduling state, core effective GHz and IPC) agree bit for bit
-//! advance identically, so a segment advances each group once instead
-//! of every thread. A change of state, clock or IPC marks the grouping
-//! stale, and the next segment regroups before it integrates.
+//! A machine keeps one [`ThreadCounters`] per thread it can be asked
+//! about: every thread on a hand-driven machine, only the threads its
+//! counter probes read in a session case (`System::keep_counters`).
 
 use crate::cstate::ThreadState;
 
@@ -95,149 +92,6 @@ impl ThreadCounters {
             return 0.0;
         }
         (after.instructions - before.instructions) / dc
-    }
-}
-
-/// One counter group: the counters its threads share, the rate inputs
-/// they advance at and how many threads it holds.
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    counters: ThreadCounters,
-    state: ThreadState,
-    eff_ghz: f64,
-    ipc: f64,
-    members: usize,
-}
-
-impl Group {
-    /// Whether the group advances at these rate inputs, floats compared
-    /// bit for bit.
-    fn same_rate(&self, state: ThreadState, eff_ghz: f64, ipc: f64) -> bool {
-        self.state == state
-            && self.eff_ghz.to_bits() == eff_ghz.to_bits()
-            && self.ipc.to_bits() == ipc.to_bits()
-    }
-
-    /// Whether the group's counters equal `c` bit for bit.
-    fn same_counters(&self, c: &ThreadCounters) -> bool {
-        let a = &self.counters;
-        [a.tsc, a.aperf, a.mperf, a.cycles, a.instructions].map(f64::to_bits)
-            == [c.tsc, c.aperf, c.mperf, c.cycles, c.instructions].map(f64::to_bits)
-    }
-}
-
-/// Every hardware thread's counters, kept once per group of threads that
-/// advance to the same bits. Each group advances through the unchanged
-/// [`ThreadCounters::advance`], so every thread's counters equal those a
-/// per-thread integration gives, bit for bit.
-#[derive(Debug, Clone)]
-pub(crate) struct CounterGroups {
-    /// The groups, in a `Vec` so their order is deterministic. A group
-    /// left with no threads is a free slot the next new group takes.
-    groups: Vec<Group>,
-    /// Each thread's index into `groups`.
-    group_of: Vec<usize>,
-    /// Whether a thread's state, core clock or IPC may have moved since
-    /// the last regroup.
-    stale: bool,
-    nominal_ghz: f64,
-    idle_wake_cycles_per_s: f64,
-}
-
-impl CounterGroups {
-    /// `num_threads` zeroed counters in one group at the boot rate: idle
-    /// in C2 at the nominal clock, retiring nothing. The first
-    /// [`advance`](Self::advance) still regroups, so a thread that booted
-    /// otherwise moves to its own group.
-    pub(crate) fn new(num_threads: usize, nominal_ghz: f64, idle_wake_cycles_per_s: f64) -> Self {
-        let boot = Group {
-            counters: ThreadCounters::default(),
-            state: ThreadState::C2,
-            eff_ghz: nominal_ghz,
-            ipc: 0.0,
-            members: num_threads,
-        };
-        Self {
-            groups: vec![boot],
-            group_of: vec![0; num_threads],
-            stale: true,
-            nominal_ghz,
-            idle_wake_cycles_per_s,
-        }
-    }
-
-    /// The counters of thread `t`.
-    pub(crate) fn get(&self, t: usize) -> ThreadCounters {
-        self.groups[self.group_of[t]].counters
-    }
-
-    /// Marks the grouping stale: some thread's state, core clock or IPC
-    /// may have changed.
-    pub(crate) fn invalidate(&mut self) {
-        self.stale = true;
-    }
-
-    /// Advances every thread's counters over `dt_s` seconds at its state,
-    /// its core's effective GHz (thread `t` runs on core
-    /// `t / threads_per_core`) and its IPC, regrouping first if stale.
-    pub(crate) fn advance(
-        &mut self,
-        dt_s: f64,
-        states: &[ThreadState],
-        core_eff_ghz: &[f64],
-        thread_ipc: &[f64],
-    ) {
-        if self.stale {
-            self.regroup(states, core_eff_ghz, thread_ipc);
-        }
-        for g in self.groups.iter_mut().filter(|g| g.members > 0) {
-            g.counters.advance(
-                dt_s,
-                g.state,
-                g.eff_ghz,
-                self.nominal_ghz,
-                g.ipc,
-                self.idle_wake_cycles_per_s,
-            );
-        }
-    }
-
-    /// Moves every thread whose rate inputs differ from its group's, in
-    /// thread order, into the first group with its counters and new
-    /// inputs, or else into the first free slot as a new group: threads
-    /// that diverged split, threads that reconverged merge.
-    fn regroup(&mut self, states: &[ThreadState], core_eff_ghz: &[f64], thread_ipc: &[f64]) {
-        let tpc = states.len() / core_eff_ghz.len();
-        for (t, group) in self.group_of.iter_mut().enumerate() {
-            let (state, eff_ghz, ipc) = (states[t], core_eff_ghz[t / tpc], thread_ipc[t]);
-            let old = &mut self.groups[*group];
-            if old.same_rate(state, eff_ghz, ipc) {
-                continue;
-            }
-            old.members -= 1;
-            let counters = old.counters;
-            let found = self.groups.iter().position(|g| {
-                g.members > 0 && g.same_rate(state, eff_ghz, ipc) && g.same_counters(&counters)
-            });
-            *group = match found {
-                Some(g) => g,
-                None => {
-                    let new = Group { counters, state, eff_ghz, ipc, members: 0 };
-                    match self.groups.iter().position(|g| g.members == 0) {
-                        Some(free) => {
-                            self.groups[free] = new;
-                            free
-                        }
-                        None => {
-                            self.groups.push(new);
-                            self.groups.len() - 1
-                        }
-                    }
-                }
-            };
-            self.groups[*group].members += 1;
-        }
-        self.stale = false;
     }
 }
 

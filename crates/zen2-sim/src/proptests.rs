@@ -491,21 +491,27 @@ proptest! {
         }
     }
 
-    /// Every thread's grouped counters equal, bit for bit, the per-thread
-    /// reference integration after every action: both SMT siblings,
-    /// idling, POLL, hotplug, P-state ramps, thermal drift, preheat and
-    /// throttled FIRESTARTER split and merge the groups.
+    /// A machine that keeps the counters of a few threads advances each
+    /// of them to the bits a machine keeping every thread's has, after
+    /// every action: both SMT siblings, idling, POLL, hotplug, P-state
+    /// ramps, thermal drift, preheat and throttled FIRESTARTER. The kept
+    /// threads are drawn from those the actions touch and from the rest.
     #[test]
-    fn grouped_counters_match_per_thread_integration(
+    fn kept_counters_match_a_machine_keeping_every_thread(
+        kept in prop::collection::vec(prop_oneof![arb_thread(), 0u32..128], 0..6),
         actions in prop::collection::vec(arb_action(), 1..40),
     ) {
-        let mut sys = System::new(SimConfig::epyc_7502_2s(), 13);
+        let kept: Vec<ThreadId> = kept.into_iter().map(ThreadId).collect();
+        let mut every = System::new(SimConfig::epyc_7502_2s(), 13);
+        let mut narrowed = System::new(SimConfig::epyc_7502_2s(), 13);
+        narrowed.keep_counters(&kept);
         for (i, &action) in actions.iter().enumerate() {
-            apply_action(&mut sys, action);
-            for t in (0..sys.config().topology.num_threads() as u32).map(ThreadId) {
+            apply_action(&mut every, action);
+            apply_action(&mut narrowed, action);
+            for &t in &kept {
                 prop_assert_eq!(
-                    bits(sys.counters(t)),
-                    bits(sys.per_thread_counters(t)),
+                    bits(narrowed.counters(t)),
+                    bits(every.counters(t)),
                     "thread {} diverges after action {} {:?}",
                     t.0,
                     i,
@@ -667,7 +673,7 @@ proptest! {
                 sys.drop_rapl_accounting();
             }
             if mode == 2 {
-                sys.drop_counters();
+                sys.keep_counters(&[]);
             }
         }
         let proven_run = proven.run_scenario_prechecked(&sc, false);
@@ -794,15 +800,24 @@ fn reweighting_every_thread_in_one_tick_matches_one_at_a_time() {
     assert_batched_matches_single(&ticks).expect("batched and per-action machines agree");
 }
 
+/// Reading a thread's counters panics, by name and thread, on a machine
+/// that keeps none and on one that keeps only other threads'.
 #[test]
 #[should_panic(
-    expected = "performance-counter read on a machine that keeps no performance counters"
+    expected = "performance-counter read on a machine that keeps no performance counters \
+                for thread 0"
 )]
 fn counter_read_without_counters_is_a_bug() {
-    let mut sys = System::new(SimConfig::epyc_7502_2s(), 3);
-    sys.drop_counters();
-    sys.run_for_ns(2 * MILLISECOND);
-    sys.counters(ThreadId(0));
+    let mut none = System::new(SimConfig::epyc_7502_2s(), 3);
+    none.keep_counters(&[]);
+    none.run_for_ns(2 * MILLISECOND);
+    let read = std::panic::catch_unwind(|| none.counters(ThreadId(0)));
+    assert!(read.is_err(), "a machine keeping no counters read thread 0's");
+    let mut narrowed = System::new(SimConfig::epyc_7502_2s(), 3);
+    narrowed.keep_counters(&[ThreadId(1)]);
+    narrowed.run_for_ns(2 * MILLISECOND);
+    assert!(narrowed.counters(ThreadId(1)).tsc > 0.0);
+    narrowed.counters(ThreadId(0));
 }
 
 #[test]

@@ -248,13 +248,22 @@ impl Scenario {
         })
     }
 
-    /// Whether a probe reads performance counters ([`Probe::CounterDelta`]
-    /// or [`Probe::CounterSeries`]). [`Session`](crate::Session) runs a
-    /// case whose scenario does not on a machine that keeps no counters.
-    pub(crate) fn reads_counters(&self) -> bool {
-        self.probes
+    /// The threads whose performance counters a probe reads
+    /// ([`Probe::CounterDelta`] or [`Probe::CounterSeries`]), sorted and
+    /// deduplicated. [`Session`](crate::Session) runs a case on a machine
+    /// that keeps the counters of these threads only.
+    pub(crate) fn counter_threads(&self) -> Vec<ThreadId> {
+        let mut threads: Vec<ThreadId> = self
+            .probes
             .iter()
-            .any(|spec| matches!(spec.probe, Probe::CounterDelta(_) | Probe::CounterSeries { .. }))
+            .filter_map(|spec| match spec.probe {
+                Probe::CounterDelta(thread) | Probe::CounterSeries { thread, .. } => Some(thread),
+                _ => None,
+            })
+            .collect();
+        threads.sort_unstable();
+        threads.dedup();
+        threads
     }
 
     /// The explicit minimum run length set through

@@ -21,11 +21,12 @@
 //! scenario reads no RAPL counter runs without RAPL accounting: its
 //! machine integrates and publishes no RAPL energy and its PPT loop
 //! decides from a bound on each package estimate, which leaves every
-//! result bit-identical to a run with accounting. Likewise a case whose
-//! scenario reads no performance counter runs on a machine that keeps
-//! none. Each `case` span records both choices, as its `rapl_accounting`
-//! and `counters` attributes, and the case reports how its PPT loop
-//! decided its slots as the `ppt.*` counters when its `sim` span closes.
+//! result bit-identical to a run with accounting. Likewise a case keeps
+//! the performance counters of only the threads its probes read, and
+//! none when no probe reads one. Each `case` span records both choices,
+//! as its `rapl_accounting` and `counters` (keeps any) attributes, and
+//! the case reports how its PPT loop decided its slots as the `ppt.*`
+//! counters when its `sim` span closes.
 //!
 //! A case holds only what a probe can still read. Its scenario's steps
 //! and probes are shared with the case's source (a [`Scenario`] clone
@@ -282,16 +283,14 @@ pub(crate) type Prechecked = fn(&mut System, &Case) -> Run;
 
 /// The executor of every public entry point: each group was validated
 /// before it runs. A machine whose scenario reads no RAPL counter keeps
-/// no RAPL accounting, one whose scenario reads no performance counter
-/// keeps no counters, and every case trims its AC trace behind its open
-/// windows.
+/// no RAPL accounting, each machine keeps the performance counters of
+/// only the threads its probes read, and every case trims its AC trace
+/// behind its open windows.
 fn run_prechecked(sys: &mut System, case: &Case) -> Run {
     if !case.scenario.reads_rapl() {
         sys.drop_rapl_accounting();
     }
-    if !case.scenario.reads_counters() {
-        sys.drop_counters();
-    }
+    sys.keep_counters(&case.scenario.counter_threads());
     sys.run_scenario_prechecked(&case.scenario, true)
 }
 
@@ -568,7 +567,7 @@ where
                 ("label", AttrValue::Str(&case.label)),
                 ("worker", AttrValue::U64(w as u64)),
                 ("rapl_accounting", AttrValue::Bool(case.scenario.reads_rapl())),
-                ("counters", AttrValue::Bool(case.scenario.reads_counters())),
+                ("counters", AttrValue::Bool(!case.scenario.counter_threads().is_empty())),
             ],
         );
         // Contain a panicking case: record it against slot `i` and keep
@@ -947,5 +946,35 @@ mod tests {
         let mut sys = System::new(cfg, case.seed);
         run_prechecked(&mut sys, &case);
         sys.trace_mean_w(0, sys.now_ns());
+    }
+
+    /// A case keeps the counters of exactly the threads its probes read,
+    /// and its run equals the direct run's, whose machine keeps every
+    /// thread's.
+    #[test]
+    #[should_panic(
+        expected = "performance-counter read on a machine that keeps no performance counters \
+                    for thread 0"
+    )]
+    fn a_case_keeps_the_counters_of_the_threads_its_probes_read() {
+        let cfg = SimConfig::epyc_7502_2s();
+        let mut sc = Scenario::new();
+        sc.at(0).workload(ThreadId(5), KernelClass::VXorps, OperandWeight::HALF);
+        let window = Window::span(MILLISECOND, 20 * MILLISECOND);
+        let series = Probe::CounterSeries { thread: ThreadId(9), every: 5 * MILLISECOND };
+        sc.probe("series", series, window);
+        sc.probe("delta", Probe::CounterDelta(ThreadId(5)), window);
+        sc.probe("again", Probe::CounterDelta(ThreadId(9)), window);
+        assert_eq!(sc.counter_threads(), [ThreadId(5), ThreadId(9)]);
+        let case = Case::new("probed", cfg.clone(), sc, 7);
+        let mut direct = System::new(cfg.clone(), case.seed);
+        let every = direct.run_scenario(&case.scenario).unwrap();
+        let mut sys = System::new(cfg, case.seed);
+        let kept = run_prechecked(&mut sys, &case);
+        assert_eq!(format!("{kept:?}"), format!("{every:?}"));
+        for t in [ThreadId(5), ThreadId(9)] {
+            assert_eq!(sys.counters(t), direct.counters(t));
+        }
+        sys.counters(ThreadId(0));
     }
 }

@@ -13,8 +13,9 @@
 //! each energy counter once per domain. A machine that keeps no RAPL
 //! accounting (see `System::drop_rapl_accounting`) integrates no RAPL
 //! energy, skips the estimates in thermal-only steps, and lets its PPT
-//! loop decide from a bound on each package estimate; one that keeps no
-//! performance counters (see `System::drop_counters`) advances none.
+//! loop decide from a bound on each package estimate. A segment advances
+//! the performance counters of only the threads the machine keeps (see
+//! `System::keep_counters`), so one that keeps none advances none.
 //!
 //! The PPT loop proves a package's hold once per machine state, not once
 //! per 1 ms slot: the first slot after a full evaluation bounds the
@@ -41,7 +42,7 @@ use crate::controller::PptController;
 use crate::cstate::ThreadState;
 use crate::obs;
 use crate::os::IdleConfig;
-use crate::perf::{CounterGroups, ThreadCounters};
+use crate::perf::ThreadCounters;
 use crate::power::{self, MachineState, PowerBreakdown, PowerEval};
 use crate::scenario::Op;
 use crate::smu::{PendingTransition, Smu};
@@ -209,13 +210,10 @@ pub struct System {
     thermal_alpha: (Ns, f64),
 
     // Accounting.
-    /// Performance counters; `None` on a machine whose scenario reads
-    /// none (see [`drop_counters`](Self::drop_counters)).
-    counters: Option<CounterGroups>,
-    /// Every thread's counters advanced one thread at a time, the
-    /// reference the grouped counters must match.
-    #[cfg(test)]
-    per_thread_counters: Vec<ThreadCounters>,
+    /// The performance counters of the threads the machine keeps, in
+    /// thread order: every thread from boot, fewer after
+    /// [`keep_counters`](Self::keep_counters).
+    counters: Vec<(ThreadId, ThreadCounters)>,
     /// RAPL energy integration and publication; `None` on a machine whose
     /// scenario reads no RAPL counter (see
     /// [`drop_rapl_accounting`](Self::drop_rapl_accounting)).
@@ -255,6 +253,12 @@ impl System {
             .map(|_| PptController::new(&cfg.controller, nominal, cfg.min_mhz()))
             .collect();
 
+        // Pushed one by one: collecting the same iterator made a boot about
+        // 1 µs (a quarter) slower on a 2-CPU x86-64 host.
+        let mut counters = Vec::with_capacity(num_threads);
+        for t in 0..num_threads as u32 {
+            counters.push((ThreadId(t), ThreadCounters::default()));
+        }
         let mut sys = Self {
             msrs: MsrFile::with_pstate_table(&topo, &cfg.pstates),
             kernels: WorkloadSet::paper(),
@@ -281,13 +285,7 @@ impl System {
             slot_counts: SlotCounts::default(),
             die_temp_c: vec![cfg.power.thermal.ambient_c; num_pkgs],
             thermal_alpha: (0, cfg.power.thermal.alpha(0.0)),
-            counters: Some(CounterGroups::new(
-                num_threads,
-                nominal as f64 / 1000.0,
-                cfg.os.idle_wake_cycles_per_s,
-            )),
-            #[cfg(test)]
-            per_thread_counters: vec![ThreadCounters::default(); num_threads],
+            counters,
             rapl: Some(RaplAccounting::new(num_cores, num_pkgs)),
             power: PowerEval::new(&topo),
             breakdown: PowerBreakdown::zeroed(&topo),
@@ -320,8 +318,8 @@ impl System {
     /// Panics if this machine is not in its boot state — time advanced,
     /// any workload scheduled (scheduling consumes the RNG, which a
     /// reseed would not reproduce), any frequency request / C-state
-    /// configuration changed from boot defaults, or RAPL accounting or
-    /// performance counters dropped.
+    /// configuration changed from boot defaults, RAPL accounting dropped,
+    /// or any thread's performance counters no longer kept.
     pub fn fork(&self, seed: u64) -> System {
         let nominal = self.cfg.nominal_mhz();
         assert!(
@@ -333,7 +331,7 @@ impl System {
                 && !self.tracer.is_enabled()
                 && self.tracer.records().is_empty()
                 && self.rapl.is_some()
-                && self.counters.is_some(),
+                && self.counters.len() == self.thread_states.len(),
             "fork requires a pristine booted system"
         );
         let mut sys = self.clone();
@@ -387,21 +385,18 @@ impl System {
     /// Performance-counter snapshot for a thread.
     ///
     /// # Panics
-    /// Panics on a machine that dropped its performance counters: the
-    /// session drops them only for a scenario that reads no counter, so
-    /// such a read is a simulator bug.
+    /// Panics if the machine no longer keeps the thread's counters: a
+    /// session case keeps those of the threads its probes read, so any
+    /// other read is a simulator bug.
     pub fn counters(&self, thread: ThreadId) -> ThreadCounters {
-        let Some(counters) = &self.counters else {
-            panic!("performance-counter read on a machine that keeps no performance counters");
-        };
-        counters.get(thread.index())
-    }
-
-    /// A thread's counters as the per-thread reference integration has
-    /// them, which the grouped counters must match.
-    #[cfg(test)]
-    pub(crate) fn per_thread_counters(&self, thread: ThreadId) -> ThreadCounters {
-        self.per_thread_counters[thread.index()]
+        match self.counters.binary_search_by_key(&thread, |&(t, _)| t) {
+            Ok(i) => self.counters[i].1,
+            Err(_) => panic!(
+                "performance-counter read on a machine that keeps no performance counters \
+                 for thread {}",
+                thread.0
+            ),
+        }
     }
 
     /// The scheduling state of a thread.
@@ -499,13 +494,13 @@ impl System {
         self.rapl = None;
     }
 
-    /// Stops performance-counter integration for good: segments no longer
-    /// advance any thread's counters, and reading one panics. Nothing else
-    /// reads them, so every other result stays bit-identical.
-    /// [`Session`](crate::Session) drops the counters of a case whose
-    /// scenario reads none.
-    pub(crate) fn drop_counters(&mut self) {
-        self.counters = None;
+    /// Keeps the performance counters of `threads` only, for good:
+    /// segments no longer advance any other thread's counters, and
+    /// reading one panics. Nothing else reads them, so every other result
+    /// stays bit-identical. [`Session`](crate::Session) keeps those of the
+    /// threads a case's probes read, none for most cases.
+    pub(crate) fn keep_counters(&mut self, threads: &[ThreadId]) {
+        self.counters.retain(|(t, _)| threads.contains(t));
     }
 
     /// Enables or disables event tracing (lo2s-style). Enabling records
@@ -727,7 +722,7 @@ impl System {
         // integrates nothing but AC energy and die temperatures.
         let held_loop = controller_active
             && self.rapl.is_none()
-            && self.counters.is_none()
+            && self.counters.is_empty()
             && slot_ns <= MAX_SEGMENT_NS;
         while self.now < end {
             if held_loop && self.now + slot_ns == next_slot {
@@ -1230,13 +1225,8 @@ impl System {
 
     /// Resolves the clocks of every CCX whose applied frequencies or core
     /// activity moved since its last resolution (the others would resolve
-    /// to what they hold), then re-evaluates power. Thread states, IPC and
-    /// clocks have all settled by now, so this is where the counter
-    /// grouping goes stale.
+    /// to what they hold), then re-evaluates power.
     fn update_clocks_and_power(&mut self) {
-        if let Some(counters) = &mut self.counters {
-            counters.invalidate();
-        }
         let tpc = self.cfg.topology.threads_per_core();
         for ccx in 0..self.cfg.topology.num_ccxs() {
             // A CCX's cores are numbered contiguously.
@@ -1410,23 +1400,18 @@ impl System {
             return;
         }
         let dt_s = to_secs(dt);
-        if let Some(counters) = &mut self.counters {
-            counters.advance(dt_s, &self.thread_states, &self.core_eff_ghz, &self.thread_ipc);
-            #[cfg(test)]
-            {
-                let tpc = self.cfg.topology.threads_per_core();
-                let nominal_ghz = self.pstate_mhz[0] as f64 / 1000.0;
-                for t in 0..self.thread_states.len() {
-                    self.per_thread_counters[t].advance(
-                        dt_s,
-                        self.thread_states[t],
-                        self.core_eff_ghz[t / tpc],
-                        nominal_ghz,
-                        self.thread_ipc[t],
-                        self.cfg.os.idle_wake_cycles_per_s,
-                    );
-                }
-            }
+        let tpc = self.cfg.topology.threads_per_core();
+        let nominal_ghz = self.pstate_mhz[0] as f64 / 1000.0;
+        for (t, counters) in &mut self.counters {
+            let t = t.index();
+            counters.advance(
+                dt_s,
+                self.thread_states[t],
+                self.core_eff_ghz[t / tpc],
+                nominal_ghz,
+                self.thread_ipc[t],
+                self.cfg.os.idle_wake_cycles_per_s,
+            );
         }
 
         if let Some(rapl) = &mut self.rapl {
@@ -1566,16 +1551,25 @@ mod tests {
         assert!((est - 170.0).abs() < 4.0, "RAPL-visible package power {est:.1} W");
     }
 
+    /// Each thread's counters run at its own core's clock: thread 0 at
+    /// the nominal 2.5 GHz, thread 101 on socket 1 at the 1.5 GHz both
+    /// threads of its core request.
     #[test]
     fn counters_report_effective_frequency() {
         let mut sys = boot();
-        sys.set_workload(ThreadId(0), KernelClass::BusyWait, OperandWeight::HALF);
+        let threads = [ThreadId(0), ThreadId(101)];
+        for t in threads {
+            sys.set_workload(t, KernelClass::BusyWait, OperandWeight::HALF);
+        }
+        sys.set_thread_pstate_mhz(ThreadId(100), 1500);
+        sys.set_thread_pstate_mhz(ThreadId(101), 1500);
         sys.run_for_ns(20 * MILLISECOND);
-        let before = sys.counters(ThreadId(0));
+        let before = threads.map(|t| sys.counters(t));
         sys.run_for_secs(0.1);
-        let after = sys.counters(ThreadId(0));
-        let eff = ThreadCounters::effective_ghz(&before, &after, 2.5);
-        assert!((eff - 2.5).abs() < 0.01, "perf-observed {eff:.3} GHz");
+        for (t, before, ghz) in [(threads[0], before[0], 2.5), (threads[1], before[1], 1.5)] {
+            let eff = ThreadCounters::effective_ghz(&before, &sys.counters(t), 2.5);
+            assert!((eff - ghz).abs() < 0.01, "thread {}: perf-observed {eff:.3} GHz", t.0);
+        }
     }
 
     #[test]
@@ -1736,7 +1730,7 @@ mod tests {
         if lean {
             both(&mut pair, |sys| {
                 sys.drop_rapl_accounting();
-                sys.drop_counters();
+                sys.keep_counters(&[]);
             });
         }
         pair

@@ -34,9 +34,10 @@
 //! of the same case, so they live in the `torture` bin and the proptest
 //! suite, both of which drive this module. The streaming side runs a case
 //! without RAPL accounting when it reads no RAPL counter
-//! ([`keeps_rapl_accounting`]), without performance counters when it
-//! reads none ([`keeps_counters`]), and trims its AC trace behind its
-//! open windows ([`trims_ac_trace`]); the direct side does none of these.
+//! ([`keeps_rapl_accounting`]), with the performance counters of only
+//! the threads its probes read, none when it reads none
+//! ([`keeps_counters`]), and trims its AC trace behind its open windows
+//! ([`trims_ac_trace`]); the direct side does none of these.
 //! [`reads_energy_twice_per_period`] tells which cases exercise the
 //! same-period RAPL check. A greedy
 //! [`shrink_scenario`] reduces a failing case to a minimal reproducer
@@ -1044,12 +1045,13 @@ pub fn keeps_rapl_accounting(case: &Case) -> bool {
 
 /// Whether [`Session`](crate::Session) runs `case` on a machine that
 /// keeps performance counters: only a case whose scenario reads one
-/// ([`Probe::CounterDelta`] or [`Probe::CounterSeries`]) does. The
-/// differential soak compares the other cases' session runs with direct
-/// [`System::run_scenario`](crate::System::run_scenario) runs, which keep
-/// them.
+/// ([`Probe::CounterDelta`] or [`Probe::CounterSeries`]) does, and it
+/// keeps those of the threads its probes read only. The differential
+/// soak compares every case's session run with a direct
+/// [`System::run_scenario`](crate::System::run_scenario) run, which keeps
+/// every thread's counters.
 pub fn keeps_counters(case: &Case) -> bool {
-    case.scenario.reads_counters()
+    !case.scenario.counter_threads().is_empty()
 }
 
 /// Whether `case`'s scenario reads one socket's package-energy MSR twice
