@@ -219,9 +219,13 @@ fn reduce(cfg: &Config, seed: u64, run: &Run) -> Fig3Result {
 
 /// Runs the transition-delay experiment through `session`.
 pub fn run(cfg: &Config, seed: u64, session: &Session) -> Fig3Result {
-    let case =
-        Case::new("fig03", SimConfig::epyc_7502_2s(), scenario(cfg, seed), child_seed(seed, 0));
-    let runs = session.run(std::slice::from_ref(&case)).expect("fig03 scenario validates");
+    // The case, with its 400k-step paper-scale scenario, goes before the
+    // reduction allocates its delay vectors next to the run's events.
+    let runs = {
+        let case =
+            Case::new("fig03", SimConfig::epyc_7502_2s(), scenario(cfg, seed), child_seed(seed, 0));
+        session.run(std::slice::from_ref(&case)).expect("fig03 scenario validates")
+    };
     reduce(cfg, seed, &runs[0])
 }
 

@@ -28,17 +28,23 @@ impl RaplUnits {
         Self { power_unit: 3, energy_unit: 16, time_unit: 10 }
     }
 
-    /// Joules represented by one energy-counter LSB.
+    /// Joules represented by one energy-counter LSB: 2^-ESU, built from
+    /// its exponent bits. Every power of two down to 2^-255 is a normal
+    /// `f64`, so this is exactly `0.5f64.powi(ESU)` without a call to the
+    /// integer-power routine on each counter conversion.
+    #[inline]
     pub fn joules_per_count(&self) -> f64 {
-        (0.5f64).powi(self.energy_unit as i32)
+        f64::from_bits((1023 - self.energy_unit as u64) << 52)
     }
 
     /// Converts joules into counter counts (truncating, as hardware does).
+    #[inline]
     pub fn joules_to_counts(&self, joules: f64) -> u64 {
         (joules / self.joules_per_count()) as u64
     }
 
     /// Converts a counter value into joules.
+    #[inline]
     pub fn counts_to_joules(&self, counts: u64) -> f64 {
         counts as f64 * self.joules_per_count()
     }
@@ -80,6 +86,14 @@ mod tests {
         assert!((u.joules_per_count() - 15.258789e-6).abs() < 1e-11);
         assert_eq!(u.power_unit, 3);
         assert_eq!(u.time_unit, 10);
+    }
+
+    #[test]
+    fn joules_per_count_is_the_exact_power_of_two() {
+        for energy_unit in 0..=u8::MAX {
+            let u = RaplUnits { energy_unit, ..RaplUnits::amd_default() };
+            assert_eq!(u.joules_per_count().to_bits(), 0.5f64.powi(energy_unit as i32).to_bits());
+        }
     }
 
     #[test]

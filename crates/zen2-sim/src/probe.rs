@@ -13,8 +13,9 @@ use crate::perf::ThreadCounters;
 use crate::system::System;
 use crate::time::{to_secs, Ns, SECOND};
 use crate::trace::{Event, Record};
+use zen2_msr::{address, RaplUnits};
 use zen2_power::MeterSample;
-use zen2_rapl::RaplReader;
+use zen2_rapl::{CounterTracker, RaplReader};
 use zen2_topology::{CoreId, SocketId, ThreadId};
 
 /// When a probe observes: a `[from, to]` span, or an instant (`from ==
@@ -392,7 +393,7 @@ impl Run {
     }
 }
 
-/// An open RAPL measurement window: reader plus bookkeeping, so every
+/// An open [`Probe::RaplW`] window: reader plus bookkeeping, so every
 /// RAPL probe observes counters through the same MSR path. It reads the
 /// energy MSRs as [`System::sync_rapl_msrs`] last left them: the scenario
 /// engine syncs once per breakpoint with a RAPL action due, before the
@@ -423,12 +424,45 @@ impl RaplWindow {
         assert!(dt > 0.0, "RAPL window must have positive length");
         (self.reader.package_sum_joules() / dt, self.reader.core_sum_joules() / dt)
     }
+}
 
-    /// Closes the window, returning one core domain's mean power in watts.
-    pub(crate) fn finish_core(self, sys: &System, core: CoreId) -> f64 {
+/// An open [`Probe::RaplCoreW`] window: the one core's `CORE_ENERGY_STAT`,
+/// read through the core's first thread and accumulated by the
+/// [`CounterTracker`] arithmetic a [`RaplReader`] applies to it, so the
+/// watts are the reader's bit for bit without polling the other 65
+/// counters.
+pub(crate) struct RaplCoreWindow {
+    tracker: CounterTracker,
+    thread: ThreadId,
+    units: RaplUnits,
+    from: Ns,
+}
+
+impl RaplCoreWindow {
+    /// Opens the window at the machine's current time, on MSRs synced at
+    /// this instant.
+    pub(crate) fn open(sys: &System, core: CoreId) -> Self {
+        let thread = ThreadId(core.0 * sys.config().topology.threads_per_core() as u32);
+        let msrs = sys.msrs();
+        Self {
+            tracker: CounterTracker::new(msrs.peek(thread, address::CORE_ENERGY_STAT) as u32),
+            thread,
+            units: RaplUnits::decode(msrs.peek(ThreadId(0), address::RAPL_PWR_UNIT)),
+            from: sys.now_ns(),
+        }
+    }
+
+    /// Polls the counter at the machine's current time, on MSRs synced at
+    /// this instant.
+    pub(crate) fn poll(&mut self, sys: &System) {
+        self.tracker.update(sys.msrs().peek(self.thread, address::CORE_ENERGY_STAT) as u32);
+    }
+
+    /// Closes the window, returning the core domain's mean power in watts.
+    pub(crate) fn finish(self, sys: &System) -> f64 {
         let dt = to_secs(sys.now_ns() - self.from);
         assert!(dt > 0.0, "RAPL window must have positive length");
-        self.reader.core_joules(core.index()) / dt
+        self.tracker.total_joules(&self.units) / dt
     }
 }
 

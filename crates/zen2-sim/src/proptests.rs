@@ -7,7 +7,7 @@ use crate::controller::PptController;
 use crate::cstate::ThreadState;
 use crate::perf::ThreadCounters;
 use crate::power::PowerBreakdown;
-use crate::scenario::Op;
+use crate::scenario::{At, Op, ScenarioError, Step};
 use crate::smu::Smu;
 use crate::snapshot::Snapshot;
 use crate::stats::{FreqResidency, OnlineStats, P2Quantile, TransitionStats, Welford};
@@ -167,6 +167,120 @@ fn apply_one(sys: &mut System, op: Op) {
     }
 }
 
+/// Schedules `op` through the cursor's builder method.
+fn schedule(step: At<'_>, op: Op) -> At<'_> {
+    match op {
+        Op::Workload { thread, class, weight } => step.workload(thread, class, weight),
+        Op::Idle { thread } => step.idle(thread),
+        Op::PstateMhz { thread, mhz } => step.pstate(thread, mhz),
+        Op::CstateEnabled { thread, level, enabled } => step.cstate(thread, level, enabled),
+        Op::Online { thread, online } => step.online(thread, online),
+        Op::Preheat => step.preheat(),
+        Op::Tracing(enabled) => step.tracing(enabled),
+    }
+}
+
+/// `(shape, kind, first thread, threads, choice)`; see [`arb_run_cursor`].
+type RunSegment = (u8, u8, u32, u32, usize);
+
+/// One cursor of [`run_length_scenarios_match_their_step_list`]: its
+/// tick, and its actions as segments `(shape, kind, first thread,
+/// threads, choice)`, each one action repeated on consecutive threads.
+/// Against the segment before it, across cursors too, a segment of shape
+/// 0 is a fresh action at `first`, 1 the same action on the threads after
+/// it (which extends its run at the same tick), 2 those threads with the
+/// parameters of `choice` (which break the run unless they match), and 3
+/// the same action one thread further on (which breaks it). Threads reach
+/// past the 128-thread machine's last.
+fn arb_run_cursor() -> impl Strategy<Value = (u64, Vec<RunSegment>)> {
+    let first = prop::sample::select(vec![0u32, 1, 2, 62, 64, 125, 126, 127, 128]);
+    (0u64..4, prop::collection::vec((0u8..4, 0u8..7, first, 1u32..5, 0usize..6), 1..6))
+}
+
+/// Decodes one segment's action on `thread`: weights `0.0` and `-0.0`,
+/// and parameters the machine does not define.
+fn run_op(kind: u8, thread: u32, choice: usize) -> Op {
+    let thread = ThreadId(thread);
+    match kind {
+        0 => Op::Workload {
+            thread,
+            class: [KernelClass::VXorps, KernelClass::Pause][choice % 2],
+            weight: OperandWeight([0.0, -0.0, 0.5][choice % 3]),
+        },
+        1 => Op::Idle { thread },
+        2 => Op::PstateMhz { thread, mhz: [1500, 2200, 1234][choice % 3] },
+        3 => Op::CstateEnabled { thread, level: [1, 2, 3][choice % 3], enabled: choice < 3 },
+        4 => Op::Online { thread, online: choice > 1 },
+        5 => Op::Preheat,
+        _ => Op::Tracing(choice < 3),
+    }
+}
+
+/// Whether `b` repeats `a`'s action at `a`'s tick, parameters equal bit
+/// for bit, on the thread after `a`'s: a scenario stores the two in one
+/// entry.
+fn continues(a: Step, b: Step) -> bool {
+    let next = |x: ThreadId, y: ThreadId| x.0 as u64 + 1 == y.0 as u64;
+    a.at == b.at
+        && match (a.op, b.op) {
+            (
+                Op::Workload { thread: x, class: c, weight: w },
+                Op::Workload { thread: y, class: d, weight: v },
+            ) => next(x, y) && c == d && w.0.to_bits() == v.0.to_bits(),
+            (Op::Idle { thread: x }, Op::Idle { thread: y }) => next(x, y),
+            (Op::PstateMhz { thread: x, mhz: m }, Op::PstateMhz { thread: y, mhz: n }) => {
+                next(x, y) && m == n
+            }
+            (
+                Op::CstateEnabled { thread: x, level: l, enabled: e },
+                Op::CstateEnabled { thread: y, level: k, enabled: f },
+            ) => next(x, y) && l == k && e == f,
+            (Op::Online { thread: x, online: o }, Op::Online { thread: y, online: p }) => {
+                next(x, y) && o == p
+            }
+            _ => false,
+        }
+}
+
+/// The parent's step-by-step validation of the steps: the first range or
+/// parameter error in step order, then the first action on an offline
+/// thread.
+fn validate_step_list(cfg: &SimConfig, steps: &[Step]) -> Result<(), ScenarioError> {
+    let num_threads = cfg.topology.num_threads() as u32;
+    let check_thread = |thread: ThreadId| match thread.0 < num_threads {
+        true => Ok(()),
+        false => Err(ScenarioError::ThreadOutOfRange { thread, num_threads }),
+    };
+    for step in steps {
+        match step.op {
+            Op::PstateMhz { thread, mhz } => {
+                check_thread(thread)?;
+                if cfg.pstates.index_of_frequency(mhz).is_none() {
+                    return Err(ScenarioError::UndefinedPstate { mhz });
+                }
+            }
+            Op::CstateEnabled { thread, level, .. } => {
+                check_thread(thread)?;
+                if !(1..=2).contains(&level) {
+                    return Err(ScenarioError::UndefinedCstate { level });
+                }
+            }
+            op => op.target().map_or(Ok(()), check_thread)?,
+        }
+    }
+    let mut offline = vec![false; num_threads as usize];
+    for step in steps {
+        match step.op {
+            Op::Workload { thread, .. } | Op::Idle { thread } if offline[thread.index()] => {
+                return Err(ScenarioError::ActionOnOfflineThread { thread, at: step.at });
+            }
+            Op::Online { thread, online } => offline[thread.index()] = !online,
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 /// A scenario holding `ticks` as written: the first at t = 0, each later
 /// one `gap` ns after the one before, all its actions at one instant.
 fn tick_scenario(ticks: &[(Ns, Vec<Op>)]) -> (Scenario, Vec<Ns>) {
@@ -180,15 +294,7 @@ fn tick_scenario(ticks: &[(Ns, Vec<Op>)]) -> (Scenario, Vec<Ns>) {
         times.push(at);
         let mut step = sc.at(at);
         for &op in ops {
-            step = match op {
-                Op::Workload { thread, class, weight } => step.workload(thread, class, weight),
-                Op::Idle { thread } => step.idle(thread),
-                Op::PstateMhz { thread, mhz } => step.pstate(thread, mhz),
-                Op::CstateEnabled { thread, level, enabled } => step.cstate(thread, level, enabled),
-                Op::Online { thread, online } => step.online(thread, online),
-                Op::Preheat => step.preheat(),
-                Op::Tracing(enabled) => step.tracing(enabled),
-            };
+            step = schedule(step, op);
         }
     }
     sc.run_until(at + 3 * MILLISECOND);
@@ -350,6 +456,79 @@ fn vf_points() -> Vec<(u32, f64)> {
 
 fn arb_freq() -> impl Strategy<Value = u32> {
     prop::sample::select(vec![1500u32, 2200, 2500])
+}
+
+proptest! {
+    // Building and validating is cheap: no machine runs.
+    #![proptest_config(ProptestConfig { cases: 512 })]
+
+    /// A scenario that stores runs of like actions as single entries
+    /// reads, prints, compares, ends and validates as the step list the
+    /// parent's insertion rule builds: each action goes behind every step
+    /// at or before its tick. The cursors come in any tick order, mix
+    /// runs with actions and parameters that break them, and reach past
+    /// the machine's last thread.
+    #[test]
+    fn run_length_scenarios_match_their_step_list(
+        cursors in prop::collection::vec(arb_run_cursor(), 1..8),
+        probe_at in 0u64..6,
+        run_until in 0u64..6,
+    ) {
+        let cfg = SimConfig::epyc_7502_2s();
+        let mut sc = Scenario::new();
+        let mut expected: Vec<Step> = Vec::new();
+        // The segment before: its kind, the thread after its last, and
+        // its choice.
+        let mut before = (0, 0, 0);
+        for (tick, segments) in &cursors {
+            let t = tick * MILLISECOND;
+            let mut at = sc.at(t);
+            for &(shape, kind, first, threads, choice) in segments {
+                let (kind, first, choice) = match shape {
+                    0 => (kind, first, choice),
+                    1 => before,
+                    2 => (before.0, before.1, choice),
+                    _ => (before.0, before.1 + 1, before.2),
+                };
+                for thread in first..first + threads {
+                    let op = run_op(kind, thread, choice);
+                    at = schedule(at, op);
+                    let i = expected.partition_point(|s| s.at <= t);
+                    expected.insert(i, Step { at: t, op });
+                }
+                before = (kind, first + threads, choice);
+            }
+        }
+        sc.probe("ac", Probe::AcPowerW, Window::at(probe_at * MILLISECOND));
+        sc.run_until(run_until * MILLISECOND);
+
+        let steps: Vec<Step> = sc.steps().collect();
+        prop_assert_eq!(sc.steps().len(), expected.len());
+        prop_assert_eq!(format!("{steps:?}"), format!("{expected:?}"));
+        prop_assert_eq!(
+            format!("{sc:?}"),
+            format!(
+                "Scenario {{ steps: {expected:?}, probes: {:?}, run_until: {} }}",
+                sc.probes(),
+                run_until * MILLISECOND
+            )
+        );
+        // Every step that continues the one before it shares its entry.
+        let merged = expected.windows(2).filter(|pair| continues(pair[0], pair[1])).count();
+        prop_assert_eq!(sc.entry_count(), expected.len() - merged);
+
+        let twin = crate::torture::rebuild(&expected, sc.probes(), sc.run_until_ns());
+        prop_assert_eq!(&sc, &twin);
+        prop_assert_eq!(&twin, &sc);
+        if let Some((_, shorter)) = expected.split_last() {
+            let shorter = crate::torture::rebuild(shorter, sc.probes(), sc.run_until_ns());
+            prop_assert_ne!(&sc, &shorter);
+            prop_assert_ne!(&shorter, &sc);
+        }
+        let last = expected.last().map_or(0, |s| s.at);
+        prop_assert_eq!(sc.end(), last.max(probe_at * MILLISECOND).max(run_until * MILLISECOND));
+        prop_assert_eq!(sc.validate(&cfg), validate_step_list(&cfg, &expected));
+    }
 }
 
 proptest! {

@@ -24,21 +24,37 @@
 //! [`Case`](crate::Case) — shares them and copies none. Each [`At`]
 //! cursor takes the steps once and puts its actions in time order.
 //!
+//! A run of like actions is stored once: consecutive actions at one tick
+//! that repeat one action, parameters equal bit for bit, on consecutive
+//! threads `t, t + 1, …` are one entry with a step count, so a Fig. 10
+//! tick that re-weights all 128 threads is one entry, not 128. A cursor
+//! in time order writes at the end of the steps, so the run its action
+//! can extend is the last entry, and extending it compares a few fields.
+//! [`Scenario::steps`], `Debug` and `==` see every step, in the same
+//! order, however the runs are stored. An entry of one step takes the 24
+//! bytes a [`Step`] does; the counts of longer runs live in a side list.
+//! Validation checks a run's thread range once and then replays its
+//! threads in a tight loop.
+//!
 //! Execution walks the steps in that order and the probes' mid-window
 //! obligations, window ends and window starts, each sorted by tick once,
 //! with one cursor each: the next breakpoint is the earliest tick under
 //! the four cursors. The RAPL polls and window opens due at one
 //! breakpoint read the energy MSRs of one sync. A
 //! [`Session`](crate::Session) case also drops the AC-trace segments no
-//! probe can read any more (see `run_scenario_prechecked`).
+//! probe can read any more, and a trace window that closes while no other
+//! is open takes the tracer's records instead of copying them (see
+//! `run_scenario_prechecked`).
 
 use crate::config::SimConfig;
 use crate::perf::ThreadCounters;
 use crate::probe::{
-    EventFilter, Measurement, Probe, ProbeSpec, RaplWindow, Run, Window, MAX_WINDOW_NS,
+    EventFilter, Measurement, Probe, ProbeSpec, RaplCoreWindow, RaplWindow, Run, Window,
+    MAX_WINDOW_NS,
 };
 use crate::system::System;
 use crate::time::{from_secs, to_secs, Ns, MILLISECOND};
+use crate::trace::Record;
 use std::fmt;
 use std::sync::Arc;
 use zen2_isa::{KernelClass, OperandWeight};
@@ -183,16 +199,175 @@ pub struct Step {
     pub op: Op,
 }
 
+/// Step `k` of a run whose first step is `op`: the same action on the
+/// thread `k` after `op`'s.
+fn nth(op: Op, k: u32) -> Op {
+    let on = |thread: ThreadId| ThreadId(thread.0 + k);
+    match op {
+        Op::Workload { thread, class, weight } => {
+            Op::Workload { thread: on(thread), class, weight }
+        }
+        Op::Idle { thread } => Op::Idle { thread: on(thread) },
+        Op::PstateMhz { thread, mhz } => Op::PstateMhz { thread: on(thread), mhz },
+        Op::CstateEnabled { thread, level, enabled } => {
+            Op::CstateEnabled { thread: on(thread), level, enabled }
+        }
+        Op::Online { thread, online } => Op::Online { thread: on(thread), online },
+        Op::Preheat | Op::Tracing(_) => op,
+    }
+}
+
+/// Whether `op` continues the run of `n` steps whose first step is
+/// `first`: the same action, parameters equal bit for bit, on the thread
+/// after the run's last. `OperandWeight(0.0) == OperandWeight(-0.0)`, but
+/// the two print differently, so they never share a run. Preheat and
+/// tracing toggles never form one.
+#[inline(always)]
+fn continues(first: Op, n: u32, op: Op) -> bool {
+    let next = |a: ThreadId, b: ThreadId| a.0 as u64 + n as u64 == b.0 as u64;
+    match (first, op) {
+        (
+            Op::Workload { thread: a, class: c, weight: w },
+            Op::Workload { thread: b, class: d, weight: v },
+        ) => next(a, b) && c == d && w.0.to_bits() == v.0.to_bits(),
+        (Op::Idle { thread: a }, Op::Idle { thread: b }) => next(a, b),
+        (Op::PstateMhz { thread: a, mhz: m }, Op::PstateMhz { thread: b, mhz: k }) => {
+            next(a, b) && m == k
+        }
+        (
+            Op::CstateEnabled { thread: a, level: l, enabled: e },
+            Op::CstateEnabled { thread: b, level: k, enabled: f },
+        ) => next(a, b) && l == k && e == f,
+        (Op::Online { thread: a, online: o }, Op::Online { thread: b, online: p }) => {
+            next(a, b) && o == p
+        }
+        _ => false,
+    }
+}
+
+/// A scenario's steps in time order, insertion order within one tick,
+/// each run of like actions stored once.
+#[derive(Clone, Default)]
+struct Steps {
+    /// Each entry's first step.
+    entries: Vec<Step>,
+    /// `(entry, steps)` of each entry of two or more steps, in entry order.
+    runs: Vec<(usize, u32)>,
+}
+
+impl Steps {
+    /// Every entry with its step count.
+    fn entries(&self) -> impl Iterator<Item = (&Step, u32)> + '_ {
+        let mut runs = self.runs.iter().peekable();
+        self.entries.iter().enumerate().map(move |(i, step)| {
+            (step, runs.next_if(|&&(entry, _)| entry == i).map_or(1, |&(_, n)| n))
+        })
+    }
+
+    /// Counts `op` into the last entry, which is at `op`'s tick, when `op`
+    /// continues it.
+    #[inline(always)]
+    fn extend_last(&mut self, op: Op) -> bool {
+        let end = self.entries.len() - 1;
+        let run = self.runs.last_mut().filter(|run| run.0 == end);
+        if !continues(self.entries[end].op, run.as_ref().map_or(1, |run| run.1), op) {
+            return false;
+        }
+        match run {
+            Some(run) => run.1 += 1,
+            None => self.runs.push((end, 2)),
+        }
+        true
+    }
+
+    /// Moves the last entry, pushed behind a later step, behind every step
+    /// at or before its tick instead: it extends the entry there when that
+    /// entry is at its tick and it continues it, and stays an entry of its
+    /// own otherwise.
+    #[cold]
+    #[inline(never)]
+    fn place_last(&mut self) {
+        let Some(Step { at, op }) = self.entries.pop() else { return };
+        let i = self.entries.partition_point(|s| s.at <= at);
+        // The first run at or after entry `i - 1`, and whether it is that
+        // entry's.
+        let slot = self.runs.partition_point(|&(entry, _)| entry + 1 < i);
+        let prev_run = self.runs.get(slot).filter(|&&(entry, _)| entry + 1 == i).map(|r| r.1);
+        if let Some(prev) = i.checked_sub(1).filter(|&p| self.entries[p].at == at) {
+            if continues(self.entries[prev].op, prev_run.unwrap_or(1), op) {
+                match prev_run {
+                    Some(_) => self.runs[slot].1 += 1,
+                    None => self.runs.insert(slot, (prev, 2)),
+                }
+                return;
+            }
+        }
+        self.entries.insert(i, Step { at, op });
+        for run in &mut self.runs[slot + usize::from(prev_run.is_some())..] {
+            run.0 += 1;
+        }
+    }
+}
+
+/// An iterator that knows how many items it has left.
+struct Counted<I> {
+    inner: I,
+    remaining: usize,
+}
+
+impl<I: Iterator> Iterator for Counted<I> {
+    type Item = I::Item;
+
+    #[inline]
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.inner.next()?;
+        self.remaining -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl<I: Iterator> ExactSizeIterator for Counted<I> {}
+
 /// A declarative machine schedule plus its observation plan. Clones
 /// share the steps and probes until one of them is modified.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct Scenario {
-    /// In time order, insertion order within one tick.
-    steps: Arc<Vec<Step>>,
+    steps: Arc<Steps>,
     probes: Arc<Vec<ProbeSpec>>,
     /// Minimum run length, ns (the scenario runs to at least here even if
     /// no step or window reaches that far).
     run_until: Ns,
+}
+
+/// `Debug` and `==` see the step list [`Scenario::steps`] yields, so
+/// neither depends on how runs are stored, and the checkpoint
+/// fingerprints that hash the `Debug` text stay those of the step list.
+impl fmt::Debug for Scenario {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct StepList<'a>(&'a Scenario);
+        impl fmt::Debug for StepList<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.steps()).finish()
+            }
+        }
+        f.debug_struct("Scenario")
+            .field("steps", &StepList(self))
+            .field("probes", &self.probes)
+            .field("run_until", &self.run_until)
+            .finish()
+    }
+}
+
+impl PartialEq for Scenario {
+    fn eq(&self, other: &Self) -> bool {
+        self.steps().eq(other.steps())
+            && self.probes == other.probes
+            && self.run_until == other.run_until
+    }
 }
 
 impl Scenario {
@@ -228,9 +403,26 @@ impl Scenario {
         self.run_until(from_secs(t))
     }
 
-    /// The scheduled steps, in time order, insertion order within a tick.
-    pub fn steps(&self) -> &[Step] {
-        &self.steps
+    /// The scheduled steps, in time order, insertion order within a tick;
+    /// a run of like actions yields one step per thread.
+    pub fn steps(&self) -> impl ExactSizeIterator<Item = Step> + '_ {
+        let steps = self
+            .steps
+            .entries()
+            .flat_map(|(&step, n)| (0..n).map(move |k| Step { at: step.at, op: nth(step.op, k) }));
+        let extra: usize = self.steps.runs.iter().map(|&(_, n)| n as usize - 1).sum();
+        Counted { inner: steps, remaining: self.steps.entries.len() + extra }
+    }
+
+    /// Whether an entry of the scenario holds a run of two or more steps.
+    pub(crate) fn stores_runs(&self) -> bool {
+        !self.steps.runs.is_empty()
+    }
+
+    /// How many entries hold the steps.
+    #[cfg(test)]
+    pub(crate) fn entry_count(&self) -> usize {
+        self.steps.entries.len()
     }
 
     /// The registered observations, in insertion order.
@@ -276,7 +468,7 @@ impl Scenario {
     /// Total scenario length: the furthest step, window edge, or
     /// [`run_until`](Self::run_until) point.
     pub fn end(&self) -> Ns {
-        let step_end = self.steps.last().map_or(0, |s| s.at);
+        let step_end = self.steps.entries.last().map_or(0, |s| s.at);
         let probe_end = self.probes.iter().map(|p| p.window.to).max().unwrap_or(0);
         self.run_until.max(step_end).max(probe_end)
     }
@@ -305,30 +497,40 @@ impl Scenario {
         let num_threads = cfg.topology.num_threads() as u32;
         let num_cores = cfg.topology.num_cores() as u32;
         let num_sockets = cfg.topology.num_sockets() as u32;
-        let check_thread = |thread: ThreadId| {
-            if thread.0 >= num_threads {
+        // The first thread of `first, first + 1, …` (`n` threads) the
+        // machine does not have.
+        let check_threads = |first: ThreadId, n: u32| {
+            if first.0 as u64 + n as u64 > num_threads as u64 {
+                let thread = ThreadId(first.0.max(num_threads));
                 Err(ScenarioError::ThreadOutOfRange { thread, num_threads })
             } else {
                 Ok(())
             }
         };
+        let check_thread = |thread: ThreadId| check_threads(thread, 1);
 
-        for step in self.steps.iter() {
+        // A run repeats one action on consecutive threads: its parameters
+        // are checked once, and its first out-of-range thread is the one
+        // a step-by-step check would name.
+        for (step, n) in self.steps.entries() {
             match step.op {
-                Op::Workload { thread, .. } | Op::Idle { thread } => check_thread(thread)?,
+                Op::Workload { thread, .. } | Op::Idle { thread } | Op::Online { thread, .. } => {
+                    check_threads(thread, n)?
+                }
                 Op::PstateMhz { thread, mhz } => {
                     check_thread(thread)?;
                     if cfg.pstates.index_of_frequency(mhz).is_none() {
                         return Err(ScenarioError::UndefinedPstate { mhz });
                     }
+                    check_threads(thread, n)?;
                 }
                 Op::CstateEnabled { thread, level, .. } => {
                     check_thread(thread)?;
                     if !(1..=2).contains(&level) {
                         return Err(ScenarioError::UndefinedCstate { level });
                     }
+                    check_threads(thread, n)?;
                 }
-                Op::Online { thread, .. } => check_thread(thread)?,
                 Op::Preheat | Op::Tracing(_) => {}
             }
         }
@@ -336,19 +538,20 @@ impl Scenario {
         // Schedule consistency: replay the steps (already in time order),
         // tracking each thread's scheduling state, and reject transitions
         // the runtime would panic on (or silently ignore) mid-simulation.
+        // A run's steps target distinct threads, so each thread of it sees
+        // only its own step.
         assert_eq!(initial.len(), num_threads as usize, "initial state per thread");
         let mut threads = initial.clone();
-        for step in self.steps.iter() {
-            match step.op {
-                Op::Workload { thread, .. } | Op::Idle { thread }
-                    if threads[thread.index()].offline =>
-                {
+        for (step, n) in self.steps.entries() {
+            let Some(first) = step.op.target() else { continue };
+            let schedules = matches!(step.op, Op::Workload { .. } | Op::Idle { .. });
+            let run = &mut threads[first.index()..first.index() + n as usize];
+            for (k, state) in (0..).zip(run) {
+                if schedules && state.offline {
+                    let thread = ThreadId(first.0 + k);
                     return Err(ScenarioError::ActionOnOfflineThread { thread, at: step.at });
                 }
-                _ => {}
-            }
-            if let Some(thread) = step.op.target() {
-                threads[thread.index()].apply(&step.op);
+                state.apply(&step.op);
             }
         }
 
@@ -410,12 +613,19 @@ impl Scenario {
                     // state *before* actions scheduled at the same
                     // instant).
                     let mut state = initial[callee.index()];
-                    let mut steps =
-                        self.steps.iter().filter(|s| s.op.target() == Some(callee)).peekable();
+                    let mut steps = self
+                        .steps
+                        .entries()
+                        .filter(|&(s, n)| {
+                            s.op.target()
+                                .is_some_and(|first| (first.0..first.0 + n).contains(&callee.0))
+                        })
+                        .map(|(&s, _)| s)
+                        .peekable();
                     for k in 1..=count as u64 {
                         let t = w.from + k * gap;
-                        while steps.peek().is_some_and(|s| s.at < t) {
-                            state.apply(&steps.next().expect("peeked").op);
+                        while let Some(step) = steps.next_if(|s| s.at < t) {
+                            state.apply(&step.op);
                         }
                         if !state.is_sleeping() {
                             return Err(ScenarioError::WakeupCalleeNotSleeping {
@@ -486,22 +696,26 @@ impl Scenario {
 /// Its actions go behind every step scheduled at or before their time and
 /// in front of any later one, so the scenario stays in time order.
 pub struct At<'a> {
-    steps: &'a mut Vec<Step>,
+    steps: &'a mut Steps,
     t: Ns,
 }
 
 // The methods are inlined across crates: a Fig. 10 build chains 384k of
-// them.
+// them. `push` is forced inline and writes a new entry's `Op` straight
+// into the steps; left to the compiler, it stayed out of line in the
+// experiment crates, passed each `Op` through memory, and perfbench's
+// fig10_probes `setup_s` rose by a fifth.
 impl At<'_> {
-    #[inline]
+    #[inline(always)]
     fn push(self, op: Op) -> Self {
-        let step = Step { at: self.t, op };
-        match self.steps.last() {
-            Some(last) if last.at > self.t => {
-                let i = self.steps.partition_point(|s| s.at <= self.t);
-                self.steps.insert(i, step);
+        let steps = &mut *self.steps;
+        match steps.entries.last().map(|last| last.at) {
+            Some(last) if last == self.t && steps.extend_last(op) => {}
+            Some(last) if last > self.t => {
+                steps.entries.push(Step { at: self.t, op });
+                steps.place_last();
             }
-            _ => self.steps.push(step),
+            _ => steps.entries.push(Step { at: self.t, op }),
         }
         self
     }
@@ -721,6 +935,7 @@ enum ProbeState {
     CounterOpen { begin: ThreadCounters },
     SeriesOpen { snaps: Vec<ThreadCounters> },
     RaplOpen { window: RaplWindow },
+    RaplCoreOpen { window: RaplCoreWindow },
     WakeupOpen { samples: Vec<f64> },
     EnergyOpen { start_j: f64 },
     Done(Measurement),
@@ -771,6 +986,12 @@ impl System {
     /// window not yet open starts at or after now. A run that closes such
     /// windows one after another then holds about one window's segments,
     /// however long it runs, and every measurement stays bit-identical.
+    ///
+    /// With `trim_trace`, a [`Probe::TraceEvents`] window that closes while
+    /// no other is open also takes its records out of the tracer instead
+    /// of copying them, and the records before its end go with them: no
+    /// window still to open starts before now. Fig. 3's one trace window
+    /// would otherwise copy ~600k records at its close.
     pub(crate) fn run_scenario_prechecked(&mut self, scenario: &Scenario, trim_trace: bool) -> Run {
         let offset = self.now_ns();
 
@@ -804,17 +1025,18 @@ impl System {
         let mut starts: Vec<usize> =
             (0..probes.len()).filter(|&i| !probes[i].window.is_instant()).collect();
         starts.sort_by_key(|&i| probes[i].window.from);
-        let steps = scenario.steps();
-        let (mut mid_cursor, mut end_cursor, mut start_cursor, mut step_cursor) = (0, 0, 0, 0);
+        let mut steps = scenario.steps().peekable();
+        let (mut mid_cursor, mut end_cursor, mut start_cursor) = (0, 0, 0);
         // The earliest-opened window that may still read the AC trace: no
         // window before it in `starts` does.
         let mut oldest_trace_reader = 0;
+        let mut open_trace_windows = 0usize;
 
         let mut states: Vec<ProbeState> = probes.iter().map(|_| ProbeState::Idle).collect();
 
         loop {
             let next = [
-                steps.get(step_cursor).map(|s| s.at),
+                steps.peek().map(|s| s.at),
                 mids.get(mid_cursor).map(|&(at, _)| at),
                 ends.get(end_cursor).map(|&i| probes[i].window.to),
                 starts.get(start_cursor).map(|&i| probes[i].window.from),
@@ -832,7 +1054,11 @@ impl System {
                     (Probe::CounterSeries { thread, .. }, ProbeState::SeriesOpen { snaps }) => {
                         snaps.push(self.counters(*thread));
                     }
-                    (Probe::RaplW | Probe::RaplCoreW(_), ProbeState::RaplOpen { window }) => {
+                    (Probe::RaplW, ProbeState::RaplOpen { window }) => {
+                        self.sync_rapl_msrs_once(&mut rapl_synced);
+                        window.poll(self);
+                    }
+                    (Probe::RaplCoreW(_), ProbeState::RaplCoreOpen { window }) => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
                         window.poll(self);
                     }
@@ -866,16 +1092,18 @@ impl System {
                         let (pkg_w, core_w) = window.finish(self);
                         Measurement::WattsPair { pkg_w, core_w }
                     }
-                    (Probe::RaplCoreW(core), ProbeState::RaplOpen { window }) => {
-                        Measurement::Watts(window.finish_core(self, *core))
+                    (Probe::RaplCoreW(_), ProbeState::RaplCoreOpen { window }) => {
+                        Measurement::Watts(window.finish(self))
                     }
-                    (Probe::TraceEvents(filter), ProbeState::SpanOpen) => Measurement::Events(
-                        self.tracer()
-                            .in_window(from, to)
-                            .filter(|r| filter.matches(&r.event))
-                            .cloned()
-                            .collect(),
-                    ),
+                    (Probe::TraceEvents(filter), ProbeState::SpanOpen) => {
+                        open_trace_windows -= 1;
+                        let keep = |r: &Record| filter.matches(&r.event);
+                        Measurement::Events(if trim_trace && open_trace_windows == 0 {
+                            self.tracer_mut().take_window(from, to, keep)
+                        } else {
+                            self.tracer().in_window(from, to).filter(|r| keep(r)).cloned().collect()
+                        })
+                    }
                     (Probe::CounterDelta(thread), ProbeState::CounterOpen { begin }) => {
                         Measurement::CounterDelta {
                             begin,
@@ -936,9 +1164,7 @@ impl System {
 
             // 3. Scheduled actions due now (insertion order within the tick),
             //    resolved once after the last of them.
-            let due = steps[step_cursor..].iter().take_while(|s| s.at == t).count();
-            self.apply_ops(steps[step_cursor..step_cursor + due].iter().map(|s| s.op));
-            step_cursor += due;
+            self.apply_ops(std::iter::from_fn(|| steps.next_if(|s| s.at == t)).map(|s| s.op));
 
             // 4. Window starts due now open on the post-action state.
             while let Some(&i) = starts.get(start_cursor).filter(|&&i| probes[i].window.from == t) {
@@ -950,12 +1176,20 @@ impl System {
                     Probe::CounterSeries { thread, .. } => {
                         ProbeState::SeriesOpen { snaps: vec![self.counters(thread)] }
                     }
-                    Probe::RaplW | Probe::RaplCoreW(_) => {
+                    Probe::RaplW => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
                         ProbeState::RaplOpen { window: RaplWindow::open(self) }
                     }
+                    Probe::RaplCoreW(core) => {
+                        self.sync_rapl_msrs_once(&mut rapl_synced);
+                        ProbeState::RaplCoreOpen { window: RaplCoreWindow::open(self, core) }
+                    }
                     Probe::WakeupSamples { .. } => ProbeState::WakeupOpen { samples: Vec::new() },
                     Probe::AcEnergyJ => ProbeState::EnergyOpen { start_j: self.ac_energy_j() },
+                    Probe::TraceEvents(_) => {
+                        open_trace_windows += 1;
+                        ProbeState::SpanOpen
+                    }
                     _ => ProbeState::SpanOpen,
                 };
             }
@@ -1213,8 +1447,9 @@ mod tests {
         busy(&mut shuffled, MILLISECOND, t(2));
         probes(&mut shuffled);
 
-        assert_eq!(shuffled.steps(), in_order.steps());
-        assert!(shuffled.steps().windows(2).all(|w| w[0].at <= w[1].at));
+        let steps = |sc: &Scenario| sc.steps().collect::<Vec<_>>();
+        assert_eq!(steps(&shuffled), steps(&in_order));
+        assert!(steps(&shuffled).windows(2).all(|w| w[0].at <= w[1].at));
         assert_eq!(format!("{shuffled:?}"), format!("{in_order:?}"));
         assert_eq!(shuffled.end(), 4 * MILLISECOND);
         assert_eq!(shuffled.validate(&cfg()), Ok(()));
@@ -1224,6 +1459,135 @@ mod tests {
         let clone = shuffled.clone();
         assert!(Arc::ptr_eq(&clone.steps, &shuffled.steps), "a clone shares its steps");
         assert!(Arc::ptr_eq(&clone.probes, &shuffled.probes), "and its probes");
+    }
+
+    /// Schedules one 128-thread tick re-weighting every thread alike, as a
+    /// Fig. 10 block does.
+    fn load_every_thread(sc: &mut Scenario, t: Ns, weight: OperandWeight) {
+        let mut at = sc.at(t);
+        for thread in 0..128 {
+            at = at.workload(ThreadId(thread), KernelClass::VXorps, weight);
+        }
+    }
+
+    #[test]
+    fn a_fig10_shaped_scenario_stores_one_entry_per_tick() {
+        let mut sc = Scenario::new();
+        load_every_thread(&mut sc, 0, OperandWeight::HALF);
+        sc.at(SECOND).preheat();
+        let weights = [OperandWeight::ZERO, OperandWeight::FULL, OperandWeight(-0.0)];
+        for (k, weight) in (1..).zip(weights) {
+            load_every_thread(&mut sc, SECOND + k * 100 * MILLISECOND, weight);
+        }
+        assert_eq!(sc.steps.entries.len(), 5, "the start tick, the preheat and three blocks");
+        assert_eq!(sc.steps.runs, [(0, 128), (2, 128), (3, 128), (4, 128)]);
+        assert_eq!(sc.steps().len(), 4 * 128 + 1);
+        assert!(sc.stores_runs());
+        assert_eq!(sc.end(), SECOND + 300 * MILLISECOND);
+        assert_eq!(sc.validate(&cfg()), Ok(()));
+
+        // A later cursor at a run's tick extends it; a weight equal to the
+        // run's but of the other sign, or a thread out of turn, does not.
+        let last = SECOND + 300 * MILLISECOND;
+        sc.at(last).workload(ThreadId(128), KernelClass::VXorps, OperandWeight(-0.0));
+        assert_eq!(sc.steps.runs.last(), Some(&(4, 129)));
+        assert!(matches!(
+            sc.validate(&cfg()),
+            Err(ScenarioError::ThreadOutOfRange { thread: ThreadId(128), num_threads: 128 })
+        ));
+        sc.at(last).workload(ThreadId(129), KernelClass::VXorps, OperandWeight::ZERO);
+        sc.at(last).workload(ThreadId(131), KernelClass::VXorps, OperandWeight::ZERO);
+        assert_eq!(sc.steps.entries.len(), 7);
+    }
+
+    #[test]
+    fn a_fig07_shaped_tick_stores_a_run_only_where_siblings_ascend() {
+        // Each logical CPU requests its core's frequency on both siblings
+        // and then loads its own thread. Logical CPUs 0–63 are the cores'
+        // first siblings, so their two requests go to threads `2c, 2c + 1`
+        // and form a run of two; CPUs 64–127 request `2c + 1, 2c`, and
+        // every step of theirs is an entry of its own.
+        let numbering = zen2_topology::CpuNumbering::linux_default(&cfg().topology);
+        let mut sc = Scenario::new();
+        let mut at = sc.at(0);
+        for cpu in 0..128 {
+            let thread = numbering.thread_of(zen2_topology::LogicalCpu(cpu));
+            at = at.pstate(thread, 1500).pstate(ThreadId(thread.0 ^ 1), 1500).workload(
+                thread,
+                KernelClass::Pause,
+                OperandWeight::HALF,
+            );
+        }
+        assert_eq!(sc.steps().len(), 3 * 128);
+        assert_eq!(sc.steps.entries.len(), 2 * 64 + 3 * 64);
+        assert_eq!(sc.steps.runs.len(), 64);
+        assert!(sc.steps.runs.iter().all(|&(_, n)| n == 2));
+        assert_eq!(sc.validate(&cfg()), Ok(()));
+
+        // Interleaved actions alone never merge: one entry per step.
+        let mut sc = Scenario::new();
+        let mut at = sc.at(0);
+        for c in 0..64 {
+            let (first, second) = (ThreadId(2 * c), ThreadId(2 * c + 1));
+            at = at.pstate(second, 1500).pstate(first, 1500).workload(
+                first,
+                KernelClass::Pause,
+                OperandWeight::HALF,
+            );
+        }
+        assert_eq!(sc.steps.entries.len(), 3 * 64);
+        assert!(!sc.stores_runs());
+    }
+
+    #[test]
+    fn a_three_thread_run_prints_as_its_three_steps() {
+        let mut sc = Scenario::new();
+        let mut at = sc.at(7);
+        for thread in 2..5 {
+            at = at.workload(ThreadId(thread), KernelClass::VXorps, OperandWeight::HALF);
+        }
+        assert_eq!(sc.steps.entries.len(), 1);
+        assert_eq!(
+            format!("{sc:?}"),
+            "Scenario { steps: [\
+             Step { at: 7, op: Workload { thread: ThreadId(2), class: VXorps, weight: OperandWeight(0.5) } }, \
+             Step { at: 7, op: Workload { thread: ThreadId(3), class: VXorps, weight: OperandWeight(0.5) } }, \
+             Step { at: 7, op: Workload { thread: ThreadId(4), class: VXorps, weight: OperandWeight(0.5) } }\
+             ], probes: [], run_until: 0 }"
+        );
+    }
+
+    #[test]
+    fn a_run_names_its_first_offline_thread_and_wakes_its_callee() {
+        let mut sc = Scenario::new();
+        sc.at(0).online(ThreadId(6), false);
+        let mut at = sc.at(MILLISECOND);
+        for thread in 4..9 {
+            at = at.idle(ThreadId(thread));
+        }
+        assert_eq!(sc.steps.entries.len(), 2);
+        assert_eq!(
+            sc.validate(&cfg()),
+            Err(ScenarioError::ActionOnOfflineThread { thread: ThreadId(6), at: MILLISECOND })
+        );
+
+        // A wakeup callee inside a run sees the run's step at its time.
+        let mut sc = Scenario::new();
+        let mut at = sc.at(2 * MILLISECOND);
+        for thread in 1..5 {
+            at = at.workload(ThreadId(thread), KernelClass::BusyWait, OperandWeight::HALF);
+        }
+        let wakeup = Probe::WakeupSamples {
+            caller: ThreadId(0),
+            callee: ThreadId(3),
+            count: 3,
+            gap: MILLISECOND,
+        };
+        sc.probe("w", wakeup, Window::span(0, 4 * MILLISECOND));
+        assert_eq!(
+            sc.validate(&cfg()),
+            Err(ScenarioError::WakeupCalleeNotSleeping { label: "w".into(), at: 3 * MILLISECOND })
+        );
     }
 
     /// Runs a scenario with one probe `declare` adds per label, declared

@@ -948,6 +948,50 @@ mod tests {
         sys.trace_mean_w(0, sys.now_ns());
     }
 
+    /// Two overlapping trace windows and a third that opens at the second's
+    /// close: the first closes while the second is open and copies its
+    /// records, the second and third close alone and take theirs out of
+    /// the tracer, leaving behind the records before their start and
+    /// those their filter rejects. The run equals the direct run's, whose
+    /// tracer keeps every record.
+    #[test]
+    fn trace_windows_that_close_alone_hand_their_records_over() {
+        use crate::probe::EventFilter;
+        use crate::trace::Record;
+        use zen2_topology::CoreId;
+        let cfg = SimConfig::epyc_7502_2s();
+        let mut sc = Scenario::new();
+        sc.at(0).workload(ThreadId(0), KernelClass::BusyWait, OperandWeight::HALF);
+        for (k, mhz) in (1..).zip([1500, 2200, 2500, 1500, 2500, 2200]) {
+            sc.at(k * 7 * MILLISECOND).pstate(ThreadId(0), mhz).pstate(ThreadId(1), mhz);
+        }
+        sc.at(36 * MILLISECOND).workload(ThreadId(9), KernelClass::BusyWait, OperandWeight::HALF);
+        let ms = |a, b| Window::span(a * MILLISECOND, b * MILLISECOND);
+        let core0 = Probe::TraceEvents(EventFilter::Freq(CoreId(0)));
+        sc.probe("early", core0, ms(0, 20));
+        sc.probe("late", Probe::TraceEvents(EventFilter::All), ms(5, 30));
+        sc.probe("after", core0, ms(30, 45));
+        let case = Case::new("traced", cfg.clone(), sc, 5);
+        let mut direct = System::new(cfg.clone(), case.seed);
+        let whole = direct.run_scenario(&case.scenario).unwrap();
+        let mut sys = System::new(cfg, case.seed);
+        let handed = run_prechecked(&mut sys, &case);
+        assert_eq!(format!("{handed:?}"), format!("{whole:?}"));
+        for label in ["early", "late", "after"] {
+            assert!(!handed.events(label).is_empty(), "{label} records events");
+        }
+        // Records before the hand-overs' starts and of other cores were
+        // there to leave behind.
+        let records = direct.tracer().records();
+        assert!(records.iter().any(|r| r.at_ns < 5 * MILLISECOND));
+        let span = 30 * MILLISECOND..45 * MILLISECOND;
+        let other_core = |r: &&Record| !EventFilter::Freq(CoreId(0)).matches(&r.event);
+        assert!(records.iter().filter(other_core).any(|r| span.contains(&r.at_ns)));
+        // The records before the last window's end left the session's
+        // tracer with it; the direct machine keeps them all.
+        assert!(sys.tracer().records().iter().all(|r| r.at_ns >= 45 * MILLISECOND));
+    }
+
     /// A case keeps the counters of exactly the threads its probes read,
     /// and its run equals the direct run's, whose machine keeps every
     /// thread's.

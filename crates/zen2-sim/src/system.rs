@@ -526,6 +526,12 @@ impl System {
         &self.tracer
     }
 
+    /// The recorded event trace, for a session case's trace windows to
+    /// take their records from.
+    pub(crate) fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.tracer
+    }
+
     // ---- OS-level controls ------------------------------------------------
 
     /// Schedules a workload on a hardware thread (pins it to C0).

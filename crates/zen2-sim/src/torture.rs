@@ -1078,6 +1078,14 @@ pub fn trims_ac_trace(case: &Case) -> bool {
     case.scenario.probes().iter().any(|spec| spec.probe.reads_ac_trace() && spec.window.to < end)
 }
 
+/// Whether `case`'s scenario stores a run of like actions as one entry
+/// of two or more steps, as the all-thread ticks of about one case in
+/// eight do. The engine expands the entry into the steps a direct run
+/// would apply, so the differential soak covers the expansion.
+pub fn stores_runs(case: &Case) -> bool {
+    case.scenario.stores_runs()
+}
+
 /// Whether the PPT loop moved a cap during `run`: its [`EV_ALL`] trace
 /// holds a `CapChanged` event.
 pub fn throttled(run: &Run) -> bool {
@@ -1182,7 +1190,7 @@ pub fn shrink_scenario(
     scenario: &Scenario,
     still_fails: &mut dyn FnMut(&Scenario) -> bool,
 ) -> Scenario {
-    let mut steps: Vec<Step> = scenario.steps().to_vec();
+    let mut steps: Vec<Step> = scenario.steps().collect();
     let mut probes: Vec<ProbeSpec> = scenario.probes().to_vec();
     let mut run_until = scenario.run_until_ns();
     loop {
@@ -1330,7 +1338,7 @@ pub fn invalid_proposal(cfg: &SimConfig, base: &Scenario, kind: usize) -> (Scena
     // A thread no base step touches: mutations on it cannot interact
     // with the base schedule's hotplug state.
     let free = (0..num_threads)
-        .find(|&t| base.steps().iter().all(|s| s.op.target() != Some(ThreadId(t))))
+        .find(|&t| base.steps().all(|s| s.op.target() != Some(ThreadId(t))))
         .unwrap_or(0);
     let free = ThreadId(free);
     let mut sc = base.clone();
@@ -1555,7 +1563,7 @@ mod tests {
         };
         let mut fails = fails;
         let shrunk = shrink_scenario(&case.scenario, &mut fails);
-        assert!(shrunk.steps().is_empty(), "a run-level fault needs no steps: {shrunk:?}");
+        assert_eq!(shrunk.steps().len(), 0, "a run-level fault needs no steps: {shrunk:?}");
         assert!(shrunk.probes().is_empty(), "a run-level fault needs no probes");
         assert_eq!(shrunk.run_until_ns(), 0);
     }
@@ -1564,7 +1572,7 @@ mod tests {
     fn rebuild_round_trips_a_generated_scenario() {
         let case = generate_case(9, 4);
         let sc = &case.scenario;
-        let back = rebuild(sc.steps(), sc.probes(), sc.run_until_ns());
+        let back = rebuild(&sc.steps().collect::<Vec<_>>(), sc.probes(), sc.run_until_ns());
         assert_eq!(&back, sc);
     }
 }

@@ -67,7 +67,9 @@ pub struct Record {
     pub event: Event,
 }
 
-/// An append-only event recorder with query helpers.
+/// An event recorder with query helpers. Records are appended in time
+/// order; [`clear`](Self::clear) drops them all, and a session case's
+/// trace window takes its own out at close.
 #[derive(Debug, Default, Clone)]
 pub struct Tracer {
     enabled: bool,
@@ -110,6 +112,22 @@ impl Tracer {
     /// Records within a time window.
     pub fn in_window(&self, from_ns: Ns, to_ns: Ns) -> impl Iterator<Item = &Record> {
         self.records.iter().filter(move |r| r.at_ns >= from_ns && r.at_ns < to_ns)
+    }
+
+    /// The records within `[from_ns, to_ns)` that `keep` accepts, in
+    /// order, handed over rather than copied: every record before `to_ns`
+    /// leaves the tracer, and the records at or after it stay for later
+    /// windows.
+    pub(crate) fn take_window(
+        &mut self,
+        from_ns: Ns,
+        to_ns: Ns,
+        mut keep: impl FnMut(&Record) -> bool,
+    ) -> Vec<Record> {
+        let later = self.records.iter().filter(|r| r.at_ns >= to_ns).cloned().collect();
+        let mut window = std::mem::replace(&mut self.records, later);
+        window.retain(|r| r.at_ns >= from_ns && r.at_ns < to_ns && keep(r));
+        window
     }
 
     /// Time spent asleep by a socket within `[from, to)`, assuming the
@@ -206,6 +224,19 @@ mod tests {
         let dump = t.render();
         assert!(dump.contains("FreqApplied"));
         assert!(dump.lines().count() == 5);
+    }
+
+    #[test]
+    fn a_taken_window_leaves_the_records_from_its_end_on() {
+        let mut t = sample();
+        let keep = |r: &Record| !matches!(r.event, Event::PackageSleep { .. });
+        let copied: Vec<Record> =
+            t.in_window(1_000, 5_000_000).filter(|r| keep(r)).cloned().collect();
+        let later: Vec<Record> = t.records()[3..].to_vec();
+        assert_eq!(t.take_window(1_000, 5_000_000, keep), copied);
+        assert_eq!(copied.len(), 1, "the one FreqApplied inside the window");
+        assert_eq!(t.records(), later, "records from the window's end on stay");
+        assert!(t.is_enabled());
     }
 
     #[test]
