@@ -13,8 +13,9 @@
 //! read, the runs whose PPT loop moved a cap, the runs that read one
 //! socket's energy counter twice inside one 1 ms publication period, and
 //! the runs whose session side advanced a slot in the held loop, which the
-//! direct runs, keeping RAPL accounting and counters, never enter, and
-//! the runs whose scenario stores a run of like actions as one entry.
+//! direct runs, keeping RAPL accounting and counters, never enter, the
+//! runs whose scenario stores a run of like actions as one entry, and the
+//! runs with a sampled window, whose samples the audit counts.
 //!
 //! ```text
 //! torture [--seed N] [--cases N] [--differential]
@@ -38,8 +39,8 @@ use zen2_obs::{MemorySink, Record};
 use zen2_sim::obs::CTR_PPT_HELD_LOOP_SLOTS;
 use zen2_sim::torture::{
     check_case, generate_case, inject_fault, keeps_counters, keeps_rapl_accounting,
-    reads_energy_twice_per_period, render_reproducer, shrink_scenario, stores_runs, throttled,
-    trims_ac_trace, Fault, Violation,
+    reads_energy_twice_per_period, render_reproducer, samples_windows, shrink_scenario,
+    stores_runs, throttled, trims_ac_trace, Fault, Violation,
 };
 use zen2_sim::{Case, Run, Scenario, Session, System};
 
@@ -189,6 +190,7 @@ fn main() {
     let mut throttled_runs = 0usize;
     let mut same_period_reads = 0usize;
     let mut run_entries = 0usize;
+    let mut sampled = 0usize;
     let outcome = session.run_streaming(zen2_sim::torture::cases(cli.seed, cli.cases), |i, run| {
         let index = i as u64;
         // Regeneration is cheap and deterministic, so the sink needs no
@@ -204,6 +206,7 @@ fn main() {
         trimmed += usize::from(trims_ac_trace(&case));
         same_period_reads += usize::from(reads_energy_twice_per_period(&case));
         run_entries += usize::from(stores_runs(&case));
+        sampled += usize::from(samples_windows(&case));
         if !violations.is_empty() {
             failures.push((index, violations));
         }
@@ -247,6 +250,7 @@ fn main() {
         .count();
     println!("held loop: {held_loop} runs");
     println!("runs of like actions: {run_entries} runs");
+    println!("sampled windows: {sampled} runs");
     match cli.fault {
         Some(fault) => println!("injected: {} fault at case {}", fault.kind(), cli.inject_at),
         None => println!("injected: none"),

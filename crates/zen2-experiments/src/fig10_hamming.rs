@@ -25,6 +25,7 @@ use crate::Scale;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::fmt::Write;
 use zen2_isa::{KernelClass, OperandWeight};
 use zen2_sim::checkpoint::run_resumable;
 use zen2_sim::methodology::mean;
@@ -256,17 +257,23 @@ pub fn run_grid(
     // row and a `Run` keeps declaration order, so its readings are
     // measurements 3k..3k+3; reading them by position spares a label scan
     // per reading, and the label and kind checks keep a layout change
-    // loud.
+    // loud. A label is its prefix and then `k`, written once per block
+    // into one reused buffer.
     let reduce = |index: usize, run: Run| {
         let weights = &weights[index];
         let mut buckets = WeightBuckets::default();
         assert_eq!(run.measurements.len(), 3 * weights.len(), "three probes per block");
+        let mut digits = String::new();
         for (k, (&weight, block)) in
             weights.iter().zip(run.measurements.chunks_exact(3)).enumerate()
         {
-            let labels = [format!("ac{k}"), format!("pkg{k}"), format!("core0_{k}")];
+            digits.clear();
+            write!(digits, "{k}").expect("writing to a String cannot fail");
             assert!(
-                block.iter().zip(&labels).all(|((label, _), want)| label == want),
+                block
+                    .iter()
+                    .zip(["ac", "pkg", "core0_"])
+                    .all(|((label, _), prefix)| label.strip_prefix(prefix) == Some(digits.as_str())),
                 "block {k}: unexpected labels in {block:?}"
             );
             let (

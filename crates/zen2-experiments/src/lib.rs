@@ -597,7 +597,8 @@ pub struct ObsStack {
 }
 
 impl ObsStack {
-    /// Flushes the JSONL trace and prints the summary table to stderr.
+    /// Flushes the JSONL trace and prints the summary table to stderr,
+    /// followed by the process's peak RSS where the host reports it.
     ///
     /// # Errors
     /// Errors when the trace file failed to write.
@@ -607,9 +608,23 @@ impl ObsStack {
         }
         if let Some(summary) = &self.summary {
             eprint!("{}", summary.render());
+            if let Some(mb) = peak_rss_mb() {
+                eprintln!("peak RSS: {mb:.1} MB");
+            }
         }
         Ok(())
     }
+}
+
+/// This process's peak resident set so far, MB: `VmHWM` in
+/// `/proc/self/status`, or `None` on a host without that file. Unlike a
+/// child's `ru_maxrss`, it counts no page of the process that started
+/// this one.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Asserts that `sweep` builds exactly `reference`'s cases, case by

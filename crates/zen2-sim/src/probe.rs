@@ -203,32 +203,27 @@ pub struct ProbeSpec {
 }
 
 impl ProbeSpec {
-    /// Scenario-relative times (beyond the window bounds) at which the
-    /// engine must pause for this probe.
-    pub(crate) fn mid_times(&self) -> Vec<Ns> {
+    /// The `k`-th scenario-relative time (from `k = 1`), inside the window
+    /// and after its start, at which the engine must pause for this probe,
+    /// or `None` past the last: a counter snapshot every `every`, a wakeup
+    /// draw every `gap`, or a RAPL poll about every 100 ms, the last on
+    /// the window's end. The times rise strictly with `k`.
+    pub(crate) fn obligation(&self, k: u64) -> Option<Ns> {
+        let Window { from, to } = self.window;
         match self.probe {
             Probe::CounterSeries { every, .. } => {
-                // u128: `from + every` can overflow u64 for huge intervals.
-                let mut t = self.window.from as u128 + every as u128;
-                let mut out = Vec::new();
-                while t <= self.window.to as u128 {
-                    out.push(t as Ns);
-                    t += every as u128;
-                }
-                out
+                // u128: `from + k * every` can overflow u64 for huge intervals.
+                let t = from as u128 + k as u128 * every as u128;
+                (t <= to as u128).then_some(t as Ns)
             }
-            Probe::WakeupSamples { count, gap, .. } => {
-                (1..=count as u64).map(|k| self.window.from + k * gap).collect()
-            }
+            Probe::WakeupSamples { count, gap, .. } => (k <= count as u64).then(|| from + k * gap),
             Probe::RaplW | Probe::RaplCoreW(_) => {
-                let len = self.window.to - self.window.from;
+                let len = to - from;
                 let steps = rapl_poll_steps(len);
                 // u128: `len * k` can exceed u64 for very long windows.
-                (1..=steps)
-                    .map(|k| self.window.from + (len as u128 * k as u128 / steps as u128) as Ns)
-                    .collect()
+                (k <= steps).then(|| from + (len as u128 * k as u128 / steps as u128) as Ns)
             }
-            _ => Vec::new(),
+            _ => None,
         }
     }
 }
@@ -253,12 +248,13 @@ pub enum Measurement {
     },
     /// A meter sample stream.
     Samples(Vec<MeterSample>),
-    /// Counter snapshots at a window's ends.
+    /// Counter snapshots at a window's ends, boxed so that every
+    /// measurement fits in 32 bytes.
     CounterDelta {
         /// Snapshot at the window start.
-        begin: ThreadCounters,
+        begin: Box<ThreadCounters>,
         /// Snapshot at the window end.
-        end: ThreadCounters,
+        end: Box<ThreadCounters>,
         /// Window length, s.
         wall_s: f64,
     },
@@ -323,7 +319,7 @@ impl Run {
     /// A `CounterDelta` measurement by label.
     pub fn counter_delta(&self, label: &str) -> (ThreadCounters, ThreadCounters, f64) {
         match self.get(label) {
-            Measurement::CounterDelta { begin, end, wall_s } => (*begin, *end, *wall_s),
+            Measurement::CounterDelta { begin, end, wall_s } => (**begin, **end, *wall_s),
             other => panic!("{label:?} is {other:?}, not CounterDelta"),
         }
     }

@@ -36,15 +36,18 @@
 //! Validation checks a run's thread range once and then replays its
 //! threads in a tight loop.
 //!
-//! Execution walks the steps in that order and the probes' mid-window
-//! obligations, window ends and window starts, each sorted by tick once,
-//! with one cursor each: the next breakpoint is the earliest tick under
-//! the four cursors. The RAPL polls and window opens due at one
-//! breakpoint read the energy MSRs of one sync. A
-//! [`Session`](crate::Session) case also drops the AC-trace segments no
-//! probe can read any more, and a trace window that closes while no other
-//! is open takes the tracer's records instead of copying them (see
-//! `run_scenario_prechecked`).
+//! Execution walks the steps in that order and the window ends and
+//! window starts, each sorted by tick once, with one cursor each, plus a
+//! queue holding each open window's next mid-window obligation (a RAPL
+//! poll, a counter snapshot, a wakeup draw): the next breakpoint is the
+//! earliest tick among them. Only open windows hold engine state, and a
+//! closing window writes its measurement straight into the [`Run`], so a
+//! run's probe state is bounded by the windows open at once, however
+//! long it runs. The RAPL polls and window opens due at one breakpoint
+//! read the energy MSRs of one sync. A [`Session`](crate::Session) case
+//! also drops the AC-trace segments no probe can read any more, and a
+//! trace window that closes while no other is open takes the tracer's
+//! records instead of copying them (see `run_scenario_prechecked`).
 
 use crate::config::SimConfig;
 use crate::perf::ThreadCounters;
@@ -55,6 +58,8 @@ use crate::probe::{
 use crate::system::System;
 use crate::time::{from_secs, to_secs, Ns, MILLISECOND};
 use crate::trace::Record;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
 use zen2_isa::{KernelClass, OperandWeight};
@@ -928,17 +933,16 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Per-probe engine state while a scenario executes.
+/// An open window's engine state. A window holds one from its start to
+/// its end; instant probes never hold one.
 enum ProbeState {
-    Idle,
-    SpanOpen,
-    CounterOpen { begin: ThreadCounters },
-    SeriesOpen { snaps: Vec<ThreadCounters> },
-    RaplOpen { window: RaplWindow },
-    RaplCoreOpen { window: RaplCoreWindow },
-    WakeupOpen { samples: Vec<f64> },
-    EnergyOpen { start_j: f64 },
-    Done(Measurement),
+    Span,
+    Counter { begin: ThreadCounters },
+    Series { snaps: Vec<ThreadCounters> },
+    Rapl { window: RaplWindow },
+    RaplCore { window: RaplCoreWindow },
+    Wakeup { samples: Vec<f64> },
+    Energy { start_j: f64 },
 }
 
 impl System {
@@ -978,6 +982,14 @@ impl System {
     /// validates each shard's cases before running them and skips the
     /// per-case re-check).
     ///
+    /// Probe state lives only while its window is open: a window's state
+    /// is made when it opens and consumed when it closes, which writes the
+    /// measurement into the window's slot of the [`Run`]. A sampled
+    /// window (RAPL polls, a counter series, wakeup draws) keeps its next
+    /// mid-window obligation in a queue, adding the one after when that
+    /// one is served, so a run holds one queued obligation per open
+    /// sampled window instead of every poll time of every probe.
+    ///
     /// With `trim_trace`, each breakpoint, after its window ends, drops
     /// the AC-trace segments that end before the earliest open window
     /// reading the trace ([`Probe::AcTrueMeanW`], [`Probe::AcMeteredW`],
@@ -1006,38 +1018,37 @@ impl System {
             self.set_tracing(true);
         }
 
-        // Time-indexed dispatch: the steps, mid-window obligations, window
-        // ends and window starts are each sorted by tick once and walked
-        // with a cursor. The next breakpoint is the earliest tick under
-        // the four cursors, so a breakpoint touches only what is due at
-        // it. The sorts are stable, keeping declaration order within one
-        // tick: closes and draws that consume the machine RNG depend on
-        // it.
+        // Time-indexed dispatch: the steps, window ends and window starts
+        // are each sorted by tick once and walked with a cursor, and each
+        // open sampled window's next obligation waits in a queue keyed by
+        // `(tick, probe, k)`. The next breakpoint is the earliest tick
+        // among them, so a breakpoint touches only what is due at it. The
+        // sorts are stable and the queue breaks a tick's ties by probe
+        // index, keeping declaration order within one tick: closes and
+        // draws that consume the machine RNG depend on it.
         let probes = scenario.probes();
-        let mut mids: Vec<(Ns, usize)> = probes
-            .iter()
-            .enumerate()
-            .flat_map(|(i, spec)| spec.mid_times().into_iter().map(move |t| (t, i)))
-            .collect();
-        mids.sort_by_key(|&(t, _)| t);
         let mut ends: Vec<usize> = (0..probes.len()).collect();
         ends.sort_by_key(|&i| probes[i].window.to);
         let mut starts: Vec<usize> =
             (0..probes.len()).filter(|&i| !probes[i].window.is_instant()).collect();
         starts.sort_by_key(|&i| probes[i].window.from);
         let mut steps = scenario.steps().peekable();
-        let (mut mid_cursor, mut end_cursor, mut start_cursor) = (0, 0, 0);
+        let (mut end_cursor, mut start_cursor) = (0, 0);
+        let mut obligations: BinaryHeap<Reverse<(Ns, usize, u64)>> = BinaryHeap::new();
+        let mut open: BTreeMap<usize, ProbeState> = BTreeMap::new();
+        // Every probe closes exactly once, and its close overwrites the
+        // placeholder.
+        let mut measurements: Vec<(String, Measurement)> =
+            probes.iter().map(|spec| (spec.label.clone(), Measurement::Raw(0))).collect();
         // The earliest-opened window that may still read the AC trace: no
         // window before it in `starts` does.
         let mut oldest_trace_reader = 0;
         let mut open_trace_windows = 0usize;
 
-        let mut states: Vec<ProbeState> = probes.iter().map(|_| ProbeState::Idle).collect();
-
         loop {
             let next = [
                 steps.peek().map(|s| s.at),
-                mids.get(mid_cursor).map(|&(at, _)| at),
+                obligations.peek().map(|&Reverse((at, _, _))| at),
                 ends.get(end_cursor).map(|&i| probes[i].window.to),
                 starts.get(start_cursor).map(|&i| probes[i].window.from),
             ];
@@ -1047,24 +1058,30 @@ impl System {
             // nothing integrates until the next breakpoint.
             let mut rapl_synced = false;
 
-            // 1. Mid-window sampling obligations due now.
-            while let Some(&(_, i)) = mids.get(mid_cursor).filter(|&&(at, _)| at == t) {
-                mid_cursor += 1;
-                match (&probes[i].probe, &mut states[i]) {
-                    (Probe::CounterSeries { thread, .. }, ProbeState::SeriesOpen { snaps }) => {
+            // 1. Mid-window sampling obligations due now, each queueing its
+            //    window's next one (always later than now).
+            while let Some(&Reverse((_, i, k))) =
+                obligations.peek().filter(|&&Reverse((at, _, _))| at == t)
+            {
+                obligations.pop();
+                if let Some(at) = probes[i].obligation(k + 1) {
+                    obligations.push(Reverse((at, i, k + 1)));
+                }
+                match (&probes[i].probe, open.get_mut(&i)) {
+                    (Probe::CounterSeries { thread, .. }, Some(ProbeState::Series { snaps })) => {
                         snaps.push(self.counters(*thread));
                     }
-                    (Probe::RaplW, ProbeState::RaplOpen { window }) => {
+                    (Probe::RaplW, Some(ProbeState::Rapl { window })) => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
                         window.poll(self);
                     }
-                    (Probe::RaplCoreW(_), ProbeState::RaplCoreOpen { window }) => {
+                    (Probe::RaplCoreW(_), Some(ProbeState::RaplCore { window })) => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
                         window.poll(self);
                     }
                     (
                         Probe::WakeupSamples { caller, callee, .. },
-                        ProbeState::WakeupOpen { samples },
+                        Some(ProbeState::Wakeup { samples }),
                     ) => {
                         samples.push(self.sample_wakeup_ns(*caller, *callee));
                     }
@@ -1072,30 +1089,31 @@ impl System {
                 }
             }
 
-            // 2. Window ends (and instant reads) due now.
+            // 2. Window ends (and instant reads) due now, each written into
+            //    its slot of the run.
             while let Some(&i) = ends.get(end_cursor).filter(|&&i| probes[i].window.to == t) {
                 end_cursor += 1;
-                let (spec, state) = (&probes[i], &mut states[i]);
+                let spec = &probes[i];
                 let from = offset + spec.window.from;
                 let to = offset + spec.window.to;
-                let done = match (&spec.probe, std::mem::replace(state, ProbeState::Idle)) {
-                    (Probe::AcTrueMeanW, ProbeState::SpanOpen) => {
+                measurements[i].1 = match (&spec.probe, open.remove(&i)) {
+                    (Probe::AcTrueMeanW, Some(ProbeState::Span)) => {
                         Measurement::Watts(self.trace_mean_w(from, to))
                     }
-                    (Probe::AcMeteredW, ProbeState::SpanOpen) => {
+                    (Probe::AcMeteredW, Some(ProbeState::Span)) => {
                         Measurement::Watts(self.metered_mean_w(from, to))
                     }
-                    (Probe::MeterSamples, ProbeState::SpanOpen) => {
+                    (Probe::MeterSamples, Some(ProbeState::Span)) => {
                         Measurement::Samples(self.meter_samples(from, to))
                     }
-                    (Probe::RaplW, ProbeState::RaplOpen { window }) => {
+                    (Probe::RaplW, Some(ProbeState::Rapl { window })) => {
                         let (pkg_w, core_w) = window.finish(self);
                         Measurement::WattsPair { pkg_w, core_w }
                     }
-                    (Probe::RaplCoreW(_), ProbeState::RaplCoreOpen { window }) => {
+                    (Probe::RaplCoreW(_), Some(ProbeState::RaplCore { window })) => {
                         Measurement::Watts(window.finish(self))
                     }
-                    (Probe::TraceEvents(filter), ProbeState::SpanOpen) => {
+                    (Probe::TraceEvents(filter), Some(ProbeState::Span)) => {
                         open_trace_windows -= 1;
                         let keep = |r: &Record| filter.matches(&r.event);
                         Measurement::Events(if trim_trace && open_trace_windows == 0 {
@@ -1104,39 +1122,37 @@ impl System {
                             self.tracer().in_window(from, to).filter(|r| keep(r)).cloned().collect()
                         })
                     }
-                    (Probe::CounterDelta(thread), ProbeState::CounterOpen { begin }) => {
+                    (Probe::CounterDelta(thread), Some(ProbeState::Counter { begin })) => {
                         Measurement::CounterDelta {
-                            begin,
-                            end: self.counters(*thread),
+                            begin: Box::new(begin),
+                            end: Box::new(self.counters(*thread)),
                             wall_s: to_secs(to - from),
                         }
                     }
-                    (Probe::CounterSeries { .. }, ProbeState::SeriesOpen { snaps }) => {
+                    (Probe::CounterSeries { .. }, Some(ProbeState::Series { snaps })) => {
                         Measurement::CounterSeries(snaps)
                     }
-                    (Probe::WakeupSamples { .. }, ProbeState::WakeupOpen { samples }) => {
+                    (Probe::WakeupSamples { .. }, Some(ProbeState::Wakeup { samples })) => {
                         Measurement::DurationsNs(samples)
                     }
-                    (Probe::AcEnergyJ, ProbeState::EnergyOpen { start_j }) => {
+                    (Probe::AcEnergyJ, Some(ProbeState::Energy { start_j })) => {
                         Measurement::Joules(self.ac_energy_j() - start_j)
                     }
-                    (Probe::EffectiveGhz(core), ProbeState::Idle) => {
+                    (Probe::EffectiveGhz(core), None) => {
                         Measurement::Ghz(self.effective_core_ghz(*core))
                     }
-                    (Probe::AcPowerW, ProbeState::Idle) => Measurement::Watts(self.ac_power_w()),
-                    (Probe::PkgTrueW(socket), ProbeState::Idle) => {
+                    (Probe::AcPowerW, None) => Measurement::Watts(self.ac_power_w()),
+                    (Probe::PkgTrueW(socket), None) => {
                         Measurement::Watts(self.power_breakdown().pkg_true_w[socket.index()])
                     }
-                    (Probe::L3LatencyNs(core), ProbeState::Idle) => {
+                    (Probe::L3LatencyNs(core), None) => {
                         Measurement::Nanos(self.l3_latency_ns(*core))
                     }
-                    (Probe::DramLatencyNs, ProbeState::Idle) => {
-                        Measurement::Nanos(self.dram_latency_ns())
-                    }
-                    (Probe::StreamTriadGbs(cores), ProbeState::Idle) => {
+                    (Probe::DramLatencyNs, None) => Measurement::Nanos(self.dram_latency_ns()),
+                    (Probe::StreamTriadGbs(cores), None) => {
                         Measurement::GigabytesPerSec(self.stream_triad_gbs(*cores))
                     }
-                    (Probe::PkgEnergyMsr(socket), ProbeState::Idle) => {
+                    (Probe::PkgEnergyMsr(socket), None) => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
                         Measurement::Raw(self.pkg_energy_counts(*socket))
                     }
@@ -1147,13 +1163,13 @@ impl System {
                         )
                     }
                 };
-                *state = ProbeState::Done(done);
             }
 
             if trim_trace {
-                while starts[..start_cursor].get(oldest_trace_reader).is_some_and(|&i| {
-                    !probes[i].probe.reads_ac_trace() || matches!(states[i], ProbeState::Done(_))
-                }) {
+                while starts[..start_cursor]
+                    .get(oldest_trace_reader)
+                    .is_some_and(|&i| !probes[i].probe.reads_ac_trace() || !open.contains_key(&i))
+                {
                     oldest_trace_reader += 1;
                 }
                 let keep_from = starts[..start_cursor]
@@ -1166,44 +1182,42 @@ impl System {
             //    resolved once after the last of them.
             self.apply_ops(std::iter::from_fn(|| steps.next_if(|s| s.at == t)).map(|s| s.op));
 
-            // 4. Window starts due now open on the post-action state.
+            // 4. Window starts due now open on the post-action state, each
+            //    sampled one queueing its first obligation.
             while let Some(&i) = starts.get(start_cursor).filter(|&&i| probes[i].window.from == t) {
                 start_cursor += 1;
-                states[i] = match probes[i].probe {
+                let state = match probes[i].probe {
                     Probe::CounterDelta(thread) => {
-                        ProbeState::CounterOpen { begin: self.counters(thread) }
+                        ProbeState::Counter { begin: self.counters(thread) }
                     }
                     Probe::CounterSeries { thread, .. } => {
-                        ProbeState::SeriesOpen { snaps: vec![self.counters(thread)] }
+                        ProbeState::Series { snaps: vec![self.counters(thread)] }
                     }
                     Probe::RaplW => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
-                        ProbeState::RaplOpen { window: RaplWindow::open(self) }
+                        ProbeState::Rapl { window: RaplWindow::open(self) }
                     }
                     Probe::RaplCoreW(core) => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
-                        ProbeState::RaplCoreOpen { window: RaplCoreWindow::open(self, core) }
+                        ProbeState::RaplCore { window: RaplCoreWindow::open(self, core) }
                     }
-                    Probe::WakeupSamples { .. } => ProbeState::WakeupOpen { samples: Vec::new() },
-                    Probe::AcEnergyJ => ProbeState::EnergyOpen { start_j: self.ac_energy_j() },
+                    Probe::WakeupSamples { .. } => ProbeState::Wakeup { samples: Vec::new() },
+                    Probe::AcEnergyJ => ProbeState::Energy { start_j: self.ac_energy_j() },
                     Probe::TraceEvents(_) => {
                         open_trace_windows += 1;
-                        ProbeState::SpanOpen
+                        ProbeState::Span
                     }
-                    _ => ProbeState::SpanOpen,
+                    _ => ProbeState::Span,
                 };
+                open.insert(i, state);
+                if let Some(at) = probes[i].obligation(1) {
+                    obligations.push(Reverse((at, i, 1)));
+                }
             }
+            #[cfg(test)]
+            self.note_probe_state(open.len(), obligations.len());
         }
         self.run_to_ns(offset + scenario.end());
-
-        let measurements = probes
-            .iter()
-            .zip(states)
-            .map(|(spec, state)| match state {
-                ProbeState::Done(m) => (spec.label.clone(), m),
-                _ => unreachable!("probe {:?} never closed", spec.label),
-            })
-            .collect();
 
         if auto_tracing {
             self.set_tracing(false);
@@ -1639,5 +1653,83 @@ mod tests {
         assert_ne!(bits(&ab, "a"), bits(&ab, "b"), "draws must differ");
         assert_eq!(bits(&ab, "a"), bits(&ba, "b"));
         assert_eq!(bits(&ab, "b"), bits(&ba, "a"));
+    }
+
+    #[test]
+    fn an_earlier_declared_wakeup_window_that_opens_later_draws_first() {
+        // "late" is declared first and opens at 3 ms, after "early" (1 ms):
+        // at each tick they share, 4 to 8 ms, "late" still draws first.
+        let mut sc = Scenario::new();
+        sc.at(0).workload(ThreadId(0), KernelClass::BusyWait, OperandWeight::HALF);
+        let wakeup = |count| Probe::WakeupSamples {
+            caller: ThreadId(0),
+            callee: ThreadId(2),
+            count,
+            gap: MILLISECOND,
+        };
+        sc.probe("late", wakeup(5), Window::span(3 * MILLISECOND, 9 * MILLISECOND));
+        sc.probe("early", wakeup(7), Window::span(MILLISECOND, 9 * MILLISECOND));
+        let run = System::new(cfg(), 9).run_scenario(&sc).unwrap();
+        // The draws a stable sort of every obligation by tick gives.
+        assert_eq!(
+            run.durations_ns("late"),
+            [
+                20097.12604726592,
+                20515.8611002511,
+                20322.971853671996,
+                20083.16463688254,
+                20734.177434416324
+            ]
+        );
+        assert_eq!(
+            run.durations_ns("early"),
+            [
+                20354.15314799643,
+                20953.43335168228,
+                20205.43389388159,
+                20835.716253555984,
+                22915.099441381135,
+                20850.784012939243,
+                20614.336639882727
+            ]
+        );
+    }
+
+    #[test]
+    fn a_fig10_shaped_run_holds_only_its_open_windows() {
+        // Three 10 s blocks, each re-weighting every thread and read by an
+        // AC, a RAPL and a RAPL core window, as Fig. 10's are. Each RAPL
+        // window polls 100 times, yet the run holds one block's three
+        // windows and one queued poll per RAPL window at a time.
+        let mut sc = Scenario::new();
+        load_every_thread(&mut sc, 0, OperandWeight::HALF);
+        let weights = [OperandWeight::ZERO, OperandWeight::FULL, OperandWeight::HALF];
+        for (k, weight) in (0..).zip(weights) {
+            let t0 = 100 * MILLISECOND + k * 10 * SECOND;
+            load_every_thread(&mut sc, t0, weight);
+            let window = Window::span(t0, t0 + 10 * SECOND);
+            sc.probe(format!("ac{k}"), Probe::AcTrueMeanW, window);
+            sc.probe(format!("pkg{k}"), Probe::RaplW, window);
+            sc.probe(format!("core0_{k}"), Probe::RaplCoreW(CoreId(0)), window);
+        }
+        assert_eq!(sc.probes()[1].obligation(100), Some(10_100 * MILLISECOND));
+        assert_eq!(sc.probes()[1].obligation(101), None);
+        let mut sys = System::new(cfg(), 3);
+        let run = sys.run_scenario(&sc).unwrap();
+        assert_eq!(sys.probe_high_water(), (3, 2), "open windows, queued obligations");
+        // Each close wrote its slot: declaration order, every reading real.
+        let labels: Vec<&str> = run.measurements.iter().map(|(label, _)| label.as_str()).collect();
+        assert_eq!(labels, sc.probes().iter().map(|spec| spec.label.as_str()).collect::<Vec<_>>());
+        assert!(run.watts("ac0") < run.watts("ac2") && run.watts("ac2") < run.watts("ac1"));
+        for k in 0..3 {
+            let (pkg_w, core_w) = run.watts_pair(&format!("pkg{k}"));
+            assert!(pkg_w > core_w && core_w > 0.0, "block {k}: {pkg_w} W, {core_w} W");
+            assert!(run.watts(&format!("core0_{k}")) > 0.0);
+        }
+    }
+
+    #[test]
+    fn a_measurement_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<Measurement>() <= 32);
     }
 }

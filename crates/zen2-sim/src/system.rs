@@ -231,6 +231,10 @@ pub struct System {
     /// The longest the AC trace has been.
     #[cfg(test)]
     trace_high_water: usize,
+    /// The most probe windows open at once, and the most mid-window
+    /// obligations queued at once, in the scenarios run on this machine.
+    #[cfg(test)]
+    probe_high_water: (usize, usize),
     /// Event recorder (disabled by default).
     tracer: Tracer,
 }
@@ -294,6 +298,8 @@ impl System {
             trace: Vec::new(),
             #[cfg(test)]
             trace_high_water: 0,
+            #[cfg(test)]
+            probe_high_water: (0, 0),
             tracer: Tracer::new(),
             cfg,
         };
@@ -446,6 +452,22 @@ impl System {
     #[cfg(test)]
     pub(crate) fn ac_trace_high_water(&self) -> usize {
         self.trace_high_water
+    }
+
+    /// The most probe windows open at once and the most mid-window
+    /// obligations queued at once in the scenarios run on this machine.
+    #[cfg(test)]
+    pub(crate) fn probe_high_water(&self) -> (usize, usize) {
+        self.probe_high_water
+    }
+
+    /// Records that a scenario run holds `open` windows and `queued`
+    /// obligations.
+    #[cfg(test)]
+    pub(crate) fn note_probe_state(&mut self, open: usize, queued: usize) {
+        let (most_open, most_queued) = &mut self.probe_high_water;
+        *most_open = (*most_open).max(open);
+        *most_queued = (*most_queued).max(queued);
     }
 
     /// Every core's DVFS target: its queued, pending or applied frequency.

@@ -431,8 +431,9 @@ pub enum Violation {
         detail: String,
     },
     /// The run does not structurally match its scenario (missing or
-    /// re-ordered measurements, a run shorter than its scenario) — or
-    /// the generator proposed a scenario that failed validation.
+    /// re-ordered measurements, a sampled window holding more or fewer
+    /// samples than its window takes, a run shorter than its scenario) —
+    /// or the generator proposed a scenario that failed validation.
     Malformed {
         /// What went wrong.
         detail: String,
@@ -671,7 +672,8 @@ impl Invariants {
                     });
                 }
             }
-            (Probe::WakeupSamples { .. }, Measurement::DurationsNs(ds)) => {
+            (Probe::WakeupSamples { count, .. }, Measurement::DurationsNs(ds)) => {
+                check_sample_count(label, "wakeup samples", ds.len(), *count as u64, out);
                 for d in ds {
                     if !(*d >= 0.0 && *d <= 1e8) {
                         out.push(Violation::Power {
@@ -698,7 +700,10 @@ impl Invariants {
                     });
                 }
             }
-            (Probe::CounterSeries { .. }, Measurement::CounterSeries(snaps)) => {
+            (Probe::CounterSeries { every, .. }, Measurement::CounterSeries(snaps)) => {
+                // One snapshot at the start and one every `every` after it.
+                let expected = 1 + (spec.window.to - spec.window.from) / every;
+                check_sample_count(label, "counter snapshots", snaps.len(), expected, out);
                 for pair in snaps.windows(2) {
                     self.check_counter_step(label, &pair[0], &pair[1], out);
                 }
@@ -1028,6 +1033,23 @@ fn check_energy_reads(scenario: &Scenario, run: &Run, offset: Ns, out: &mut Vec<
     }
 }
 
+/// Flags a sampled window whose measurement holds other than one sample
+/// per obligation its scenario declares: the engine dropped or doubled a
+/// draw or snapshot.
+fn check_sample_count(
+    label: &str,
+    what: &str,
+    held: usize,
+    expected: u64,
+    out: &mut Vec<Violation>,
+) {
+    if held as u64 != expected {
+        out.push(Violation::Malformed {
+            detail: format!("probe {label:?} holds {held} {what}, its window takes {expected}"),
+        });
+    }
+}
+
 /// Convenience: derive the checker from the case's own config and audit
 /// its run.
 pub fn check_case(case: &Case, run: &Run) -> Vec<Violation> {
@@ -1084,6 +1106,19 @@ pub fn trims_ac_trace(case: &Case) -> bool {
 /// would apply, so the differential soak covers the expansion.
 pub fn stores_runs(case: &Case) -> bool {
     case.scenario.stores_runs()
+}
+
+/// Whether `case`'s scenario holds a sampled window, a
+/// [`Probe::WakeupSamples`] or [`Probe::CounterSeries`] one, whose
+/// samples [`Invariants::check`] counts against the draws or snapshots
+/// its window takes. The engine queues each window's next draw or
+/// snapshot only when it serves the one before, so a dropped or doubled
+/// one shows in the count.
+pub fn samples_windows(case: &Case) -> bool {
+    case.scenario
+        .probes()
+        .iter()
+        .any(|spec| matches!(spec.probe, Probe::WakeupSamples { .. } | Probe::CounterSeries { .. }))
 }
 
 /// Whether the PPT loop moved a cap during `run`: its [`EV_ALL`] trace
@@ -1547,6 +1582,42 @@ mod tests {
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].kind(), "power");
         assert!(matches!(&violations[0], Violation::Power { label, .. } if label == "final_ac_w"));
+    }
+
+    #[test]
+    fn a_dropped_or_doubled_sample_trips_the_malformed_invariant() {
+        // Tamper the first generated cases' sampled windows until both
+        // kinds have been dropped and doubled.
+        let (mut draws, mut snapshots) = (0, 0);
+        for case in (0..64).map(|index| generate_case(1, index)).filter(samples_windows) {
+            let run = run_case(&case);
+            assert_eq!(check_case(&case, &run), []);
+            for (i, (_, m)) in run.measurements.iter().enumerate() {
+                for doubled in [false, true] {
+                    let mut run = run.clone();
+                    match &mut run.measurements[i].1 {
+                        Measurement::DurationsNs(samples) if doubled => samples.push(samples[0]),
+                        Measurement::DurationsNs(samples) => drop(samples.pop()),
+                        Measurement::CounterSeries(snaps) if doubled => {
+                            snaps.push(snaps[snaps.len() - 1])
+                        }
+                        Measurement::CounterSeries(snaps) => drop(snaps.pop()),
+                        _ => continue,
+                    }
+                    let violations = check_case(&case, &run);
+                    assert_eq!(violations.len(), 1, "{violations:?}");
+                    assert_eq!(violations[0].kind(), "malformed");
+                    match m {
+                        Measurement::DurationsNs(_) => draws += 1,
+                        _ => snapshots += 1,
+                    }
+                }
+            }
+            if draws > 0 && snapshots > 0 {
+                return;
+            }
+        }
+        panic!("64 cases tampered {draws} wakeup and {snapshots} series windows");
     }
 
     #[test]
