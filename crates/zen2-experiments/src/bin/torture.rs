@@ -13,9 +13,10 @@
 //! read, the runs whose PPT loop moved a cap, the runs that read one
 //! socket's energy counter twice inside one 1 ms publication period, and
 //! the runs whose session side advanced a slot in the held loop, which the
-//! direct runs, keeping RAPL accounting and counters, never enter, the
-//! runs whose scenario stores a run of like actions as one entry, and the
-//! runs with a sampled window, whose samples the audit counts.
+//! direct runs, keeping counters, never enter, and of those the runs that
+//! kept RAPL accounting, the runs whose scenario stores a run of like
+//! actions as one entry, and the runs with a sampled window, whose
+//! samples the audit counts.
 //!
 //! ```text
 //! torture [--seed N] [--cases N] [--differential]
@@ -32,11 +33,12 @@
 //! deliberately tampers one run (case `--inject-at`, default 0) to
 //! drill exactly that pipeline. See `docs/TORTURE.md`.
 
+use std::cell::Cell;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use zen2_experiments::SessionCli;
-use zen2_obs::{MemorySink, Record};
-use zen2_sim::obs::CTR_PPT_HELD_LOOP_SLOTS;
+use zen2_sim::obs::{Attr, AttrValue, Recorder, SpanId, CTR_PPT_HELD_LOOP_SLOTS, SPAN_CASE};
 use zen2_sim::torture::{
     check_case, generate_case, inject_fault, keeps_counters, keeps_rapl_accounting,
     reads_energy_twice_per_period, render_reproducer, samples_windows, shrink_scenario,
@@ -172,13 +174,54 @@ fn reproduce(cli: &Cli, index: u64, violations: &[Violation]) -> String {
     render_reproducer(cli.seed, index, &case, confirmed, &shrunk)
 }
 
+thread_local! {
+    /// Whether the `case` span last opened on this thread runs on a
+    /// machine that keeps RAPL accounting.
+    static CASE_KEEPS_RAPL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts the runs that entered the held loop, and those of them whose
+/// machine kept RAPL accounting. A case reports its held-loop slots once,
+/// when nonzero, on its worker's thread while its `case` span is open,
+/// and that span's `rapl_accounting` attribute names the machine's
+/// choice, so the counts hold for any worker or shard split.
+#[derive(Default)]
+struct HeldLoopRuns {
+    all: AtomicUsize,
+    with_rapl: AtomicUsize,
+}
+
+impl Recorder for HeldLoopRuns {
+    fn span_open(&self, _: SpanId, _: Option<SpanId>, name: &'static str, attrs: &[Attr<'_>]) {
+        if name == SPAN_CASE {
+            let keeps = attrs.contains(&("rapl_accounting", AttrValue::Bool(true)));
+            CASE_KEEPS_RAPL.with(|case| case.set(keeps));
+        }
+    }
+
+    fn span_close(&self, _: SpanId) {}
+
+    fn counter(&self, name: &'static str, _: u64) {
+        if name == CTR_PPT_HELD_LOOP_SLOTS {
+            self.all.fetch_add(1, Ordering::Relaxed);
+            if CASE_KEEPS_RAPL.with(Cell::get) {
+                self.with_rapl.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn gauge(&self, _: &'static str, _: f64) {}
+
+    fn observe(&self, _: &'static str, _: f64) {}
+
+    fn event(&self, _: &'static str, _: &[Attr<'_>]) {}
+}
+
 fn main() {
     let cli = parse_cli();
-    // A case reports its held-loop slots once, when nonzero, so the
-    // reports count the runs that entered the loop.
-    let counts = Arc::new(MemorySink::new());
+    let held = Arc::new(HeldLoopRuns::default());
     let (session, stack) =
-        cli.session.session_with(vec![counts.clone()]).unwrap_or_else(|message| usage(&message));
+        cli.session.session_with(vec![held.clone()]).unwrap_or_else(|message| usage(&message));
 
     let start_ns = zen2_obs::clock::now_ns();
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();
@@ -243,12 +286,8 @@ fn main() {
     println!("trimmed AC trace: {trimmed} runs");
     println!("throttled: {throttled_runs} runs");
     println!("same-period energy reads: {same_period_reads} runs");
-    let held_loop = counts
-        .records()
-        .iter()
-        .filter(|r| matches!(r, Record::Counter { name, .. } if *name == CTR_PPT_HELD_LOOP_SLOTS))
-        .count();
-    println!("held loop: {held_loop} runs");
+    println!("held loop: {} runs", held.all.load(Ordering::Relaxed));
+    println!("held loop with RAPL accounting: {} runs", held.with_rapl.load(Ordering::Relaxed));
     println!("runs of like actions: {run_entries} runs");
     println!("sampled windows: {sampled} runs");
     match cli.fault {

@@ -103,7 +103,7 @@ pub fn sku_scenario(cfg: &Config, sim_cfg: &SimConfig) -> Scenario {
     }
     sc.at_secs(cfg.duration_s * 0.4).preheat();
     sc.probe("ghz", Probe::EffectiveGhz(CoreId(0)), Window::at_secs(cfg.duration_s));
-    sc.probe("rapl", Probe::RaplW, Window::span_secs(cfg.duration_s, cfg.duration_s + 0.3));
+    sc.probe("rapl", Probe::RaplPkgW, Window::span_secs(cfg.duration_s, cfg.duration_s + 0.3));
     sc
 }
 
@@ -113,8 +113,7 @@ fn reduce(sim_cfg: &SimConfig, sku: &str, run: &Run) -> SkuResult {
     let cores_per_socket = sim_cfg.topology.cores_per_socket();
     let sockets = sim_cfg.topology.num_sockets();
     let equilibrium_ghz = run.ghz("ghz");
-    let (rapl_pkg_sum, _) = run.watts_pair("rapl");
-    let rapl_pkg_w = rapl_pkg_sum / sockets as f64;
+    let rapl_pkg_w = run.watts("rapl") / sockets as f64;
     SkuResult {
         sku: sku.into(),
         cores_per_socket,

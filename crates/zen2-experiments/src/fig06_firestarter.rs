@@ -150,7 +150,7 @@ fn scenario(cfg: &Config, smt: bool) -> Scenario {
     sc.probe("ac", Probe::AcTrueMeanW, window);
     sc.probe("perf0", Probe::CounterSeries { thread: ThreadId(0), every }, window);
     sc.probe("perf1", Probe::CounterSeries { thread: ThreadId(1), every }, window);
-    sc.probe("rapl", Probe::RaplW, Window::span_secs(t_end, t_end + 0.5));
+    sc.probe("rapl", Probe::RaplPkgW, Window::span_secs(t_end, t_end + 0.5));
     sc.probe("pkg0", Probe::PkgTrueW(SocketId(0)), Window::at_secs(t_end + 0.5));
     sc
 }
@@ -169,7 +169,7 @@ fn reduce(run: &Run, smt: bool) -> ModeResult {
         let cycles = perf0[k].cycles - perf0[k - 1].cycles;
         ipcs.push(instr / cycles);
     }
-    let (rapl_pkg_sum, _) = run.watts_pair("rapl");
+    let rapl_pkg_sum = run.watts("rapl");
     ModeResult {
         smt,
         freq_ghz: mean(&freqs),

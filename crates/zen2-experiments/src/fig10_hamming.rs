@@ -11,8 +11,10 @@
 //! The whole sweep is one declarative [`Scenario`]: the per-block weight
 //! sequence is pre-drawn from the seed, each block re-schedules the
 //! kernel at its weight, and every block carries its own AC
-//! ([`Probe::AcTrueMeanW`]), RAPL package ([`Probe::RaplW`]) and RAPL
-//! core-0 ([`Probe::RaplCoreW`]) windows. The blocks of one instruction
+//! ([`Probe::AcTrueMeanW`]), RAPL package sum ([`Probe::RaplPkgW`]) and
+//! RAPL core-0 ([`Probe::RaplCoreW`]) windows. The figure reads no other
+//! RAPL domain, so its machine keeps the energy of both packages and of
+//! core 0 only. The blocks of one instruction
 //! must share one machine (thermal state carries across them, which is
 //! exactly the side channel under study), so each instruction is one
 //! case of a [`Sweep`] over an instruction axis, streamed through the
@@ -131,7 +133,7 @@ pub fn scenario(cfg: &Config, seed: u64, class: KernelClass) -> (Scenario, Vec<O
         }
         let window = Window::span_secs(t0, t0 + cfg.block_s);
         sc.probe(format!("ac{k}"), Probe::AcTrueMeanW, window);
-        sc.probe(format!("pkg{k}"), Probe::RaplW, window);
+        sc.probe(format!("pkg{k}"), Probe::RaplPkgW, window);
         sc.probe(format!("core0_{k}"), Probe::RaplCoreW(CoreId(0)), window);
     }
     (sc, weights)
@@ -276,11 +278,8 @@ pub fn run_grid(
                     .all(|((label, _), prefix)| label.strip_prefix(prefix) == Some(digits.as_str())),
                 "block {k}: unexpected labels in {block:?}"
             );
-            let (
-                Measurement::Watts(ac_w),
-                Measurement::WattsPair { pkg_w, .. },
-                Measurement::Watts(core0_w),
-            ) = (&block[0].1, &block[1].1, &block[2].1)
+            let (Measurement::Watts(ac_w), Measurement::Watts(pkg_w), Measurement::Watts(core0_w)) =
+                (&block[0].1, &block[1].1, &block[2].1)
             else {
                 panic!("block {k}: unexpected measurement kinds in {block:?}");
             };
@@ -377,7 +376,7 @@ mod tests {
         for (k, &weight) in weights.iter().enumerate() {
             materialized.ac_w.push(weight, runs[0].watts(&format!("ac{k}")));
             materialized.rapl_core0_w.push(weight, runs[0].watts(&format!("core0_{k}")));
-            materialized.rapl_pkg_w.push(weight, runs[0].watts_pair(&format!("pkg{k}")).0);
+            materialized.rapl_pkg_w.push(weight, runs[0].watts(&format!("pkg{k}")));
         }
         for (workers, shard) in [(1, 1), (7, 64)] {
             let streamed =

@@ -66,7 +66,8 @@ impl EagerAccounting {
 
 /// [`EagerAccounting::reading`] of the accounting under test.
 fn reading(acc: &RaplAccounting, cores: usize, packages: usize) -> Vec<u64> {
-    let mut out: Vec<u64> = (0..cores).map(|c| u64::from(acc.core_counter(c))).collect();
+    let mut out: Vec<u64> = acc.core_counters().map(|(_, raw)| u64::from(raw)).collect();
+    assert_eq!(out.len(), cores, "every core domain is kept");
     out.extend((0..packages).map(|p| u64::from(acc.package_counter(p))));
     out.extend((0..packages).map(|p| acc.package_published_joules(p).to_bits()));
     out

@@ -109,8 +109,9 @@ pub const SPAN_SHARD: &str = "shard";
 /// `workers`.
 pub const SPAN_POOL: &str = "pool";
 /// One case on its worker thread. Attrs: `index`, `label`, `worker`,
-/// `rapl_accounting` and `counters` (whether its machine keeps RAPL
-/// accounting and performance counters).
+/// `rapl_accounting` (whether its machine keeps RAPL accounting),
+/// `rapl_cores` (how many RAPL core domains it keeps) and `counters`
+/// (whether it keeps performance counters).
 pub const SPAN_CASE: &str = "case";
 /// The case's machine boot, under its `case` span.
 pub const SPAN_BOOT: &str = "boot";
@@ -153,7 +154,8 @@ pub const CTR_PPT_FALLBACK_SLOTS: &str = "ppt.fallback_slots";
 pub const CTR_PPT_EXACT_REFRESHES: &str = "ppt.exact_refreshes";
 /// Slots (every package at one 1 ms PPT slot) that the held loop
 /// advanced: slots every package's standing hold proof decided, on a
-/// machine that keeps neither RAPL accounting nor performance counters.
+/// machine that keeps no performance counters, with or without RAPL
+/// accounting.
 /// Reported when the case's `sim` span closes, like the `ppt.*` counters
 /// above.
 pub const CTR_PPT_HELD_LOOP_SLOTS: &str = "ppt.held_loop_slots";

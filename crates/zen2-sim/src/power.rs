@@ -401,6 +401,71 @@ impl PowerEval {
         package_estimates(cfg, out);
     }
 
+    /// Core `core`'s estimate, of awake package `pkg`, at each slot of a
+    /// held span, as the thermal path computes it: `(a + t) + n` for an
+    /// active core, with `t` the slot's die-temperature term, and the
+    /// slot's idle-core term for a gated one. `temperature_w`, `idle_w`
+    /// and `out` hold one entry per slot.
+    pub(crate) fn span_core_estimates(
+        &self,
+        pkg: usize,
+        core: usize,
+        noise_w: f64,
+        temperature_w: &[f64],
+        idle_w: &[f64],
+        out: &mut [f64],
+    ) {
+        if self.gated[pkg].contains(&core) {
+            out.copy_from_slice(idle_w);
+        } else {
+            let activity_w = self.est_activity_w[core];
+            for (est_w, &t) in out.iter_mut().zip(temperature_w) {
+                *est_w = activity_w + t + noise_w;
+            }
+        }
+    }
+
+    /// Awake package `pkg`'s estimate at each slot of a held span, as the
+    /// thermal path computes it: its cores' estimates
+    /// ([`span_core_estimates`](Self::span_core_estimates)) summed in
+    /// index order from the float sum's start, then the uncore term
+    /// added. The sums of every slot are accumulated core by core, so no
+    /// slot's sum waits on another's. `temperature_w`, `idle_w` and `out`
+    /// hold one entry per slot.
+    pub(crate) fn span_package_estimates(
+        &self,
+        cfg: &SimConfig,
+        pkg: usize,
+        est_noise_w: &[f64],
+        temperature_w: &[f64],
+        idle_w: &[f64],
+        out: &mut [f64],
+    ) {
+        // The value `Iterator::sum` starts its fold from, as
+        // `package_estimates` sums.
+        // zen2-lint: allow(float-order) — the sum of no terms, which has no order
+        let empty_sum_w: f64 = std::iter::empty::<f64>().sum();
+        out.fill(empty_sum_w);
+        let per_pkg = cfg.topology.cores_per_socket();
+        let cores = pkg * per_pkg..(pkg + 1) * per_pkg;
+        let terms = self.est_activity_w[cores.clone()].iter().zip(&est_noise_w[cores.clone()]);
+        let mut gated = self.gated[pkg].iter().peekable();
+        for (core, (&activity_w, &noise_w)) in cores.zip(terms) {
+            if gated.next_if_eq(&&core).is_some() {
+                for (sum_w, &idle_w) in out.iter_mut().zip(idle_w) {
+                    *sum_w += idle_w;
+                }
+            } else {
+                for (sum_w, &t) in out.iter_mut().zip(temperature_w) {
+                    *sum_w += activity_w + t + noise_w;
+                }
+            }
+        }
+        for est_w in out.iter_mut() {
+            *est_w = cfg.rapl.package_estimate_w(*est_w, true);
+        }
+    }
+
     /// True package power (with leakage), DC and AC power from each
     /// package's true-core sum, the awake base power and the wake states
     /// and DRAM power already in `out`: the true half of the tail both

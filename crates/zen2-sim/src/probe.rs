@@ -10,12 +10,12 @@
 //! is a freshly booted machine.
 
 use crate::perf::ThreadCounters;
-use crate::system::System;
+use crate::system::{package_lead, System};
 use crate::time::{to_secs, Ns, SECOND};
 use crate::trace::{Event, Record};
 use zen2_msr::{address, RaplUnits};
 use zen2_power::MeterSample;
-use zen2_rapl::{CounterTracker, RaplReader};
+use zen2_rapl::CounterTracker;
 use zen2_topology::{CoreId, SocketId, ThreadId};
 
 /// When a probe observes: a `[from, to]` span, or an instant (`from ==
@@ -75,8 +75,14 @@ pub enum Probe {
     MeterSamples,
     /// Mean RAPL power as software computes it: the MSR energy counters
     /// polled at 100 ms over the window, reported as `(package sum, core
-    /// sum)` watts. Span probe.
+    /// sum)` watts. It reads every core domain, so a
+    /// [`Session`](crate::Session) case that reads one keeps them all.
+    /// Span probe.
     RaplW,
+    /// The package sum of [`Probe::RaplW`], bit for bit, read from the
+    /// package counters alone: a [`Session`](crate::Session) case whose
+    /// other probes read no core domain keeps none. Span probe.
+    RaplPkgW,
     /// Performance-counter delta of one hardware thread over the window.
     /// Span probe.
     CounterDelta(ThreadId),
@@ -105,7 +111,8 @@ pub enum Probe {
     AcEnergyJ,
     /// Mean RAPL power of one core's domain over the window (the MSR
     /// energy counter polled at 100 ms, like [`Probe::RaplW`] but for a
-    /// single core). Span probe.
+    /// single core, which is the one core domain it keeps in a
+    /// [`Session`](crate::Session) case). Span probe.
     RaplCoreW(CoreId),
     /// Tracer events recorded within `[from, to)`, filtered. When a
     /// scenario carries one of these, the engine enables the lo2s-style
@@ -132,7 +139,7 @@ pub enum Probe {
     /// One socket's `PKG_ENERGY_STAT` MSR as software reads it, in raw
     /// energy-status counts (§VII's polling benchmark). The counter
     /// publishes every 1 ms, so two reads inside one publication period
-    /// agree. Instant probe.
+    /// agree. It reads no core domain. Instant probe.
     PkgEnergyMsr(SocketId),
 }
 
@@ -217,7 +224,7 @@ impl ProbeSpec {
                 (t <= to as u128).then_some(t as Ns)
             }
             Probe::WakeupSamples { count, gap, .. } => (k <= count as u64).then(|| from + k * gap),
-            Probe::RaplW | Probe::RaplCoreW(_) => {
+            Probe::RaplW | Probe::RaplPkgW | Probe::RaplCoreW(_) => {
                 let len = to - from;
                 let steps = rapl_poll_steps(len);
                 // u128: `len * k` can exceed u64 for very long windows.
@@ -389,76 +396,70 @@ impl Run {
     }
 }
 
-/// An open [`Probe::RaplW`] window: reader plus bookkeeping, so every
-/// RAPL probe observes counters through the same MSR path. It reads the
-/// energy MSRs as [`System::sync_rapl_msrs`] last left them: the scenario
-/// engine syncs once per breakpoint with a RAPL action due, before the
-/// first of them, and nothing integrates until the breakpoint ends.
-pub(crate) struct RaplWindow {
-    reader: RaplReader,
-    from: Ns,
-}
-
-impl RaplWindow {
-    /// Opens the window at the machine's current time, on MSRs synced at
-    /// this instant.
-    pub(crate) fn open(sys: &System) -> Self {
-        let reader = RaplReader::new(&sys.config().topology, sys.msrs())
-            .expect("simulator MSR file is always well-formed");
-        Self { reader, from: sys.now_ns() }
-    }
-
-    /// Polls the counters at the machine's current time, on MSRs synced at
-    /// this instant.
-    pub(crate) fn poll(&mut self, sys: &System) {
-        self.reader.poll(sys.msrs()).expect("simulator MSR file is always well-formed");
-    }
-
-    /// Closes the window, returning `(package sum, core sum)` watts.
-    pub(crate) fn finish(self, sys: &System) -> (f64, f64) {
-        let dt = to_secs(sys.now_ns() - self.from);
-        assert!(dt > 0.0, "RAPL window must have positive length");
-        (self.reader.package_sum_joules() / dt, self.reader.core_sum_joules() / dt)
-    }
-}
-
-/// An open [`Probe::RaplCoreW`] window: the one core's `CORE_ENERGY_STAT`,
-/// read through the core's first thread and accumulated by the
-/// [`CounterTracker`] arithmetic a [`RaplReader`] applies to it, so the
-/// watts are the reader's bit for bit without polling the other 65
-/// counters.
-pub(crate) struct RaplCoreWindow {
-    tracker: CounterTracker,
-    thread: ThreadId,
+/// An open window over some RAPL energy counters: both packages'
+/// `PKG_ENERGY_STAT` for a [`Probe::RaplPkgW`], one core's
+/// `CORE_ENERGY_STAT` for a [`Probe::RaplCoreW`], and both of these
+/// windows over every core and both packages for a [`Probe::RaplW`]. Each
+/// counter is read through its domain's first thread and accumulated by
+/// the [`CounterTracker`] arithmetic the `x86_energy`-style
+/// [`RaplReader`](zen2_rapl::RaplReader) applies to it, and the joules
+/// are summed in domain order as the reader sums them, so the watts are
+/// the reader's bit for bit without polling any other counter. It reads
+/// the energy MSRs as [`System::sync_rapl_msrs`] last left them: the
+/// scenario engine syncs once per breakpoint with a RAPL action due,
+/// before the first of them, and nothing integrates until the breakpoint
+/// ends.
+pub(crate) struct RaplDomainsWindow {
+    counters: Vec<(ThreadId, u32, CounterTracker)>,
     units: RaplUnits,
     from: Ns,
 }
 
-impl RaplCoreWindow {
-    /// Opens the window at the machine's current time, on MSRs synced at
-    /// this instant.
-    pub(crate) fn open(sys: &System, core: CoreId) -> Self {
-        let thread = ThreadId(core.0 * sys.config().topology.threads_per_core() as u32);
+impl RaplDomainsWindow {
+    /// Opens a window over both package domains at the machine's current
+    /// time, on MSRs synced at this instant.
+    pub(crate) fn packages(sys: &System) -> Self {
+        let topo = &sys.config().topology;
+        let leads = (0..topo.num_sockets()).map(|pkg| package_lead(topo, pkg));
+        Self::open(sys, leads.map(|lead| (lead, address::PKG_ENERGY_STAT)).collect())
+    }
+
+    /// Opens a window over the domains of `cores`, in their order, at the
+    /// machine's current time, on MSRs synced at this instant.
+    pub(crate) fn cores(sys: &System, cores: impl Iterator<Item = CoreId>) -> Self {
+        let tpc = sys.config().topology.threads_per_core() as u32;
+        let first_threads = cores.map(|core| ThreadId(core.0 * tpc));
+        Self::open(sys, first_threads.map(|thread| (thread, address::CORE_ENERGY_STAT)).collect())
+    }
+
+    fn open(sys: &System, registers: Vec<(ThreadId, u32)>) -> Self {
         let msrs = sys.msrs();
+        let counters = registers
+            .into_iter()
+            .map(|(thread, msr)| (thread, msr, CounterTracker::new(msrs.peek(thread, msr) as u32)));
         Self {
-            tracker: CounterTracker::new(msrs.peek(thread, address::CORE_ENERGY_STAT) as u32),
-            thread,
+            counters: counters.collect(),
             units: RaplUnits::decode(msrs.peek(ThreadId(0), address::RAPL_PWR_UNIT)),
             from: sys.now_ns(),
         }
     }
 
-    /// Polls the counter at the machine's current time, on MSRs synced at
-    /// this instant.
+    /// Polls the counters at the machine's current time, on MSRs synced
+    /// at this instant.
     pub(crate) fn poll(&mut self, sys: &System) {
-        self.tracker.update(sys.msrs().peek(self.thread, address::CORE_ENERGY_STAT) as u32);
+        for (thread, msr, tracker) in &mut self.counters {
+            tracker.update(sys.msrs().peek(*thread, *msr) as u32);
+        }
     }
 
-    /// Closes the window, returning the core domain's mean power in watts.
+    /// Closes the window, returning the domains' summed mean power in
+    /// watts.
     pub(crate) fn finish(self, sys: &System) -> f64 {
         let dt = to_secs(sys.now_ns() - self.from);
         assert!(dt > 0.0, "RAPL window must have positive length");
-        self.tracker.total_joules(&self.units) / dt
+        // zen2-lint: allow(float-order) — one pass in ascending domain order, as `RaplReader` sums
+        let joules: f64 = self.counters.iter().map(|(_, _, t)| t.total_joules(&self.units)).sum();
+        joules / dt
     }
 }
 

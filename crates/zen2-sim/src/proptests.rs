@@ -7,7 +7,7 @@ use crate::controller::PptController;
 use crate::cstate::ThreadState;
 use crate::perf::ThreadCounters;
 use crate::power::PowerBreakdown;
-use crate::scenario::{At, Op, ScenarioError, Step};
+use crate::scenario::{nth, At, Op, ScenarioError, Step};
 use crate::smu::Smu;
 use crate::snapshot::Snapshot;
 use crate::stats::{FreqResidency, OnlineStats, P2Quantile, TransitionStats, Welford};
@@ -721,6 +721,59 @@ proptest! {
         assert_batched_matches_single(&ticks)?;
     }
 
+    /// Applying a tick's stored runs as entries leaves the machine where
+    /// applying its expanded steps as runs of one does: every thread's
+    /// state, every core's estimate noise, the tracer's records and the
+    /// RNG's next draw are bit-equal. Each action repeats an
+    /// [`arb_tick_op`] action on up to five consecutive threads, so most
+    /// ticks store runs, of every action kind.
+    #[test]
+    fn stored_runs_apply_like_their_expanded_steps(
+        ticks in prop::collection::vec(
+            prop::collection::vec((arb_tick_op(), 1u32..6), 1..6),
+            1..4,
+        ),
+    ) {
+        let mut sc = Scenario::new();
+        for (i, tick) in (0..).zip(&ticks) {
+            let mut at = sc.at(i * MILLISECOND);
+            for &(op, n) in tick {
+                let op = tick_op(op);
+                for k in 0..n {
+                    at = schedule(at, nth(op, k));
+                }
+            }
+        }
+        let cfg = SimConfig::epyc_7502_2s();
+        prop_assume!(sc.validate(&cfg).is_ok());
+        let mut batched = System::new(cfg.clone(), 31);
+        let mut stepped = System::new(cfg, 31);
+        for sys in [&mut batched, &mut stepped] {
+            sys.set_tracing(true);
+        }
+        let entries: Vec<(Step, u32)> = sc.entries().collect();
+        let steps: Vec<Step> = sc.steps().collect();
+        for t in (0..ticks.len() as Ns).map(|i| i * MILLISECOND) {
+            let due = |at: Ns| at == t;
+            batched.apply_ops(entries.iter().filter(|(s, _)| due(s.at)).map(|&(s, n)| (s.op, n)));
+            stepped.apply_ops(steps.iter().filter(|s| due(s.at)).map(|s| (s.op, 1)));
+            let threads = |sys: &System| -> Vec<ThreadState> {
+                (0..128).map(|t| sys.thread_state(ThreadId(t))).collect()
+            };
+            prop_assert_eq!(threads(&batched), threads(&stepped));
+            let noise_bits = |sys: &System| -> Vec<u64> {
+                sys.est_noise_w().iter().map(|w| w.to_bits()).collect()
+            };
+            prop_assert!(noise_bits(&batched) == noise_bits(&stepped), "noise at {} ns", t);
+            prop_assert!(batched.tracer().records() == stepped.tracer().records());
+            prop_assert!(same_bits(batched.power_breakdown(), stepped.power_breakdown()));
+            for sys in [&mut batched, &mut stepped] {
+                sys.run_for_ns(MILLISECOND);
+            }
+        }
+        prop_assert_eq!(batched.rng().next_u64(), stepped.rng().next_u64());
+    }
+
     /// Scheduling actions move neither a frequency request nor a cap, so
     /// after any tick of them, with P-state ramps in flight and requests
     /// queued behind them, resolving every core starts no transition and
@@ -742,7 +795,7 @@ proptest! {
         let mut sys = System::new(cfg, 7);
         for (&at, (_, ops)) in times.iter().zip(&ticks) {
             sys.run_for_ns(at - sys.now_ns());
-            sys.apply_ops(ops.iter().copied());
+            sys.apply_ops(ops.iter().map(|&op| (op, 1)));
             let targets = sys.dvfs_targets();
             prop_assert_eq!(sys.resolve_dvfs(), 0, "a transition started at {} ns", at);
             prop_assert_eq!(sys.dvfs_targets(), targets);
@@ -804,12 +857,14 @@ proptest! {
     /// A machine whose PPT loop decides held slots from hold proofs runs
     /// every scenario bit for bit like a same-seed twin that decides every
     /// slot on its own, with RAPL accounting and counters, without RAPL
-    /// accounting, and without either, where held slots run in the held
-    /// loop: random ticks with P-state ramps in flight and mid-run
-    /// preheats, over no extra load, a light pause load, or FIRESTARTER
-    /// everywhere, whose cap steps down and settles into the deadband,
-    /// then a quiet tail in which the SMU settles. Every proven slot also
-    /// asserts, in these builds, that the per-slot decision holds.
+    /// accounting, without either, and with RAPL accounting of both
+    /// packages and one core but no counters, as a Fig. 10 case keeps;
+    /// the last two run held slots in the held loop: random ticks with
+    /// P-state ramps in flight and mid-run preheats, over no extra load, a
+    /// light pause load, or FIRESTARTER everywhere, whose cap steps down
+    /// and settles into the deadband, then a quiet tail in which the SMU
+    /// settles. Every proven slot also asserts, in these builds, that the
+    /// per-slot decision holds.
     #[test]
     fn hold_proofs_decide_like_every_slot_on_its_own(
         ticks in prop::collection::vec(
@@ -817,7 +872,7 @@ proptest! {
             1..6,
         ),
         load in 0u8..3,
-        mode in 0u8..3,
+        mode in 0u8..4,
     ) {
         let mut ticks: Vec<(Ns, Vec<Op>)> = ticks
             .into_iter()
@@ -838,9 +893,17 @@ proptest! {
         let whole = Window::span(0, times[times.len() - 1]);
         sc.probe("ac", Probe::AcTrueMeanW, whole);
         // Mode 0 keeps RAPL accounting and counters, mode 1 only
-        // counters, mode 2 neither.
-        if mode == 0 {
-            sc.probe("rapl", Probe::RaplW, whole);
+        // counters, mode 2 neither, and mode 3 the RAPL energy of both
+        // packages and core 5 but no counters.
+        match mode {
+            0 => {
+                sc.probe("rapl", Probe::RaplW, whole);
+            }
+            3 => {
+                sc.probe("pkg", Probe::RaplPkgW, whole);
+                sc.probe("core5", Probe::RaplCoreW(CoreId(5)), whole);
+            }
+            _ => {}
         }
         let cfg = SimConfig::epyc_7502_2s();
         prop_assume!(sc.validate(&cfg).is_ok());
@@ -848,10 +911,12 @@ proptest! {
         let mut per_slot = System::new(cfg, 29);
         per_slot.disable_hold_proofs();
         for sys in [&mut proven, &mut per_slot] {
-            if mode >= 1 {
-                sys.drop_rapl_accounting();
+            match mode {
+                1 | 2 => sys.drop_rapl_accounting(),
+                3 => sys.keep_rapl_cores(&[5]),
+                _ => {}
             }
-            if mode == 2 {
+            if mode >= 2 {
                 sys.keep_counters(&[]);
             }
         }
@@ -874,10 +939,31 @@ proptest! {
             sys.ac_trace().iter().map(|&(t, w)| (t, w.to_bits())).collect()
         };
         prop_assert!(trace_bits(&proven) == trace_bits(&per_slot));
+        if mode != 1 && mode != 2 {
+            // Every kept domain reads alike: both packages, and every core
+            // (mode 0) or core 5 alone (mode 3); so do the packages'
+            // published joules before quantization.
+            let kept = |sys: &mut System| -> Vec<u64> {
+                sys.sync_rapl_msrs();
+                let core_threads = match mode {
+                    0 => (0..64).map(|core| ThreadId(2 * core)).collect(),
+                    _ => vec![ThreadId(10)],
+                };
+                let cores = core_threads.into_iter().map(|t| (t, address::CORE_ENERGY_STAT));
+                let packages = [ThreadId(0), ThreadId(64)].map(|t| (t, address::PKG_ENERGY_STAT));
+                cores.chain(packages).map(|(t, a)| sys.msrs().peek(t, a)).collect()
+            };
+            prop_assert!(kept(&mut proven) == kept(&mut per_slot));
+            let joules_bits = |sys: &System| -> Vec<u64> {
+                sys.rapl_package_joules().iter().map(|j| j.to_bits()).collect()
+            };
+            prop_assert!(joules_bits(&proven) == joules_bits(&per_slot));
+        }
         prop_assert_eq!(per_slot.slot_counts().proof_slots, 0);
         prop_assert_eq!(per_slot.slot_counts().held_loop_slots, 0);
-        // Only a machine without RAPL accounting and counters runs the
-        // held loop, and a light load far below PPT always enters it.
+        // Only a machine without counters runs the held loop, with RAPL
+        // accounting or without, and a light load far below PPT always
+        // enters it.
         let held = proven.slot_counts().held_loop_slots;
         if mode < 2 {
             prop_assert_eq!(held, 0);

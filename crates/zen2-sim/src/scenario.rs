@@ -34,7 +34,9 @@
 //! order, however the runs are stored. An entry of one step takes the 24
 //! bytes a [`Step`] does; the counts of longer runs live in a side list.
 //! Validation checks a run's thread range once and then replays its
-//! threads in a tight loop.
+//! threads in a tight loop, and execution hands each tick's entries to
+//! the machine as stored, which applies a run of like workload or idle
+//! actions in one loop over its threads.
 //!
 //! Execution walks the steps in that order and the window ends and
 //! window starts, each sorted by tick once, with one cursor each, plus a
@@ -52,8 +54,7 @@
 use crate::config::SimConfig;
 use crate::perf::ThreadCounters;
 use crate::probe::{
-    EventFilter, Measurement, Probe, ProbeSpec, RaplCoreWindow, RaplWindow, Run, Window,
-    MAX_WINDOW_NS,
+    EventFilter, Measurement, Probe, ProbeSpec, RaplDomainsWindow, Run, Window, MAX_WINDOW_NS,
 };
 use crate::system::System;
 use crate::time::{from_secs, to_secs, Ns, MILLISECOND};
@@ -206,7 +207,7 @@ pub struct Step {
 
 /// Step `k` of a run whose first step is `op`: the same action on the
 /// thread `k` after `op`'s.
-fn nth(op: Op, k: u32) -> Op {
+pub(crate) fn nth(op: Op, k: u32) -> Op {
     let on = |thread: ThreadId| ThreadId(thread.0 + k);
     match op {
         Op::Workload { thread, class, weight } => {
@@ -419,6 +420,12 @@ impl Scenario {
         Counted { inner: steps, remaining: self.steps.entries.len() + extra }
     }
 
+    /// The scheduled entries, in time order: each step, or each run of
+    /// like actions stored as one entry, with its step count.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (Step, u32)> + '_ {
+        self.steps.entries().map(|(&step, n)| (step, n))
+    }
+
     /// Whether an entry of the scenario holds a run of two or more steps.
     pub(crate) fn stores_runs(&self) -> bool {
         !self.steps.runs.is_empty()
@@ -436,13 +443,40 @@ impl Scenario {
     }
 
     /// Whether a probe reads a RAPL counter ([`Probe::RaplW`],
-    /// [`Probe::RaplCoreW`] or [`Probe::PkgEnergyMsr`]).
-    /// [`Session`](crate::Session) runs a case whose scenario does not on
-    /// a machine that keeps no RAPL accounting.
+    /// [`Probe::RaplPkgW`], [`Probe::RaplCoreW`] or
+    /// [`Probe::PkgEnergyMsr`]). [`Session`](crate::Session) runs a case
+    /// whose scenario does not on a machine that keeps no RAPL accounting.
     pub(crate) fn reads_rapl(&self) -> bool {
         self.probes.iter().any(|spec| {
-            matches!(spec.probe, Probe::RaplW | Probe::RaplCoreW(_) | Probe::PkgEnergyMsr(_))
+            matches!(
+                spec.probe,
+                Probe::RaplW | Probe::RaplPkgW | Probe::RaplCoreW(_) | Probe::PkgEnergyMsr(_)
+            )
         })
+    }
+
+    /// The core domains whose RAPL energy a probe reads, of a machine of
+    /// `num_cores` cores, ascending: every core for a [`Probe::RaplW`],
+    /// the named core for a [`Probe::RaplCoreW`], and none for a
+    /// [`Probe::RaplPkgW`] or [`Probe::PkgEnergyMsr`], which read the
+    /// package domains only. [`Session`](crate::Session) runs a case that
+    /// reads RAPL on a machine that keeps these core domains and every
+    /// package domain only.
+    pub(crate) fn rapl_cores(&self, num_cores: usize) -> Vec<usize> {
+        if self.probes.iter().any(|spec| spec.probe == Probe::RaplW) {
+            return (0..num_cores).collect();
+        }
+        let mut cores: Vec<usize> = self
+            .probes
+            .iter()
+            .filter_map(|spec| match spec.probe {
+                Probe::RaplCoreW(core) => Some(core.index()),
+                _ => None,
+            })
+            .collect();
+        cores.sort_unstable();
+        cores.dedup();
+        cores
     }
 
     /// The threads whose performance counters a probe reads
@@ -939,8 +973,8 @@ enum ProbeState {
     Span,
     Counter { begin: ThreadCounters },
     Series { snaps: Vec<ThreadCounters> },
-    Rapl { window: RaplWindow },
-    RaplCore { window: RaplCoreWindow },
+    Rapl { packages: RaplDomainsWindow, cores: RaplDomainsWindow },
+    RaplDomains { window: RaplDomainsWindow },
     Wakeup { samples: Vec<f64> },
     Energy { start_j: f64 },
 }
@@ -1032,7 +1066,7 @@ impl System {
         let mut starts: Vec<usize> =
             (0..probes.len()).filter(|&i| !probes[i].window.is_instant()).collect();
         starts.sort_by_key(|&i| probes[i].window.from);
-        let mut steps = scenario.steps().peekable();
+        let mut entries = scenario.entries().peekable();
         let (mut end_cursor, mut start_cursor) = (0, 0);
         let mut obligations: BinaryHeap<Reverse<(Ns, usize, u64)>> = BinaryHeap::new();
         let mut open: BTreeMap<usize, ProbeState> = BTreeMap::new();
@@ -1047,7 +1081,7 @@ impl System {
 
         loop {
             let next = [
-                steps.peek().map(|s| s.at),
+                entries.peek().map(|(s, _)| s.at),
                 obligations.peek().map(|&Reverse((at, _, _))| at),
                 ends.get(end_cursor).map(|&i| probes[i].window.to),
                 starts.get(start_cursor).map(|&i| probes[i].window.from),
@@ -1071,11 +1105,15 @@ impl System {
                     (Probe::CounterSeries { thread, .. }, Some(ProbeState::Series { snaps })) => {
                         snaps.push(self.counters(*thread));
                     }
-                    (Probe::RaplW, Some(ProbeState::Rapl { window })) => {
+                    (Probe::RaplW, Some(ProbeState::Rapl { packages, cores })) => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
-                        window.poll(self);
+                        packages.poll(self);
+                        cores.poll(self);
                     }
-                    (Probe::RaplCoreW(_), Some(ProbeState::RaplCore { window })) => {
+                    (
+                        Probe::RaplPkgW | Probe::RaplCoreW(_),
+                        Some(ProbeState::RaplDomains { window }),
+                    ) => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
                         window.poll(self);
                     }
@@ -1106,13 +1144,16 @@ impl System {
                     (Probe::MeterSamples, Some(ProbeState::Span)) => {
                         Measurement::Samples(self.meter_samples(from, to))
                     }
-                    (Probe::RaplW, Some(ProbeState::Rapl { window })) => {
-                        let (pkg_w, core_w) = window.finish(self);
-                        Measurement::WattsPair { pkg_w, core_w }
+                    (Probe::RaplW, Some(ProbeState::Rapl { packages, cores })) => {
+                        Measurement::WattsPair {
+                            pkg_w: packages.finish(self),
+                            core_w: cores.finish(self),
+                        }
                     }
-                    (Probe::RaplCoreW(_), Some(ProbeState::RaplCore { window })) => {
-                        Measurement::Watts(window.finish(self))
-                    }
+                    (
+                        Probe::RaplPkgW | Probe::RaplCoreW(_),
+                        Some(ProbeState::RaplDomains { window }),
+                    ) => Measurement::Watts(window.finish(self)),
                     (Probe::TraceEvents(filter), Some(ProbeState::Span)) => {
                         open_trace_windows -= 1;
                         let keep = |r: &Record| filter.matches(&r.event);
@@ -1179,8 +1220,11 @@ impl System {
             }
 
             // 3. Scheduled actions due now (insertion order within the tick),
-            //    resolved once after the last of them.
-            self.apply_ops(std::iter::from_fn(|| steps.next_if(|s| s.at == t)).map(|s| s.op));
+            //    each stored run applied as one, resolved once after the
+            //    last of them.
+            self.apply_ops(
+                std::iter::from_fn(|| entries.next_if(|(s, _)| s.at == t)).map(|(s, n)| (s.op, n)),
+            );
 
             // 4. Window starts due now open on the post-action state, each
             //    sampled one queueing its first obligation.
@@ -1195,11 +1239,22 @@ impl System {
                     }
                     Probe::RaplW => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
-                        ProbeState::Rapl { window: RaplWindow::open(self) }
+                        ProbeState::Rapl {
+                            packages: RaplDomainsWindow::packages(self),
+                            cores: RaplDomainsWindow::cores(
+                                self,
+                                self.config().topology.all_cores(),
+                            ),
+                        }
+                    }
+                    Probe::RaplPkgW => {
+                        self.sync_rapl_msrs_once(&mut rapl_synced);
+                        ProbeState::RaplDomains { window: RaplDomainsWindow::packages(self) }
                     }
                     Probe::RaplCoreW(core) => {
                         self.sync_rapl_msrs_once(&mut rapl_synced);
-                        ProbeState::RaplCore { window: RaplCoreWindow::open(self, core) }
+                        let window = RaplDomainsWindow::cores(self, std::iter::once(core));
+                        ProbeState::RaplDomains { window }
                     }
                     Probe::WakeupSamples { .. } => ProbeState::Wakeup { samples: Vec::new() },
                     Probe::AcEnergyJ => ProbeState::Energy { start_j: self.ac_energy_j() },
@@ -1726,6 +1781,92 @@ mod tests {
             assert!(pkg_w > core_w && core_w > 0.0, "block {k}: {pkg_w} W, {core_w} W");
             assert!(run.watts(&format!("core0_{k}")) > 0.0);
         }
+    }
+
+    #[test]
+    fn the_read_rapl_domains_are_those_the_probes_name() {
+        let window = Window::span(0, MILLISECOND);
+        let with = |probes: &[Probe]| {
+            let mut sc = Scenario::new();
+            for (i, &probe) in probes.iter().enumerate() {
+                let window = if probe.is_instant() { Window::at(0) } else { window };
+                sc.probe(format!("p{i}"), probe, window);
+            }
+            (sc.reads_rapl(), sc.rapl_cores(64))
+        };
+        let (pkg, msr) = (Probe::RaplPkgW, Probe::PkgEnergyMsr(SocketId(1)));
+        assert_eq!(with(&[Probe::AcTrueMeanW]), (false, vec![]));
+        assert_eq!(with(&[pkg]), (true, vec![]));
+        assert_eq!(with(&[msr, pkg]), (true, vec![]));
+        let (core9, core2) = (Probe::RaplCoreW(CoreId(9)), Probe::RaplCoreW(CoreId(2)));
+        assert_eq!(with(&[core9, pkg, core2, core9]), (true, vec![2, 9]));
+        assert_eq!(with(&[core9, Probe::RaplW]), (true, (0..64).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn package_sum_windows_read_rapl_ws_package_watts_bit_for_bit() {
+        // FIRESTARTER everywhere throttles: the cap steps down while the
+        // windows poll, over whole and partial publication periods.
+        let mut sc = Scenario::new();
+        let mut at = sc.at(0);
+        for thread in 0..128 {
+            at = at.workload(ThreadId(thread), KernelClass::Firestarter, OperandWeight::HALF);
+        }
+        let windows = [
+            (0, 300 * MILLISECOND),
+            (7_250_000, 231_500_000),
+            (40 * MILLISECOND, 41 * MILLISECOND),
+        ];
+        for (i, &(from, to)) in windows.iter().enumerate() {
+            sc.probe(format!("both{i}"), Probe::RaplW, Window::span(from, to));
+            sc.probe(format!("pkg{i}"), Probe::RaplPkgW, Window::span(from, to));
+        }
+        sc.probe(
+            "ev",
+            Probe::TraceEvents(EventFilter::CapChanged(SocketId(0))),
+            Window::span(0, 300 * MILLISECOND),
+        );
+        let run = System::new(cfg(), 11).run_scenario(&sc).unwrap();
+        assert!(!run.events("ev").is_empty(), "the cap must move");
+        for i in 0..windows.len() {
+            let (pkg_w, _) = run.watts_pair(&format!("both{i}"));
+            assert_eq!(run.watts(&format!("pkg{i}")).to_bits(), pkg_w.to_bits(), "window {i}");
+        }
+    }
+
+    #[test]
+    fn rapl_windows_read_what_a_rapl_reader_polling_alike_reads() {
+        // A throttled machine's RAPL windows against `RaplReader`, the
+        // reference `x86_energy`-style reader, polled at the same instants
+        // on a same-seed twin.
+        let mut sc = Scenario::new();
+        let mut at = sc.at(0);
+        for thread in 0..128 {
+            at = at.workload(ThreadId(thread), KernelClass::Firestarter, OperandWeight::HALF);
+        }
+        let window = Window::span(7_250_000, 331_500_000);
+        sc.probe("rapl", Probe::RaplW, window);
+        sc.probe("core3", Probe::RaplCoreW(CoreId(3)), window);
+        let run = System::new(cfg(), 13).run_scenario(&sc).unwrap();
+
+        let mut twin = System::new(cfg(), 13);
+        for thread in 0..128 {
+            twin.set_workload(ThreadId(thread), KernelClass::Firestarter, OperandWeight::HALF);
+        }
+        twin.run_for_ns(window.from);
+        twin.sync_rapl_msrs();
+        let mut reader = zen2_rapl::RaplReader::new(&cfg().topology, twin.msrs()).unwrap();
+        let spec = &sc.probes()[0];
+        for t in (1..).map_while(|k| spec.obligation(k)) {
+            twin.run_for_ns(t - twin.now_ns());
+            twin.sync_rapl_msrs();
+            reader.poll(twin.msrs()).unwrap();
+        }
+        let dt = window.secs();
+        let (pkg_w, core_w) = run.watts_pair("rapl");
+        assert_eq!(pkg_w.to_bits(), (reader.package_sum_joules() / dt).to_bits());
+        assert_eq!(core_w.to_bits(), (reader.core_sum_joules() / dt).to_bits());
+        assert_eq!(run.watts("core3").to_bits(), (reader.core_joules(3) / dt).to_bits());
     }
 
     #[test]

@@ -21,10 +21,14 @@
 //! scenario reads no RAPL counter runs without RAPL accounting: its
 //! machine integrates and publishes no RAPL energy and its PPT loop
 //! decides from a bound on each package estimate, which leaves every
-//! result bit-identical to a run with accounting. Likewise a case keeps
+//! result bit-identical to a run with accounting. A case that reads RAPL
+//! keeps the energy of only the core domains its probes read: all 64
+//! for a `RaplW`, one for a `RaplCoreW`, none for a `RaplPkgW` or a
+//! `PkgEnergyMsr`, beside both packages'. Likewise a case keeps
 //! the performance counters of only the threads its probes read, and
-//! none when no probe reads one. Each `case` span records both choices,
-//! as its `rapl_accounting` and `counters` (keeps any) attributes, and
+//! none when no probe reads one. Each `case` span records these choices,
+//! as its `rapl_accounting`, `rapl_cores` (core domains kept) and
+//! `counters` (keeps any) attributes, and
 //! the case reports how its PPT loop decided its slots as the `ppt.*`
 //! counters when its `sim` span closes.
 //!
@@ -283,11 +287,14 @@ pub(crate) type Prechecked = fn(&mut System, &Case) -> Run;
 
 /// The executor of every public entry point: each group was validated
 /// before it runs. A machine whose scenario reads no RAPL counter keeps
-/// no RAPL accounting, each machine keeps the performance counters of
-/// only the threads its probes read, and every case trims its AC trace
-/// behind its open windows.
+/// no RAPL accounting, and one whose scenario does keeps the RAPL energy
+/// of only the core domains its probes read; each machine keeps the
+/// performance counters of only the threads its probes read, and every
+/// case trims its AC trace behind its open windows.
 fn run_prechecked(sys: &mut System, case: &Case) -> Run {
-    if !case.scenario.reads_rapl() {
+    if case.scenario.reads_rapl() {
+        sys.keep_rapl_cores(&case.scenario.rapl_cores(case.config.topology.num_cores()));
+    } else {
         sys.drop_rapl_accounting();
     }
     sys.keep_counters(&case.scenario.counter_threads());
@@ -559,6 +566,12 @@ where
     loop {
         let i = group.next.fetch_add(1, Ordering::Relaxed);
         let Some(case) = group.cases.get(i) else { break };
+        let reads_rapl = case.scenario.reads_rapl();
+        let rapl_cores = if reads_rapl {
+            case.scenario.rapl_cores(case.config.topology.num_cores()).len()
+        } else {
+            0
+        };
         let case_span = obs.open(
             group.span,
             obs::SPAN_CASE,
@@ -566,7 +579,8 @@ where
                 ("index", AttrValue::U64((group.first + i) as u64)),
                 ("label", AttrValue::Str(&case.label)),
                 ("worker", AttrValue::U64(w as u64)),
-                ("rapl_accounting", AttrValue::Bool(case.scenario.reads_rapl())),
+                ("rapl_accounting", AttrValue::Bool(reads_rapl)),
+                ("rapl_cores", AttrValue::U64(rapl_cores as u64)),
                 ("counters", AttrValue::Bool(!case.scenario.counter_threads().is_empty())),
             ],
         );
@@ -675,7 +689,8 @@ mod tests {
     use crate::probe::{Probe, Window};
     use crate::time::MILLISECOND;
     use zen2_isa::{KernelClass, OperandWeight};
-    use zen2_topology::ThreadId;
+    use zen2_msr::address;
+    use zen2_topology::{CoreId, ThreadId};
 
     /// A scenario cheap enough for the containment tests: one instant
     /// read at t = 0.
@@ -1020,5 +1035,51 @@ mod tests {
             assert_eq!(sys.counters(t), direct.counters(t));
         }
         sys.counters(ThreadId(0));
+    }
+
+    /// A Fig. 10-shaped case, every thread loaded and each block read by
+    /// an AC, a RAPL package-sum and a RAPL core-0 window, keeps three
+    /// RAPL domains, runs its held slots in the held loop, and reads what
+    /// the direct run, which keeps all 66 and runs no held loop, reads.
+    #[test]
+    fn a_fig10_shaped_case_keeps_three_rapl_domains() {
+        let cfg = SimConfig::epyc_7502_2s();
+        let mut sc = Scenario::new();
+        for (k, weight) in
+            (0..).zip([OperandWeight::HALF, OperandWeight::ZERO, OperandWeight::FULL])
+        {
+            let t0 = k * 150 * MILLISECOND;
+            let mut at = sc.at(t0);
+            for t in 0..128 {
+                at = at.workload(ThreadId(t), KernelClass::VXorps, weight);
+            }
+            let window = Window::span(t0, t0 + 150 * MILLISECOND);
+            sc.probe(format!("ac{k}"), Probe::AcTrueMeanW, window);
+            sc.probe(format!("pkg{k}"), Probe::RaplPkgW, window);
+            sc.probe(format!("core0_{k}"), Probe::RaplCoreW(CoreId(0)), window);
+        }
+        let case = Case::new("fig10-shaped", cfg.clone(), sc, 5);
+        let mut direct = System::new(cfg.clone(), case.seed);
+        let whole = direct.run_scenario(&case.scenario).unwrap();
+        let mut sys = System::new(cfg, case.seed);
+        let lean = run_prechecked(&mut sys, &case);
+        assert_eq!(format!("{lean:?}"), format!("{whole:?}"));
+        assert_eq!((sys.rapl_core_count(), direct.rapl_core_count()), (1, 64));
+        assert!(sys.slot_counts().held_loop_slots > 400, "{:?}", sys.slot_counts());
+        assert_eq!(direct.slot_counts().held_loop_slots, 0);
+        let read = |sys: &mut System, thread: u32, register| {
+            sys.sync_rapl_msrs();
+            sys.msrs().peek(ThreadId(thread), register)
+        };
+        for (thread, register) in [
+            (0, address::CORE_ENERGY_STAT),
+            (0, address::PKG_ENERGY_STAT),
+            (64, address::PKG_ENERGY_STAT),
+        ] {
+            assert_eq!(read(&mut sys, thread, register), read(&mut direct, thread, register));
+        }
+        // Core 1's domain integrated nothing and was never written.
+        assert_eq!(read(&mut sys, 2, address::CORE_ENERGY_STAT), 0);
+        assert!(read(&mut direct, 2, address::CORE_ENERGY_STAT) > 0);
     }
 }

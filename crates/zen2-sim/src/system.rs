@@ -10,10 +10,13 @@
 //! whose applied frequencies or core activity moved. A segment reuses the
 //! thermal α of the last segment length, so a run of 1 ms slots computes
 //! `exp` once, and RAPL publication copies no counter; a RAPL sync writes
-//! each energy counter once per domain. A machine that keeps no RAPL
-//! accounting (see `System::drop_rapl_accounting`) integrates no RAPL
-//! energy, skips the estimates in thermal-only steps, and lets its PPT
-//! loop decide from a bound on each package estimate. A segment advances
+//! each energy counter once per kept domain. A machine integrates the
+//! RAPL energy of only the core domains it keeps (see
+//! `System::keep_rapl_cores`), and one that keeps no RAPL accounting
+//! (see `System::drop_rapl_accounting`) integrates no RAPL energy, skips
+//! the estimates in thermal-only steps, and lets its PPT loop decide from
+//! a bound on each package estimate. A tick applies a stored run of like
+//! `Workload` or `Idle` actions in one loop over its threads. A segment advances
 //! the performance counters of only the threads the machine keeps (see
 //! `System::keep_counters`), so one that keeps none advances none.
 //!
@@ -23,12 +26,15 @@
 //! next one (`System::prove_hold`), and while that proof stands a slot
 //! only checks that its die temperature lies in the proven range. The
 //! slot boundaries themselves are found by adding one period to the last.
-//! On a machine that keeps neither RAPL accounting nor performance
-//! counters, the slots that every package's standing proof decides run in
-//! one loop that keeps each package's die temperature and true power, and
-//! the DC, AC and AC energy, in locals and writes the machine back once
+//! On a machine that keeps no performance counters, the slots that every
+//! package's standing proof decides run in one loop that keeps each
+//! package's die temperature and true power, and the DC, AC and AC
+//! energy, in locals and writes the machine back once
 //! (`System::run_held_slots`), with the per-slot expressions in their
-//! order, so every result stays bit-identical.
+//! order, so every result stays bit-identical. On a machine that keeps
+//! RAPL accounting the loop also records each slot's estimate terms, and
+//! the span's RAPL energy integrates after it, core by core and period
+//! by period, with the same expressions in the same order.
 //!
 //! The machine records its AC power as a piecewise-constant trace, one
 //! segment per change. A hand-driven machine keeps all of it, so
@@ -44,7 +50,7 @@ use crate::obs;
 use crate::os::IdleConfig;
 use crate::perf::ThreadCounters;
 use crate::power::{self, MachineState, PowerBreakdown, PowerEval};
-use crate::scenario::Op;
+use crate::scenario::{nth, Op};
 use crate::smu::{PendingTransition, Smu};
 use crate::time::{next_boundary, to_secs, Ns, MILLISECOND};
 use crate::trace::{Event, Tracer};
@@ -55,6 +61,7 @@ use zen2_isa::{KernelClass, OperandWeight, SmtMode, WorkloadSet};
 use zen2_mem::ClockPlan;
 use zen2_msr::{address, MsrFile};
 use zen2_power::MeterSample;
+use zen2_rapl::accounting::UPDATE_PERIOD_NS;
 use zen2_rapl::RaplAccounting;
 use zen2_topology::{CoreId, SocketId, ThreadId, Topology};
 
@@ -151,9 +158,22 @@ struct Held {
     ac_energy_j: f64,
 }
 
+/// Most slots a held span of a machine that keeps RAPL accounting
+/// advances: the length of its per-slot buffers ([`SpanTerms`]).
+const SPAN_SLOTS: usize = 128;
+
+/// What a held span of a machine that keeps RAPL accounting records of
+/// each slot, per package: the estimate's die-temperature term and
+/// idle-core term at the slot's die temperature, from which its RAPL
+/// energy integrates after the span (see [`System::publish_held_span`]).
+struct SpanTerms {
+    temperature_w: [[f64; SPAN_SLOTS]; HELD_PKGS],
+    idle_w: [[f64; SPAN_SLOTS]; HELD_PKGS],
+}
+
 /// The first hardware thread of package `pkg`, through which the MSR
 /// file's one counter per package is written and read.
-fn package_lead(topo: &Topology, pkg: usize) -> ThreadId {
+pub(crate) fn package_lead(topo: &Topology, pkg: usize) -> ThreadId {
     ThreadId((pkg * topo.cores_per_socket() * topo.threads_per_core()) as u32)
 }
 
@@ -324,8 +344,9 @@ impl System {
     /// Panics if this machine is not in its boot state — time advanced,
     /// any workload scheduled (scheduling consumes the RNG, which a
     /// reseed would not reproduce), any frequency request / C-state
-    /// configuration changed from boot defaults, RAPL accounting dropped,
-    /// or any thread's performance counters no longer kept.
+    /// configuration changed from boot defaults, RAPL accounting dropped
+    /// or any core domain's no longer kept, or any thread's performance
+    /// counters no longer kept.
     pub fn fork(&self, seed: u64) -> System {
         let nominal = self.cfg.nominal_mhz();
         assert!(
@@ -336,7 +357,10 @@ impl System {
                 && self.idle_cfg.iter().all(|c| *c == IdleConfig::default())
                 && !self.tracer.is_enabled()
                 && self.tracer.records().is_empty()
-                && self.rapl.is_some()
+                && self
+                    .rapl
+                    .as_ref()
+                    .is_some_and(|rapl| rapl.cores().len() == self.cfg.topology.num_cores())
                 && self.counters.len() == self.thread_states.len(),
             "fork requires a pristine booted system"
         );
@@ -516,6 +540,39 @@ impl System {
         self.rapl = None;
     }
 
+    /// Keeps the RAPL energy of the core domains of `cores` and of every
+    /// package only, for good: segments no longer integrate or publish
+    /// any other core domain, and a RAPL sync writes none. Nothing else
+    /// reads them, so every other result stays bit-identical.
+    /// [`Session`](crate::Session) keeps the core domains a case's probes
+    /// read, none when they read package domains only.
+    pub(crate) fn keep_rapl_cores(&mut self, cores: &[usize]) {
+        if let Some(rapl) = &mut self.rapl {
+            rapl.keep_cores(cores);
+        }
+    }
+
+    /// How many core domains the machine keeps RAPL energy for.
+    #[cfg(test)]
+    pub(crate) fn rapl_core_count(&self) -> usize {
+        self.rapl.as_ref().map_or(0, |rapl| rapl.cores().len())
+    }
+
+    /// Each package domain's published RAPL joules, unquantized.
+    #[cfg(test)]
+    pub(crate) fn rapl_package_joules(&self) -> Vec<f64> {
+        let packages = self.cfg.topology.num_sockets();
+        self.rapl.as_ref().map_or(Vec::new(), |rapl| {
+            (0..packages).map(|pkg| rapl.package_published_joules(pkg)).collect()
+        })
+    }
+
+    /// Each core's estimate noise.
+    #[cfg(test)]
+    pub(crate) fn est_noise_w(&self) -> &[f64] {
+        &self.est_noise_w
+    }
+
     /// Keeps the performance counters of `threads` only, for good:
     /// segments no longer advance any other thread's counters, and
     /// reading one panics. Nothing else reads them, so every other result
@@ -558,33 +615,37 @@ impl System {
 
     /// Schedules a workload on a hardware thread (pins it to C0).
     pub fn set_workload(&mut self, thread: ThreadId, class: KernelClass, weight: OperandWeight) {
-        self.apply_ops([Op::Workload { thread, class, weight }]);
+        self.apply_ops([(Op::Workload { thread, class, weight }, 1)]);
     }
 
     /// Removes the workload: the thread idles into its deepest enabled
     /// C-state.
     pub fn set_idle(&mut self, thread: ThreadId) {
-        self.apply_ops([Op::Idle { thread }]);
+        self.apply_ops([(Op::Idle { thread }, 1)]);
     }
 
     /// Enables/disables an idle state for one thread (sysfs
     /// `cpuidle/stateN/disable`). Re-settles the thread if it is idle.
     pub fn set_cstate_enabled(&mut self, thread: ThreadId, level: u8, enabled: bool) {
-        self.apply_ops([Op::CstateEnabled { thread, level, enabled }]);
+        self.apply_ops([(Op::CstateEnabled { thread, level, enabled }, 1)]);
     }
 
     /// Hotplugs a thread (sysfs `online`). Offlining parks the thread per
     /// the configured kernel behavior (Section VI-B anomaly); onlining
     /// returns it to the idle path.
     pub fn set_online(&mut self, thread: ThreadId, online: bool) {
-        self.apply_ops([Op::Online { thread, online }]);
+        self.apply_ops([(Op::Online { thread, online }, 1)]);
     }
 
-    /// Applies one tick of actions in order. Scheduling actions
+    /// Applies one tick of actions in order, each entry `(op, n)` the `n`
+    /// steps of a stored run: `op` and the same action on the `n − 1`
+    /// threads after `op`'s. Scheduling actions
     /// (`Workload`, `Idle`, `CstateEnabled`, `Online`) change thread
     /// states and record `ThreadState` events as they come, and `Workload`
     /// and `Idle` draw their estimate-noise uniforms from the machine RNG
-    /// at the action. The tick's flush, after the last of them, settles
+    /// at the action. A `Workload` or `Idle` run loops over its threads
+    /// with the per-action body; any other run applies step by step. The
+    /// tick's flush, after the last of them, settles
     /// each touched core once (the Box–Muller transform of its last draw,
     /// then its IPC), and clocks and power then resolve once. DVFS reads
     /// only frequency requests and caps, which scheduling actions never
@@ -599,71 +660,99 @@ impl System {
     /// toggle first flushes what is staged, then runs on its own: preheat
     /// steps the dies from the settled package powers, and enabling
     /// tracing records the settled wake states.
-    pub(crate) fn apply_ops(&mut self, ops: impl IntoIterator<Item = Op>) {
-        for op in ops {
-            if !self.tick_cores.is_empty() && matches!(op, Op::Preheat | Op::Tracing(_)) {
-                self.flush_tick();
-            }
+    pub(crate) fn apply_ops(&mut self, entries: impl IntoIterator<Item = (Op, u32)>) {
+        for (op, n) in entries {
             match op {
                 Op::Workload { thread, class, weight } => {
-                    let t = thread.index();
-                    assert!(
-                        self.thread_states[t] != ThreadState::Offline,
-                        "cannot schedule on an offline thread"
-                    );
-                    self.thread_states[t] = ThreadState::Active;
-                    self.workloads[t] = Some((class, weight));
-                    self.touch(thread, true);
-                    self.trace_thread_state(thread);
+                    for t in thread.0..thread.0 + n {
+                        self.schedule_workload(ThreadId(t), class, weight);
+                    }
                 }
                 Op::Idle { thread } => {
-                    let t = thread.index();
-                    if self.thread_states[t] == ThreadState::Offline {
-                        continue;
+                    for t in thread.0..thread.0 + n {
+                        self.schedule_idle(ThreadId(t));
                     }
-                    self.workloads[t] = None;
-                    self.settle_idle(t);
-                    self.touch(thread, true);
-                    self.trace_thread_state(thread);
                 }
-                Op::CstateEnabled { thread, level, enabled } => {
-                    let t = thread.index();
-                    match level {
-                        1 => self.idle_cfg[t].c1_enabled = enabled,
-                        2 => self.idle_cfg[t].c2_enabled = enabled,
-                        other => panic!("the test system has C-states 1 and 2, not {other}"),
+                _ => {
+                    for k in 0..n {
+                        self.apply_op(nth(op, k));
                     }
-                    let before = self.thread_states[t];
-                    if !before.is_active() && before != ThreadState::Offline {
-                        self.settle_idle(t);
-                        if self.thread_states[t] != before {
-                            self.trace_thread_state(thread);
-                        }
-                    }
-                    self.touch(thread, false);
                 }
-                Op::Online { thread, online } => {
-                    let t = thread.index();
-                    if online {
-                        if self.thread_states[t] == ThreadState::Offline {
-                            self.thread_states[t] = self.idle_cfg[t].deepest_idle_state();
-                        }
-                    } else {
-                        self.workloads[t] = None;
-                        self.thread_states[t] = ThreadState::Offline;
-                    }
-                    self.trace_thread_state(thread);
-                    self.touch(thread, false);
-                }
-                Op::PstateMhz { thread, mhz } => {
-                    let _ = self.set_thread_pstate_mhz(thread, mhz);
-                }
-                Op::Preheat => self.preheat(),
-                Op::Tracing(enabled) => self.set_tracing(enabled),
             }
         }
         if !self.tick_cores.is_empty() {
             self.flush_tick();
+        }
+    }
+
+    /// One `Workload` action of a tick.
+    fn schedule_workload(&mut self, thread: ThreadId, class: KernelClass, weight: OperandWeight) {
+        let t = thread.index();
+        assert!(
+            self.thread_states[t] != ThreadState::Offline,
+            "cannot schedule on an offline thread"
+        );
+        self.thread_states[t] = ThreadState::Active;
+        self.workloads[t] = Some((class, weight));
+        self.touch(thread, true);
+        self.trace_thread_state(thread);
+    }
+
+    /// One `Idle` action of a tick: an offline thread stays offline.
+    fn schedule_idle(&mut self, thread: ThreadId) {
+        let t = thread.index();
+        if self.thread_states[t] == ThreadState::Offline {
+            return;
+        }
+        self.workloads[t] = None;
+        self.settle_idle(t);
+        self.touch(thread, true);
+        self.trace_thread_state(thread);
+    }
+
+    /// One action of a tick, a preheat or tracing toggle after flushing
+    /// what the tick staged.
+    fn apply_op(&mut self, op: Op) {
+        if !self.tick_cores.is_empty() && matches!(op, Op::Preheat | Op::Tracing(_)) {
+            self.flush_tick();
+        }
+        match op {
+            Op::Workload { thread, class, weight } => self.schedule_workload(thread, class, weight),
+            Op::Idle { thread } => self.schedule_idle(thread),
+            Op::CstateEnabled { thread, level, enabled } => {
+                let t = thread.index();
+                match level {
+                    1 => self.idle_cfg[t].c1_enabled = enabled,
+                    2 => self.idle_cfg[t].c2_enabled = enabled,
+                    other => panic!("the test system has C-states 1 and 2, not {other}"),
+                }
+                let before = self.thread_states[t];
+                if !before.is_active() && before != ThreadState::Offline {
+                    self.settle_idle(t);
+                    if self.thread_states[t] != before {
+                        self.trace_thread_state(thread);
+                    }
+                }
+                self.touch(thread, false);
+            }
+            Op::Online { thread, online } => {
+                let t = thread.index();
+                if online {
+                    if self.thread_states[t] == ThreadState::Offline {
+                        self.thread_states[t] = self.idle_cfg[t].deepest_idle_state();
+                    }
+                } else {
+                    self.workloads[t] = None;
+                    self.thread_states[t] = ThreadState::Offline;
+                }
+                self.trace_thread_state(thread);
+                self.touch(thread, false);
+            }
+            Op::PstateMhz { thread, mhz } => {
+                let _ = self.set_thread_pstate_mhz(thread, mhz);
+            }
+            Op::Preheat => self.preheat(),
+            Op::Tracing(enabled) => self.set_tracing(enabled),
         }
     }
 
@@ -747,11 +836,12 @@ impl System {
         let mut next_slot =
             if controller_active { next_boundary(self.now, slot_ns) } else { Ns::MAX };
         // Whether held slots may run in the held loop: a held slot then
-        // integrates nothing but AC energy and die temperatures.
+        // advances no counter, and its RAPL energy, if the machine keeps
+        // any, publishes at the slot's end.
         let held_loop = controller_active
-            && self.rapl.is_none()
             && self.counters.is_empty()
-            && slot_ns <= MAX_SEGMENT_NS;
+            && slot_ns <= MAX_SEGMENT_NS
+            && (self.rapl.is_none() || slot_ns == UPDATE_PERIOD_NS);
         while self.now < end {
             if held_loop && self.now + slot_ns == next_slot {
                 self.run_held_slots(end);
@@ -808,16 +898,25 @@ impl System {
     /// Advances, from `self.now`, a slot boundary, the whole PPT slots
     /// toward `end` that every package's standing hold proof decides, in
     /// one loop over per-package locals ([`Held`]) that writes the machine
-    /// back once. On a machine that keeps neither RAPL accounting nor
-    /// performance counters such a slot integrates only AC energy and die
-    /// temperatures, and it records no event: no SMU completion, cap move
-    /// or wake change falls in it. Each slot evaluates what
-    /// `integrate_segment`, `proven_hold` and `reevaluate_thermal` do, in
-    /// their order and through the same helpers, so the machine ends bit
-    /// for bit where the per-slot loop would. The loop stops at `end`'s
-    /// last whole slot, before the slot holding the next SMU completion,
-    /// and before the first slot whose die temperature leaves its proven
-    /// range; the per-slot loop takes over there.
+    /// back once. On a machine that keeps no performance counters such a
+    /// slot integrates only AC energy, die temperatures and, if the
+    /// machine keeps RAPL accounting, RAPL energy, and it records no
+    /// event: no SMU completion, cap move or wake change falls in it. Each
+    /// slot evaluates what `integrate_segment`, `proven_hold` and
+    /// `reevaluate_thermal` do, in their order and through the same
+    /// helpers, so the machine ends bit for bit where the per-slot loop
+    /// would. The loop stops at `end`'s last whole slot, before the slot
+    /// holding the next SMU completion, and before the first slot whose
+    /// die temperature leaves its proven range; the per-slot loop takes
+    /// over there.
+    ///
+    /// A machine that keeps RAPL accounting runs here only while each
+    /// slot is one RAPL update period, and a span starts only on a
+    /// publication, so each slot publishes what the last published plus
+    /// its own energy. The loop records each slot's estimate terms
+    /// ([`SpanTerms`]) and stops when they fill; the span's RAPL energy
+    /// then integrates in one pass ([`publish_held_span`](Self::publish_held_span)),
+    /// and the estimates of its last slot are written once.
     fn run_held_slots(&mut self, end: Ns) {
         #[cfg(test)]
         if !self.hold_proofs_enabled {
@@ -828,7 +927,10 @@ impl System {
         // The latest a held slot may end: at `end`, and before the next
         // SMU completion.
         let limit = self.smu.next_event().map_or(end, |e| end.min(e.saturating_sub(1)));
-        if n > HELD_PKGS || self.now + slot_ns > limit {
+        if n > HELD_PKGS
+            || self.now + slot_ns > limit
+            || self.rapl.as_ref().is_some_and(|rapl| !rapl.is_published())
+        {
             return;
         }
         let mut held = Held {
@@ -868,6 +970,11 @@ impl System {
         }
         let alpha = self.thermal_alpha.1;
         let dram_w = self.breakdown.dram_w;
+        // Only a machine that keeps RAPL accounting records terms.
+        let mut span = self.rapl.as_ref().map(|_| SpanTerms {
+            temperature_w: [[0.0; SPAN_SLOTS]; HELD_PKGS],
+            idle_w: [[0.0; SPAN_SLOTS]; HELD_PKGS],
+        });
         loop {
             // Test builds re-run the per-slot decision of every package.
             #[cfg(test)]
@@ -892,18 +999,87 @@ impl System {
                 held.pkg_w[pkg] =
                     power::package_true_w(&self.cfg, awake[pkg], base_w[pkg], held.die_c[pkg]);
             }
+            if let Some(span) = &mut span {
+                let slot = held.slots as usize;
+                for pkg in 0..n {
+                    let die_c = held.die_c[pkg];
+                    span.temperature_w[pkg][slot] = self.cfg.rapl.temperature_term_w(die_c);
+                    span.idle_w[pkg][slot] = self.cfg.rapl.idle_core_estimate_w(die_c);
+                }
+            }
             let before_ac_w = held.ac_w;
             (held.dc_w, held.ac_w) = power::dc_ac_w(&self.cfg, &held.pkg_w[..n], dram_w);
             held.now += slot_ns;
             held.slots += 1;
             self.trace_ac(held.now, before_ac_w, held.ac_w);
-            if held.now + slot_ns > limit || !covers(&held.die_c) {
+            if held.now + slot_ns > limit
+                || !covers(&held.die_c)
+                || (span.is_some() && held.slots as usize == SPAN_SLOTS)
+            {
                 break;
             }
         }
+        if let Some(span) = &span {
+            self.publish_held_span(span, held.now, held.slots as usize, dt_s);
+        }
         self.store_held(&held);
+        if span.is_some() {
+            self.power.refresh_estimates(&self.cfg, &self.est_noise_w, &mut self.breakdown);
+        }
         self.slot_counts.proof_slots += held.slots * n as u64;
         self.slot_counts.held_loop_slots += held.slots;
+    }
+
+    /// Integrates and publishes the RAPL energy of a held span of `slots`
+    /// slots ending at `end`, one update period each, on a machine that
+    /// keeps RAPL accounting: slot `k` adds the estimates slot `k − 1`
+    /// left, the first the estimates at the span's start. An awake
+    /// package's estimates at each slot come from `span`'s terms through
+    /// the thermal path's expressions ([`PowerEval::span_package_estimates`],
+    /// [`PowerEval::span_core_estimates`]); a sleeping package's stay those
+    /// of the last full evaluation.
+    fn publish_held_span(&mut self, span: &SpanTerms, end: Ns, slots: usize, dt_s: f64) {
+        let Some(rapl) = self.rapl.as_mut() else { return };
+        let (cfg, power, breakdown) = (&self.cfg, &self.power, &self.breakdown);
+        let per_pkg = cfg.topology.cores_per_socket();
+        // The terms of the slots whose estimates a later slot integrates.
+        let terms =
+            |pkg: usize| (&span.temperature_w[pkg][..slots - 1], &span.idle_w[pkg][..slots - 1]);
+        let mut watts = [0.0; SPAN_SLOTS];
+        rapl.publish_periods(
+            end,
+            dt_s,
+            &mut watts[..slots],
+            |core, watts| {
+                let pkg = core / per_pkg;
+                let (start_w, later) = watts.split_at_mut(1);
+                start_w[0] = breakdown.core_est_w[core];
+                if breakdown.pkg_awake[pkg] {
+                    let (temperature_w, idle_w) = terms(pkg);
+                    let noise_w = self.est_noise_w[core];
+                    power.span_core_estimates(pkg, core, noise_w, temperature_w, idle_w, later);
+                } else {
+                    later.fill(start_w[0]);
+                }
+            },
+            |pkg, watts| {
+                let (start_w, later) = watts.split_at_mut(1);
+                start_w[0] = breakdown.pkg_est_w[pkg];
+                if breakdown.pkg_awake[pkg] {
+                    let (temperature_w, idle_w) = terms(pkg);
+                    power.span_package_estimates(
+                        cfg,
+                        pkg,
+                        &self.est_noise_w,
+                        temperature_w,
+                        idle_w,
+                        later,
+                    );
+                } else {
+                    later.fill(start_w[0]);
+                }
+            },
+        );
     }
 
     /// Writes the held loop's locals back into the machine, as the last
@@ -1054,7 +1230,7 @@ impl System {
     //
     // All windowed measurements share one core: `trace_mean_w` (true
     // power from the piecewise-constant trace), `metered_mean_w` (LMG670
-    // samples + inner-window averaging) and `probe::RaplWindow` (MSR
+    // samples + inner-window averaging) and `probe::RaplDomainsWindow` (MSR
     // energy-counter polling). The declarative `Probe` layer reads power
     // through these.
 
@@ -1131,11 +1307,11 @@ impl System {
         rapl.maybe_publish(self.now);
         let rapl = &*rapl;
         // The MSR file keeps one counter per domain: one poke through the
-        // domain's first thread reaches every thread of it.
+        // domain's first thread reaches every thread of it. Only the kept
+        // core domains are written.
         let tpc = self.cfg.topology.threads_per_core();
-        for core in 0..self.cfg.topology.num_cores() {
-            let raw = rapl.core_counter(core) as u64;
-            self.msrs.poke(ThreadId((core * tpc) as u32), address::CORE_ENERGY_STAT, raw);
+        for (core, raw) in rapl.core_counters() {
+            self.msrs.poke(ThreadId((core * tpc) as u32), address::CORE_ENERGY_STAT, raw as u64);
         }
         for pkg in 0..self.cfg.topology.num_sockets() {
             let raw = rapl.package_counter(pkg) as u64;
@@ -1923,8 +2099,8 @@ mod tests {
         let mut interleaved = boot();
         let mut requests_first = boot();
         let booted = interleaved.slot_counts().full_evaluations;
-        interleaved.apply_ops(fig7_pause_tick(false));
-        requests_first.apply_ops(fig7_pause_tick(true));
+        interleaved.apply_ops(fig7_pause_tick(false).into_iter().map(|op| (op, 1)));
+        requests_first.apply_ops(fig7_pause_tick(true).into_iter().map(|op| (op, 1)));
         // One full evaluation for the tick, not one per thread after the
         // first.
         assert_eq!(interleaved.slot_counts().full_evaluations - booted, 1);

@@ -274,7 +274,11 @@ fn random_probes(sc: &mut Scenario, rng: &mut StdRng, cfg: &SimConfig, targets: 
                 }
             }
             2 => {
-                sc.probe(label, Probe::RaplW, Window::span(a, b));
+                // Both RAPL sums, or the package sum alone, which a case
+                // reads keeping no core domain.
+                let probe =
+                    if rng.gen_range(0u32..2) == 0 { Probe::RaplW } else { Probe::RaplPkgW };
+                sc.probe(label, probe, Window::span(a, b));
             }
             3 => {
                 let core = CoreId(rng.gen_range(0..num_cores));
@@ -614,6 +618,10 @@ impl Invariants {
                 // The package rail contains the core rail: AMD's package
                 // counter is cores + SoC, never less than its cores.
                 self.check_bounds(label, *core_w, 0.0, *pkg_w + 1e-6, out);
+            }
+            (Probe::RaplPkgW, Measurement::Watts(pkg_w)) => {
+                let hi = rapl_window_ceiling(self.system_dc_ceil_w, &spec.window);
+                self.check_bounds(label, *pkg_w, 0.0, hi, out);
             }
             (Probe::MeterSamples, Measurement::Samples(samples)) => {
                 for pair in samples.windows(2) {
@@ -1102,8 +1110,10 @@ pub fn trims_ac_trace(case: &Case) -> bool {
 
 /// Whether `case`'s scenario stores a run of like actions as one entry
 /// of two or more steps, as the all-thread ticks of about one case in
-/// eight do. The engine expands the entry into the steps a direct run
-/// would apply, so the differential soak covers the expansion.
+/// eight do. Both the session and a direct run apply the entry as one,
+/// looping over its threads; the `zen2-sim` proptest
+/// `stored_runs_apply_like_their_expanded_steps` compares that with its
+/// steps applied one at a time.
 pub fn stores_runs(case: &Case) -> bool {
     case.scenario.stores_runs()
 }
