@@ -97,10 +97,7 @@ impl Config {
 pub fn sku_scenario(cfg: &Config, sim_cfg: &SimConfig) -> Scenario {
     let threads = sim_cfg.topology.num_threads() as u32;
     let mut sc = Scenario::new();
-    let mut at = sc.at(0);
-    for t in 0..threads {
-        at = at.workload(ThreadId(t), KernelClass::Firestarter, OperandWeight::HALF);
-    }
+    sc.at(0).workloads(ThreadId(0), threads, KernelClass::Firestarter, OperandWeight::HALF);
     sc.at_secs(cfg.duration_s * 0.4).preheat();
     sc.probe("ghz", Probe::EffectiveGhz(CoreId(0)), Window::at_secs(cfg.duration_s));
     sc.probe("rapl", Probe::RaplPkgW, Window::span_secs(cfg.duration_s, cfg.duration_s + 0.3));

@@ -116,10 +116,7 @@ const T_BLOCKS_S: f64 = 0.1;
 pub fn scenario(cfg: &Config, seed: u64, class: KernelClass) -> (Scenario, Vec<OperandWeight>) {
     let mut rng = ChaCha8Rng::seed_from_u64(child_seed(seed, 1));
     let mut sc = Scenario::new();
-    let mut at = sc.at(0);
-    for t in 0..128u32 {
-        at = at.workload(ThreadId(t), class, OperandWeight::HALF);
-    }
+    sc.at(0).workloads(ThreadId(0), 128, class, OperandWeight::HALF);
     sc.at_secs(T_BLOCKS_S).preheat();
 
     let mut weights = Vec::with_capacity(cfg.blocks);
@@ -127,10 +124,7 @@ pub fn scenario(cfg: &Config, seed: u64, class: KernelClass) -> (Scenario, Vec<O
         let weight = *OperandWeight::PAPER_SWEEP.choose(&mut rng).expect("non-empty weight set");
         weights.push(weight);
         let t0 = T_BLOCKS_S + k as f64 * cfg.block_s;
-        let mut at = sc.at_secs(t0);
-        for t in 0..128u32 {
-            at = at.workload(ThreadId(t), class, weight);
-        }
+        sc.at_secs(t0).workloads(ThreadId(0), 128, class, weight);
         let window = Window::span_secs(t0, t0 + cfg.block_s);
         sc.probe(format!("ac{k}"), Probe::AcTrueMeanW, window);
         sc.probe(format!("pkg{k}"), Probe::RaplPkgW, window);
@@ -389,6 +383,29 @@ mod tests {
             tables(&run(&cfg, seed, class, &Session::new()))[0].to_json(),
             tables(&materialized)[0].to_json()
         );
+    }
+
+    #[test]
+    fn the_paper_scenario_schedules_its_actions_one_by_one() {
+        let cfg = Config::new(Scale::Paper);
+        let class = KernelClass::VXorps;
+        let (sc, weights) = scenario(&cfg, 7, class);
+        let blocks =
+            weights.iter().enumerate().map(|(k, &w)| (T_BLOCKS_S + k as f64 * cfg.block_s, w));
+        let mut one_by_one = Scenario::new();
+        for (i, (t, weight)) in
+            std::iter::once((0.0, OperandWeight::HALF)).chain(blocks).enumerate()
+        {
+            if i == 1 {
+                one_by_one.at_secs(T_BLOCKS_S).preheat();
+            }
+            let mut at = one_by_one.at_secs(t);
+            for thread in 0..128 {
+                at = at.workload(ThreadId(thread), class, weight);
+            }
+        }
+        assert_eq!(sc.steps().len(), 384_129);
+        assert!(sc.steps().eq(one_by_one.steps()));
     }
 
     #[test]

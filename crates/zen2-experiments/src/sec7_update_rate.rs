@@ -44,10 +44,7 @@ const WARMUP_NS: Ns = 10 * MILLISECOND;
 /// the warm-up.
 fn polls(cfg: &Config, seed: u64, session: &Session) -> Vec<(Ns, u64)> {
     let mut sc = Scenario::new();
-    let mut at = sc.at(0);
-    for t in 0..16u32 {
-        at = at.workload(ThreadId(t), KernelClass::BusyWait, OperandWeight::HALF);
-    }
+    sc.at(0).workloads(ThreadId(0), 16, KernelClass::BusyWait, OperandWeight::HALF);
     let period = cfg.poll_period_us * MICROSECOND;
     for k in 1..=cfg.duration_ms * 1000 / cfg.poll_period_us {
         let window = Window::at(WARMUP_NS + k * period);

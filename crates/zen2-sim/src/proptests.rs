@@ -180,21 +180,25 @@ fn schedule(step: At<'_>, op: Op) -> At<'_> {
     }
 }
 
-/// `(shape, kind, first thread, threads, choice)`; see [`arb_run_cursor`].
-type RunSegment = (u8, u8, u32, u32, usize);
+/// `(shape, kind, first thread, threads, choice, bulk)`; see
+/// [`arb_run_cursor`].
+type RunSegment = (u8, u8, u32, u32, usize, bool);
 
 /// One cursor of [`run_length_scenarios_match_their_step_list`]: its
 /// tick, and its actions as segments `(shape, kind, first thread,
-/// threads, choice)`, each one action repeated on consecutive threads.
-/// Against the segment before it, across cursors too, a segment of shape
-/// 0 is a fresh action at `first`, 1 the same action on the threads after
-/// it (which extends its run at the same tick), 2 those threads with the
-/// parameters of `choice` (which break the run unless they match), and 3
-/// the same action one thread further on (which breaks it). Threads reach
-/// past the 128-thread machine's last.
+/// threads, choice, bulk)`, each one action repeated on consecutive
+/// threads. Against the segment before it, across cursors too, a segment
+/// of shape 0 is a fresh action at `first`, 1 the same action on the
+/// threads after it (which extends its run at the same tick), 2 those
+/// threads with the parameters of `choice` (which break the run unless
+/// they match), and 3 the same action one thread further on (which breaks
+/// it). Threads reach past the 128-thread machine's last. A workload
+/// segment with `bulk` set is scheduled with one [`At::workloads`] call,
+/// any other segment action by action.
 fn arb_run_cursor() -> impl Strategy<Value = (u64, Vec<RunSegment>)> {
     let first = prop::sample::select(vec![0u32, 1, 2, 62, 64, 125, 126, 127, 128]);
-    (0u64..4, prop::collection::vec((0u8..4, 0u8..7, first, 1u32..5, 0usize..6), 1..6))
+    let segment = (0u8..4, 0u8..7, first, 1u32..5, 0usize..6, any::<bool>());
+    (0u64..4, prop::collection::vec(segment, 1..6))
 }
 
 /// Decodes one segment's action on `thread`: weights `0.0` and `-0.0`,
@@ -467,7 +471,9 @@ proptest! {
     /// parent's insertion rule builds: each action goes behind every step
     /// at or before its tick. The cursors come in any tick order, mix
     /// runs with actions and parameters that break them, and reach past
-    /// the machine's last thread.
+    /// the machine's last thread; a range of workloads scheduled with one
+    /// `workloads` call builds what its actions one by one build, and an
+    /// empty range adds nothing.
     #[test]
     fn run_length_scenarios_match_their_step_list(
         cursors in prop::collection::vec(arb_run_cursor(), 1..8),
@@ -483,22 +489,33 @@ proptest! {
         for (tick, segments) in &cursors {
             let t = tick * MILLISECOND;
             let mut at = sc.at(t);
-            for &(shape, kind, first, threads, choice) in segments {
+            for &(shape, kind, first, threads, choice, bulk) in segments {
                 let (kind, first, choice) = match shape {
                     0 => (kind, first, choice),
                     1 => before,
                     2 => (before.0, before.1, choice),
                     _ => (before.0, before.1 + 1, before.2),
                 };
+                at = match run_op(kind, first, choice) {
+                    Op::Workload { thread, class, weight } if bulk => {
+                        at.workloads(thread, threads, class, weight)
+                    }
+                    _ => (first..first + threads)
+                        .fold(at, |at, thread| schedule(at, run_op(kind, thread, choice))),
+                };
                 for thread in first..first + threads {
-                    let op = run_op(kind, thread, choice);
-                    at = schedule(at, op);
                     let i = expected.partition_point(|s| s.at <= t);
-                    expected.insert(i, Step { at: t, op });
+                    expected.insert(i, Step { at: t, op: run_op(kind, thread, choice) });
                 }
                 before = (kind, first + threads, choice);
             }
         }
+        let last_tick = cursors.last().map_or(0, |(tick, _)| tick * MILLISECOND);
+        let mut empty = sc.clone();
+        let (class, weight) = (KernelClass::VXorps, OperandWeight::HALF);
+        empty.at(last_tick).workloads(ThreadId(before.1), 0, class, weight);
+        prop_assert_eq!(empty.entry_count(), sc.entry_count());
+        prop_assert_eq!(&empty, &sc);
         sc.probe("ac", Probe::AcPowerW, Window::at(probe_at * MILLISECOND));
         sc.run_until(run_until * MILLISECOND);
 

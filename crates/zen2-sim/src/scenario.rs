@@ -30,6 +30,9 @@
 //! tick that re-weights all 128 threads is one entry, not 128. A cursor
 //! in time order writes at the end of the steps, so the run its action
 //! can extend is the last entry, and extending it compares a few fields.
+//! [`At::workloads`] schedules one workload on a range of threads and,
+//! when its first action lands at the end, counts the rest into that
+//! entry at once, so building a tick costs per entry, not per thread.
 //! [`Scenario::steps`], `Debug` and `==` see every step, in the same
 //! order, however the runs are stored. An entry of one step takes the 24
 //! bytes a [`Step`] does; the counts of longer runs live in a side list.
@@ -227,10 +230,11 @@ pub(crate) fn nth(op: Op, k: u32) -> Op {
 /// `first`: the same action, parameters equal bit for bit, on the thread
 /// after the run's last. `OperandWeight(0.0) == OperandWeight(-0.0)`, but
 /// the two print differently, so they never share a run. Preheat and
-/// tracing toggles never form one.
+/// tracing toggles never form one, and a run holds at most `u32::MAX`
+/// steps.
 #[inline(always)]
 fn continues(first: Op, n: u32, op: Op) -> bool {
-    let next = |a: ThreadId, b: ThreadId| a.0 as u64 + n as u64 == b.0 as u64;
+    let next = |a: ThreadId, b: ThreadId| n < u32::MAX && a.0 as u64 + n as u64 == b.0 as u64;
     match (first, op) {
         (
             Op::Workload { thread: a, class: c, weight: w },
@@ -268,6 +272,40 @@ impl Steps {
         self.entries.iter().enumerate().map(move |(i, step)| {
             (step, runs.next_if(|&&(entry, _)| entry == i).map_or(1, |&(_, n)| n))
         })
+    }
+
+    /// Puts `op` at tick `t` behind every step at or before `t`, and
+    /// returns whether it is now the last step of the last entry.
+    #[inline(always)]
+    fn push(&mut self, t: Ns, op: Op) -> bool {
+        match self.entries.last().map(|last| last.at) {
+            Some(last) if last == t && self.extend_last(op) => true,
+            Some(last) if last > t => {
+                self.entries.push(Step { at: t, op });
+                self.place_last();
+                false
+            }
+            _ => {
+                self.entries.push(Step { at: t, op });
+                true
+            }
+        }
+    }
+
+    /// Counts `more` further steps into the last entry, each its last step
+    /// repeated on the next thread, or as many as a run of `u32::MAX`
+    /// steps has room for; returns how many it counted.
+    fn extend_last_by(&mut self, more: u32) -> u32 {
+        let end = self.entries.len() - 1;
+        let run = self.runs.last_mut().filter(|run| run.0 == end);
+        let n = run.as_ref().map_or(1, |run| run.1);
+        let more = more.min(u32::MAX - n);
+        match run {
+            Some(run) => run.1 += more,
+            None if more > 0 => self.runs.push((end, 1 + more)),
+            None => {}
+        }
+        more
     }
 
     /// Counts `op` into the last entry, which is at `op`'s tick, when `op`
@@ -601,7 +639,7 @@ impl Scenario {
         }
 
         // zen2-lint: allow(no-unordered-iteration) — membership-only duplicate-label probe; never iterated
-        let mut labels = std::collections::HashSet::new();
+        let mut labels = std::collections::HashSet::with_capacity(self.probes.len());
         for spec in self.probes.iter() {
             if !labels.insert(spec.label.as_str()) {
                 return Err(ScenarioError::DuplicateLabel { label: spec.label.clone() });
@@ -739,23 +777,18 @@ pub struct At<'a> {
     t: Ns,
 }
 
-// The methods are inlined across crates: a Fig. 10 build chains 384k of
-// them. `push` is forced inline and writes a new entry's `Op` straight
-// into the steps; left to the compiler, it stayed out of line in the
-// experiment crates, passed each `Op` through memory, and perfbench's
-// fig10_probes `setup_s` rose by a fifth.
+// The per-action methods are inlined across crates: drivers chain them
+// in loops that interleave actions (Fig. 7 and Fig. 9 request a
+// frequency on both siblings and load each thread in turn). `push` is
+// forced inline and writes a new entry's `Op` straight into the steps;
+// left to the compiler, it stayed out of line in the experiment crates
+// and passed each `Op` through memory. A tick that loads a range of
+// threads alike calls `workloads` instead, which pushes the range as
+// one entry.
 impl At<'_> {
     #[inline(always)]
     fn push(self, op: Op) -> Self {
-        let steps = &mut *self.steps;
-        match steps.entries.last().map(|last| last.at) {
-            Some(last) if last == self.t && steps.extend_last(op) => {}
-            Some(last) if last > self.t => {
-                steps.entries.push(Step { at: self.t, op });
-                steps.place_last();
-            }
-            _ => steps.entries.push(Step { at: self.t, op }),
-        }
+        self.steps.push(self.t, op);
         self
     }
 
@@ -763,6 +796,31 @@ impl At<'_> {
     #[inline]
     pub fn workload(self, thread: ThreadId, class: KernelClass, weight: OperandWeight) -> Self {
         self.push(Op::Workload { thread, class, weight })
+    }
+
+    /// Schedules one workload on the `n` threads `first, first + 1, …`:
+    /// the same steps and entries as `n` calls of
+    /// [`workload`](Self::workload) in thread order, but when the first
+    /// of them lands at the end of the steps, the rest extend its entry
+    /// at once. `n = 0` schedules nothing.
+    ///
+    /// # Panics
+    /// Panics when the range reaches past `ThreadId(u32::MAX)`.
+    pub fn workloads(
+        self,
+        first: ThreadId,
+        n: u32,
+        class: KernelClass,
+        weight: OperandWeight,
+    ) -> Self {
+        let Some(rest) = n.checked_sub(1) else { return self };
+        assert!(
+            first.0.checked_add(rest).is_some(),
+            "workloads: {n} threads from {first:?} reach past ThreadId(u32::MAX)"
+        );
+        let op = Op::Workload { thread: first, class, weight };
+        let counted = if self.steps.push(self.t, op) { self.steps.extend_last_by(rest) } else { 0 };
+        (counted + 1..=rest).fold(self, |at, k| at.push(nth(op, k)))
     }
 
     /// Schedules the removal of a thread's workload.
@@ -1567,6 +1625,66 @@ mod tests {
         sc.at(last).workload(ThreadId(129), KernelClass::VXorps, OperandWeight::ZERO);
         sc.at(last).workload(ThreadId(131), KernelClass::VXorps, OperandWeight::ZERO);
         assert_eq!(sc.steps.entries.len(), 7);
+    }
+
+    #[test]
+    fn a_workload_range_builds_what_its_actions_build() {
+        // Fig. 10 at paper scale: the start tick, the preheat and 3000
+        // blocks from the preheat's tick on, each tick re-weighting all
+        // 128 threads.
+        let build = |bulk: bool| {
+            let mut sc = Scenario::new();
+            let load = |sc: &mut Scenario, t, weight| match bulk {
+                true => {
+                    sc.at(t).workloads(ThreadId(0), 128, KernelClass::VXorps, weight);
+                }
+                false => load_every_thread(sc, t, weight),
+            };
+            load(&mut sc, 0, OperandWeight::HALF);
+            sc.at(100 * MILLISECOND).preheat();
+            let weights = [OperandWeight::ZERO, OperandWeight::FULL, OperandWeight(-0.0)];
+            for k in 0..3000 {
+                load(&mut sc, (k + 1) * 100 * MILLISECOND, weights[k as usize % 3]);
+            }
+            sc
+        };
+        let (bulk, one_by_one) = (build(true), build(false));
+        assert_eq!(bulk.entry_count(), 3002);
+        assert_eq!(bulk.steps().len(), 384_129);
+        assert_eq!(bulk.steps.runs, one_by_one.steps.runs);
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(format!("{bulk:?}"), format!("{one_by_one:?}"));
+        assert_eq!(bulk.validate(&cfg()), Ok(()));
+
+        // A range behind a later step goes in step by step and still
+        // forms one run; an empty range adds nothing.
+        let mut sc = Scenario::new();
+        sc.at(SECOND).preheat();
+        sc.at(0).workloads(ThreadId(3), 4, KernelClass::Pause, OperandWeight::FULL);
+        sc.at(0).workloads(ThreadId(7), 0, KernelClass::Pause, OperandWeight::FULL);
+        assert_eq!(sc.steps.runs, [(0, 4)]);
+        assert_eq!(sc.steps().len(), 5);
+
+        // A run holds at most `u32::MAX` steps: the thread past them
+        // starts an entry of its own, as one more `workload` would.
+        let mut sc = Scenario::new();
+        sc.at(0).workloads(ThreadId(0), 1, KernelClass::Pause, OperandWeight::FULL).workloads(
+            ThreadId(1),
+            u32::MAX,
+            KernelClass::Pause,
+            OperandWeight::FULL,
+        );
+        assert_eq!(sc.steps.runs, [(0, u32::MAX)]);
+        assert_eq!(sc.entry_count(), 2);
+        assert_eq!(sc.steps.entries[1].op, nth(sc.steps.entries[0].op, u32::MAX));
+        assert_eq!(sc.steps().len(), 1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "reach past ThreadId(u32::MAX)")]
+    fn a_workload_range_past_the_last_thread_id_is_refused() {
+        let mut sc = Scenario::new();
+        sc.at(0).workloads(ThreadId(2), u32::MAX, KernelClass::Pause, OperandWeight::FULL);
     }
 
     #[test]

@@ -158,15 +158,13 @@ fn random_scenario(cfg: &SimConfig, rng: &mut StdRng) -> Scenario {
 /// FIRESTARTER at `t = 0`, which pushes the package estimates past PPT
 /// so the cap moves, and one later tick re-weights every thread, as a
 /// Fig. 10 block does, so the engine settles a tick that touches every
-/// core twice. Every thread is a target.
+/// core twice. Each tick is one `workloads` call, as Fig. 10's are.
+/// Every thread is a target.
 fn load_every_thread(sc: &mut Scenario, rng: &mut StdRng, num_threads: u32, end: Ns) -> Vec<u32> {
     let reweight_at = rng.gen_range(MILLISECOND..=end);
     let weight = OperandWeight(rng.gen_range(0.0..=1.0));
     for (at, weight) in [(0, OperandWeight::HALF), (reweight_at, weight)] {
-        let mut step = sc.at(at);
-        for t in 0..num_threads {
-            step = step.workload(ThreadId(t), KernelClass::Firestarter, weight);
-        }
+        sc.at(at).workloads(ThreadId(0), num_threads, KernelClass::Firestarter, weight);
     }
     (0..num_threads).collect()
 }

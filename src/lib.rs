@@ -23,10 +23,7 @@
 //! // below nominal (Fig. 6).
 //! let mut sc = Scenario::new();
 //! sc.probe("idle", Probe::AcTrueMeanW, Window::span_secs(0.05, 0.25));
-//! let mut at = sc.at_secs(0.25);
-//! for t in 0..128u32 {
-//!     at = at.workload(ThreadId(t), KernelClass::Firestarter, OperandWeight::HALF);
-//! }
+//! sc.at_secs(0.25).workloads(ThreadId(0), 128, KernelClass::Firestarter, OperandWeight::HALF);
 //! sc.probe("throttled", Probe::EffectiveGhz(CoreId(0)), Window::at_secs(0.35));
 //!
 //! let cases = vec![Case::new("quickstart", config, sc, 42)];
